@@ -43,7 +43,6 @@ int main() {
   ProxyConfig proxy_config;
   proxy_config.host = site.host();
   proxy_config.num_decoys = 4;       // m decoy fetchers per beacon script.
-  proxy_config.obfuscation_level = 2;
   proxy_config.enable_policy = true;
   proxy_config.policy.max_get_per_minute = 30.0;  // Aggressive, for the demo.
   ProxyServer proxy(proxy_config, &clock,

@@ -19,7 +19,65 @@ bool IsOnePixelImage(const HtmlToken& tok) {
          tok.Attr("height") == "1";
 }
 
+// The attribute that holds a served ref's URL on a start tag with this
+// name, or "" when the tag carries none: <a href> is a link; <img src>,
+// <link rel=stylesheet href>, <script src>, <bgsound/audio src> and
+// <iframe/frame src> are embeds.
+std::string_view RefAttrFor(std::string_view tag) {
+  static constexpr std::string_view kRefTags[][2] = {
+      {"a", "href"},     {"link", "href"},  {"img", "src"},    {"script", "src"},
+      {"bgsound", "src"}, {"audio", "src"}, {"iframe", "src"}, {"frame", "src"},
+  };
+  for (const auto& [name, attr] : kRefTags) {
+    if (EqualsIgnoreCase(tag, name)) {
+      return attr;
+    }
+  }
+  return {};
+}
+
 }  // namespace
+
+ServedRefs CollectServedRefs(std::string_view html) {
+  ServedRefs out;
+  HtmlTokenStream stream(html);
+  HtmlTokenView tok;
+  while (stream.Next(tok)) {
+    if (tok.type != HtmlTokenType::kStartTag) {
+      continue;
+    }
+    const std::string_view url_attr = RefAttrFor(tok.name);
+    if (url_attr.empty()) {
+      continue;
+    }
+    const bool is_anchor = EqualsIgnoreCase(tok.name, "a");
+    const bool is_stylesheet_link = EqualsIgnoreCase(tok.name, "link");
+    std::string_view url;
+    std::string_view rel;
+    bool has_url = false;
+    bool has_rel = false;
+    HtmlAttrCursor cursor(tok.attr_src);
+    HtmlAttrView attr;
+    while (cursor.Next(attr)) {
+      if (!has_url && EqualsIgnoreCase(attr.name, url_attr)) {
+        url = attr.value;
+        has_url = true;
+      } else if (is_stylesheet_link && !has_rel && EqualsIgnoreCase(attr.name, "rel")) {
+        rel = attr.value;
+        has_rel = true;
+      }
+    }
+    if (!has_url) {
+      continue;
+    }
+    if (is_anchor) {
+      out.links.push_back(url);
+    } else if (!is_stylesheet_link || EqualsIgnoreCase(rel, "stylesheet")) {
+      out.embeds.push_back(url);
+    }
+  }
+  return out;
+}
 
 HtmlDocument::HtmlDocument(std::string_view html) : tokens_(TokenizeHtml(html)) {}
 

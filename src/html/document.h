@@ -28,6 +28,21 @@ struct EmbedRef {
   std::string url;
 };
 
+// The URLs of a page's links and embedded objects, as views into its bytes;
+// valid only while those bytes are.
+struct ServedRefs {
+  // The hrefs HtmlDocument::Links() returns, in document order.
+  std::vector<std::string_view> links;
+  // The urls HtmlDocument::EmbeddedObjects() returns, in document order.
+  std::vector<std::string_view> embeds;
+};
+
+// Collects both lists in one zero-copy scan of `html`, by HtmlDocument's
+// rules (case-insensitive names, first matching attribute, raw values),
+// without materializing tokens. The proxy records every page it serves
+// this way.
+ServedRefs CollectServedRefs(std::string_view html);
+
 class HtmlDocument {
  public:
   explicit HtmlDocument(std::string_view html);

@@ -1,6 +1,7 @@
 #include "src/js/generator.h"
 
 #include <algorithm>
+#include <set>
 
 #include "src/js/obfuscator.h"
 #include "src/js/transforms.h"
@@ -110,6 +111,29 @@ GeneratedBeacon GenerateBeaconScript(const BeaconSpec& spec, Rng& rng) {
   out.script_source = std::move(src);
   out.handler_code = "return " + dispatcher_name + "();";
   return out;
+}
+
+std::string DeriveBeaconHandler(const BeaconSpec& spec, Rng& rng) {
+  // GenerateBeaconScript's draws before it obfuscates: the real fetcher's
+  // slot, then the dispatcher's two factors. Replayed with the same bounds,
+  // since rejection sampling may take more than one word per draw.
+  const size_t n = spec.decoy_keys.size() + 1;
+  rng.UniformU64(n);
+  rng.UniformU64(97);
+  rng.UniformU64(97);
+  if (spec.obfuscation_level == 0) {
+    return "return dispatch();";
+  }
+  // Levels 1-3 rename first, drawing a fresh name per identifier in order of
+  // first appearance: done_0, fetch_0, img, then done_i, fetch_i for each
+  // later fetcher (Image is protected, .src a property), then dispatch. The
+  // script's own names never start with '_' as drawn names do, so only the
+  // drawn names can collide, and `used` holds just those.
+  std::set<std::string> used;
+  for (size_t i = 0; i < 2 * n + 1; ++i) {
+    DrawFreshIdentifier(rng, used);
+  }
+  return "return " + DrawFreshIdentifier(rng, used) + "();";
 }
 
 std::string GenerateUaEchoScript(const std::string& host, const std::string& path_prefix,

@@ -47,6 +47,13 @@ struct GeneratedBeacon {
 
 GeneratedBeacon GenerateBeaconScript(const BeaconSpec& spec, Rng& rng);
 
+// The handler_code GenerateBeaconScript(spec, rng) returns, computed without
+// building, lexing or obfuscating the script: it replays the generator's
+// draws from `rng` in the generator's order, up to the renamer's name for
+// the dispatcher. Valid for obfuscation levels 0-3; above that the AST
+// transforms draw from `rng` before the renamer does.
+std::string DeriveBeaconHandler(const BeaconSpec& spec, Rng& rng);
+
 // The UA-echo inline script (second <script> block in Figure 1): on
 // execution it document.write()s a stylesheet link whose URL embeds a
 // session token plus the sanitized navigator.userAgent, telling the server

@@ -72,11 +72,7 @@ JsToken Str(std::string value) {
 // A junk statement: `var <name> = <a> <op> <b>;` — pure arithmetic, no
 // observable effect.
 std::vector<JsToken> MakeJunkStatement(Rng& rng, std::set<std::string>& used) {
-  std::string name = RandomIdent(rng);
-  while (used.contains(name)) {
-    name = RandomIdent(rng);
-  }
-  used.insert(name);
+  const std::string name = DrawFreshIdentifier(rng, used);
   static const char* const kOps[] = {"+", "-", "*"};
   std::vector<JsToken> out;
   out.push_back(Keyword("var"));
@@ -91,11 +87,7 @@ std::vector<JsToken> MakeJunkStatement(Rng& rng, std::set<std::string>& used) {
 
 // A junk function that is never called; used for size padding.
 std::vector<JsToken> MakeJunkFunction(Rng& rng, std::set<std::string>& used) {
-  std::string name = RandomIdent(rng);
-  while (used.contains(name)) {
-    name = RandomIdent(rng);
-  }
-  used.insert(name);
+  const std::string name = DrawFreshIdentifier(rng, used);
   std::vector<JsToken> out;
   out.push_back(Keyword("function"));
   out.push_back(Ident(name));
@@ -120,6 +112,15 @@ std::vector<JsToken> MakeJunkFunction(Rng& rng, std::set<std::string>& used) {
 }
 
 }  // namespace
+
+std::string DrawFreshIdentifier(Rng& rng, std::set<std::string>& used) {
+  std::string name = RandomIdent(rng);
+  while (used.contains(name)) {
+    name = RandomIdent(rng);
+  }
+  used.insert(name);
+  return name;
+}
 
 std::string ObfuscationResult::RenamedOrSelf(const std::string& name) const {
   for (const auto& [from, to] : renames) {
@@ -163,12 +164,7 @@ ObfuscationResult ObfuscateJs(std::string_view source, const ObfuscationOptions&
       }
       auto it = mapping.find(t.text);
       if (it == mapping.end()) {
-        std::string fresh = RandomIdent(rng);
-        while (used_names.contains(fresh)) {
-          fresh = RandomIdent(rng);
-        }
-        used_names.insert(fresh);
-        it = mapping.emplace(t.text, std::move(fresh)).first;
+        it = mapping.emplace(t.text, DrawFreshIdentifier(rng, used_names)).first;
       }
       t.text = it->second;
     }

@@ -7,6 +7,7 @@
 #ifndef ROBODET_SRC_JS_OBFUSCATOR_H_
 #define ROBODET_SRC_JS_OBFUSCATOR_H_
 
+#include <set>
 #include <string>
 #include <string_view>
 
@@ -32,6 +33,12 @@ struct ObfuscationResult {
   std::string RenamedOrSelf(const std::string& name) const;
   std::vector<std::pair<std::string, std::string>> renames;
 };
+
+// The renamer's one name draw: random `_xxxx` identifiers from `rng` until
+// one is not in `used`, which then records it. Renaming, junk statements
+// and padding all name things this way, and the beacon generator replays
+// it to learn the dispatcher's name without running the obfuscator.
+std::string DrawFreshIdentifier(Rng& rng, std::set<std::string>& used);
 
 // Host names and property names are never renamed; identifiers following a
 // '.' are property accesses and keep their spelling.

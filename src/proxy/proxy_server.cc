@@ -69,6 +69,34 @@ uint64_t MintEntropy(const SessionState& session, TimeMs now, uint64_t tag) {
       tag);
 }
 
+// The beacon script's obfuscation: identifier renaming plus string
+// splitting. The page path learns the dispatcher's renamed name by
+// replaying the generator's draws (DeriveBeaconHandler), which holds up to
+// level 3; level 3 would also pad the script to kBeaconPadBytes (the
+// paper's measured scripts were ~1KB).
+constexpr int kBeaconObfuscationLevel = 2;
+constexpr size_t kBeaconPadBytes = 1024;
+static_assert(kBeaconObfuscationLevel <= 3, "DeriveBeaconHandler replays levels 0-3 only");
+
+// Observes the microseconds from construction to scope exit into `hist`;
+// a no-op (no clock read) when metrics are off.
+class ScopedDurationUs {
+ public:
+  explicit ScopedDurationUs(HistogramMetric* hist)
+      : hist_(hist), t0_(hist != nullptr ? MonotonicNanos() : 0) {}
+  ScopedDurationUs(const ScopedDurationUs&) = delete;
+  ScopedDurationUs& operator=(const ScopedDurationUs&) = delete;
+  ~ScopedDurationUs() {
+    if (hist_ != nullptr) {
+      hist_->Observe(static_cast<double>(MonotonicNanos() - t0_) / 1000.0);
+    }
+  }
+
+ private:
+  HistogramMetric* hist_;
+  uint64_t t0_;
+};
+
 // Microsecond buckets 1us..8.2ms; rewrite and full-handle latencies land
 // mid-range, probe hits in the first buckets.
 std::vector<double> LatencyBucketsUs() { return ExponentialBuckets(1.0, 2.0, 14); }
@@ -158,6 +186,10 @@ void ProxyServer::BindMetrics() {
       registry_->FindOrCreateHistogram("robodet_handle_duration_us", LatencyBucketsUs());
   m_.rewrite_us =
       registry_->FindOrCreateHistogram("robodet_rewrite_duration_us", LatencyBucketsUs());
+  m_.page_key_us =
+      registry_->FindOrCreateHistogram("robodet_page_key_duration_us", LatencyBucketsUs());
+  m_.served_refs_us =
+      registry_->FindOrCreateHistogram("robodet_served_refs_duration_us", LatencyBucketsUs());
   sessions_.BindMetrics(registry_);
   key_table_.BindMetrics(registry_);
   policy_.BindMetrics(registry_);
@@ -249,11 +281,7 @@ std::string ProxyServer::AbsoluteInstrUrl(const std::string& stem_and_name) cons
   return "http://" + config_.host + config_.instr_prefix + stem_and_name;
 }
 
-GeneratedBeacon ProxyServer::BuildBeaconForToken(std::string_view token,
-                                                 std::string* out_key) const {
-  // Everything about the script is a pure function of the token, so
-  // serving the script later needs no storage: same seed, same draws.
-  Rng script_rng(minter_.SeedFor(token));
+BeaconSpec ProxyServer::DrawBeaconSpec(Rng& script_rng) const {
   BeaconSpec spec;
   spec.host = config_.host;
   spec.path_prefix = config_.instr_prefix;
@@ -262,12 +290,30 @@ GeneratedBeacon ProxyServer::BuildBeaconForToken(std::string_view token,
   for (size_t i = 0; i < config_.num_decoys; ++i) {
     spec.decoy_keys.push_back(script_rng.HexKey128());
   }
-  spec.obfuscation_level = config_.obfuscation_level;
-  spec.pad_to_bytes = config_.pad_script_to;
+  spec.obfuscation_level = kBeaconObfuscationLevel;
+  spec.pad_to_bytes = kBeaconPadBytes;
+  return spec;
+}
+
+GeneratedBeacon ProxyServer::BuildBeaconForToken(std::string_view token,
+                                                 std::string* out_key) const {
+  // Everything about the script is a pure function of the token, so
+  // serving the script later needs no storage: same seed, same draws.
+  Rng script_rng(minter_.SeedFor(token));
+  const BeaconSpec spec = DrawBeaconSpec(script_rng);
   if (out_key != nullptr) {
     *out_key = spec.real_key;
   }
   return GenerateBeaconScript(spec, script_rng);
+}
+
+ProxyServer::PageBeacon ProxyServer::DerivePageBeacon(std::string_view token) const {
+  Rng script_rng(minter_.SeedFor(token));
+  BeaconSpec spec = DrawBeaconSpec(script_rng);
+  PageBeacon beacon;
+  beacon.handler_code = DeriveBeaconHandler(spec, script_rng);
+  beacon.real_key = std::move(spec.real_key);
+  return beacon;
 }
 
 RequestEvent ProxyServer::BuildEvent(const Request& request, const SessionState& session) const {
@@ -288,15 +334,7 @@ RequestEvent ProxyServer::BuildEvent(const Request& request, const SessionState&
 ProxyServer::Result ProxyServer::Handle(const Request& request) {
   // Observes the full per-request latency on scope exit, whatever path
   // the request takes below.
-  struct HandleTimer {
-    HistogramMetric* hist;
-    uint64_t t0;
-    ~HandleTimer() {
-      if (hist != nullptr) {
-        hist->Observe(static_cast<double>(MonotonicNanos() - t0) / 1000.0);
-      }
-    }
-  } timer{m_.handle_us, m_.handle_us != nullptr ? MonotonicNanos() : 0};
+  const ScopedDurationUs timer(m_.handle_us);
 
   IncIfBound(m_.requests);
   const TimeMs now = request.time;
@@ -693,16 +731,15 @@ Response ProxyServer::InstrumentPage(const Request& request, SessionState& sessi
   SpanScope span(trace, "rewrite_inject");
   InjectionPlan plan;
 
-  std::string real_key;
   if (config_.enable_human_activity) {
+    const ScopedDurationUs timer(m_.page_key_us);
     const std::string script_token =
         minter_.MintFor(MintEntropy(session, request.time, 0));
-    // We need the key before serving; derive the beacon once here (cheap)
-    // and re-derive on script fetch.
-    GeneratedBeacon beacon = BuildBeaconForToken(script_token, &real_key);
-    keys().Record(request.client_ip, request.url.path(), real_key, request.time);
+    // The script itself is built only when the client fetches it.
+    PageBeacon beacon = DerivePageBeacon(script_token);
+    keys().Record(request.client_ip, request.url.path(), beacon.real_key, request.time);
+    plan.mouse_handler_code = std::move(beacon.handler_code);
     plan.beacon_script_url = AbsoluteInstrUrl("js_" + script_token + ".js");
-    plan.mouse_handler_code = beacon.handler_code;
     plan.hook_links = config_.hook_links;
   }
   // Beacon-only is the ladder's middle rung: the cheap, high-signal probe
@@ -729,10 +766,10 @@ Response ProxyServer::InstrumentPage(const Request& request, SessionState& sessi
     }
   }
 
-  const uint64_t rewrite_start = m_.rewrite_us != nullptr ? MonotonicNanos() : 0;
-  InjectionResult injected = InstrumentHtml(response.body, plan);
-  if (m_.rewrite_us != nullptr) {
-    m_.rewrite_us->Observe(static_cast<double>(MonotonicNanos() - rewrite_start) / 1000.0);
+  InjectionResult injected;
+  {
+    const ScopedDurationUs timer(m_.rewrite_us);
+    injected = InstrumentHtml(response.body, plan);
   }
   span.Annotate("added_bytes=" + std::to_string(injected.added_bytes));
   response.body = std::move(injected.html);
@@ -751,13 +788,16 @@ Response ProxyServer::InstrumentPage(const Request& request, SessionState& sessi
 }
 
 void ProxyServer::RegisterServedContent(const Request& request, SessionState& session,
-                                        const std::string& html) {
-  HtmlDocument doc(html);
-  for (const LinkRef& link : doc.Links()) {
-    session.served_links().Insert(request.url.Resolve(link.href).ToString());
+                                        std::string_view html) {
+  const ScopedDurationUs timer(m_.served_refs_us);
+  // All links, then all embeds: each set keeps insertion order and drops
+  // inserts past its capacity.
+  const ServedRefs refs = CollectServedRefs(html);
+  for (std::string_view href : refs.links) {
+    session.served_links().Insert(request.url.Resolve(href).ToString());
   }
-  for (const EmbedRef& embed : doc.EmbeddedObjects()) {
-    session.served_embeds().Insert(request.url.Resolve(embed.url).ToString());
+  for (std::string_view url : refs.embeds) {
+    session.served_embeds().Insert(request.url.Resolve(url).ToString());
   }
 }
 

@@ -45,8 +45,6 @@ struct ProxyConfig {
   // m: number of decoy fetchers per beacon script. Blind object fetchers
   // are caught with probability m/(m+1) per beacon request.
   size_t num_decoys = 4;
-  int obfuscation_level = 2;
-  size_t pad_script_to = 1024;
   bool hook_links = false;
 
   // §2.2 browser testing.
@@ -162,9 +160,19 @@ class ProxyServer {
 
   Result Handle(const Request& request);
 
-  // Re-derives the beacon that was served under `token` (also used by
-  // tests to check determinism). `out_key` receives the real key k.
+  // Builds the beacon script served under `token` (also used by tests to
+  // check determinism). `out_key` receives the real key k.
   GeneratedBeacon BuildBeaconForToken(std::string_view token, std::string* out_key) const;
+
+  // What a page served under `token` needs of its beacon: the real key k
+  // and the onmousemove handler code. Derived by replaying the script's
+  // draws without building it, and always equal to BuildBeaconForToken's
+  // key and handler_code.
+  struct PageBeacon {
+    std::string real_key;
+    std::string handler_code;
+  };
+  PageBeacon DerivePageBeacon(std::string_view token) const;
 
   SessionTable& sessions() { return sessions_; }
   KeyTable& keys() { return shared_keys_ != nullptr ? *shared_keys_ : key_table_; }
@@ -226,8 +234,12 @@ class ProxyServer {
   DegradationLevel DecideDegradation(const FetchOutcome& fetch, const Response& response) const;
   // Every maintenance_stride requests: reap expired keys and idle sessions.
   void MaybeMaintainTables(TimeMs now);
+  // The beacon's spec for one token: its keys, drawn from the start of the
+  // token's stream, whose remaining draws shape the script.
+  BeaconSpec DrawBeaconSpec(Rng& script_rng) const;
+  // Records the links and embeds of a served page in the session.
   void RegisterServedContent(const Request& request, SessionState& session,
-                             const std::string& html);
+                             std::string_view html);
   // Journals the session's state after a mutation (no-op without
   // persistence).
   void NoteSessionMutation(SessionState& session);
@@ -262,6 +274,8 @@ class ProxyServer {
     Counter* restarts = nullptr;
     HistogramMetric* handle_us = nullptr;
     HistogramMetric* rewrite_us = nullptr;
+    HistogramMetric* page_key_us = nullptr;
+    HistogramMetric* served_refs_us = nullptr;
   };
 
   ProxyConfig config_;

@@ -5,10 +5,13 @@
 // requirement, not a nicety.
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "src/html/document.h"
 #include "src/html/injector.h"
 #include "src/html/tokenizer.h"
 #include "src/util/rng.h"
+#include "tests/html/served_refs_test_util.h"
 
 namespace robodet {
 namespace {
@@ -74,6 +77,63 @@ std::string GenerateMessyHtml(Rng& rng, size_t target_size) {
   return out;
 }
 
+// Tag soup dense in the tags that carry served refs, spelled every way the
+// collector must treat like HtmlDocument does: any tag or attribute case,
+// duplicate and valueless attributes, single, double or no quotes, rel
+// values that are and are not "stylesheet", raw-text elements holding
+// markup, and truncation mid-tag.
+std::string GenerateRefSoup(Rng& rng, size_t target_size) {
+  static const char* const kTags[] = {"a",      "A",     "link",   "LINK",  "Link",
+                                      "img",    "IMG",   "script", "SCRIPT", "bgsound",
+                                      "audio",  "iframe", "FRAME",  "div",   "style"};
+  static const char* const kAttrs[] = {"href", "HREF", "src", "Src", "rel", "REL", "onclick",
+                                       "class"};
+  static const char* const kValues[] = {"stylesheet", "StyleSheet", "alternate stylesheet",
+                                        "/a.html",    "x.css",      "http://o.com/i.jpg",
+                                        "",           "a>b",        "say \"hi\""};
+  std::string out;
+  while (out.size() < target_size) {
+    switch (rng.UniformU64(4)) {
+      case 0:
+      case 1: {
+        out += "<";
+        out += kTags[rng.UniformU64(std::size(kTags))];
+        const size_t attrs = rng.UniformU64(4);
+        for (size_t a = 0; a < attrs; ++a) {
+          out += " ";
+          out += kAttrs[rng.UniformU64(std::size(kAttrs))];
+          const std::string value = kValues[rng.UniformU64(std::size(kValues))];
+          switch (rng.UniformU64(4)) {
+            case 0:
+              break;  // Valueless.
+            case 1:
+              out += "=\"" + value + "\"";
+              break;
+            case 2:
+              out += " = '" + value + "'";
+              break;
+            default:
+              out += "=" + value.substr(0, value.find(' '));
+              break;
+          }
+        }
+        out += rng.Bernoulli(0.2) ? "/>" : ">";
+        break;
+      }
+      case 2:
+        out += rng.Bernoulli(0.5) ? "</a>" : "</script>";
+        break;
+      default:
+        out += GenerateMessyHtml(rng, 40);
+        break;
+    }
+  }
+  if (rng.Bernoulli(0.3)) {
+    out += "<link rel=stylesheet href=\"/cut";  // Truncated mid-tag.
+  }
+  return out;
+}
+
 class HtmlFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(HtmlFuzzTest, TokenizeSerializeFixedPoint) {
@@ -122,6 +182,28 @@ TEST_P(HtmlFuzzTest, InstrumentationSurvivesAndProbesLand) {
     has_probe |= e.url == plan.css_probe_url;
   }
   EXPECT_TRUE(has_probe);
+}
+
+// The proxy records served links and embeds with the streaming collector;
+// on messy pages, raw and instrumented, it must agree with HtmlDocument
+// entry for entry and in order.
+TEST_P(HtmlFuzzTest, ServedRefsMatchDocument) {
+  Rng rng(GetParam() ^ 0x5e77ed);
+  InjectionPlan plan;
+  plan.beacon_script_url = "http://e.com/__rd/js_t.js";
+  plan.mouse_handler_code = "return d();";
+  plan.hook_links = true;
+  plan.ua_echo_script = "document.write('<link rel=\"stylesheet\" href=\"/u.css\">');";
+  plan.css_probe_url = "http://e.com/__rd/cp_t.css";
+  plan.audio_probe_url = "http://e.com/__rd/ap_t.wav";
+  plan.hidden_link_url = "http://e.com/__rd/hl_t.html";
+  plan.transparent_image_url = "http://e.com/__rd/ti.jpg";
+  for (int i = 0; i < 8; ++i) {
+    const std::string html = i % 2 == 0 ? GenerateMessyHtml(rng, 500 + rng.UniformU64(3000))
+                                        : GenerateRefSoup(rng, 500 + rng.UniformU64(3000));
+    ExpectServedRefsMatchDocument(html);
+    ExpectServedRefsMatchDocument(InstrumentHtml(html, plan).html);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HtmlFuzzTest,

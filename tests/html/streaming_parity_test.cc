@@ -11,6 +11,7 @@
 #include "src/html/injector.h"
 #include "src/html/tokenizer.h"
 #include "src/util/rng.h"
+#include "tests/html/served_refs_test_util.h"
 
 namespace robodet {
 namespace {
@@ -137,6 +138,18 @@ TEST(StreamingParityTest, CorpusByteIdentical) {
           << "doc " << d + 1 << " plan " << p;
       EXPECT_EQ(legacy.injected_hidden_link, streaming.injected_hidden_link)
           << "doc " << d + 1 << " plan " << p;
+    }
+  }
+}
+
+// The served-ref collector must agree with HtmlDocument on every corpus
+// document, raw and as served under every plan.
+TEST(StreamingParityTest, CorpusServedRefsMatchDocument) {
+  const std::vector<InjectionPlan> plans = Plans();
+  for (const char* doc : kCorpus) {
+    ExpectServedRefsMatchDocument(doc);
+    for (const InjectionPlan& plan : plans) {
+      ExpectServedRefsMatchDocument(InstrumentHtml(doc, plan).html);
     }
   }
 }

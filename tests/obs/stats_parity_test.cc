@@ -83,6 +83,14 @@ TEST(StatsParityTest, ProxyStatsMatchesRegistryAfterSessionMix) {
   const MetricSnapshot* rewrite = snap.Find("robodet_rewrite_duration_us");
   ASSERT_NE(rewrite, nullptr);
   EXPECT_EQ(rewrite->histogram.count, stats.pages_instrumented);
+  // Every instrumented page derived one beacon key, and registered its
+  // served refs (as do uninstrumented HTML pages).
+  const MetricSnapshot* page_key = snap.Find("robodet_page_key_duration_us");
+  ASSERT_NE(page_key, nullptr);
+  EXPECT_EQ(page_key->histogram.count, stats.pages_instrumented);
+  const MetricSnapshot* served_refs = snap.Find("robodet_served_refs_duration_us");
+  ASSERT_NE(served_refs, nullptr);
+  EXPECT_GE(served_refs->histogram.count, stats.pages_instrumented);
 
   // Session-table metrics agree with the table.
   const MetricSnapshot* active = snap.Find("robodet_sessions_active");

@@ -23,8 +23,14 @@ class ProxyServerTest : public ::testing::Test {
     Rng site_rng(3);
     site_ = SiteModel::Generate(site_config, site_rng);
     origin_ = std::make_unique<OriginServer>(&site_);
+    UseDecoys(ProxyConfig{}.num_decoys);
+  }
+
+  // Replaces the proxy with a fresh one serving `num_decoys` decoys.
+  void UseDecoys(size_t num_decoys) {
     ProxyConfig config;
     config.host = site_.host();
+    config.num_decoys = num_decoys;
     proxy_ = std::make_unique<ProxyServer>(
         config, &clock_, [this](const Request& r) { return origin_->Handle(r); }, 77);
   }
@@ -85,7 +91,13 @@ TEST_F(ProxyServerTest, NonHtmlNotInstrumented) {
   EXPECT_EQ(result.response.body.find("__rd"), std::string::npos);
 }
 
-TEST_F(ProxyServerTest, FullHumanBeaconLoop) {
+// The full loop at every decoy count the proxy is run with: the page's
+// handler must name the dispatcher the served script really defines.
+class ProxyServerDecoysTest : public ProxyServerTest,
+                              public ::testing::WithParamInterface<size_t> {};
+
+TEST_P(ProxyServerDecoysTest, FullHumanBeaconLoop) {
+  UseDecoys(GetParam());
   // 1. Load the page.
   const auto page = Get("/p/1.html");
   HtmlDocument doc(page.response.body);
@@ -138,6 +150,8 @@ TEST_F(ProxyServerTest, FullHumanBeaconLoop) {
   EXPECT_EQ(sig.ua_mismatch_at, 0);  // Header matches engine string.
   EXPECT_EQ(proxy_->stats().beacon_hits_ok, 1u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Decoys, ProxyServerDecoysTest, ::testing::Values(0u, 1u, 4u, 8u));
 
 TEST_F(ProxyServerTest, WrongBeaconKeyFlagged) {
   Get("/p/1.html");
