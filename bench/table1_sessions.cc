@@ -107,9 +107,10 @@ int main(int argc, char** argv) {
                 FormatPercent(static_cast<double>(cap_css) / cap_total).c_str());
   }
 
-  const ProxyStats& stats = experiment.proxy().stats();
   std::printf("\nbandwidth: instrumentation overhead %s of total bytes "
               "(paper: 0.3%% of CoDeeN's media-heavy mix)\n",
-              FormatPercent(stats.OverheadFraction(), 2).c_str());
+              FormatPercent(InstrumentationOverheadFraction(experiment.proxy().metrics().Scrape()),
+                            2)
+                  .c_str());
   return 0;
 }

@@ -76,15 +76,17 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(blocked));
   }
 
-  const ProxyStats& stats = experiment.proxy().stats();
+  const RegistrySnapshot snapshot = experiment.proxy().metrics().Scrape();
+  const auto count = [&snapshot](std::string_view name, const Labels& labels = {}) {
+    return static_cast<unsigned long long>(snapshot.CounterValue(name, labels));
+  };
   std::printf("\nproxy totals: %llu requests (%llu blocked), %llu pages instrumented\n",
-              static_cast<unsigned long long>(stats.requests),
-              static_cast<unsigned long long>(stats.blocked_requests),
-              static_cast<unsigned long long>(stats.pages_instrumented));
+              count("robodet_requests_total"), count("robodet_blocked_requests_total"),
+              count("robodet_pages_instrumented_total"));
   std::printf("beacon hits: %llu correct-key (mouse proof), %llu wrong-key (robot proof)\n",
-              static_cast<unsigned long long>(stats.beacon_hits_ok),
-              static_cast<unsigned long long>(stats.beacon_hits_wrong));
+              count("robodet_beacon_hits_total", {{"result", "ok"}}),
+              count("robodet_beacon_hits_total", {{"result", "wrong_key"}}));
   std::printf("instrumentation bandwidth overhead: %.2f%%\n",
-              stats.OverheadFraction() * 100.0);
+              InstrumentationOverheadFraction(snapshot) * 100.0);
   return 0;
 }

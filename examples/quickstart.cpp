@@ -93,18 +93,20 @@ int main() {
   PrintClassification("human (Firefox)", human_session, proxy.ClassifySession(human_session));
   PrintClassification("referrer spammer", robot_session, proxy.ClassifySession(robot_session));
 
-  const ProxyStats stats = proxy.stats();
+  const RegistrySnapshot snapshot = proxy.metrics().Scrape();
   std::printf("\nproxy: %llu requests (%llu blocked), %llu pages instrumented, "
               "instrumentation overhead %.2f%% of bytes\n",
-              static_cast<unsigned long long>(stats.requests),
-              static_cast<unsigned long long>(stats.blocked_requests),
-              static_cast<unsigned long long>(stats.pages_instrumented),
-              stats.OverheadFraction() * 100.0);
+              static_cast<unsigned long long>(snapshot.CounterValue("robodet_requests_total")),
+              static_cast<unsigned long long>(
+                  snapshot.CounterValue("robodet_blocked_requests_total")),
+              static_cast<unsigned long long>(
+                  snapshot.CounterValue("robodet_pages_instrumented_total")),
+              InstrumentationOverheadFraction(snapshot) * 100.0);
 
   // 6. The same numbers as a monitoring system would see them.
   std::printf("\n--- Prometheus scrape "
               "------------------------------------------------\n");
-  std::printf("%s", ExportPrometheus(proxy.metrics().Scrape()).c_str());
+  std::printf("%s", ExportPrometheus(snapshot).c_str());
 
   // 7. The robot's trace: the span timeline ends at the policy decision.
   std::printf("--- robot trace "

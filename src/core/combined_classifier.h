@@ -42,14 +42,15 @@ class CombinedClassifier {
   // (wrong key, hidden link, UA mismatch, JS-without-mouse, probe-deaf)
   // wins over human-leaning evidence, mouse activity wins over everything.
   Classification ClassifyOnline(const SessionObservation& obs) const;
+  // The same rule without touching robodet_classify_online_total, for
+  // callers that only report the verdict back (ProxyServer::Result).
+  Classification ClassifyOnlineUncounted(const SessionObservation& obs) const;
 
   // Counts every online classification into `registry` as
   // robodet_classify_online_total{verdict=...}.
   void BindMetrics(MetricsRegistry* registry);
 
  private:
-  Classification ClassifyOnlineUncounted(const SessionObservation& obs) const;
-
   struct Metrics {
     Counter* human = nullptr;
     Counter* robot = nullptr;

@@ -43,6 +43,18 @@ struct Classification {
   std::vector<Evidence> evidence;
 };
 
+// The signal behind a verdict: the first piece of evidence that points at
+// it ("wrong_beacon_key", "css_probe_fetched", ...), or "none". This is the
+// source label of robodet_verdict_total. Views into `classification`.
+inline std::string_view VerdictSource(const Classification& classification) {
+  for (const Evidence& evidence : classification.evidence) {
+    if (evidence.points_to == classification.verdict) {
+      return evidence.signal;
+    }
+  }
+  return "none";
+}
+
 }  // namespace robodet
 
 #endif  // ROBODET_SRC_CORE_VERDICT_H_

@@ -3,9 +3,7 @@
 // own SO_REUSEPORT listener, so the kernel spreads incoming connections
 // and no accept lock exists anywhere. The handler runs on worker threads —
 // it must be thread-safe, and because the kernel spreads by 4-tuple, two
-// connections from the SAME client can be served concurrently; handlers
-// with per-client state (ProxyServer sessions) should serialize per
-// client with StripedClientLock (src/net/client_lock.h).
+// connections from the SAME client can be served concurrently.
 //
 // Overload policy is robot-first: when a worker is at its connection cap,
 // an idle keep-alive connection whose last request classified as a robot

@@ -78,19 +78,13 @@ constexpr int kBeaconObfuscationLevel = 2;
 constexpr size_t kBeaconPadBytes = 1024;
 static_assert(kBeaconObfuscationLevel <= 3, "DeriveBeaconHandler replays levels 0-3 only");
 
-// Observes the microseconds from construction to scope exit into `hist`;
-// a no-op (no clock read) when metrics are off.
+// Observes the microseconds from construction to scope exit into `hist`.
 class ScopedDurationUs {
  public:
-  explicit ScopedDurationUs(HistogramMetric* hist)
-      : hist_(hist), t0_(hist != nullptr ? MonotonicNanos() : 0) {}
+  explicit ScopedDurationUs(HistogramMetric* hist) : hist_(hist), t0_(MonotonicNanos()) {}
   ScopedDurationUs(const ScopedDurationUs&) = delete;
   ScopedDurationUs& operator=(const ScopedDurationUs&) = delete;
-  ~ScopedDurationUs() {
-    if (hist_ != nullptr) {
-      hist_->Observe(static_cast<double>(MonotonicNanos() - t0_) / 1000.0);
-    }
-  }
+  ~ScopedDurationUs() { hist_->Observe(static_cast<double>(MonotonicNanos() - t0_) / 1000.0); }
 
  private:
   HistogramMetric* hist_;
@@ -102,6 +96,12 @@ class ScopedDurationUs {
 std::vector<double> LatencyBucketsUs() { return ExponentialBuckets(1.0, 2.0, 14); }
 
 }  // namespace
+
+double InstrumentationOverheadFraction(const RegistrySnapshot& snapshot) {
+  const uint64_t instrumentation = snapshot.CounterValue("robodet_instrumentation_bytes_total");
+  const uint64_t total = snapshot.CounterValue("robodet_origin_bytes_total") + instrumentation;
+  return total == 0 ? 0.0 : static_cast<double>(instrumentation) / static_cast<double>(total);
+}
 
 ProxyServer::ProxyServer(ProxyConfig config, SimClock* clock, FallibleOriginHandler origin,
                          uint64_t rng_seed)
@@ -135,18 +135,6 @@ ProxyServer::ProxyServer(ProxyConfig config, SimClock* clock, OriginHandler orig
                   rng_seed) {}
 
 void ProxyServer::BindMetrics() {
-  m_ = Handles{};
-  if (!config_.enable_metrics) {
-    sessions_.BindMetrics(nullptr);
-    key_table_.BindMetrics(nullptr);
-    policy_.BindMetrics(nullptr);
-    default_classifier_.BindMetrics(nullptr);
-    resilient_.BindMetrics(nullptr);
-    if (state_store_ != nullptr) {
-      state_store_->BindMetrics(nullptr);
-    }
-    return;
-  }
   m_.requests = registry_->FindOrCreateCounter("robodet_requests_total");
   m_.blocked = registry_->FindOrCreateCounter("robodet_blocked_requests_total");
   m_.pages_instrumented = registry_->FindOrCreateCounter("robodet_pages_instrumented_total");
@@ -205,27 +193,6 @@ void ProxyServer::UseSharedMetrics(MetricsRegistry* registry) {
   BindMetrics();
 }
 
-ProxyStats ProxyServer::stats() const {
-  ProxyStats s;
-  if (m_.requests == nullptr) {
-    return s;  // Metrics disabled: nothing was recorded.
-  }
-  s.requests = m_.requests->Value();
-  s.blocked_requests = m_.blocked->Value();
-  s.pages_instrumented = m_.pages_instrumented->Value();
-  s.probe_hits_css = m_.probe_css->Value();
-  s.probe_hits_js_file = m_.probe_js_file->Value();
-  s.beacon_hits_ok = m_.beacon_ok->Value();
-  s.beacon_hits_wrong = m_.beacon_wrong->Value();
-  s.ua_echo_hits = m_.ua_echo->Value();
-  s.hidden_link_hits = m_.hidden_link->Value();
-  s.captcha_passes = m_.captcha_pass->Value();
-  s.captcha_failures = m_.captcha_fail->Value();
-  s.origin_bytes = m_.origin_bytes->Value();
-  s.instrumentation_bytes = m_.instr_bytes->Value();
-  return s;
-}
-
 void ProxyServer::EnableBrowserTest(bool on) {
   config_.enable_css_probe = on;
   config_.enable_hidden_link = on;
@@ -260,21 +227,20 @@ Classification ProxyServer::ClassifySession(const SessionState& session) {
 }
 
 void ProxyServer::RecordVerdict(const Classification& classification) {
-  if (!config_.enable_metrics) {
-    return;
-  }
-  std::string source = "none";
-  for (const Evidence& evidence : classification.evidence) {
-    if (evidence.points_to == classification.verdict) {
-      source = evidence.signal;
-      break;
-    }
-  }
   registry_
       ->FindOrCreateCounter("robodet_verdict_total",
                             {{"class", std::string(VerdictName(classification.verdict))},
-                             {"source", source}})
+                             {"source", std::string(VerdictSource(classification))}})
       ->Inc();
+}
+
+std::mutex& ProxyServer::ClientMutex(IpAddress ip) {
+  // Multiplicative mixing: client IPs are often sequential (one NAT block,
+  // one load generator), and low bits alone would pile them onto adjacent
+  // stripes. Two clients sharing a stripe costs serialization, never
+  // correctness.
+  const uint64_t mixed = static_cast<uint64_t>(ip.value()) * 0x9e3779b97f4a7c15ULL;
+  return client_mutexes_[(mixed >> 32) % client_mutexes_.size()];
 }
 
 std::string ProxyServer::AbsoluteInstrUrl(const std::string& stem_and_name) const {
@@ -332,25 +298,37 @@ RequestEvent ProxyServer::BuildEvent(const Request& request, const SessionState&
 }
 
 ProxyServer::Result ProxyServer::Handle(const Request& request) {
+  // Serializes this client (see client_mutexes_). Taken before the timer
+  // so the histogram measures work, not waiting.
+  const std::lock_guard<std::mutex> client_lock(ClientMutex(request.client_ip));
   // Observes the full per-request latency on scope exit, whatever path
   // the request takes below.
   const ScopedDurationUs timer(m_.handle_us);
 
-  IncIfBound(m_.requests);
-  const TimeMs now = request.time;
+  m_.requests->Inc();
   // Reap before Touch so the returned session pointer cannot be invalidated
   // by the idle sweep.
-  MaybeMaintainTables(now);
-  SessionState* session = sessions_.Touch(SessionKey{request.client_ip,
-                                                     std::string(request.UserAgent())},
-                                          now);
+  MaybeMaintainTables(request.time);
+  SessionState& session =
+      *sessions_.Touch(SessionKey{request.client_ip, std::string(request.UserAgent())},
+                       request.time);
+  Result result = HandleSession(request, session);
+  result.session_id = session.id();
+  result.verdict = robot_judge_
+                       ? robot_judge_(session)
+                       : default_classifier_.ClassifyOnlineUncounted(session.observation())
+                             .verdict;
+  return result;
+}
 
+ProxyServer::Result ProxyServer::HandleSession(const Request& request, SessionState& session) {
+  const TimeMs now = request.time;
   // Tail-sampling assist: a session already under a block is always worth
   // a trace, independent of the 1/N head sample.
-  TraceScope trace_scope(tracer_, request.url.path(), /*force=*/session->blocked());
+  TraceScope trace_scope(tracer_, request.url.path(), /*force=*/session.blocked());
   TraceRecorder::Trace* trace = trace_scope.get();
   if (trace != nullptr) {
-    trace->set_session_id(session->id());
+    trace->set_session_id(session.id());
   }
 
   // Overload shedding: past the admission budget, robot-classified
@@ -361,24 +339,22 @@ ProxyServer::Result ProxyServer::Handle(const Request& request) {
     Verdict verdict = Verdict::kUnknown;
     if (admit == AdmissionController::Decision::kShedRobots) {
       SpanScope span(trace, "classify");
-      verdict = JudgeSession(*session);
+      verdict = JudgeSession(session);
       shed = verdict == Verdict::kRobot;
     }
     if (shed) {
-      IncIfBound(admit == AdmissionController::Decision::kShedAll ? m_.shed_all
-                                                                  : m_.shed_robots);
-      IncIfBound(m_.degraded[static_cast<int>(DegradationLevel::kShed)]);
-      RequestEvent shed_ev = BuildEvent(request, *session);
+      (admit == AdmissionController::Decision::kShedAll ? m_.shed_all : m_.shed_robots)->Inc();
+      m_.degraded[static_cast<int>(DegradationLevel::kShed)]->Inc();
+      RequestEvent shed_ev = BuildEvent(request, session);
       shed_ev.status_class = 5;
-      session->RecordRequest(now, shed_ev);
-      NoteSessionMutation(*session);
+      session.RecordRequest(now, shed_ev);
+      NoteSessionMutation(session);
       if (trace != nullptr) {
         trace->SetOutcome(true, VerdictName(verdict), "admission");
       }
       Result result;
       result.response = Overloaded();
       result.degraded = DegradationLevel::kShed;
-      result.session_id = session->id();
       return result;
     }
   }
@@ -388,19 +364,19 @@ ProxyServer::Result ProxyServer::Handle(const Request& request) {
     Verdict verdict;
     {
       SpanScope span(trace, "classify");
-      verdict = JudgeSession(*session);
+      verdict = JudgeSession(session);
     }
     PolicyAction action;
     {
       SpanScope span(trace, "policy");
-      action = policy_.Evaluate(*session, verdict, now);
+      action = policy_.Evaluate(session, verdict, now);
     }
     if (action == PolicyAction::kBlock) {
-      IncIfBound(m_.blocked);
-      RequestEvent ev = BuildEvent(request, *session);
+      m_.blocked->Inc();
+      RequestEvent ev = BuildEvent(request, session);
       ev.status_class = 4;
-      session->RecordRequest(now, ev);
-      NoteSessionMutation(*session);
+      session.RecordRequest(now, ev);
+      NoteSessionMutation(session);
       // The blocked timeline ends at the policy decision; the bookkeeping
       // above is not worth a span.
       if (trace != nullptr) {
@@ -409,7 +385,6 @@ ProxyServer::Result ProxyServer::Handle(const Request& request) {
       Result result;
       result.response = Blocked();
       result.blocked = true;
-      result.session_id = session->id();
       return result;
     }
   }
@@ -417,12 +392,12 @@ ProxyServer::Result ProxyServer::Handle(const Request& request) {
   RequestEvent ev;
   {
     SpanScope span(trace, "parse");
-    ev = BuildEvent(request, *session);
+    ev = BuildEvent(request, session);
   }
-  const int index = session->request_count() + 1;  // This request's 1-based index.
+  const int index = session.request_count() + 1;  // This request's 1-based index.
 
   if (ev.kind == ResourceKind::kRobotsTxt) {
-    SessionState::MarkSignal(session->signals().robots_txt_at, index);
+    SessionState::MarkSignal(session.signals().robots_txt_at, index);
   }
 
   // Instrumented namespace?
@@ -430,17 +405,16 @@ ProxyServer::Result ProxyServer::Handle(const Request& request) {
     Result result;
     {
       SpanScope span(trace, "probe_intercept");
-      result = HandleInstrumented(request, *session, index, trace);
+      result = HandleInstrumented(request, session, index, trace);
     }
     ev.status_class = static_cast<uint8_t>(StatusValue(result.response.status) / 100);
     {
       SpanScope span(trace, "session_update");
-      session->RecordRequest(now, ev);
-      session->visited_urls().Insert(request.url.ToString());
-      NoteSessionMutation(*session);
+      session.RecordRequest(now, ev);
+      session.visited_urls().Insert(request.url.ToString());
+      NoteSessionMutation(session);
     }
-    result.session_id = session->id();
-    IncIfBound(m_.instr_bytes, result.response.WireSize());
+    m_.instr_bytes->Inc(result.response.WireSize());
     return result;
   }
 
@@ -454,7 +428,7 @@ ProxyServer::Result ProxyServer::Handle(const Request& request) {
   }
   Response response;
   if (fetch.response.has_value()) {
-    IncIfBound(m_.origin_bytes, fetch.response->WireSize());
+    m_.origin_bytes->Inc(fetch.response->WireSize());
     response = std::move(*fetch.response);
   } else if (fetch.rejected) {
     response = FailClosed();
@@ -464,7 +438,7 @@ ProxyServer::Result ProxyServer::Handle(const Request& request) {
   }
 
   const DegradationLevel level = DecideDegradation(fetch, response);
-  IncIfBound(m_.degraded[static_cast<int>(level)]);
+  m_.degraded[static_cast<int>(level)]->Inc();
 
   // Instrument HTML success responses, as far down the ladder as the fetch
   // outcome allows.
@@ -476,24 +450,23 @@ ProxyServer::Result ProxyServer::Handle(const Request& request) {
           : beacon_only && config_.enable_human_activity;
   if (instrumentable && response.IsHtml() && response.status == StatusCode::kOk &&
       request.method == Method::kGet) {
-    response = InstrumentPage(request, *session, std::move(response), trace, beacon_only);
+    response = InstrumentPage(request, session, std::move(response), trace, beacon_only);
   } else if (level != DegradationLevel::kFailClosed && response.IsHtml() &&
              !response.body.empty()) {
     // Track links/embeds of uninstrumented HTML too (HEAD bodies excluded).
-    RegisterServedContent(request, *session, response.body);
+    RegisterServedContent(request, session, response.body);
   }
 
   ev.status_class = static_cast<uint8_t>(StatusValue(response.status) / 100);
   {
     SpanScope span(trace, "session_update");
-    session->RecordRequest(now, ev);
-    session->visited_urls().Insert(request.url.ToString());
-    NoteSessionMutation(*session);
+    session.RecordRequest(now, ev);
+    session.visited_urls().Insert(request.url.ToString());
+    NoteSessionMutation(session);
   }
 
   Result result;
   result.response = std::move(response);
-  result.session_id = session->id();
   result.degraded = level;
   return result;
 }
@@ -535,7 +508,7 @@ void ProxyServer::SimulateCrashRestart(TimeMs now) {
     state_store_->OnCrash();
     state_store_->Recover(now);
   }
-  IncIfBound(m_.restarts);
+  m_.restarts->Inc();
 }
 
 void ProxyServer::MaybeMaintainTables(TimeMs now) {
@@ -554,9 +527,9 @@ void ProxyServer::MaybeMaintainTables(TimeMs now) {
   // across the stride.
   const size_t expired = keys().ExpireOldIncremental(now);
   const size_t closed = sessions_.CloseIdleIncremental(now);
-  IncIfBound(m_.maintenance_runs);
-  IncIfBound(m_.maintenance_keys, expired);
-  IncIfBound(m_.maintenance_sessions, closed);
+  m_.maintenance_runs->Inc();
+  m_.maintenance_keys->Inc(expired);
+  m_.maintenance_sessions->Inc(closed);
 }
 
 ProxyServer::Result ProxyServer::HandleInstrumented(const Request& request,
@@ -572,7 +545,7 @@ ProxyServer::Result ProxyServer::HandleInstrumented(const Request& request,
     SpanScope span(trace, "probe:beacon_script");
     if (minter_.Validate(name)) {
       SessionState::MarkSignal(sig.js_download_at, request_index);
-      IncIfBound(m_.probe_js_file);
+      m_.probe_js_file->Inc();
       GeneratedBeacon beacon = BuildBeaconForToken(name, nullptr);
       result.response = MakeResponse(StatusCode::kOk, ResourceKind::kJavaScript,
                                      std::move(beacon.script_source));
@@ -588,7 +561,7 @@ ProxyServer::Result ProxyServer::HandleInstrumented(const Request& request,
     SpanScope span(trace, "probe:css");
     if (minter_.Validate(name)) {
       SessionState::MarkSignal(sig.css_probe_at, request_index);
-      IncIfBound(m_.probe_css);
+      m_.probe_css->Inc();
       result.response = EmptyCss();
       return result;
     }
@@ -601,7 +574,7 @@ ProxyServer::Result ProxyServer::HandleInstrumented(const Request& request,
     SpanScope span(trace, "probe:audio");
     if (minter_.Validate(name)) {
       SessionState::MarkSignal(sig.audio_probe_at, request_index);
-      IncIfBound(m_.probe_audio);
+      m_.probe_audio->Inc();
       result.response = MakeResponse(StatusCode::kOk, ResourceKind::kAudio,
                                      std::string(128, '\0'));
       result.response.headers.Set("Cache-Control", "no-cache, no-store");
@@ -636,11 +609,11 @@ ProxyServer::Result ProxyServer::HandleInstrumented(const Request& request,
       } else {
         SessionState::MarkSignal(sig.mouse_event_at, request_index);
       }
-      IncIfBound(m_.beacon_ok);
+      m_.beacon_ok->Inc();
       span.Annotate("key=match");
     } else {
       SessionState::MarkSignal(sig.wrong_key_at, request_index);
-      IncIfBound(m_.beacon_wrong);
+      m_.beacon_wrong->Inc();
       span.Annotate("key=wrong");
     }
     // "The server can respond with any JPEG image because the picture is
@@ -654,7 +627,7 @@ ProxyServer::Result ProxyServer::HandleInstrumented(const Request& request,
     SpanScope span(trace, "probe:ua_echo");
     if (minter_.Validate(token)) {
       SessionState::MarkSignal(sig.js_executed_at, request_index);
-      IncIfBound(m_.ua_echo);
+      m_.ua_echo->Inc();
       sig.ua_echo_agent = ExtractUaEchoAgent(path, prefix);
       const std::string header_agent = SanitizeAgent(request.UserAgent());
       if (!sig.ua_echo_agent.empty() && sig.ua_echo_agent != header_agent) {
@@ -670,7 +643,7 @@ ProxyServer::Result ProxyServer::HandleInstrumented(const Request& request,
     SpanScope span(trace, "probe:hidden_link");
     if (minter_.Validate(name)) {
       SessionState::MarkSignal(sig.hidden_link_at, request_index);
-      IncIfBound(m_.hidden_link);
+      m_.hidden_link->Inc();
     }
     result.response = MakeResponse(StatusCode::kOk, ResourceKind::kHtml,
                                    "<html><body></body></html>");
@@ -708,11 +681,11 @@ ProxyServer::Result ProxyServer::HandleInstrumented(const Request& request,
       }
       if (captcha_.CheckAnswer(token, answer)) {
         SessionState::MarkSignal(sig.captcha_passed_at, request_index);
-        IncIfBound(m_.captcha_pass);
+        m_.captcha_pass->Inc();
         result.response = MakeHtmlResponse("<html><body>Verified.</body></html>");
       } else {
         SessionState::MarkSignal(sig.captcha_failed_at, request_index);
-        IncIfBound(m_.captcha_fail);
+        m_.captcha_fail->Inc();
         result.response = MakeResponse(StatusCode::kForbidden, ResourceKind::kHtml,
                                        "<html><body>Wrong answer.</body></html>");
       }
@@ -779,8 +752,8 @@ Response ProxyServer::InstrumentPage(const Request& request, SessionState& sessi
   // since each serving carries fresh keys.
   response.headers.Set("Cache-Control", "no-cache, no-store");
 
-  IncIfBound(m_.instr_bytes, injected.added_bytes);
-  IncIfBound(m_.pages_instrumented);
+  m_.instr_bytes->Inc(injected.added_bytes);
+  m_.pages_instrumented->Inc();
   session.NoteInstrumentedPage();
 
   RegisterServedContent(request, session, response.body);

@@ -7,9 +7,11 @@
 #ifndef ROBODET_SRC_PROXY_PROXY_SERVER_H_
 #define ROBODET_SRC_PROXY_PROXY_SERVER_H_
 
+#include <array>
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "src/core/attestation.h"
@@ -83,47 +85,23 @@ struct ProxyConfig {
   // bounded by shard size, not table size.
   size_t maintenance_stride = 1024;
 
-  // Multi-worker serving (bench/scale, the parallel Experiment driver):
-  // Handle becomes callable from several threads at once. Cross-timeline
-  // maintenance sweeps are skipped — one worker's clock says nothing about
-  // another worker's sessions, and a sweep could free session state a
-  // concurrent Handle still references — so tables rely on lazy per-entry
-  // expiry plus capacity bounds instead.
+  // Multi-worker serving (bench/scale, a parallel Experiment, the socket
+  // daemon): Handle is called from several threads at once. Handle
+  // serializes each client in every mode; this flag only skips the
+  // cross-timeline maintenance sweeps — one worker's clock says nothing
+  // about another worker's sessions, and a sweep could free session state
+  // a concurrent Handle still references — so tables rely on lazy
+  // per-entry expiry plus capacity bounds instead.
   bool concurrent = false;
-
-  // Observability. With metrics off, no registry is populated and the
-  // ProxyStats compatibility view reads all-zero (only the overhead
-  // bench runs that way).
-  bool enable_metrics = true;
 
   uint64_t secret = 0x726f626f64657431ULL;
 };
 
-// Legacy aggregate counters. Since the obs subsystem landed this is a
-// *view* materialized from the MetricsRegistry on each stats() call; the
-// proxy itself only writes registry counters.
-struct ProxyStats {
-  uint64_t requests = 0;
-  uint64_t blocked_requests = 0;
-  uint64_t pages_instrumented = 0;
-  uint64_t probe_hits_css = 0;
-  uint64_t probe_hits_js_file = 0;
-  uint64_t beacon_hits_ok = 0;
-  uint64_t beacon_hits_wrong = 0;
-  uint64_t ua_echo_hits = 0;
-  uint64_t hidden_link_hits = 0;
-  uint64_t captcha_passes = 0;
-  uint64_t captcha_failures = 0;
-  // Bandwidth accounting for the §3.2 overhead figure.
-  uint64_t origin_bytes = 0;        // What the origin would have sent anyway.
-  uint64_t instrumentation_bytes = 0;  // HTML growth + probe-object bytes.
-
-  double OverheadFraction() const {
-    const uint64_t total = origin_bytes + instrumentation_bytes;
-    return total == 0 ? 0.0 : static_cast<double>(instrumentation_bytes) /
-                                  static_cast<double>(total);
-  }
-};
+// The §3.2 bandwidth overhead from a proxy's registry: instrumentation
+// bytes (HTML growth plus probe objects, robodet_instrumentation_bytes_total)
+// as a fraction of everything served, those plus the bytes the origin would
+// have sent anyway (robodet_origin_bytes_total). 0 before any traffic.
+double InstrumentationOverheadFraction(const RegistrySnapshot& snapshot);
 
 class ProxyServer {
  public:
@@ -136,6 +114,10 @@ class ProxyServer {
     Response response;
     bool blocked = false;
     uint64_t session_id = 0;
+    // The session's online verdict once this request is recorded, by the
+    // robot judge when one is set. Not counted into robodet_verdict_total
+    // or robodet_classify_online_total.
+    Verdict verdict = Verdict::kUnknown;
     // How much instrumentation this serving decision actually kept.
     DegradationLevel degraded = DegradationLevel::kFull;
   };
@@ -158,6 +140,8 @@ class ProxyServer {
   void EnableAudioProbe(bool on) { config_.enable_audio_probe = on; }
   void HookLinks(bool on) { config_.hook_links = on; }
 
+  // Serves one request and records it in the client's session. Safe from
+  // several threads at once: requests from one client IP run one at a time.
   Result Handle(const Request& request);
 
   // Builds the beacon script served under `token` (also used by tests to
@@ -196,13 +180,12 @@ class ProxyServer {
 
   // The persistence layer, or nullptr when no state_dir is configured.
   StateStore* state_store() { return state_store_.get(); }
-  // Compatibility view over the registry (see ProxyStats).
-  ProxyStats stats() const;
   const ProxyConfig& config() const { return config_; }
   CaptchaService& captcha() { return captcha_; }
 
-  // The registry this proxy reports into. Owned by default; multi-node
-  // deployments can aggregate by sharing one registry across nodes.
+  // The registry this proxy reports into, the one place its counts live.
+  // Owned by default; multi-node deployments can aggregate by sharing one
+  // registry across nodes.
   MetricsRegistry& metrics() { return *registry_; }
   const MetricsRegistry& metrics() const { return *registry_; }
   void UseSharedMetrics(MetricsRegistry* registry);
@@ -226,6 +209,9 @@ class ProxyServer {
   }
 
  private:
+  // Handle's work once the client is locked and its session found; Handle
+  // fills in the session id and verdict.
+  Result HandleSession(const Request& request, SessionState& session);
   Result HandleInstrumented(const Request& request, SessionState& session, int request_index,
                             TraceRecorder::Trace* trace);
   Response InstrumentPage(const Request& request, SessionState& session, Response response,
@@ -248,6 +234,8 @@ class ProxyServer {
   Verdict JudgeSession(const SessionState& session) const;
   void BindMetrics();
   void RecordVerdict(const Classification& classification);
+  // The stripe of client_mutexes_ that serializes `ip`'s requests.
+  std::mutex& ClientMutex(IpAddress ip);
 
   // Pre-resolved handles so the request path never does a registry lookup.
   struct Handles {
@@ -283,6 +271,11 @@ class ProxyServer {
   Rng rng_;
   TokenMinter minter_;
   SessionTable sessions_;
+  // A session's state mutates outside the table's shard locks, so Handle
+  // holds its client's stripe for the whole request. Striped rather than
+  // one per client so memory stays fixed; unrelated clients rarely share a
+  // stripe.
+  std::array<std::mutex, 64> client_mutexes_;
   KeyTable key_table_;
   KeyTable* shared_keys_ = nullptr;  // Not owned; overrides key_table_.
   std::unique_ptr<StateStore> state_store_;  // Null without a state_dir.

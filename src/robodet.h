@@ -45,7 +45,6 @@
 #include "src/ml/features.h"
 #include "src/ml/metrics.h"
 #include "src/ml/naive_bayes.h"
-#include "src/net/client_lock.h"
 #include "src/net/connection.h"
 #include "src/net/event_loop.h"
 #include "src/net/framer.h"

@@ -99,27 +99,6 @@ ProxyServer* ProxyCluster::Route(const ClientIdentity& id) {
   return nodes_[RendezvousPick(id.ip.value(), now)].get();
 }
 
-ProxyStats ProxyCluster::AggregateStats() const {
-  ProxyStats total;
-  for (const auto& node : nodes_) {
-    const ProxyStats& s = node->stats();
-    total.requests += s.requests;
-    total.blocked_requests += s.blocked_requests;
-    total.pages_instrumented += s.pages_instrumented;
-    total.probe_hits_css += s.probe_hits_css;
-    total.probe_hits_js_file += s.probe_hits_js_file;
-    total.beacon_hits_ok += s.beacon_hits_ok;
-    total.beacon_hits_wrong += s.beacon_hits_wrong;
-    total.ua_echo_hits += s.ua_echo_hits;
-    total.hidden_link_hits += s.hidden_link_hits;
-    total.captcha_passes += s.captcha_passes;
-    total.captcha_failures += s.captcha_failures;
-    total.origin_bytes += s.origin_bytes;
-    total.instrumentation_bytes += s.instrumentation_bytes;
-  }
-  return total;
-}
-
 SessionSignals ProxyCluster::CombinedSignalsFor(IpAddress ip, const std::string& user_agent,
                                                 TimeMs now) {
   SessionSignals combined;

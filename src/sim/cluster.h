@@ -66,9 +66,6 @@ class ProxyCluster {
   // Crash events applied so far (nodes restarted).
   uint64_t crashes_applied() const { return crashes_applied_; }
 
-  // Aggregated proxy statistics across nodes.
-  ProxyStats AggregateStats() const;
-
   // Merges a client's per-node session signals into one cluster-wide view:
   // each first-detection index is the minimum nonzero across nodes (the
   // earliest any node saw the signal; indices are per-node request counts,

@@ -14,7 +14,6 @@
 #include <thread>
 
 #include "src/http/wire.h"
-#include "src/net/client_lock.h"
 #include "src/net/loadgen.h"
 #include "src/net/socket.h"
 #include "src/proxy/proxy_server.h"
@@ -508,11 +507,9 @@ TEST(LoopbackTest, ProxyServerBehindRealSockets) {
                     }),
                     37);
 
-  StripedClientLock client_gate;
-  NetHandler handler = [&proxy, &client_gate](Request&& request, const ConnectionInfo&) {
-    // Every loadgen connection shares 127.0.0.1, so without the per-client
-    // gate two workers would mutate one session concurrently.
-    const auto hold = client_gate.Guard(request.client_ip);
+  // Every loadgen connection shares 127.0.0.1, so two workers serve one
+  // session at once; Handle's own per-client lock keeps that safe.
+  NetHandler handler = [&proxy](Request&& request, const ConnectionInfo&) {
     ServedResponse served;
     served.response = proxy.Handle(request).response;
     return served;

@@ -1,6 +1,7 @@
-// End-to-end parity between the legacy ProxyStats view and the metrics
-// registry that now backs it: after a simulated session mix, every
-// ProxyStats field must equal the corresponding registry series.
+// End-to-end consistency of the metrics registry, the one place a proxy's
+// counts live: after a simulated session mix, the latency histograms agree
+// with the counters, a shared registry sums its proxies, and verdict and
+// trace outputs follow the sessions they describe.
 #include <string>
 
 #include "gtest/gtest.h"
@@ -37,7 +38,7 @@ void RunSessionMix(SiteModel* site, Gateway* gateway, SimClock* clock) {
   }
 }
 
-TEST(StatsParityTest, ProxyStatsMatchesRegistryAfterSessionMix) {
+TEST(StatsParityTest, HistogramsAgreeWithCountersAfterSessionMix) {
   SiteConfig site_config;
   Rng site_rng(2006);
   SiteModel site = SiteModel::Generate(site_config, site_rng);
@@ -50,78 +51,33 @@ TEST(StatsParityTest, ProxyStatsMatchesRegistryAfterSessionMix) {
   Gateway gateway(&proxy, &clock);
   RunSessionMix(&site, &gateway, &clock);
 
-  const ProxyStats stats = proxy.stats();
-  ASSERT_GT(stats.requests, 0u);
-  ASSERT_GT(stats.pages_instrumented, 0u);
-
   const RegistrySnapshot snap = proxy.metrics().Scrape();
-  EXPECT_EQ(stats.requests, snap.CounterValue("robodet_requests_total"));
-  EXPECT_EQ(stats.blocked_requests, snap.CounterValue("robodet_blocked_requests_total"));
-  EXPECT_EQ(stats.pages_instrumented,
-            snap.CounterValue("robodet_pages_instrumented_total"));
-  EXPECT_EQ(stats.probe_hits_css,
-            snap.CounterValue("robodet_probe_hits_total", {{"kind", "css"}}));
-  EXPECT_EQ(stats.probe_hits_js_file,
-            snap.CounterValue("robodet_probe_hits_total", {{"kind", "js_file"}}));
-  EXPECT_EQ(stats.beacon_hits_ok,
-            snap.CounterValue("robodet_beacon_hits_total", {{"result", "ok"}}));
-  EXPECT_EQ(stats.beacon_hits_wrong,
-            snap.CounterValue("robodet_beacon_hits_total", {{"result", "wrong_key"}}));
-  EXPECT_EQ(stats.ua_echo_hits,
-            snap.CounterValue("robodet_probe_hits_total", {{"kind", "ua_echo"}}));
-  EXPECT_EQ(stats.hidden_link_hits,
-            snap.CounterValue("robodet_probe_hits_total", {{"kind", "hidden_link"}}));
-  EXPECT_EQ(stats.origin_bytes, snap.CounterValue("robodet_origin_bytes_total"));
-  EXPECT_EQ(stats.instrumentation_bytes,
-            snap.CounterValue("robodet_instrumentation_bytes_total"));
+  const uint64_t requests = snap.CounterValue("robodet_requests_total");
+  const uint64_t pages = snap.CounterValue("robodet_pages_instrumented_total");
+  ASSERT_GT(requests, 0u);
+  ASSERT_GT(pages, 0u);
 
   // The latency histogram saw every request.
   const MetricSnapshot* handle = snap.Find("robodet_handle_duration_us");
   ASSERT_NE(handle, nullptr);
-  EXPECT_EQ(handle->histogram.count, stats.requests);
+  EXPECT_EQ(handle->histogram.count, requests);
   // The rewrite histogram saw every instrumented page.
   const MetricSnapshot* rewrite = snap.Find("robodet_rewrite_duration_us");
   ASSERT_NE(rewrite, nullptr);
-  EXPECT_EQ(rewrite->histogram.count, stats.pages_instrumented);
+  EXPECT_EQ(rewrite->histogram.count, pages);
   // Every instrumented page derived one beacon key, and registered its
   // served refs (as do uninstrumented HTML pages).
   const MetricSnapshot* page_key = snap.Find("robodet_page_key_duration_us");
   ASSERT_NE(page_key, nullptr);
-  EXPECT_EQ(page_key->histogram.count, stats.pages_instrumented);
+  EXPECT_EQ(page_key->histogram.count, pages);
   const MetricSnapshot* served_refs = snap.Find("robodet_served_refs_duration_us");
   ASSERT_NE(served_refs, nullptr);
-  EXPECT_GE(served_refs->histogram.count, stats.pages_instrumented);
+  EXPECT_GE(served_refs->histogram.count, pages);
 
   // Session-table metrics agree with the table.
   const MetricSnapshot* active = snap.Find("robodet_sessions_active");
   ASSERT_NE(active, nullptr);
   EXPECT_EQ(static_cast<size_t>(active->gauge), proxy.sessions().active_count());
-}
-
-TEST(StatsParityTest, MetricsDisabledYieldsZeroStatsButServes) {
-  SiteConfig site_config;
-  Rng site_rng(7);
-  SiteModel site = SiteModel::Generate(site_config, site_rng);
-  OriginServer origin(&site);
-  SimClock clock;
-  ProxyConfig config;
-  config.host = site.host();
-  config.enable_metrics = false;
-  ProxyServer proxy(config, &clock, [&origin](const Request& r) { return origin.Handle(r); },
-                    1);
-
-  Request request;
-  request.time = clock.Now();
-  request.client_ip = *IpAddress::Parse("10.1.1.1");
-  request.url = Url::Make(site.host(), SiteModel::PagePath(0));
-  request.headers.Set("User-Agent", "Mozilla/5.0 (test)");
-  const ProxyServer::Result result = proxy.Handle(request);
-  EXPECT_FALSE(result.blocked);
-  EXPECT_EQ(result.response.status, StatusCode::kOk);
-
-  const ProxyStats stats = proxy.stats();
-  EXPECT_EQ(stats.requests, 0u);
-  EXPECT_TRUE(proxy.metrics().Scrape().metrics.empty());
 }
 
 TEST(StatsParityTest, SharedRegistryAggregatesAcrossProxies) {
@@ -148,9 +104,9 @@ TEST(StatsParityTest, SharedRegistryAggregatesAcrossProxies) {
     clock.Advance(10);
   }
   EXPECT_EQ(shared.Scrape().CounterValue("robodet_requests_total"), 3u);
-  // Both proxies' compatibility views read the shared totals.
-  EXPECT_EQ(a.stats().requests, 3u);
-  EXPECT_EQ(b.stats().requests, 3u);
+  // Both proxies report into the shared registry.
+  EXPECT_EQ(a.metrics().Scrape().CounterValue("robodet_requests_total"), 3u);
+  EXPECT_EQ(b.metrics().Scrape().CounterValue("robodet_requests_total"), 3u);
 }
 
 TEST(StatsParityTest, VerdictCountersFollowClassifySession) {
@@ -217,8 +173,7 @@ TEST(StatsParityTest, BlockedSessionsForceTraces) {
   Gateway gateway(&proxy, &clock);
   RunSessionMix(&site, &gateway, &clock);
 
-  const ProxyStats stats = proxy.stats();
-  ASSERT_GT(stats.blocked_requests, 0u);
+  ASSERT_GT(proxy.metrics().Scrape().CounterValue("robodet_blocked_requests_total"), 0u);
   const std::vector<RequestTrace> traces = tracer.Snapshot();
   ASSERT_FALSE(traces.empty());
   for (const RequestTrace& trace : traces) {

@@ -31,6 +31,12 @@ class FailureInjectionTest : public ::testing::Test {
         config, &clock_, [this](const Request& r) { return origin_(r); }, 911);
   }
 
+  // robodet_beacon_hits_total{result=...}: "ok" or "wrong_key".
+  uint64_t BeaconHits(const std::string& result) const {
+    return proxy_->metrics().Scrape().CounterValue("robodet_beacon_hits_total",
+                                                   {{"result", result}});
+  }
+
   SimClock clock_;
   std::function<Response(const Request&)> origin_ =
       [](const Request&) { return MakeHtmlResponse("<html><body>ok</body></html>"); };
@@ -79,12 +85,12 @@ TEST_F(FailureInjectionTest, BeaconKeyReplayWithinSameIpFails) {
   const auto first = proxy_->Handle(
       MakeRequest("www.example.com", "/__rd/bk_replaykey.jpg", IpAddress(1), 10));
   EXPECT_EQ(first.response.status, StatusCode::kOk);
-  const uint64_t ok_before = proxy_->stats().beacon_hits_ok;
+  const uint64_t ok_before = BeaconHits("ok");
   const auto replay = proxy_->Handle(
       MakeRequest("www.example.com", "/__rd/bk_replaykey.jpg", IpAddress(1), 20));
   EXPECT_EQ(replay.response.status, StatusCode::kOk);  // Image still served...
-  EXPECT_EQ(proxy_->stats().beacon_hits_ok, ok_before);  // ...but no new proof.
-  EXPECT_GE(proxy_->stats().beacon_hits_wrong, 1u);
+  EXPECT_EQ(BeaconHits("ok"), ok_before);  // ...but no new proof.
+  EXPECT_GE(BeaconHits("wrong_key"), 1u);
 }
 
 TEST_F(FailureInjectionTest, GarbageInstrumentedPathsAnswered) {
@@ -183,8 +189,8 @@ TEST_F(FailureInjectionTest, ClockBackwardsAcrossBeaconPair) {
   const auto beacon = proxy_->Handle(
       MakeRequest("www.example.com", "/__rd/bk_skewkey.jpg", IpAddress(7), 4000));
   EXPECT_EQ(beacon.response.status, StatusCode::kOk);
-  EXPECT_GE(proxy_->stats().beacon_hits_ok, 1u);
   const RegistrySnapshot snapshot = proxy_->metrics().Scrape();
+  EXPECT_GE(snapshot.CounterValue("robodet_beacon_hits_total", {{"result", "ok"}}), 1u);
   EXPECT_GE(snapshot.CounterValue("robodet_degraded_total", {{"level", "full"}}), 1u);
 }
 

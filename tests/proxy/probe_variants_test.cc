@@ -109,7 +109,9 @@ TEST(LinkHookTest, ClickFiresBeaconWithoutMouseMovement) {
   rig.RunToCompletion(human);
   // ...yet the onclick hook still produced a correct-key beacon.
   EXPECT_GT(rig.SessionFor(human)->signals().mouse_event_at, 0);
-  EXPECT_EQ(rig.proxy->stats().beacon_hits_wrong, 0u);
+  EXPECT_EQ(rig.proxy->metrics().Scrape().CounterValue("robodet_beacon_hits_total",
+                                                       {{"result", "wrong_key"}}),
+            0u);
 }
 
 TEST(LinkHookTest, WithoutHookNoBeaconFromClicks) {

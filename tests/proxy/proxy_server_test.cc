@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "src/html/document.h"
 #include "src/js/interpreter.h"
 #include "src/site/origin_server.h"
@@ -26,13 +30,18 @@ class ProxyServerTest : public ::testing::Test {
     UseDecoys(ProxyConfig{}.num_decoys);
   }
 
+  // Replaces the proxy with a fresh one built from `config` for the site.
+  void UseConfig(ProxyConfig config) {
+    config.host = site_.host();
+    proxy_ = std::make_unique<ProxyServer>(
+        config, &clock_, [this](const Request& r) { return origin_->Handle(r); }, 77);
+  }
+
   // Replaces the proxy with a fresh one serving `num_decoys` decoys.
   void UseDecoys(size_t num_decoys) {
     ProxyConfig config;
-    config.host = site_.host();
     config.num_decoys = num_decoys;
-    proxy_ = std::make_unique<ProxyServer>(
-        config, &clock_, [this](const Request& r) { return origin_->Handle(r); }, 77);
+    UseConfig(config);
   }
 
   ProxyServer::Result Get(const std::string& path_or_url, IpAddress ip = IpAddress(1),
@@ -47,11 +56,75 @@ class ProxyServerTest : public ::testing::Test {
     }
     r.headers.Set("User-Agent", kUa);
     clock_.Advance(100);
-    return proxy_->Handle(r);
+    ProxyServer::Result result = proxy_->Handle(r);
+    // Whichever way the request left Handle, the verdict is the session's
+    // online verdict as this request left it.
+    const SessionState& session = *proxy_->sessions().Touch(SessionKey{ip, kUa}, r.time);
+    EXPECT_EQ(result.verdict, CombinedClassifier{}.ClassifyOnline(session.observation()).verdict)
+        << path_or_url;
+    return result;
   }
 
   SessionState* Session(IpAddress ip = IpAddress(1)) {
     return proxy_->sessions().Touch(SessionKey{ip, kUa}, clock_.Now());
+  }
+
+  uint64_t Count(std::string_view name, const Labels& labels = {}) const {
+    return proxy_->metrics().Scrape().CounterValue(name, labels);
+  }
+
+  // A counter summed over all its label sets.
+  uint64_t SeriesTotal(std::string_view name) const {
+    uint64_t total = 0;
+    for (const MetricSnapshot& m : proxy_->metrics().Scrape().metrics) {
+      total += m.name == name ? m.counter : 0;
+    }
+    return total;
+  }
+
+  // A human's whole detection loop from IP 1: the page, the beacon script,
+  // the CSS probe, the UA echo and the beacon fired by the mouse handler.
+  void DriveHumanBeaconLoop() {
+    // 1. Load the page.
+    const auto page = Get("/p/1.html");
+    HtmlDocument doc(page.response.body);
+
+    // 2. Fetch the beacon script (counts as JS download).
+    std::string script_url;
+    std::string probe_url;
+    for (const EmbedRef& e : doc.EmbeddedObjects()) {
+      if (e.url.find("/__rd/js_") != std::string::npos) {
+        script_url = e.url;
+      }
+      if (e.url.find("/__rd/cp_") != std::string::npos) {
+        probe_url = e.url;
+      }
+    }
+    ASSERT_FALSE(script_url.empty());
+    const auto script = Get(script_url);
+    ASSERT_EQ(script.response.status, StatusCode::kOk);
+    EXPECT_EQ(script.response.ContentType(), "application/javascript");
+
+    // 3. Fetch the CSS probe.
+    ASSERT_FALSE(probe_url.empty());
+    EXPECT_EQ(Get(probe_url).response.status, StatusCode::kOk);
+
+    // 4. Execute script + inline UA echo, then the mouse handler.
+    JsInterpreter interp(JsInterpreter::Config{kUa, 300000});
+    ASSERT_TRUE(interp.Run(script.response.body).ok);
+    for (const std::string& code : doc.InlineScripts()) {
+      ASSERT_TRUE(interp.Run(code).ok);
+    }
+    // Fetch the UA-echo stylesheet that document.write produced.
+    ASSERT_FALSE(interp.document_writes().empty());
+    HtmlDocument written(interp.document_writes()[0]);
+    ASSERT_FALSE(written.EmbeddedObjects().empty());
+    EXPECT_EQ(Get(written.EmbeddedObjects()[0].url).response.status, StatusCode::kOk);
+
+    interp.ClearObservations();
+    ASSERT_TRUE(interp.RunHandler(doc.BodyEventHandler("onmousemove")).ok);
+    ASSERT_EQ(interp.fetched_urls().size(), 1u);
+    EXPECT_EQ(Get(interp.fetched_urls()[0]).response.status, StatusCode::kOk);
   }
 
   SimClock clock_;
@@ -98,48 +171,9 @@ class ProxyServerDecoysTest : public ProxyServerTest,
 
 TEST_P(ProxyServerDecoysTest, FullHumanBeaconLoop) {
   UseDecoys(GetParam());
-  // 1. Load the page.
-  const auto page = Get("/p/1.html");
-  HtmlDocument doc(page.response.body);
+  DriveHumanBeaconLoop();
 
-  // 2. Fetch the beacon script (counts as JS download).
-  std::string script_url;
-  std::string probe_url;
-  for (const EmbedRef& e : doc.EmbeddedObjects()) {
-    if (e.url.find("/__rd/js_") != std::string::npos) {
-      script_url = e.url;
-    }
-    if (e.url.find("/__rd/cp_") != std::string::npos) {
-      probe_url = e.url;
-    }
-  }
-  ASSERT_FALSE(script_url.empty());
-  const auto script = Get(script_url);
-  ASSERT_EQ(script.response.status, StatusCode::kOk);
-  EXPECT_EQ(script.response.ContentType(), "application/javascript");
-
-  // 3. Fetch the CSS probe.
-  ASSERT_FALSE(probe_url.empty());
-  EXPECT_EQ(Get(probe_url).response.status, StatusCode::kOk);
-
-  // 4. Execute script + inline UA echo, then the mouse handler.
-  JsInterpreter interp(JsInterpreter::Config{kUa, 300000});
-  ASSERT_TRUE(interp.Run(script.response.body).ok);
-  for (const std::string& code : doc.InlineScripts()) {
-    ASSERT_TRUE(interp.Run(code).ok);
-  }
-  // Fetch the UA-echo stylesheet that document.write produced.
-  ASSERT_FALSE(interp.document_writes().empty());
-  HtmlDocument written(interp.document_writes()[0]);
-  ASSERT_FALSE(written.EmbeddedObjects().empty());
-  EXPECT_EQ(Get(written.EmbeddedObjects()[0].url).response.status, StatusCode::kOk);
-
-  interp.ClearObservations();
-  ASSERT_TRUE(interp.RunHandler(doc.BodyEventHandler("onmousemove")).ok);
-  ASSERT_EQ(interp.fetched_urls().size(), 1u);
-  EXPECT_EQ(Get(interp.fetched_urls()[0]).response.status, StatusCode::kOk);
-
-  // 5. The session now carries every human signal.
+  // The session now carries every human signal.
   SessionState* session = Session();
   const SessionSignals& sig = session->signals();
   EXPECT_GT(sig.js_download_at, 0);
@@ -148,17 +182,72 @@ TEST_P(ProxyServerDecoysTest, FullHumanBeaconLoop) {
   EXPECT_GT(sig.mouse_event_at, 0);
   EXPECT_EQ(sig.wrong_key_at, 0);
   EXPECT_EQ(sig.ua_mismatch_at, 0);  // Header matches engine string.
-  EXPECT_EQ(proxy_->stats().beacon_hits_ok, 1u);
+  EXPECT_EQ(Count("robodet_beacon_hits_total", {{"result", "ok"}}), 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Decoys, ProxyServerDecoysTest, ::testing::Values(0u, 1u, 4u, 8u));
+
+// Get checks Result::verdict against the session after every call; these
+// cases drive each way out of Handle and check that reporting the verdict
+// counts nothing: only ClassifySession records verdicts.
+TEST_F(ProxyServerTest, HandleReportsVerdictOfHumanAndScraper) {
+  // Probe intercepts and origin fetches of a human.
+  DriveHumanBeaconLoop();
+  EXPECT_EQ(Get("/p/2.html").verdict, Verdict::kHuman);
+
+  // A scraper from IP 2 that follows the hidden link.
+  const auto page = Get("/p/1.html", IpAddress(2));
+  std::string hidden_url;
+  for (const LinkRef& link : HtmlDocument(page.response.body).Links()) {
+    if (link.href.find("/__rd/hl_") != std::string::npos) {
+      hidden_url = link.href;
+    }
+  }
+  ASSERT_FALSE(hidden_url.empty());
+  EXPECT_EQ(Get(hidden_url, IpAddress(2)).verdict, Verdict::kRobot);
+
+  EXPECT_EQ(SeriesTotal("robodet_classify_online_total"), 0u);
+  EXPECT_EQ(SeriesTotal("robodet_verdict_total"), 0u);
+}
+
+TEST_F(ProxyServerTest, HandleReportsVerdictOfBlockedRobot) {
+  ProxyConfig config;
+  config.enable_policy = true;
+  config.policy.max_cgi_per_minute = 10;
+  config.policy.min_observation = kSecond;
+  UseConfig(config);
+  uint64_t handled = 0;
+  ProxyServer::Result result;
+  while (!result.blocked && handled < 200) {
+    result = Get(site_.CgiPath(0), IpAddress(200), "click=" + std::to_string(handled));
+    ++handled;
+  }
+  ASSERT_TRUE(result.blocked);
+  EXPECT_EQ(result.verdict, Verdict::kRobot);
+  // The policy judged each request once; Handle's own verdict is not counted.
+  EXPECT_EQ(SeriesTotal("robodet_classify_online_total"), handled);
+  EXPECT_EQ(SeriesTotal("robodet_verdict_total"), 0u);
+}
+
+TEST_F(ProxyServerTest, HandleReportsVerdictOfShedRequest) {
+  proxy_->set_admission_budget(1);
+  // Within one second: admitted, then shed-robots (judged), then shed-all.
+  std::vector<DegradationLevel> levels;
+  for (int i = 0; i < 4; ++i) {
+    levels.push_back(Get(SiteModel::PagePath(static_cast<PageId>(i))).degraded);
+  }
+  EXPECT_EQ(levels.back(), DegradationLevel::kShed);
+  // Only the shed-robots admission judged the session.
+  EXPECT_EQ(SeriesTotal("robodet_classify_online_total"), 1u);
+  EXPECT_EQ(SeriesTotal("robodet_verdict_total"), 0u);
+}
 
 TEST_F(ProxyServerTest, WrongBeaconKeyFlagged) {
   Get("/p/1.html");
   const auto result = Get("/__rd/bk_deadbeefdeadbeefdeadbeefdeadbeef.jpg");
   EXPECT_EQ(result.response.status, StatusCode::kOk);  // Image served anyway.
   EXPECT_GT(Session()->signals().wrong_key_at, 0);
-  EXPECT_EQ(proxy_->stats().beacon_hits_wrong, 1u);
+  EXPECT_EQ(Count("robodet_beacon_hits_total", {{"result", "wrong_key"}}), 1u);
 }
 
 TEST_F(ProxyServerTest, BeaconKeyReplayFromAnotherIpFails) {
@@ -299,7 +388,7 @@ TEST_F(ProxyServerTest, PolicyBlocksFloodingRobot) {
     clock.Advance(200);
   }
   EXPECT_TRUE(blocked);
-  EXPECT_GT(proxy.stats().blocked_requests, 0u);
+  EXPECT_GT(proxy.metrics().Scrape().CounterValue("robodet_blocked_requests_total"), 0u);
 }
 
 TEST_F(ProxyServerTest, BandwidthOverheadTracked) {
@@ -310,11 +399,11 @@ TEST_F(ProxyServerTest, BandwidthOverheadTracked) {
       Get(e.url);
     }
   }
-  const ProxyStats& stats = proxy_->stats();
-  EXPECT_GT(stats.origin_bytes, 0u);
-  EXPECT_GT(stats.instrumentation_bytes, 0u);
-  EXPECT_GT(stats.OverheadFraction(), 0.0);
-  EXPECT_LT(stats.OverheadFraction(), 0.5);
+  const RegistrySnapshot snapshot = proxy_->metrics().Scrape();
+  EXPECT_GT(snapshot.CounterValue("robodet_origin_bytes_total"), 0u);
+  EXPECT_GT(snapshot.CounterValue("robodet_instrumentation_bytes_total"), 0u);
+  EXPECT_GT(InstrumentationOverheadFraction(snapshot), 0.0);
+  EXPECT_LT(InstrumentationOverheadFraction(snapshot), 0.5);
 }
 
 TEST_F(ProxyServerTest, CaptchaFlow) {

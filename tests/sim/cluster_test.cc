@@ -4,6 +4,7 @@
 
 #include <map>
 #include <set>
+#include <string_view>
 
 #include "src/sim/human_browser.h"
 #include "src/site/origin_server.h"
@@ -50,6 +51,16 @@ class ClusterTest : public ::testing::Test {
     ClientIdentity id;
     id.ip = IpAddress(ip);
     return id;
+  }
+
+  // A counter summed over every node's registry.
+  static uint64_t SumOverNodes(ProxyCluster& cluster, std::string_view name,
+                               const Labels& labels) {
+    uint64_t sum = 0;
+    for (size_t i = 0; i < cluster.size(); ++i) {
+      sum += cluster.node(i).metrics().Scrape().CounterValue(name, labels);
+    }
+    return sum;
   }
 
   // Index of the first node currently in a crash window, or nodes.size().
@@ -121,9 +132,8 @@ TEST_F(ClusterTest, StickyClientProvesHumanAcrossCluster) {
   EXPECT_GT(signals.mouse_event_at, 0);
   EXPECT_EQ(signals.wrong_key_at, 0);
   // All beacon traffic landed on a single node.
-  const ProxyStats total = cluster->AggregateStats();
-  EXPECT_GT(total.beacon_hits_ok, 0u);
-  EXPECT_EQ(total.beacon_hits_wrong, 0u);
+  EXPECT_GT(SumOverNodes(*cluster, "robodet_beacon_hits_total", {{"result", "ok"}}), 0u);
+  EXPECT_EQ(SumOverNodes(*cluster, "robodet_beacon_hits_total", {{"result", "wrong_key"}}), 0u);
 }
 
 TEST_F(ClusterTest, NodeBouncingFragmentsDetection) {
@@ -229,17 +239,6 @@ TEST_F(ClusterTest, RandomSwitchingNeverLandsOnCrashedNode) {
   for (uint32_t ip = 1; ip <= 200; ++ip) {
     EXPECT_NE(cluster->Route(MakeId(ip)), &cluster->node(down));
   }
-}
-
-TEST_F(ClusterTest, AggregateStatsSumNodes) {
-  auto cluster = MakeCluster(3, 0.0);
-  RunHuman(*cluster, 700, 9);
-  uint64_t sum = 0;
-  for (size_t i = 0; i < cluster->size(); ++i) {
-    sum += cluster->node(i).stats().requests;
-  }
-  EXPECT_EQ(cluster->AggregateStats().requests, sum);
-  EXPECT_GT(sum, 0u);
 }
 
 TEST_F(ClusterTest, SingleNodeClusterBehavesLikeOneProxy) {

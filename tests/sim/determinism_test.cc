@@ -85,11 +85,15 @@ TEST(DeterminismTest, ParallelTableOneCountsMatchSerial) {
   EXPECT_EQ(parallel.RecordsWithMinRequests(10).size(),
             serial.RecordsWithMinRequests(10).size());
 
-  EXPECT_EQ(parallel.proxy().stats().requests, serial.proxy().stats().requests);
-  EXPECT_EQ(parallel.proxy().stats().beacon_hits_ok,
-            serial.proxy().stats().beacon_hits_ok);
-  EXPECT_EQ(parallel.proxy().stats().pages_instrumented,
-            serial.proxy().stats().pages_instrumented);
+  const RegistrySnapshot parallel_counts = parallel.proxy().metrics().Scrape();
+  const RegistrySnapshot serial_counts = serial.proxy().metrics().Scrape();
+  for (const auto& [name, labels] : std::vector<std::pair<std::string, Labels>>{
+           {"robodet_requests_total", {}},
+           {"robodet_beacon_hits_total", {{"result", "ok"}}},
+           {"robodet_pages_instrumented_total", {}}}) {
+    EXPECT_EQ(parallel_counts.CounterValue(name, labels), serial_counts.CounterValue(name, labels))
+        << name;
+  }
 }
 
 TEST(DeterminismTest, ParallelRunIsRepeatable) {

@@ -46,8 +46,12 @@ TEST(ExperimentTest, DeterministicForSeed) {
   Experiment b(SmallConfig(3));
   b.Run();
   ASSERT_EQ(a.records().size(), b.records().size());
-  EXPECT_EQ(a.proxy().stats().requests, b.proxy().stats().requests);
-  EXPECT_EQ(a.proxy().stats().beacon_hits_ok, b.proxy().stats().beacon_hits_ok);
+  const RegistrySnapshot a_counts = a.proxy().metrics().Scrape();
+  const RegistrySnapshot b_counts = b.proxy().metrics().Scrape();
+  EXPECT_EQ(a_counts.CounterValue("robodet_requests_total"),
+            b_counts.CounterValue("robodet_requests_total"));
+  EXPECT_EQ(a_counts.CounterValue("robodet_beacon_hits_total", {{"result", "ok"}}),
+            b_counts.CounterValue("robodet_beacon_hits_total", {{"result", "ok"}}));
 }
 
 TEST(ExperimentTest, MinRequestFilterWorks) {

@@ -76,8 +76,9 @@ TEST(HumanBrowserTest, MouseSignalRequiresCorrectKeyNoWrongKeys) {
   BrowserProfile profile = StandardBrowserProfiles()[2];
   HumanBrowserClient client(HumanIdentity(profile), Rng(8), &rig.site, profile, FastHuman());
   rig.RunToCompletion(client);
-  EXPECT_GT(rig.proxy->stats().beacon_hits_ok, 0u);
-  EXPECT_EQ(rig.proxy->stats().beacon_hits_wrong, 0u);
+  const RegistrySnapshot snapshot = rig.proxy->metrics().Scrape();
+  EXPECT_GT(snapshot.CounterValue("robodet_beacon_hits_total", {{"result", "ok"}}), 0u);
+  EXPECT_EQ(snapshot.CounterValue("robodet_beacon_hits_total", {{"result", "wrong_key"}}), 0u);
 }
 
 TEST(HumanBrowserTest, FetchesFaviconOnce) {
@@ -102,7 +103,9 @@ TEST(HumanBrowserTest, AttemptsCaptchaWhenOffered) {
   HumanBrowserClient client(HumanIdentity(profile), Rng(10), &rig.site, profile, config);
   rig.RunToCompletion(client);
   EXPECT_GT(rig.SessionFor(client)->signals().captcha_passed_at, 0);
-  EXPECT_EQ(rig.proxy->stats().captcha_failures, 0u);
+  EXPECT_EQ(
+      rig.proxy->metrics().Scrape().CounterValue("robodet_captcha_total", {{"result", "fail"}}),
+      0u);
 }
 
 TEST(HumanBrowserTest, MultipleBrowserProfilesAllBehave) {

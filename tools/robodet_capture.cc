@@ -47,11 +47,13 @@ int main(int argc, char** argv) {
   Experiment experiment(config);
   experiment.Run();
 
-  const ProxyStats& stats = experiment.proxy().stats();
+  const RegistrySnapshot snapshot = experiment.proxy().metrics().Scrape();
   std::printf("done: %zu sessions, %llu requests (%llu blocked), overhead %s\n",
-              experiment.records().size(), static_cast<unsigned long long>(stats.requests),
-              static_cast<unsigned long long>(stats.blocked_requests),
-              FormatPercent(stats.OverheadFraction(), 2).c_str());
+              experiment.records().size(),
+              static_cast<unsigned long long>(snapshot.CounterValue("robodet_requests_total")),
+              static_cast<unsigned long long>(
+                  snapshot.CounterValue("robodet_blocked_requests_total")),
+              FormatPercent(InstrumentationOverheadFraction(snapshot), 2).c_str());
 
   const std::string sessions_path = flags.GetString("sessions", "sessions.csv");
   const std::string events_path = flags.GetString("events", "events.csv");

@@ -68,17 +68,10 @@ int main(int argc, char** argv) {
   const int min_requests = static_cast<int>(flags.GetInt("min-requests", 10));
   for (const SessionRecord* record : experiment.RecordsWithMinRequests(min_requests)) {
     const Classification c = classifier.ClassifyOnline(record->observation);
-    std::string source = "none";
-    for (const Evidence& evidence : c.evidence) {
-      if (evidence.points_to == c.verdict) {
-        source = evidence.signal;
-        break;
-      }
-    }
     registry
         .FindOrCreateCounter("robodet_verdict_total",
                              {{"class", std::string(VerdictName(c.verdict))},
-                              {"source", source}})
+                              {"source", std::string(VerdictSource(c))}})
         ->Inc();
   }
 

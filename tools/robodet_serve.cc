@@ -100,16 +100,7 @@ int Main(int argc, char** argv) {
       .sample_every = static_cast<uint32_t>(flags.GetInt("trace-sample", 64))});
   proxy.set_trace_recorder(&tracer);
 
-  // The daemon's own classifier for the shed decision; the proxy's
-  // ClassifySession would count a verdict per request into the registry.
-  CombinedClassifier classifier;
   const bool trust_xff = flags.GetBool("trust-xff");
-
-  // Two connections from one client can land on two workers (SO_REUSEPORT
-  // spreads by 4-tuple); the proxy's session state assumes a client's
-  // requests are served one at a time, so the handler serializes per
-  // client -- see src/net/client_lock.h.
-  StripedClientLock client_gate;
 
   NetHandler handler = [&](Request&& request, const ConnectionInfo&) -> ServedResponse {
     ServedResponse served;
@@ -146,15 +137,12 @@ int Main(int argc, char** argv) {
       }
     }
 
-    const SessionKey key{request.client_ip, std::string(request.UserAgent())};
-    const auto hold = client_gate.Guard(request.client_ip);
+    // Two connections from one client can land on two workers; Handle
+    // serializes them itself.
     ProxyServer::Result result = proxy.Handle(request);
     served.response = std::move(result.response);
-    // Robot flag for the socket layer's shed policy: classify the session
-    // as it stands after this request.
-    const SessionState* session = proxy.sessions().Touch(key, clock.Now());
-    served.robot =
-        classifier.ClassifyOnline(session->observation()).verdict == Verdict::kRobot;
+    // Robot flag for the socket layer's shed policy.
+    served.robot = result.verdict == Verdict::kRobot;
     return served;
   };
 
