@@ -36,7 +36,8 @@ NetHandler MakeSleepingOrigin() {
 LoadGenReport MeasureWorkers(int workers) {
   NetServerConfig config;
   config.workers = workers;
-  NetServer server(config, MakeSleepingOrigin());
+  MetricsRegistry registry;
+  NetServer server(config, MakeSleepingOrigin(), registry);
   std::string error;
   if (!server.Start(&error)) {
     std::fprintf(stderr, "FATAL: server start failed: %s\n", error.c_str());

@@ -12,17 +12,13 @@ Verdict CombinedClassifier::SetAlgebraVerdict(const SessionSignals& signals) {
   return in_human ? Verdict::kHuman : Verdict::kRobot;
 }
 
-void CombinedClassifier::BindMetrics(MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    metrics_ = Metrics{};
-    return;
-  }
+void CombinedClassifier::BindMetrics(MetricsRegistry& registry) {
   metrics_.human =
-      registry->FindOrCreateCounter("robodet_classify_online_total", {{"verdict", "human"}});
+      registry.FindOrCreateCounter("robodet_classify_online_total", {{"verdict", "human"}});
   metrics_.robot =
-      registry->FindOrCreateCounter("robodet_classify_online_total", {{"verdict", "robot"}});
+      registry.FindOrCreateCounter("robodet_classify_online_total", {{"verdict", "robot"}});
   metrics_.unknown =
-      registry->FindOrCreateCounter("robodet_classify_online_total", {{"verdict", "unknown"}});
+      registry.FindOrCreateCounter("robodet_classify_online_total", {{"verdict", "unknown"}});
 }
 
 Classification CombinedClassifier::ClassifyOnline(const SessionObservation& obs) const {

@@ -47,8 +47,9 @@ class CombinedClassifier {
   Classification ClassifyOnlineUncounted(const SessionObservation& obs) const;
 
   // Counts every online classification into `registry` as
-  // robodet_classify_online_total{verdict=...}.
-  void BindMetrics(MetricsRegistry* registry);
+  // robodet_classify_online_total{verdict=...}. An unbound classifier
+  // counts nothing.
+  void BindMetrics(MetricsRegistry& registry);
 
  private:
   struct Metrics {

@@ -2,21 +2,6 @@
 
 namespace robodet {
 
-void StagedPipeline::BindMetrics(MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    metrics_ = Metrics{};
-    return;
-  }
-  metrics_.browser_test = registry->FindOrCreateCounter("robodet_staged_decisions_total",
-                                                        {{"stage", "browser_test"}});
-  metrics_.human_activity = registry->FindOrCreateCounter("robodet_staged_decisions_total",
-                                                          {{"stage", "human_activity"}});
-  metrics_.fallback =
-      registry->FindOrCreateCounter("robodet_staged_decisions_total", {{"stage", "fallback"}});
-  metrics_.undecided =
-      registry->FindOrCreateCounter("robodet_staged_decisions_total", {{"stage", "undecided"}});
-}
-
 StagedPipeline::Decision StagedPipeline::Decide(const SessionObservation& obs) const {
   Decision out;
 
@@ -29,7 +14,6 @@ StagedPipeline::Decision StagedPipeline::Decide(const SessionObservation& obs) c
   if (activity.verdict != Verdict::kUnknown) {
     out.classification = std::move(activity);
     out.stage = 2;
-    IncIfBound(metrics_.human_activity);
     return out;
   }
 
@@ -37,7 +21,6 @@ StagedPipeline::Decision StagedPipeline::Decide(const SessionObservation& obs) c
   if (browser.verdict != Verdict::kUnknown) {
     out.classification = std::move(browser);
     out.stage = 1;
-    IncIfBound(metrics_.browser_test);
     return out;
   }
   if (fallback_ && obs.request_count >= options_.escalate_after) {
@@ -48,12 +31,10 @@ StagedPipeline::Decision StagedPipeline::Decide(const SessionObservation& obs) c
       out.classification.evidence.push_back(
           {"staged_fallback", "ml_judge", obs.request_count, v});
       out.stage = 3;
-      IncIfBound(metrics_.fallback);
       return out;
     }
   }
   out.classification.verdict = Verdict::kUnknown;
-  IncIfBound(metrics_.undecided);
   return out;
 }
 

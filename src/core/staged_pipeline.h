@@ -14,7 +14,6 @@
 #include "src/core/human_activity_detector.h"
 #include "src/core/signals.h"
 #include "src/core/verdict.h"
-#include "src/obs/metrics.h"
 
 namespace robodet {
 
@@ -43,20 +42,8 @@ class StagedPipeline {
 
   Decision Decide(const SessionObservation& obs) const;
 
-  // Counts decisions per stage into `registry` as
-  // robodet_staged_decisions_total{stage=...}.
-  void BindMetrics(MetricsRegistry* registry);
-
  private:
-  struct Metrics {
-    Counter* browser_test = nullptr;
-    Counter* human_activity = nullptr;
-    Counter* fallback = nullptr;
-    Counter* undecided = nullptr;
-  };
-
   Options options_;
-  Metrics metrics_;
   BrowserTestDetector browser_test_;
   HumanActivityDetector human_activity_;
   FallbackJudge fallback_;

@@ -17,7 +17,7 @@ constexpr size_t kReadChunkBytes = 64 * 1024;
 
 NetConnection::NetConnection(ScopedFd fd, ConnectionInfo info, const ConnectionLimits* limits,
                              const NetHandler* handler, const SimClock* clock,
-                             NetStatsSink* sink)
+                             const NetStatsSink& sink)
     : fd_(std::move(fd)), info_(info), limits_(limits), handler_(handler), clock_(clock),
       sink_(sink) {
   last_activity_ = clock_->Now();
@@ -71,9 +71,7 @@ bool NetConnection::OnReadable() {
       receiving_ = true;  // First byte of a new request.
       request_start_ = last_activity_;
     }
-    if (sink_ != nullptr) {
-      sink_->AddBytesIn(static_cast<uint64_t>(got.n));
-    }
+    sink_.bytes_in->Inc(static_cast<uint64_t>(got.n));
     in_.append(chunk, static_cast<size_t>(got.n));
     if (in_.size() > limits_->max_in_buffer) {
       // More bytes than any legal request can span without framing one:
@@ -81,9 +79,7 @@ bool NetConnection::OnReadable() {
       // only way to get here given the framer's early 413 on declared
       // bodies.
       StageError(StatusCode::kHeaderFieldsTooLarge, "request exceeds buffer limit");
-      if (sink_ != nullptr) {
-        sink_->AddParseError();
-      }
+      sink_.parse_errors->Inc();
       return FlushWrites();
     }
     if (static_cast<size_t>(got.n) < sizeof(chunk)) {
@@ -131,9 +127,7 @@ bool NetConnection::ProcessBufferedRequests() {
       break;
     }
     if (framed.status == FrameStatus::kError) {
-      if (sink_ != nullptr) {
-        sink_->AddParseError();
-      }
+      sink_.parse_errors->Inc();
       StageError(framed.error_status, framed.error);
       return true;  // Error response staged; close after flush.
     }
@@ -158,9 +152,7 @@ bool NetConnection::ServeOne(const FramedRequest& framed) {
   if (!parsed.value.has_value()) {
     // Framed fine but the full parse rejected it (bad request line, header
     // syntax). Answer 400 and close: the stream offset is untrustworthy.
-    if (sink_ != nullptr) {
-      sink_->AddParseError();
-    }
+    sink_.parse_errors->Inc();
     StageError(StatusCode::kBadRequest, parsed.error.message);
     return true;
   }
@@ -172,9 +164,7 @@ bool NetConnection::ServeOne(const FramedRequest& framed) {
 
   ServedResponse served = (*handler_)(std::move(request), info_);
   robot_ = served.robot;
-  if (sink_ != nullptr) {
-    sink_->AddRequest();
-  }
+  sink_.requests->Inc();
   requests_served_++;
 
   const bool close = served.close || draining_ || !framed.keep_alive;
@@ -215,9 +205,7 @@ bool NetConnection::FlushWrites() {
       return false;  // Peer reset; nothing more to do.
     }
     out_offset_ += static_cast<size_t>(wrote.n);
-    if (sink_ != nullptr) {
-      sink_->AddBytesOut(static_cast<uint64_t>(wrote.n));
-    }
+    sink_.bytes_out->Inc(static_cast<uint64_t>(wrote.n));
     TouchActivity();
     last_write_progress_ = last_activity_;
   }

@@ -8,7 +8,6 @@
 #ifndef ROBODET_SRC_NET_CONNECTION_H_
 #define ROBODET_SRC_NET_CONNECTION_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -63,42 +62,21 @@ struct ConnectionLimits {
 
 enum class TimeoutKind { kNone, kRead, kIdle, kWrite };
 
-// Live traffic counters shared by every connection on a worker, with
-// optional registry mirrors. Incremented at event time, *before* the
-// response bytes reach the peer, so an observer that has already seen a
-// response never reads a count that excludes it.
+// Registry counters shared by every connection on every worker. They are
+// incremented at event time, *before* the response bytes reach the peer,
+// so an observer that has already seen a response never scrapes a count
+// that excludes it.
 struct NetStatsSink {
-  std::atomic<uint64_t> requests{0};
-  std::atomic<uint64_t> parse_errors{0};
-  std::atomic<uint64_t> bytes_in{0};
-  std::atomic<uint64_t> bytes_out{0};
-  Counter* m_requests = nullptr;
-  Counter* m_parse_errors = nullptr;
-  Counter* m_bytes_in = nullptr;
-  Counter* m_bytes_out = nullptr;
-
-  void AddRequest() {
-    requests.fetch_add(1, std::memory_order_relaxed);
-    IncIfBound(m_requests);
-  }
-  void AddParseError() {
-    parse_errors.fetch_add(1, std::memory_order_relaxed);
-    IncIfBound(m_parse_errors);
-  }
-  void AddBytesIn(uint64_t n) {
-    bytes_in.fetch_add(n, std::memory_order_relaxed);
-    IncIfBound(m_bytes_in, n);
-  }
-  void AddBytesOut(uint64_t n) {
-    bytes_out.fetch_add(n, std::memory_order_relaxed);
-    IncIfBound(m_bytes_out, n);
-  }
+  Counter* requests;
+  Counter* parse_errors;
+  Counter* bytes_in;
+  Counter* bytes_out;
 };
 
 class NetConnection {
  public:
   NetConnection(ScopedFd fd, ConnectionInfo info, const ConnectionLimits* limits,
-                const NetHandler* handler, const SimClock* clock, NetStatsSink* sink);
+                const NetHandler* handler, const SimClock* clock, const NetStatsSink& sink);
 
   NetConnection(const NetConnection&) = delete;
   NetConnection& operator=(const NetConnection&) = delete;
@@ -154,7 +132,7 @@ class NetConnection {
   const ConnectionLimits* limits_;  // Not owned.
   const NetHandler* handler_;      // Not owned.
   const SimClock* clock_;          // Not owned (WallClock in the daemon).
-  NetStatsSink* sink_;             // Not owned; may be null.
+  const NetStatsSink& sink_;       // Not owned.
 
   std::string in_;   // Unparsed request bytes.
   std::string out_;  // Serialized, unsent response bytes.

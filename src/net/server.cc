@@ -14,8 +14,24 @@ constexpr int kSweepMs = 50;
 
 }  // namespace
 
-NetServer::NetServer(NetServerConfig config, NetHandler handler)
-    : config_(std::move(config)), handler_(std::move(handler)) {
+NetServer::NetServer(NetServerConfig config, NetHandler handler, MetricsRegistry& registry)
+    : config_(std::move(config)),
+      handler_(std::move(handler)),
+      sink_{registry.FindOrCreateCounter("robodet_net_requests_total"),
+            registry.FindOrCreateCounter("robodet_net_parse_errors_total"),
+            registry.FindOrCreateCounter("robodet_net_bytes_total", {{"dir", "in"}}),
+            registry.FindOrCreateCounter("robodet_net_bytes_total", {{"dir", "out"}})},
+      m_accepted_(registry.FindOrCreateCounter("robodet_net_accepted_total")),
+      m_shed_rejected_(
+          registry.FindOrCreateCounter("robodet_net_shed_total", {{"mode", "reject"}})),
+      m_shed_evicted_(registry.FindOrCreateCounter("robodet_net_shed_total", {{"mode", "evict"}})),
+      m_timeout_read_(
+          registry.FindOrCreateCounter("robodet_net_timeouts_total", {{"kind", "read"}})),
+      m_timeout_idle_(
+          registry.FindOrCreateCounter("robodet_net_timeouts_total", {{"kind", "idle"}})),
+      m_timeout_write_(
+          registry.FindOrCreateCounter("robodet_net_timeouts_total", {{"kind", "write"}})),
+      m_open_(registry.FindOrCreateGauge("robodet_net_open_connections")) {
   config_.workers = std::max(1, config_.workers);
   clock_ = config_.clock != nullptr ? config_.clock : &own_clock_;
   per_worker_cap_ = std::max<size_t>(1, config_.max_connections /
@@ -25,24 +41,6 @@ NetServer::NetServer(NetServerConfig config, NetHandler handler)
 NetServer::~NetServer() {
   Stop();
   Wait();
-}
-
-void NetServer::BindMetrics(MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    return;
-  }
-  m_accepted_ = registry->FindOrCreateCounter("robodet_net_accepted_total");
-  sink_.m_requests = registry->FindOrCreateCounter("robodet_net_requests_total");
-  sink_.m_parse_errors = registry->FindOrCreateCounter("robodet_net_parse_errors_total");
-  sink_.m_bytes_in = registry->FindOrCreateCounter("robodet_net_bytes_total", {{"dir", "in"}});
-  sink_.m_bytes_out = registry->FindOrCreateCounter("robodet_net_bytes_total", {{"dir", "out"}});
-  m_shed_rejected_ = registry->FindOrCreateCounter("robodet_net_shed_total", {{"mode", "reject"}});
-  m_shed_evicted_ = registry->FindOrCreateCounter("robodet_net_shed_total", {{"mode", "evict"}});
-  m_timeout_read_ = registry->FindOrCreateCounter("robodet_net_timeouts_total", {{"kind", "read"}});
-  m_timeout_idle_ = registry->FindOrCreateCounter("robodet_net_timeouts_total", {{"kind", "idle"}});
-  m_timeout_write_ =
-      registry->FindOrCreateCounter("robodet_net_timeouts_total", {{"kind", "write"}});
-  m_open_ = registry->FindOrCreateGauge("robodet_net_open_connections");
 }
 
 bool NetServer::Start(std::string* error) {
@@ -185,8 +183,7 @@ void NetServer::HandleAccept(Worker* worker) {
 }
 
 void NetServer::AdmitConnection(Worker* worker, AcceptedSocket accepted) {
-  worker->accepted.fetch_add(1, std::memory_order_relaxed);
-  IncIfBound(m_accepted_);
+  m_accepted_->Inc();
 
   bool shed_newcomer = false;
   if (worker->conns.size() >= per_worker_cap_) {
@@ -200,8 +197,7 @@ void NetServer::AdmitConnection(Worker* worker, AcceptedSocket accepted) {
       }
     }
     if (victim >= 0) {
-      worker->shed_evicted.fetch_add(1, std::memory_order_relaxed);
-      IncIfBound(m_shed_evicted_);
+      m_shed_evicted_->Inc();
       DestroyConn(worker, victim);
     } else {
       shed_newcomer = true;
@@ -213,11 +209,10 @@ void NetServer::AdmitConnection(Worker* worker, AcceptedSocket accepted) {
   info.peer_port = accepted.peer_port;
   info.id = next_conn_id_.fetch_add(1, std::memory_order_relaxed);
   auto conn = std::make_unique<NetConnection>(std::move(accepted.fd), info, &config_.limits,
-                                              &handler_, clock_, &sink_);
+                                              &handler_, clock_, sink_);
 
   if (shed_newcomer) {
-    worker->shed_rejected.fetch_add(1, std::memory_order_relaxed);
-    IncIfBound(m_shed_rejected_);
+    m_shed_rejected_->Inc();
     conn->ShedWith(StatusCode::kServiceUnavailable,
                    "server at connection capacity; try again shortly");
     // One read+write attempt: drain the request bytes already queued (so
@@ -239,10 +234,7 @@ void NetServer::RegisterConn(Worker* worker, std::unique_ptr<NetConnection> conn
     return;  // epoll refused the fd; drop the connection.
   }
   worker->conns.emplace(fd, std::move(conn));
-  worker->open.fetch_add(1, std::memory_order_relaxed);
-  if (m_open_ != nullptr) {
-    m_open_->Add(1);
-  }
+  m_open_->Add(1);
 }
 
 void NetServer::HandleConnEvent(Worker* worker, int fd, uint32_t events) {
@@ -284,18 +276,15 @@ void NetServer::SweepDeadlines(Worker* worker, TimeMs now) {
       case TimeoutKind::kNone:
         break;
       case TimeoutKind::kRead:
-        worker->timeouts_read.fetch_add(1, std::memory_order_relaxed);
-        IncIfBound(m_timeout_read_);
+        m_timeout_read_->Inc();
         staged_408.push_back(fd);
         break;
       case TimeoutKind::kIdle:
-        worker->timeouts_idle.fetch_add(1, std::memory_order_relaxed);
-        IncIfBound(m_timeout_idle_);
+        m_timeout_idle_->Inc();
         expired.push_back(fd);
         break;
       case TimeoutKind::kWrite:
-        worker->timeouts_write.fetch_add(1, std::memory_order_relaxed);
-        IncIfBound(m_timeout_write_);
+        m_timeout_write_->Inc();
         expired.push_back(fd);
         break;
     }
@@ -326,10 +315,7 @@ void NetServer::DestroyConn(Worker* worker, int fd) {
   }
   worker->loop.Del(fd);
   worker->conns.erase(it);  // ScopedFd closes the socket.
-  worker->open.fetch_sub(1, std::memory_order_relaxed);
-  if (m_open_ != nullptr) {
-    m_open_->Add(-1);
-  }
+  m_open_->Add(-1);
 }
 
 void NetServer::BeginDrain() {
@@ -359,22 +345,6 @@ void NetServer::Wait() {
     }
   }
   running_.store(false, std::memory_order_release);
-}
-
-NetServer::Stats NetServer::GetStats() const {
-  Stats stats;
-  for (const auto& worker : workers_) {
-    stats.accepted += worker->accepted.load(std::memory_order_relaxed);
-    stats.shed_rejected += worker->shed_rejected.load(std::memory_order_relaxed);
-    stats.shed_evicted += worker->shed_evicted.load(std::memory_order_relaxed);
-    stats.timeouts_read += worker->timeouts_read.load(std::memory_order_relaxed);
-    stats.timeouts_idle += worker->timeouts_idle.load(std::memory_order_relaxed);
-    stats.timeouts_write += worker->timeouts_write.load(std::memory_order_relaxed);
-    stats.open += worker->open.load(std::memory_order_relaxed);
-  }
-  stats.requests = sink_.requests.load(std::memory_order_relaxed);
-  stats.parse_errors = sink_.parse_errors.load(std::memory_order_relaxed);
-  return stats;
 }
 
 }  // namespace robodet

@@ -50,15 +50,14 @@ struct NetServerConfig {
 
 class NetServer {
  public:
-  // The handler is invoked on worker threads, one call per request.
-  NetServer(NetServerConfig config, NetHandler handler);
+  // The handler is invoked on worker threads, one call per request. The
+  // server counts into `registry` (robodet_net_* series), which must
+  // outlive it.
+  NetServer(NetServerConfig config, NetHandler handler, MetricsRegistry& registry);
   ~NetServer();  // Stops hard if still running.
 
   NetServer(const NetServer&) = delete;
   NetServer& operator=(const NetServer&) = delete;
-
-  // Optional; call before Start. Registers robodet_net_* metrics.
-  void BindMetrics(MetricsRegistry* registry);
 
   // Binds listeners and launches worker threads. False (with `error` set)
   // when a socket or loop could not be created; no threads leak.
@@ -82,19 +81,6 @@ class NetServer {
 
   bool running() const { return running_.load(std::memory_order_acquire); }
 
-  struct Stats {
-    uint64_t accepted = 0;
-    uint64_t shed_rejected = 0;  // Newcomers answered with canned 503.
-    uint64_t shed_evicted = 0;   // Idle robot connections closed for room.
-    uint64_t timeouts_read = 0;
-    uint64_t timeouts_idle = 0;
-    uint64_t timeouts_write = 0;
-    uint64_t requests = 0;
-    uint64_t parse_errors = 0;
-    uint64_t open = 0;  // Currently open connections, all workers.
-  };
-  Stats GetStats() const;
-
  private:
   struct Worker {
     EventLoop loop;
@@ -104,15 +90,6 @@ class NetServer {
     std::unordered_map<int, std::unique_ptr<NetConnection>> conns;
     bool listener_open = false;
     TimeMs drain_deadline = 0;
-
-    // Written on the loop thread, read by GetStats.
-    std::atomic<uint64_t> accepted{0};
-    std::atomic<uint64_t> shed_rejected{0};
-    std::atomic<uint64_t> shed_evicted{0};
-    std::atomic<uint64_t> timeouts_read{0};
-    std::atomic<uint64_t> timeouts_idle{0};
-    std::atomic<uint64_t> timeouts_write{0};
-    std::atomic<uint64_t> open{0};
   };
 
   void RunWorker(Worker* worker);
@@ -127,8 +104,6 @@ class NetServer {
   NetServerConfig config_;
   NetHandler handler_;
   // Request/byte counters shared by every connection on every worker.
-  // Incremented at event time (before response bytes reach the peer), so a
-  // client that has seen a response can never scrape a count excluding it.
   NetStatsSink sink_;
   size_t per_worker_cap_ = 1;
   uint16_t port_ = 0;
@@ -138,15 +113,14 @@ class NetServer {
   std::atomic<bool> draining_{false};
   std::atomic<bool> stop_{false};
 
-  // Bound lazily; null pointers mean "no registry" (IncIfBound no-ops).
-  // Request/parse-error/byte mirrors live in sink_.
-  Counter* m_accepted_ = nullptr;
-  Counter* m_shed_rejected_ = nullptr;
-  Counter* m_shed_evicted_ = nullptr;
-  Counter* m_timeout_read_ = nullptr;
-  Counter* m_timeout_idle_ = nullptr;
-  Counter* m_timeout_write_ = nullptr;
-  Gauge* m_open_ = nullptr;
+  // Connection-level series, bound at construction.
+  Counter* m_accepted_;
+  Counter* m_shed_rejected_;
+  Counter* m_shed_evicted_;
+  Counter* m_timeout_read_;
+  Counter* m_timeout_idle_;
+  Counter* m_timeout_write_;
+  Gauge* m_open_;  // Currently open connections, all workers.
 
   WallClock own_clock_;
   const SimClock* clock_ = nullptr;  // config_.clock or &own_clock_.

@@ -14,17 +14,13 @@ KeyTable::KeyTable(Config config) : config_(config) {
   }
 }
 
-void KeyTable::BindMetrics(MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    metrics_ = Metrics{};
-    return;
-  }
-  metrics_.issued = registry->FindOrCreateCounter("robodet_key_table_issued_total");
-  metrics_.matched = registry->FindOrCreateCounter("robodet_key_table_matched_total");
-  metrics_.mismatched = registry->FindOrCreateCounter("robodet_key_table_mismatched_total");
-  metrics_.expired = registry->FindOrCreateCounter("robodet_key_table_expired_total");
-  metrics_.evicted = registry->FindOrCreateCounter("robodet_key_table_evicted_total");
-  metrics_.entries = registry->FindOrCreateGauge("robodet_key_table_entries");
+void KeyTable::BindMetrics(MetricsRegistry& registry) {
+  metrics_.issued = registry.FindOrCreateCounter("robodet_key_table_issued_total");
+  metrics_.matched = registry.FindOrCreateCounter("robodet_key_table_matched_total");
+  metrics_.mismatched = registry.FindOrCreateCounter("robodet_key_table_mismatched_total");
+  metrics_.expired = registry.FindOrCreateCounter("robodet_key_table_expired_total");
+  metrics_.evicted = registry.FindOrCreateCounter("robodet_key_table_evicted_total");
+  metrics_.entries = registry.FindOrCreateGauge("robodet_key_table_entries");
 }
 
 KeyTable::Shard& KeyTable::ShardFor(IpAddress ip) {
@@ -69,7 +65,6 @@ void KeyTable::Record(IpAddress ip, const std::string& page_path, const std::str
   }
   total_entries_.fetch_sub(expired_here + evicted_here, std::memory_order_relaxed);
   total_entries_.fetch_add(1, std::memory_order_relaxed);
-  issued_.fetch_add(1, std::memory_order_relaxed);
   IncIfBound(metrics_.expired, expired_here);
   IncIfBound(metrics_.evicted, evicted_here);
   IncIfBound(metrics_.issued);
@@ -111,11 +106,9 @@ bool KeyTable::MatchAndConsume(IpAddress ip, const std::string& key, TimeMs now)
     observer_->OnKeyConsumed(ip, key);
   }
   if (found && live) {
-    matched_.fetch_add(1, std::memory_order_relaxed);
     IncIfBound(metrics_.matched);
     return true;
   }
-  mismatched_.fetch_add(1, std::memory_order_relaxed);
   IncIfBound(metrics_.mismatched);
   return false;
 }

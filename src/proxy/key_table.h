@@ -5,7 +5,7 @@
 //
 // The table is lock-striped into shards keyed by client-IP hash so that
 // worker threads serving different clients do not contend: every per-IP
-// operation takes exactly one shard mutex. Aggregate counters are atomics;
+// operation takes exactly one shard mutex. The entry count is an atomic;
 // cross-shard sweeps (ExpireOld) lock one shard at a time.
 #ifndef ROBODET_SRC_PROXY_KEY_TABLE_H_
 #define ROBODET_SRC_PROXY_KEY_TABLE_H_
@@ -76,9 +76,9 @@ class KeyTable {
   // O(table/num_shards) worst case, suitable for a per-request cadence.
   size_t ExpireOldIncremental(TimeMs now);
 
-  // Mirrors the table's counters into `registry` under
-  // robodet_key_table_*; call once at wiring time.
-  void BindMetrics(MetricsRegistry* registry);
+  // Counts into `registry` under robodet_key_table_*; call once at wiring
+  // time. An unbound table counts nothing.
+  void BindMetrics(MetricsRegistry& registry);
 
   // Not thread-safe; wire before serving. Pass nullptr to detach.
   void set_observer(Observer* observer) { observer_ = observer; }
@@ -104,9 +104,6 @@ class KeyTable {
   void Clear();
 
   size_t total_entries() const { return total_entries_.load(std::memory_order_relaxed); }
-  uint64_t issued() const { return issued_.load(std::memory_order_relaxed); }
-  uint64_t matched() const { return matched_.load(std::memory_order_relaxed); }
-  uint64_t mismatched() const { return mismatched_.load(std::memory_order_relaxed); }
 
  private:
   struct Entry {
@@ -140,9 +137,6 @@ class KeyTable {
   Observer* observer_ = nullptr;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<size_t> total_entries_{0};
-  std::atomic<uint64_t> issued_{0};
-  std::atomic<uint64_t> matched_{0};
-  std::atomic<uint64_t> mismatched_{0};
   std::atomic<size_t> sweep_cursor_{0};
 };
 

@@ -116,38 +116,30 @@ uint64_t StateStore::epoch() const {
   return epoch_;
 }
 
-uint64_t StateStore::journal_records() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return journal_records_total_;
-}
-
-void StateStore::BindMetrics(MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    metrics_ = StoreMetrics{};
-    return;
-  }
-  metrics_.journal_records = registry->FindOrCreateCounter("robodet_persistence_journal_records_total");
+void StateStore::BindMetrics(MetricsRegistry& registry) {
+  metrics_.journal_records =
+      registry.FindOrCreateCounter("robodet_persistence_journal_records_total");
   metrics_.journal_write_failures =
-      registry->FindOrCreateCounter("robodet_persistence_journal_write_failures_total");
-  metrics_.checkpoints = registry->FindOrCreateCounter("robodet_persistence_checkpoints_total");
+      registry.FindOrCreateCounter("robodet_persistence_journal_write_failures_total");
+  metrics_.checkpoints = registry.FindOrCreateCounter("robodet_persistence_checkpoints_total");
   metrics_.checkpoint_failures =
-      registry->FindOrCreateCounter("robodet_persistence_checkpoint_failures_total");
+      registry.FindOrCreateCounter("robodet_persistence_checkpoint_failures_total");
   metrics_.recovery_cold_starts =
-      registry->FindOrCreateCounter("robodet_recovery_total", {{"outcome", "cold"}});
+      registry.FindOrCreateCounter("robodet_recovery_total", {{"outcome", "cold"}});
   metrics_.recovery_warm_starts =
-      registry->FindOrCreateCounter("robodet_recovery_total", {{"outcome", "warm"}});
+      registry.FindOrCreateCounter("robodet_recovery_total", {{"outcome", "warm"}});
   metrics_.recovery_key_entries =
-      registry->FindOrCreateCounter("robodet_recovery_key_entries_restored_total");
+      registry.FindOrCreateCounter("robodet_recovery_key_entries_restored_total");
   metrics_.recovery_sessions =
-      registry->FindOrCreateCounter("robodet_recovery_sessions_restored_total");
+      registry.FindOrCreateCounter("robodet_recovery_sessions_restored_total");
   metrics_.recovery_sections_dropped =
-      registry->FindOrCreateCounter("robodet_recovery_snapshot_sections_dropped_total");
+      registry.FindOrCreateCounter("robodet_recovery_snapshot_sections_dropped_total");
   metrics_.recovery_records_applied =
-      registry->FindOrCreateCounter("robodet_recovery_journal_records_applied_total");
+      registry.FindOrCreateCounter("robodet_recovery_journal_records_applied_total");
   metrics_.recovery_records_dropped =
-      registry->FindOrCreateCounter("robodet_recovery_journal_records_dropped_total");
+      registry.FindOrCreateCounter("robodet_recovery_journal_records_dropped_total");
   metrics_.recovery_bytes_dropped =
-      registry->FindOrCreateCounter("robodet_recovery_journal_bytes_dropped_total");
+      registry.FindOrCreateCounter("robodet_recovery_journal_bytes_dropped_total");
 }
 
 RecoveryReport StateStore::Recover(TimeMs now) {
@@ -383,7 +375,6 @@ void StateStore::AppendLocked(const JournalRecord& rec, TimeMs now) {
   }
   journal_bytes_ += bytes.size();
   ++records_since_checkpoint_;
-  ++journal_records_total_;
   IncIfBound(metrics_.journal_records);
   const bool record_trigger = config_.snapshot_interval_records > 0 &&
                               records_since_checkpoint_ >= config_.snapshot_interval_records;

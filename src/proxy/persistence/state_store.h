@@ -71,9 +71,10 @@ class StateStore : public KeyTable::Observer {
   StateStore(const StateStore&) = delete;
   StateStore& operator=(const StateStore&) = delete;
 
-  // Mirrors journal/recovery activity into `registry` under
+  // Counts journal/recovery activity into `registry` under
   // robodet_persistence_* and robodet_recovery_*; call before Recover().
-  void BindMetrics(MetricsRegistry* registry);
+  // An unbound store counts nothing.
+  void BindMetrics(MetricsRegistry& registry);
 
   // Loads whatever state the directory holds, installs it into the
   // tables, and checkpoints. Call once before serving (and after a
@@ -102,7 +103,6 @@ class StateStore : public KeyTable::Observer {
 
   uint64_t epoch() const;
   const RecoveryReport& last_recovery() const { return recovery_; }
-  uint64_t journal_records() const;
 
   std::string snapshot_path() const;
   std::string journal_path() const;
@@ -149,7 +149,6 @@ class StateStore : public KeyTable::Observer {
   bool journal_open_ = false;
   uint64_t epoch_ = 0;
   uint64_t records_since_checkpoint_ = 0;
-  uint64_t journal_records_total_ = 0;
   size_t journal_bytes_ = 0;
   TimeMs last_now_ = 0;
   std::unordered_map<uint64_t, Marks> marks_;

@@ -2,24 +2,19 @@
 
 namespace robodet {
 
-void PolicyEngine::BindMetrics(MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    metrics_ = Metrics{};
-    return;
-  }
+void PolicyEngine::BindMetrics(MetricsRegistry& registry) {
   metrics_.blocked_requests =
-      registry->FindOrCreateCounter("robodet_policy_blocked_requests_total");
-  metrics_.tripped_cgi_rate = registry->FindOrCreateCounter(
+      registry.FindOrCreateCounter("robodet_policy_blocked_requests_total");
+  metrics_.tripped_cgi_rate = registry.FindOrCreateCounter(
       "robodet_policy_blocked_sessions_total", {{"threshold", "cgi_rate"}});
-  metrics_.tripped_get_rate = registry->FindOrCreateCounter(
+  metrics_.tripped_get_rate = registry.FindOrCreateCounter(
       "robodet_policy_blocked_sessions_total", {{"threshold", "get_rate"}});
-  metrics_.tripped_errors = registry->FindOrCreateCounter(
+  metrics_.tripped_errors = registry.FindOrCreateCounter(
       "robodet_policy_blocked_sessions_total", {{"threshold", "errors"}});
 }
 
 PolicyAction PolicyEngine::Evaluate(SessionState& session, Verdict verdict, TimeMs now) {
   if (session.blocked()) {
-    blocked_requests_.fetch_add(1, std::memory_order_relaxed);
     IncIfBound(metrics_.blocked_requests);
     return PolicyAction::kBlock;
   }
@@ -38,8 +33,6 @@ PolicyAction PolicyEngine::Evaluate(SessionState& session, Verdict verdict, Time
   const bool errors_tripped = session.error_responses() > config_.max_error_responses;
   if (cgi_tripped || get_tripped || errors_tripped) {
     session.set_blocked(true);
-    blocked_sessions_.fetch_add(1, std::memory_order_relaxed);
-    blocked_requests_.fetch_add(1, std::memory_order_relaxed);
     IncIfBound(metrics_.blocked_requests);
     if (cgi_tripped) {
       IncIfBound(metrics_.tripped_cgi_rate);

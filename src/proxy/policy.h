@@ -5,9 +5,6 @@
 #ifndef ROBODET_SRC_PROXY_POLICY_H_
 #define ROBODET_SRC_PROXY_POLICY_H_
 
-#include <atomic>
-#include <cstdint>
-
 #include "src/core/verdict.h"
 #include "src/obs/metrics.h"
 #include "src/proxy/session.h"
@@ -40,16 +37,10 @@ class PolicyEngine {
   // blocked (SessionState::blocked latches).
   PolicyAction Evaluate(SessionState& session, Verdict verdict, TimeMs now);
 
-  uint64_t blocked_sessions() const {
-    return blocked_sessions_.load(std::memory_order_relaxed);
-  }
-  uint64_t blocked_requests() const {
-    return blocked_requests_.load(std::memory_order_relaxed);
-  }
-
-  // Mirrors block decisions into `registry` under robodet_policy_*;
-  // newly tripped sessions are labeled by which threshold fired.
-  void BindMetrics(MetricsRegistry* registry);
+  // Counts block decisions into `registry` under robodet_policy_*; each
+  // newly tripped session is labeled by the one threshold that fired. An
+  // unbound engine counts nothing.
+  void BindMetrics(MetricsRegistry& registry);
 
  private:
   struct Metrics {
@@ -61,10 +52,6 @@ class PolicyEngine {
 
   PolicyConfig config_;
   Metrics metrics_;
-  // Atomics: Evaluate runs concurrently from worker threads (the session it
-  // mutates is the caller's own; only these aggregates are shared).
-  std::atomic<uint64_t> blocked_sessions_{0};
-  std::atomic<uint64_t> blocked_requests_{0};
 };
 
 }  // namespace robodet

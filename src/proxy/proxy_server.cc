@@ -52,6 +52,12 @@ Response Overloaded() {
   return r;
 }
 
+// Every this many handled requests, expired beacon keys and idle sessions
+// are reaped on the request path. Each run sweeps one table shard
+// (round-robin), so the reap cost per request is bounded by shard size,
+// not table size.
+constexpr uint64_t kMaintenanceStride = 1024;
+
 // Decorrelates the resilience layer's jitter stream from the proxy's token
 // stream while keeping both a pure function of the configured seed.
 constexpr uint64_t kResilienceSeedSalt = 0x726573696c696e74ULL;
@@ -178,13 +184,13 @@ void ProxyServer::BindMetrics() {
       registry_->FindOrCreateHistogram("robodet_page_key_duration_us", LatencyBucketsUs());
   m_.served_refs_us =
       registry_->FindOrCreateHistogram("robodet_served_refs_duration_us", LatencyBucketsUs());
-  sessions_.BindMetrics(registry_);
-  key_table_.BindMetrics(registry_);
-  policy_.BindMetrics(registry_);
-  default_classifier_.BindMetrics(registry_);
-  resilient_.BindMetrics(registry_);
+  sessions_.BindMetrics(*registry_);
+  key_table_.BindMetrics(*registry_);
+  policy_.BindMetrics(*registry_);
+  default_classifier_.BindMetrics(*registry_);
+  resilient_.BindMetrics(*registry_);
   if (state_store_ != nullptr) {
-    state_store_->BindMetrics(registry_);
+    state_store_->BindMetrics(*registry_);
   }
 }
 
@@ -206,22 +212,11 @@ void ProxyServer::EnableHumanActivity(bool on) {
 void ProxyServer::EnablePolicy(bool on) { config_.enable_policy = on; }
 
 Verdict ProxyServer::JudgeSession(const SessionState& session) const {
-  if (robot_judge_) {
-    return robot_judge_(session);
-  }
   return default_classifier_.ClassifyOnline(session.observation()).verdict;
 }
 
 Classification ProxyServer::ClassifySession(const SessionState& session) {
-  Classification classification;
-  if (robot_judge_) {
-    classification.verdict = robot_judge_(session);
-    classification.decided_at = session.request_count();
-    classification.evidence.push_back(
-        {"robot_judge", "custom", session.request_count(), classification.verdict});
-  } else {
-    classification = default_classifier_.ClassifyOnline(session.observation());
-  }
+  Classification classification = default_classifier_.ClassifyOnline(session.observation());
   RecordVerdict(classification);
   return classification;
 }
@@ -314,10 +309,7 @@ ProxyServer::Result ProxyServer::Handle(const Request& request) {
                        request.time);
   Result result = HandleSession(request, session);
   result.session_id = session.id();
-  result.verdict = robot_judge_
-                       ? robot_judge_(session)
-                       : default_classifier_.ClassifyOnlineUncounted(session.observation())
-                             .verdict;
+  result.verdict = default_classifier_.ClassifyOnlineUncounted(session.observation()).verdict;
   return result;
 }
 
@@ -513,7 +505,7 @@ void ProxyServer::SimulateCrashRestart(TimeMs now) {
 
 void ProxyServer::MaybeMaintainTables(TimeMs now) {
   const uint64_t n = handled_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (config_.maintenance_stride == 0 || n % config_.maintenance_stride != 0) {
+  if (n % kMaintenanceStride != 0) {
     return;
   }
   if (config_.concurrent) {

@@ -79,12 +79,6 @@ struct ProxyConfig {
   // SimulateCrashRestart). See src/proxy/persistence/state_store.h.
   PersistenceConfig persistence;
 
-  // Every N handled requests, expired beacon keys and idle sessions are
-  // reaped opportunistically on the request path (0 disables). Each run
-  // sweeps one table shard (round-robin), so the reap cost per request is
-  // bounded by shard size, not table size.
-  size_t maintenance_stride = 1024;
-
   // Multi-worker serving (bench/scale, a parallel Experiment, the socket
   // daemon): Handle is called from several threads at once. Handle
   // serializes each client in every mode; this flag only skips the
@@ -106,17 +100,14 @@ double InstrumentationOverheadFraction(const RegistrySnapshot& snapshot);
 class ProxyServer {
  public:
   using OriginHandler = std::function<Response(const Request&)>;
-  // Judges the session for policy enforcement; defaults to the combined
-  // classifier's online rule when unset.
-  using RobotJudge = std::function<Verdict(const SessionState&)>;
 
   struct Result {
     Response response;
     bool blocked = false;
     uint64_t session_id = 0;
-    // The session's online verdict once this request is recorded, by the
-    // robot judge when one is set. Not counted into robodet_verdict_total
-    // or robodet_classify_online_total.
+    // The session's online verdict by the combined classifier once this
+    // request is recorded. Not counted into robodet_verdict_total or
+    // robodet_classify_online_total.
     Verdict verdict = Verdict::kUnknown;
     // How much instrumentation this serving decision actually kept.
     DegradationLevel degraded = DegradationLevel::kFull;
@@ -195,13 +186,11 @@ class ProxyServer {
   void set_trace_recorder(TraceRecorder* recorder) { tracer_ = recorder; }
   TraceRecorder* trace_recorder() const { return tracer_; }
 
-  // Judges a session with the configured judge (or the default combined
-  // classifier) and records robodet_verdict_total{class,source}. The
+  // Judges a session with the combined classifier's online rule and
+  // records robodet_verdict_total{class,source}. The
   // source label is the signal behind the verdict's first matching piece
   // of evidence ("wrong_beacon_key", "css_probe_fetched", ...).
   Classification ClassifySession(const SessionState& session);
-
-  void set_robot_judge(RobotJudge judge) { robot_judge_ = std::move(judge); }
 
   // Wires the trusted-input authority used to verify event attestations.
   void set_attestation_authority(const AttestationAuthority* authority) {
@@ -218,7 +207,7 @@ class ProxyServer {
                           TraceRecorder::Trace* trace, bool beacon_only);
   // Picks the rung of the degradation ladder for an origin fetch outcome.
   DegradationLevel DecideDegradation(const FetchOutcome& fetch, const Response& response) const;
-  // Every maintenance_stride requests: reap expired keys and idle sessions.
+  // Every kMaintenanceStride requests: reap expired keys and idle sessions.
   void MaybeMaintainTables(TimeMs now);
   // The beacon's spec for one token: its keys, drawn from the start of the
   // token's stream, whose remaining draws shape the script.
@@ -284,7 +273,6 @@ class ProxyServer {
   ResilientOrigin resilient_;
   AdmissionController admission_;
   std::atomic<uint64_t> handled_{0};  // Drives the maintenance stride.
-  RobotJudge robot_judge_;
   CombinedClassifier default_classifier_;
   const AttestationAuthority* attestation_ = nullptr;  // Not owned.
   std::unique_ptr<MetricsRegistry> owned_registry_;

@@ -165,33 +165,29 @@ CircuitBreaker& ResilientOrigin::BreakerFor(const std::string& host) {
   return it->second;
 }
 
-void ResilientOrigin::BindMetrics(MetricsRegistry* registry) {
-  m_ = Metrics{};
-  if (registry == nullptr) {
-    return;
-  }
+void ResilientOrigin::BindMetrics(MetricsRegistry& registry) {
   m_.fetch_by_outcome[0] =
-      registry->FindOrCreateCounter("robodet_origin_fetch_total", {{"outcome", "ok"}});
+      registry.FindOrCreateCounter("robodet_origin_fetch_total", {{"outcome", "ok"}});
   for (int kind = 0; kind < 7; ++kind) {
-    m_.fetch_by_outcome[1 + kind] = registry->FindOrCreateCounter(
+    m_.fetch_by_outcome[1 + kind] = registry.FindOrCreateCounter(
         "robodet_origin_fetch_total",
         {{"outcome", std::string(OriginErrorKindName(static_cast<OriginErrorKind>(kind)))}});
   }
-  m_.attempts = registry->FindOrCreateCounter("robodet_origin_attempts_total");
-  m_.retries = registry->FindOrCreateCounter("robodet_origin_retries_total");
-  m_.rejected = registry->FindOrCreateCounter("robodet_breaker_rejected_total");
+  m_.attempts = registry.FindOrCreateCounter("robodet_origin_attempts_total");
+  m_.retries = registry.FindOrCreateCounter("robodet_origin_retries_total");
+  m_.rejected = registry.FindOrCreateCounter("robodet_breaker_rejected_total");
   m_.transitions_open =
-      registry->FindOrCreateCounter("robodet_breaker_transitions_total", {{"to", "open"}});
+      registry.FindOrCreateCounter("robodet_breaker_transitions_total", {{"to", "open"}});
   m_.transitions_half_open =
-      registry->FindOrCreateCounter("robodet_breaker_transitions_total", {{"to", "half_open"}});
+      registry.FindOrCreateCounter("robodet_breaker_transitions_total", {{"to", "half_open"}});
   m_.transitions_closed =
-      registry->FindOrCreateCounter("robodet_breaker_transitions_total", {{"to", "closed"}});
+      registry.FindOrCreateCounter("robodet_breaker_transitions_total", {{"to", "closed"}});
   m_.probes_ok =
-      registry->FindOrCreateCounter("robodet_breaker_probes_total", {{"result", "ok"}});
+      registry.FindOrCreateCounter("robodet_breaker_probes_total", {{"result", "ok"}});
   m_.probes_fail =
-      registry->FindOrCreateCounter("robodet_breaker_probes_total", {{"result", "fail"}});
-  m_.breaker_state = registry->FindOrCreateGauge("robodet_breaker_state");
-  m_.latency_ms = registry->FindOrCreateHistogram("robodet_origin_latency_ms",
+      registry.FindOrCreateCounter("robodet_breaker_probes_total", {{"result", "fail"}});
+  m_.breaker_state = registry.FindOrCreateGauge("robodet_breaker_state");
+  m_.latency_ms = registry.FindOrCreateHistogram("robodet_origin_latency_ms",
                                                   ExponentialBuckets(1.0, 2.0, 12));
 }
 

@@ -192,8 +192,9 @@ class ResilientOrigin {
   // operator use (ForceOpen/Reset) is expected at quiescent points.
   CircuitBreaker& BreakerFor(const std::string& host);
 
-  // robodet_origin_* and robodet_breaker_* metrics; nullptr unbinds.
-  void BindMetrics(MetricsRegistry* registry);
+  // Counts into `registry` under robodet_origin_* and robodet_breaker_*.
+  // An unbound origin counts nothing.
+  void BindMetrics(MetricsRegistry& registry);
 
   const ResilienceConfig& config() const { return config_; }
   void set_fail_open(bool fail_open) { config_.fail_open = fail_open; }

@@ -29,21 +29,17 @@ SessionTable::SessionTable(Config config) : config_(config) {
   }
 }
 
-void SessionTable::BindMetrics(MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    metrics_ = Metrics{};
-    return;
-  }
-  metrics_.opened = registry->FindOrCreateCounter("robodet_sessions_opened_total");
+void SessionTable::BindMetrics(MetricsRegistry& registry) {
+  metrics_.opened = registry.FindOrCreateCounter("robodet_sessions_opened_total");
   metrics_.closed_split =
-      registry->FindOrCreateCounter("robodet_sessions_closed_total", {{"reason", "split"}});
+      registry.FindOrCreateCounter("robodet_sessions_closed_total", {{"reason", "split"}});
   metrics_.closed_idle =
-      registry->FindOrCreateCounter("robodet_sessions_closed_total", {{"reason", "idle"}});
+      registry.FindOrCreateCounter("robodet_sessions_closed_total", {{"reason", "idle"}});
   metrics_.closed_evicted =
-      registry->FindOrCreateCounter("robodet_sessions_closed_total", {{"reason", "evicted"}});
+      registry.FindOrCreateCounter("robodet_sessions_closed_total", {{"reason", "evicted"}});
   metrics_.closed_shutdown =
-      registry->FindOrCreateCounter("robodet_sessions_closed_total", {{"reason", "shutdown"}});
-  metrics_.active = registry->FindOrCreateGauge("robodet_sessions_active");
+      registry.FindOrCreateCounter("robodet_sessions_closed_total", {{"reason", "shutdown"}});
+  metrics_.active = registry.FindOrCreateGauge("robodet_sessions_active");
 }
 
 SessionTable::Shard& SessionTable::ShardFor(const SessionKey& key) {
@@ -101,7 +97,6 @@ SessionState* SessionTable::Touch(const SessionKey& key, TimeMs now) {
     slot = std::make_unique<SessionState>(SessionIdFor(key, now), key, now);
     SessionState* raw = slot.get();
     active_.fetch_add(1, std::memory_order_relaxed);
-    created_.fetch_add(1, std::memory_order_relaxed);
     IncIfBound(metrics_.opened);
     UpdateActiveGauge();
     return raw;

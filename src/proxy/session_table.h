@@ -69,12 +69,12 @@ class SessionTable {
   void CloseAll();
 
   size_t active_count() const { return active_.load(std::memory_order_relaxed); }
-  uint64_t total_created() const { return created_.load(std::memory_order_relaxed); }
 
-  // Mirrors open/close/evict activity into `registry` under
+  // Counts open/close/evict activity into `registry` under
   // robodet_sessions_*; closes are labeled by reason (split, idle,
-  // evicted, shutdown). Call once at wiring time.
-  void BindMetrics(MetricsRegistry* registry);
+  // evicted, shutdown). Call once at wiring time. An unbound table counts
+  // nothing.
+  void BindMetrics(MetricsRegistry& registry);
 
   size_t num_shards() const { return shards_.size(); }
 
@@ -123,7 +123,6 @@ class SessionTable {
   CloseObserver close_observer_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<size_t> active_{0};
-  std::atomic<uint64_t> created_{0};
   std::atomic<size_t> sweep_cursor_{0};
 };
 

@@ -2,47 +2,25 @@
 
 namespace robodet {
 
-void Gateway::BindMetrics(MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    metrics_ = Metrics{};
+void Gateway::RecordOutcome(const ProxyServer::Result& result, FetchStats* stats) {
+  if (stats == nullptr) {
     return;
   }
-  metrics_.ok =
-      registry->FindOrCreateCounter("robodet_gateway_fetches_total", {{"outcome", "ok"}});
-  metrics_.blocked =
-      registry->FindOrCreateCounter("robodet_gateway_fetches_total", {{"outcome", "blocked"}});
-  metrics_.redirect =
-      registry->FindOrCreateCounter("robodet_gateway_fetches_total", {{"outcome", "redirect"}});
-  metrics_.error =
-      registry->FindOrCreateCounter("robodet_gateway_fetches_total", {{"outcome", "error"}});
-  metrics_.degraded = registry->FindOrCreateCounter("robodet_gateway_degraded_total");
-}
-
-void Gateway::RecordOutcome(const ProxyServer::Result& result, FetchStats* stats) {
-  if (stats != nullptr) {
-    ++stats->requests;
-  }
+  ++stats->requests;
   if (result.degraded != DegradationLevel::kFull) {
-    if (stats != nullptr) {
-      ++stats->degraded;
-      if (result.degraded == DegradationLevel::kShed) {
-        ++stats->shed;
-      }
+    ++stats->degraded;
+    if (result.degraded == DegradationLevel::kShed) {
+      ++stats->shed;
     }
-    IncIfBound(metrics_.degraded);
   }
   if (result.blocked) {
-    if (stats != nullptr) ++stats->blocked;
-    IncIfBound(metrics_.blocked);
+    ++stats->blocked;
   } else if (Is3xx(result.response.status)) {
-    if (stats != nullptr) ++stats->redirects;
-    IncIfBound(metrics_.redirect);
+    ++stats->redirects;
   } else if (Is4xx(result.response.status) || Is5xx(result.response.status)) {
-    if (stats != nullptr) ++stats->errors;
-    IncIfBound(metrics_.error);
+    ++stats->errors;
   } else {
-    if (stats != nullptr) ++stats->ok;
-    IncIfBound(metrics_.ok);
+    ++stats->ok;
   }
 }
 

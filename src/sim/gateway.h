@@ -9,7 +9,6 @@
 #include <string_view>
 
 #include "src/http/request.h"
-#include "src/obs/metrics.h"
 #include "src/proxy/proxy_server.h"
 #include "src/util/clock.h"
 
@@ -65,27 +64,12 @@ class Gateway {
   TimeMs Now() const { return clock_->Now(); }
   const ProxyConfig& proxy_config() const { return proxy_->config(); }
 
-  // Counts client-side fetch outcomes into `registry` as
-  // robodet_gateway_fetches_total{outcome=ok|blocked|redirect|error}.
-  // This is the client's view — it differs from the proxy's request
-  // counters when a cluster router fans requests across nodes.
-  void BindMetrics(MetricsRegistry* registry);
-
  private:
-  struct Metrics {
-    Counter* ok = nullptr;
-    Counter* blocked = nullptr;
-    Counter* redirect = nullptr;
-    Counter* error = nullptr;
-    Counter* degraded = nullptr;
-  };
-
   void RecordOutcome(const ProxyServer::Result& result, FetchStats* stats);
 
   ProxyServer* proxy_;  // Not owned; representative node for config reads.
   ProxyRouter router_;  // Empty for single-node gateways.
   SimClock* clock_;     // Not owned.
-  Metrics metrics_;
 };
 
 }  // namespace robodet

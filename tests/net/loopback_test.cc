@@ -1,11 +1,14 @@
 // End-to-end loopback tests for the network front end: a real NetServer
 // on 127.0.0.1, driven by raw blocking client sockets. Covers keep-alive
-// pipelining, slow-header (slowloris) timeouts, oversized-request
-// rejection, graceful drain, robot-first shedding, and a partial-write /
-// short-read torture pass with deliberately tiny socket buffers.
+// pipelining, slow-header (slowloris) and stalled-reader timeouts,
+// oversized-request rejection, graceful drain, robot-first shedding, and a
+// partial-write / short-read torture pass with deliberately tiny socket
+// buffers. Every count is read from the registry the server is built with.
 #include "src/net/server.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 
 #include <cerrno>
 #include <chrono>
@@ -150,6 +153,17 @@ class TestClient {
   std::string buffer_;
 };
 
+uint64_t NetCount(const MetricsRegistry& registry, std::string_view name,
+                  const Labels& labels = {}) {
+  return registry.Scrape().CounterValue(name, labels);
+}
+
+int64_t OpenConnections(const MetricsRegistry& registry) {
+  const RegistrySnapshot snapshot = registry.Scrape();
+  const MetricSnapshot* open = snapshot.Find("robodet_net_open_connections");
+  return open != nullptr ? open->gauge : -1;
+}
+
 std::string SimpleGet(const std::string& path, const std::string& extra = "") {
   return "GET " + path + " HTTP/1.1\r\nHost: t\r\nUser-Agent: test\r\n" + extra + "\r\n";
 }
@@ -157,7 +171,8 @@ std::string SimpleGet(const std::string& path, const std::string& extra = "") {
 TEST(LoopbackTest, ServesAndKeepsAlive) {
   NetServerConfig config;
   config.workers = 1;
-  NetServer server(config, MakeEchoHandler());
+  MetricsRegistry registry;
+  NetServer server(config, MakeEchoHandler(), registry);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 
@@ -172,14 +187,15 @@ TEST(LoopbackTest, ServesAndKeepsAlive) {
     EXPECT_EQ(response->headers.Get("Connection").value_or(""), "keep-alive");
   }
   // Three requests, one connection.
-  EXPECT_EQ(server.GetStats().accepted, 1u);
-  EXPECT_EQ(server.GetStats().requests, 3u);
+  EXPECT_EQ(NetCount(registry, "robodet_net_accepted_total"), 1u);
+  EXPECT_EQ(NetCount(registry, "robodet_net_requests_total"), 3u);
 }
 
 TEST(LoopbackTest, PipelinedBatchAnswersInOrder) {
   NetServerConfig config;
   config.workers = 1;
-  NetServer server(config, MakeEchoHandler());
+  MetricsRegistry registry;
+  NetServer server(config, MakeEchoHandler(), registry);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 
@@ -195,13 +211,14 @@ TEST(LoopbackTest, PipelinedBatchAnswersInOrder) {
     ASSERT_TRUE(response.has_value()) << "response " << i;
     EXPECT_EQ(response->body, "hello /seq" + std::to_string(i));
   }
-  EXPECT_EQ(server.GetStats().accepted, 1u);
+  EXPECT_EQ(NetCount(registry, "robodet_net_accepted_total"), 1u);
 }
 
 TEST(LoopbackTest, ConnectionCloseHonored) {
   NetServerConfig config;
   config.workers = 1;
-  NetServer server(config, MakeEchoHandler());
+  MetricsRegistry registry;
+  NetServer server(config, MakeEchoHandler(), registry);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 
@@ -217,7 +234,8 @@ TEST(LoopbackTest, ConnectionCloseHonored) {
 TEST(LoopbackTest, Http10DefaultsToClose) {
   NetServerConfig config;
   config.workers = 1;
-  NetServer server(config, MakeEchoHandler());
+  MetricsRegistry registry;
+  NetServer server(config, MakeEchoHandler(), registry);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 
@@ -235,7 +253,8 @@ TEST(LoopbackTest, SlowHeadersTimeOutWith408) {
   config.workers = 1;
   config.limits.read_timeout = 120;
   config.limits.idle_timeout = 10 * kSecond;
-  NetServer server(config, MakeEchoHandler());
+  MetricsRegistry registry;
+  NetServer server(config, MakeEchoHandler(), registry);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 
@@ -247,14 +266,15 @@ TEST(LoopbackTest, SlowHeadersTimeOutWith408) {
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->status, StatusCode::kRequestTimeout);
   EXPECT_TRUE(client.AtEof());
-  EXPECT_EQ(server.GetStats().timeouts_read, 1u);
+  EXPECT_EQ(NetCount(registry, "robodet_net_timeouts_total", {{"kind", "read"}}), 1u);
 }
 
 TEST(LoopbackTest, IdleKeepAliveConnectionReaped) {
   NetServerConfig config;
   config.workers = 1;
   config.limits.idle_timeout = 150;
-  NetServer server(config, MakeEchoHandler());
+  MetricsRegistry registry;
+  NetServer server(config, MakeEchoHandler(), registry);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 
@@ -264,13 +284,14 @@ TEST(LoopbackTest, IdleKeepAliveConnectionReaped) {
   ASSERT_TRUE(client.ReadResponse().has_value());
   // Sit idle past the timeout; the server hangs up without a response.
   EXPECT_TRUE(client.AtEof());
-  EXPECT_EQ(server.GetStats().timeouts_idle, 1u);
+  EXPECT_EQ(NetCount(registry, "robodet_net_timeouts_total", {{"kind", "idle"}}), 1u);
 }
 
 TEST(LoopbackTest, OversizedHeaderBlockRejected431) {
   NetServerConfig config;
   config.workers = 1;
-  NetServer server(config, MakeEchoHandler());
+  MetricsRegistry registry;
+  NetServer server(config, MakeEchoHandler(), registry);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 
@@ -287,7 +308,8 @@ TEST(LoopbackTest, OversizedHeaderBlockRejected431) {
 TEST(LoopbackTest, OversizedDeclaredBodyRejected413) {
   NetServerConfig config;
   config.workers = 1;
-  NetServer server(config, MakeEchoHandler());
+  MetricsRegistry registry;
+  NetServer server(config, MakeEchoHandler(), registry);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 
@@ -299,13 +321,14 @@ TEST(LoopbackTest, OversizedDeclaredBodyRejected413) {
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->status, StatusCode::kPayloadTooLarge);
   EXPECT_TRUE(client.AtEof());
-  EXPECT_EQ(server.GetStats().parse_errors, 1u);
+  EXPECT_EQ(NetCount(registry, "robodet_net_parse_errors_total"), 1u);
 }
 
 TEST(LoopbackTest, GarbageRequestRejected400) {
   NetServerConfig config;
   config.workers = 1;
-  NetServer server(config, MakeEchoHandler());
+  MetricsRegistry registry;
+  NetServer server(config, MakeEchoHandler(), registry);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 
@@ -331,7 +354,8 @@ TEST(LoopbackTest, GracefulDrainCompletesInFlight) {
   NetServerConfig config;
   config.workers = 1;
   config.drain_timeout = 2 * kSecond;
-  NetServer server(config, std::move(slow));
+  MetricsRegistry registry;
+  NetServer server(config, std::move(slow), registry);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 
@@ -347,14 +371,15 @@ TEST(LoopbackTest, GracefulDrainCompletesInFlight) {
   // ...and the connection closes afterwards.
   EXPECT_TRUE(client.AtEof());
   server.Wait();
-  EXPECT_EQ(server.GetStats().open, 0u);
+  EXPECT_EQ(OpenConnections(registry), 0);
 }
 
 TEST(LoopbackTest, DrainClosesIdleConnectionsImmediately) {
   NetServerConfig config;
   config.workers = 1;
   config.drain_timeout = 2 * kSecond;
-  NetServer server(config, MakeEchoHandler());
+  MetricsRegistry registry;
+  NetServer server(config, MakeEchoHandler(), registry);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 
@@ -372,7 +397,8 @@ TEST(LoopbackTest, RobotConnectionsShedFirstAtCapacity) {
   NetServerConfig config;
   config.workers = 1;
   config.max_connections = 2;
-  NetServer server(config, MakeEchoHandler());
+  MetricsRegistry registry;
+  NetServer server(config, MakeEchoHandler(), registry);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 
@@ -395,7 +421,7 @@ TEST(LoopbackTest, RobotConnectionsShedFirstAtCapacity) {
   ASSERT_TRUE(served.has_value());
   EXPECT_EQ(served->status, StatusCode::kOk);
   EXPECT_TRUE(robot.AtEof());
-  EXPECT_EQ(server.GetStats().shed_evicted, 1u);
+  EXPECT_EQ(NetCount(registry, "robodet_net_shed_total", {{"mode", "evict"}}), 1u);
 
   // With only human connections left, the next newcomer gets a 503.
   TestClient rejected;
@@ -405,7 +431,7 @@ TEST(LoopbackTest, RobotConnectionsShedFirstAtCapacity) {
   ASSERT_TRUE(refusal.has_value());
   EXPECT_EQ(refusal->status, StatusCode::kServiceUnavailable);
   EXPECT_TRUE(rejected.AtEof());
-  EXPECT_EQ(server.GetStats().shed_rejected, 1u);
+  EXPECT_EQ(NetCount(registry, "robodet_net_shed_total", {{"mode", "reject"}}), 1u);
   // The human connection survived the whole episode.
   ASSERT_TRUE(human.Send(SimpleGet("/h2")));
   EXPECT_TRUE(human.ReadResponse().has_value());
@@ -419,7 +445,8 @@ TEST(LoopbackTest, PartialWriteTortureWithTinyBuffers) {
   config.accepted_sndbuf = 4096;
   config.limits.write_high_water = 64 * 1024;
   config.limits.write_low_water = 16 * 1024;
-  NetServer server(config, MakeEchoHandler());
+  MetricsRegistry registry;
+  NetServer server(config, MakeEchoHandler(), registry);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 
@@ -436,11 +463,62 @@ TEST(LoopbackTest, PartialWriteTortureWithTinyBuffers) {
   }
 }
 
+TEST(LoopbackTest, StalledReaderHitsWriteTimeout) {
+  // The client asks for a body far larger than both kernel buffers and
+  // never reads it, so the server's writes stop making progress and the
+  // write deadline closes the connection.
+  NetServerConfig config;
+  config.workers = 1;
+  config.accepted_sndbuf = 4096;
+  config.limits.write_timeout = 200;
+  MetricsRegistry registry;
+  NetServer server(config, MakeEchoHandler(), registry);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  TestClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+  SetRecvBufferBytes(client.fd(), 4096);
+  // Bounds the final read below: a server that never closes fails the
+  // test instead of hanging it.
+  const timeval read_timeout{5, 0};
+  ASSERT_EQ(::setsockopt(client.fd(), SOL_SOCKET, SO_RCVTIMEO, &read_timeout,
+                         sizeof(read_timeout)),
+            0);
+  const size_t kBody = 4u << 20;
+  ASSERT_TRUE(client.Send(SimpleGet("/bytes/" + std::to_string(kBody))));
+
+  const Labels write_kind = {{"kind", "write"}};
+  for (int i = 0; i < 200; ++i) {
+    if (NetCount(registry, "robodet_net_timeouts_total", write_kind) == 1 &&
+        OpenConnections(registry) == 0) {
+      break;
+    }
+    SleepMs(25);
+  }
+  EXPECT_EQ(NetCount(registry, "robodet_net_timeouts_total", write_kind), 1u);
+  EXPECT_EQ(OpenConnections(registry), 0);
+
+  // The client gets what the kernel buffers held, then the stream ends.
+  size_t received = 0;
+  char chunk[64 * 1024];
+  for (;;) {
+    const IoResult got = ReadOnce(client.fd(), chunk, sizeof(chunk));
+    if (got.n <= 0) {
+      EXPECT_TRUE(got.eof || got.error == ECONNRESET);
+      break;
+    }
+    received += static_cast<size_t>(got.n);
+  }
+  EXPECT_LT(received, kBody);
+}
+
 TEST(LoopbackTest, ShortReadTortureDribbledRequestBody) {
   NetServerConfig config;
   config.workers = 1;
   config.limits.read_timeout = 10 * kSecond;
-  NetServer server(config, MakeEchoHandler());
+  MetricsRegistry registry;
+  NetServer server(config, MakeEchoHandler(), registry);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 
@@ -470,7 +548,8 @@ TEST(LoopbackTest, ShortReadTortureDribbledRequestBody) {
 TEST(LoopbackTest, MultiWorkerLoadgenRoundTrip) {
   NetServerConfig config;
   config.workers = 4;
-  NetServer server(config, MakeEchoHandler());
+  MetricsRegistry registry;
+  NetServer server(config, MakeEchoHandler(), registry);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 
@@ -482,7 +561,7 @@ TEST(LoopbackTest, MultiWorkerLoadgenRoundTrip) {
   const LoadGenReport report = RunLoadGen(load);
   EXPECT_EQ(report.responses_2xx, 400u);
   EXPECT_EQ(report.io_failures, 0u);
-  EXPECT_EQ(server.GetStats().requests, 400u);
+  EXPECT_EQ(NetCount(registry, "robodet_net_requests_total"), 400u);
 }
 
 TEST(LoopbackTest, ProxyServerBehindRealSockets) {
@@ -517,8 +596,7 @@ TEST(LoopbackTest, ProxyServerBehindRealSockets) {
   NetServerConfig config;
   config.workers = 2;
   config.clock = &clock;
-  NetServer server(config, std::move(handler));
-  server.BindMetrics(&proxy.metrics());
+  NetServer server(config, std::move(handler), proxy.metrics());
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 

@@ -9,7 +9,6 @@ TEST(KeyTableTest, RecordAndMatch) {
   KeyTable table({64, 1000, kHour});
   table.Record(IpAddress(1), "/p/1.html", "key-a", 0);
   EXPECT_TRUE(table.MatchAndConsume(IpAddress(1), "key-a", 1000));
-  EXPECT_EQ(table.matched(), 1u);
 }
 
 TEST(KeyTableTest, MatchConsumesEntryPreventingReplay) {
@@ -17,7 +16,6 @@ TEST(KeyTableTest, MatchConsumesEntryPreventingReplay) {
   table.Record(IpAddress(1), "/p/1.html", "key-a", 0);
   EXPECT_TRUE(table.MatchAndConsume(IpAddress(1), "key-a", 1));
   EXPECT_FALSE(table.MatchAndConsume(IpAddress(1), "key-a", 2));
-  EXPECT_EQ(table.mismatched(), 1u);
 }
 
 TEST(KeyTableTest, WrongKeyAndWrongIpFail) {
@@ -83,13 +81,16 @@ TEST(KeyTableTest, ExpireOldPurges) {
 }
 
 TEST(KeyTableTest, StatsCount) {
+  MetricsRegistry registry;
   KeyTable table({64, 1000, kHour});
+  table.BindMetrics(registry);
   table.Record(IpAddress(1), "/p", "a", 0);
   table.MatchAndConsume(IpAddress(1), "a", 1);
   table.MatchAndConsume(IpAddress(1), "zzz", 1);
-  EXPECT_EQ(table.issued(), 1u);
-  EXPECT_EQ(table.matched(), 1u);
-  EXPECT_EQ(table.mismatched(), 1u);
+  const RegistrySnapshot snapshot = registry.Scrape();
+  EXPECT_EQ(snapshot.CounterValue("robodet_key_table_issued_total"), 1u);
+  EXPECT_EQ(snapshot.CounterValue("robodet_key_table_matched_total"), 1u);
+  EXPECT_EQ(snapshot.CounterValue("robodet_key_table_mismatched_total"), 1u);
 }
 
 }  // namespace

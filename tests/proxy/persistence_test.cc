@@ -300,7 +300,7 @@ TEST_F(PersistenceTest, CorruptStateColdStartsWithMetrics) {
   }
   MetricsRegistry registry;
   Rig rig(Dir());
-  rig.store.BindMetrics(&registry);
+  rig.store.BindMetrics(registry);
   const RecoveryReport report = rig.store.Recover(100);
   EXPECT_TRUE(report.attempted);
   EXPECT_TRUE(report.cold_start);
@@ -311,7 +311,7 @@ TEST_F(PersistenceTest, CorruptStateColdStartsWithMetrics) {
             1u);
   // The store is fully usable after the cold start.
   rig.keys.Record(IpAddress(kIp1), "/x.html", "fresh", 200);
-  EXPECT_GE(rig.store.journal_records(), 1u);
+  EXPECT_GE(registry.Scrape().CounterValue("robodet_persistence_journal_records_total"), 1u);
 }
 
 // A stale journal (older epoch than the snapshot) is ignored: its effects

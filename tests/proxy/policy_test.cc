@@ -36,6 +36,16 @@ PolicyConfig StrictConfig() {
   return config;
 }
 
+// robodet_policy_blocked_sessions_total summed over its threshold label.
+uint64_t BlockedSessions(const RegistrySnapshot& snapshot) {
+  uint64_t total = 0;
+  for (const char* threshold : {"cgi_rate", "get_rate", "errors"}) {
+    total += snapshot.CounterValue("robodet_policy_blocked_sessions_total",
+                                   {{"threshold", threshold}});
+  }
+  return total;
+}
+
 TEST(PolicyTest, HumansNeverBlocked) {
   PolicyEngine policy(StrictConfig());
   SessionState session = MakeSession();
@@ -54,13 +64,19 @@ TEST(PolicyTest, CalmRobotAllowed) {
 }
 
 TEST(PolicyTest, CgiFloodBlocked) {
+  MetricsRegistry registry;
   PolicyEngine policy(StrictConfig());
+  policy.BindMetrics(registry);
   SessionState session = MakeSession();
   AddRequests(session, 100, 0, 0, kSecond);  // 60 cgi/min over ~100s.
   EXPECT_EQ(policy.Evaluate(session, Verdict::kRobot, session.last_request_time()),
             PolicyAction::kBlock);
   EXPECT_TRUE(session.blocked());
-  EXPECT_EQ(policy.blocked_sessions(), 1u);
+  const RegistrySnapshot snapshot = registry.Scrape();
+  EXPECT_EQ(snapshot.CounterValue("robodet_policy_blocked_sessions_total",
+                                  {{"threshold", "cgi_rate"}}),
+            1u);
+  EXPECT_EQ(BlockedSessions(snapshot), 1u);  // Exactly one label moves per trip.
 }
 
 TEST(PolicyTest, GetFloodBlocked) {
@@ -88,7 +104,9 @@ TEST(PolicyTest, MinObservationGraceWindow) {
 }
 
 TEST(PolicyTest, BlockLatches) {
+  MetricsRegistry registry;
   PolicyEngine policy(StrictConfig());
+  policy.BindMetrics(registry);
   SessionState session = MakeSession();
   AddRequests(session, 100, 0, 0, kSecond);
   ASSERT_EQ(policy.Evaluate(session, Verdict::kRobot, session.last_request_time()),
@@ -96,7 +114,9 @@ TEST(PolicyTest, BlockLatches) {
   // Even if the verdict later softens, the block stays.
   EXPECT_EQ(policy.Evaluate(session, Verdict::kUnknown, session.last_request_time() + kHour),
             PolicyAction::kBlock);
-  EXPECT_EQ(policy.blocked_requests(), 2u);
+  const RegistrySnapshot snapshot = registry.Scrape();
+  EXPECT_EQ(snapshot.CounterValue("robodet_policy_blocked_requests_total"), 2u);
+  EXPECT_EQ(BlockedSessions(snapshot), 1u);
 }
 
 TEST(PolicyTest, EnforcementToggle) {

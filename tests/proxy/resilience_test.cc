@@ -296,7 +296,7 @@ TEST(ResilientOriginTest, TransitionMetricsCountEdgesOnly) {
         return healthy ? HealthyPage() : OriginResult::Fail(OriginErrorKind::kConnectFail, 1);
       },
       7);
-  origin.BindMetrics(&registry);
+  origin.BindMetrics(registry);
 
   origin.Fetch(GetRequest(0));     // closed -> open.
   origin.Fetch(GetRequest(500));   // Degraded fetch: no edge.

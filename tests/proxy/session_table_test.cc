@@ -87,12 +87,14 @@ TEST(SessionTableTest, CapacityEvictsStalest) {
   EXPECT_EQ(closed_ids[0], a_id);
 }
 
-TEST(SessionTableTest, TotalCreatedCounts) {
+TEST(SessionTableTest, OpenedCounterCountsCreations) {
+  MetricsRegistry registry;
   SessionTable table({kHour, 100});
+  table.BindMetrics(registry);
   table.Touch(Key(1), 0);
   table.Touch(Key(1), 0);  // Reuse.
   table.Touch(Key(2), 0);
-  EXPECT_EQ(table.total_created(), 2u);
+  EXPECT_EQ(registry.Scrape().CounterValue("robodet_sessions_opened_total"), 2u);
 }
 
 }  // namespace

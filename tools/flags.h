@@ -49,13 +49,11 @@ class Flags {
 
   bool GetBool(const std::string& key) const { return values_.contains(key); }
 
-  const std::string& errors() const { return errors_; }
   const std::vector<std::string>& positional() const { return positional_; }
 
  private:
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
-  std::string errors_;
 };
 
 }  // namespace robodet

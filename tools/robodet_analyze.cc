@@ -27,14 +27,13 @@ using namespace robodet;
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
-  if (!flags.errors().empty() || flags.GetBool("help")) {
-    std::fprintf(stderr, "%s", flags.errors().c_str());
+  if (flags.GetBool("help")) {
     std::fprintf(stderr,
                  "usage: robodet_analyze --sessions=F --events=F "
                  "[--min-requests=10] [--ml] [--rounds=200] [--json-logs]\n"
                  "       robodet_analyze --chaos [--clients=500] [--seed=1] [--policy]\n%s",
                  kChaosUsage);
-    return flags.GetBool("help") ? 0 : 2;
+    return 0;
   }
 
   const bool json_logs = flags.GetBool("json-logs");

@@ -18,13 +18,12 @@ using namespace robodet;
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
-  if (!flags.errors().empty() || flags.GetBool("help")) {
-    std::fprintf(stderr, "%s", flags.errors().c_str());
+  if (flags.GetBool("help")) {
     std::fprintf(stderr,
                  "usage: robodet_capture --clients=N --seed=S --sessions=F --events=F\n"
                  "       [--captcha] [--policy] [--pages=N] [--decoys=M]\n%s%s",
                  kChaosUsage, kPersistenceUsage);
-    return flags.GetBool("help") ? 0 : 2;
+    return 0;
   }
 
   ExperimentConfig config;

@@ -30,14 +30,13 @@ using namespace robodet;
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
-  if (!flags.errors().empty() || flags.GetBool("help")) {
-    std::fprintf(stderr, "%s", flags.errors().c_str());
+  if (flags.GetBool("help")) {
     std::fprintf(stderr,
                  "usage: robodet_metrics [--format=prom|json] [--clients=200] "
                  "[--seed=1] [--min-requests=10] [--traces] "
                  "[--trace-capacity=128] [--sample-every=64] [--policy]\n%s%s",
                  kChaosUsage, kPersistenceUsage);
-    return flags.GetBool("help") ? 0 : 2;
+    return 0;
   }
 
   ExperimentConfig config;
@@ -64,7 +63,7 @@ int main(int argc, char** argv) {
   // bound to the same registry and record the verdicts the same way.
   MetricsRegistry& registry = experiment.proxy().metrics();
   CombinedClassifier classifier;
-  classifier.BindMetrics(&registry);
+  classifier.BindMetrics(registry);
   const int min_requests = static_cast<int>(flags.GetInt("min-requests", 10));
   for (const SessionRecord* record : experiment.RecordsWithMinRequests(min_requests)) {
     const Classification c = classifier.ClassifyOnline(record->observation);

@@ -17,12 +17,11 @@ using namespace robodet;
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
-  if (!flags.errors().empty() || flags.GetBool("help")) {
-    std::fprintf(stderr, "%s", flags.errors().c_str());
+  if (flags.GetBool("help")) {
     std::fprintf(stderr,
                  "usage: robodet_rewrite [--in=page.html] [--host=H] [--decoys=M] "
                  "[--obf=0..4] [--seed=S] [--show-script]\n");
-    return flags.GetBool("help") ? 0 : 2;
+    return 0;
   }
 
   std::string html;

@@ -157,8 +157,7 @@ int Main(int argc, char** argv) {
   net_config.drain_timeout = flags.GetInt("drain-timeout-ms", 5000);
   net_config.clock = &clock;
 
-  NetServer server(net_config, std::move(handler));
-  server.BindMetrics(&proxy.metrics());
+  NetServer server(net_config, std::move(handler), proxy.metrics());
   std::string error;
   if (!server.Start(&error)) {
     std::fprintf(stderr, "robodet_serve: %s\n", error.c_str());
@@ -191,16 +190,20 @@ int Main(int argc, char** argv) {
     timer.join();
   }
 
-  const NetServer::Stats stats = server.GetStats();
+  const RegistrySnapshot final_scrape = proxy.metrics().Scrape();
+  const auto count = [&final_scrape](std::string_view name, const Labels& labels = {}) {
+    return static_cast<unsigned long long>(final_scrape.CounterValue(name, labels));
+  };
   std::fprintf(stderr,
                "robodet_serve: done. accepted=%llu requests=%llu parse_errors=%llu "
                "shed=%llu timeouts=%llu\n",
-               static_cast<unsigned long long>(stats.accepted),
-               static_cast<unsigned long long>(stats.requests),
-               static_cast<unsigned long long>(stats.parse_errors),
-               static_cast<unsigned long long>(stats.shed_rejected + stats.shed_evicted),
-               static_cast<unsigned long long>(stats.timeouts_read + stats.timeouts_idle +
-                                               stats.timeouts_write));
+               count("robodet_net_accepted_total"), count("robodet_net_requests_total"),
+               count("robodet_net_parse_errors_total"),
+               count("robodet_net_shed_total", {{"mode", "reject"}}) +
+                   count("robodet_net_shed_total", {{"mode", "evict"}}),
+               count("robodet_net_timeouts_total", {{"kind", "read"}}) +
+                   count("robodet_net_timeouts_total", {{"kind", "idle"}}) +
+                   count("robodet_net_timeouts_total", {{"kind", "write"}}));
   return 0;
 }
 

@@ -30,8 +30,7 @@ int main(int argc, char** argv) {
   if (state_dir.empty() && !flags.positional().empty()) {
     state_dir = flags.positional().front();
   }
-  if (!flags.errors().empty() || flags.GetBool("help") || state_dir.empty()) {
-    std::fprintf(stderr, "%s", flags.errors().c_str());
+  if (flags.GetBool("help") || state_dir.empty()) {
     std::fprintf(stderr,
                  "usage: robodet_statedump --state-dir=DIR\n"
                  "       robodet_statedump DIR\n"
