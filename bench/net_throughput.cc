@@ -23,7 +23,7 @@ namespace {
 constexpr int kOriginRttUs = 300;
 
 NetHandler MakeSleepingOrigin() {
-  return [](Request&&, const ConnectionInfo&) {
+  return [](Request&&) {
     // The emulated origin RTT: real wall time, so workers only gain
     // throughput by genuinely overlapping waits across connections.
     std::this_thread::sleep_for(std::chrono::microseconds(kOriginRttUs));

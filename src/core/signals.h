@@ -62,7 +62,6 @@ struct SessionSignals {
 
   bool DownloadedCssProbe() const { return css_probe_at > 0; }
   bool DownloadedAudioProbe() const { return audio_probe_at > 0; }
-  bool DownloadedJs() const { return js_download_at > 0; }
   bool ExecutedJs() const { return js_executed_at > 0; }
   bool MouseActivity() const { return mouse_event_at > 0; }
   bool WrongBeaconKey() const { return wrong_key_at > 0; }
@@ -70,7 +69,6 @@ struct SessionSignals {
   bool UaMismatch() const { return ua_mismatch_at > 0; }
   bool PassedCaptcha() const { return captcha_passed_at > 0; }
   bool FetchedRobotsTxt() const { return robots_txt_at > 0; }
-  bool AttestedMouse() const { return attested_mouse_at > 0; }
   bool UnattestedEvent() const { return unattested_event_at > 0; }
 };
 

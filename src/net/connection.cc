@@ -13,12 +13,20 @@ namespace {
 // in-buffer ceiling by much, large enough to drain a fat pipe in few calls.
 constexpr size_t kReadChunkBytes = 64 * 1024;
 
+// In-buffer ceiling: one max body plus header allowance. Anything that
+// overflows it without framing a request is hostile.
+constexpr size_t kMaxInBuffer = (16u << 20) + (64u << 10);
+
+// Requests served per wakeup: bounds how long one pipelining client can
+// monopolize the worker loop.
+constexpr size_t kMaxRequestsPerWake = 16;
+
 }  // namespace
 
-NetConnection::NetConnection(ScopedFd fd, ConnectionInfo info, const ConnectionLimits* limits,
+NetConnection::NetConnection(ScopedFd fd, IpAddress peer_ip, const ConnectionLimits* limits,
                              const NetHandler* handler, const SimClock* clock,
                              const NetStatsSink& sink)
-    : fd_(std::move(fd)), info_(info), limits_(limits), handler_(handler), clock_(clock),
+    : fd_(std::move(fd)), peer_ip_(peer_ip), limits_(limits), handler_(handler), clock_(clock),
       sink_(sink) {
   last_activity_ = clock_->Now();
   last_write_progress_ = last_activity_;
@@ -63,7 +71,7 @@ bool NetConnection::OnReadable() {
       peer_half_closed_ = true;
       break;
     }
-    if (got.n < 0) {
+    if (got.error != 0) {
       return false;  // Hard socket error; nothing to flush.
     }
     TouchActivity();
@@ -73,7 +81,7 @@ bool NetConnection::OnReadable() {
     }
     sink_.bytes_in->Inc(static_cast<uint64_t>(got.n));
     in_.append(chunk, static_cast<size_t>(got.n));
-    if (in_.size() > limits_->max_in_buffer) {
+    if (in_.size() > kMaxInBuffer) {
       // More bytes than any legal request can span without framing one:
       // hostile or broken. 431 matches the header-flood case, which is the
       // only way to get here given the framer's early 413 on declared
@@ -117,7 +125,7 @@ bool NetConnection::OnWritable() {
 
 bool NetConnection::ProcessBufferedRequests() {
   size_t served = 0;
-  while (served < limits_->max_requests_per_wake &&
+  while (served < kMaxRequestsPerWake &&
          OutstandingOut() <= limits_->write_high_water && !close_after_flush_) {
     if (in_.empty()) {
       break;
@@ -144,6 +152,13 @@ bool NetConnection::ProcessBufferedRequests() {
     // not when the first byte of the batch arrived.
     request_start_ = clock_->Now();
   }
+  // The bound cut the batch short. No new bytes may ever arrive to wake
+  // the connection, so WantedEvents asks for EPOLLOUT, which a writable
+  // socket reports at once, and OnWritable serves the rest. Only for a
+  // complete request: a partial one waits for its bytes, not in a busy
+  // loop, and a batch that ends exactly at the bound costs no extra wake.
+  resume_ = served == kMaxRequestsPerWake && !close_after_flush_ && !in_.empty() &&
+            FrameRequest(in_).status != FrameStatus::kNeedMore;
   return true;
 }
 
@@ -160,14 +175,13 @@ bool NetConnection::ServeOne(const FramedRequest& framed) {
   Request request = std::move(*parsed.value);
   const bool head = request.method == Method::kHead;
   request.time = clock_->Now();
-  request.client_ip = info_.peer_ip;
+  request.client_ip = peer_ip_;
 
-  ServedResponse served = (*handler_)(std::move(request), info_);
+  ServedResponse served = (*handler_)(std::move(request));
   robot_ = served.robot;
   sink_.requests->Inc();
-  requests_served_++;
 
-  const bool close = served.close || draining_ || !framed.keep_alive;
+  const bool close = draining_ || !framed.keep_alive;
   served.response.headers.Set("Connection", close ? "close" : "keep-alive");
   std::string text = SerializeResponse(served.response);
   if (head) {
@@ -191,17 +205,13 @@ void NetConnection::StageError(StatusCode status, std::string_view detail) {
   in_.clear();  // Nothing after a framing error is trustworthy.
 }
 
-void NetConnection::ShedWith(StatusCode status, std::string_view detail) {
-  StageError(status, detail);
-}
-
 bool NetConnection::FlushWrites() {
   while (OutstandingOut() > 0) {
     const IoResult wrote = WriteOnce(fd_.get(), out_.data() + out_offset_, OutstandingOut());
     if (wrote.would_block) {
       return true;  // Wait for EPOLLOUT.
     }
-    if (wrote.n < 0) {
+    if (wrote.error != 0) {
       return false;  // Peer reset; nothing more to do.
     }
     out_offset_ += static_cast<size_t>(wrote.n);
@@ -255,7 +265,7 @@ uint32_t NetConnection::WantedEvents() const {
       OutstandingOut() <= limits_->write_high_water) {
     events |= EPOLLIN;
   }
-  if (OutstandingOut() > 0) {
+  if (OutstandingOut() > 0 || resume_) {
     events |= EPOLLOUT;
   }
   return events;

@@ -20,38 +20,26 @@
 
 namespace robodet {
 
-struct ConnectionInfo {
-  IpAddress peer_ip;
-  uint16_t peer_port = 0;
-  uint64_t id = 0;  // Server-unique accept sequence number.
-};
-
 // What the application hands back for one request. `robot` marks the
 // session as robot-classified *right now* — under connection pressure the
 // server sheds those connections first (§3.2's "robots pay first" rule
 // applied to the socket layer).
 struct ServedResponse {
   Response response;
-  bool close = false;  // Force Connection: close after this response.
   bool robot = false;
 };
 
-using NetHandler = std::function<ServedResponse(Request&&, const ConnectionInfo&)>;
+// The request arrives with `client_ip` set to the peer's address.
+using NetHandler = std::function<ServedResponse(Request&&)>;
 
 // Shared knobs; the server owns one instance and every connection points
 // at it.
 struct ConnectionLimits {
-  // In-buffer ceiling: one max body plus header allowance. Anything that
-  // overflows it without framing a request is hostile.
-  size_t max_in_buffer = (16u << 20) + (64u << 10);
   // Write-queue high water: above it the connection stops reading (and
   // stops serving pipelined requests) until the peer drains us back under
   // the low water mark.
   size_t write_high_water = 1u << 20;
   size_t write_low_water = 256u << 10;
-  // Requests served per readable wakeup: bounds how long one pipelining
-  // client can monopolize the worker loop.
-  size_t max_requests_per_wake = 16;
   // Receiving one request, from its first byte (slowloris defense).
   TimeMs read_timeout = 10 * kSecond;
   // Between requests on a keep-alive connection.
@@ -75,7 +63,7 @@ struct NetStatsSink {
 
 class NetConnection {
  public:
-  NetConnection(ScopedFd fd, ConnectionInfo info, const ConnectionLimits* limits,
+  NetConnection(ScopedFd fd, IpAddress peer_ip, const ConnectionLimits* limits,
                 const NetHandler* handler, const SimClock* clock, const NetStatsSink& sink);
 
   NetConnection(const NetConnection&) = delete;
@@ -99,7 +87,8 @@ class NetConnection {
 
   // Epoll interest matching the current state: EPOLLIN unless the write
   // queue is over high water (backpressure) or we are flushing-to-close,
-  // EPOLLOUT whenever output is queued.
+  // EPOLLOUT whenever output is queued or a complete buffered request
+  // waits for its turn (see ProcessBufferedRequests).
   uint32_t WantedEvents() const;
 
   // Nothing buffered in either direction and no request mid-flight.
@@ -108,19 +97,17 @@ class NetConnection {
   bool finished() const { return close_after_flush_ && OutstandingOut() == 0; }
 
   bool robot() const { return robot_; }
-  uint64_t requests_served() const { return requests_served_; }
-  const ConnectionInfo& info() const { return info_; }
   int fd() const { return fd_.get(); }
 
-  // Stages a canned response (503 shed notice) and closes after flushing.
-  void ShedWith(StatusCode status, std::string_view detail);
+  // Stages a canned error response (the 503 shed notice, a 4xx) and
+  // closes after flushing it.
+  void StageError(StatusCode status, std::string_view detail);
 
  private:
-  // Serves every fully buffered request (bounded by max_requests_per_wake
-  // and the write high-water mark). False → destroy.
+  // Serves the fully buffered requests, at most a per-wake bound of them
+  // and only while the write queue is under high water. False → destroy.
   bool ProcessBufferedRequests();
   bool ServeOne(const FramedRequest& framed);
-  void StageError(StatusCode status, std::string_view detail);
   // Writes as much queued output as the socket accepts. False → destroy
   // (hard write error, or flushed everything on a closing connection).
   bool FlushWrites();
@@ -128,7 +115,7 @@ class NetConnection {
   void TouchActivity() { last_activity_ = clock_->Now(); }
 
   ScopedFd fd_;
-  ConnectionInfo info_;
+  IpAddress peer_ip_;
   const ConnectionLimits* limits_;  // Not owned.
   const NetHandler* handler_;      // Not owned.
   const SimClock* clock_;          // Not owned (WallClock in the daemon).
@@ -149,8 +136,9 @@ class NetConnection {
   bool draining_ = false;
   bool peer_half_closed_ = false;
   bool timed_out_408_ = false;
+  // The per-wake bound left a complete request unserved.
+  bool resume_ = false;
   bool robot_ = false;
-  uint64_t requests_served_ = 0;
 };
 
 }  // namespace robodet

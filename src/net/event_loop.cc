@@ -1,32 +1,20 @@
 #include "src/net/event_loop.h"
 
-#include <sys/epoll.h>
-
 #include <cerrno>
-#include <utility>
 
 namespace robodet {
 
 EventLoop::EventLoop() : epoll_(::epoll_create1(EPOLL_CLOEXEC)), wake_(CreateWakeupFd()) {
-  if (ok()) {
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = wake_.get();
-    if (::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, wake_.get(), &ev) != 0) {
-      epoll_.reset();
-    }
+  if (ok() && !Add(wake_.get(), EPOLLIN)) {
+    epoll_.reset();
   }
 }
 
-bool EventLoop::Add(int fd, uint32_t events, FdCallback callback) {
+bool EventLoop::Add(int fd, uint32_t events) {
   epoll_event ev{};
   ev.events = events;
   ev.data.fd = fd;
-  if (::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, fd, &ev) != 0) {
-    return false;
-  }
-  callbacks_[fd] = std::move(callback);
-  return true;
+  return ::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, fd, &ev) == 0;
 }
 
 bool EventLoop::Mod(int fd, uint32_t events) {
@@ -36,59 +24,25 @@ bool EventLoop::Mod(int fd, uint32_t events) {
   return ::epoll_ctl(epoll_.get(), EPOLL_CTL_MOD, fd, &ev) == 0;
 }
 
-void EventLoop::Del(int fd) {
-  (void)::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, fd, nullptr);
-  callbacks_.erase(fd);
-}
+void EventLoop::Del(int fd) { (void)::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, fd, nullptr); }
 
-int EventLoop::PollOnce(int timeout_ms) {
-  epoll_event ready[64];
+int EventLoop::Wait(int timeout_ms, std::span<epoll_event> ready) {
   int n;
   do {
-    n = ::epoll_wait(epoll_.get(), ready, 64, timeout_ms < 0 ? 0 : timeout_ms);
+    n = ::epoll_wait(epoll_.get(), ready.data(), static_cast<int>(ready.size()), timeout_ms);
   } while (n < 0 && errno == EINTR);
   if (n < 0) {
     return -1;
   }
-
-  // Queued closures first: a drain request should close idle connections
-  // before their fd events are dispatched, not after.
-  std::vector<std::function<void()>> queued;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queued.swap(queued_);
-  }
-  for (auto& fn : queued) {
-    fn();
-  }
-
-  int dispatched = 0;
+  int stored = 0;
   for (int i = 0; i < n; ++i) {
-    const int fd = ready[i].data.fd;
-    if (fd == wake_.get()) {
-      DrainWakeupFd(fd);
-      continue;
+    if (ready[i].data.fd == wake_.get()) {
+      DrainWakeupFd(wake_.get());
+    } else {
+      ready[stored++] = ready[i];
     }
-    // A prior callback in this batch may have closed this fd.
-    const auto it = callbacks_.find(fd);
-    if (it == callbacks_.end()) {
-      continue;
-    }
-    // Copy before invoking: the callback may Del its own fd, which would
-    // destroy the std::function mid-call if invoked through the map slot.
-    const FdCallback callback = it->second;
-    callback(ready[i].events);
-    ++dispatched;
   }
-  return dispatched;
-}
-
-void EventLoop::RunInLoop(std::function<void()> fn) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queued_.push_back(std::move(fn));
-  }
-  Wakeup();
+  return stored;
 }
 
 void EventLoop::Wakeup() { NotifyWakeupFd(wake_.get()); }

@@ -1,18 +1,15 @@
-// A single-threaded epoll reactor. Each worker thread owns one loop; fds
-// are registered with edge-triggered-free (level-triggered) interest and a
-// callback, and PollOnce dispatches whatever is ready. Cross-thread input
-// arrives only through RunInLoop, which queues a closure and wakes the
-// loop via eventfd — the only two thread-safe entry points are RunInLoop
-// and Wakeup; everything else is owner-thread-only by design, so the loop
-// itself needs no locks on the hot path.
+// A thin epoll wrapper. Each worker thread owns one loop: it registers fds
+// with level-triggered interest and waits for whatever is ready; the owner
+// dispatches the events itself. The only thread-safe entry point is
+// Wakeup, which interrupts a blocking Wait through an eventfd; everything
+// else is owner-thread-only by design, so the loop needs no locks.
 #ifndef ROBODET_SRC_NET_EVENT_LOOP_H_
 #define ROBODET_SRC_NET_EVENT_LOOP_H_
 
+#include <sys/epoll.h>
+
 #include <cstdint>
-#include <functional>
-#include <mutex>
-#include <unordered_map>
-#include <vector>
+#include <span>
 
 #include "src/net/socket.h"
 
@@ -20,11 +17,7 @@ namespace robodet {
 
 class EventLoop {
  public:
-  // Receives the ready epoll event mask (EPOLLIN/EPOLLOUT/EPOLLHUP/...).
-  using FdCallback = std::function<void(uint32_t)>;
-
   EventLoop();
-  ~EventLoop() = default;
 
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
@@ -33,30 +26,23 @@ class EventLoop {
   // start rather than spin on a dead loop).
   bool ok() const { return static_cast<bool>(epoll_) && static_cast<bool>(wake_); }
 
-  bool Add(int fd, uint32_t events, FdCallback callback);
+  // `events` is an epoll mask (EPOLLIN/EPOLLOUT); each event reports its
+  // fd in `data.fd`.
+  bool Add(int fd, uint32_t events);
   bool Mod(int fd, uint32_t events);
   void Del(int fd);
-  bool watching(int fd) const { return callbacks_.contains(fd); }
 
-  // One reactor turn: wait up to `timeout_ms` (0 = poll, clamped at the
-  // caller's sweep cadence), run queued closures, dispatch ready fds.
-  // Returns the number of fd events dispatched, or -1 on epoll failure.
-  int PollOnce(int timeout_ms);
+  // Waits up to `timeout_ms` and stores the ready fds' events in `ready`.
+  // A wakeup only ends the wait: it is drained here and never stored.
+  // Returns the number stored, or -1 on epoll failure.
+  int Wait(int timeout_ms, std::span<epoll_event> ready);
 
-  // Thread-safe: runs `fn` on the loop thread during its next turn.
-  void RunInLoop(std::function<void()> fn);
-  // Thread-safe: interrupts a blocking PollOnce.
+  // Thread-safe: interrupts a blocking Wait.
   void Wakeup();
 
  private:
   ScopedFd epoll_;
   ScopedFd wake_;
-  // Owner-thread-only. A callback may Del any fd (including one that is
-  // ready in the same batch); dispatch re-checks membership per event.
-  std::unordered_map<int, FdCallback> callbacks_;
-
-  std::mutex mu_;
-  std::vector<std::function<void()>> queued_;  // Guarded by mu_.
 };
 
 }  // namespace robodet

@@ -3,6 +3,8 @@
 #include <sys/epoll.h>
 
 #include <algorithm>
+#include <array>
+#include <iterator>
 #include <utility>
 
 namespace robodet {
@@ -11,6 +13,9 @@ namespace {
 // Deadline sweep cadence: the epoll wait never blocks longer than this,
 // so a timeout fires at most one sweep late.
 constexpr int kSweepMs = 50;
+
+// Most ready events one wait returns; the rest wait for the next turn.
+constexpr size_t kMaxEventsPerWait = 64;
 
 }  // namespace
 
@@ -67,15 +72,14 @@ bool NetServer::Start(std::string* error) {
       workers_.clear();
       return false;
     }
-    auto listener = CreateListener(config_.bind_ip, port, /*reuseport=*/config_.workers > 1,
-                                   config_.listen_backlog, error);
+    auto listener =
+        CreateListener(config_.bind_ip, port, /*reuseport=*/config_.workers > 1, error);
     if (!listener.has_value()) {
       workers_.clear();
       return false;
     }
     port = listener->port;
     worker->listener = std::move(*listener);
-    worker->listener_open = true;
     workers_.push_back(std::move(worker));
   }
   port_ = port;
@@ -88,80 +92,63 @@ bool NetServer::Start(std::string* error) {
   return true;
 }
 
-void NetServer::RunWorker(Worker* worker) {
-  worker->loop.Add(worker->listener.fd.get(), EPOLLIN,
-                   [this, worker](uint32_t) { HandleAccept(worker); });
+template <typename Pred>
+void NetServer::DestroyIf(Worker* worker, Pred close) {
+  for (auto it = worker->conns.begin(); it != worker->conns.end();) {
+    it = close(*it->second) ? DestroyConn(worker, it) : std::next(it);
+  }
+}
 
-  bool drain_seen = false;
-  for (;;) {
-    if (stop_.load(std::memory_order_acquire)) {
-      break;
-    }
+NetServer::ConnMap::iterator NetServer::DestroyConn(Worker* worker, ConnMap::iterator it) {
+  worker->loop.Del(it->first);
+  m_open_->Add(-1);
+  return worker->conns.erase(it);  // ScopedFd closes the socket.
+}
+
+void NetServer::RunWorker(Worker* worker) {
+  worker->loop.Add(worker->listener.fd.get(), EPOLLIN);
+
+  std::array<epoll_event, kMaxEventsPerWait> ready;
+  TimeMs drain_deadline = 0;
+  while (!stop_.load(std::memory_order_acquire)) {
     if (draining_.load(std::memory_order_acquire)) {
-      if (!drain_seen) {
-        drain_seen = true;
-        worker->drain_deadline = clock_->Now() + config_.drain_timeout;
-        if (worker->listener_open) {
-          worker->loop.Del(worker->listener.fd.get());
-          worker->listener.fd.reset();
-          worker->listener_open = false;
-        }
-        // Snapshot the fds: BeginDrain on an idle connection finishes it
-        // immediately and DestroyConn mutates the map.
-        std::vector<int> fds;
-        fds.reserve(worker->conns.size());
-        for (const auto& [fd, entry] : worker->conns) {
-          (void)entry;
-          fds.push_back(fd);
-        }
-        for (int fd : fds) {
-          const auto it = worker->conns.find(fd);
-          if (it == worker->conns.end()) {
-            continue;
+      if (worker->listener.fd) {  // The drain's first turn closes it.
+        drain_deadline = clock_->Now() + config_.drain_timeout;
+        worker->loop.Del(worker->listener.fd.get());
+        worker->listener.fd.reset();
+        // An idle connection finishes the moment it starts draining.
+        DestroyIf(worker, [&](NetConnection& conn) {
+          conn.BeginDrain();
+          if (conn.finished()) {
+            return true;
           }
-          it->second->BeginDrain();
-          if (it->second->finished()) {
-            DestroyConn(worker, fd);
-          } else {
-            UpdateInterest(worker, fd, it->second.get());
-          }
-        }
+          UpdateInterest(worker, conn);
+          return false;
+        });
       }
-      if (worker->conns.empty()) {
-        break;  // Drained clean.
-      }
-      if (clock_->Now() >= worker->drain_deadline) {
-        // Grace expired: force-close stragglers.
-        std::vector<int> fds;
-        fds.reserve(worker->conns.size());
-        for (const auto& [fd, entry] : worker->conns) {
-          (void)entry;
-          fds.push_back(fd);
-        }
-        for (int fd : fds) {
-          DestroyConn(worker, fd);
-        }
+      // Drained clean, or the grace expired and the stragglers are
+      // force-closed below.
+      if (worker->conns.empty() || clock_->Now() >= drain_deadline) {
         break;
       }
     }
-    if (worker->loop.PollOnce(kSweepMs) < 0) {
+    const int n = worker->loop.Wait(kSweepMs, ready);
+    if (n < 0) {
       break;  // Epoll died; nothing recoverable.
+    }
+    for (int i = 0; i < n; ++i) {
+      const int fd = ready[i].data.fd;
+      if (fd == worker->listener.fd.get()) {
+        HandleAccept(worker);
+      } else {
+        HandleConnEvent(worker, fd, ready[i].events);
+      }
     }
     SweepDeadlines(worker, clock_->Now());
   }
 
   // Worker exit: everything closes (RAII), gauge reflects it.
-  if (!worker->conns.empty()) {
-    std::vector<int> fds;
-    fds.reserve(worker->conns.size());
-    for (const auto& [fd, entry] : worker->conns) {
-      (void)entry;
-      fds.push_back(fd);
-    }
-    for (int fd : fds) {
-      DestroyConn(worker, fd);
-    }
-  }
+  DestroyIf(worker, [](const NetConnection&) { return true; });
 }
 
 void NetServer::HandleAccept(Worker* worker) {
@@ -189,14 +176,11 @@ void NetServer::AdmitConnection(Worker* worker, AcceptedSocket accepted) {
   if (worker->conns.size() >= per_worker_cap_) {
     // At capacity. Robot-first: evict an idle keep-alive connection whose
     // last request classified as a robot; humans are never evicted.
-    int victim = -1;
-    for (const auto& [fd, entry] : worker->conns) {
-      if (entry->robot() && entry->idle()) {
-        victim = fd;
-        break;
-      }
-    }
-    if (victim >= 0) {
+    const auto victim = std::find_if(worker->conns.begin(), worker->conns.end(),
+                                     [](const ConnMap::value_type& entry) {
+                                       return entry.second->robot() && entry.second->idle();
+                                     });
+    if (victim != worker->conns.end()) {
       m_shed_evicted_->Inc();
       DestroyConn(worker, victim);
     } else {
@@ -204,17 +188,13 @@ void NetServer::AdmitConnection(Worker* worker, AcceptedSocket accepted) {
     }
   }
 
-  ConnectionInfo info;
-  info.peer_ip = accepted.peer_ip;
-  info.peer_port = accepted.peer_port;
-  info.id = next_conn_id_.fetch_add(1, std::memory_order_relaxed);
-  auto conn = std::make_unique<NetConnection>(std::move(accepted.fd), info, &config_.limits,
-                                              &handler_, clock_, sink_);
+  auto conn = std::make_unique<NetConnection>(std::move(accepted.fd), accepted.peer_ip,
+                                              &config_.limits, &handler_, clock_, sink_);
 
   if (shed_newcomer) {
     m_shed_rejected_->Inc();
-    conn->ShedWith(StatusCode::kServiceUnavailable,
-                   "server at connection capacity; try again shortly");
+    conn->StageError(StatusCode::kServiceUnavailable,
+                     "server at connection capacity; try again shortly");
     // One read+write attempt: drain the request bytes already queued (so
     // the close sends FIN, not RST) and flush the canned 503. It fits the
     // socket buffer, so the connection never costs an epoll slot.
@@ -222,15 +202,8 @@ void NetServer::AdmitConnection(Worker* worker, AcceptedSocket accepted) {
       return;
     }
   }
-  RegisterConn(worker, std::move(conn));
-}
-
-void NetServer::RegisterConn(Worker* worker, std::unique_ptr<NetConnection> conn) {
   const int fd = conn->fd();
-  if (!worker->loop.Add(fd, conn->WantedEvents(),
-                        [this, worker, fd](uint32_t events) {
-                          HandleConnEvent(worker, fd, events);
-                        })) {
+  if (!worker->loop.Add(fd, conn->WantedEvents())) {
     return;  // epoll refused the fd; drop the connection.
   }
   worker->conns.emplace(fd, std::move(conn));
@@ -247,7 +220,8 @@ void NetServer::HandleConnEvent(Worker* worker, int fd, uint32_t events) {
   bool alive = true;
   if ((events & (EPOLLERR | EPOLLHUP)) != 0) {
     // Let the read path observe the error/EOF and shut down in order.
-    alive = conn->OnReadable();
+    // Under backpressure it reads nothing, so the flush observes it.
+    alive = conn->OnReadable() && conn->OnWritable();
   } else {
     if ((events & EPOLLOUT) != 0) {
       alive = conn->OnWritable();
@@ -258,64 +232,40 @@ void NetServer::HandleConnEvent(Worker* worker, int fd, uint32_t events) {
   }
 
   if (!alive || conn->finished()) {
-    DestroyConn(worker, fd);
+    DestroyConn(worker, it);
     return;
   }
-  UpdateInterest(worker, fd, conn);
+  UpdateInterest(worker, *conn);
 }
 
-void NetServer::UpdateInterest(Worker* worker, int fd, NetConnection* conn) {
-  worker->loop.Mod(fd, conn->WantedEvents());
+void NetServer::UpdateInterest(Worker* worker, const NetConnection& conn) {
+  worker->loop.Mod(conn.fd(), conn.WantedEvents());
 }
 
 void NetServer::SweepDeadlines(Worker* worker, TimeMs now) {
-  std::vector<int> expired;
-  std::vector<int> staged_408;
-  for (auto& [fd, entry] : worker->conns) {
-    switch (entry->CheckDeadline(now)) {
+  DestroyIf(worker, [&](NetConnection& conn) {
+    switch (conn.CheckDeadline(now)) {
       case TimeoutKind::kNone:
-        break;
+        return false;
       case TimeoutKind::kRead:
+        // A read timeout stages a 408; give the flush a chance now and
+        // close only on a hard error. If the peer won't drain it, the
+        // write deadline the stager armed expires in a later sweep.
         m_timeout_read_->Inc();
-        staged_408.push_back(fd);
-        break;
+        if (!conn.OnWritable()) {
+          return true;
+        }
+        UpdateInterest(worker, conn);
+        return false;
       case TimeoutKind::kIdle:
         m_timeout_idle_->Inc();
-        expired.push_back(fd);
-        break;
+        return true;
       case TimeoutKind::kWrite:
         m_timeout_write_->Inc();
-        expired.push_back(fd);
-        break;
+        return true;
     }
-  }
-  for (int fd : expired) {
-    DestroyConn(worker, fd);
-  }
-  // Read timeouts stage a 408; give the flush a chance now and close only
-  // on a hard error. If the peer won't drain it, the write deadline the
-  // stager armed expires in a later sweep.
-  for (int fd : staged_408) {
-    const auto it = worker->conns.find(fd);
-    if (it == worker->conns.end()) {
-      continue;
-    }
-    if (!it->second->OnWritable()) {
-      DestroyConn(worker, fd);
-    } else {
-      UpdateInterest(worker, fd, it->second.get());
-    }
-  }
-}
-
-void NetServer::DestroyConn(Worker* worker, int fd) {
-  const auto it = worker->conns.find(fd);
-  if (it == worker->conns.end()) {
-    return;
-  }
-  worker->loop.Del(fd);
-  worker->conns.erase(it);  // ScopedFd closes the socket.
-  m_open_->Add(-1);
+    return false;
+  });
 }
 
 void NetServer::BeginDrain() {

@@ -1,9 +1,11 @@
 // TCP front end: accepts real connections and drives NetConnection state
 // machines over epoll. One worker thread per loop; every worker owns its
 // own SO_REUSEPORT listener, so the kernel spreads incoming connections
-// and no accept lock exists anywhere. The handler runs on worker threads —
-// it must be thread-safe, and because the kernel spreads by 4-tuple, two
-// connections from the SAME client can be served concurrently.
+// and no accept lock exists anywhere. Each worker owns its connections in
+// one fd-keyed map and dispatches its own epoll events. The handler runs
+// on worker threads — it must be thread-safe, and because the kernel
+// spreads by 4-tuple, two connections from the SAME client can be served
+// concurrently.
 //
 // Overload policy is robot-first: when a worker is at its connection cap,
 // an idle keep-alive connection whose last request classified as a robot
@@ -38,7 +40,6 @@ struct NetServerConfig {
   ConnectionLimits limits;
   // Grace for BeginDrain before in-flight connections are force-closed.
   TimeMs drain_timeout = 5 * kSecond;
-  int listen_backlog = 128;
   // >0: shrink SO_SNDBUF on accepted sockets — torture tests use a tiny
   // buffer to force partial writes through the backpressure path.
   int accepted_sndbuf = 0;
@@ -82,14 +83,16 @@ class NetServer {
   bool running() const { return running_.load(std::memory_order_acquire); }
 
  private:
+  // Keyed by fd; loop-thread only. The only place a worker finds a
+  // connection, so an event for an fd closed earlier in the same batch
+  // finds nothing.
+  using ConnMap = std::unordered_map<int, std::unique_ptr<NetConnection>>;
+
   struct Worker {
     EventLoop loop;
-    ListenSocket listener;
+    ListenSocket listener;  // fd is reset when the drain starts.
     std::thread thread;
-    // Keyed by fd; loop-thread only.
-    std::unordered_map<int, std::unique_ptr<NetConnection>> conns;
-    bool listener_open = false;
-    TimeMs drain_deadline = 0;
+    ConnMap conns;
   };
 
   void RunWorker(Worker* worker);
@@ -97,9 +100,11 @@ class NetServer {
   void AdmitConnection(Worker* worker, AcceptedSocket accepted);
   void HandleConnEvent(Worker* worker, int fd, uint32_t events);
   void SweepDeadlines(Worker* worker, TimeMs now);
-  void DestroyConn(Worker* worker, int fd);
-  void RegisterConn(Worker* worker, std::unique_ptr<NetConnection> conn);
-  void UpdateInterest(Worker* worker, int fd, NetConnection* conn);
+  // Destroys every connection for which `close(conn)` returns true.
+  template <typename Pred>
+  void DestroyIf(Worker* worker, Pred close);
+  ConnMap::iterator DestroyConn(Worker* worker, ConnMap::iterator it);
+  void UpdateInterest(Worker* worker, const NetConnection& conn);
 
   NetServerConfig config_;
   NetHandler handler_;
@@ -108,7 +113,6 @@ class NetServer {
   size_t per_worker_cap_ = 1;
   uint16_t port_ = 0;
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::atomic<uint64_t> next_conn_id_{1};
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};
   std::atomic<bool> stop_{false};

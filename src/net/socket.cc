@@ -14,6 +14,9 @@
 namespace robodet {
 namespace {
 
+// Pending-connection queue of each listener.
+constexpr int kListenBacklog = 128;
+
 bool FillSockaddr(const std::string& ip, uint16_t port, sockaddr_in* addr) {
   std::memset(addr, 0, sizeof(*addr));
   addr->sin_family = AF_INET;
@@ -95,8 +98,7 @@ void SetRecvBufferBytes(int fd, int bytes) {
 }
 
 std::optional<ListenSocket> CreateListener(const std::string& bind_ip, uint16_t port,
-                                           bool reuseport, int backlog,
-                                           std::string* error) {
+                                           bool reuseport, std::string* error) {
   const auto fail = [error](const std::string& what) -> std::optional<ListenSocket> {
     if (error != nullptr) {
       *error = what + ": " + std::strerror(errno);
@@ -124,7 +126,7 @@ std::optional<ListenSocket> CreateListener(const std::string& bind_ip, uint16_t 
   if (::bind(fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     return fail("bind(" + bind_ip + ":" + std::to_string(port) + ")");
   }
-  if (::listen(fd.get(), backlog) != 0) {
+  if (::listen(fd.get(), kListenBacklog) != 0) {
     return fail("listen()");
   }
   sockaddr_in bound;
@@ -147,7 +149,6 @@ AcceptStatus AcceptOnce(int listener_fd, AcceptedSocket* out) {
     if (fd >= 0) {
       out->fd = ScopedFd(fd);
       out->peer_ip = IpAddress(ntohl(peer.sin_addr.s_addr));
-      out->peer_port = ntohs(peer.sin_port);
       SetTcpNoDelay(fd);
       return AcceptStatus::kAccepted;
     }

@@ -79,14 +79,12 @@ struct ListenSocket {
 // loops bind the same port and the kernel load-balances accepts across
 // them. Returns nullopt (and fills *error) on failure.
 std::optional<ListenSocket> CreateListener(const std::string& bind_ip, uint16_t port,
-                                           bool reuseport, int backlog,
-                                           std::string* error);
+                                           bool reuseport, std::string* error);
 
 // One accepted connection, already non-blocking with TCP_NODELAY.
 struct AcceptedSocket {
   ScopedFd fd;
   IpAddress peer_ip;
-  uint16_t peer_port = 0;
 };
 
 enum class AcceptStatus { kAccepted, kWouldBlock, kError };

@@ -193,32 +193,6 @@ void KeyTable::RestoreEntry(IpAddress ip, const std::string& page_path, const st
   UpdateEntriesGauge();
 }
 
-void KeyTable::RemoveEntry(IpAddress ip, const std::string& key) {
-  Shard& shard = ShardFor(ip);
-  bool found = false;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.by_ip.find(ip.value());
-    if (it != shard.by_ip.end()) {
-      std::deque<Entry>& entries = it->second;
-      for (auto e = entries.begin(); e != entries.end(); ++e) {
-        if (e->key == key) {
-          found = true;
-          entries.erase(e);
-          if (entries.empty()) {
-            shard.by_ip.erase(it);
-          }
-          break;
-        }
-      }
-    }
-  }
-  if (found) {
-    total_entries_.fetch_sub(1, std::memory_order_relaxed);
-    UpdateEntriesGauge();
-  }
-}
-
 void KeyTable::Clear() {
   size_t dropped = 0;
   for (auto& shard : shards_) {

@@ -96,10 +96,6 @@ class KeyTable {
   void RestoreEntry(IpAddress ip, const std::string& page_path, const std::string& key,
                     TimeMs issued_at);
 
-  // Recovery-only: removes the first entry matching (ip, key) without
-  // counters or observer. Used to replay a journaled consumption.
-  void RemoveEntry(IpAddress ip, const std::string& key);
-
   // Drops every entry without counters or observer (simulated crash).
   void Clear();
 

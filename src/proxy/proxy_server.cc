@@ -209,8 +209,6 @@ void ProxyServer::EnableHumanActivity(bool on) {
   config_.enable_ua_echo = on;
 }
 
-void ProxyServer::EnablePolicy(bool on) { config_.enable_policy = on; }
-
 Verdict ProxyServer::JudgeSession(const SessionState& session) const {
   return default_classifier_.ClassifyOnline(session.observation()).verdict;
 }

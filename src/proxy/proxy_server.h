@@ -125,7 +125,6 @@ class ProxyServer {
   // Runtime toggles: Figure 3's deployment timeline flips these per month.
   void EnableBrowserTest(bool on);
   void EnableHumanActivity(bool on);
-  void EnablePolicy(bool on);
   void EnableCaptcha(bool on) { config_.enable_captcha = on; }
   void RequireAttestation(bool on) { config_.require_attestation = on; }
   void EnableAudioProbe(bool on) { config_.enable_audio_probe = on; }

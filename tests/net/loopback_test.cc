@@ -1,9 +1,10 @@
 // End-to-end loopback tests for the network front end: a real NetServer
 // on 127.0.0.1, driven by raw blocking client sockets. Covers keep-alive
-// pipelining, slow-header (slowloris) and stalled-reader timeouts,
-// oversized-request rejection, graceful drain, robot-first shedding, and a
-// partial-write / short-read torture pass with deliberately tiny socket
-// buffers. Every count is read from the registry the server is built with.
+// pipelining, slow-header (slowloris) and stalled-reader timeouts, a peer
+// reset under backpressure, oversized-request rejection, graceful drain,
+// robot-first shedding, and a partial-write / short-read torture pass
+// with deliberately tiny socket buffers. Every count is read from the
+// registry the server is built with.
 #include "src/net/server.h"
 
 #include <gtest/gtest.h>
@@ -33,7 +34,7 @@ void SleepMs(int ms) { std::this_thread::sleep_for(std::chrono::milliseconds(ms)
 // received body length, a "robot" User-Agent marks the connection for the
 // shed policy.
 NetHandler MakeEchoHandler() {
-  return [](Request&& request, const ConnectionInfo&) {
+  return [](Request&& request) {
     ServedResponse served;
     served.response.status = StatusCode::kOk;
     served.response.headers.Set("Content-Type", "text/plain");
@@ -192,8 +193,13 @@ TEST(LoopbackTest, ServesAndKeepsAlive) {
 }
 
 TEST(LoopbackTest, PipelinedBatchAnswersInOrder) {
+  // Deeper than the per-wake bound (16) and sent in one write: no later
+  // bytes arrive to wake the connection, so the server must resume the
+  // leftovers itself instead of answering them with a 408 at read_timeout.
+  constexpr int kDepth = 40;
   NetServerConfig config;
   config.workers = 1;
+  config.limits.read_timeout = 1 * kSecond;
   MetricsRegistry registry;
   NetServer server(config, MakeEchoHandler(), registry);
   std::string error;
@@ -202,11 +208,11 @@ TEST(LoopbackTest, PipelinedBatchAnswersInOrder) {
   TestClient client;
   ASSERT_TRUE(client.Connect(server.port()));
   std::string batch;
-  for (int i = 0; i < 8; ++i) {
+  for (int i = 0; i < kDepth; ++i) {
     batch += SimpleGet("/seq" + std::to_string(i));
   }
   ASSERT_TRUE(client.Send(batch));
-  for (int i = 0; i < 8; ++i) {
+  for (int i = 0; i < kDepth; ++i) {
     const auto response = client.ReadResponse();
     ASSERT_TRUE(response.has_value()) << "response " << i;
     EXPECT_EQ(response->body, "hello /seq" + std::to_string(i));
@@ -344,7 +350,7 @@ TEST(LoopbackTest, GarbageRequestRejected400) {
 TEST(LoopbackTest, GracefulDrainCompletesInFlight) {
   // Handler slow enough that the drain lands while a request is in
   // flight on the worker thread.
-  NetHandler slow = [](Request&& request, const ConnectionInfo&) {
+  NetHandler slow = [](Request&& request) {
     SleepMs(150);
     ServedResponse served;
     served.response.status = StatusCode::kOk;
@@ -513,6 +519,40 @@ TEST(LoopbackTest, StalledReaderHitsWriteTimeout) {
   EXPECT_LT(received, kBody);
 }
 
+TEST(LoopbackTest, PeerResetWithQueuedOutputClosesAtOnce) {
+  // The client asks for a body over the write high-water mark, reads none
+  // of it and resets. The error event must close the connection at once:
+  // not spin the worker until the write deadline, and not loop on the
+  // failing send.
+  NetServerConfig config;
+  config.workers = 1;
+  config.accepted_sndbuf = 4096;
+  config.limits.write_timeout = 10 * kSecond;
+  MetricsRegistry registry;
+  NetServer server(config, MakeEchoHandler(), registry);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  TestClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+  SetRecvBufferBytes(client.fd(), 4096);
+  ASSERT_TRUE(client.Send(SimpleGet("/bytes/" + std::to_string(4u << 20))));
+  for (int i = 0; i < 200 && NetCount(registry, "robodet_net_requests_total") == 0; ++i) {
+    SleepMs(5);
+  }
+  ASSERT_EQ(NetCount(registry, "robodet_net_requests_total"), 1u);
+  SleepMs(100);  // The server fills the buffers and waits for EPOLLOUT.
+  const linger reset{1, 0};  // close() sends RST.
+  ASSERT_EQ(::setsockopt(client.fd(), SOL_SOCKET, SO_LINGER, &reset, sizeof(reset)), 0);
+  client.Close();
+
+  for (int i = 0; i < 100 && OpenConnections(registry) != 0; ++i) {
+    SleepMs(10);
+  }
+  EXPECT_EQ(OpenConnections(registry), 0);
+  EXPECT_EQ(NetCount(registry, "robodet_net_timeouts_total", {{"kind", "write"}}), 0u);
+}
+
 TEST(LoopbackTest, ShortReadTortureDribbledRequestBody) {
   NetServerConfig config;
   config.workers = 1;
@@ -588,7 +628,7 @@ TEST(LoopbackTest, ProxyServerBehindRealSockets) {
 
   // Every loadgen connection shares 127.0.0.1, so two workers serve one
   // session at once; Handle's own per-client lock keeps that safe.
-  NetHandler handler = [&proxy](Request&& request, const ConnectionInfo&) {
+  NetHandler handler = [&proxy](Request&& request) {
     ServedResponse served;
     served.response = proxy.Handle(request).response;
     return served;

@@ -102,7 +102,7 @@ int Main(int argc, char** argv) {
 
   const bool trust_xff = flags.GetBool("trust-xff");
 
-  NetHandler handler = [&](Request&& request, const ConnectionInfo&) -> ServedResponse {
+  NetHandler handler = [&](Request&& request) -> ServedResponse {
     ServedResponse served;
     const std::string& path = request.url.path();
     if (path.rfind("/__admin/", 0) == 0) {
