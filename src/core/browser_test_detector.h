@@ -18,9 +18,6 @@ class BrowserTestDetector {
     // Declare "not a standard browser" only after this many instrumented
     // pages went by with no CSS probe fetch.
     int probe_ignore_patience = 5;
-    // Treat a /robots.txt fetch as robot self-identification. Standard
-    // browsers never request it; robots that do are at least honest.
-    bool robots_txt_is_robot = true;
   };
 
   BrowserTestDetector();

@@ -2,8 +2,6 @@
 
 namespace robodet {
 
-CombinedClassifier::CombinedClassifier() : CombinedClassifier(Options{}) {}
-
 Verdict CombinedClassifier::SetAlgebraVerdict(const SessionSignals& signals) {
   const bool in_css = InCssSet(signals);
   const bool in_mm = InMouseSet(signals);

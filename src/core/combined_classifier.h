@@ -6,7 +6,7 @@
 // activity, unless it executed JavaScript without ever producing mouse
 // activity (definitely a robot). Also provides the *online* variant used
 // for request-time decisions, which combines the human-activity and
-// browser-test detectors with configurable patience.
+// browser-test detectors.
 #ifndef ROBODET_SRC_CORE_COMBINED_CLASSIFIER_H_
 #define ROBODET_SRC_CORE_COMBINED_CLASSIFIER_H_
 
@@ -20,15 +20,6 @@ namespace robodet {
 
 class CombinedClassifier {
  public:
-  struct Options {
-    HumanActivityDetector::Options human_activity;
-    BrowserTestDetector::Options browser_test;
-  };
-
-  CombinedClassifier();
-  explicit CombinedClassifier(Options options)
-      : human_activity_(options.human_activity), browser_test_(options.browser_test) {}
-
   // The set-algebra verdict over a finished session. Never kUnknown: the
   // paper labels "all other sessions as belonging to robots".
   static Verdict SetAlgebraVerdict(const SessionSignals& signals);

@@ -1,8 +1,17 @@
 #include "src/core/human_activity_detector.h"
 
 namespace robodet {
+namespace {
 
-HumanActivityDetector::HumanActivityDetector() : options_(Options{}) {}
+// A JS-capable session with no mouse event is only called a robot after it
+// has had this many requests' worth of opportunity to move a mouse.
+constexpr int kJsNoMousePatience = 20;
+
+// §4.1 extension: treat an unattested beacon event as robot evidence (only
+// meaningful when the proxy requires attestation).
+constexpr bool kUnattestedEventIsRobot = true;
+
+}  // namespace
 
 Classification HumanActivityDetector::Classify(const SessionObservation& obs) const {
   Classification out;
@@ -11,7 +20,7 @@ Classification HumanActivityDetector::Classify(const SessionObservation& obs) co
   // Wrong-key evidence dominates: a robot that blindly fetches every
   // embedded object hits the real beacon too, so a key match in the
   // presence of decoy fetches proves nothing.
-  if (options_.unattested_event_is_robot && sig.UnattestedEvent()) {
+  if (kUnattestedEventIsRobot && sig.UnattestedEvent()) {
     // A beacon fired with the right key but no hardware attestation while
     // attestation was mandatory: a synthesized input event.
     out.verdict = Verdict::kRobot;
@@ -34,7 +43,7 @@ Classification HumanActivityDetector::Classify(const SessionObservation& obs) co
         {"human_activity", "mouse_event_key_match", sig.mouse_event_at, Verdict::kHuman});
     return out;
   }
-  if (sig.ExecutedJs() && obs.request_count >= options_.js_no_mouse_patience) {
+  if (sig.ExecutedJs() && obs.request_count >= kJsNoMousePatience) {
     // Runs our script, never moves the mouse: the S_JS - S_MM set.
     out.verdict = Verdict::kRobot;
     out.decided_at = obs.request_count;

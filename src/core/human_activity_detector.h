@@ -13,22 +13,7 @@ namespace robodet {
 
 class HumanActivityDetector {
  public:
-  struct Options {
-    // A JS-capable session with no mouse event is only called a robot after
-    // it has had this many requests' worth of opportunity to move a mouse.
-    int js_no_mouse_patience = 20;
-    // §4.1 extension: treat an unattested beacon event as robot evidence
-    // (only meaningful when the proxy requires attestation).
-    bool unattested_event_is_robot = true;
-  };
-
-  HumanActivityDetector();
-  explicit HumanActivityDetector(Options options) : options_(options) {}
-
   Classification Classify(const SessionObservation& obs) const;
-
- private:
-  Options options_;
 };
 
 }  // namespace robodet

@@ -21,7 +21,6 @@ class StagedPipeline {
  public:
   struct Options {
     BrowserTestDetector::Options browser_test;
-    HumanActivityDetector::Options human_activity;
     // Consult stage 3 only once the session has this many requests.
     int escalate_after = 40;
   };
@@ -37,7 +36,6 @@ class StagedPipeline {
   explicit StagedPipeline(Options options, FallbackJudge fallback = nullptr)
       : options_(options),
         browser_test_(options.browser_test),
-        human_activity_(options.human_activity),
         fallback_(std::move(fallback)) {}
 
   Decision Decide(const SessionObservation& obs) const;

@@ -81,8 +81,6 @@ ServedRefs CollectServedRefs(std::string_view html) {
 
 HtmlDocument::HtmlDocument(std::string_view html) : tokens_(TokenizeHtml(html)) {}
 
-HtmlDocument::HtmlDocument(std::vector<HtmlToken> tokens) : tokens_(std::move(tokens)) {}
-
 std::vector<LinkRef> HtmlDocument::Links() const {
   std::vector<LinkRef> out;
   for (size_t i = 0; i < tokens_.size(); ++i) {

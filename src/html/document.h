@@ -46,9 +46,6 @@ ServedRefs CollectServedRefs(std::string_view html);
 class HtmlDocument {
  public:
   explicit HtmlDocument(std::string_view html);
-  explicit HtmlDocument(std::vector<HtmlToken> tokens);
-
-  const std::vector<HtmlToken>& tokens() const { return tokens_; }
 
   // All <a href> links, with hidden-ness computed from anchor content.
   std::vector<LinkRef> Links() const;
@@ -67,8 +64,6 @@ class HtmlDocument {
   // Attribute value of the first <body> tag's event handler, if any
   // (e.g. Attr("onmousemove")).
   std::string BodyEventHandler(std::string_view event) const;
-
-  std::string ToHtml() const { return SerializeHtml(tokens_); }
 
  private:
   std::vector<HtmlToken> tokens_;

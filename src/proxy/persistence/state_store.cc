@@ -19,6 +19,10 @@ using persistence::SessionImage;
 using persistence::SessionUpdateImage;
 using persistence::SnapshotContents;
 
+// Size-based checkpoint trigger, beside snapshot_interval_records:
+// whichever fires first.
+constexpr size_t kMaxJournalBytes = 64u << 20;
+
 // Identity of a key-table entry for idempotent replay: the beacon key is
 // random per issue, so (ip, key) is unique in practice.
 std::string KeyIdentity(uint32_t ip, const std::string& key) {
@@ -378,7 +382,7 @@ void StateStore::AppendLocked(const JournalRecord& rec, TimeMs now) {
   IncIfBound(metrics_.journal_records);
   const bool record_trigger = config_.snapshot_interval_records > 0 &&
                               records_since_checkpoint_ >= config_.snapshot_interval_records;
-  const bool size_trigger = journal_bytes_ >= config_.max_journal_bytes;
+  const bool size_trigger = journal_bytes_ >= kMaxJournalBytes;
   if (record_trigger || size_trigger) {
     CheckpointLocked(last_now_);
   }

@@ -39,10 +39,9 @@ struct PersistenceConfig {
   // Directory for snapshot.bin + journal.bin; empty disables persistence.
   std::string state_dir;
   // Journal records between automatic checkpoints (0 = only explicit
-  // Checkpoint() calls compact).
+  // Checkpoint() calls compact). A 64 MB journal also triggers one,
+  // whichever fires first.
   uint64_t snapshot_interval_records = 8192;
-  // Size-based checkpoint trigger, whichever fires first.
-  size_t max_journal_bytes = 64u << 20;
 
   bool enabled() const { return !state_dir.empty(); }
 };

@@ -58,6 +58,10 @@ Response Overloaded() {
 // not table size.
 constexpr uint64_t kMaintenanceStride = 1024;
 
+// Bodies above this are served beacon-only: a full rewrite costs too much.
+// (Above ResilienceConfig::max_body_bytes they are not instrumented at all.)
+constexpr size_t kMaxRewriteBytes = 1u << 20;
+
 // Decorrelates the resilience layer's jitter stream from the proxy's token
 // stream while keeping both a pure function of the configured seed.
 constexpr uint64_t kResilienceSeedSalt = 0x726573696c696e74ULL;
@@ -120,9 +124,7 @@ ProxyServer::ProxyServer(ProxyConfig config, SimClock* clock, FallibleOriginHand
       policy_(config_.policy),
       captcha_(&minter_),
       resilient_(config_.resilience, std::move(origin), rng_seed ^ kResilienceSeedSalt),
-      admission_(config_.resilience.admission_rps),
-      owned_registry_(std::make_unique<MetricsRegistry>()),
-      registry_(owned_registry_.get()) {
+      admission_(config_.resilience.admission_rps) {
   if (config_.persistence.enabled()) {
     state_store_ = std::make_unique<StateStore>(config_.persistence, &key_table_, &sessions_);
     key_table_.set_observer(state_store_.get());
@@ -141,72 +143,57 @@ ProxyServer::ProxyServer(ProxyConfig config, SimClock* clock, OriginHandler orig
                   rng_seed) {}
 
 void ProxyServer::BindMetrics() {
-  m_.requests = registry_->FindOrCreateCounter("robodet_requests_total");
-  m_.blocked = registry_->FindOrCreateCounter("robodet_blocked_requests_total");
-  m_.pages_instrumented = registry_->FindOrCreateCounter("robodet_pages_instrumented_total");
-  m_.probe_css = registry_->FindOrCreateCounter("robodet_probe_hits_total", {{"kind", "css"}});
+  m_.requests = registry_.FindOrCreateCounter("robodet_requests_total");
+  m_.blocked = registry_.FindOrCreateCounter("robodet_blocked_requests_total");
+  m_.pages_instrumented = registry_.FindOrCreateCounter("robodet_pages_instrumented_total");
+  m_.probe_css = registry_.FindOrCreateCounter("robodet_probe_hits_total", {{"kind", "css"}});
   m_.probe_js_file =
-      registry_->FindOrCreateCounter("robodet_probe_hits_total", {{"kind", "js_file"}});
+      registry_.FindOrCreateCounter("robodet_probe_hits_total", {{"kind", "js_file"}});
   m_.probe_audio =
-      registry_->FindOrCreateCounter("robodet_probe_hits_total", {{"kind", "audio"}});
+      registry_.FindOrCreateCounter("robodet_probe_hits_total", {{"kind", "audio"}});
   m_.ua_echo =
-      registry_->FindOrCreateCounter("robodet_probe_hits_total", {{"kind", "ua_echo"}});
+      registry_.FindOrCreateCounter("robodet_probe_hits_total", {{"kind", "ua_echo"}});
   m_.hidden_link =
-      registry_->FindOrCreateCounter("robodet_probe_hits_total", {{"kind", "hidden_link"}});
+      registry_.FindOrCreateCounter("robodet_probe_hits_total", {{"kind", "hidden_link"}});
   m_.beacon_ok =
-      registry_->FindOrCreateCounter("robodet_beacon_hits_total", {{"result", "ok"}});
+      registry_.FindOrCreateCounter("robodet_beacon_hits_total", {{"result", "ok"}});
   m_.beacon_wrong =
-      registry_->FindOrCreateCounter("robodet_beacon_hits_total", {{"result", "wrong_key"}});
+      registry_.FindOrCreateCounter("robodet_beacon_hits_total", {{"result", "wrong_key"}});
   m_.captcha_pass =
-      registry_->FindOrCreateCounter("robodet_captcha_total", {{"result", "pass"}});
+      registry_.FindOrCreateCounter("robodet_captcha_total", {{"result", "pass"}});
   m_.captcha_fail =
-      registry_->FindOrCreateCounter("robodet_captcha_total", {{"result", "fail"}});
-  m_.origin_bytes = registry_->FindOrCreateCounter("robodet_origin_bytes_total");
-  m_.instr_bytes = registry_->FindOrCreateCounter("robodet_instrumentation_bytes_total");
+      registry_.FindOrCreateCounter("robodet_captcha_total", {{"result", "fail"}});
+  m_.origin_bytes = registry_.FindOrCreateCounter("robodet_origin_bytes_total");
+  m_.instr_bytes = registry_.FindOrCreateCounter("robodet_instrumentation_bytes_total");
   for (int level = 0; level < 5; ++level) {
-    m_.degraded[level] = registry_->FindOrCreateCounter(
+    m_.degraded[level] = registry_.FindOrCreateCounter(
         "robodet_degraded_total",
         {{"level", std::string(DegradationLevelName(static_cast<DegradationLevel>(level)))}});
   }
-  m_.shed_robots = registry_->FindOrCreateCounter("robodet_shed_total", {{"scope", "robots"}});
-  m_.shed_all = registry_->FindOrCreateCounter("robodet_shed_total", {{"scope", "all"}});
-  m_.maintenance_runs = registry_->FindOrCreateCounter("robodet_maintenance_runs_total");
+  m_.shed_robots = registry_.FindOrCreateCounter("robodet_shed_total", {{"scope", "robots"}});
+  m_.shed_all = registry_.FindOrCreateCounter("robodet_shed_total", {{"scope", "all"}});
+  m_.maintenance_runs = registry_.FindOrCreateCounter("robodet_maintenance_runs_total");
   m_.maintenance_keys =
-      registry_->FindOrCreateCounter("robodet_maintenance_keys_expired_total");
+      registry_.FindOrCreateCounter("robodet_maintenance_keys_expired_total");
   m_.maintenance_sessions =
-      registry_->FindOrCreateCounter("robodet_maintenance_sessions_closed_total");
-  m_.restarts = registry_->FindOrCreateCounter("robodet_node_restarts_total");
+      registry_.FindOrCreateCounter("robodet_maintenance_sessions_closed_total");
+  m_.restarts = registry_.FindOrCreateCounter("robodet_node_restarts_total");
   m_.handle_us =
-      registry_->FindOrCreateHistogram("robodet_handle_duration_us", LatencyBucketsUs());
+      registry_.FindOrCreateHistogram("robodet_handle_duration_us", LatencyBucketsUs());
   m_.rewrite_us =
-      registry_->FindOrCreateHistogram("robodet_rewrite_duration_us", LatencyBucketsUs());
+      registry_.FindOrCreateHistogram("robodet_rewrite_duration_us", LatencyBucketsUs());
   m_.page_key_us =
-      registry_->FindOrCreateHistogram("robodet_page_key_duration_us", LatencyBucketsUs());
+      registry_.FindOrCreateHistogram("robodet_page_key_duration_us", LatencyBucketsUs());
   m_.served_refs_us =
-      registry_->FindOrCreateHistogram("robodet_served_refs_duration_us", LatencyBucketsUs());
-  sessions_.BindMetrics(*registry_);
-  key_table_.BindMetrics(*registry_);
-  policy_.BindMetrics(*registry_);
-  default_classifier_.BindMetrics(*registry_);
-  resilient_.BindMetrics(*registry_);
+      registry_.FindOrCreateHistogram("robodet_served_refs_duration_us", LatencyBucketsUs());
+  sessions_.BindMetrics(registry_);
+  key_table_.BindMetrics(registry_);
+  policy_.BindMetrics(registry_);
+  default_classifier_.BindMetrics(registry_);
+  resilient_.BindMetrics(registry_);
   if (state_store_ != nullptr) {
-    state_store_->BindMetrics(*registry_);
+    state_store_->BindMetrics(registry_);
   }
-}
-
-void ProxyServer::UseSharedMetrics(MetricsRegistry* registry) {
-  registry_ = registry != nullptr ? registry : owned_registry_.get();
-  BindMetrics();
-}
-
-void ProxyServer::EnableBrowserTest(bool on) {
-  config_.enable_css_probe = on;
-  config_.enable_hidden_link = on;
-}
-
-void ProxyServer::EnableHumanActivity(bool on) {
-  config_.enable_human_activity = on;
-  config_.enable_ua_echo = on;
 }
 
 Verdict ProxyServer::JudgeSession(const SessionState& session) const {
@@ -221,9 +208,9 @@ Classification ProxyServer::ClassifySession(const SessionState& session) {
 
 void ProxyServer::RecordVerdict(const Classification& classification) {
   registry_
-      ->FindOrCreateCounter("robodet_verdict_total",
-                            {{"class", std::string(VerdictName(classification.verdict))},
-                             {"source", std::string(VerdictSource(classification))}})
+      .FindOrCreateCounter("robodet_verdict_total",
+                           {{"class", std::string(VerdictName(classification.verdict))},
+                            {"source", std::string(VerdictSource(classification))}})
       ->Inc();
 }
 
@@ -476,8 +463,7 @@ DegradationLevel ProxyServer::DecideDegradation(const FetchOutcome& fetch,
     // work or mint keys against a host we're not trusting yet.
     return DegradationLevel::kPassThrough;
   }
-  if (fetch.latency > resilient_.config().slow_origin ||
-      response.body.size() > resilient_.config().max_rewrite_bytes) {
+  if (fetch.latency > resilient_.config().slow_origin || response.body.size() > kMaxRewriteBytes) {
     return DegradationLevel::kBeaconOnly;
   }
   return DegradationLevel::kFull;

@@ -114,21 +114,15 @@ class ProxyServer {
   };
 
   // Primary constructor: a fallible origin routed through the resilience
-  // layer (per-request deadline, bounded retries, per-origin breaker).
+  // layer (per-request deadline, bounded retries, per-origin breaker). The
+  // config is fixed for the proxy's lifetime; a different setting means a
+  // new proxy.
   ProxyServer(ProxyConfig config, SimClock* clock, FallibleOriginHandler origin,
               uint64_t rng_seed = 42);
   // Compatibility constructor for infallible origins; adapted via
   // WrapInfallibleOrigin (never reports errors, zero simulated latency).
   ProxyServer(ProxyConfig config, SimClock* clock, OriginHandler origin,
               uint64_t rng_seed = 42);
-
-  // Runtime toggles: Figure 3's deployment timeline flips these per month.
-  void EnableBrowserTest(bool on);
-  void EnableHumanActivity(bool on);
-  void EnableCaptcha(bool on) { config_.enable_captcha = on; }
-  void RequireAttestation(bool on) { config_.require_attestation = on; }
-  void EnableAudioProbe(bool on) { config_.enable_audio_probe = on; }
-  void HookLinks(bool on) { config_.hook_links = on; }
 
   // Serves one request and records it in the client's session. Safe from
   // several threads at once: requests from one client IP run one at a time.
@@ -152,10 +146,8 @@ class ProxyServer {
   KeyTable& keys() { return shared_keys_ != nullptr ? *shared_keys_ : key_table_; }
 
   // The resilience pipeline guarding the origin. Exposed so operators (and
-  // tests) can force breakers open, flip fail-open, or inspect state.
+  // tests) can force breakers open or inspect state.
   ResilientOrigin& resilience() { return resilient_; }
-  void set_fail_open(bool fail_open) { resilient_.set_fail_open(fail_open); }
-  void set_admission_budget(uint32_t rps) { admission_.set_budget(rps); }
 
   // Multi-node deployments can share one beacon key table so that a key
   // issued by any node validates on any other (see sim/cluster.h and the
@@ -174,11 +166,8 @@ class ProxyServer {
   CaptchaService& captcha() { return captcha_; }
 
   // The registry this proxy reports into, the one place its counts live.
-  // Owned by default; multi-node deployments can aggregate by sharing one
-  // registry across nodes.
-  MetricsRegistry& metrics() { return *registry_; }
-  const MetricsRegistry& metrics() const { return *registry_; }
-  void UseSharedMetrics(MetricsRegistry* registry);
+  MetricsRegistry& metrics() { return registry_; }
+  const MetricsRegistry& metrics() const { return registry_; }
 
   // Optional request tracing; nullptr (the default) disables it. The
   // recorder must outlive this server.
@@ -254,8 +243,11 @@ class ProxyServer {
     HistogramMetric* served_refs_us = nullptr;
   };
 
-  ProxyConfig config_;
+  const ProxyConfig config_;
   SimClock* clock_;  // Not owned.
+  // Declared before every member that binds a handle into it, so it
+  // outlives them.
+  MetricsRegistry registry_;
   Rng rng_;
   TokenMinter minter_;
   SessionTable sessions_;
@@ -274,8 +266,6 @@ class ProxyServer {
   std::atomic<uint64_t> handled_{0};  // Drives the maintenance stride.
   CombinedClassifier default_classifier_;
   const AttestationAuthority* attestation_ = nullptr;  // Not owned.
-  std::unique_ptr<MetricsRegistry> owned_registry_;
-  MetricsRegistry* registry_;  // Points at owned_registry_ unless shared.
   Handles m_;
   TraceRecorder* tracer_ = nullptr;  // Not owned; nullptr = no tracing.
 };

@@ -6,6 +6,26 @@
 #include "src/util/strings.h"
 
 namespace robodet {
+namespace {
+
+// Half-open probe allowance: requests granted full treatment while the
+// breaker tests whether the origin recovered.
+constexpr int kHalfOpenProbes = 3;
+
+// Single-attempt budget for degraded (breaker-open, fail-open) fetches.
+constexpr TimeMs kDegradedDeadline = 500;
+
+// Retries for idempotent requests (GET/HEAD); total attempts = retries+1.
+constexpr int kMaxRetries = 2;
+
+// Jittered exponential backoff between retries: base * multiplier^(n-1),
+// capped, then multiplied by a uniform draw in [1-jitter, 1+jitter].
+constexpr TimeMs kBackoffBase = 50;
+constexpr double kBackoffMultiplier = 2.0;
+constexpr TimeMs kBackoffCap = 500;
+constexpr double kBackoffJitter = 0.2;
+
+}  // namespace
 
 std::string_view DegradationLevelName(DegradationLevel level) {
   switch (level) {
@@ -51,7 +71,7 @@ bool CircuitBreaker::TryAcquireProbe(TimeMs now) {
   if (StateAt(now) != State::kHalfOpen) {
     return false;
   }
-  if (probes_granted_ >= config_.half_open_probes) {
+  if (probes_granted_ >= kHalfOpenProbes) {
     return false;
   }
   ++probes_granted_;
@@ -115,8 +135,7 @@ void CircuitBreaker::Open(TimeMs now) {
 }
 
 AdmissionController::Decision AdmissionController::Admit(TimeMs now) {
-  const uint32_t budget = budget_.load(std::memory_order_relaxed);
-  if (budget == 0) {
+  if (budget_ == 0) {
     return Decision::kAdmit;
   }
   std::lock_guard<std::mutex> lock(mu_);
@@ -126,10 +145,10 @@ AdmissionController::Decision AdmissionController::Admit(TimeMs now) {
     in_window_ = 0;
   }
   ++in_window_;
-  if (in_window_ > uint64_t{2} * budget) {
+  if (in_window_ > uint64_t{2} * budget_) {
     return Decision::kShedAll;
   }
-  if (in_window_ > budget) {
+  if (in_window_ > budget_) {
     return Decision::kShedRobots;
   }
   return Decision::kAdmit;
@@ -267,8 +286,8 @@ FetchOutcome ResilientOrigin::Fetch(const Request& request) {
     return out;
   }
 
-  const TimeMs deadline = full ? config_.deadline : config_.degraded_deadline;
-  const int max_attempts = full ? config_.max_retries + 1 : 1;
+  const TimeMs deadline = full ? config_.deadline : kDegradedDeadline;
+  const int max_attempts = full ? kMaxRetries + 1 : 1;
   const bool idempotent = request.method == Method::kGet || request.method == Method::kHead;
 
   TimeMs spent = 0;
@@ -319,18 +338,17 @@ FetchOutcome ResilientOrigin::Fetch(const Request& request) {
       break;
     }
     // Jittered exponential backoff, charged against the deadline.
-    double backoff = static_cast<double>(config_.backoff_base);
+    double backoff = static_cast<double>(kBackoffBase);
     for (int i = 1; i < attempt; ++i) {
-      backoff *= config_.backoff_multiplier;
+      backoff *= kBackoffMultiplier;
     }
-    backoff = std::min(backoff, static_cast<double>(config_.backoff_cap));
+    backoff = std::min(backoff, static_cast<double>(kBackoffCap));
     double draw;
     {
       std::lock_guard<std::mutex> lock(mu_);
       draw = rng_.UniformDouble();
     }
-    const double jitter =
-        1.0 - config_.backoff_jitter + 2.0 * config_.backoff_jitter * draw;
+    const double jitter = 1.0 - kBackoffJitter + 2.0 * kBackoffJitter * draw;
     const TimeMs wait = static_cast<TimeMs>(backoff * jitter);
     if (spent + wait >= deadline) {
       break;  // No budget left to retry in.

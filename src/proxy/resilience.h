@@ -12,7 +12,6 @@
 #ifndef ROBODET_SRC_PROXY_RESILIENCE_H_
 #define ROBODET_SRC_PROXY_RESILIENCE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -50,10 +49,10 @@ std::string_view DegradationLevelName(DegradationLevel level);
 //   half-open --half_open_successes probe successes-->     closed
 //   half-open --any probe failure-->                       open
 //
-// While half-open, at most `half_open_probes` requests are granted probe
-// status (full treatment); the rest are served as if the breaker were
-// still open. ForceOpen() latches the breaker open until Reset() — the
-// operator's big red switch, also what the ladder integration test uses.
+// While half-open, at most three requests are granted probe status (full
+// treatment); the rest are served as if the breaker were still open.
+// ForceOpen() latches the breaker open until Reset() — the operator's big
+// red switch, also what the ladder integration test uses.
 class CircuitBreaker {
  public:
   enum class State { kClosed, kOpen, kHalfOpen };
@@ -61,7 +60,6 @@ class CircuitBreaker {
   struct Config {
     int failure_threshold = 5;
     TimeMs open_duration = 30 * kSecond;
-    int half_open_probes = 3;
     int half_open_successes = 2;
   };
 
@@ -114,11 +112,10 @@ class AdmissionController {
   // Counts one arriving request and decides. One-second tumbling window.
   Decision Admit(TimeMs now);
 
-  void set_budget(uint32_t budget_rps) { budget_.store(budget_rps, std::memory_order_relaxed); }
-  uint32_t budget() const { return budget_.load(std::memory_order_relaxed); }
+  uint32_t budget() const { return budget_; }
 
  private:
-  std::atomic<uint32_t> budget_;
+  const uint32_t budget_;
   std::mutex mu_;
   TimeMs window_start_ = -1;   // Guarded by mu_.
   uint64_t in_window_ = 0;     // Guarded by mu_.
@@ -127,20 +124,9 @@ class AdmissionController {
 struct ResilienceConfig {
   // Per-request origin budget (simulated ms) across attempts and backoff.
   TimeMs deadline = 2 * kSecond;
-  // Single-attempt budget for degraded (breaker-open, fail-open) fetches.
-  TimeMs degraded_deadline = 500;
-  // Retries for idempotent requests (GET/HEAD); total attempts = retries+1.
-  int max_retries = 2;
-  TimeMs backoff_base = 50;
-  double backoff_multiplier = 2.0;
-  TimeMs backoff_cap = 500;
-  // Backoff is multiplied by a uniform draw in [1-jitter, 1+jitter].
-  double backoff_jitter = 0.2;
   // Responses slower than this step the ladder to beacon-only.
   TimeMs slow_origin = 250;
-  // Bodies above this are served beacon-only (full rewrite too costly)...
-  size_t max_rewrite_bytes = 1u << 20;
-  // ...and above this are a typed oversized-body error (pass-through).
+  // Bodies above this are a typed oversized-body error (pass-through).
   size_t max_body_bytes = 4u << 20;
   CircuitBreaker::Config breaker;
   // fail-open serves uninstrumented pages while the origin is sick;
@@ -197,7 +183,6 @@ class ResilientOrigin {
   void BindMetrics(MetricsRegistry& registry);
 
   const ResilienceConfig& config() const { return config_; }
-  void set_fail_open(bool fail_open) { config_.fail_open = fail_open; }
 
  private:
   bool RetryableError(OriginErrorKind kind) const;
@@ -217,7 +202,7 @@ class ResilientOrigin {
     HistogramMetric* latency_ms = nullptr;
   };
 
-  ResilienceConfig config_;
+  const ResilienceConfig config_;
   FallibleOriginHandler origin_;
   std::mutex mu_;
   Rng rng_;  // Guarded by mu_.

@@ -161,10 +161,6 @@ std::optional<TimeMs> ReferrerSpammerClient::Step(TimeMs now, Gateway& gateway) 
       page = Url::Make(site_->host(),
                        SiteModel::PagePath(site_->SampleEntryPage(rng())));
     } else {
-      const auto prev = Url::Parse(recon_page_);
-      page = prev.has_value() ? *prev
-                              : Url::Make(site_->host(), SiteModel::PagePath(0));
-      // Follow a link off the previous page if we can.
       page = Url::Make(site_->host(),
                        SiteModel::PagePath(static_cast<PageId>(
                            rng().UniformU64(site_->page_count()))));
@@ -182,9 +178,9 @@ std::optional<TimeMs> ReferrerSpammerClient::Step(TimeMs now, Gateway& gateway) 
   }
   // Target a random page (or CGI endpoint) purely to plant the referrer.
   Url target;
-  if (rng().Bernoulli(0.3) && site_->config().num_cgi_endpoints > 0) {
+  if (rng().Bernoulli(0.3)) {
     target = Url::Make(site_->host(),
-                       site_->CgiPath(rng().UniformU64(site_->config().num_cgi_endpoints)),
+                       site_->CgiPath(rng().UniformU64(SiteModel::kNumCgiEndpoints)),
                        "ref=" + std::to_string(rng().UniformU64(1000)));
   } else {
     target = Url::Make(
@@ -243,10 +239,7 @@ std::optional<TimeMs> ClickFraudClient::Step(TimeMs now, Gateway& gateway) {
     }
     return NextDelay(rng(), config_);
   }
-  const size_t endpoint =
-      site_->config().num_cgi_endpoints > 0
-          ? rng().UniformU64(site_->config().num_cgi_endpoints)
-          : 0;
+  const size_t endpoint = rng().UniformU64(SiteModel::kNumCgiEndpoints);
   const Url target = Url::Make(site_->host(), site_->CgiPath(endpoint),
                                "click=" + std::to_string(rng().UniformU64(100000)) +
                                    "&aff=" + std::to_string(affiliate_id_));
@@ -468,9 +461,9 @@ std::optional<TimeMs> ZombieFloodClient::Step(TimeMs now, Gateway& gateway) {
   // Alternate page and CGI floods; zombies re-request hot URLs, which is
   // what makes flash-crowd mimicry plausible at the aggregate level.
   Url target;
-  if (rng().Bernoulli(0.5) && site_->config().num_cgi_endpoints > 0) {
+  if (rng().Bernoulli(0.5)) {
     target = Url::Make(site_->host(),
-                       site_->CgiPath(rng().UniformU64(site_->config().num_cgi_endpoints)),
+                       site_->CgiPath(rng().UniformU64(SiteModel::kNumCgiEndpoints)),
                        "q=" + std::to_string(rng().UniformU64(8)));
   } else {
     target = Url::Make(site_->host(), SiteModel::PagePath(site_->SampleEntryPage(rng())));

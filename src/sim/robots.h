@@ -160,8 +160,6 @@ struct SmartBotConfig {
   // Engine-reported agent string; if it differs from the forged header the
   // UA-echo comparison flags a browser-type mismatch.
   std::string engine_agent = "CustomBotEngine/0.9";
-  // Align the header with the engine string (evades the mismatch check).
-  bool align_header_with_engine = false;
   // kInterpret only: also fire the page's mouse handler with synthetic
   // events — the §4.1 future bot. Today's JS-capable robots execute
   // scripts but produce no events (the S_JS − S_MM population).

@@ -5,13 +5,26 @@
 #include "src/util/strings.h"
 
 namespace robodet {
+namespace {
+
+constexpr double kMeanLinksPerPage = 6.0;
+constexpr double kMeanImagesPerPage = 4.0;
+// Image pool shared across pages.
+constexpr size_t kNumSharedImages = 60;
+// Popularity skew for link targets and entry pages.
+constexpr double kZipfExponent = 0.9;
+// Pages that link a CGI endpoint, and pages that carry one dead link.
+constexpr double kCgiLinkFraction = 0.3;
+constexpr double kBrokenLinkFraction = 0.1;
+
+}  // namespace
 
 SiteModel SiteModel::Generate(const SiteConfig& config, Rng& rng) {
   SiteModel site;
   site.config_ = config;
 
-  site.shared_images_.reserve(config.num_shared_images);
-  for (size_t i = 0; i < config.num_shared_images; ++i) {
+  site.shared_images_.reserve(kNumSharedImages);
+  for (size_t i = 0; i < kNumSharedImages; ++i) {
     site.shared_images_.push_back("/img/i" + std::to_string(i) + ".jpg");
   }
 
@@ -25,9 +38,9 @@ SiteModel SiteModel::Generate(const SiteConfig& config, Rng& rng) {
     // Outgoing links: Zipf-weighted targets so popular pages accumulate
     // in-links, as on real sites.
     const size_t n_links =
-        1 + static_cast<size_t>(rng.Exponential(config.mean_links_per_page - 1.0));
+        1 + static_cast<size_t>(rng.Exponential(kMeanLinksPerPage - 1.0));
     for (size_t l = 0; l < n_links; ++l) {
-      PageId target = static_cast<PageId>(rng.Zipf(config.num_pages, config.zipf_exponent));
+      PageId target = static_cast<PageId>(rng.Zipf(config.num_pages, kZipfExponent));
       if (target != page.id) {
         page.links.push_back(target);
       }
@@ -38,8 +51,7 @@ SiteModel SiteModel::Generate(const SiteConfig& config, Rng& rng) {
       page.links.push_back(static_cast<PageId>((i + 1) % config.num_pages));
     }
 
-    const size_t n_images =
-        static_cast<size_t>(rng.Exponential(config.mean_images_per_page));
+    const size_t n_images = static_cast<size_t>(rng.Exponential(kMeanImagesPerPage));
     for (size_t m = 0; m < std::min<size_t>(n_images, 12); ++m) {
       page.images.push_back(
           site.shared_images_[rng.UniformU64(site.shared_images_.size())]);
@@ -47,10 +59,10 @@ SiteModel SiteModel::Generate(const SiteConfig& config, Rng& rng) {
     std::sort(page.images.begin(), page.images.end());
     page.images.erase(std::unique(page.images.begin(), page.images.end()), page.images.end());
 
-    if (rng.Bernoulli(config.cgi_link_fraction) && config.num_cgi_endpoints > 0) {
-      page.cgi_links.push_back(site.CgiPath(rng.UniformU64(config.num_cgi_endpoints)));
+    if (rng.Bernoulli(kCgiLinkFraction)) {
+      page.cgi_links.push_back(site.CgiPath(rng.UniformU64(kNumCgiEndpoints)));
     }
-    if (rng.Bernoulli(config.broken_link_fraction)) {
+    if (rng.Bernoulli(kBrokenLinkFraction)) {
       page.broken_link = true;
       page.broken_path = "/old/gone" + std::to_string(rng.UniformU64(10000)) + ".html";
     }
@@ -87,7 +99,7 @@ bool SiteModel::IsKnownImage(const std::string& path) const {
 }
 
 PageId SiteModel::SampleEntryPage(Rng& rng) const {
-  return static_cast<PageId>(rng.Zipf(pages_.size(), config_.zipf_exponent));
+  return static_cast<PageId>(rng.Zipf(pages_.size(), kZipfExponent));
 }
 
 std::string SiteModel::RenderPage(PageId id) const {

@@ -33,14 +33,6 @@ struct SitePage {
 struct SiteConfig {
   std::string host = "www.example.com";
   size_t num_pages = 200;
-  double mean_links_per_page = 6.0;
-  double mean_images_per_page = 4.0;
-  size_t num_shared_images = 60;  // Image pool shared across pages.
-  double zipf_exponent = 0.9;     // Popularity skew for link targets.
-  double cgi_link_fraction = 0.3;     // Pages that link a CGI endpoint.
-  double broken_link_fraction = 0.1;  // Pages that carry one dead link.
-  double redirect_fraction = 0.08;    // Pages reachable via /r/<id> hops.
-  size_t num_cgi_endpoints = 20;
 };
 
 class SiteModel {
@@ -48,10 +40,12 @@ class SiteModel {
   // Deterministically generates a site from the config and seed.
   static SiteModel Generate(const SiteConfig& config, Rng& rng);
 
-  const SiteConfig& config() const { return config_; }
   const std::string& host() const { return config_.host; }
   size_t page_count() const { return pages_.size(); }
   const SitePage& page(PageId id) const { return pages_[id]; }
+
+  // CGI endpoints are numbered [0, kNumCgiEndpoints).
+  static constexpr size_t kNumCgiEndpoints = 20;
 
   // Path helpers.
   static std::string PagePath(PageId id);

@@ -8,7 +8,6 @@ namespace robodet {
 namespace {
 
 LogLevel g_level = LogLevel::kWarning;
-LogSink g_sink;
 StructuredLogSink g_structured_sink;
 
 const char* LevelName(LogLevel level) {
@@ -27,8 +26,8 @@ const char* LevelName(LogLevel level) {
   return "?";
 }
 
-// "message key=value key2=value2" for sinks that only take text. Matches
-// the message byte-for-byte when the record carries no fields.
+// "message key=value key2=value2" for the stderr writer. Matches the
+// message byte-for-byte when the record carries no fields.
 std::string Flatten(const LogRecord& record) {
   std::string out = record.message;
   for (const LogField& field : record.fields) {
@@ -47,8 +46,6 @@ std::string Flatten(const LogRecord& record) {
 void SetLogLevel(LogLevel level) { g_level = level; }
 
 LogLevel GetLogLevel() { return g_level; }
-
-void SetLogSink(LogSink sink) { g_sink = std::move(sink); }
 
 void SetStructuredLogSink(StructuredLogSink sink) { g_structured_sink = std::move(sink); }
 
@@ -76,23 +73,12 @@ StructuredLogSink JsonLinesSink(std::FILE* out) {
   };
 }
 
-void LogMessage(LogLevel level, const std::string& msg) {
-  LogRecord record;
-  record.level = level;
-  record.message = msg;
-  LogRecordMessage(std::move(record));
-}
-
 void LogRecordMessage(LogRecord record) {
   if (static_cast<int>(record.level) < static_cast<int>(g_level)) {
     return;
   }
   if (g_structured_sink) {
     g_structured_sink(record);
-    return;
-  }
-  if (g_sink) {
-    g_sink(record.level, Flatten(record));
     return;
   }
   std::fprintf(stderr, "[%s] %s\n", LevelName(record.level), Flatten(record).c_str());

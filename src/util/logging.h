@@ -1,13 +1,11 @@
 // Minimal leveled logging to stderr. Benchmarks and examples set the level;
 // the library defaults to warnings only so tests stay quiet.
 //
-// Two sink layers:
-//   - SetLogSink: legacy flat sink, receives the formatted message text.
-//   - SetStructuredLogSink: receives full LogRecords (message + typed
-//     key/value fields). JsonLinesSink() is a ready-made structured sink
-//     that writes one JSON object per line.
-// When both are set the structured sink wins; fields are flattened to
-// "msg key=value ..." for the flat paths so nothing is lost either way.
+// By default each record is written to stderr as one line, its fields
+// flattened to "[LEVEL] msg key=value ...". SetStructuredLogSink redirects
+// full LogRecords (message + typed key/value fields) instead;
+// JsonLinesSink() is a ready-made structured sink that writes one JSON
+// object per line.
 #ifndef ROBODET_SRC_UTIL_LOGGING_H_
 #define ROBODET_SRC_UTIL_LOGGING_H_
 
@@ -33,11 +31,6 @@ enum class LogLevel : int {
 void SetLogLevel(LogLevel level);
 LogLevel GetLogLevel();
 
-// Redirects log output. The sink receives messages that pass the level
-// filter; null restores the default stderr writer.
-using LogSink = std::function<void(LogLevel, const std::string&)>;
-void SetLogSink(LogSink sink);
-
 // One key/value attachment on a record. `quoted` is false for values that
 // are valid bare JSON tokens (numbers, true/false) and true for strings.
 struct LogField {
@@ -52,7 +45,8 @@ struct LogRecord {
   std::vector<LogField> fields;
 };
 
-// Structured sink; takes precedence over the flat LogSink when set.
+// Redirects log output. The sink receives records that pass the level
+// filter; null restores the default stderr writer.
 using StructuredLogSink = std::function<void(const LogRecord&)>;
 void SetStructuredLogSink(StructuredLogSink sink);
 
@@ -61,10 +55,8 @@ void SetStructuredLogSink(StructuredLogSink sink);
 // at the top level, so avoid naming a field "level" or "msg".
 StructuredLogSink JsonLinesSink(std::FILE* out);
 
-// Emits one line ("[LEVEL] message" on the default stderr sink).
-void LogMessage(LogLevel level, const std::string& msg);
-
-// Emits a full record: structured sink if set, otherwise flattened.
+// Emits a full record: structured sink if set, otherwise flattened to
+// stderr.
 void LogRecordMessage(LogRecord record);
 
 namespace internal {

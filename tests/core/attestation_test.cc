@@ -58,12 +58,13 @@ TEST(AttestationTest, MalformedHeadersRejected) {
 // still proves human; the §4.1 full-mimic bot no longer does.
 TEST(AttestationTest, DefeatsFullMimicBot) {
   AttestationAuthority authority;
+  ProxyConfig config;
+  config.require_attestation = true;
 
   // Human with hardware.
   {
-    SimRig rig(301);
+    SimRig rig(301, config);
     rig.proxy->set_attestation_authority(&authority);
-    rig.proxy->RequireAttestation(true);
 
     const TrustedInputDevice device = authority.ManufactureDevice();
     BrowserProfile profile = StandardBrowserProfiles()[1];
@@ -92,9 +93,8 @@ TEST(AttestationTest, DefeatsFullMimicBot) {
 
   // Full-mimic bot without hardware.
   {
-    SimRig rig(302);
+    SimRig rig(302, config);
     rig.proxy->set_attestation_authority(&authority);
-    rig.proxy->RequireAttestation(true);
 
     SmartBotConfig bot_config;
     bot_config.robot.max_requests = 60;

@@ -41,7 +41,7 @@ TEST(HumanActivityDetectorTest, WrongKeyDominatesMouse) {
 }
 
 TEST(HumanActivityDetectorTest, JsWithoutMouseNeedsPatience) {
-  HumanActivityDetector detector(HumanActivityDetector::Options{20});
+  HumanActivityDetector detector;  // Patience: 20 requests.
   SessionObservation s = MakeSession(10);
   s.signals.js_executed_at = 2;
   EXPECT_EQ(detector.Classify(s).verdict, Verdict::kUnknown);  // Only 10 requests.
@@ -137,9 +137,7 @@ TEST(CombinedClassifierTest, OnlineMousewinsOverProbeDeaf) {
 }
 
 TEST(CombinedClassifierTest, OnlineCssWithJsStaysUndecidedUntilPatience) {
-  CombinedClassifier classifier(
-      CombinedClassifier::Options{HumanActivityDetector::Options{20},
-                                  BrowserTestDetector::Options{5}});
+  CombinedClassifier classifier;
   SessionObservation s = MakeSession(10);
   s.signals.css_probe_at = 2;
   s.signals.js_executed_at = 3;

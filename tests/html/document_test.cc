@@ -94,9 +94,9 @@ TEST(HtmlDocumentTest, OnclickCaptured) {
   EXPECT_EQ(links[0].onclick, "return f();");
 }
 
-TEST(HtmlDocumentTest, ToHtmlRoundTrips) {
+TEST(HtmlDocumentTest, SerializedTokensRoundTrip) {
   HtmlDocument doc{std::string_view(kPage)};
-  HtmlDocument doc2(doc.ToHtml());
+  HtmlDocument doc2(SerializeHtml(TokenizeHtml(kPage)));
   EXPECT_EQ(doc.Links().size(), doc2.Links().size());
   EXPECT_EQ(doc.EmbeddedObjects().size(), doc2.EmbeddedObjects().size());
 }

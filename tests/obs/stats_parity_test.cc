@@ -1,7 +1,7 @@
 // End-to-end consistency of the metrics registry, the one place a proxy's
 // counts live: after a simulated session mix, the latency histograms agree
-// with the counters, a shared registry sums its proxies, and verdict and
-// trace outputs follow the sessions they describe.
+// with the counters, and verdict and trace outputs follow the sessions they
+// describe.
 #include <string>
 
 #include "gtest/gtest.h"
@@ -78,35 +78,6 @@ TEST(StatsParityTest, HistogramsAgreeWithCountersAfterSessionMix) {
   const MetricSnapshot* active = snap.Find("robodet_sessions_active");
   ASSERT_NE(active, nullptr);
   EXPECT_EQ(static_cast<size_t>(active->gauge), proxy.sessions().active_count());
-}
-
-TEST(StatsParityTest, SharedRegistryAggregatesAcrossProxies) {
-  SiteConfig site_config;
-  Rng site_rng(9);
-  SiteModel site = SiteModel::Generate(site_config, site_rng);
-  OriginServer origin(&site);
-  SimClock clock;
-  ProxyConfig config;
-  config.host = site.host();
-  ProxyServer a(config, &clock, [&origin](const Request& r) { return origin.Handle(r); }, 1);
-  ProxyServer b(config, &clock, [&origin](const Request& r) { return origin.Handle(r); }, 2);
-  MetricsRegistry shared;
-  a.UseSharedMetrics(&shared);
-  b.UseSharedMetrics(&shared);
-
-  for (int i = 0; i < 3; ++i) {
-    Request request;
-    request.time = clock.Now();
-    request.client_ip = IpAddress(100 + static_cast<uint32_t>(i));
-    request.url = Url::Make(site.host(), SiteModel::PagePath(i));
-    request.headers.Set("User-Agent", "Mozilla/5.0 (test)");
-    (i % 2 == 0 ? a : b).Handle(request);
-    clock.Advance(10);
-  }
-  EXPECT_EQ(shared.Scrape().CounterValue("robodet_requests_total"), 3u);
-  // Both proxies report into the shared registry.
-  EXPECT_EQ(a.metrics().Scrape().CounterValue("robodet_requests_total"), 3u);
-  EXPECT_EQ(b.metrics().Scrape().CounterValue("robodet_requests_total"), 3u);
 }
 
 TEST(StatsParityTest, VerdictCountersFollowClassifySession) {

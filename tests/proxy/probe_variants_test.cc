@@ -20,6 +20,12 @@ HumanConfig FastHuman() {
   return config;
 }
 
+ProxyConfig WithAudioProbe() {
+  ProxyConfig config;
+  config.enable_audio_probe = true;
+  return config;
+}
+
 ClientIdentity HumanIdentity(const BrowserProfile& profile, uint32_t ip) {
   ClientIdentity id;
   id.ip = IpAddress(ip);
@@ -29,8 +35,7 @@ ClientIdentity HumanIdentity(const BrowserProfile& profile, uint32_t ip) {
 }
 
 TEST(AudioProbeTest, InjectedAndServed) {
-  SimRig rig(401);
-  rig.proxy->EnableAudioProbe(true);
+  SimRig rig(401, WithAudioProbe());
 
   // Fetch a page directly and look for the bgsound probe.
   Request request;
@@ -73,8 +78,7 @@ TEST(AudioProbeTest, CountsAsBrowserLikeEvidence) {
 }
 
 TEST(AudioProbeTest, HumanWithMediaFetchesIt) {
-  SimRig rig(402);
-  rig.proxy->EnableAudioProbe(true);
+  SimRig rig(402, WithAudioProbe());
   BrowserProfile profile = StandardBrowserProfiles()[0];  // Fetches media.
   HumanBrowserClient human(HumanIdentity(profile, 9), Rng(31), &rig.site, profile,
                            FastHuman());
@@ -83,8 +87,7 @@ TEST(AudioProbeTest, HumanWithMediaFetchesIt) {
 }
 
 TEST(AudioProbeTest, ForgedTokenRejected) {
-  SimRig rig(403);
-  rig.proxy->EnableAudioProbe(true);
+  SimRig rig(403, WithAudioProbe());
   Request probe;
   probe.time = 0;
   probe.client_ip = IpAddress(2);
@@ -97,8 +100,9 @@ TEST(AudioProbeTest, ForgedTokenRejected) {
 // never fires onmousemove (touchpad-less kiosk, say) still proves human on
 // the click that navigates away.
 TEST(LinkHookTest, ClickFiresBeaconWithoutMouseMovement) {
-  SimRig rig(404);
-  rig.proxy->HookLinks(true);
+  ProxyConfig config;
+  config.hook_links = true;
+  SimRig rig(404, config);
 
   BrowserProfile profile = StandardBrowserProfiles()[1];
   HumanConfig human_config = FastHuman();

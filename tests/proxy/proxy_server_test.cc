@@ -230,7 +230,9 @@ TEST_F(ProxyServerTest, HandleReportsVerdictOfBlockedRobot) {
 }
 
 TEST_F(ProxyServerTest, HandleReportsVerdictOfShedRequest) {
-  proxy_->set_admission_budget(1);
+  ProxyConfig config;
+  config.resilience.admission_rps = 1;
+  UseConfig(config);
   // Within one second: admitted, then shed-robots (judged), then shed-all.
   std::vector<DegradationLevel> levels;
   for (int i = 0; i < 4; ++i) {
@@ -407,7 +409,9 @@ TEST_F(ProxyServerTest, BandwidthOverheadTracked) {
 }
 
 TEST_F(ProxyServerTest, CaptchaFlow) {
-  proxy_->EnableCaptcha(true);
+  ProxyConfig config;
+  config.enable_captcha = true;
+  UseConfig(config);
   const auto challenge = Get("/__rd/captcha.html");
   ASSERT_EQ(challenge.response.status, StatusCode::kOk);
   const auto answer = CaptchaService::ReadAnswerFromBody(challenge.response.body);
@@ -442,9 +446,13 @@ TEST_F(ProxyServerTest, CaptchaFlow) {
   EXPECT_GT(Session()->signals().captcha_failed_at, 0);
 }
 
-TEST_F(ProxyServerTest, TogglesDisableInjection) {
-  proxy_->EnableHumanActivity(false);
-  proxy_->EnableBrowserTest(false);
+TEST_F(ProxyServerTest, DetectionOffInjectsNothing) {
+  ProxyConfig config;
+  config.enable_human_activity = false;
+  config.enable_ua_echo = false;
+  config.enable_css_probe = false;
+  config.enable_hidden_link = false;
+  UseConfig(config);
   const auto page = Get("/p/1.html");
   EXPECT_EQ(page.response.body.find("/__rd/"), std::string::npos);
 }

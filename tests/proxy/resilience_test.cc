@@ -50,7 +50,6 @@ TEST(CircuitBreakerTest, HalfOpenAfterCooldownThenClosesOnProbeSuccesses) {
   CircuitBreaker::Config config;
   config.failure_threshold = 1;
   config.open_duration = 1000;
-  config.half_open_probes = 3;
   config.half_open_successes = 2;
   CircuitBreaker breaker(config);
   breaker.RecordFailure(0, false);
@@ -68,7 +67,6 @@ TEST(CircuitBreakerTest, ProbeBudgetIsBounded) {
   CircuitBreaker::Config config;
   config.failure_threshold = 1;
   config.open_duration = 1000;
-  config.half_open_probes = 3;
   CircuitBreaker breaker(config);
   breaker.RecordFailure(0, false);
   EXPECT_TRUE(breaker.TryAcquireProbe(1000));

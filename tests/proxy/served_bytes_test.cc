@@ -2,6 +2,7 @@
 // sequence of site pages, each followed by its beacon-script fetch, and the
 // test pins a digest of every response body and of each session's
 // served-link and served-embed registrations (hashes in insertion order).
+// A second proxy, built with detection off, serves the middle round.
 // The expected digests are constants: any change to what the proxy serves,
 // or to what it records as served, shows up here.
 #include <gtest/gtest.h>
@@ -46,8 +47,15 @@ TEST_P(ServedBytesTest, BodiesAndServedRefsMatchPinnedDigests) {
   config.num_decoys = c.num_decoys;
   config.hook_links = c.hook_links;
   config.enable_audio_probe = c.audio_probe;
+  ProxyConfig plain_config = config;
+  plain_config.enable_human_activity = false;
+  plain_config.enable_ua_echo = false;
+  plain_config.enable_css_probe = false;
+  plain_config.enable_hidden_link = false;
   SimClock clock;
-  ProxyServer proxy(config, &clock, [&](const Request& r) { return origin.Handle(r); }, 1234);
+  auto serve = [&](const Request& r) { return origin.Handle(r); };
+  ProxyServer instrumented(config, &clock, serve, 1234);
+  ProxyServer plain(plain_config, &clock, serve, 1234);
 
   const std::vector<std::string> agents = {
       "Mozilla/5.0 (X11; Linux) Gecko/20060101 Firefox/1.5",
@@ -55,7 +63,7 @@ TEST_P(ServedBytesTest, BodiesAndServedRefsMatchPinnedDigests) {
       "Wget/1.10.2",
   };
   uint64_t body_digest = kFnvOffset;
-  auto get = [&](const std::string& path_or_url, size_t client) {
+  auto get = [&](ProxyServer& proxy, const std::string& path_or_url, size_t client) {
     Request r;
     r.time = clock.Now();
     r.client_ip = IpAddress(static_cast<uint32_t>(client + 1));
@@ -75,28 +83,30 @@ TEST_P(ServedBytesTest, BodiesAndServedRefsMatchPinnedDigests) {
   for (size_t round = 0; round < 3; ++round) {
     // The middle round serves every page uninstrumented, which takes the
     // pass-through registration branch.
-    proxy.EnableHumanActivity(round != 1);
-    proxy.EnableBrowserTest(round != 1);
+    ProxyServer& proxy = round == 1 ? plain : instrumented;
     for (size_t i = 0; i < site.page_count(); ++i) {
       const size_t client = (i + round) % agents.size();
       const PageId id = static_cast<PageId>((i * 7 + round * 5) % site.page_count());
-      const std::string body = get(site.page(id).path, client);
+      const std::string body = get(proxy, site.page(id).path, client);
       const size_t at = body.find("/__rd/js_");
       if (at == std::string::npos) {
         continue;
       }
       const size_t start = body.rfind('"', at) + 1;
       const size_t end = body.find('"', at);
-      get(body.substr(start, end - start), client);
+      get(proxy, body.substr(start, end - start), client);
     }
   }
 
   uint64_t refs_digest = kFnvOffset;
   for (size_t client = 0; client < agents.size(); ++client) {
-    const SessionState* session = proxy.sessions().Touch(
-        SessionKey{IpAddress(static_cast<uint32_t>(client + 1)), agents[client]}, clock.Now());
-    refs_digest = DigestHashes(session->served_links().ordered_hashes(), refs_digest);
-    refs_digest = DigestHashes(session->served_embeds().ordered_hashes(), refs_digest);
+    for (ProxyServer* proxy : {&instrumented, &plain}) {
+      const SessionState* session = proxy->sessions().Touch(
+          SessionKey{IpAddress(static_cast<uint32_t>(client + 1)), agents[client]},
+          clock.Now());
+      refs_digest = DigestHashes(session->served_links().ordered_hashes(), refs_digest);
+      refs_digest = DigestHashes(session->served_embeds().ordered_hashes(), refs_digest);
+    }
   }
 
   EXPECT_EQ(body_digest, c.body_digest) << std::hex << "body digest 0x" << body_digest;
@@ -105,9 +115,9 @@ TEST_P(ServedBytesTest, BodiesAndServedRefsMatchPinnedDigests) {
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, ServedBytesTest,
-    ::testing::Values(GuardCase{4, false, false, 0xbb3a4a274d0da6a3ULL, 0x1fb5a184f45fb49fULL},
-                      GuardCase{0, true, false, 0xf6de88ff89082fc7ULL, 0x1fb5a184f45fb49fULL},
-                      GuardCase{8, false, true, 0xf33fe1db941c3fc5ULL, 0xc14342353b864237ULL}));
+    ::testing::Values(GuardCase{4, false, false, 0x02a77d2d24b1e49fULL, 0x0ff2e756c5b3db68ULL},
+                      GuardCase{0, true, false, 0x9c8fabd66eb559ceULL, 0x0ff2e756c5b3db68ULL},
+                      GuardCase{8, false, true, 0x6536a42ce1fe7c19ULL, 0x0e4b106e785e2744ULL}));
 
 }  // namespace
 }  // namespace robodet

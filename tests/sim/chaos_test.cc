@@ -93,37 +93,44 @@ TEST(ChaosTest, DetectionDegradesGracefullyUnderFaults) {
 }
 
 TEST(DegradationLadderTest, BreakerForcedOpenFailOpenServesPassThrough) {
-  ProxyConfig config;
-  config.host = "www.example.com";
   SimClock clock;
-  ProxyServer proxy(config, &clock,
-                    FallibleOriginHandler([](const Request&) {
-                      return OriginResult::Ok(
-                          MakeHtmlResponse("<html><body>page</body></html>"), 5);
-                    }),
-                    911);
+  auto make_proxy = [&clock](bool fail_open) {
+    ProxyConfig config;
+    config.host = "www.example.com";
+    config.resilience.fail_open = fail_open;
+    auto proxy = std::make_unique<ProxyServer>(
+        config, &clock, FallibleOriginHandler([](const Request&) {
+          return OriginResult::Ok(MakeHtmlResponse("<html><body>page</body></html>"), 5);
+        }),
+        911);
+    // Operator throws the big red switch.
+    proxy->resilience().BreakerFor("www.example.com").ForceOpen(0);
+    return proxy;
+  };
 
-  // Operator throws the big red switch.
-  proxy.resilience().BreakerFor("www.example.com").ForceOpen(0);
-
+  const auto open_proxy = make_proxy(/*fail_open=*/true);
   const auto open_result =
-      proxy.Handle(PageRequest("www.example.com", "/p/1.html", IpAddress(1), 100));
+      open_proxy->Handle(PageRequest("www.example.com", "/p/1.html", IpAddress(1), 100));
   EXPECT_EQ(open_result.response.status, StatusCode::kOk);
   EXPECT_EQ(open_result.degraded, DegradationLevel::kPassThrough);
   EXPECT_EQ(open_result.response.body.find("/__rd/"), std::string::npos);
 
   // Same outage, fail-closed policy: a distinct status, origin untouched.
-  proxy.set_fail_open(false);
+  const auto closed_proxy = make_proxy(/*fail_open=*/false);
   const auto closed_result =
-      proxy.Handle(PageRequest("www.example.com", "/p/2.html", IpAddress(1), 200));
+      closed_proxy->Handle(PageRequest("www.example.com", "/p/2.html", IpAddress(1), 200));
   EXPECT_EQ(closed_result.response.status, StatusCode::kServiceUnavailable);
   EXPECT_EQ(closed_result.degraded, DegradationLevel::kFailClosed);
 
-  const RegistrySnapshot snapshot = proxy.metrics().Scrape();
-  EXPECT_EQ(snapshot.CounterValue("robodet_degraded_total", {{"level", "pass_through"}}), 1u);
-  EXPECT_EQ(snapshot.CounterValue("robodet_degraded_total", {{"level", "fail_closed"}}), 1u);
-  EXPECT_EQ(snapshot.CounterValue("robodet_breaker_rejected_total"), 1u);
-  EXPECT_EQ(snapshot.CounterValue("robodet_degraded_total", {{"level", "full"}}), 0u);
+  const RegistrySnapshot open_snapshot = open_proxy->metrics().Scrape();
+  EXPECT_EQ(open_snapshot.CounterValue("robodet_degraded_total", {{"level", "pass_through"}}),
+            1u);
+  EXPECT_EQ(open_snapshot.CounterValue("robodet_degraded_total", {{"level", "full"}}), 0u);
+  const RegistrySnapshot closed_snapshot = closed_proxy->metrics().Scrape();
+  EXPECT_EQ(closed_snapshot.CounterValue("robodet_degraded_total", {{"level", "fail_closed"}}),
+            1u);
+  EXPECT_EQ(closed_snapshot.CounterValue("robodet_breaker_rejected_total"), 1u);
+  EXPECT_EQ(closed_snapshot.CounterValue("robodet_degraded_total", {{"level", "full"}}), 0u);
 }
 
 TEST(DegradationLadderTest, SlowOriginStepsDownToBeaconOnly) {

@@ -95,8 +95,9 @@ TEST(HumanBrowserTest, FetchesFaviconOnce) {
 }
 
 TEST(HumanBrowserTest, AttemptsCaptchaWhenOffered) {
-  SimRig rig;
-  rig.proxy->EnableCaptcha(true);
+  ProxyConfig proxy_config;
+  proxy_config.enable_captcha = true;
+  SimRig rig(11, proxy_config);
   BrowserProfile profile = StandardBrowserProfiles()[1];
   HumanConfig config = FastHuman();
   config.captcha_attempt_prob = 1.0;

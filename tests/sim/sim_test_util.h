@@ -15,13 +15,13 @@ namespace robodet {
 
 class SimRig {
  public:
-  explicit SimRig(uint64_t seed = 11, size_t pages = 30) {
+  // The proxy is built from `config`, its host set to the site's.
+  explicit SimRig(uint64_t seed = 11, ProxyConfig config = {}) {
     SiteConfig site_config;
-    site_config.num_pages = pages;
+    site_config.num_pages = 30;
     Rng site_rng(seed);
     site = SiteModel::Generate(site_config, site_rng);
     origin = std::make_unique<OriginServer>(&site);
-    ProxyConfig config;
     config.host = site.host();
     proxy = std::make_unique<ProxyServer>(
         config, &clock, [this](const Request& r) { return origin->Handle(r); }, seed ^ 0xf00d);

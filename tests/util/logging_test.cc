@@ -4,51 +4,44 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 namespace robodet {
 namespace {
 
+// The default writer: one "[LEVEL] message key=value ..." line per record
+// on stderr.
 class LoggingTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    saved_level_ = GetLogLevel();
-    SetLogSink([this](LogLevel level, const std::string& msg) {
-      captured_.emplace_back(level, msg);
-    });
-  }
-  void TearDown() override {
-    SetLogSink(nullptr);
-    SetLogLevel(saved_level_);
-  }
+  void SetUp() override { saved_level_ = GetLogLevel(); }
+  void TearDown() override { SetLogLevel(saved_level_); }
 
   LogLevel saved_level_ = LogLevel::kWarning;
-  std::vector<std::pair<LogLevel, std::string>> captured_;
 };
 
 TEST_F(LoggingTest, LevelFilterDropsBelowThreshold) {
   SetLogLevel(LogLevel::kWarning);
-  LogMessage(LogLevel::kDebug, "debug");
-  LogMessage(LogLevel::kInfo, "info");
-  LogMessage(LogLevel::kWarning, "warn");
-  LogMessage(LogLevel::kError, "error");
-  ASSERT_EQ(captured_.size(), 2u);
-  EXPECT_EQ(captured_[0].second, "warn");
-  EXPECT_EQ(captured_[1].second, "error");
+  testing::internal::CaptureStderr();
+  ROBODET_LOG(kDebug) << "debug";
+  ROBODET_LOG(kInfo) << "info";
+  ROBODET_LOG(kWarning) << "warn";
+  ROBODET_LOG(kError) << "error";
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "[WARN] warn\n[ERROR] error\n");
 }
 
 TEST_F(LoggingTest, NoneSilencesEverything) {
   SetLogLevel(LogLevel::kNone);
-  LogMessage(LogLevel::kError, "error");
-  EXPECT_TRUE(captured_.empty());
+  testing::internal::CaptureStderr();
+  ROBODET_LOG(kError) << "error";
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
 }
 
 TEST_F(LoggingTest, MacroStreamsAndConcatenates) {
   SetLogLevel(LogLevel::kDebug);
+  testing::internal::CaptureStderr();
   ROBODET_LOG(kInfo) << "count=" << 42 << " name=" << "x";
-  ASSERT_EQ(captured_.size(), 1u);
-  EXPECT_EQ(captured_[0].first, LogLevel::kInfo);
-  EXPECT_EQ(captured_[0].second, "count=42 name=x");
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "[INFO] count=42 name=x\n");
 }
 
 TEST_F(LoggingTest, SetAndGetLevelRoundTrip) {
@@ -56,11 +49,12 @@ TEST_F(LoggingTest, SetAndGetLevelRoundTrip) {
   EXPECT_EQ(GetLogLevel(), LogLevel::kError);
 }
 
-TEST_F(LoggingTest, WithFieldsFlattenForLegacySink) {
+TEST_F(LoggingTest, WithFieldsFlattenOnStderr) {
   SetLogLevel(LogLevel::kDebug);
+  testing::internal::CaptureStderr();
   ROBODET_LOG(kInfo).With("session", 7).With("verdict", "robot") << "classified";
-  ASSERT_EQ(captured_.size(), 1u);
-  EXPECT_EQ(captured_[0].second, "classified session=7 verdict=robot");
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "[INFO] classified session=7 verdict=robot\n");
 }
 
 class StructuredLoggingTest : public ::testing::Test {
@@ -102,12 +96,10 @@ TEST_F(StructuredLoggingTest, ReceivesMessageAndTypedFields) {
   EXPECT_FALSE(r.fields[3].quoted);
 }
 
-TEST_F(StructuredLoggingTest, TakesPrecedenceOverLegacySink) {
-  bool legacy_called = false;
-  SetLogSink([&legacy_called](LogLevel, const std::string&) { legacy_called = true; });
-  LogMessage(LogLevel::kError, "hello");
-  SetLogSink(nullptr);
-  EXPECT_FALSE(legacy_called);
+TEST_F(StructuredLoggingTest, ReplacesTheStderrWriter) {
+  testing::internal::CaptureStderr();
+  ROBODET_LOG(kError) << "hello";
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
   ASSERT_EQ(captured_.size(), 1u);
   EXPECT_EQ(captured_[0].message, "hello");
 }
