@@ -66,7 +66,6 @@ RunResult RunScenario(size_t zombies, bool enforce) {
     RobotConfig zombie_config;
     zombie_config.request_interval_mean = 60;  // Flood pace.
     zombie_config.max_requests = 400;
-    zombie_config.give_up_after_blocks = 50;  // Zombies do not politely stop.
     clients.push_back(
         std::make_unique<ZombieFloodClient>(id, rng.Fork(), &site, zombie_config));
   }

@@ -1,13 +1,6 @@
 #include "src/core/browser_test_detector.h"
 
 namespace robodet {
-namespace {
-
-// Treat a /robots.txt fetch as robot self-identification. Standard
-// browsers never request it; robots that do are at least honest.
-constexpr bool kRobotsTxtIsRobot = true;
-
-}  // namespace
 
 BrowserTestDetector::BrowserTestDetector() : options_(Options{}) {}
 
@@ -29,7 +22,9 @@ Classification BrowserTestDetector::Classify(const SessionObservation& obs) cons
         {"browser_test", "browser_type_mismatch", sig.ua_mismatch_at, Verdict::kRobot});
     return out;
   }
-  if (kRobotsTxtIsRobot && sig.FetchedRobotsTxt()) {
+  if (sig.FetchedRobotsTxt()) {
+    // A /robots.txt fetch is robot self-identification. Standard browsers
+    // never request it; robots that do are at least honest.
     out.verdict = Verdict::kRobot;
     out.decided_at = sig.robots_txt_at;
     out.evidence.push_back(

@@ -7,10 +7,6 @@ namespace {
 // has had this many requests' worth of opportunity to move a mouse.
 constexpr int kJsNoMousePatience = 20;
 
-// §4.1 extension: treat an unattested beacon event as robot evidence (only
-// meaningful when the proxy requires attestation).
-constexpr bool kUnattestedEventIsRobot = true;
-
 }  // namespace
 
 Classification HumanActivityDetector::Classify(const SessionObservation& obs) const {
@@ -20,9 +16,10 @@ Classification HumanActivityDetector::Classify(const SessionObservation& obs) co
   // Wrong-key evidence dominates: a robot that blindly fetches every
   // embedded object hits the real beacon too, so a key match in the
   // presence of decoy fetches proves nothing.
-  if (kUnattestedEventIsRobot && sig.UnattestedEvent()) {
-    // A beacon fired with the right key but no hardware attestation while
-    // attestation was mandatory: a synthesized input event.
+  if (sig.UnattestedEvent()) {
+    // §4.1 extension: a beacon fired with the right key but no hardware
+    // attestation while attestation was mandatory is a synthesized input
+    // event. Only a proxy that requires attestation records one.
     out.verdict = Verdict::kRobot;
     out.decided_at = sig.unattested_event_at;
     out.evidence.push_back({"human_activity", "unattested_input_event",

@@ -6,6 +6,11 @@
 namespace robodet {
 namespace {
 
+// Robots stop early after this many blocked responses.
+constexpr int kGiveUpAfterBlocks = 5;
+// Zombies do not politely stop.
+constexpr int kZombieGiveUpAfterBlocks = 50;
+
 TimeMs NextDelay(Rng& rng, const RobotConfig& config) {
   return static_cast<TimeMs>(rng.Exponential(
              static_cast<double>(config.request_interval_mean))) +
@@ -60,7 +65,7 @@ CrawlerClient::CrawlerClient(ClientIdentity identity, Rng rng, const SiteModel* 
 std::optional<TimeMs> CrawlerClient::Step(TimeMs now, Gateway& gateway) {
   (void)now;
   if (static_cast<int>(stats().requests) >= config_.max_requests ||
-      blocks_ >= config_.give_up_after_blocks) {
+      blocks_ >= kGiveUpAfterBlocks) {
     return std::nullopt;
   }
   if (polite_ && !fetched_robots_txt_) {
@@ -110,7 +115,7 @@ EmailHarvesterClient::EmailHarvesterClient(ClientIdentity identity, Rng rng,
 std::optional<TimeMs> EmailHarvesterClient::Step(TimeMs now, Gateway& gateway) {
   (void)now;
   if (static_cast<int>(stats().requests) >= config_.max_requests ||
-      blocks_ >= config_.give_up_after_blocks) {
+      blocks_ >= kGiveUpAfterBlocks) {
     return std::nullopt;
   }
   Gateway::FetchResult result =
@@ -149,7 +154,7 @@ ReferrerSpammerClient::ReferrerSpammerClient(ClientIdentity identity, Rng rng,
 std::optional<TimeMs> ReferrerSpammerClient::Step(TimeMs now, Gateway& gateway) {
   (void)now;
   if (static_cast<int>(stats().requests) >= config_.max_requests ||
-      blocks_ >= config_.give_up_after_blocks) {
+      blocks_ >= kGiveUpAfterBlocks) {
     return std::nullopt;
   }
   // Reconnaissance first: browse pages (with honest referrers) to find
@@ -220,7 +225,7 @@ ClickFraudClient::ClickFraudClient(ClientIdentity identity, Rng rng, const SiteM
 std::optional<TimeMs> ClickFraudClient::Step(TimeMs now, Gateway& gateway) {
   (void)now;
   if (static_cast<int>(stats().requests) >= config_.max_requests ||
-      blocks_ >= config_.give_up_after_blocks) {
+      blocks_ >= kGiveUpAfterBlocks) {
     return std::nullopt;
   }
   // Load (or rotate to) an ad-bearing landing page so the forged click
@@ -293,7 +298,7 @@ VulnScannerClient::VulnScannerClient(ClientIdentity identity, Rng rng, const Sit
 std::optional<TimeMs> VulnScannerClient::Step(TimeMs now, Gateway& gateway) {
   (void)now;
   if (static_cast<int>(stats().requests) >= config_.max_requests ||
-      blocks_ >= config_.give_up_after_blocks) {
+      blocks_ >= kGiveUpAfterBlocks) {
     return std::nullopt;
   }
   const std::vector<std::string>& probes = ProbePaths();
@@ -324,7 +329,7 @@ OfflineBrowserClient::OfflineBrowserClient(ClientIdentity identity, Rng rng,
 std::optional<TimeMs> OfflineBrowserClient::Step(TimeMs now, Gateway& gateway) {
   (void)now;
   if (static_cast<int>(stats().requests) >= config_.max_requests ||
-      blocks_ >= config_.give_up_after_blocks || frontier_.empty()) {
+      blocks_ >= kGiveUpAfterBlocks || frontier_.empty()) {
     return std::nullopt;
   }
   const Url url = frontier_.front();
@@ -370,7 +375,7 @@ LinkCheckerClient::LinkCheckerClient(ClientIdentity identity, Rng rng, const Sit
 std::optional<TimeMs> LinkCheckerClient::Step(TimeMs now, Gateway& gateway) {
   (void)now;
   if (static_cast<int>(stats().requests) >= config_.max_requests ||
-      blocks_ >= config_.give_up_after_blocks) {
+      blocks_ >= kGiveUpAfterBlocks) {
     return std::nullopt;
   }
   // HEAD-verify queued links first.
@@ -423,7 +428,7 @@ BulletinSpamClient::BulletinSpamClient(ClientIdentity identity, Rng rng, const S
 std::optional<TimeMs> BulletinSpamClient::Step(TimeMs now, Gateway& gateway) {
   (void)now;
   if (static_cast<int>(stats().requests) >= config_.max_requests ||
-      blocks_ >= config_.give_up_after_blocks) {
+      blocks_ >= kGiveUpAfterBlocks) {
     return std::nullopt;
   }
   const std::string board_url = "http://" + site_->host() + SiteModel::BoardPath();
@@ -455,7 +460,7 @@ ZombieFloodClient::ZombieFloodClient(ClientIdentity identity, Rng rng, const Sit
 std::optional<TimeMs> ZombieFloodClient::Step(TimeMs now, Gateway& gateway) {
   (void)now;
   if (static_cast<int>(stats().requests) >= config_.max_requests ||
-      blocks_ >= config_.give_up_after_blocks) {
+      blocks_ >= kZombieGiveUpAfterBlocks) {
     return std::nullopt;
   }
   // Alternate page and CGI floods; zombies re-request hot URLs, which is
@@ -488,7 +493,7 @@ SmartBotClient::SmartBotClient(ClientIdentity identity, Rng rng, const SiteModel
 std::optional<TimeMs> SmartBotClient::Step(TimeMs now, Gateway& gateway) {
   (void)now;
   if (static_cast<int>(stats().requests) >= config_.robot.max_requests ||
-      blocks_ >= config_.robot.give_up_after_blocks) {
+      blocks_ >= kGiveUpAfterBlocks) {
     return std::nullopt;
   }
   // Drain pending subresource fetches first.

@@ -21,8 +21,6 @@ struct RobotConfig {
   // Mean delay between requests; robots are much faster than humans.
   TimeMs request_interval_mean = 400;
   int max_requests = 150;
-  // Robots stop early after this many blocked responses.
-  int give_up_after_blocks = 5;
 };
 
 // Search-engine-style crawler: HTML only, breadth-first, follows every

@@ -125,10 +125,15 @@ TEST(DegradationLadderTest, BreakerForcedOpenFailOpenServesPassThrough) {
   const RegistrySnapshot open_snapshot = open_proxy->metrics().Scrape();
   EXPECT_EQ(open_snapshot.CounterValue("robodet_degraded_total", {{"level", "pass_through"}}),
             1u);
+  EXPECT_EQ(open_snapshot.CounterValue("robodet_degraded_total", {{"level", "fail_closed"}}),
+            0u);
   EXPECT_EQ(open_snapshot.CounterValue("robodet_degraded_total", {{"level", "full"}}), 0u);
+  EXPECT_EQ(open_snapshot.CounterValue("robodet_breaker_rejected_total"), 0u);
   const RegistrySnapshot closed_snapshot = closed_proxy->metrics().Scrape();
   EXPECT_EQ(closed_snapshot.CounterValue("robodet_degraded_total", {{"level", "fail_closed"}}),
             1u);
+  EXPECT_EQ(closed_snapshot.CounterValue("robodet_degraded_total", {{"level", "pass_through"}}),
+            0u);
   EXPECT_EQ(closed_snapshot.CounterValue("robodet_breaker_rejected_total"), 1u);
   EXPECT_EQ(closed_snapshot.CounterValue("robodet_degraded_total", {{"level", "full"}}), 0u);
 }
