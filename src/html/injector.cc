@@ -73,7 +73,7 @@ std::string BuildBodyBlob(const InjectionPlan& plan) {
 // first attribute whose name matches `event` case-insensitively has its
 // value replaced; if none matches, `lower(event)="code"` is appended after
 // the existing attributes (before any self-closing marker) — exactly what
-// HtmlToken::SetAttr + SerializeToken produce.
+// HtmlToken::SetAttr + SerializeHtml produce.
 void AppendStartTagWithAttr(std::string& out, const HtmlTokenView& v, std::string_view event,
                             std::string_view code) {
   out.push_back('<');
@@ -115,7 +115,7 @@ void AppendStartTagWithAttr(std::string& out, const HtmlTokenView& v, std::strin
 
 // Serializes an <a> start tag in one attribute walk, appending
 // `onclick="code"` when the tag has an href and no onclick of its own
-// (matching HasAttr + SetAttr + SerializeToken). Returns whether the
+// (matching HasAttr + SetAttr + SerializeHtml). Returns whether the
 // handler was added.
 bool AppendAnchorHooked(std::string& out, const HtmlTokenView& v, std::string_view code) {
   out.push_back('<');

@@ -452,12 +452,6 @@ std::vector<HtmlToken> TokenizeHtml(std::string_view html) {
   return tokens;
 }
 
-std::string SerializeToken(const HtmlToken& token) {
-  std::string out;
-  AppendToken(out, token);
-  return out;
-}
-
 std::string SerializeHtml(const std::vector<HtmlToken>& tokens) {
   std::string out;
   size_t estimate = 0;

@@ -17,7 +17,7 @@
 //    mutate a token vector in place.
 //
 // AppendTokenView serializes a view with exactly the same normalization as
-// SerializeToken (lowercased names, double-quoted attributes with '"'
+// SerializeHtml (lowercased names, double-quoted attributes with '"'
 // escaped), so `for each view: AppendTokenView(out, v)` is byte-identical
 // to SerializeHtml(TokenizeHtml(html)).
 #ifndef ROBODET_SRC_HTML_TOKENIZER_H_
@@ -172,9 +172,6 @@ std::vector<HtmlToken> TokenizeHtml(std::string_view html);
 // Serializes tokens back to HTML. Attribute values are double-quoted with
 // '"' escaped; text is emitted verbatim.
 std::string SerializeHtml(const std::vector<HtmlToken>& tokens);
-
-// Serializes a single token.
-std::string SerializeToken(const HtmlToken& token);
 
 }  // namespace robodet
 

@@ -22,16 +22,6 @@ std::optional<std::string_view> Headers::Get(std::string_view name) const {
   return std::nullopt;
 }
 
-std::vector<std::string_view> Headers::GetAll(std::string_view name) const {
-  std::vector<std::string_view> out;
-  for (const auto& [k, v] : entries_) {
-    if (EqualsIgnoreCase(k, name)) {
-      out.emplace_back(v);
-    }
-  }
-  return out;
-}
-
 size_t Headers::Remove(std::string_view name) {
   size_t removed = 0;
   for (auto it = entries_.begin(); it != entries_.end();) {

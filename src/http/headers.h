@@ -21,9 +21,6 @@ class Headers {
   // First value for `name`, if present (case-insensitive lookup).
   std::optional<std::string_view> Get(std::string_view name) const;
 
-  // All values for `name` in insertion order.
-  std::vector<std::string_view> GetAll(std::string_view name) const;
-
   bool Has(std::string_view name) const { return Get(name).has_value(); }
 
   // Removes every value of `name`; returns how many were removed.

@@ -18,28 +18,6 @@ enum class Method {
   kTrace,
 };
 
-constexpr std::string_view MethodName(Method m) {
-  switch (m) {
-    case Method::kGet:
-      return "GET";
-    case Method::kHead:
-      return "HEAD";
-    case Method::kPost:
-      return "POST";
-    case Method::kPut:
-      return "PUT";
-    case Method::kDelete:
-      return "DELETE";
-    case Method::kOptions:
-      return "OPTIONS";
-    case Method::kConnect:
-      return "CONNECT";
-    case Method::kTrace:
-      return "TRACE";
-  }
-  return "GET";
-}
-
 // Parses an exact (case-sensitive, per RFC 9110) method token.
 std::optional<Method> ParseMethod(std::string_view token);
 

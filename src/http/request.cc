@@ -1,7 +1,5 @@
 #include "src/http/request.h"
 
-#include <cstdio>
-
 #include "src/util/strings.h"
 
 namespace robodet {
@@ -20,19 +18,6 @@ std::optional<IpAddress> IpAddress::Parse(std::string_view dotted) {
     v = (v << 8) | static_cast<uint32_t>(*octet);
   }
   return IpAddress(v);
-}
-
-std::string IpAddress::ToString() const {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%u.%u.%u.%u", (value_ >> 24) & 0xff, (value_ >> 16) & 0xff,
-                (value_ >> 8) & 0xff, value_ & 0xff);
-  return buf;
-}
-
-size_t Request::WireSize() const {
-  // "GET <url> HTTP/1.1\r\n" + headers + "\r\n" + body
-  return MethodName(method).size() + 1 + url.ToString().size() + 11 + headers.WireSize() + 2 +
-         body.size();
 }
 
 bool Response::IsHtml() const {

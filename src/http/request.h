@@ -18,7 +18,7 @@
 
 namespace robodet {
 
-// IPv4 address; value type with a readable dotted form.
+// IPv4 address; a value type parsed from the dotted form.
 class IpAddress {
  public:
   constexpr IpAddress() = default;
@@ -27,7 +27,6 @@ class IpAddress {
   static std::optional<IpAddress> Parse(std::string_view dotted);
 
   constexpr uint32_t value() const { return value_; }
-  std::string ToString() const;
 
   friend constexpr bool operator==(IpAddress a, IpAddress b) { return a.value_ == b.value_; }
   friend constexpr auto operator<=>(IpAddress a, IpAddress b) { return a.value_ <=> b.value_; }
@@ -54,9 +53,6 @@ struct Request {
   bool HasReferrer() const { return headers.Has("Referer"); }
 
   ResourceKind Kind() const { return ClassifyUrl(url); }
-
-  // Approximate bytes on the wire: request line + headers + CRLF + body.
-  size_t WireSize() const;
 };
 
 struct Response {

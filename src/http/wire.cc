@@ -71,111 +71,6 @@ bool IsHttpVersion(std::string_view token) {
   return token == "HTTP/1.0" || token == "HTTP/1.1";
 }
 
-// Parses the hex chunk size at the start of a chunk-size line, stopping at
-// a chunk extension (";ext") if present. Rejects junk and overflow.
-std::optional<uint64_t> ParseChunkSize(std::string_view line) {
-  const size_t semi = line.find(';');
-  std::string_view digits = TrimWhitespace(
-      semi == std::string_view::npos ? line : line.substr(0, semi));
-  if (digits.empty()) {
-    return std::nullopt;
-  }
-  uint64_t value = 0;
-  for (const char c : digits) {
-    int nibble;
-    if (c >= '0' && c <= '9') {
-      nibble = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      nibble = c - 'a' + 10;
-    } else if (c >= 'A' && c <= 'F') {
-      nibble = c - 'A' + 10;
-    } else {
-      return std::nullopt;
-    }
-    if (value > (UINT64_MAX >> 4)) {
-      return std::nullopt;  // Overflow.
-    }
-    value = (value << 4) | static_cast<uint64_t>(nibble);
-  }
-  return value;
-}
-
-// Decodes a chunked body starting at `pos`: chunks are concatenated into
-// `out_body`, trailer fields are appended to `headers`. Fails on hostile
-// or truncated input; the decoded total is capped at kMaxWireBodyBytes.
-bool DecodeChunkedBody(std::string_view text, size_t& pos, std::string* out_body,
-                       Headers* headers, WireParseError* error) {
-  for (;;) {
-    const size_t line_start = pos;
-    const auto size_line = NextLine(text, pos);
-    if (!size_line.has_value()) {
-      error->message = "truncated chunked body (no chunk-size line)";
-      error->offset = line_start;
-      return false;
-    }
-    if (size_line->size() > kMaxWireLineBytes) {
-      error->message = "chunk-size line exceeds limit";
-      error->offset = line_start;
-      return false;
-    }
-    const auto chunk_size = ParseChunkSize(*size_line);
-    if (!chunk_size.has_value()) {
-      error->message = "malformed chunk size";
-      error->offset = line_start;
-      return false;
-    }
-    if (*chunk_size == 0) {
-      // Trailer section: header fields until the final blank line.
-      return ParseHeaderBlock(text, pos, headers, error);
-    }
-    if (*chunk_size > kMaxWireBodyBytes ||
-        out_body->size() + *chunk_size > kMaxWireBodyBytes) {
-      error->message = "chunked body exceeds limit";
-      error->offset = line_start;
-      return false;
-    }
-    if (pos + *chunk_size > text.size()) {
-      error->message = "truncated chunk data";
-      error->offset = pos;
-      return false;
-    }
-    out_body->append(text.substr(pos, *chunk_size));
-    pos += *chunk_size;
-    // The CRLF (or bare LF) closing the chunk data.
-    if (pos < text.size() && text[pos] == '\r') {
-      ++pos;
-    }
-    if (pos >= text.size() || text[pos] != '\n') {
-      error->message = "chunk data not terminated by CRLF";
-      error->offset = pos;
-      return false;
-    }
-    ++pos;
-  }
-}
-
-// Serializes start line + headers + body with accurate identity framing:
-// hop-by-hop framing headers are replaced, not echoed.
-void AppendFramedMessage(std::string& out, const Headers& headers, const std::string& body,
-                         bool emit_content_length) {
-  for (const auto& [name, value] : headers.entries()) {
-    if (EqualsIgnoreCase(name, "Content-Length") || EqualsIgnoreCase(name, "Transfer-Encoding")) {
-      continue;
-    }
-    out += name;
-    out += ": ";
-    out += value;
-    out += "\r\n";
-  }
-  if (emit_content_length) {
-    out += "Content-Length: ";
-    out += std::to_string(body.size());
-    out += "\r\n";
-  }
-  out += "\r\n";
-  out += body;
-}
-
 }  // namespace
 
 bool WantKeepAlive(const Headers& headers, bool http11) {
@@ -265,76 +160,6 @@ WireResult<Request> ParseRequestText(std::string_view text) {
   return result;
 }
 
-WireResult<Response> ParseResponseText(std::string_view text) {
-  WireResult<Response> result;
-  size_t pos = 0;
-  const auto status_line = NextLine(text, pos);
-  if (!status_line.has_value()) {
-    result.error = {"missing status line", 0};
-    return result;
-  }
-  if (status_line->size() > kMaxWireLineBytes) {
-    result.error = {"status line exceeds limit", 0};
-    return result;
-  }
-  const std::vector<std::string> parts = Split(*status_line, ' ');
-  if (parts.size() < 2 || !IsHttpVersion(parts[0])) {
-    result.error = {"status line must be 'HTTP/1.x NNN [reason]'", 0};
-    return result;
-  }
-  const auto code = ParseU64(parts[1]);
-  if (!code.has_value() || *code < 100 || *code > 599) {
-    result.error = {"invalid status code '" + parts[1] + "'", 0};
-    return result;
-  }
-
-  Response response;
-  response.status = static_cast<StatusCode>(*code);
-  if (!ParseHeaderBlock(text, pos, &response.headers, &result.error)) {
-    return result;
-  }
-  if (const auto te = response.headers.Get("Transfer-Encoding");
-      te.has_value() && ContainsIgnoreCase(*te, "chunked")) {
-    std::string decoded;
-    if (!DecodeChunkedBody(text, pos, &decoded, &response.headers, &result.error)) {
-      return result;
-    }
-    // Rewrite to identity framing so the record round-trips: the decoded
-    // body is what every downstream consumer (rewriter, detectors,
-    // serializer) sees.
-    response.headers.Remove("Transfer-Encoding");
-    response.headers.Set("Content-Length", std::to_string(decoded.size()));
-    response.body = std::move(decoded);
-    result.value = std::move(response);
-    return result;
-  }
-  std::string_view body = text.substr(pos);
-  if (const auto cl = response.headers.Get("Content-Length"); cl.has_value()) {
-    if (const auto n = ParseU64(*cl); n.has_value() && *n <= body.size()) {
-      body = body.substr(0, *n);
-    }
-  }
-  if (body.size() > kMaxWireBodyBytes) {
-    result.error = {"body exceeds limit", pos};
-    return result;
-  }
-  response.body = std::string(body);
-  result.value = std::move(response);
-  return result;
-}
-
-std::string SerializeRequest(const Request& request) {
-  std::string out;
-  out += MethodName(request.method);
-  out += ' ';
-  out += request.url.ToString();
-  out += " HTTP/1.1\r\n";
-  // Bodyless requests stay Content-Length-free (a GET with "Content-Length:
-  // 0" is legal but noisy); any actual body gets an accurate length.
-  AppendFramedMessage(out, request.headers, request.body, !request.body.empty());
-  return out;
-}
-
 std::string SerializeResponse(const Response& response) {
   std::string out = "HTTP/1.1 ";
   const int status = StatusValue(response.status);
@@ -342,11 +167,26 @@ std::string SerializeResponse(const Response& response) {
   out += ' ';
   out += ReasonPhrase(response.status);
   out += "\r\n";
+  // Framing headers are replaced, not echoed.
+  for (const auto& [name, value] : response.headers.entries()) {
+    if (EqualsIgnoreCase(name, "Content-Length") || EqualsIgnoreCase(name, "Transfer-Encoding")) {
+      continue;
+    }
+    out += name;
+    out += ": ";
+    out += value;
+    out += "\r\n";
+  }
   // 1xx/204/304 must not carry a body; everything else states its length
   // explicitly so a keep-alive peer can frame the next message.
   const bool bodyless = status < 200 || status == 204 || status == 304;
-  AppendFramedMessage(out, response.headers, response.body,
-                      !bodyless || !response.body.empty());
+  if (!bodyless || !response.body.empty()) {
+    out += "Content-Length: ";
+    out += std::to_string(response.body.size());
+    out += "\r\n";
+  }
+  out += "\r\n";
+  out += response.body;
   return out;
 }
 

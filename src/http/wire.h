@@ -1,9 +1,8 @@
-// HTTP/1.x wire format: parse raw request/response text into the robodet
-// message records and serialize them back. This is the bridge an adopter
-// needs between robodet's detectors and real bytes — a socket, a pcap, a
-// stored capture. Parsing is strict about the envelope (start line, header
-// syntax, CRLF discipline) and tolerant about content (unknown headers and
-// methods for responses pass through untouched).
+// HTTP/1.x wire format: parse raw request text into the robodet request
+// record and serialize responses back to bytes. This is the bridge between
+// robodet's detectors and a socket. Parsing is strict about the envelope
+// (start line, header syntax, CRLF discipline) and tolerant about content
+// (unknown headers pass through untouched).
 #ifndef ROBODET_SRC_HTTP_WIRE_H_
 #define ROBODET_SRC_HTTP_WIRE_H_
 
@@ -41,24 +40,12 @@ struct WireResult {
 // on the wire; callers stamp them afterwards.
 WireResult<Request> ParseRequestText(std::string_view text);
 
-// Parses "HTTP/1.x NNN Reason\r\nheaders\r\n\r\nbody". The body is
-// everything after the blank line (Content-Length, when present and sane,
-// trims it). A `Transfer-Encoding: chunked` body is decoded: chunks are
-// concatenated (each chunk-size line is bounded by kMaxWireLineBytes, the
-// decoded total by kMaxWireBodyBytes), trailer fields are appended to the
-// headers, and the message is rewritten to identity framing — the
-// Transfer-Encoding header is dropped and Content-Length set to the
-// decoded size, so re-serializing yields an equivalent, identity-framed
-// message.
-WireResult<Response> ParseResponseText(std::string_view text);
-
-// Serialization, inverse of the above modulo header normalization. Both
-// emit accurate framing: Content-Length is set to the actual body size
-// (stale values are replaced, Transfer-Encoding is dropped) so a parse of
-// the output recovers the same body — what the connection state machine
-// relies on to frame messages on a keep-alive stream. Bodyless response
-// statuses (1xx/204/304) omit Content-Length when the body is empty.
-std::string SerializeRequest(const Request& request);
+// Serializes a response with accurate framing: Content-Length is set to
+// the actual body size (stale values are replaced, Transfer-Encoding is
+// dropped) so a client reading the output recovers the same body — what
+// the connection state machine relies on to frame messages on a
+// keep-alive stream. Bodyless statuses (1xx/204/304) omit Content-Length
+// when the body is empty.
 std::string SerializeResponse(const Response& response);
 
 // `Connection` header semantics (RFC 7230 §6.1): an explicit "close" or

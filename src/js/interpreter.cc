@@ -20,8 +20,6 @@ void JsObject::Set(const std::string& key, JsValue value) {
   }
 }
 
-bool JsObject::Has(const std::string& key) const { return props_.contains(key); }
-
 std::string JsToString(const JsValue& v) {
   struct Visitor {
     std::string operator()(JsUndefined) const { return "undefined"; }

@@ -44,7 +44,6 @@ class JsObject {
 
   JsValue Get(const std::string& key) const;
   void Set(const std::string& key, JsValue value);
-  bool Has(const std::string& key) const;
 
   // Invoked after every property store; the Image shim uses this to observe
   // `src` assignments.

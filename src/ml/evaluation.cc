@@ -1,61 +1,8 @@
 #include "src/ml/evaluation.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace robodet {
-
-double CrossValidationResult::MeanAccuracy() const {
-  if (fold_accuracy.empty()) {
-    return 0.0;
-  }
-  double sum = 0.0;
-  for (double a : fold_accuracy) {
-    sum += a;
-  }
-  return sum / static_cast<double>(fold_accuracy.size());
-}
-
-double CrossValidationResult::StdDevAccuracy() const {
-  if (fold_accuracy.size() < 2) {
-    return 0.0;
-  }
-  const double mean = MeanAccuracy();
-  double sq = 0.0;
-  for (double a : fold_accuracy) {
-    sq += (a - mean) * (a - mean);
-  }
-  return std::sqrt(sq / static_cast<double>(fold_accuracy.size() - 1));
-}
-
-CrossValidationResult KFoldCrossValidate(const Dataset& data, int folds, const TrainFn& train,
-                                         Rng& rng) {
-  CrossValidationResult result;
-  if (folds < 2 || data.size() < static_cast<size_t>(folds)) {
-    return result;
-  }
-  std::vector<size_t> order(data.size());
-  for (size_t i = 0; i < order.size(); ++i) {
-    order[i] = i;
-  }
-  rng.Shuffle(order);
-
-  for (int fold = 0; fold < folds; ++fold) {
-    Dataset train_set;
-    Dataset test_set;
-    for (size_t i = 0; i < order.size(); ++i) {
-      const Example& e = data.examples[order[i]];
-      if (static_cast<int>(i % static_cast<size_t>(folds)) == fold) {
-        test_set.examples.push_back(e);
-      } else {
-        train_set.examples.push_back(e);
-      }
-    }
-    const auto predictor = train(train_set);
-    result.fold_accuracy.push_back(Evaluate(test_set, predictor).Accuracy());
-  }
-  return result;
-}
 
 RocCurve ComputeRoc(const Dataset& data,
                     const std::function<double(const FeatureVector&)>& score) {

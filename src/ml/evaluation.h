@@ -1,5 +1,4 @@
-// Model-agnostic evaluation utilities: k-fold cross validation over any
-// train/predict pair, and ROC/AUC over any real-valued scorer. §4.2 notes
+// Model-agnostic evaluation: ROC/AUC over any real-valued scorer. §4.2 notes
 // that "attribute selection must be done carefully" — these are the tools
 // an operator needs to make that call on their own traffic.
 #ifndef ROBODET_SRC_ML_EVALUATION_H_
@@ -10,24 +9,8 @@
 #include <vector>
 
 #include "src/ml/dataset.h"
-#include "src/ml/metrics.h"
-#include "src/util/rng.h"
 
 namespace robodet {
-
-// Trains on k-1 folds, evaluates on the held-out fold, k times. `train`
-// receives the training subset and must return a predictor.
-struct CrossValidationResult {
-  std::vector<double> fold_accuracy;
-  double MeanAccuracy() const;
-  double StdDevAccuracy() const;
-};
-
-using TrainFn =
-    std::function<std::function<int(const FeatureVector&)>(const Dataset& train)>;
-
-CrossValidationResult KFoldCrossValidate(const Dataset& data, int folds, const TrainFn& train,
-                                         Rng& rng);
 
 // ROC curve points (false positive rate, true positive rate), positive =
 // robot, sorted by threshold from permissive to strict, plus the area

@@ -10,22 +10,6 @@ double ConfusionMatrix::Accuracy() const {
   return static_cast<double>(true_positive + true_negative) / static_cast<double>(n);
 }
 
-double ConfusionMatrix::Recall() const {
-  const uint64_t robots = true_positive + false_negative;
-  if (robots == 0) {
-    return 0.0;
-  }
-  return static_cast<double>(true_positive) / static_cast<double>(robots);
-}
-
-double ConfusionMatrix::Precision() const {
-  const uint64_t called = true_positive + false_positive;
-  if (called == 0) {
-    return 0.0;
-  }
-  return static_cast<double>(true_positive) / static_cast<double>(called);
-}
-
 double ConfusionMatrix::HumanMisclassificationRate() const {
   const uint64_t humans = false_positive + true_negative;
   if (humans == 0) {

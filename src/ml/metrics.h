@@ -25,10 +25,6 @@ struct ConfusionMatrix {
     return true_positive + false_positive + true_negative + false_negative;
   }
   double Accuracy() const;
-  // Of all true robots, the fraction caught.
-  double Recall() const;
-  // Of everything called robot, the fraction actually robot.
-  double Precision() const;
   // Humans wrongly called robot, over all true humans.
   double HumanMisclassificationRate() const;
   // Robots wrongly called human, over all true robots.

@@ -1,7 +1,6 @@
 #include "src/net/socket.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/eventfd.h>
@@ -79,11 +78,6 @@ IoResult WriteOnce(int fd, const char* buf, size_t len) {
   }
 }
 
-bool SetNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
 void SetTcpNoDelay(int fd) {
   const int one = 1;
   (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
@@ -91,10 +85,6 @@ void SetTcpNoDelay(int fd) {
 
 void SetSendBufferBytes(int fd, int bytes) {
   (void)::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &bytes, sizeof(bytes));
-}
-
-void SetRecvBufferBytes(int fd, int bytes) {
-  (void)::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &bytes, sizeof(bytes));
 }
 
 std::optional<ListenSocket> CreateListener(const std::string& bind_ip, uint16_t port,

@@ -62,12 +62,10 @@ struct IoResult {
 IoResult ReadOnce(int fd, char* buf, size_t len);
 IoResult WriteOnce(int fd, const char* buf, size_t len);
 
-bool SetNonBlocking(int fd);
 // Best-effort socket tuning; failures are ignored (TCP_NODELAY on a
 // non-TCP fd in a test harness must not kill the connection).
 void SetTcpNoDelay(int fd);
 void SetSendBufferBytes(int fd, int bytes);
-void SetRecvBufferBytes(int fd, int bytes);
 
 // A bound, listening, non-blocking TCP socket.
 struct ListenSocket {

@@ -42,32 +42,6 @@ std::string_view MetricKindName(MetricKind kind) {
   return "counter";
 }
 
-double HistogramSnapshot::Quantile(double q) const {
-  if (count == 0 || counts.empty()) {
-    return 0.0;
-  }
-  q = std::clamp(q, 0.0, 1.0);
-  const double rank = q * static_cast<double>(count);
-  uint64_t seen = 0;
-  for (size_t i = 0; i < counts.size(); ++i) {
-    const uint64_t in_bucket = counts[i];
-    if (in_bucket == 0) {
-      continue;
-    }
-    if (static_cast<double>(seen + in_bucket) >= rank) {
-      const double lo = i == 0 ? 0.0 : bounds[i - 1];
-      if (i >= bounds.size()) {
-        return lo;  // +Inf bucket: no upper edge to interpolate toward.
-      }
-      const double hi = bounds[i];
-      const double into = (rank - static_cast<double>(seen)) / static_cast<double>(in_bucket);
-      return lo + (hi - lo) * std::clamp(into, 0.0, 1.0);
-    }
-    seen += in_bucket;
-  }
-  return bounds.empty() ? 0.0 : bounds.back();
-}
-
 const MetricSnapshot* RegistrySnapshot::Find(std::string_view name, const Labels& labels) const {
   const Labels canonical = Canonicalize(labels);
   for (const MetricSnapshot& m : metrics) {
@@ -104,15 +78,6 @@ HistogramSnapshot HistogramMetric::Snapshot() const {
   }
   snap.sum = sum_.load(std::memory_order_relaxed);
   return snap;
-}
-
-std::vector<double> LinearBuckets(double step, size_t n) {
-  std::vector<double> out;
-  out.reserve(n);
-  for (size_t i = 1; i <= n; ++i) {
-    out.push_back(step * static_cast<double>(i));
-  }
-  return out;
 }
 
 std::vector<double> ExponentialBuckets(double start, double factor, size_t n) {
@@ -288,11 +253,6 @@ RegistrySnapshot MetricsRegistry::Scrape() const {
     snap.metrics.push_back(std::move(m));
   }
   return snap;
-}
-
-size_t MetricsRegistry::shard_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return shards_.size();
 }
 
 }  // namespace robodet

@@ -52,12 +52,6 @@ struct HistogramSnapshot {
   std::vector<uint64_t> counts;
   uint64_t count = 0;
   double sum = 0.0;
-
-  // Quantile estimate by linear interpolation within the bucket that
-  // crosses rank q*count. The +Inf bucket reports its lower edge (there
-  // is no upper edge to interpolate toward). Empty histogram returns 0.
-  double Quantile(double q) const;
-  double Mean() const { return count > 0 ? sum / static_cast<double>(count) : 0.0; }
 };
 
 struct MetricSnapshot {
@@ -139,8 +133,6 @@ inline void IncIfBound(Counter* counter, uint64_t n = 1) {
   }
 }
 
-// Evenly spaced bucket edges helper: {step, 2*step, ..., n*step}.
-std::vector<double> LinearBuckets(double step, size_t n);
 // Exponential edges: {start, start*factor, ..., start*factor^(n-1)}.
 std::vector<double> ExponentialBuckets(double start, double factor, size_t n);
 
@@ -162,9 +154,6 @@ class MetricsRegistry {
 
   // Merges every thread's shard into a sorted snapshot.
   RegistrySnapshot Scrape() const;
-
-  // Number of per-thread shards materialized so far.
-  size_t shard_count() const;
 
  private:
   friend class Counter;

@@ -101,16 +101,9 @@ void TraceRecorder::Finish(Trace* trace) {
   ring_.push_back(std::move(record));
 }
 
-void TraceRecorder::Discard(Trace* trace) { delete trace; }
-
 std::vector<RequestTrace> TraceRecorder::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   return {ring_.begin(), ring_.end()};
-}
-
-uint64_t TraceRecorder::retained() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ring_.size();
 }
 
 }  // namespace robodet

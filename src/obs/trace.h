@@ -85,16 +85,14 @@ class TraceRecorder {
 
   // Returns the span builder for this request, or nullptr when the
   // request is not sampled. Every non-null return must be paired with
-  // Finish() (or Discard()).
+  // Finish().
   Trace* Start(std::string_view path, bool force = false);
   void Finish(Trace* trace);
-  void Discard(Trace* trace);
 
   // Copies the ring, oldest first.
   std::vector<RequestTrace> Snapshot() const;
 
   uint64_t started() const { return started_.load(std::memory_order_relaxed); }
-  uint64_t retained() const;
   uint64_t evicted() const { return evicted_.load(std::memory_order_relaxed); }
   const Config& config() const { return config_; }
 

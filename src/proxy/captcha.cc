@@ -4,11 +4,6 @@
 
 namespace robodet {
 
-std::string CaptchaService::IssueChallenge() {
-  issued_.fetch_add(1, std::memory_order_relaxed);
-  return minter_->Mint();
-}
-
 std::string CaptchaService::IssueChallenge(uint64_t entropy) {
   issued_.fetch_add(1, std::memory_order_relaxed);
   return minter_->MintFor(entropy);

@@ -20,12 +20,9 @@ class CaptchaService {
  public:
   explicit CaptchaService(TokenMinter* minter) : minter_(minter) {}
 
-  // Issues a new challenge: returns the token; the page body comes from
-  // RenderChallenge.
-  std::string IssueChallenge();
-
-  // Serve-path variant: mints the challenge token deterministically from
-  // per-request entropy (thread-safe, no shared-rng draw).
+  // Issues a new challenge and returns its token, minted deterministically
+  // from per-request entropy (thread-safe, no shared-rng draw); the page
+  // body comes from RenderChallenge.
   std::string IssueChallenge(uint64_t entropy);
 
   // Challenge page HTML. Contains "answer:NNNNNN" (the stand-in for the

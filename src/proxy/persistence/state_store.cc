@@ -115,11 +115,6 @@ StateStore::~StateStore() {
 std::string StateStore::snapshot_path() const { return config_.state_dir + "/snapshot.bin"; }
 std::string StateStore::journal_path() const { return config_.state_dir + "/journal.bin"; }
 
-uint64_t StateStore::epoch() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return epoch_;
-}
-
 void StateStore::BindMetrics(MetricsRegistry& registry) {
   metrics_.journal_records =
       registry.FindOrCreateCounter("robodet_persistence_journal_records_total");

@@ -2,9 +2,11 @@
 // and the session table). A StateStore pairs a checksummed snapshot file
 // with an append-only journal of mutations:
 //
-//   - Checkpoint() serializes the tables one shard at a time (so
+//   - A checkpoint serializes the tables one shard at a time (so
 //     snapshotting never stalls more than one lock stripe), writes the
-//     snapshot atomically, and resets the journal at a new epoch.
+//     snapshot atomically, and resets the journal at a new epoch. Recover()
+//     and the journal-size triggers below run one; Checkpoint() is the
+//     explicit entry that tests use to compact at a chosen moment.
 //   - Between checkpoints, every key issue/consume and every session
 //     mutation appends one journal record, flushed immediately.
 //   - Recover() loads snapshot + journal, installs whatever validated into
@@ -38,9 +40,9 @@ namespace robodet {
 struct PersistenceConfig {
   // Directory for snapshot.bin + journal.bin; empty disables persistence.
   std::string state_dir;
-  // Journal records between automatic checkpoints (0 = only explicit
-  // Checkpoint() calls compact). A 64 MB journal also triggers one,
-  // whichever fires first.
+  // Journal records between automatic checkpoints. A 64 MB journal also
+  // triggers one, whichever fires first; with 0, only that size trigger
+  // compacts.
   uint64_t snapshot_interval_records = 8192;
 
   bool enabled() const { return !state_dir.empty(); }
@@ -82,7 +84,8 @@ class StateStore : public KeyTable::Observer {
 
   // Writes a fresh snapshot and resets the journal. Safe concurrently
   // with serving (see header comment). False on I/O failure (journaling
-  // continues against the old epoch).
+  // continues against the old epoch). Test seam: serving code relies on
+  // the automatic triggers.
   bool Checkpoint(TimeMs now);
 
   // Simulated crash: abandon the journal handle without checkpointing.
@@ -100,7 +103,6 @@ class StateStore : public KeyTable::Observer {
   // Journals the close so replay does not resurrect the session.
   void OnSessionClosed(const SessionState& session);
 
-  uint64_t epoch() const;
   const RecoveryReport& last_recovery() const { return recovery_; }
 
   std::string snapshot_path() const;

@@ -117,14 +117,6 @@ void CircuitBreaker::ForceOpen(TimeMs now) {
   Open(now);
 }
 
-void CircuitBreaker::Reset() {
-  latched_open_ = false;
-  state_ = State::kClosed;
-  consecutive_failures_ = 0;
-  probes_granted_ = 0;
-  probe_successes_ = 0;
-}
-
 void CircuitBreaker::Open(TimeMs now) {
   state_ = State::kOpen;
   opened_at_ = now;

@@ -51,8 +51,8 @@ std::string_view DegradationLevelName(DegradationLevel level);
 //
 // While half-open, at most three requests are granted probe status (full
 // treatment); the rest are served as if the breaker were still open.
-// ForceOpen() latches the breaker open until Reset() — the operator's big
-// red switch, also what the ladder integration test uses.
+// ForceOpen() latches the breaker open for the breaker's lifetime; it is a
+// test seam, with no serving caller.
 class CircuitBreaker {
  public:
   enum class State { kClosed, kOpen, kHalfOpen };
@@ -77,9 +77,9 @@ class CircuitBreaker {
   void RecordSuccess(TimeMs now, bool was_probe);
   void RecordFailure(TimeMs now, bool was_probe);
 
-  // Latches the breaker open regardless of outcomes until Reset().
+  // Test seam: chaos_test forces the breaker open without staging origin
+  // failures; latches for the breaker's lifetime.
   void ForceOpen(TimeMs now);
-  void Reset();
 
   uint64_t times_opened() const { return times_opened_; }
 
@@ -173,9 +173,9 @@ class ResilientOrigin {
 
   FetchOutcome Fetch(const Request& request);
 
-  // The breaker guarding `host`, created closed on first use. The returned
-  // reference is stable, but mutating it while workers serve is racy —
-  // operator use (ForceOpen/Reset) is expected at quiescent points.
+  // The breaker guarding `host`, created closed on first use. Test seam:
+  // chaos_test reaches a breaker through it to call ForceOpen. The returned
+  // reference is stable, but mutating it while workers serve is racy.
   CircuitBreaker& BreakerFor(const std::string& host);
 
   // Counts into `registry` under robodet_origin_* and robodet_breaker_*.

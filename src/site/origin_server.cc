@@ -26,18 +26,6 @@ Response OriginServer::Handle(const Request& request) {
     return HandleBoard(request);
   }
 
-  // Redirector: /r/<id> -> 302 /p/<id>.html
-  if (path.size() > 3 && path.compare(0, 3, "/r/") == 0) {
-    const auto id = ParseU64(std::string_view(path).substr(3));
-    if (id.has_value() && *id < site_->page_count()) {
-      return MakeRedirect(Url::Make(site_->host(), SiteModel::PagePath(
-                                                        static_cast<PageId>(*id))));
-    }
-    ++not_found_;
-    return MakeResponse(StatusCode::kNotFound, ResourceKind::kHtml,
-                        "<html><body>Not found</body></html>");
-  }
-
   // Pages.
   if (const auto page = site_->FindPage(path); page.has_value()) {
     Response r = MakeHtmlResponse(site_->RenderPage(*page));

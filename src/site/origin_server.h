@@ -19,10 +19,10 @@ class OriginServer {
   // Bulletin-board state (bounded; oldest posts scroll off).
   size_t board_post_count() const { return board_posts_total_; }
 
-  // Resolves one request. Pages render HTML; /r/<id> issues 302 to the
-  // page; CGI endpoints render a small dynamic page (and occasionally
-  // redirect, which is what makes RESPCODE_3XX% informative); static assets
-  // return deterministic filler bytes; unknown paths 404.
+  // Resolves one request. Pages render HTML; CGI endpoints render a small
+  // dynamic page (and occasionally redirect, which is what makes
+  // RESPCODE_3XX% informative); static assets return deterministic filler
+  // bytes; unknown paths 404.
   Response Handle(const Request& request);
 
   // Fallible form for the resilience layer: same resolution as Handle but

@@ -72,8 +72,6 @@ SiteModel SiteModel::Generate(const SiteConfig& config, Rng& rng) {
 
 std::string SiteModel::PagePath(PageId id) { return "/p/" + std::to_string(id) + ".html"; }
 
-std::string SiteModel::RedirectPath(PageId id) { return "/r/" + std::to_string(id); }
-
 std::string SiteModel::CgiPath(size_t endpoint) const {
   return "/cgi-bin/app" + std::to_string(endpoint) + ".cgi";
 }

@@ -49,7 +49,6 @@ class SiteModel {
 
   // Path helpers.
   static std::string PagePath(PageId id);
-  static std::string RedirectPath(PageId id);
   std::string CgiPath(size_t endpoint) const;
   // The bulletin board (§1 use case: "spamming bulletin boards").
   static std::string BoardPath() { return "/board/index.html"; }

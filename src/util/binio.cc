@@ -95,11 +95,6 @@ bool ByteReader::ReadRaw(size_t n, std::string_view* v) {
   return true;
 }
 
-bool ByteReader::Skip(size_t n) {
-  const char* p = nullptr;
-  return Take(n, &p);
-}
-
 bool ReadFileLimited(const std::string& path, size_t max_bytes, std::string* out) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {

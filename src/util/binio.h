@@ -58,7 +58,6 @@ class ByteReader {
   bool ReadString(std::string* v, size_t max_len);
   // Borrows `n` raw bytes from the input without copying.
   bool ReadRaw(size_t n, std::string_view* v);
-  bool Skip(size_t n);
 
   size_t remaining() const { return data_.size() - pos_; }
   size_t pos() const { return pos_; }

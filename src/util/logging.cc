@@ -45,8 +45,6 @@ std::string Flatten(const LogRecord& record) {
 
 void SetLogLevel(LogLevel level) { g_level = level; }
 
-LogLevel GetLogLevel() { return g_level; }
-
 void SetStructuredLogSink(StructuredLogSink sink) { g_structured_sink = std::move(sink); }
 
 StructuredLogSink JsonLinesSink(std::FILE* out) {

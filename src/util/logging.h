@@ -29,7 +29,6 @@ enum class LogLevel : int {
 
 // Global threshold; messages below it are dropped.
 void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
 
 // One key/value attachment on a record. `quoted` is false for values that
 // are valid bare JSON tokens (numbers, true/false) and true for strings.

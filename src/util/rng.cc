@@ -79,16 +79,6 @@ double Rng::Exponential(double mean) {
   return -mean * std::log(u);
 }
 
-double Rng::Normal(double mean, double stddev) {
-  double u1 = UniformDouble();
-  double u2 = UniformDouble();
-  if (u1 <= 0.0) {
-    u1 = 0x1.0p-53;
-  }
-  const double z = std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
-  return mean + stddev * z;
-}
-
 size_t Rng::Zipf(size_t n, double s) {
   if (n <= 1) {
     return 0;
@@ -120,20 +110,6 @@ size_t Rng::Zipf(size_t n, double s) {
     }
   }
   return lo;
-}
-
-uint64_t Rng::Geometric(double p) {
-  if (p >= 1.0) {
-    return 0;
-  }
-  if (p <= 0.0) {
-    return UINT64_MAX;
-  }
-  double u = UniformDouble();
-  if (u <= 0.0) {
-    u = 0x1.0p-53;
-  }
-  return static_cast<uint64_t>(std::floor(std::log(u) / std::log1p(-p)));
 }
 
 std::string Rng::HexKey128() {

@@ -39,16 +39,9 @@ class Rng {
   // Exponential with the given mean (> 0).
   double Exponential(double mean);
 
-  // Standard normal via Box-Muller, then scaled.
-  double Normal(double mean, double stddev);
-
   // Zipf-distributed rank in [0, n) with exponent s (s >= 0; s == 0 is
   // uniform). Uses a cached normalization table per (n, s).
   size_t Zipf(size_t n, double s);
-
-  // Geometric: number of failures before the first success, success
-  // probability p in (0, 1].
-  uint64_t Geometric(double p);
 
   // 128-bit random key rendered as 32 lowercase hex characters. This is the
   // k of the paper's beacon URLs, k in [0, 2^128).

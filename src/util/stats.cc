@@ -7,46 +7,12 @@
 namespace robodet {
 
 void RunningStats::Add(double x) {
-  if (count_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
   ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(count_);
 }
-
-RunningStats::Snapshot RunningStats::TakeSnapshot() const {
-  Snapshot s;
-  s.count = count_;
-  s.mean = mean();
-  s.variance = variance();
-  s.stddev = stddev();
-  s.min = min();
-  s.max = max();
-  return s;
-}
-
-double RunningStats::variance() const {
-  if (count_ < 2) {
-    return 0.0;
-  }
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 void EmpiricalCdf::Add(double x) {
   samples_.push_back(x);
-  sorted_ = false;
-}
-
-void EmpiricalCdf::AddAll(const std::vector<double>& xs) {
-  samples_.insert(samples_.end(), xs.begin(), xs.end());
   sorted_ = false;
 }
 
@@ -79,86 +45,6 @@ double EmpiricalCdf::FractionAtOrBelow(double x) const {
   EnsureSorted();
   const auto it = std::upper_bound(samples_.begin(), samples_.end(), x);
   return static_cast<double>(it - samples_.begin()) / static_cast<double>(samples_.size());
-}
-
-std::vector<std::pair<double, double>> EmpiricalCdf::Curve(size_t points) const {
-  std::vector<std::pair<double, double>> out;
-  if (samples_.empty() || points < 2) {
-    return out;
-  }
-  EnsureSorted();
-  const double lo = samples_.front();
-  const double hi = samples_.back();
-  out.reserve(points);
-  for (size_t i = 0; i < points; ++i) {
-    const double x = lo + (hi - lo) * static_cast<double>(i) / static_cast<double>(points - 1);
-    out.emplace_back(x, FractionAtOrBelow(x));
-  }
-  return out;
-}
-
-Histogram::Histogram(double lo, double hi, size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets == 0 ? 1 : buckets, 0) {}
-
-void Histogram::Add(double x) {
-  const size_t n = counts_.size();
-  size_t idx;
-  if (x < lo_) {
-    idx = 0;
-  } else if (x >= hi_) {
-    idx = n - 1;
-  } else {
-    idx = static_cast<size_t>((x - lo_) / (hi_ - lo_) * static_cast<double>(n));
-    if (idx >= n) {
-      idx = n - 1;
-    }
-  }
-  ++counts_[idx];
-  ++total_;
-}
-
-double Histogram::BucketLow(size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
-}
-
-double Histogram::Quantile(double q) const {
-  if (total_ == 0) {
-    return 0.0;
-  }
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(total_);
-  uint64_t cumulative = 0;
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    const uint64_t next = cumulative + counts_[i];
-    if (static_cast<double>(next) >= target && counts_[i] > 0) {
-      // Interpolate within [BucketLow(i), BucketHigh(i)] by how far into
-      // this bucket's mass the target falls.
-      const double into =
-          (target - static_cast<double>(cumulative)) / static_cast<double>(counts_[i]);
-      return BucketLow(i) + (BucketHigh(i) - BucketLow(i)) * std::clamp(into, 0.0, 1.0);
-    }
-    cumulative = next;
-  }
-  return hi_;
-}
-
-std::string Histogram::Render(size_t width) const {
-  uint64_t peak = 1;
-  for (uint64_t c : counts_) {
-    peak = std::max(peak, c);
-  }
-  std::string out;
-  char line[160];
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    const size_t bar = static_cast<size_t>(static_cast<double>(counts_[i]) /
-                                           static_cast<double>(peak) * static_cast<double>(width));
-    std::snprintf(line, sizeof(line), "%10.2f | %-8llu ", BucketLow(i),
-                  static_cast<unsigned long long>(counts_[i]));
-    out += line;
-    out.append(bar, '#');
-    out.push_back('\n');
-  }
-  return out;
 }
 
 std::string FormatPercent(double fraction, int decimals) {

@@ -1,48 +1,26 @@
-// Small statistics toolkit: running moments, empirical CDFs, histograms and
-// fraction counters. Used by the detectors (per-session attribute fractions)
-// and by the benchmark harnesses that regenerate the paper's figures.
+// Small statistics toolkit for the benchmark harnesses that regenerate
+// the paper's figures: running means, empirical CDFs and percent
+// formatting.
 #ifndef ROBODET_SRC_UTIL_STATS_H_
 #define ROBODET_SRC_UTIL_STATS_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
 namespace robodet {
 
-// Welford's online algorithm: numerically stable mean/variance without
-// storing the samples.
+// Running mean without storing the samples (Welford's update).
 class RunningStats {
  public:
-  // Point-in-time copy of the moments, cheap to pass across threads or
-  // store alongside other scrape output.
-  struct Snapshot {
-    size_t count = 0;
-    double mean = 0.0;
-    double variance = 0.0;
-    double stddev = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-  };
-
   void Add(double x);
-
-  Snapshot TakeSnapshot() const;
 
   size_t count() const { return count_; }
   double mean() const { return count_ > 0 ? mean_ : 0.0; }
-  double variance() const;  // Sample variance (n-1 denominator).
-  double stddev() const;
-  double min() const { return count_ > 0 ? min_ : 0.0; }
-  double max() const { return count_ > 0 ? max_ : 0.0; }
 
  private:
   size_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 // Empirical CDF over stored samples. Samples are sorted lazily on first
@@ -50,7 +28,6 @@ class RunningStats {
 class EmpiricalCdf {
  public:
   void Add(double x);
-  void AddAll(const std::vector<double>& xs);
 
   size_t count() const { return samples_.size(); }
 
@@ -62,65 +39,11 @@ class EmpiricalCdf {
   // Fraction of samples <= x.
   double FractionAtOrBelow(double x) const;
 
-  // Evenly spaced (x, F(x)) points for plotting, `points` >= 2.
-  std::vector<std::pair<double, double>> Curve(size_t points) const;
-
  private:
   void EnsureSorted() const;
 
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
-};
-
-// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-// edge buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, size_t buckets);
-
-  void Add(double x);
-
-  size_t bucket_count() const { return counts_.size(); }
-  uint64_t bucket(size_t i) const { return counts_[i]; }
-  double BucketLow(size_t i) const;
-  double BucketHigh(size_t i) const { return BucketLow(i + 1); }
-  uint64_t total() const { return total_; }
-
-  // Approximate quantile (q in [0,1]) by linear interpolation inside the
-  // bucket where the cumulative count crosses q*total. Empty histogram
-  // returns 0. Median() is Quantile(0.5).
-  double Quantile(double q) const;
-  double Median() const { return Quantile(0.5); }
-
-  // ASCII rendering for terminal reports, `width` columns for the bars.
-  std::string Render(size_t width) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<uint64_t> counts_;
-  uint64_t total_ = 0;
-};
-
-// Counts events against a denominator; the building block of Table 2's
-// "% of requests with ..." attributes.
-class FractionCounter {
- public:
-  void Record(bool hit) {
-    ++total_;
-    if (hit) {
-      ++hits_;
-    }
-  }
-
-  uint64_t hits() const { return hits_; }
-  uint64_t total() const { return total_; }
-  // Returns 0 for an empty counter.
-  double Fraction() const { return total_ > 0 ? static_cast<double>(hits_) / total_ : 0.0; }
-
- private:
-  uint64_t hits_ = 0;
-  uint64_t total_ = 0;
 };
 
 // Formats 0.289 -> "28.9%".

@@ -70,17 +70,6 @@ std::vector<std::string> Split(std::string_view s, char sep) {
   return out;
 }
 
-std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) {
-      out += sep;
-    }
-    out += parts[i];
-  }
-  return out;
-}
-
 std::optional<uint64_t> ParseU64(std::string_view s) {
   if (s.empty()) {
     return std::nullopt;

@@ -26,9 +26,6 @@ std::string_view TrimWhitespace(std::string_view s);
 // Splits on a single character; keeps empty fields.
 std::vector<std::string> Split(std::string_view s, char sep);
 
-// Joins with a separator.
-std::string Join(const std::vector<std::string>& parts, std::string_view sep);
-
 // Parses a non-negative decimal integer; rejects junk and overflow.
 std::optional<uint64_t> ParseU64(std::string_view s);
 

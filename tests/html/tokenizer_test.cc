@@ -108,7 +108,7 @@ TEST(HtmlTokenizerTest, SerializeEscapesQuotes) {
   tok.type = HtmlTokenType::kStartTag;
   tok.name = "a";
   tok.attrs = {{"title", "say \"hi\""}};
-  EXPECT_EQ(SerializeToken(tok), "<a title=\"say &quot;hi&quot;\">");
+  EXPECT_EQ(SerializeHtml({tok}), "<a title=\"say &quot;hi&quot;\">");
 }
 
 class TokenizerRoundTrip : public ::testing::TestWithParam<const char*> {};

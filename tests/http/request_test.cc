@@ -5,10 +5,9 @@
 namespace robodet {
 namespace {
 
-TEST(IpAddressTest, ParseAndToString) {
+TEST(IpAddressTest, Parse) {
   const auto ip = IpAddress::Parse("10.1.2.3");
   ASSERT_TRUE(ip.has_value());
-  EXPECT_EQ(ip->ToString(), "10.1.2.3");
   EXPECT_EQ(ip->value(), (10u << 24) | (1u << 16) | (2u << 8) | 3u);
 }
 
@@ -83,12 +82,6 @@ TEST(ResponseTest, FactoriesSetContentLength) {
 }
 
 TEST(WireSizeTest, GrowsWithContent) {
-  Request r;
-  r.url = *Url::Parse("http://e.com/x.html");
-  const size_t base = r.WireSize();
-  r.headers.Set("User-Agent", "abcdef");
-  EXPECT_GT(r.WireSize(), base);
-
   Response resp = MakeHtmlResponse("12345");
   const size_t rbase = resp.WireSize();
   resp.body += "67890";

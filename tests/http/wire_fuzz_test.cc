@@ -1,8 +1,8 @@
 // Hostile-input hardening for the wire parser: the proxy parses whatever
-// bytes arrive on the socket, so ParseRequestText / ParseResponseText must
-// never crash, never read out of bounds, and never accept a message that
-// blows past the documented limits — whatever the input. Seeded generators
-// cover random garbage, mutated-valid messages, and boundary abuse.
+// bytes arrive on the socket, so ParseRequestText must never crash, never
+// read out of bounds, and never accept a message that blows past the
+// documented limits — whatever the input. Seeded generators cover random
+// garbage, mutated-valid messages, and boundary abuse.
 #include "src/http/wire.h"
 
 #include <gtest/gtest.h>
@@ -48,22 +48,13 @@ void MutateBytes(Rng& rng, std::string& s, size_t flips) {
   }
 }
 
-Request ValidRequest() {
-  Request request;
-  request.method = Method::kPost;
-  request.url = *Url::Parse("http://example.test/path/page.html?q=1");
-  request.headers.Add("Host", "example.test");
-  request.headers.Add("User-Agent", "fuzz/1.0");
-  request.headers.Add("Content-Length", "9");
-  request.body = "key=value";
-  return request;
-}
-
-Response ValidResponse() {
-  Response response = MakeHtmlResponse("<html><body>ok</body></html>");
-  response.headers.Set("Content-Length", std::to_string(response.body.size()));
-  return response;
-}
+constexpr std::string_view kValidRequest =
+    "POST http://example.test/path/page.html?q=1 HTTP/1.1\r\n"
+    "Host: example.test\r\n"
+    "User-Agent: fuzz/1.0\r\n"
+    "Content-Length: 9\r\n"
+    "\r\n"
+    "key=value";
 
 class WireFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -72,7 +63,6 @@ TEST_P(WireFuzzTest, RandomBytesNeverCrash) {
   for (int round = 0; round < 64; ++round) {
     const std::string input = RandomBytes(rng, rng.UniformU64(4096));
     (void)ParseRequestText(input);
-    (void)ParseResponseText(input);
   }
 }
 
@@ -85,37 +75,21 @@ TEST_P(WireFuzzTest, WireSoupNeverCrashesAndRespectsLimits) {
       EXPECT_LE(request.value->headers.entries().size(), kMaxWireHeaderCount);
       EXPECT_LE(request.value->body.size(), kMaxWireBodyBytes);
     }
-    const auto response = ParseResponseText(input);
-    if (response) {
-      EXPECT_LE(response.value->headers.entries().size(), kMaxWireHeaderCount);
-      EXPECT_LE(response.value->body.size(), kMaxWireBodyBytes);
-    }
   }
 }
 
 TEST_P(WireFuzzTest, MutatedValidMessagesNeverCrash) {
   Rng rng(GetParam() ^ 0xfacefeedULL);
-  const std::string request_text = SerializeRequest(ValidRequest());
-  const std::string response_text = SerializeResponse(ValidResponse());
   for (int round = 0; round < 64; ++round) {
-    std::string req = request_text;
-    std::string resp = response_text;
+    std::string req(kValidRequest);
     MutateBytes(rng, req, 1 + rng.UniformU64(8));
-    MutateBytes(rng, resp, 1 + rng.UniformU64(8));
     (void)ParseRequestText(req);
-    (void)ParseResponseText(resp);
   }
 }
 
 TEST_P(WireFuzzTest, TruncatedValidMessagesNeverCrash) {
-  Rng rng(GetParam() ^ 0x7e0ULL);
-  const std::string request_text = SerializeRequest(ValidRequest());
-  const std::string response_text = SerializeResponse(ValidResponse());
-  for (size_t cut = 0; cut <= request_text.size(); ++cut) {
-    (void)ParseRequestText(std::string_view(request_text).substr(0, cut));
-  }
-  for (size_t cut = 0; cut <= response_text.size(); ++cut) {
-    (void)ParseResponseText(std::string_view(response_text).substr(0, cut));
+  for (size_t cut = 0; cut <= kValidRequest.size(); ++cut) {
+    (void)ParseRequestText(kValidRequest.substr(0, cut));
   }
 }
 
@@ -155,9 +129,9 @@ TEST(WireLimitsTest, AcceptsExactlyMaxHeaders) {
 }
 
 TEST(WireLimitsTest, RejectsOversizeBody) {
-  std::string text = "HTTP/1.1 200 OK\r\n\r\n";
+  std::string text = "POST http://h.test/ HTTP/1.1\r\n\r\n";
   text.append(kMaxWireBodyBytes + 1, 'b');
-  const auto result = ParseResponseText(text);
+  const auto result = ParseRequestText(text);
   ASSERT_FALSE(result);
   EXPECT_NE(result.error.message.find("body exceeds"), std::string::npos);
 }

@@ -4,6 +4,7 @@
 
 #include "src/ml/metrics.h"
 #include "src/util/rng.h"
+#include "tests/ml/gaussian.h"
 
 namespace robodet {
 namespace {
@@ -20,9 +21,9 @@ Dataset MakeCorpus(size_t n, double noise, uint64_t seed) {
     const double cgi = robot ? 0.7 : 0.1;
     const double img = robot ? 0.05 : 0.5;
     e.x[static_cast<size_t>(FeatureId::kCgiPct)] =
-        std::clamp(cgi + rng.Normal(0.0, noise), 0.0, 1.0);
+        std::clamp(cgi + Gaussian(rng, 0.0, noise), 0.0, 1.0);
     e.x[static_cast<size_t>(FeatureId::kImagePct)] =
-        std::clamp(img + rng.Normal(0.0, noise), 0.0, 1.0);
+        std::clamp(img + Gaussian(rng, 0.0, noise), 0.0, 1.0);
     e.x[static_cast<size_t>(FeatureId::kHtmlPct)] = rng.UniformDouble();  // Irrelevant.
     data.examples.push_back(e);
   }

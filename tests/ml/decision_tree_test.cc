@@ -5,6 +5,7 @@
 #include "src/ml/evaluation.h"
 #include "src/ml/metrics.h"
 #include "src/util/rng.h"
+#include "tests/ml/gaussian.h"
 
 namespace robodet {
 namespace {
@@ -16,8 +17,8 @@ Dataset MakeCorpus(size_t n, double noise, uint64_t seed) {
     Example e;
     const bool robot = i % 2 == 0;
     e.label = robot ? kLabelRobot : kLabelHuman;
-    e.x[0] = std::clamp((robot ? 0.8 : 0.2) + rng.Normal(0.0, noise), 0.0, 1.0);
-    e.x[1] = std::clamp((robot ? 0.1 : 0.6) + rng.Normal(0.0, noise), 0.0, 1.0);
+    e.x[0] = std::clamp((robot ? 0.8 : 0.2) + Gaussian(rng, 0.0, noise), 0.0, 1.0);
+    e.x[1] = std::clamp((robot ? 0.1 : 0.6) + Gaussian(rng, 0.0, noise), 0.0, 1.0);
     e.x[2] = rng.UniformDouble();
     data.examples.push_back(e);
   }
@@ -82,32 +83,6 @@ TEST(DecisionTreeTest, ScoreReflectsLeafPurity) {
   human_x[0] = 0.1;
   human_x[1] = 0.7;
   EXPECT_LT(tree.Score(human_x), -0.5);
-}
-
-TEST(EvaluationTest, KFoldAveragesFolds) {
-  const Dataset data = MakeCorpus(600, 0.1, 6);
-  Rng rng(7);
-  const CrossValidationResult result = KFoldCrossValidate(
-      data, 5,
-      [](const Dataset& train) {
-        auto tree = std::make_shared<DecisionTree>();
-        tree->Train(train);
-        return [tree](const FeatureVector& x) { return tree->Predict(x); };
-      },
-      rng);
-  ASSERT_EQ(result.fold_accuracy.size(), 5u);
-  EXPECT_GT(result.MeanAccuracy(), 0.9);
-  EXPECT_GE(result.StdDevAccuracy(), 0.0);
-}
-
-TEST(EvaluationTest, KFoldDegenerateInputs) {
-  Rng rng(8);
-  const auto trainer = [](const Dataset&) {
-    return [](const FeatureVector&) { return kLabelRobot; };
-  };
-  EXPECT_TRUE(KFoldCrossValidate(Dataset{}, 5, trainer, rng).fold_accuracy.empty());
-  const Dataset tiny = MakeCorpus(3, 0.1, 9);
-  EXPECT_TRUE(KFoldCrossValidate(tiny, 5, trainer, rng).fold_accuracy.empty());
 }
 
 TEST(EvaluationTest, RocPerfectScorer) {

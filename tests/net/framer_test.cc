@@ -8,6 +8,7 @@
 #include <string>
 
 #include "src/http/wire.h"
+#include "tests/http/response_reader.h"
 
 namespace robodet {
 namespace {
@@ -116,11 +117,12 @@ TEST(FramerTest, ErrorResponseIsFramingCorrect) {
   EXPECT_NE(text.find("HTTP/1.1 431 Request Header Fields Too Large\r\n"),
             std::string::npos);
   EXPECT_NE(text.find("Connection: close\r\n"), std::string::npos);
-  // Round-trips through the response parser with the body intact.
-  const auto parsed = ParseResponseText(text);
-  ASSERT_TRUE(parsed);
-  EXPECT_EQ(parsed.value->status, StatusCode::kHeaderFieldsTooLarge);
-  EXPECT_EQ(parsed.value->body, "too big\n");
+  // A client reads it back with the body intact.
+  const auto read = ReadResponseText(text).framed;
+  ASSERT_TRUE(read.has_value()) << text;
+  EXPECT_EQ(read->size, text.size());
+  EXPECT_EQ(read->response.status, StatusCode::kHeaderFieldsTooLarge);
+  EXPECT_EQ(read->response.body, "too big\n");
 }
 
 }  // namespace

@@ -24,11 +24,17 @@
 #include "src/site/site_model.h"
 #include "src/util/hash.h"
 #include "src/util/strings.h"
+#include "tests/http/response_reader.h"
 
 namespace robodet {
 namespace {
 
 void SleepMs(int ms) { std::this_thread::sleep_for(std::chrono::milliseconds(ms)); }
+
+// A small client receive buffer makes the server meet write backpressure.
+void SetRecvBufferBytes(int fd, int bytes) {
+  (void)::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &bytes, sizeof(bytes));
+}
 
 // Echo-style handler: "/bytes/N" returns an N-byte body, POSTs report the
 // received body length, a "robot" User-Agent marks the connection for the
@@ -82,38 +88,18 @@ class TestClient {
     return true;
   }
 
-  // Reads one complete response; nullopt on EOF/error mid-message.
+  // Reads one complete response; nullopt on EOF/error mid-message or a
+  // malformed response head.
   std::optional<Response> ReadResponse() {
     for (;;) {
-      const size_t header_end = buffer_.find("\r\n\r\n");
-      if (header_end != std::string::npos) {
-        size_t content_length = 0;
-        const std::string_view head(buffer_.data(), header_end);
-        size_t line_start = 0;
-        while (line_start < head.size()) {
-          size_t line_end = head.find("\r\n", line_start);
-          if (line_end == std::string_view::npos) {
-            line_end = head.size();
-          }
-          const std::string_view line = head.substr(line_start, line_end - line_start);
-          const size_t colon = line.find(':');
-          if (colon != std::string_view::npos &&
-              EqualsIgnoreCase(TrimWhitespace(line.substr(0, colon)), "Content-Length")) {
-            content_length = static_cast<size_t>(
-                ParseU64(TrimWhitespace(line.substr(colon + 1))).value_or(0));
-          }
-          line_start = line_end + 2;
-        }
-        const size_t total = header_end + 4 + content_length;
-        if (buffer_.size() >= total) {
-          auto parsed = ParseResponseText(std::string_view(buffer_).substr(0, total));
-          buffer_.erase(0, total);
-          if (!parsed) {
-            ADD_FAILURE() << "unparseable response: " << parsed.error.message;
-            return std::nullopt;
-          }
-          return std::move(parsed.value);
-        }
+      ResponseRead read = ReadResponseText(buffer_);
+      if (!read.error.empty()) {
+        ADD_FAILURE() << "bad response: " << read.error;
+        return std::nullopt;
+      }
+      if (read.framed.has_value()) {
+        buffer_.erase(0, read.framed->size);
+        return std::move(read.framed->response);
       }
       if (!FillBuffer()) {
         return std::nullopt;

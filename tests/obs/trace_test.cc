@@ -134,14 +134,6 @@ TEST(TraceRecorderTest, AllInterestingFallsBackToFifo) {
   EXPECT_EQ(traces[1].path, "/b/2");
 }
 
-TEST(TraceRecorderTest, DiscardDropsTheTrace) {
-  TraceRecorder recorder(ConfigWith(8, 1));
-  TraceRecorder::Trace* trace = recorder.Start("/oops");
-  ASSERT_NE(trace, nullptr);
-  recorder.Discard(trace);
-  EXPECT_TRUE(recorder.Snapshot().empty());
-}
-
 TEST(TraceRecorderTest, ScopesAreNoopsWhenUnsampled) {
   TraceRecorder recorder(ConfigWith(8, 0));
   {

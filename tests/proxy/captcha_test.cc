@@ -15,7 +15,7 @@ class CaptchaTest : public ::testing::Test {
 };
 
 TEST_F(CaptchaTest, IssueAndVerifyRoundTrip) {
-  const std::string token = service_.IssueChallenge();
+  const std::string token = service_.IssueChallenge(1);
   const std::string answer = service_.ExpectedAnswer(token);
   EXPECT_EQ(answer.size(), 6u);
   EXPECT_TRUE(service_.CheckAnswer(token, answer));
@@ -23,7 +23,7 @@ TEST_F(CaptchaTest, IssueAndVerifyRoundTrip) {
 }
 
 TEST_F(CaptchaTest, WrongAnswerFails) {
-  const std::string token = service_.IssueChallenge();
+  const std::string token = service_.IssueChallenge(2);
   EXPECT_FALSE(service_.CheckAnswer(token, "000000x"));
   EXPECT_FALSE(service_.CheckAnswer(token, ""));
 }
@@ -33,15 +33,15 @@ TEST_F(CaptchaTest, ForgedTokenFails) {
 }
 
 TEST_F(CaptchaTest, AnswerIsDeterministicPerToken) {
-  const std::string token = service_.IssueChallenge();
+  const std::string token = service_.IssueChallenge(3);
   EXPECT_EQ(service_.ExpectedAnswer(token), service_.ExpectedAnswer(token));
-  const std::string other = service_.IssueChallenge();
+  const std::string other = service_.IssueChallenge(4);
   // Overwhelmingly likely to differ.
   EXPECT_NE(service_.ExpectedAnswer(token), service_.ExpectedAnswer(other));
 }
 
 TEST_F(CaptchaTest, RenderedChallengeCarriesReadableAnswer) {
-  const std::string token = service_.IssueChallenge();
+  const std::string token = service_.IssueChallenge(5);
   const std::string body = service_.RenderChallenge(token, "http://e.com/__rd/");
   const auto read = CaptchaService::ReadAnswerFromBody(body);
   ASSERT_TRUE(read.has_value());

@@ -14,7 +14,7 @@ constexpr char kLine[] =
 TEST(ClfParseTest, FullCombinedLine) {
   const auto entry = ParseClfLine(kLine);
   ASSERT_TRUE(entry.has_value());
-  EXPECT_EQ(entry->ip.ToString(), "10.0.0.1");
+  EXPECT_EQ(entry->ip.value(), (10u << 24) | 1u);  // 10.0.0.1
   EXPECT_EQ(entry->method, Method::kGet);
   EXPECT_EQ(entry->target, "/p/1.html");
   EXPECT_EQ(entry->status, 200);

@@ -96,32 +96,5 @@ TEST_F(PipelineIntegrationTest, CaptureSerializeTrainClassify) {
   EXPECT_LT(undecided, static_cast<int>(log.size()) / 10);
 }
 
-TEST_F(PipelineIntegrationTest, KFoldOverSimulatedCorpus) {
-  ExperimentConfig config;
-  config.seed = 778;
-  config.num_clients = 200;
-  config.site.num_pages = 50;
-  Experiment experiment(config);
-  experiment.Run();
-  Dataset corpus;
-  for (const SessionRecord* r : experiment.RecordsWithMinRequests(10)) {
-    Example e;
-    e.x = ExtractFeatures(r->events);
-    e.label = r->truly_human ? kLabelHuman : kLabelRobot;
-    corpus.examples.push_back(e);
-  }
-  Rng rng(5);
-  const CrossValidationResult cv = KFoldCrossValidate(
-      corpus, 4,
-      [](const Dataset& train) {
-        auto model = std::make_shared<AdaBoost>(AdaBoost::Config{60, 1e-10});
-        model->Train(train);
-        return [model](const FeatureVector& x) { return model->Predict(x); };
-      },
-      rng);
-  ASSERT_EQ(cv.fold_accuracy.size(), 4u);
-  EXPECT_GT(cv.MeanAccuracy(), 0.9);
-}
-
 }  // namespace
 }  // namespace robodet

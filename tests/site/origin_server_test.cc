@@ -41,19 +41,6 @@ TEST_F(OriginServerTest, HeadRequestHasEmptyBody) {
   EXPECT_TRUE(r.body.empty());
 }
 
-TEST_F(OriginServerTest, RedirectorIssues302) {
-  const Response r = server_->Handle(MakeRequest("/r/5"));
-  EXPECT_EQ(r.status, StatusCode::kFound);
-  const auto target = r.RedirectTarget(Url::Make(site_.host(), "/r/5"));
-  ASSERT_TRUE(target.has_value());
-  EXPECT_EQ(target->path(), "/p/5.html");
-}
-
-TEST_F(OriginServerTest, RedirectorRejectsBadIds) {
-  EXPECT_EQ(server_->Handle(MakeRequest("/r/9999")).status, StatusCode::kNotFound);
-  EXPECT_EQ(server_->Handle(MakeRequest("/r/abc")).status, StatusCode::kNotFound);
-}
-
 TEST_F(OriginServerTest, CgiRespondsAndSometimesRedirects) {
   int redirects = 0;
   int oks = 0;

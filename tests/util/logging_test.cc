@@ -11,13 +11,10 @@ namespace robodet {
 namespace {
 
 // The default writer: one "[LEVEL] message key=value ..." line per record
-// on stderr.
+// on stderr. Each test restores the default kWarning threshold.
 class LoggingTest : public ::testing::Test {
  protected:
-  void SetUp() override { saved_level_ = GetLogLevel(); }
-  void TearDown() override { SetLogLevel(saved_level_); }
-
-  LogLevel saved_level_ = LogLevel::kWarning;
+  void TearDown() override { SetLogLevel(LogLevel::kWarning); }
 };
 
 TEST_F(LoggingTest, LevelFilterDropsBelowThreshold) {
@@ -44,11 +41,6 @@ TEST_F(LoggingTest, MacroStreamsAndConcatenates) {
   EXPECT_EQ(testing::internal::GetCapturedStderr(), "[INFO] count=42 name=x\n");
 }
 
-TEST_F(LoggingTest, SetAndGetLevelRoundTrip) {
-  SetLogLevel(LogLevel::kError);
-  EXPECT_EQ(GetLogLevel(), LogLevel::kError);
-}
-
 TEST_F(LoggingTest, WithFieldsFlattenOnStderr) {
   SetLogLevel(LogLevel::kDebug);
   testing::internal::CaptureStderr();
@@ -60,16 +52,14 @@ TEST_F(LoggingTest, WithFieldsFlattenOnStderr) {
 class StructuredLoggingTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    saved_level_ = GetLogLevel();
     SetLogLevel(LogLevel::kDebug);
     SetStructuredLogSink([this](const LogRecord& record) { captured_.push_back(record); });
   }
   void TearDown() override {
     SetStructuredLogSink(nullptr);
-    SetLogLevel(saved_level_);
+    SetLogLevel(LogLevel::kWarning);
   }
 
-  LogLevel saved_level_ = LogLevel::kWarning;
   std::vector<LogRecord> captured_;
 };
 

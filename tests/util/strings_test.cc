@@ -33,13 +33,6 @@ TEST(StringsTest, SplitKeepsEmptyFields) {
   EXPECT_EQ(Split("", ','), (std::vector<std::string>{""}));
 }
 
-TEST(StringsTest, JoinRoundTrip) {
-  const std::vector<std::string> parts = {"x", "y", "z"};
-  EXPECT_EQ(Join(parts, "."), "x.y.z");
-  EXPECT_EQ(Join({}, "."), "");
-  EXPECT_EQ(Join({"solo"}, "."), "solo");
-}
-
 TEST(StringsTest, ParseU64Valid) {
   EXPECT_EQ(ParseU64("0"), 0u);
   EXPECT_EQ(ParseU64("42"), 42u);
