@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/http/content_type.h"
@@ -70,6 +71,33 @@ struct SessionSignals {
   bool PassedCaptcha() const { return captcha_passed_at > 0; }
   bool FetchedRobotsTxt() const { return robots_txt_at > 0; }
   bool UnattestedEvent() const { return unattested_event_at > 0; }
+};
+
+// The one list of SessionSignals' first-detection indices: each one's name
+// (its sessions-CSV column) and field, in declaration order. The snapshot
+// and journal codecs, the sessions CSV and the cluster merge iterate it, so
+// a signal added above is added here and nowhere else. The order is the
+// persisted byte order: adding or moving an entry changes the state-file
+// format (persistence::kFormatVersion).
+struct SignalIndex {
+  std::string_view name;
+  int SessionSignals::*field;
+};
+
+inline constexpr SignalIndex kSignalIndices[] = {
+    {"css_probe_at", &SessionSignals::css_probe_at},
+    {"js_download_at", &SessionSignals::js_download_at},
+    {"js_executed_at", &SessionSignals::js_executed_at},
+    {"mouse_event_at", &SessionSignals::mouse_event_at},
+    {"wrong_key_at", &SessionSignals::wrong_key_at},
+    {"hidden_link_at", &SessionSignals::hidden_link_at},
+    {"ua_mismatch_at", &SessionSignals::ua_mismatch_at},
+    {"captcha_passed_at", &SessionSignals::captcha_passed_at},
+    {"captcha_failed_at", &SessionSignals::captcha_failed_at},
+    {"robots_txt_at", &SessionSignals::robots_txt_at},
+    {"audio_probe_at", &SessionSignals::audio_probe_at},
+    {"attested_mouse_at", &SessionSignals::attested_mouse_at},
+    {"unattested_event_at", &SessionSignals::unattested_event_at},
 };
 
 // Everything a detector is allowed to look at. Live sessions expose one;

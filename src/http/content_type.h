@@ -22,30 +22,6 @@ enum class ResourceKind {
   kOther,
 };
 
-constexpr std::string_view ResourceKindName(ResourceKind k) {
-  switch (k) {
-    case ResourceKind::kHtml:
-      return "html";
-    case ResourceKind::kCss:
-      return "css";
-    case ResourceKind::kJavaScript:
-      return "javascript";
-    case ResourceKind::kImage:
-      return "image";
-    case ResourceKind::kAudio:
-      return "audio";
-    case ResourceKind::kFavicon:
-      return "favicon";
-    case ResourceKind::kCgi:
-      return "cgi";
-    case ResourceKind::kRobotsTxt:
-      return "robots.txt";
-    case ResourceKind::kOther:
-      return "other";
-  }
-  return "other";
-}
-
 // Classifies from the URL alone (what a server sees at request time, before
 // it has produced a response). Heuristics mirror CoDeeN's: CGI means a
 // query string or a /cgi-bin/ or .php/.cgi/.asp path; favicon.ico is its
@@ -62,13 +38,6 @@ std::string_view MimeTypeFor(ResourceKind k);
 // text/html on binary payloads fail this check, and the proxy then serves
 // the body pass-through instead of feeding garbage to the rewriter.
 bool LooksLikeHtml(std::string_view body);
-
-// True for the kinds a rendering browser fetches automatically as part of
-// displaying a page (the paper's "embedded objects").
-constexpr bool IsEmbeddedObjectKind(ResourceKind k) {
-  return k == ResourceKind::kCss || k == ResourceKind::kJavaScript || k == ResourceKind::kImage ||
-         k == ResourceKind::kAudio;
-}
 
 }  // namespace robodet
 

@@ -74,19 +74,20 @@ bool IsHttpVersion(std::string_view token) {
 }  // namespace
 
 bool WantKeepAlive(const Headers& headers, bool http11) {
-  const auto connection = headers.Get("Connection");
-  if (connection.has_value()) {
-    for (const std::string& token : Split(*connection, ',')) {
+  bool keep_alive = http11;
+  for (const auto& [name, value] : headers.entries()) {
+    if (!EqualsIgnoreCase(name, "Connection")) {
+      continue;
+    }
+    for (const std::string& token : Split(value, ',')) {
       const std::string_view trimmed = TrimWhitespace(token);
       if (EqualsIgnoreCase(trimmed, "close")) {
         return false;
       }
-      if (EqualsIgnoreCase(trimmed, "keep-alive")) {
-        return true;
-      }
+      keep_alive = keep_alive || EqualsIgnoreCase(trimmed, "keep-alive");
     }
   }
-  return http11;
+  return keep_alive;
 }
 
 WireResult<Request> ParseRequestText(std::string_view text) {

@@ -48,9 +48,10 @@ WireResult<Request> ParseRequestText(std::string_view text);
 // when the body is empty.
 std::string SerializeResponse(const Response& response);
 
-// `Connection` header semantics (RFC 7230 §6.1): an explicit "close" or
-// "keep-alive" token wins; otherwise HTTP/1.1 defaults to keep-alive and
-// HTTP/1.0 to close.
+// `Connection` header semantics (RFC 9112 §9.3): a "close" token in any
+// Connection line closes, whatever else the lines say; otherwise a
+// "keep-alive" token keeps the connection open, and without either
+// HTTP/1.1 defaults to keep-alive and HTTP/1.0 to close.
 bool WantKeepAlive(const Headers& headers, bool http11);
 
 }  // namespace robodet

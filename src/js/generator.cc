@@ -10,19 +10,26 @@
 namespace robodet {
 namespace {
 
-// URL shapes. Beacon images:   http://<host><prefix>bk_<key>.jpg
-// UA-echo stylesheets:         http://<host><prefix>ua_<token>_<agent>.css
-constexpr std::string_view kBeaconStem = "bk_";
-constexpr std::string_view kUaEchoStem = "ua_";
+struct ProbeShape {
+  std::string_view stem;  // A fixed name whole.
+  std::string_view ext;   // Empty for a fixed name.
+};
 
-std::string BeaconUrl(const BeaconSpec& spec, const std::string& key) {
-  std::string url;
-  url.reserve(7 + spec.host.size() + spec.path_prefix.size() + kBeaconStem.size() + key.size() +
-              4);
-  url.append("http://").append(spec.host).append(spec.path_prefix).append(kBeaconStem);
-  url.append(key).append(".jpg");
-  return url;
-}
+// Indexed by ProbeKind. ParseProbePath takes the first shape that matches,
+// so captcha_img_ precedes captcha_.
+constexpr ProbeShape kProbeShapes[] = {
+    {"js_", ".js"},            // kBeaconScript
+    {"ua_", ".css"},           // kUaEcho
+    {"cp_", ".css"},           // kCssProbe
+    {"ap_", ".wav"},           // kAudioProbe
+    {"hl_", ".html"},          // kHiddenLink
+    {"captcha.html", ""},      // kCaptchaPage
+    {"captcha_img_", ".jpg"},  // kCaptchaImage
+    {"captcha_", ".cgi"},      // kCaptchaSubmit
+    {"bk_", ".jpg"},           // kBeaconImage
+    {"ti.jpg", ""},            // kTransparentImage
+};
+static_assert(std::size(kProbeShapes) == static_cast<size_t>(ProbeKind::kNone));
 
 // One guarded fetcher function in the Figure-1 shape. Appends in place —
 // this runs once per probe key on every instrumented page, so it must not
@@ -45,9 +52,10 @@ void AppendFetcher(std::string& out, int index, const std::string& url) {
 
 GeneratedBeacon GenerateBeaconScript(const BeaconSpec& spec, Rng& rng) {
   GeneratedBeacon out;
-  out.real_url = BeaconUrl(spec, spec.real_key);
+  const std::string base = "http://" + spec.host + spec.path_prefix;
+  out.real_url = ProbeUrl(base, ProbeKind::kBeaconImage, spec.real_key);
   for (const std::string& k : spec.decoy_keys) {
-    out.decoy_urls.push_back(BeaconUrl(spec, k));
+    out.decoy_urls.push_back(ProbeUrl(base, ProbeKind::kBeaconImage, k));
   }
 
   // Shuffle the real fetcher in among the decoys so its position carries no
@@ -147,37 +155,53 @@ std::string GenerateUaEchoScript(const std::string& host, const std::string& pat
   src += "var agt = navigator.userAgent.toLowerCase();\n";
   src += "agt = agt.replaceAll(' ', '');\n";
   src += "agt = agt.replaceAll('/', '-');\n";
-  src += "document.write('<link rel=\"stylesheet\" type=\"text/css\" href=\"http://" + host +
-         path_prefix + std::string(kUaEchoStem) + token + "_' + agt + '.css\">');\n";
+  // The agent is spliced into the name at run time.
+  src += "document.write('<link rel=\"stylesheet\" type=\"text/css\" href=\"" +
+         ProbeUrl("http://" + host + path_prefix, ProbeKind::kUaEcho, token + "_' + agt + '") +
+         "\">');\n";
   return src;
 }
 
-std::string ExtractStemName(const std::string& path, const std::string& path_prefix,
-                            std::string_view stem, std::string_view ext) {
-  const std::string head = path_prefix + std::string(stem);
-  if (path.size() <= head.size() + ext.size() || path.compare(0, head.size(), head) != 0) {
-    return "";
+std::string ProbeUrl(std::string_view base, ProbeKind kind, std::string_view name) {
+  const auto [stem, ext] = kProbeShapes[static_cast<size_t>(kind)];
+  std::string url;
+  url.reserve(base.size() + stem.size() + name.size() + ext.size());
+  url.append(base).append(stem).append(name).append(ext);
+  return url;
+}
+
+ParsedProbe ParseProbePath(std::string_view path, std::string_view prefix) {
+  if (!path.starts_with(prefix)) {
+    return {};
   }
-  if (path.compare(path.size() - ext.size(), ext.size(), ext) != 0) {
-    return "";
+  const std::string_view rest = path.substr(prefix.size());
+  for (size_t i = 0; i < std::size(kProbeShapes); ++i) {
+    const auto [stem, ext] = kProbeShapes[i];
+    const size_t shape = stem.size() + ext.size();
+    if (!rest.starts_with(stem) || !rest.ends_with(ext) ||
+        (ext.empty() ? rest.size() != shape : rest.size() <= shape)) {
+      continue;
+    }
+    ParsedProbe parsed{static_cast<ProbeKind>(i), rest.substr(stem.size(), rest.size() - shape),
+                       {}};
+    if (parsed.kind == ProbeKind::kUaEcho) {
+      const size_t underscore = parsed.name.find('_');
+      if (underscore == 0) {
+        return {};  // No token.
+      }
+      if (underscore != std::string_view::npos) {
+        parsed.agent = parsed.name.substr(underscore + 1);
+        parsed.name = parsed.name.substr(0, underscore);
+      }
+    }
+    return parsed;
   }
-  return path.substr(head.size(), path.size() - head.size() - ext.size());
+  return {};
 }
 
 std::string ExtractBeaconKey(const std::string& path, const std::string& path_prefix) {
-  return ExtractStemName(path, path_prefix, kBeaconStem, ".jpg");
-}
-
-std::string ExtractUaEchoToken(const std::string& path, const std::string& path_prefix) {
-  const std::string middle = ExtractStemName(path, path_prefix, kUaEchoStem, ".css");
-  const size_t underscore = middle.find('_');
-  return underscore == std::string::npos ? middle : middle.substr(0, underscore);
-}
-
-std::string ExtractUaEchoAgent(const std::string& path, const std::string& path_prefix) {
-  const std::string middle = ExtractStemName(path, path_prefix, kUaEchoStem, ".css");
-  const size_t underscore = middle.find('_');
-  return underscore == std::string::npos ? "" : middle.substr(underscore + 1);
+  const ParsedProbe parsed = ParseProbePath(path, path_prefix);
+  return parsed.kind == ProbeKind::kBeaconImage ? std::string(parsed.name) : std::string();
 }
 
 }  // namespace robodet

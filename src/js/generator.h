@@ -9,6 +9,7 @@
 #define ROBODET_SRC_JS_GENERATOR_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/util/rng.h"
@@ -62,18 +63,43 @@ std::string DeriveBeaconHandler(const BeaconSpec& spec, Rng& rng);
 std::string GenerateUaEchoScript(const std::string& host, const std::string& path_prefix,
                                  const std::string& token);
 
-// Parses a beacon or UA-echo URL path back into its key/token. Returns the
-// empty string when the path does not look like one of ours.
-std::string ExtractBeaconKey(const std::string& path, const std::string& path_prefix);
+// The probe namespace: every URL the proxy writes into a page or answers
+// itself is <prefix><stem><name><ext> or <prefix><fixed name>, spelled here
+// and nowhere else. The kinds the proxy mints a token for come first; their
+// values are mint tags, which keep one request's tokens apart, so changing
+// one changes every token served.
+enum class ProbeKind {
+  kBeaconScript = 0,  // js_<token>.js
+  kUaEcho = 1,        // ua_<token>_<agent>.css, written by the UA-echo script.
+  kCssProbe = 2,      // cp_<token>.css
+  kAudioProbe = 3,    // ap_<token>.wav
+  kHiddenLink = 4,    // hl_<token>.html
+  kCaptchaPage = 5,   // captcha.html, which issues the next two's token.
+  kCaptchaImage,      // captcha_img_<token>.jpg
+  kCaptchaSubmit,     // captcha_<token>.cgi?ans=<answer>
+  kBeaconImage,       // bk_<key>.jpg, real or decoy.
+  kTransparentImage,  // ti.jpg
+  kNone,              // Not a probe.
+};
 
-// Generic instrumented-path splitter: returns the text between
-// <path_prefix><stem> and the trailing <ext>, or "" on shape mismatch.
-std::string ExtractStemName(const std::string& path, const std::string& path_prefix,
-                            std::string_view stem, std::string_view ext);
-std::string ExtractUaEchoToken(const std::string& path, const std::string& path_prefix);
-// The user-agent string embedded in a UA-echo path, un-sanitized no further
-// (lowercased, space-stripped, as the script built it).
-std::string ExtractUaEchoAgent(const std::string& path, const std::string& path_prefix);
+// <base><stem><name><ext>, where `base` is the prefix for a request path or
+// "http://<host><prefix>" for a URL in a page. Fixed names take no `name`.
+std::string ProbeUrl(std::string_view base, ProbeKind kind, std::string_view name = {});
+
+struct ParsedProbe {
+  ProbeKind kind = ProbeKind::kNone;
+  // Views into the parsed path: the token or key (for kUaEcho, the part
+  // before the first '_') and, for kUaEcho, the echoed agent after it.
+  std::string_view name;
+  std::string_view agent;
+};
+
+// The probe `path` names, if any. Stem kinds need a non-empty name, and
+// the longer stem wins (captcha_img_ over captcha_).
+ParsedProbe ParseProbePath(std::string_view path, std::string_view prefix);
+
+// The key of a beacon image path, or "" for any other path.
+std::string ExtractBeaconKey(const std::string& path, const std::string& path_prefix);
 
 }  // namespace robodet
 

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "src/js/generator.h"
+
 namespace robodet {
 
 std::string CaptchaService::IssueChallenge(uint64_t entropy) {
@@ -16,10 +18,10 @@ std::string CaptchaService::RenderChallenge(std::string_view token,
   html += "<p>Type the characters you see to receive higher bandwidth.</p>\n";
   // Stand-in for the distorted CAPTCHA image.
   html += "<!-- answer:" + ExpectedAnswer(token) + " -->\n";
-  html += "<img src=\"" + std::string(submit_prefix) + "captcha_img_" + std::string(token) +
-          ".jpg\" width=\"200\" height=\"60\">\n";
-  html += "<a href=\"" + std::string(submit_prefix) + "captcha_" + std::string(token) +
-          ".cgi?ans=\">Submit</a>\n";
+  html += "<img src=\"" + ProbeUrl(submit_prefix, ProbeKind::kCaptchaImage, token) +
+          "\" width=\"200\" height=\"60\">\n";
+  html += "<a href=\"" + ProbeUrl(submit_prefix, ProbeKind::kCaptchaSubmit, token) +
+          "?ans=\">Submit</a>\n";
   html += "</body></html>\n";
   return html;
 }

@@ -50,31 +50,19 @@ bool DecodeEvent(ByteReader* r, RequestEvent* e) {
 }
 
 void EncodeSignals(const SessionSignals& s, ByteWriter* w) {
-  w->PutI32(s.css_probe_at);
-  w->PutI32(s.js_download_at);
-  w->PutI32(s.js_executed_at);
-  w->PutI32(s.mouse_event_at);
-  w->PutI32(s.wrong_key_at);
-  w->PutI32(s.hidden_link_at);
-  w->PutI32(s.ua_mismatch_at);
-  w->PutI32(s.captcha_passed_at);
-  w->PutI32(s.captcha_failed_at);
-  w->PutI32(s.robots_txt_at);
-  w->PutI32(s.audio_probe_at);
-  w->PutI32(s.attested_mouse_at);
-  w->PutI32(s.unattested_event_at);
+  for (const SignalIndex& index : kSignalIndices) {
+    w->PutI32(s.*index.field);
+  }
   w->PutString(s.ua_echo_agent);
 }
 
 bool DecodeSignals(ByteReader* r, SessionSignals* s) {
-  bool ok = r->ReadI32(&s->css_probe_at) && r->ReadI32(&s->js_download_at) &&
-            r->ReadI32(&s->js_executed_at) && r->ReadI32(&s->mouse_event_at) &&
-            r->ReadI32(&s->wrong_key_at) && r->ReadI32(&s->hidden_link_at) &&
-            r->ReadI32(&s->ua_mismatch_at) && r->ReadI32(&s->captcha_passed_at) &&
-            r->ReadI32(&s->captcha_failed_at) && r->ReadI32(&s->robots_txt_at) &&
-            r->ReadI32(&s->audio_probe_at) && r->ReadI32(&s->attested_mouse_at) &&
-            r->ReadI32(&s->unattested_event_at) && r->ReadString(&s->ua_echo_agent, kMaxStringBytes);
-  return ok;
+  for (const SignalIndex& index : kSignalIndices) {
+    if (!r->ReadI32(&(s->*index.field))) {
+      return false;
+    }
+  }
+  return r->ReadString(&s->ua_echo_agent, kMaxStringBytes);
 }
 
 void EncodeI32Vec(const std::vector<int32_t>& v, ByteWriter* w) {

@@ -71,12 +71,13 @@ constexpr uint64_t kResilienceSeedSalt = 0x726573696c696e74ULL;
 // and the (time, request_count) pair distinguishes the requests within it.
 // Tokens minted from this are therefore identical across runs and across
 // worker interleavings, which is what makes the parallel simulation driver
-// bit-reproducible. `tag` separates the several tokens minted per page.
-uint64_t MintEntropy(const SessionState& session, TimeMs now, uint64_t tag) {
+// bit-reproducible. The kind's mint tag separates the several tokens minted
+// per page.
+uint64_t MintEntropy(const SessionState& session, TimeMs now, ProbeKind kind) {
   return HashCombine(
       HashCombine(HashCombine(session.id(), static_cast<uint64_t>(now)),
                   static_cast<uint64_t>(session.request_count())),
-      tag);
+      static_cast<uint64_t>(kind));
 }
 
 // The beacon script's obfuscation: identifier renaming plus string
@@ -221,10 +222,6 @@ std::mutex& ProxyServer::ClientMutex(IpAddress ip) {
   // correctness.
   const uint64_t mixed = static_cast<uint64_t>(ip.value()) * 0x9e3779b97f4a7c15ULL;
   return client_mutexes_[(mixed >> 32) % client_mutexes_.size()];
-}
-
-std::string ProxyServer::AbsoluteInstrUrl(const std::string& stem_and_name) const {
-  return "http://" + config_.host + config_.instr_prefix + stem_and_name;
 }
 
 BeaconSpec ProxyServer::DrawBeaconSpec(Rng& script_rng) const {
@@ -382,7 +379,7 @@ ProxyServer::Result ProxyServer::HandleSession(const Request& request, SessionSt
     Result result;
     {
       SpanScope span(trace, "probe_intercept");
-      result = HandleInstrumented(request, session, index, trace);
+      result.response = HandleInstrumented(request, session, index, trace);
     }
     ev.status_class = static_cast<uint8_t>(StatusValue(result.response.status) / 100);
     {
@@ -508,146 +505,129 @@ void ProxyServer::MaybeMaintainTables(TimeMs now) {
   m_.maintenance_sessions->Inc(closed);
 }
 
-ProxyServer::Result ProxyServer::HandleInstrumented(const Request& request,
-                                                    SessionState& session, int request_index,
-                                                    TraceRecorder::Trace* trace) {
-  Result result;
-  const std::string& path = request.url.path();
-  const std::string& prefix = config_.instr_prefix;
+Response ProxyServer::HandleInstrumented(const Request& request, SessionState& session,
+                                         int request_index, TraceRecorder::Trace* trace) {
+  ParsedProbe probe = ParseProbePath(request.url.path(), config_.instr_prefix);
+  // The three CAPTCHA kinds are adjacent; their paths are not found when it is off.
+  if (!config_.enable_captcha && probe.kind >= ProbeKind::kCaptchaPage &&
+      probe.kind <= ProbeKind::kCaptchaSubmit) {
+    probe.kind = ProbeKind::kNone;
+  }
   SessionSignals& sig = session.signals();
-
-  // Beacon script file: js_<token>.js
-  if (std::string name = ExtractStemName(path, prefix, "js_", ".js"); !name.empty()) {
-    SpanScope span(trace, "probe:beacon_script");
-    if (minter_.Validate(name)) {
+  switch (probe.kind) {
+    case ProbeKind::kBeaconScript: {
+      SpanScope span(trace, "probe:beacon_script");
+      if (!minter_.Validate(probe.name)) {
+        return MakeResponse(StatusCode::kNotFound, ResourceKind::kHtml, "");
+      }
       SessionState::MarkSignal(sig.js_download_at, request_index);
       m_.probe_js_file->Inc();
-      GeneratedBeacon beacon = BuildBeaconForToken(name, nullptr);
-      result.response = MakeResponse(StatusCode::kOk, ResourceKind::kJavaScript,
-                                     std::move(beacon.script_source));
-      result.response.headers.Set("Cache-Control", "no-cache, no-store");
-      return result;
+      GeneratedBeacon beacon = BuildBeaconForToken(probe.name, nullptr);
+      Response response = MakeResponse(StatusCode::kOk, ResourceKind::kJavaScript,
+                                        std::move(beacon.script_source));
+      response.headers.Set("Cache-Control", "no-cache, no-store");
+      return response;
     }
-    result.response = MakeResponse(StatusCode::kNotFound, ResourceKind::kHtml, "");
-    return result;
-  }
 
-  // CSS probe: cp_<token>.css
-  if (std::string name = ExtractStemName(path, prefix, "cp_", ".css"); !name.empty()) {
-    SpanScope span(trace, "probe:css");
-    if (minter_.Validate(name)) {
+    case ProbeKind::kCssProbe: {
+      SpanScope span(trace, "probe:css");
+      if (!minter_.Validate(probe.name)) {
+        return MakeResponse(StatusCode::kNotFound, ResourceKind::kHtml, "");
+      }
       SessionState::MarkSignal(sig.css_probe_at, request_index);
       m_.probe_css->Inc();
-      result.response = EmptyCss();
-      return result;
+      return EmptyCss();
     }
-    result.response = MakeResponse(StatusCode::kNotFound, ResourceKind::kHtml, "");
-    return result;
-  }
 
-  // Silent audio probe: ap_<token>.wav
-  if (std::string name = ExtractStemName(path, prefix, "ap_", ".wav"); !name.empty()) {
-    SpanScope span(trace, "probe:audio");
-    if (minter_.Validate(name)) {
+    case ProbeKind::kAudioProbe: {
+      SpanScope span(trace, "probe:audio");
+      if (!minter_.Validate(probe.name)) {
+        return MakeResponse(StatusCode::kNotFound, ResourceKind::kHtml, "");
+      }
       SessionState::MarkSignal(sig.audio_probe_at, request_index);
       m_.probe_audio->Inc();
-      result.response = MakeResponse(StatusCode::kOk, ResourceKind::kAudio,
-                                     std::string(128, '\0'));
-      result.response.headers.Set("Cache-Control", "no-cache, no-store");
-      return result;
+      Response response =
+          MakeResponse(StatusCode::kOk, ResourceKind::kAudio, std::string(128, '\0'));
+      response.headers.Set("Cache-Control", "no-cache, no-store");
+      return response;
     }
-    result.response = MakeResponse(StatusCode::kNotFound, ResourceKind::kHtml, "");
-    return result;
-  }
 
-  // Beacon image: bk_<key>.jpg
-  if (std::string key = ExtractBeaconKey(path, prefix); !key.empty()) {
-    SpanScope span(trace, "probe:beacon_key");
-    if (keys().MatchAndConsume(request.client_ip, key, request.time)) {
-      // §4.1 extension: an attested event proves a physical input device;
-      // when attestation is required, a bare key match proves only that
-      // the script ran (synthetic-event suspicion).
-      bool attested = false;
-      if (attestation_ != nullptr) {
-        if (const auto header = request.headers.Get(AttestationAuthority::kHeaderName);
-            header.has_value()) {
-          if (const auto parsed = AttestationAuthority::ParseHeader(*header);
-              parsed.has_value()) {
-            attested = attestation_->Verify(parsed->device_id, key, parsed->mac);
+    case ProbeKind::kBeaconImage: {
+      SpanScope span(trace, "probe:beacon_key");
+      const std::string key(probe.name);
+      if (keys().MatchAndConsume(request.client_ip, key, request.time)) {
+        // §4.1 extension: an attested event proves a physical input device;
+        // when attestation is required, a bare key match proves only that
+        // the script ran (synthetic-event suspicion).
+        bool attested = false;
+        if (attestation_ != nullptr) {
+          if (const auto header = request.headers.Get(AttestationAuthority::kHeaderName);
+              header.has_value()) {
+            if (const auto parsed = AttestationAuthority::ParseHeader(*header);
+                parsed.has_value()) {
+              attested = attestation_->Verify(parsed->device_id, key, parsed->mac);
+            }
           }
         }
-      }
-      if (attested) {
-        SessionState::MarkSignal(sig.attested_mouse_at, request_index);
-      }
-      if (config_.require_attestation && !attested) {
-        SessionState::MarkSignal(sig.unattested_event_at, request_index);
+        if (attested) {
+          SessionState::MarkSignal(sig.attested_mouse_at, request_index);
+        }
+        if (config_.require_attestation && !attested) {
+          SessionState::MarkSignal(sig.unattested_event_at, request_index);
+        } else {
+          SessionState::MarkSignal(sig.mouse_event_at, request_index);
+        }
+        m_.beacon_ok->Inc();
+        span.Annotate("key=match");
       } else {
-        SessionState::MarkSignal(sig.mouse_event_at, request_index);
+        SessionState::MarkSignal(sig.wrong_key_at, request_index);
+        m_.beacon_wrong->Inc();
+        span.Annotate("key=wrong");
       }
-      m_.beacon_ok->Inc();
-      span.Annotate("key=match");
-    } else {
-      SessionState::MarkSignal(sig.wrong_key_at, request_index);
-      m_.beacon_wrong->Inc();
-      span.Annotate("key=wrong");
+      // "The server can respond with any JPEG image because the picture is
+      // not used."
+      return TinyJpeg();
     }
-    // "The server can respond with any JPEG image because the picture is
-    // not used."
-    result.response = TinyJpeg();
-    return result;
-  }
 
-  // UA echo: ua_<token>_<agent>.css
-  if (std::string token = ExtractUaEchoToken(path, prefix); !token.empty()) {
-    SpanScope span(trace, "probe:ua_echo");
-    if (minter_.Validate(token)) {
-      SessionState::MarkSignal(sig.js_executed_at, request_index);
-      m_.ua_echo->Inc();
-      sig.ua_echo_agent = ExtractUaEchoAgent(path, prefix);
-      const std::string header_agent = SanitizeAgent(request.UserAgent());
-      if (!sig.ua_echo_agent.empty() && sig.ua_echo_agent != header_agent) {
-        SessionState::MarkSignal(sig.ua_mismatch_at, request_index);
+    case ProbeKind::kUaEcho: {
+      SpanScope span(trace, "probe:ua_echo");
+      if (minter_.Validate(probe.name)) {
+        SessionState::MarkSignal(sig.js_executed_at, request_index);
+        m_.ua_echo->Inc();
+        sig.ua_echo_agent = probe.agent;
+        const std::string header_agent = SanitizeAgent(request.UserAgent());
+        if (!sig.ua_echo_agent.empty() && sig.ua_echo_agent != header_agent) {
+          SessionState::MarkSignal(sig.ua_mismatch_at, request_index);
+        }
       }
+      return EmptyCss();
     }
-    result.response = EmptyCss();
-    return result;
-  }
 
-  // Hidden link target: hl_<token>.html
-  if (std::string name = ExtractStemName(path, prefix, "hl_", ".html"); !name.empty()) {
-    SpanScope span(trace, "probe:hidden_link");
-    if (minter_.Validate(name)) {
-      SessionState::MarkSignal(sig.hidden_link_at, request_index);
-      m_.hidden_link->Inc();
+    case ProbeKind::kHiddenLink: {
+      SpanScope span(trace, "probe:hidden_link");
+      if (minter_.Validate(probe.name)) {
+        SessionState::MarkSignal(sig.hidden_link_at, request_index);
+        m_.hidden_link->Inc();
+      }
+      return MakeResponse(StatusCode::kOk, ResourceKind::kHtml, "<html><body></body></html>");
     }
-    result.response = MakeResponse(StatusCode::kOk, ResourceKind::kHtml,
-                                   "<html><body></body></html>");
-    return result;
-  }
 
-  // Transparent 1x1.
-  if (path == prefix + "ti.jpg") {
-    result.response = TinyJpeg();
-    return result;
-  }
+    case ProbeKind::kTransparentImage:
+      return TinyJpeg();
 
-  // CAPTCHA endpoints.
-  if (config_.enable_captcha) {
-    if (path == prefix + "captcha.html") {
+    case ProbeKind::kCaptchaPage: {
       const std::string token =
-          captcha_.IssueChallenge(MintEntropy(session, request.time, 5));
-      result.response = MakeHtmlResponse(
-          captcha_.RenderChallenge(token, "http://" + config_.host + prefix));
-      result.response.headers.Set("Cache-Control", "no-cache, no-store");
-      return result;
+          captcha_.IssueChallenge(MintEntropy(session, request.time, probe.kind));
+      Response response = MakeHtmlResponse(
+          captcha_.RenderChallenge(token, "http://" + config_.host + config_.instr_prefix));
+      response.headers.Set("Cache-Control", "no-cache, no-store");
+      return response;
     }
-    if (std::string token = ExtractStemName(path, prefix, "captcha_img_", ".jpg");
-        !token.empty()) {
-      result.response = TinyJpeg();
-      return result;
-    }
-    if (std::string token = ExtractStemName(path, prefix, "captcha_", ".cgi"); !token.empty()) {
+
+    case ProbeKind::kCaptchaImage:
+      return TinyJpeg();
+
+    case ProbeKind::kCaptchaSubmit: {
       SpanScope span(trace, "probe:captcha");
       std::string answer;
       constexpr std::string_view kAns = "ans=";
@@ -655,23 +635,22 @@ ProxyServer::Result ProxyServer::HandleInstrumented(const Request& request,
       if (const size_t at = query.find(kAns); at != std::string::npos) {
         answer = query.substr(at + kAns.size());
       }
-      if (captcha_.CheckAnswer(token, answer)) {
+      if (captcha_.CheckAnswer(probe.name, answer)) {
         SessionState::MarkSignal(sig.captcha_passed_at, request_index);
         m_.captcha_pass->Inc();
-        result.response = MakeHtmlResponse("<html><body>Verified.</body></html>");
-      } else {
-        SessionState::MarkSignal(sig.captcha_failed_at, request_index);
-        m_.captcha_fail->Inc();
-        result.response = MakeResponse(StatusCode::kForbidden, ResourceKind::kHtml,
-                                       "<html><body>Wrong answer.</body></html>");
+        return MakeHtmlResponse("<html><body>Verified.</body></html>");
       }
-      return result;
+      SessionState::MarkSignal(sig.captcha_failed_at, request_index);
+      m_.captcha_fail->Inc();
+      return MakeResponse(StatusCode::kForbidden, ResourceKind::kHtml,
+                          "<html><body>Wrong answer.</body></html>");
     }
-  }
 
-  result.response = MakeResponse(StatusCode::kNotFound, ResourceKind::kHtml,
-                                 "<html><body>Not found.</body></html>");
-  return result;
+    case ProbeKind::kNone:
+      break;
+  }
+  return MakeResponse(StatusCode::kNotFound, ResourceKind::kHtml,
+                      "<html><body>Not found.</body></html>");
 }
 
 Response ProxyServer::InstrumentPage(const Request& request, SessionState& session,
@@ -679,39 +658,41 @@ Response ProxyServer::InstrumentPage(const Request& request, SessionState& sessi
                                      bool beacon_only) {
   SpanScope span(trace, "rewrite_inject");
   InjectionPlan plan;
+  const std::string base = "http://" + config_.host + config_.instr_prefix;
 
   if (config_.enable_human_activity) {
     const ScopedDurationUs timer(m_.page_key_us);
     const std::string script_token =
-        minter_.MintFor(MintEntropy(session, request.time, 0));
+        minter_.MintFor(MintEntropy(session, request.time, ProbeKind::kBeaconScript));
     // The script itself is built only when the client fetches it.
     PageBeacon beacon = DerivePageBeacon(script_token);
     keys().Record(request.client_ip, request.url.path(), beacon.real_key, request.time);
     plan.mouse_handler_code = std::move(beacon.handler_code);
-    plan.beacon_script_url = AbsoluteInstrUrl("js_" + script_token + ".js");
+    plan.beacon_script_url = ProbeUrl(base, ProbeKind::kBeaconScript, script_token);
     plan.hook_links = config_.hook_links;
   }
   // Beacon-only is the ladder's middle rung: the cheap, high-signal probe
   // stays, the secondary rewrites are shed.
   if (!beacon_only) {
+    // A probe URL carrying a token minted for this request under its kind.
+    auto minted_url = [&](ProbeKind kind) {
+      return ProbeUrl(base, kind, minter_.MintFor(MintEntropy(session, request.time, kind)));
+    };
     if (config_.enable_ua_echo) {
       const std::string ua_token =
-          minter_.MintFor(MintEntropy(session, request.time, 1));
+          minter_.MintFor(MintEntropy(session, request.time, ProbeKind::kUaEcho));
       plan.ua_echo_script =
           GenerateUaEchoScript(config_.host, config_.instr_prefix, ua_token);
     }
     if (config_.enable_css_probe) {
-      plan.css_probe_url = AbsoluteInstrUrl(
-          "cp_" + minter_.MintFor(MintEntropy(session, request.time, 2)) + ".css");
+      plan.css_probe_url = minted_url(ProbeKind::kCssProbe);
     }
     if (config_.enable_audio_probe) {
-      plan.audio_probe_url = AbsoluteInstrUrl(
-          "ap_" + minter_.MintFor(MintEntropy(session, request.time, 3)) + ".wav");
+      plan.audio_probe_url = minted_url(ProbeKind::kAudioProbe);
     }
     if (config_.enable_hidden_link) {
-      plan.hidden_link_url = AbsoluteInstrUrl(
-          "hl_" + minter_.MintFor(MintEntropy(session, request.time, 4)) + ".html");
-      plan.transparent_image_url = AbsoluteInstrUrl("ti.jpg");
+      plan.hidden_link_url = minted_url(ProbeKind::kHiddenLink);
+      plan.transparent_image_url = ProbeUrl(base, ProbeKind::kTransparentImage);
     }
   }
 

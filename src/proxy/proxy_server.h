@@ -189,8 +189,9 @@ class ProxyServer {
   // Handle's work once the client is locked and its session found; Handle
   // fills in the session id and verdict.
   Result HandleSession(const Request& request, SessionState& session);
-  Result HandleInstrumented(const Request& request, SessionState& session, int request_index,
-                            TraceRecorder::Trace* trace);
+  // Answers a request in the probe namespace and records its signal.
+  Response HandleInstrumented(const Request& request, SessionState& session, int request_index,
+                              TraceRecorder::Trace* trace);
   Response InstrumentPage(const Request& request, SessionState& session, Response response,
                           TraceRecorder::Trace* trace, bool beacon_only);
   // Picks the rung of the degradation ladder for an origin fetch outcome.
@@ -207,7 +208,6 @@ class ProxyServer {
   // persistence).
   void NoteSessionMutation(SessionState& session);
   RequestEvent BuildEvent(const Request& request, const SessionState& session) const;
-  std::string AbsoluteInstrUrl(const std::string& stem_and_name) const;
   Verdict JudgeSession(const SessionState& session) const;
   void BindMetrics();
   void RecordVerdict(const Classification& classification);

@@ -110,19 +110,9 @@ SessionSignals ProxyCluster::CombinedSignalsFor(IpAddress ip, const std::string&
   for (const auto& node : nodes_) {
     const SessionSignals& s =
         node->sessions().Touch(SessionKey{ip, user_agent}, now)->signals();
-    merge_index(combined.css_probe_at, s.css_probe_at);
-    merge_index(combined.js_download_at, s.js_download_at);
-    merge_index(combined.js_executed_at, s.js_executed_at);
-    merge_index(combined.mouse_event_at, s.mouse_event_at);
-    merge_index(combined.wrong_key_at, s.wrong_key_at);
-    merge_index(combined.hidden_link_at, s.hidden_link_at);
-    merge_index(combined.ua_mismatch_at, s.ua_mismatch_at);
-    merge_index(combined.captcha_passed_at, s.captcha_passed_at);
-    merge_index(combined.captcha_failed_at, s.captcha_failed_at);
-    merge_index(combined.robots_txt_at, s.robots_txt_at);
-    merge_index(combined.audio_probe_at, s.audio_probe_at);
-    merge_index(combined.attested_mouse_at, s.attested_mouse_at);
-    merge_index(combined.unattested_event_at, s.unattested_event_at);
+    for (const SignalIndex& index : kSignalIndices) {
+      merge_index(combined.*index.field, s.*index.field);
+    }
     if (combined.ua_echo_agent.empty()) {
       combined.ua_echo_agent = s.ua_echo_agent;
     }

@@ -162,8 +162,8 @@ std::optional<TimeMs> HumanBrowserClient::Step(TimeMs now, Gateway& gateway) {
     }
 
     case Phase::kCaptchaFetch: {
-      const Url url = Url::Make(site_->host(), gateway.proxy_config().instr_prefix +
-                                                   "captcha.html");
+      const std::string& prefix = gateway.proxy_config().instr_prefix;
+      const Url url = Url::Make(site_->host(), ProbeUrl(prefix, ProbeKind::kCaptchaPage));
       Gateway::FetchResult result =
           gateway.Fetch(identity(), Method::kGet, url, current_page_.ToString(), stats_ptr());
       const auto answer = CaptchaService::ReadAnswerFromBody(result.response.body);
@@ -171,10 +171,10 @@ std::optional<TimeMs> HumanBrowserClient::Step(TimeMs now, Gateway& gateway) {
       captcha_token_.clear();
       HtmlDocument doc(result.response.body);
       for (const LinkRef& link : doc.Links()) {
-        const size_t at = link.href.find("captcha_");
-        const size_t end = link.href.find(".cgi");
-        if (at != std::string::npos && end != std::string::npos && end > at) {
-          captcha_token_ = link.href.substr(at + 8, end - at - 8);
+        const Url target = url.Resolve(link.href);
+        const ParsedProbe probe = ParseProbePath(target.path(), prefix);
+        if (probe.kind == ProbeKind::kCaptchaSubmit) {
+          captcha_token_ = probe.name;
           break;
         }
       }
@@ -188,10 +188,10 @@ std::optional<TimeMs> HumanBrowserClient::Step(TimeMs now, Gateway& gateway) {
     }
 
     case Phase::kCaptchaSubmit: {
-      const Url url = Url::Make(site_->host(),
-                                gateway.proxy_config().instr_prefix + "captcha_" +
-                                    captcha_token_ + ".cgi",
-                                "ans=" + captcha_answer_);
+      const Url url = Url::Make(
+          site_->host(),
+          ProbeUrl(gateway.proxy_config().instr_prefix, ProbeKind::kCaptchaSubmit, captcha_token_),
+          "ans=" + captcha_answer_);
       gateway.Fetch(identity(), Method::kGet, url, current_page_.ToString(), stats_ptr());
       phase_ = Phase::kNextPage;
       return config_.think_time_mean;

@@ -18,11 +18,18 @@ constexpr size_t kMaxCsvLineBytes = 64 * 1024;
 constexpr size_t kMaxCsvSessions = 4u << 20;
 constexpr size_t kMaxCsvEventsPerSession = 1u << 16;
 
-constexpr char kSessionsHeader[] =
-    "session_id,client_type,truly_human,request_count,instrumented_pages,"
-    "css_probe_at,js_download_at,js_executed_at,mouse_event_at,wrong_key_at,"
-    "hidden_link_at,ua_mismatch_at,captcha_passed_at,captcha_failed_at,"
-    "robots_txt_at,audio_probe_at,ua_echo_agent,first_request_ms,last_request_ms";
+// Sessions CSV: five record columns, one per kSignalIndices entry, then the
+// echoed agent and the two timestamps.
+constexpr size_t kSignalColumn = 5;
+constexpr size_t kAgentColumn = kSignalColumn + std::size(kSignalIndices);
+
+std::string SessionsHeader() {
+  std::string header = "session_id,client_type,truly_human,request_count,instrumented_pages,";
+  for (const SignalIndex& index : kSignalIndices) {
+    header.append(index.name).push_back(',');
+  }
+  return header + "ua_echo_agent,first_request_ms,last_request_ms";
+}
 
 constexpr char kEventsHeader[] =
     "session_id,seq,kind,status_class,is_head,has_referrer,unseen_referrer,"
@@ -48,16 +55,15 @@ bool WriteSessionsCsv(const std::string& path, const std::vector<SessionRecord>&
   if (!out) {
     return false;
   }
-  out << kSessionsHeader << '\n';
+  out << SessionsHeader() << '\n';
   for (const SessionRecord& r : records) {
     const SessionSignals& s = r.signals();
     out << r.session_id << ',' << CsvField(r.client_type) << ',' << (r.truly_human ? 1 : 0)
-        << ',' << r.request_count() << ',' << r.observation.instrumented_pages << ','
-        << s.css_probe_at << ',' << s.js_download_at << ',' << s.js_executed_at << ','
-        << s.mouse_event_at << ',' << s.wrong_key_at << ',' << s.hidden_link_at << ','
-        << s.ua_mismatch_at << ',' << s.captcha_passed_at << ',' << s.captcha_failed_at << ','
-        << s.robots_txt_at << ',' << s.audio_probe_at << ',' << CsvField(s.ua_echo_agent)
-        << ',' << r.first_request << ',' << r.last_request << '\n';
+        << ',' << r.request_count() << ',' << r.observation.instrumented_pages << ',';
+    for (const SignalIndex& index : kSignalIndices) {
+      out << s.*index.field << ',';
+    }
+    out << CsvField(s.ua_echo_agent) << ',' << r.first_request << ',' << r.last_request << '\n';
   }
   return static_cast<bool>(out);
 }
@@ -89,7 +95,7 @@ bool ReadRecordsCsv(const std::string& sessions_path, const std::string& events_
     return false;
   }
   std::string line;
-  if (!std::getline(sessions, line) || line != kSessionsHeader) {
+  if (!std::getline(sessions, line) || line != SessionsHeader()) {
     return false;
   }
   std::map<uint64_t, size_t> index_by_id;
@@ -101,7 +107,7 @@ bool ReadRecordsCsv(const std::string& sessions_path, const std::string& events_
       return false;
     }
     const std::vector<std::string> f = Split(line, ',');
-    if (f.size() != 19) {
+    if (f.size() != kAgentColumn + 3) {
       return false;
     }
     SessionRecord r;
@@ -112,8 +118,8 @@ bool ReadRecordsCsv(const std::string& sessions_path, const std::string& events_
     r.session_id = *id;
     r.client_type = f[1];
     r.truly_human = f[2] == "1";
-    // Numeric columns 3..15 are non-negative ints; reject values that would
-    // wrap on the narrowing cast.
+    // Numeric columns are non-negative ints; reject values that would wrap
+    // on the narrowing cast.
     auto as_int = [&f](size_t i, int* v) {
       const auto parsed = ParseU64(f[i]);
       if (!parsed.has_value() ||
@@ -124,26 +130,17 @@ bool ReadRecordsCsv(const std::string& sessions_path, const std::string& events_
       return true;
     };
     SessionSignals& s = r.observation.signals;
-    int ok = 1;
-    ok &= as_int(3, &r.observation.request_count) ? 1 : 0;
-    ok &= as_int(4, &r.observation.instrumented_pages) ? 1 : 0;
-    ok &= as_int(5, &s.css_probe_at) ? 1 : 0;
-    ok &= as_int(6, &s.js_download_at) ? 1 : 0;
-    ok &= as_int(7, &s.js_executed_at) ? 1 : 0;
-    ok &= as_int(8, &s.mouse_event_at) ? 1 : 0;
-    ok &= as_int(9, &s.wrong_key_at) ? 1 : 0;
-    ok &= as_int(10, &s.hidden_link_at) ? 1 : 0;
-    ok &= as_int(11, &s.ua_mismatch_at) ? 1 : 0;
-    ok &= as_int(12, &s.captcha_passed_at) ? 1 : 0;
-    ok &= as_int(13, &s.captcha_failed_at) ? 1 : 0;
-    ok &= as_int(14, &s.robots_txt_at) ? 1 : 0;
-    ok &= as_int(15, &s.audio_probe_at) ? 1 : 0;
-    if (ok == 0) {
+    bool ok = as_int(3, &r.observation.request_count) &&
+              as_int(4, &r.observation.instrumented_pages);
+    for (size_t i = 0; i < std::size(kSignalIndices); ++i) {
+      ok = ok && as_int(kSignalColumn + i, &(s.*kSignalIndices[i].field));
+    }
+    if (!ok) {
       return false;
     }
-    s.ua_echo_agent = f[16];
-    const auto first = ParseU64(f[17]);
-    const auto last = ParseU64(f[18]);
+    s.ua_echo_agent = f[kAgentColumn];
+    const auto first = ParseU64(f[kAgentColumn + 1]);
+    const auto last = ParseU64(f[kAgentColumn + 2]);
     constexpr uint64_t kMaxTime =
         static_cast<uint64_t>(std::numeric_limits<TimeMs>::max());
     if (!first.has_value() || !last.has_value() || *first > kMaxTime || *last > kMaxTime) {

@@ -18,7 +18,6 @@ std::string FillerBody(const std::string& path, size_t lo, size_t hi) {
 }  // namespace
 
 Response OriginServer::Handle(const Request& request) {
-  ++requests_served_;
   const std::string& path = request.url.path();
 
   // Bulletin board: a page of recent posts plus a POST endpoint.
@@ -69,7 +68,6 @@ Response OriginServer::Handle(const Request& request) {
     return MakeResponse(StatusCode::kOk, ResourceKind::kImage, FillerBody(path, 8000, 60000));
   }
 
-  ++not_found_;
   return MakeResponse(StatusCode::kNotFound, ResourceKind::kHtml,
                       "<html><body>Not found: " + path + "</body></html>");
 }

@@ -31,18 +31,12 @@ class OriginServer {
   // is layered on top (see sim/fault_injector.h).
   OriginResult HandleOrigin(const Request& request);
 
-  // Counters for sanity checks and reports.
-  uint64_t requests_served() const { return requests_served_; }
-  uint64_t not_found() const { return not_found_; }
-
  private:
   Response HandleBoard(const Request& request);
 
   const SiteModel* site_;  // Not owned.
   std::vector<std::string> board_posts_;
   uint64_t board_posts_total_ = 0;
-  uint64_t requests_served_ = 0;
-  uint64_t not_found_ = 0;
 };
 
 }  // namespace robodet

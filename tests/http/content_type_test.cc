@@ -48,19 +48,5 @@ TEST(ContentTypeTest, MimeTypes) {
   EXPECT_EQ(MimeTypeFor(ResourceKind::kRobotsTxt), "text/plain");
 }
 
-TEST(ContentTypeTest, EmbeddedObjectKinds) {
-  EXPECT_TRUE(IsEmbeddedObjectKind(ResourceKind::kCss));
-  EXPECT_TRUE(IsEmbeddedObjectKind(ResourceKind::kImage));
-  EXPECT_TRUE(IsEmbeddedObjectKind(ResourceKind::kJavaScript));
-  EXPECT_TRUE(IsEmbeddedObjectKind(ResourceKind::kAudio));
-  EXPECT_FALSE(IsEmbeddedObjectKind(ResourceKind::kHtml));
-  EXPECT_FALSE(IsEmbeddedObjectKind(ResourceKind::kCgi));
-}
-
-TEST(ContentTypeTest, KindNamesDistinct) {
-  EXPECT_EQ(ResourceKindName(ResourceKind::kCss), "css");
-  EXPECT_EQ(ResourceKindName(ResourceKind::kFavicon), "favicon");
-}
-
 }  // namespace
 }  // namespace robodet

@@ -77,6 +77,19 @@ TEST(WireKeepAliveTest, ConnectionHeaderSemantics) {
   EXPECT_FALSE(WantKeepAlive(shouty, true));
 }
 
+TEST(WireKeepAliveTest, CloseWinsOverKeepAlive) {
+  // RFC 9112 §9.3: a close token anywhere means close.
+  Headers one_line;
+  one_line.Set("Connection", "keep-alive, close");
+  EXPECT_FALSE(WantKeepAlive(one_line, true));
+  EXPECT_FALSE(WantKeepAlive(one_line, false));
+  Headers two_lines;
+  two_lines.Add("Connection", "keep-alive");
+  two_lines.Add("Connection", "close");
+  EXPECT_FALSE(WantKeepAlive(two_lines, true));
+  EXPECT_FALSE(WantKeepAlive(two_lines, false));
+}
+
 TEST(WireRoundTripTest, ResponseSurvives) {
   Response response = MakeHtmlResponse("<html><body>x</body></html>");
   response.headers.Set("Cache-Control", "no-cache, no-store");

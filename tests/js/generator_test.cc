@@ -116,26 +116,63 @@ TEST(UaEchoTest, ExecutionWritesStylesheetWithTokenAndAgent) {
   EXPECT_NE(written.find(".css"), std::string::npos);
 }
 
-TEST(ExtractTest, BeaconKey) {
-  EXPECT_EQ(ExtractBeaconKey("/__rd/bk_aabb.jpg", "/__rd/"), "aabb");
-  EXPECT_EQ(ExtractBeaconKey("/__rd/bk_.jpg", "/__rd/"), "");
-  EXPECT_EQ(ExtractBeaconKey("/other/bk_aabb.jpg", "/__rd/"), "");
-  EXPECT_EQ(ExtractBeaconKey("/__rd/bk_aabb.png", "/__rd/"), "");
-  EXPECT_EQ(ExtractBeaconKey("/__rd/cp_aabb.css", "/__rd/"), "");
+struct ParseCase {
+  std::string path;
+  ProbeKind kind;
+  std::string name;
+  std::string agent;
+};
+
+TEST(ProbePathTest, ParsesEachShape) {
+  const ParseCase cases[] = {
+      {"/__rd/bk_aabb.jpg", ProbeKind::kBeaconImage, "aabb", ""},
+      {"/__rd/bk_.jpg", ProbeKind::kNone, "", ""},  // Empty key.
+      {"/other/bk_aabb.jpg", ProbeKind::kNone, "", ""},
+      {"/__rd/bk_aabb.png", ProbeKind::kNone, "", ""},
+      {"/__rd/cp_aabb.css", ProbeKind::kCssProbe, "aabb", ""},
+      {"/__rd/ua_tok123_mozilla-5.0firefox.css", ProbeKind::kUaEcho, "tok123",
+       "mozilla-5.0firefox"},
+      {"/__rd/ua_only.css", ProbeKind::kUaEcho, "only", ""},
+      {"/__rd/ua__agent.css", ProbeKind::kNone, "", ""},  // No token.
+      {"/__rd/js_tok.js", ProbeKind::kBeaconScript, "tok", ""},
+      {"/__rd/js_.js", ProbeKind::kNone, "", ""},
+      {"/__rd/js_tok.css", ProbeKind::kNone, "", ""},
+      // The longer stem wins; a captcha_img_ name with .cgi is a submission.
+      {"/__rd/captcha_img_tok.jpg", ProbeKind::kCaptchaImage, "tok", ""},
+      {"/__rd/captcha_tok.cgi", ProbeKind::kCaptchaSubmit, "tok", ""},
+      {"/__rd/captcha_img_tok.cgi", ProbeKind::kCaptchaSubmit, "img_tok", ""},
+      {"/__rd/captcha.html", ProbeKind::kCaptchaPage, "", ""},
+      {"/__rd/ti.jpg", ProbeKind::kTransparentImage, "", ""},
+      {"/__rd/ti.jpgx", ProbeKind::kNone, "", ""},
+      {"/__rd/", ProbeKind::kNone, "", ""},
+  };
+  for (const ParseCase& c : cases) {
+    const ParsedProbe parsed = ParseProbePath(c.path, "/__rd/");
+    EXPECT_EQ(parsed.kind, c.kind) << c.path;
+    EXPECT_EQ(parsed.name, c.name) << c.path;
+    EXPECT_EQ(parsed.agent, c.agent) << c.path;
+    EXPECT_EQ(ExtractBeaconKey(c.path, "/__rd/"),
+              c.kind == ProbeKind::kBeaconImage ? c.name : "")
+        << c.path;
+  }
 }
 
-TEST(ExtractTest, UaEchoTokenAndAgent) {
-  const std::string path = "/__rd/ua_tok123_mozilla-5.0firefox.css";
-  EXPECT_EQ(ExtractUaEchoToken(path, "/__rd/"), "tok123");
-  EXPECT_EQ(ExtractUaEchoAgent(path, "/__rd/"), "mozilla-5.0firefox");
-  EXPECT_EQ(ExtractUaEchoToken("/__rd/ua_only.css", "/__rd/"), "only");
-  EXPECT_EQ(ExtractUaEchoAgent("/__rd/ua_only.css", "/__rd/"), "");
-}
-
-TEST(ExtractTest, StemName) {
-  EXPECT_EQ(ExtractStemName("/__rd/js_tok.js", "/__rd/", "js_", ".js"), "tok");
-  EXPECT_EQ(ExtractStemName("/__rd/js_tok.js", "/__rd/", "cp_", ".css"), "");
-  EXPECT_EQ(ExtractStemName("/__rd/js_.js", "/__rd/", "js_", ".js"), "");
+TEST(ProbePathTest, BuildThenParseRoundTripsEveryKind) {
+  for (int k = 0; k < static_cast<int>(ProbeKind::kNone); ++k) {
+    const auto kind = static_cast<ProbeKind>(k);
+    const bool fixed = kind == ProbeKind::kCaptchaPage || kind == ProbeKind::kTransparentImage;
+    const std::string name = fixed ? "" : kind == ProbeKind::kUaEcho ? "tok123_agent" : "tok123";
+    const std::string path = ProbeUrl("/__rd/", kind, name);
+    const ParsedProbe parsed = ParseProbePath(path, "/__rd/");
+    EXPECT_EQ(parsed.kind, kind) << path;
+    EXPECT_EQ(parsed.name, fixed ? "" : "tok123") << path;
+    EXPECT_EQ(parsed.agent, kind == ProbeKind::kUaEcho ? "agent" : "") << path;
+    // An absolute URL is the same path behind the scheme and host.
+    EXPECT_EQ(ProbeUrl("http://www.example.com/__rd/", kind, name),
+              "http://www.example.com" + path);
+  }
+  EXPECT_EQ(ProbeUrl("/__rd/", ProbeKind::kCssProbe, "t"), "/__rd/cp_t.css");
+  EXPECT_EQ(ProbeUrl("/__rd/", ProbeKind::kTransparentImage), "/__rd/ti.jpg");
 }
 
 }  // namespace

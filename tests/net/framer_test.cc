@@ -55,6 +55,14 @@ TEST(FramerTest, ConnectionSemantics) {
   const FramedRequest close_11 = FrameRequest("GET / HTTP/1.1\r\nConnection: close\r\n\r\n");
   EXPECT_TRUE(close_11.http11);
   EXPECT_FALSE(close_11.keep_alive);
+
+  // A close token wins over keep-alive, in one line or across two.
+  const FramedRequest both_one_line =
+      FrameRequest("GET / HTTP/1.1\r\nConnection: keep-alive, close\r\n\r\n");
+  EXPECT_FALSE(both_one_line.keep_alive);
+  const FramedRequest both_two_lines = FrameRequest(
+      "GET / HTTP/1.1\r\nConnection: keep-alive\r\nConnection: close\r\n\r\n");
+  EXPECT_FALSE(both_two_lines.keep_alive);
 }
 
 TEST(FramerTest, OversizedRequestLineRejected431) {

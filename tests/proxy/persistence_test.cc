@@ -66,11 +66,11 @@ std::string Fingerprint(KeyTable& keys, SessionTable& sessions) {
         << ss.request_count() << ' ' << ss.instrumented_pages() << ' ' << ss.blocked() << ' '
         << ss.cgi_requests() << ' ' << ss.get_requests() << ' ' << ss.error_responses();
       const SessionSignals& g = ss.signals();
-      r << " sig:" << g.css_probe_at << ',' << g.js_download_at << ',' << g.js_executed_at
-        << ',' << g.mouse_event_at << ',' << g.wrong_key_at << ',' << g.hidden_link_at << ','
-        << g.ua_mismatch_at << ',' << g.captcha_passed_at << ',' << g.captcha_failed_at << ','
-        << g.robots_txt_at << ',' << g.audio_probe_at << ',' << g.attested_mouse_at << ','
-        << g.unattested_event_at << ',' << g.ua_echo_agent;
+      r << " sig:";
+      for (const SignalIndex& index : kSignalIndices) {
+        r << g.*index.field << ',';
+      }
+      r << g.ua_echo_agent;
       r << " ev:";
       for (const RequestEvent& e : ss.events()) {
         r << static_cast<int>(e.kind) << '/' << static_cast<int>(e.status_class) << '/'

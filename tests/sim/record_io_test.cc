@@ -7,6 +7,10 @@
 #include <fstream>
 #include <unistd.h>
 
+#include "src/core/combined_classifier.h"
+#include "src/proxy/persistence/format.h"
+#include "src/sim/cluster.h"
+
 namespace robodet {
 namespace {
 
@@ -126,6 +130,76 @@ TEST_F(RecordIoTest, EventForUnknownSessionFails) {
   ASSERT_TRUE(WriteEventsCsv(events_path_, records));
   std::vector<SessionRecord> loaded;
   EXPECT_FALSE(ReadRecordsCsv(sessions_path_, events_path_, &loaded));
+}
+
+// Every index of the signal table, each set to a distinct nonzero value,
+// survives every layer that stores, exports or merges the indices.
+TEST_F(RecordIoTest, EverySignalIndexSurvivesEveryLayer) {
+  SessionSignals want;
+  int value = 2;
+  for (const SignalIndex& index : kSignalIndices) {
+    want.*index.field = value++;
+  }
+  want.ua_echo_agent = "mozilla-5.0firefox";
+  auto expect_all = [&want](const SessionSignals& got, const char* layer) {
+    for (const SignalIndex& index : kSignalIndices) {
+      EXPECT_EQ(got.*index.field, want.*index.field) << layer << ": " << index.name;
+    }
+    EXPECT_EQ(got.ua_echo_agent, want.ua_echo_agent) << layer;
+  };
+
+  // Snapshot codec.
+  persistence::SessionImage image;
+  image.signals = want;
+  ByteWriter writer;
+  persistence::EncodeSession(image, &writer);
+  const std::string bytes = writer.Take();
+  ByteReader reader(bytes);
+  persistence::SessionImage decoded;
+  ASSERT_TRUE(persistence::DecodeSession(&reader, &decoded));
+  expect_all(decoded.signals, "snapshot");
+
+  // Journal: a journaled session update, recovered after a crash.
+  const SessionKey key{IpAddress(0x0a000001), "ua"};
+  auto origin = [](const Request&) { return MakeHtmlResponse("<html></html>"); };
+  ProxyConfig durable;
+  durable.persistence.state_dir = (dir_ / "state").string();
+  ProxyServer proxy(durable, nullptr, origin);
+  SessionState* session = proxy.sessions().Touch(key, 100);
+  session->signals() = want;
+  proxy.state_store()->OnSessionUpdated(*session);
+  proxy.SimulateCrashRestart(200);
+  EXPECT_EQ(proxy.state_store()->last_recovery().journal_records_applied, 1u);
+  expect_all(proxy.sessions().Touch(key, 200)->signals(), "journal");
+
+  // Sessions CSV. The second record's synthesized input event is its only
+  // robot evidence: without that column it would read back human.
+  SessionRecord record = MakeRecord(1, false);
+  record.observation.signals = want;
+  SessionRecord synthesized = MakeRecord(2, true);
+  synthesized.observation.signals.unattested_event_at = 11;
+  const CombinedClassifier classifier;
+  ASSERT_EQ(classifier.ClassifyOnline(synthesized.observation).verdict, Verdict::kRobot);
+  ASSERT_TRUE(WriteSessionsCsv(sessions_path_, {record, synthesized}));
+  ASSERT_TRUE(WriteEventsCsv(events_path_, {record, synthesized}));
+  std::vector<SessionRecord> loaded;
+  ASSERT_TRUE(ReadRecordsCsv(sessions_path_, events_path_, &loaded));
+  ASSERT_EQ(loaded.size(), 2u);
+  expect_all(loaded[0].signals(), "csv");
+  EXPECT_EQ(classifier.ClassifyOnline(loaded[1].observation).verdict, Verdict::kRobot);
+
+  // Cluster merge: the earliest index any node saw.
+  SimClock clock;
+  ProxyCluster::Config two_nodes;
+  two_nodes.nodes = 2;
+  ProxyCluster cluster(two_nodes, ProxyConfig{}, &clock, origin, 1);
+  cluster.node(0).sessions().Touch(key, 100)->signals() = want;
+  SessionSignals later = want;
+  for (const SignalIndex& index : kSignalIndices) {
+    later.*index.field += 50;
+  }
+  cluster.node(1).sessions().Touch(key, 100)->signals() = later;
+  expect_all(cluster.CombinedSignalsFor(key.ip, key.user_agent, 100), "cluster");
 }
 
 TEST_F(RecordIoTest, UnwritablePathFails) {

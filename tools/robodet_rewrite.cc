@@ -1,10 +1,14 @@
-// robodet_rewrite: instrument a single HTML document from a file or stdin
-// and print the rewritten page — the §2 transformation in isolation, for
-// eyeballing what the proxy actually injects.
+// robodet_rewrite: serve one HTML document, from a file or stdin, through a
+// ProxyServer whose origin returns it, and print the page the proxy serves:
+// the §2 transformation in isolation, for eyeballing what the proxy injects.
 //
 // Usage:
 //   robodet_rewrite [--in=page.html] [--host=www.example.com]
-//       [--decoys=4] [--obf=2] [--seed=1] [--show-script]
+//       [--decoys=4] [--seed=1] [--show-script]
+//
+// --seed is the proxy's secret, from which every token and key derives.
+// --show-script fetches the page's beacon script through the same proxy and
+// prints it with its real key.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -20,7 +24,7 @@ int main(int argc, char** argv) {
   if (flags.GetBool("help")) {
     std::fprintf(stderr,
                  "usage: robodet_rewrite [--in=page.html] [--host=H] [--decoys=M] "
-                 "[--obf=0..4] [--seed=S] [--show-script]\n");
+                 "[--seed=S] [--show-script]\n");
     return 0;
   }
 
@@ -40,43 +44,50 @@ int main(int argc, char** argv) {
     html = buffer.str();
   }
 
-  const std::string host = flags.GetString("host", "www.example.com");
-  const std::string prefix = "/__rd/";
-  Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 1)));
-
-  // Generate the beacon exactly as the proxy would.
-  BeaconSpec spec;
-  spec.host = host;
-  spec.path_prefix = prefix;
-  spec.real_key = rng.HexKey128();
-  const long decoys = flags.GetInt("decoys", 4);
-  for (long i = 0; i < decoys; ++i) {
-    spec.decoy_keys.push_back(rng.HexKey128());
+  ProxyConfig config;
+  config.host = flags.GetString("host", config.host);
+  const long decoys = flags.GetInt("decoys", static_cast<long>(config.num_decoys));
+  if (decoys < 0) {
+    std::fprintf(stderr, "error: --decoys=%ld must not be negative\n", decoys);
+    return 2;
   }
-  spec.obfuscation_level = static_cast<int>(flags.GetInt("obf", 2));
-  spec.pad_to_bytes = 1024;
-  const GeneratedBeacon beacon = GenerateBeaconScript(spec, rng);
+  config.num_decoys = static_cast<size_t>(decoys);
+  config.secret = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  SimClock clock;
+  ProxyServer proxy(config, &clock,
+                    [&html](const Request&) { return MakeHtmlResponse(html); });
+  auto get = [&](const Url& url) {
+    Request request;
+    request.client_ip = IpAddress(0x0a000001);  // 10.0.0.1
+    request.url = url;
+    request.time = clock.Now();
+    return proxy.Handle(request).response;
+  };
 
-  TokenMinter minter(0xbeef, &rng);
-  InjectionPlan plan;
-  plan.beacon_script_url = "http://" + host + prefix + "js_" + minter.Mint() + ".js";
-  plan.mouse_handler_code = beacon.handler_code;
-  plan.ua_echo_script = GenerateUaEchoScript(host, prefix, minter.Mint());
-  plan.css_probe_url = "http://" + host + prefix + "cp_" + minter.Mint() + ".css";
-  plan.hidden_link_url = "http://" + host + prefix + "hl_" + minter.Mint() + ".html";
-  plan.transparent_image_url = "http://" + host + prefix + "ti.jpg";
+  const Response page = get(Url::Make(config.host, "/"));
+  std::fputs(page.body.c_str(), stdout);
+  std::fprintf(stderr, "\n-- robodet_rewrite: +%zu bytes (%zu decoys)\n",
+               page.body.size() - html.size(), config.num_decoys);
 
-  const InjectionResult result = InstrumentHtml(html, plan);
-  std::fputs(result.html.c_str(), stdout);
-
-  std::fprintf(stderr,
-               "\n-- robodet_rewrite: +%zu bytes; handler=\"%s\"; real beacon key %s "
-               "(%ld decoys)\n",
-               result.added_bytes, beacon.handler_code.c_str(), spec.real_key.c_str(),
-               decoys);
   if (flags.GetBool("show-script")) {
-    std::fprintf(stderr, "-- beacon script (%zu bytes):\n%s\n",
-                 beacon.script_source.size(), beacon.script_source.c_str());
+    for (const EmbedRef& embed : HtmlDocument(page.body).EmbeddedObjects()) {
+      const auto url = Url::Parse(embed.url);
+      if (!url.has_value()) {
+        continue;
+      }
+      const ParsedProbe probe = ParseProbePath(url->path(), config.instr_prefix);
+      if (probe.kind != ProbeKind::kBeaconScript) {
+        continue;
+      }
+      std::string key;
+      proxy.BuildBeaconForToken(probe.name, &key);
+      const Response script = get(*url);
+      std::fprintf(stderr, "-- beacon script %s (%zu bytes), real key %s:\n%s\n",
+                   url->ToString().c_str(), script.body.size(), key.c_str(),
+                   script.body.c_str());
+      return 0;
+    }
+    std::fprintf(stderr, "-- the served page carries no beacon script\n");
   }
   return 0;
 }
