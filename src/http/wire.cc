@@ -5,81 +5,150 @@
 namespace robodet {
 namespace {
 
-// Consumes one line terminated by CRLF (or bare LF, which real traffic
-// contains); returns the line without the terminator and advances `pos`.
-std::optional<std::string_view> NextLine(std::string_view text, size_t& pos) {
-  if (pos >= text.size()) {
-    return std::nullopt;
-  }
-  const size_t lf = text.find('\n', pos);
+FramedRequest Error(StatusCode status, std::string message) {
+  FramedRequest framed;
+  framed.status = FrameStatus::kError;
+  framed.error_status = status;
+  framed.error = std::move(message);
+  return framed;
+}
+
+// Takes the line at `*pos`, terminated by CRLF or by the bare LF real
+// traffic contains, into `*line` without its terminator and moves `*pos`
+// past it. kNeedMore while the LF has not arrived; kError when the line,
+// complete or not, is longer than any legal one.
+FrameStatus TakeLine(std::string_view buffer, size_t* pos, std::string_view* line) {
+  const size_t lf = buffer.find('\n', *pos);
   if (lf == std::string_view::npos) {
-    return std::nullopt;
+    return buffer.size() - *pos > kMaxWireLineBytes ? FrameStatus::kError
+                                                    : FrameStatus::kNeedMore;
   }
   size_t end = lf;
-  if (end > pos && text[end - 1] == '\r') {
+  if (end > *pos && buffer[end - 1] == '\r') {
     --end;
   }
-  std::string_view line = text.substr(pos, end - pos);
-  pos = lf + 1;
-  return line;
+  *line = buffer.substr(*pos, end - *pos);
+  *pos = lf + 1;
+  return line->size() > kMaxWireLineBytes ? FrameStatus::kError : FrameStatus::kComplete;
 }
 
-// Parses the header block starting at `pos`; stops after the blank line.
-// Returns false (with error filled) on syntactically broken headers.
-bool ParseHeaderBlock(std::string_view text, size_t& pos, Headers* headers,
-                      WireParseError* error) {
-  size_t count = 0;
-  for (;;) {
-    const size_t line_start = pos;
-    const auto line = NextLine(text, pos);
-    if (!line.has_value()) {
-      error->message = "truncated header block (no blank line)";
-      error->offset = line_start;
-      return false;
-    }
-    if (line->empty()) {
-      return true;  // End of headers.
-    }
-    if (line->size() > kMaxWireLineBytes) {
-      error->message = "header line exceeds limit";
-      error->offset = line_start;
-      return false;
-    }
-    if (++count > kMaxWireHeaderCount) {
-      error->message = "too many header lines";
-      error->offset = line_start;
-      return false;
-    }
-    const size_t colon = line->find(':');
-    if (colon == std::string_view::npos || colon == 0) {
-      error->message = "malformed header line";
-      error->offset = line_start;
-      return false;
-    }
-    const std::string_view name = TrimWhitespace(line->substr(0, colon));
-    const std::string_view value = TrimWhitespace(line->substr(colon + 1));
-    if (name.empty() || name.find(' ') != std::string_view::npos) {
-      error->message = "malformed header name";
-      error->offset = line_start;
-      return false;
-    }
-    headers->Add(name, value);
+// "METHOD SP target SP HTTP/1.x" into `framed`. Returns what is wrong with
+// the line, or "" when it is valid.
+std::string ParseRequestLine(std::string_view line, FramedRequest* framed) {
+  const size_t sp1 = line.find(' ');
+  const size_t sp2 = sp1 == std::string_view::npos ? sp1 : line.find(' ', sp1 + 1);
+  if (sp2 == std::string_view::npos || line.find(' ', sp2 + 1) != std::string_view::npos) {
+    return "request line must be 'METHOD target HTTP/1.x'";
   }
-}
-
-bool IsHttpVersion(std::string_view token) {
-  return token == "HTTP/1.0" || token == "HTTP/1.1";
+  const std::string_view method = line.substr(0, sp1);
+  const std::string_view version = line.substr(sp2 + 1);
+  const auto parsed = ParseMethod(method);
+  if (!parsed.has_value()) {
+    return "unknown method '" + std::string(method) + "'";
+  }
+  if (version != "HTTP/1.0" && version != "HTTP/1.1") {
+    return "unsupported protocol version '" + std::string(version) + "'";
+  }
+  framed->method = *parsed;
+  framed->target = line.substr(sp1 + 1, sp2 - sp1 - 1);
+  framed->http11 = version == "HTTP/1.1";
+  return "";
 }
 
 }  // namespace
 
-bool WantKeepAlive(const Headers& headers, bool http11) {
+FramedRequest FrameRequest(std::string_view buffer) {
+  FramedRequest framed;
+  size_t pos = 0;
+  std::string_view line;
+  switch (TakeLine(buffer, &pos, &line)) {
+    case FrameStatus::kNeedMore:
+      return {};
+    case FrameStatus::kError:
+      return Error(StatusCode::kHeaderFieldsTooLarge, "request line exceeds limit");
+    case FrameStatus::kComplete:
+      break;
+  }
+  if (std::string error = ParseRequestLine(line, &framed); !error.empty()) {
+    return Error(StatusCode::kBadRequest, std::move(error));
+  }
+
+  std::optional<uint64_t> content_length;
+  framed.headers.reserve(16);
+  for (;;) {
+    switch (TakeLine(buffer, &pos, &line)) {
+      case FrameStatus::kNeedMore:
+        return {};  // Header block still arriving.
+      case FrameStatus::kError:
+        return Error(StatusCode::kHeaderFieldsTooLarge, "header line exceeds limit");
+      case FrameStatus::kComplete:
+        break;
+    }
+    if (line.empty()) {
+      break;  // End of headers.
+    }
+    if (framed.headers.size() == kMaxWireHeaderCount) {
+      return Error(StatusCode::kHeaderFieldsTooLarge, "too many header lines");
+    }
+    // RFC 9112 §5.2: a server must reject obs-fold (or rewrite it, which
+    // would give a smuggled header a second reading).
+    if (line[0] == ' ' || line[0] == '\t') {
+      return Error(StatusCode::kBadRequest, "obsolete line folding");
+    }
+    const size_t colon = line.find(':');
+    if (colon == std::string_view::npos || colon == 0) {
+      return Error(StatusCode::kBadRequest, "malformed header line");
+    }
+    // RFC 9112 §5.1: no whitespace between the name and the colon, which
+    // is how "Content-Length : 5" slips past a proxy that trims it.
+    const std::string_view name = line.substr(0, colon);
+    if (name.find_first_of(" \t\r\v\f") != std::string_view::npos) {
+      return Error(StatusCode::kBadRequest, "malformed header name");
+    }
+    const std::string_view value = TrimWhitespace(line.substr(colon + 1));
+    framed.headers.push_back({name, value});
+    if (EqualsIgnoreCase(name, "Content-Length")) {
+      const auto parsed = ParseU64(value);
+      if (!parsed.has_value()) {
+        return Error(StatusCode::kBadRequest, "malformed Content-Length");
+      }
+      if (content_length.has_value() && *content_length != *parsed) {
+        // Conflicting lengths are a request-smuggling vector, not a typo.
+        return Error(StatusCode::kBadRequest, "conflicting Content-Length headers");
+      }
+      content_length = *parsed;
+    } else if (EqualsIgnoreCase(name, "Transfer-Encoding")) {
+      // No chunked *request* bodies: a proxy that guessed wrong about
+      // which framing wins is how smuggling attacks work. Clients that
+      // need a body state its length.
+      return Error(StatusCode::kBadRequest, "chunked request bodies not supported");
+    }
+  }
+
+  framed.keep_alive = WantKeepAlive(framed.headers, framed.http11);
+  if (content_length.has_value()) {
+    if (*content_length > kMaxWireBodyBytes) {
+      // Rejected on the declaration — the body is never buffered.
+      return Error(StatusCode::kPayloadTooLarge, "declared body exceeds limit");
+    }
+    framed.body_bytes = static_cast<size_t>(*content_length);
+  }
+  if (buffer.size() - pos < framed.body_bytes) {
+    return {};  // Body still arriving.
+  }
+  framed.status = FrameStatus::kComplete;
+  framed.body = buffer.substr(pos, framed.body_bytes);
+  framed.consumed = pos + framed.body_bytes;
+  return framed;
+}
+
+bool WantKeepAlive(std::span<const HeaderField> fields, bool http11) {
   bool keep_alive = http11;
-  for (const auto& [name, value] : headers.entries()) {
-    if (!EqualsIgnoreCase(name, "Connection")) {
+  for (const HeaderField& field : fields) {
+    if (!EqualsIgnoreCase(field.name, "Connection")) {
       continue;
     }
-    for (const std::string& token : Split(value, ',')) {
+    for (const std::string& token : Split(field.value, ',')) {
       const std::string_view trimmed = TrimWhitespace(token);
       if (EqualsIgnoreCase(trimmed, "close")) {
         return false;
@@ -90,74 +159,54 @@ bool WantKeepAlive(const Headers& headers, bool http11) {
   return keep_alive;
 }
 
-WireResult<Request> ParseRequestText(std::string_view text) {
+WireResult<Request> BuildRequest(const FramedRequest& framed) {
   WireResult<Request> result;
-  size_t pos = 0;
-  const auto start_line = NextLine(text, pos);
-  if (!start_line.has_value()) {
-    result.error = {"missing request line", 0};
-    return result;
-  }
-  if (start_line->size() > kMaxWireLineBytes) {
-    result.error = {"request line exceeds limit", 0};
-    return result;
-  }
-  const std::vector<std::string> parts = Split(*start_line, ' ');
-  if (parts.size() != 3) {
-    result.error = {"request line must be 'METHOD target HTTP/1.x'", 0};
-    return result;
-  }
-  const auto method = ParseMethod(parts[0]);
-  if (!method.has_value()) {
-    result.error = {"unknown method '" + parts[0] + "'", 0};
-    return result;
-  }
-  if (!IsHttpVersion(parts[2])) {
-    result.error = {"unsupported protocol version '" + parts[2] + "'", 0};
-    return result;
-  }
-
   Request request;
-  request.method = *method;
-  if (!ParseHeaderBlock(text, pos, &request.headers, &result.error)) {
-    return result;
+  request.method = framed.method;
+  for (const HeaderField& field : framed.headers) {
+    request.headers.Add(field.name, field.value);
   }
 
   // Resolve the target: absolute form, or origin form + Host header.
-  const std::string& target = parts[1];
+  const std::string_view target = framed.target;
   if (auto absolute = Url::Parse(target); absolute.has_value()) {
     request.url = *absolute;
   } else if (!target.empty() && target[0] == '/') {
     const auto host = request.headers.Get("Host");
     if (!host.has_value() || host->empty()) {
-      result.error = {"origin-form target without Host header", 0};
+      result.error = {"origin-form target without Host header"};
       return result;
     }
     // Host may carry a port.
-    const std::string host_str(*host);
-    const auto with_host = Url::Parse("http://" + host_str + target);
+    std::string absolute_form = "http://";
+    absolute_form.append(*host).append(target);
+    const auto with_host = Url::Parse(absolute_form);
     if (!with_host.has_value()) {
-      result.error = {"unparseable Host + target combination", 0};
+      result.error = {"unparseable Host + target combination"};
       return result;
     }
     request.url = *with_host;
   } else {
-    result.error = {"unsupported request target '" + target + "'", 0};
+    result.error = {"unsupported request target '" + std::string(target) + "'"};
     return result;
   }
-  // Body: everything after the blank line, trimmed by Content-Length.
-  std::string_view body = text.substr(pos);
-  if (const auto cl = request.headers.Get("Content-Length"); cl.has_value()) {
-    if (const auto n = ParseU64(*cl); n.has_value() && *n <= body.size()) {
-      body = body.substr(0, *n);
-    }
-  }
-  if (body.size() > kMaxWireBodyBytes) {
-    result.error = {"body exceeds limit", pos};
-    return result;
-  }
-  request.body = std::string(body);
+  request.body = std::string(framed.body);
   result.value = std::move(request);
+  return result;
+}
+
+WireResult<Request> ParseRequestText(std::string_view text) {
+  const FramedRequest framed = FrameRequest(text);
+  WireResult<Request> result;
+  if (framed.status == FrameStatus::kError) {
+    result.error = {framed.error};
+  } else if (framed.status == FrameStatus::kNeedMore) {
+    result.error = {"truncated message (no blank line, or a short body)"};
+  } else if (framed.consumed != text.size()) {
+    result.error = {"body exceeds its Content-Length"};
+  } else {
+    return BuildRequest(framed);
+  }
   return result;
 }
 

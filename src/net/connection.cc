@@ -4,7 +4,7 @@
 
 #include <utility>
 
-#include "src/http/wire.h"
+#include "src/net/framer.h"
 
 namespace robodet {
 namespace {
@@ -124,14 +124,24 @@ bool NetConnection::OnWritable() {
 }
 
 bool NetConnection::ProcessBufferedRequests() {
+  // Served messages are consumed by offset into in_, whose bytes stay put
+  // (and the frame's views valid) until the one erase after the loop.
+  size_t consumed = 0;
   size_t served = 0;
-  while (served < kMaxRequestsPerWake &&
-         OutstandingOut() <= limits_->write_high_water && !close_after_flush_) {
-    if (in_.empty()) {
+  resume_ = false;
+  while (!close_after_flush_ && consumed < in_.size()) {
+    const FramedRequest framed = FrameRequest(std::string_view(in_).substr(consumed));
+    if (framed.status == FrameStatus::kNeedMore) {
       break;
     }
-    const FramedRequest framed = FrameRequest(in_);
-    if (framed.status == FrameStatus::kNeedMore) {
+    if (served == kMaxRequestsPerWake || OutstandingOut() > limits_->write_high_water) {
+      // The bound or backpressure cut the batch short with a complete
+      // request, or one to reject, buffered. No new bytes may ever
+      // arrive to wake the connection, so WantedEvents asks for EPOLLOUT,
+      // which a writable socket reports at once, and OnWritable serves the
+      // rest. A partial request waits for its bytes, not in a busy loop,
+      // and a batch that ends exactly at the bound costs no extra wake.
+      resume_ = true;
       break;
     }
     if (framed.status == FrameStatus::kError) {
@@ -142,9 +152,10 @@ bool NetConnection::ProcessBufferedRequests() {
     if (!ServeOne(framed)) {
       return false;
     }
-    in_.erase(0, framed.consumed);
+    consumed += framed.consumed;
     ++served;
   }
+  in_.erase(0, consumed);
   if (in_.empty()) {
     receiving_ = false;  // Between requests: idle_timeout applies.
   } else if (served > 0) {
@@ -152,27 +163,20 @@ bool NetConnection::ProcessBufferedRequests() {
     // not when the first byte of the batch arrived.
     request_start_ = clock_->Now();
   }
-  // The bound cut the batch short. No new bytes may ever arrive to wake
-  // the connection, so WantedEvents asks for EPOLLOUT, which a writable
-  // socket reports at once, and OnWritable serves the rest. Only for a
-  // complete request: a partial one waits for its bytes, not in a busy
-  // loop, and a batch that ends exactly at the bound costs no extra wake.
-  resume_ = served == kMaxRequestsPerWake && !close_after_flush_ && !in_.empty() &&
-            FrameRequest(in_).status != FrameStatus::kNeedMore;
   return true;
 }
 
 bool NetConnection::ServeOne(const FramedRequest& framed) {
-  auto parsed = ParseRequestText(std::string_view(in_).substr(0, framed.consumed));
-  if (!parsed.value.has_value()) {
-    // Framed fine but the full parse rejected it (bad request line, header
-    // syntax). Answer 400 and close: the stream offset is untrustworthy.
+  auto built = BuildRequest(framed);
+  if (!built.value.has_value()) {
+    // Framed fine but names no URL (origin form without Host, an
+    // unparseable target). Answer 400 and close.
     sink_.parse_errors->Inc();
-    StageError(StatusCode::kBadRequest, parsed.error.message);
+    StageError(StatusCode::kBadRequest, built.error.message);
     return true;
   }
 
-  Request request = std::move(*parsed.value);
+  Request request = std::move(*built.value);
   const bool head = request.method == Method::kHead;
   request.time = clock_->Now();
   request.client_ip = peer_ip_;

@@ -1,10 +1,11 @@
-// Per-connection HTTP/1.1 state machine: bytes in → framed request →
-// handler → serialized response → bytes out, with keep-alive, pipelining,
-// timeouts, buffer ceilings and write backpressure. The connection never
-// touches epoll itself: event entry points (OnReadable/OnWritable) return
-// whether the connection survives, and WantedEvents() tells the owning
-// worker what interest to (re)register. That keeps every transition
-// testable without a socket pair and keeps epoll bookkeeping in one place.
+// Per-connection HTTP/1.1 state machine: bytes in → frame+parse (one pass,
+// FrameRequest) → handler → serialized response → bytes out, with
+// keep-alive, pipelining, timeouts, buffer ceilings and write backpressure.
+// The connection never touches epoll itself: event entry points
+// (OnReadable/OnWritable) return whether the connection survives, and
+// WantedEvents() tells the owning worker what interest to (re)register.
+// That keeps every transition testable without a socket pair and keeps
+// epoll bookkeeping in one place.
 #ifndef ROBODET_SRC_NET_CONNECTION_H_
 #define ROBODET_SRC_NET_CONNECTION_H_
 
@@ -13,7 +14,7 @@
 #include <string>
 
 #include "src/http/request.h"
-#include "src/net/framer.h"
+#include "src/http/wire.h"
 #include "src/net/socket.h"
 #include "src/obs/metrics.h"
 #include "src/util/clock.h"
@@ -105,7 +106,8 @@ class NetConnection {
 
  private:
   // Serves the fully buffered requests, at most a per-wake bound of them
-  // and only while the write queue is under high water. False → destroy.
+  // and only while the write queue is under high water, and erases what it
+  // served from in_ once. False → destroy.
   bool ProcessBufferedRequests();
   bool ServeOne(const FramedRequest& framed);
   // Writes as much queued output as the socket accepts. False → destroy
@@ -136,7 +138,8 @@ class NetConnection {
   bool draining_ = false;
   bool peer_half_closed_ = false;
   bool timed_out_408_ = false;
-  // The per-wake bound left a complete request unserved.
+  // The per-wake bound or write backpressure left a complete request (or
+  // one to reject) unserved.
   bool resume_ = false;
   bool robot_ = false;
 };

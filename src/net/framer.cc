@@ -1,129 +1,6 @@
 #include "src/net/framer.h"
 
-#include <optional>
-
-#include "src/http/headers.h"
-#include "src/http/wire.h"
-#include "src/util/strings.h"
-
 namespace robodet {
-namespace {
-
-FramedRequest Error(StatusCode status, std::string message) {
-  FramedRequest framed;
-  framed.status = FrameStatus::kError;
-  framed.error_status = status;
-  framed.error = std::move(message);
-  return framed;
-}
-
-// One header-block line: [start, end) without the terminator, `next` just
-// past it. Returns false when the buffer ends mid-line.
-bool NextBufferedLine(std::string_view buffer, size_t pos, std::string_view* line,
-                      size_t* next) {
-  const size_t lf = buffer.find('\n', pos);
-  if (lf == std::string_view::npos) {
-    return false;
-  }
-  size_t end = lf;
-  if (end > pos && buffer[end - 1] == '\r') {
-    --end;
-  }
-  *line = buffer.substr(pos, end - pos);
-  *next = lf + 1;
-  return true;
-}
-
-}  // namespace
-
-FramedRequest FrameRequest(std::string_view buffer) {
-  FramedRequest framed;
-  if (buffer.empty()) {
-    return framed;
-  }
-
-  // Request line.
-  std::string_view request_line;
-  size_t pos = 0;
-  if (!NextBufferedLine(buffer, 0, &request_line, &pos)) {
-    if (buffer.size() > kMaxWireLineBytes) {
-      return Error(StatusCode::kHeaderFieldsTooLarge, "request line exceeds limit");
-    }
-    return framed;  // Still arriving.
-  }
-  if (request_line.size() > kMaxWireLineBytes) {
-    return Error(StatusCode::kHeaderFieldsTooLarge, "request line exceeds limit");
-  }
-  if (request_line.size() >= 8 && request_line.substr(request_line.size() - 8) == "HTTP/1.0") {
-    framed.http11 = false;
-  }
-
-  // Header block. Framing needs three headers' values; everything else is
-  // only bounds-checked here and parsed for real by ParseRequestText.
-  std::optional<uint64_t> content_length;
-  Headers connection_only;  // Just the Connection entries, for WantKeepAlive.
-  size_t header_count = 0;
-  for (;;) {
-    std::string_view line;
-    size_t next = 0;
-    if (!NextBufferedLine(buffer, pos, &line, &next)) {
-      if (buffer.size() - pos > kMaxWireLineBytes) {
-        return Error(StatusCode::kHeaderFieldsTooLarge, "header line exceeds limit");
-      }
-      return framed;  // Header block still arriving.
-    }
-    if (line.empty()) {
-      pos = next;
-      break;  // End of headers.
-    }
-    if (line.size() > kMaxWireLineBytes) {
-      return Error(StatusCode::kHeaderFieldsTooLarge, "header line exceeds limit");
-    }
-    if (++header_count > kMaxWireHeaderCount) {
-      return Error(StatusCode::kHeaderFieldsTooLarge, "too many header lines");
-    }
-    const size_t colon = line.find(':');
-    if (colon != std::string_view::npos && colon > 0) {
-      const std::string_view name = TrimWhitespace(line.substr(0, colon));
-      const std::string_view value = TrimWhitespace(line.substr(colon + 1));
-      if (EqualsIgnoreCase(name, "Content-Length")) {
-        const auto parsed = ParseU64(value);
-        if (!parsed.has_value()) {
-          return Error(StatusCode::kBadRequest, "malformed Content-Length");
-        }
-        if (content_length.has_value() && *content_length != *parsed) {
-          // Conflicting lengths are a request-smuggling vector, not a typo.
-          return Error(StatusCode::kBadRequest, "conflicting Content-Length headers");
-        }
-        content_length = *parsed;
-      } else if (EqualsIgnoreCase(name, "Transfer-Encoding")) {
-        // No chunked *request* bodies: a proxy that guessed wrong about
-        // which framing wins is how smuggling attacks work. Clients that
-        // need a body state its length.
-        return Error(StatusCode::kBadRequest, "chunked request bodies not supported");
-      } else if (EqualsIgnoreCase(name, "Connection")) {
-        connection_only.Add(name, value);
-      }
-    }
-    pos = next;
-  }
-
-  framed.header_bytes = pos;
-  framed.keep_alive = WantKeepAlive(connection_only, framed.http11);
-  if (content_length.has_value()) {
-    if (*content_length > kMaxWireBodyBytes) {
-      // Rejected on the declaration — the body is never buffered.
-      return Error(StatusCode::kPayloadTooLarge, "declared body exceeds limit");
-    }
-    framed.body_bytes = static_cast<size_t>(*content_length);
-  }
-  if (buffer.size() < framed.header_bytes + framed.body_bytes) {
-    return framed;  // Body still arriving.
-  }
-  framed.status = FrameStatus::kComplete;
-  framed.consumed = framed.header_bytes + framed.body_bytes;
-  return framed;
-}
 
 std::string RenderErrorResponse(StatusCode status, std::string_view detail) {
   std::string body(detail);

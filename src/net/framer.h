@@ -1,48 +1,15 @@
-// Incremental HTTP/1.1 request framing over a connection's read buffer.
-// The connection state machine appends bytes as they arrive and asks, after
-// every read, "is one complete request buffered yet?" — this answers
-// without copying and without parsing more than the header block. Framing
-// is where hostile input dies first: header lines and counts are bounded
-// by the kMaxWire* limits, a declared body beyond the cap is rejected
-// before a single body byte is read (413), and a request trying to smuggle
-// a chunked body is refused outright.
+// The connection's answer to a request it rejects before any handler sees
+// it: FrameRequest (src/http/wire.h) reports the violation, this renders
+// the bytes the client gets before the close.
 #ifndef ROBODET_SRC_NET_FRAMER_H_
 #define ROBODET_SRC_NET_FRAMER_H_
 
-#include <cstddef>
 #include <string>
 #include <string_view>
 
 #include "src/http/status.h"
 
 namespace robodet {
-
-enum class FrameStatus {
-  kNeedMore,  // The buffer holds a valid prefix; read more bytes.
-  kComplete,  // `consumed` bytes form one full request message.
-  kError,     // Protocol violation: answer `error_status` and close.
-};
-
-struct FramedRequest {
-  FrameStatus status = FrameStatus::kNeedMore;
-  // When kComplete: total message size (start line through body end).
-  size_t consumed = 0;
-  // Start line + header block + blank line, in bytes.
-  size_t header_bytes = 0;
-  // Declared Content-Length (0 when absent).
-  size_t body_bytes = 0;
-  bool http11 = true;
-  // Connection-header semantics for this request (RFC 7230 §6.1).
-  bool keep_alive = true;
-  // When kError: what to tell the client before closing.
-  StatusCode error_status = StatusCode::kBadRequest;
-  std::string error;
-};
-
-// Examines the buffer prefix. Pure: no state between calls — feeding the
-// same buffer plus more bytes re-frames from scratch, which is O(header
-// bytes) and only happens while a request is still arriving.
-FramedRequest FrameRequest(std::string_view buffer);
 
 // Renders a minimal, framing-correct error response for a rejected
 // request ("HTTP/1.1 431 ...\r\nConnection: close\r\n..."), used by the

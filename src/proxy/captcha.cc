@@ -7,7 +7,6 @@
 namespace robodet {
 
 std::string CaptchaService::IssueChallenge(uint64_t entropy) {
-  issued_.fetch_add(1, std::memory_order_relaxed);
   return minter_->MintFor(entropy);
 }
 

@@ -6,7 +6,6 @@
 #ifndef ROBODET_SRC_PROXY_CAPTCHA_H_
 #define ROBODET_SRC_PROXY_CAPTCHA_H_
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -40,11 +39,8 @@ class CaptchaService {
   // unless they model OCR capability.
   static std::optional<std::string> ReadAnswerFromBody(std::string_view body);
 
-  uint64_t issued() const { return issued_.load(std::memory_order_relaxed); }
-
  private:
   TokenMinter* minter_;  // Not owned.
-  std::atomic<uint64_t> issued_{0};
 };
 
 }  // namespace robodet

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "src/core/signals.h"
+#include "src/http/wire.h"
 #include "src/util/binio.h"
 #include "src/util/clock.h"
 
@@ -48,7 +49,11 @@ inline constexpr size_t kMaxSectionBytes = 16u << 20;     // one shard's payload
 inline constexpr size_t kMaxSections = 4096;              // shards per table
 inline constexpr size_t kMaxEntriesPerSection = 1u << 20;
 inline constexpr size_t kMaxFrameBytes = 1u << 20;        // one journal record
-inline constexpr size_t kMaxStringBytes = 4096;
+// Every persisted string (a User-Agent, an echoed agent, a page path, a
+// key) comes from one request line or one header line, so the wire's line
+// limit bounds it; a smaller bound here would drop a whole shard's section
+// for one long but legal request.
+inline constexpr size_t kMaxStringBytes = kMaxWireLineBytes;
 inline constexpr size_t kMaxEventsPerSession = 4096;
 inline constexpr size_t kMaxUrlHashesPerSession = 1u << 16;
 inline constexpr size_t kMaxPageIndicesPerSession = 4096;

@@ -163,7 +163,6 @@ class ProxyServer {
   // The persistence layer, or nullptr when no state_dir is configured.
   StateStore* state_store() { return state_store_.get(); }
   const ProxyConfig& config() const { return config_; }
-  CaptchaService& captcha() { return captcha_; }
 
   // The registry this proxy reports into, the one place its counts live.
   MetricsRegistry& metrics() { return registry_; }
@@ -172,7 +171,6 @@ class ProxyServer {
   // Optional request tracing; nullptr (the default) disables it. The
   // recorder must outlive this server.
   void set_trace_recorder(TraceRecorder* recorder) { tracer_ = recorder; }
-  TraceRecorder* trace_recorder() const { return tracer_; }
 
   // Judges a session with the combined classifier's online rule and
   // records robodet_verdict_total{class,source}. The

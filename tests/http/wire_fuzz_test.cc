@@ -1,8 +1,10 @@
 // Hostile-input hardening for the wire parser: the proxy parses whatever
 // bytes arrive on the socket, so ParseRequestText must never crash, never
 // read out of bounds, and never accept a message that blows past the
-// documented limits — whatever the input. Seeded generators cover random
-// garbage, mutated-valid messages, and boundary abuse.
+// documented limits — whatever the input — and a message FrameRequest
+// completes must parse as exactly the message it framed. Seeded generators
+// cover random garbage, mutated-valid messages, adversarial header lines
+// and boundary abuse.
 #include "src/http/wire.h"
 
 #include <gtest/gtest.h>
@@ -90,6 +92,57 @@ TEST_P(WireFuzzTest, MutatedValidMessagesNeverCrash) {
 TEST_P(WireFuzzTest, TruncatedValidMessagesNeverCrash) {
   for (size_t cut = 0; cut <= kValidRequest.size(); ++cut) {
     (void)ParseRequestText(kValidRequest.substr(0, cut));
+  }
+}
+
+// Header lines on which a framer and a parser that each keep a copy of
+// the grammar can disagree: duplicate and padded lengths, bare LF,
+// obs-fold, colon-less lines and whitespace before the colon.
+constexpr std::string_view kAdversarialLines[] = {
+    "Content-Length: 3\r\n",     "Content-Length: 3\r\nContent-Length: 3\r\n",
+    "Content-Length:   3  \r\n", "Content-Length: 3\r\nContent-Length: 4\r\n",
+    "Content-Length : 3\r\n",    "Content-Length\t: 3\r\n",
+    " Content-Length: 3\r\n",    "\tX-Folded: y\r\n",
+    "NoColonHere\r\n",           ": no-name\r\n",
+    "X-Bare-Lf: y\n",             "Content-Length: 3\n",
+    "Host : h.test\r\n",         "Connection: close\r\n",
+};
+
+// Whenever FrameRequest completes a message, parsing exactly those bytes
+// fails only on resolving the target, never on header syntax the framer
+// accepted, and the request carries the body the frame measured.
+TEST_P(WireFuzzTest, FrameBoundaryIsParseBoundary) {
+  Rng rng(GetParam() ^ 0xb0da12eULL);
+  constexpr size_t kLines = sizeof(kAdversarialLines) / sizeof(kAdversarialLines[0]);
+  for (int round = 0; round < 48; ++round) {
+    std::string input;
+    if (round % 3 == 0) {
+      input = RandomWireSoup(rng, 32 + rng.UniformU64(320));
+    } else {
+      input = round % 2 == 0 ? "POST /p HTTP/1.1\r\nHost: h.test\r\n" : "GET /p HTTP/1.1\n";
+      for (uint64_t n = 1 + rng.UniformU64(3); n > 0; --n) {
+        input += kAdversarialLines[rng.UniformU64(kLines)];
+      }
+      input += rng.UniformU64(2) == 0 ? "\r\nabcdGET / HTTP/1.1\r\n\r\n" : "\n\nabcd";
+      if (round % 5 == 0) {
+        MutateBytes(rng, input, 1 + rng.UniformU64(3));
+      }
+    }
+    for (size_t cut = 0; cut <= input.size(); ++cut) {
+      const std::string_view prefix = std::string_view(input).substr(0, cut);
+      const FramedRequest framed = FrameRequest(prefix);
+      if (framed.status != FrameStatus::kComplete) {
+        continue;
+      }
+      const auto parsed = ParseRequestText(prefix.substr(0, framed.consumed));
+      if (!parsed) {
+        EXPECT_NE(parsed.error.message.find("target"), std::string::npos)
+            << parsed.error.message << " in " << testing::PrintToString(std::string(prefix));
+        continue;
+      }
+      EXPECT_EQ(parsed.value->body.size(), framed.body_bytes)
+          << testing::PrintToString(std::string(prefix));
+    }
   }
 }
 

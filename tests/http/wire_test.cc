@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/proxy/proxy_server.h"
 #include "tests/http/response_reader.h"
 
@@ -57,35 +59,41 @@ TEST(WireRequestTest, Errors) {
   const auto err = ParseRequestText("GET / HTTP/1.1\r\nBad Header: x\r\n\r\n");
   ASSERT_FALSE(err);
   EXPECT_FALSE(err.error.message.empty());
+  // RFC 9112 §5.1: whitespace between a field name and its colon.
+  EXPECT_FALSE(ParseRequestText(
+      "POST / HTTP/1.1\r\nHost: e.com\r\nContent-Length : 5\r\n\r\nabcde"));
+  EXPECT_FALSE(ParseRequestText("GET / HTTP/1.1\r\nHost\t: e.com\r\n\r\n"));
+  // RFC 9112 §5.2: obs-fold, a line that starts with SP or HTAB.
+  EXPECT_FALSE(ParseRequestText(
+      "POST / HTTP/1.1\r\nHost: e.com\r\n Content-Length: 5\r\n\r\nabcde"));
+  EXPECT_FALSE(ParseRequestText("GET / HTTP/1.1\r\nHost: e.com\r\nX-A: b\r\n\tc\r\n\r\n"));
+  // A colon-less line among valid ones, on either side of the Host line.
+  EXPECT_FALSE(ParseRequestText("GET / HTTP/1.1\r\nHost: e.com\r\nNoColonHere\r\n\r\n"));
+  // Bytes past the declared body belong to no message this text holds.
+  EXPECT_FALSE(ParseRequestText("GET / HTTP/1.1\r\nHost: e.com\r\n\r\nextra"));
 }
 
 TEST(WireKeepAliveTest, ConnectionHeaderSemantics) {
-  Headers none;
+  const std::vector<HeaderField> none;
   EXPECT_TRUE(WantKeepAlive(none, /*http11=*/true));
   EXPECT_FALSE(WantKeepAlive(none, /*http11=*/false));
-  Headers close;
-  close.Set("Connection", "close");
+  const std::vector<HeaderField> close{{"Connection", "close"}};
   EXPECT_FALSE(WantKeepAlive(close, true));
-  Headers keep;
-  keep.Set("Connection", "keep-alive");
+  const std::vector<HeaderField> keep{{"Connection", "keep-alive"}};
   EXPECT_TRUE(WantKeepAlive(keep, false));
-  Headers mixed;
-  mixed.Set("Connection", "Keep-Alive, Upgrade");
+  const std::vector<HeaderField> mixed{{"Connection", "Keep-Alive, Upgrade"}};
   EXPECT_TRUE(WantKeepAlive(mixed, false));
-  Headers shouty;
-  shouty.Set("Connection", "CLOSE");
+  const std::vector<HeaderField> shouty{{"Connection", "CLOSE"}};
   EXPECT_FALSE(WantKeepAlive(shouty, true));
 }
 
 TEST(WireKeepAliveTest, CloseWinsOverKeepAlive) {
   // RFC 9112 §9.3: a close token anywhere means close.
-  Headers one_line;
-  one_line.Set("Connection", "keep-alive, close");
+  const std::vector<HeaderField> one_line{{"Connection", "keep-alive, close"}};
   EXPECT_FALSE(WantKeepAlive(one_line, true));
   EXPECT_FALSE(WantKeepAlive(one_line, false));
-  Headers two_lines;
-  two_lines.Add("Connection", "keep-alive");
-  two_lines.Add("Connection", "close");
+  const std::vector<HeaderField> two_lines{{"Connection", "keep-alive"},
+                                           {"Connection", "close"}};
   EXPECT_FALSE(WantKeepAlive(two_lines, true));
   EXPECT_FALSE(WantKeepAlive(two_lines, false));
 }

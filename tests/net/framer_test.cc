@@ -21,6 +21,13 @@ TEST(FramerTest, FramesSimpleGet) {
   EXPECT_EQ(framed.body_bytes, 0u);
   EXPECT_TRUE(framed.http11);
   EXPECT_TRUE(framed.keep_alive);
+  // The parts are views into the framed bytes.
+  EXPECT_EQ(framed.method, Method::kGet);
+  EXPECT_EQ(framed.target, "/page");
+  ASSERT_EQ(framed.headers.size(), 1u);
+  EXPECT_EQ(framed.headers[0].name, "Host");
+  EXPECT_EQ(framed.headers[0].value, "h");
+  EXPECT_EQ(framed.headers[0].value.data(), text.data() + text.find("h\r\n\r\n"));
 }
 
 TEST(FramerTest, EveryPrefixNeedsMore) {
@@ -112,6 +119,22 @@ TEST(FramerTest, SmugglingVectorsRejected400) {
       FrameRequest("POST / HTTP/1.1\r\nContent-Length: 4x\r\n\r\n");
   EXPECT_EQ(garbage.status, FrameStatus::kError);
   EXPECT_EQ(garbage.error_status, StatusCode::kBadRequest);
+
+  // RFC 9112 §5.1 and §5.2: a length header that only a trimming parser
+  // reads, behind whitespace before its colon or as an obs-fold line, and
+  // a colon-less line, all end the connection with 400 rather than being
+  // skipped or trimmed.
+  for (const char* text : {
+           "POST / HTTP/1.1\r\nHost: h\r\nContent-Length : 5\r\n\r\nabcde",
+           "POST / HTTP/1.1\r\nHost: h\r\nContent-Length\t: 5\r\n\r\nabcde",
+           "POST / HTTP/1.1\r\nHost: h\r\n Content-Length: 5\r\n\r\nabcde",
+           "POST / HTTP/1.1\r\nHost: h\r\n\tContent-Length: 5\r\n\r\nabcde",
+           "GET / HTTP/1.1\r\nHost: h\r\nNoColonHere\r\n\r\n",
+       }) {
+    const FramedRequest framed = FrameRequest(text);
+    EXPECT_EQ(framed.status, FrameStatus::kError) << text;
+    EXPECT_EQ(framed.error_status, StatusCode::kBadRequest) << text;
+  }
 
   // Duplicate but *agreeing* lengths are tolerated.
   const FramedRequest agree = FrameRequest(

@@ -333,6 +333,28 @@ TEST(LoopbackTest, GarbageRequestRejected400) {
   EXPECT_TRUE(client.AtEof());
 }
 
+TEST(LoopbackTest, SpaceBeforeColonRejected400) {
+  // RFC 9112 §5.1: a server must reject whitespace between a field name
+  // and its colon. Trimming it would read a Content-Length that a
+  // stricter hop ignores.
+  NetServerConfig config;
+  config.workers = 1;
+  MetricsRegistry registry;
+  NetServer server(config, MakeEchoHandler(), registry);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  TestClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+  ASSERT_TRUE(client.Send("POST /upload HTTP/1.1\r\nHost: t\r\nContent-Length : 5\r\n\r\nabcde"));
+  const auto response = client.ReadResponse();
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->status, StatusCode::kBadRequest);
+  EXPECT_TRUE(client.AtEof());
+  EXPECT_EQ(NetCount(registry, "robodet_net_parse_errors_total"), 1u);
+  EXPECT_EQ(NetCount(registry, "robodet_net_requests_total"), 0u);
+}
+
 TEST(LoopbackTest, GracefulDrainCompletesInFlight) {
   // Handler slow enough that the drain lands while a request is in
   // flight on the worker thread.

@@ -11,9 +11,11 @@
 #include <sstream>
 #include <unistd.h>
 
+#include "src/js/generator.h"
 #include "src/obs/metrics.h"
 #include "src/proxy/key_table.h"
 #include "src/proxy/persistence/state_store.h"
+#include "src/proxy/proxy_server.h"
 #include "src/proxy/session_table.h"
 
 namespace robodet {
@@ -367,6 +369,66 @@ TEST_F(PersistenceTest, InspectStateReportsCleanAndTorn) {
   EXPECT_TRUE(torn.journal_valid);
   EXPECT_FALSE(torn.clean);
   EXPECT_GT(torn.journal.bytes_dropped, 0u);
+}
+
+// Every persisted string comes from one request line or one header line,
+// so a client whose User-Agent, page path and echoed agent are each longer
+// than a short string but within the wire's line limit recovers with the
+// other 39 clients, and no snapshot section is dropped.
+TEST_F(PersistenceTest, WireLengthStringsSurviveCheckpointAndRestart) {
+  constexpr int kClients = 40;
+  constexpr int kLongClient = 7;
+  const std::string long_agent = "agent-" + std::string(4994, 'a');  // 5,000 bytes.
+  const std::string long_path = "/" + std::string(4994, 'p') + ".html";
+  ASSERT_EQ(long_agent.size(), 5000u);
+  ASSERT_EQ(long_path.size(), 5000u);
+
+  SimClock clock(1000);
+  ProxyConfig config;
+  config.persistence.state_dir = Dir();
+  ProxyServer proxy(config, &clock, [](const Request&) {
+    return MakeHtmlResponse("<html><head></head><body><p>hi</p></body></html>");
+  });
+  for (int i = 0; i < kClients; ++i) {
+    const bool long_client = i == kLongClient;
+    const std::string agent = long_client ? long_agent : "agent-" + std::to_string(i);
+    Request page;
+    page.client_ip = IpAddress(kIp1 + static_cast<uint32_t>(i));
+    page.time = clock.Now();
+    page.headers.Set("User-Agent", agent);
+    page.url = Url::Make(config.host, long_client ? long_path : "/index.html");
+    const std::string body = proxy.Handle(page).response.body;
+
+    // Run the page's UA-echo script by hand: fetch the stylesheet it
+    // writes, with the token it was served and the runtime agent.
+    const std::string stem = config.instr_prefix + "ua_";
+    const size_t at = body.find(stem);
+    ASSERT_NE(at, std::string::npos) << body;
+    const size_t token_end = body.find("_'", at + stem.size());
+    ASSERT_NE(token_end, std::string::npos) << body;
+    const std::string token = body.substr(at + stem.size(), token_end - at - stem.size());
+    Request echo = page;
+    echo.url = Url::Make(config.host,
+                         ProbeUrl(config.instr_prefix, ProbeKind::kUaEcho, token + "_" + agent));
+    clock.Advance(10);
+    echo.time = clock.Now();
+    proxy.Handle(echo);
+    clock.Advance(10);
+  }
+  const SessionKey long_key{IpAddress(kIp1 + kLongClient), long_agent};
+  ASSERT_EQ(proxy.sessions().Touch(long_key, clock.Now())->signals().ua_echo_agent, long_agent);
+  ASSERT_EQ(proxy.sessions().active_count(), static_cast<size_t>(kClients));
+  ASSERT_TRUE(proxy.state_store()->Checkpoint(clock.Now()));
+  const std::string before = Fingerprint(proxy.keys(), proxy.sessions());
+  ASSERT_NE(before.find(long_path), std::string::npos);
+
+  proxy.SimulateCrashRestart(clock.Now());
+  EXPECT_EQ(proxy.state_store()->last_recovery().snapshot_sections_dropped, 0u);
+  EXPECT_EQ(proxy.sessions().active_count(), static_cast<size_t>(kClients));
+  EXPECT_EQ(Fingerprint(proxy.keys(), proxy.sessions()), before);
+  const SessionSignals& recovered = proxy.sessions().Touch(long_key, clock.Now())->signals();
+  EXPECT_TRUE(recovered.ExecutedJs());
+  EXPECT_EQ(recovered.ua_echo_agent, long_agent);
 }
 
 }  // namespace
