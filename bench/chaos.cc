@@ -10,6 +10,8 @@
 // accumulated signals unless the snapshot+journal store brings them back.
 //
 // Usage: chaos [num_clients]   (default 1500)
+#include <unistd.h>
+
 #include <filesystem>
 
 #include "bench/bench_util.h"
@@ -168,8 +170,11 @@ int main(int argc, char** argv) {
       "  exactly, including every robodet_* counter.\n");
 
   PrintHeader("Crash sweep — detection vs. proxy crash rate, with/without persistence");
-  const std::string state_dir =
-      (std::filesystem::temp_directory_path() / "robodet_chaos_state").string();
+  // Per process, so concurrent runs never share (or wipe) one another's
+  // tables; each persisted point removes it when done.
+  const std::string state_dir = (std::filesystem::temp_directory_path() /
+                                 ("robodet_chaos_state_" + std::to_string(::getpid())))
+                                    .string();
   std::printf("\n  %-12s %-10s %9s %10s %10s %10s %8s\n", "crashes/hr", "persisted",
               "restarts", "sess rec", "keys rec", "accuracy", "judged");
   for (double crash_rate : {0.0, 0.5, 1.0, 2.0}) {

@@ -1,5 +1,10 @@
 #include "src/html/document.h"
 
+#include <array>
+#include <cctype>
+#include <optional>
+
+#include "src/html/tokenizer.h"
 #include "src/util/strings.h"
 
 namespace robodet {
@@ -14,26 +19,62 @@ bool IsBlankText(std::string_view s) {
   return true;
 }
 
-bool IsOnePixelImage(const HtmlToken& tok) {
-  return tok.type == HtmlTokenType::kStartTag && tok.name == "img" && tok.Attr("width") == "1" &&
-         tok.Attr("height") == "1";
-}
+// The start tags that carry a served ref and the attribute that holds its
+// URL: <a href> is a link; every other row is an embed a rendering browser
+// fetches, and <link> is one only with rel=stylesheet. CollectServedRefs
+// and HtmlDocument both read this table.
+struct RefTag {
+  std::string_view tag;
+  std::string_view url_attr;
+  std::optional<EmbedRef::Kind> embed;  // nullopt: the row is a link.
+  std::string_view rel;                 // The rel value the tag needs; "" for any.
+};
 
-// The attribute that holds a served ref's URL on a start tag with this
-// name, or "" when the tag carries none: <a href> is a link; <img src>,
-// <link rel=stylesheet href>, <script src>, <bgsound/audio src> and
-// <iframe/frame src> are embeds.
-std::string_view RefAttrFor(std::string_view tag) {
-  static constexpr std::string_view kRefTags[][2] = {
-      {"a", "href"},     {"link", "href"},  {"img", "src"},    {"script", "src"},
-      {"bgsound", "src"}, {"audio", "src"}, {"iframe", "src"}, {"frame", "src"},
-  };
-  for (const auto& [name, attr] : kRefTags) {
-    if (EqualsIgnoreCase(tag, name)) {
-      return attr;
+constexpr RefTag kRefTags[] = {
+    {"a", "href", std::nullopt, ""},
+    {"link", "href", EmbedRef::Kind::kCss, "stylesheet"},
+    {"img", "src", EmbedRef::Kind::kImage, ""},
+    {"script", "src", EmbedRef::Kind::kScript, ""},
+    {"bgsound", "src", EmbedRef::Kind::kAudio, ""},
+    {"audio", "src", EmbedRef::Kind::kAudio, ""},
+    {"iframe", "src", EmbedRef::Kind::kFrame, ""},
+    {"frame", "src", EmbedRef::Kind::kFrame, ""},
+};
+
+const RefTag* RefTagFor(std::string_view tag) {
+  for (const RefTag& row : kRefTags) {
+    if (EqualsIgnoreCase(tag, row.tag)) {
+      return &row;
     }
   }
-  return {};
+  return nullptr;
+}
+
+// The first value of each of `names` among a tag's attributes, found in one
+// walk of its attribute bytes. Names match case-insensitively; "" matches
+// none.
+template <size_t N>
+std::array<std::optional<std::string_view>, N> ReadAttrs(
+    std::string_view attr_src, const std::array<std::string_view, N>& names) {
+  std::array<std::optional<std::string_view>, N> values;
+  HtmlAttrCursor cursor(attr_src);
+  HtmlAttrView a;
+  while (cursor.Next(a)) {
+    for (size_t k = 0; k < N; ++k) {
+      if (!values[k] && EqualsIgnoreCase(a.name, names[k])) {
+        values[k] = a.value;
+        break;
+      }
+    }
+  }
+  return values;
+}
+
+// Whether a tag of row `ref`, with these URL and rel attributes, carries a
+// served ref.
+bool CarriesRef(const RefTag& ref, const std::optional<std::string_view>& url,
+                const std::optional<std::string_view>& rel) {
+  return url && (ref.rel.empty() || EqualsIgnoreCase(rel.value_or(""), ref.rel));
 }
 
 }  // namespace
@@ -46,140 +87,111 @@ ServedRefs CollectServedRefs(std::string_view html) {
     if (tok.type != HtmlTokenType::kStartTag) {
       continue;
     }
-    const std::string_view url_attr = RefAttrFor(tok.name);
-    if (url_attr.empty()) {
+    const RefTag* ref = RefTagFor(tok.name);
+    if (ref == nullptr) {
       continue;
     }
-    const bool is_anchor = EqualsIgnoreCase(tok.name, "a");
-    const bool is_stylesheet_link = EqualsIgnoreCase(tok.name, "link");
-    std::string_view url;
-    std::string_view rel;
-    bool has_url = false;
-    bool has_rel = false;
-    HtmlAttrCursor cursor(tok.attr_src);
-    HtmlAttrView attr;
-    while (cursor.Next(attr)) {
-      if (!has_url && EqualsIgnoreCase(attr.name, url_attr)) {
-        url = attr.value;
-        has_url = true;
-      } else if (is_stylesheet_link && !has_rel && EqualsIgnoreCase(attr.name, "rel")) {
-        rel = attr.value;
-        has_rel = true;
-      }
-    }
-    if (!has_url) {
-      continue;
-    }
-    if (is_anchor) {
-      out.links.push_back(url);
-    } else if (!is_stylesheet_link || EqualsIgnoreCase(rel, "stylesheet")) {
-      out.embeds.push_back(url);
+    const auto [url, rel] = ReadAttrs<2>(tok.attr_src, {ref->url_attr, "rel"});
+    if (CarriesRef(*ref, url, rel)) {
+      (ref->embed ? out.embeds : out.links).push_back(*url);
     }
   }
   return out;
 }
 
-HtmlDocument::HtmlDocument(std::string_view html) : tokens_(TokenizeHtml(html)) {}
+HtmlDocument::HtmlDocument(std::string_view html) {
+  // An anchor's content runs to the next </a>, through any anchors opened
+  // after it. Each open anchor keeps what the content between it and the
+  // next open anchor holds; at </a> (or the end of the page) an anchor's
+  // whole content is its own segment plus every later one. It is hidden
+  // iff that content has imagery but no visible text and every image is
+  // 1x1.
+  struct OpenAnchor {
+    size_t link;
+    bool content = false;
+    bool visible = false;
+  };
+  std::vector<OpenAnchor> open_anchors;
+  auto close_anchors = [&] {
+    bool content = false;
+    bool visible = false;
+    for (auto it = open_anchors.rbegin(); it != open_anchors.rend(); ++it) {
+      content = content || it->content;
+      visible = visible || it->visible;
+      links_[it->link].hidden = content && !visible;
+    }
+    open_anchors.clear();
+  };
+  bool in_inline_script = false;
+  bool body_seen = false;
 
-std::vector<LinkRef> HtmlDocument::Links() const {
-  std::vector<LinkRef> out;
-  for (size_t i = 0; i < tokens_.size(); ++i) {
-    const HtmlToken& tok = tokens_[i];
-    if (tok.type != HtmlTokenType::kStartTag || tok.name != "a" || !tok.HasAttr("href")) {
+  HtmlTokenStream stream(html);
+  HtmlTokenView tok;
+  while (stream.Next(tok)) {
+    if (tok.type == HtmlTokenType::kText) {
+      if (!open_anchors.empty() && !IsBlankText(tok.text)) {
+        open_anchors.back().content = true;
+        open_anchors.back().visible = true;
+      }
+      if (in_inline_script) {
+        inline_scripts_.back().append(tok.text);
+      }
       continue;
     }
-    LinkRef link;
-    link.href = std::string(tok.Attr("href"));
-    link.onclick = std::string(tok.Attr("onclick"));
-    // Inspect the anchor's content up to </a>: hidden iff there is no
-    // visible text and every image is 1x1.
-    bool any_visible = false;
-    bool any_content = false;
-    for (size_t j = i + 1; j < tokens_.size(); ++j) {
-      const HtmlToken& inner = tokens_[j];
-      if (inner.type == HtmlTokenType::kEndTag && inner.name == "a") {
-        break;
+    if (tok.type == HtmlTokenType::kEndTag) {
+      if (EqualsIgnoreCase(tok.name, "a")) {
+        close_anchors();
+      } else if (EqualsIgnoreCase(tok.name, "script")) {
+        in_inline_script = false;
       }
-      if (inner.type == HtmlTokenType::kText) {
-        if (!IsBlankText(inner.text)) {
-          any_visible = true;
-          any_content = true;
-        }
-      } else if (inner.type == HtmlTokenType::kStartTag && inner.name == "img") {
-        any_content = true;
-        if (!IsOnePixelImage(inner)) {
-          any_visible = true;
-        }
-      }
+      continue;
     }
-    link.hidden = any_content && !any_visible;
-    out.push_back(std::move(link));
+    if (tok.type != HtmlTokenType::kStartTag) {
+      continue;
+    }
+    if (!body_seen && EqualsIgnoreCase(tok.name, "body")) {
+      body_seen = true;
+      body_handler_ = ReadAttrs<1>(tok.attr_src, {"onmousemove"})[0].value_or("");
+      continue;
+    }
+    const RefTag* ref = RefTagFor(tok.name);
+    if (ref == nullptr) {
+      continue;
+    }
+    const bool anchor = !ref->embed;
+    const bool image = ref->embed == EmbedRef::Kind::kImage;
+    const auto [url, rel, onclick, width, height] = ReadAttrs<5>(
+        tok.attr_src, {ref->url_attr, "rel", anchor ? "onclick" : "", image ? "width" : "",
+                       image ? "height" : ""});
+    if (image && !open_anchors.empty()) {
+      open_anchors.back().content = true;
+      open_anchors.back().visible = open_anchors.back().visible || width != "1" || height != "1";
+    }
+    if (ref->embed == EmbedRef::Kind::kScript && !url && !tok.self_closing) {
+      inline_scripts_.emplace_back();
+      in_inline_script = true;
+    }
+    if (!CarriesRef(*ref, url, rel)) {
+      continue;
+    }
+    if (anchor) {
+      open_anchors.push_back({links_.size()});
+      links_.push_back({std::string(*url), false, std::string(onclick.value_or(""))});
+    } else {
+      embeds_.push_back({*ref->embed, std::string(*url)});
+    }
   }
-  return out;
+  close_anchors();
 }
 
 std::vector<LinkRef> HtmlDocument::VisibleLinks() const {
   std::vector<LinkRef> out;
-  for (LinkRef& link : Links()) {
+  for (const LinkRef& link : links_) {
     if (!link.hidden) {
-      out.push_back(std::move(link));
+      out.push_back(link);
     }
   }
   return out;
-}
-
-std::vector<EmbedRef> HtmlDocument::EmbeddedObjects() const {
-  std::vector<EmbedRef> out;
-  for (const HtmlToken& tok : tokens_) {
-    if (tok.type != HtmlTokenType::kStartTag) {
-      continue;
-    }
-    if (tok.name == "img" && tok.HasAttr("src")) {
-      out.push_back({EmbedRef::Kind::kImage, std::string(tok.Attr("src"))});
-    } else if (tok.name == "link" && EqualsIgnoreCase(tok.Attr("rel"), "stylesheet") &&
-               tok.HasAttr("href")) {
-      out.push_back({EmbedRef::Kind::kCss, std::string(tok.Attr("href"))});
-    } else if (tok.name == "script" && tok.HasAttr("src")) {
-      out.push_back({EmbedRef::Kind::kScript, std::string(tok.Attr("src"))});
-    } else if ((tok.name == "bgsound" || tok.name == "audio") && tok.HasAttr("src")) {
-      out.push_back({EmbedRef::Kind::kAudio, std::string(tok.Attr("src"))});
-    } else if ((tok.name == "iframe" || tok.name == "frame") && tok.HasAttr("src")) {
-      out.push_back({EmbedRef::Kind::kFrame, std::string(tok.Attr("src"))});
-    }
-  }
-  return out;
-}
-
-std::vector<std::string> HtmlDocument::InlineScripts() const {
-  std::vector<std::string> out;
-  for (size_t i = 0; i < tokens_.size(); ++i) {
-    const HtmlToken& tok = tokens_[i];
-    if (tok.type != HtmlTokenType::kStartTag || tok.name != "script" || tok.HasAttr("src") ||
-        tok.self_closing) {
-      continue;
-    }
-    std::string code;
-    for (size_t j = i + 1; j < tokens_.size(); ++j) {
-      const HtmlToken& inner = tokens_[j];
-      if (inner.type == HtmlTokenType::kEndTag && inner.name == "script") {
-        break;
-      }
-      if (inner.type == HtmlTokenType::kText) {
-        code += inner.text;
-      }
-    }
-    out.push_back(std::move(code));
-  }
-  return out;
-}
-
-std::string HtmlDocument::BodyEventHandler(std::string_view event) const {
-  for (const HtmlToken& tok : tokens_) {
-    if (tok.type == HtmlTokenType::kStartTag && tok.name == "body") {
-      return std::string(tok.Attr(event));
-    }
-  }
-  return "";
 }
 
 }  // namespace robodet

@@ -1,14 +1,13 @@
 // Read-side view of an HTML document: the links a visitor could follow and
-// the objects a rendering browser would fetch. Both the simulated clients
-// (to decide what to request next) and tests use this.
+// the objects a rendering browser would fetch. The simulated clients read
+// every page they fetch this way, and the proxy records what it served with
+// CollectServedRefs, by the same rules.
 #ifndef ROBODET_SRC_HTML_DOCUMENT_H_
 #define ROBODET_SRC_HTML_DOCUMENT_H_
 
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "src/html/tokenizer.h"
 
 namespace robodet {
 
@@ -38,17 +37,23 @@ struct ServedRefs {
 };
 
 // Collects both lists in one zero-copy scan of `html`, by HtmlDocument's
-// rules (case-insensitive names, first matching attribute, raw values),
-// without materializing tokens. The proxy records every page it serves
-// this way.
+// rules (case-insensitive names, first matching attribute, raw values).
+// The proxy records every page it serves this way.
 ServedRefs CollectServedRefs(std::string_view html);
 
+// What a visitor reads off a page: its links, the objects a rendering
+// browser fetches, its inline scripts and its mouse handler. The
+// constructor reads the page in one walk of HtmlTokenStream and keeps only
+// those answers (it holds no view into `html`). The accessors return
+// references into the document, so they are deleted on a temporary.
 class HtmlDocument {
  public:
   explicit HtmlDocument(std::string_view html);
 
-  // All <a href> links, with hidden-ness computed from anchor content.
-  std::vector<LinkRef> Links() const;
+  // All <a href> links in document order. An anchor's content, for its
+  // hidden-ness, is every token up to the next </a>.
+  const std::vector<LinkRef>& Links() const& { return links_; }
+  const std::vector<LinkRef>& Links() const&& = delete;
 
   // Links a sighted human could click (hidden excluded).
   std::vector<LinkRef> VisibleLinks() const;
@@ -56,17 +61,23 @@ class HtmlDocument {
   // Objects a rendering browser fetches automatically: <img src>,
   // <link rel=stylesheet href>, <script src>, <bgsound/audio src>,
   // <iframe/frame src>.
-  std::vector<EmbedRef> EmbeddedObjects() const;
+  const std::vector<EmbedRef>& EmbeddedObjects() const& { return embeds_; }
+  const std::vector<EmbedRef>& EmbeddedObjects() const&& = delete;
 
-  // Concatenated contents of inline <script> elements (no src attribute).
-  std::vector<std::string> InlineScripts() const;
+  // Contents of each inline <script> element (no src attribute).
+  const std::vector<std::string>& InlineScripts() const& { return inline_scripts_; }
+  const std::vector<std::string>& InlineScripts() const&& = delete;
 
-  // Attribute value of the first <body> tag's event handler, if any
-  // (e.g. Attr("onmousemove")).
-  std::string BodyEventHandler(std::string_view event) const;
+  // The onmousemove attribute of the first <body> tag, or "" (Figure 1's
+  // handler hook).
+  const std::string& BodyEventHandler() const& { return body_handler_; }
+  const std::string& BodyEventHandler() const&& = delete;
 
  private:
-  std::vector<HtmlToken> tokens_;
+  std::vector<LinkRef> links_;
+  std::vector<EmbedRef> embeds_;
+  std::vector<std::string> inline_scripts_;
+  std::string body_handler_;
 };
 
 }  // namespace robodet

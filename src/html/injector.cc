@@ -1,16 +1,12 @@
 #include "src/html/injector.h"
 
-#include <algorithm>
 #include <cstddef>
 
+#include "src/html/tokenizer.h"
 #include "src/util/strings.h"
 
 namespace robodet {
 namespace {
-
-// --------------------------------------------------------------------------
-// Shared serialization helpers (legacy-normalized attribute form).
-// --------------------------------------------------------------------------
 
 void AppendQuotedAttr(std::string& out, std::string_view name, std::string_view value) {
   out.push_back(' ');
@@ -69,13 +65,11 @@ std::string BuildBodyBlob(const InjectionPlan& plan) {
   return blob;
 }
 
-// Emits a start tag while applying SetAttr(event, code) semantics: the
-// first attribute whose name matches `event` case-insensitively has its
-// value replaced; if none matches, `lower(event)="code"` is appended after
-// the existing attributes (before any self-closing marker) — exactly what
-// HtmlToken::SetAttr + SerializeHtml produce.
-void AppendStartTagWithAttr(std::string& out, const HtmlTokenView& v, std::string_view event,
-                            std::string_view code) {
+// Emits a <body> start tag with `onmousemove="code"`: the first attribute
+// named onmousemove (in any case) has its value replaced; if there is none,
+// the handler is appended after the existing attributes (before any
+// self-closing marker).
+void AppendBodyWithHandler(std::string& out, const HtmlTokenView& v, std::string_view code) {
   out.push_back('<');
   AppendAsciiLower(out, v.name);
   bool replaced = false;
@@ -83,9 +77,8 @@ void AppendStartTagWithAttr(std::string& out, const HtmlTokenView& v, std::strin
   HtmlAttrView a;
   while (cursor.Next(a)) {
     out.push_back(' ');
-    if (!replaced && EqualsIgnoreCase(a.name, event)) {
-      AppendAsciiLower(out, a.name);
-      out.append("=\"");
+    if (!replaced && EqualsIgnoreCase(a.name, "onmousemove")) {
+      out.append("onmousemove=\"");
       AppendReplaceAll(out, code, "\"", "&quot;");
       out.push_back('"');
       replaced = true;
@@ -101,9 +94,7 @@ void AppendStartTagWithAttr(std::string& out, const HtmlTokenView& v, std::strin
     out.push_back('"');
   }
   if (!replaced) {
-    out.push_back(' ');
-    AppendAsciiLower(out, event);
-    out.append("=\"");
+    out.append(" onmousemove=\"");
     AppendReplaceAll(out, code, "\"", "&quot;");
     out.push_back('"');
   }
@@ -114,10 +105,8 @@ void AppendStartTagWithAttr(std::string& out, const HtmlTokenView& v, std::strin
 }
 
 // Serializes an <a> start tag in one attribute walk, appending
-// `onclick="code"` when the tag has an href and no onclick of its own
-// (matching HasAttr + SetAttr + SerializeHtml). Returns whether the
-// handler was added.
-bool AppendAnchorHooked(std::string& out, const HtmlTokenView& v, std::string_view code) {
+// `onclick="code"` when the tag has an href and no onclick of its own.
+void AppendAnchorHooked(std::string& out, const HtmlTokenView& v, std::string_view code) {
   out.push_back('<');
   AppendAsciiLower(out, v.name);
   bool has_href = false;
@@ -137,8 +126,7 @@ bool AppendAnchorHooked(std::string& out, const HtmlTokenView& v, std::string_vi
     AppendReplaceAll(out, a.value, "\"", "&quot;");
     out.push_back('"');
   }
-  const bool hook = has_href && !has_onclick;
-  if (hook) {
+  if (has_href && !has_onclick) {
     out.append(" onclick=\"");
     AppendReplaceAll(out, code, "\"", "&quot;");
     out.push_back('"');
@@ -147,150 +135,9 @@ bool AppendAnchorHooked(std::string& out, const HtmlTokenView& v, std::string_vi
     out.append(" /");
   }
   out.push_back('>');
-  return hook;
-}
-
-// --------------------------------------------------------------------------
-// Legacy (materializing) implementation — parity oracle and bench baseline.
-// --------------------------------------------------------------------------
-
-HtmlToken StartTag(std::string name,
-                   std::vector<std::pair<std::string, std::string>> attrs,
-                   bool self_closing = false) {
-  HtmlToken tok;
-  tok.type = HtmlTokenType::kStartTag;
-  tok.name = std::move(name);
-  tok.attrs = std::move(attrs);
-  tok.self_closing = self_closing;
-  return tok;
-}
-
-HtmlToken EndTag(std::string name) {
-  HtmlToken tok;
-  tok.type = HtmlTokenType::kEndTag;
-  tok.name = std::move(name);
-  return tok;
-}
-
-HtmlToken Text(std::string text) {
-  HtmlToken tok;
-  tok.type = HtmlTokenType::kText;
-  tok.text = std::move(text);
-  return tok;
-}
-
-// Index right after the first <head> start tag, else right before the first
-// <body> start tag, else 0 (prepend).
-size_t HeadInsertionPoint(const std::vector<HtmlToken>& tokens) {
-  for (size_t i = 0; i < tokens.size(); ++i) {
-    if (tokens[i].type == HtmlTokenType::kStartTag && tokens[i].name == "head") {
-      return i + 1;
-    }
-  }
-  for (size_t i = 0; i < tokens.size(); ++i) {
-    if (tokens[i].type == HtmlTokenType::kStartTag && tokens[i].name == "body") {
-      return i;
-    }
-  }
-  return 0;
-}
-
-// Index right before </body>, else right before </html>, else end.
-size_t BodyAppendPoint(const std::vector<HtmlToken>& tokens) {
-  for (size_t i = tokens.size(); i > 0; --i) {
-    if (tokens[i - 1].type == HtmlTokenType::kEndTag && tokens[i - 1].name == "body") {
-      return i - 1;
-    }
-  }
-  for (size_t i = tokens.size(); i > 0; --i) {
-    if (tokens[i - 1].type == HtmlTokenType::kEndTag && tokens[i - 1].name == "html") {
-      return i - 1;
-    }
-  }
-  return tokens.size();
 }
 
 }  // namespace
-
-InjectionResult InstrumentHtmlLegacy(std::string_view html, const InjectionPlan& plan) {
-  std::vector<HtmlToken> tokens = TokenizeHtml(html);
-  InjectionResult result;
-
-  // Mouse handler on <body> (attribute edit, no insertion).
-  if (!plan.mouse_handler_code.empty()) {
-    for (HtmlToken& tok : tokens) {
-      if (tok.type == HtmlTokenType::kStartTag && tok.name == "body") {
-        tok.SetAttr(plan.mouse_event, plan.mouse_handler_code);
-        result.injected_mouse_handler = true;
-        break;
-      }
-    }
-    if (plan.hook_links) {
-      for (HtmlToken& tok : tokens) {
-        if (tok.type == HtmlTokenType::kStartTag && tok.name == "a" && tok.HasAttr("href") &&
-            !tok.HasAttr("onclick")) {
-          tok.SetAttr("onclick", plan.mouse_handler_code);
-          result.injected_mouse_handler = true;
-        }
-      }
-    }
-  }
-
-  // Early insertions (reverse-ordered so indices stay valid).
-  std::vector<HtmlToken> head_inserts;
-  if (!plan.beacon_script_url.empty()) {
-    head_inserts.push_back(StartTag(
-        "script", {{"language", "javascript"}, {"src", plan.beacon_script_url}}));
-    head_inserts.push_back(EndTag("script"));
-    result.injected_beacon_script = true;
-  }
-  if (!plan.css_probe_url.empty()) {
-    head_inserts.push_back(StartTag(
-        "link",
-        {{"rel", "stylesheet"}, {"type", "text/css"}, {"href", plan.css_probe_url}}));
-    result.injected_css_probe = true;
-  }
-  if (!head_inserts.empty()) {
-    const size_t at = HeadInsertionPoint(tokens);
-    tokens.insert(tokens.begin() + static_cast<ptrdiff_t>(at), head_inserts.begin(),
-                  head_inserts.end());
-  }
-
-  // Late insertions inside <body>.
-  std::vector<HtmlToken> body_inserts;
-  if (!plan.audio_probe_url.empty()) {
-    body_inserts.push_back(StartTag("bgsound", {{"src", plan.audio_probe_url}}, true));
-    result.injected_audio_probe = true;
-  }
-  if (!plan.ua_echo_script.empty()) {
-    body_inserts.push_back(StartTag("script", {}));
-    body_inserts.push_back(Text(plan.ua_echo_script));
-    body_inserts.push_back(EndTag("script"));
-    result.injected_ua_echo = true;
-  }
-  if (!plan.hidden_link_url.empty() && !plan.transparent_image_url.empty()) {
-    body_inserts.push_back(StartTag("a", {{"href", plan.hidden_link_url}}));
-    body_inserts.push_back(StartTag(
-        "img",
-        {{"src", plan.transparent_image_url}, {"width", "1"}, {"height", "1"}, {"border", "0"}}));
-    body_inserts.push_back(EndTag("a"));
-    result.injected_hidden_link = true;
-  }
-  if (!body_inserts.empty()) {
-    const size_t at = BodyAppendPoint(tokens);
-    tokens.insert(tokens.begin() + static_cast<ptrdiff_t>(at), body_inserts.begin(),
-                  body_inserts.end());
-  }
-
-  result.html = SerializeHtml(tokens);
-  result.added_bytes =
-      result.html.size() > html.size() ? result.html.size() - html.size() : 0;
-  return result;
-}
-
-// --------------------------------------------------------------------------
-// Streaming implementation — one pass, one buffer.
-// --------------------------------------------------------------------------
 
 InjectionResult InstrumentHtml(std::string_view html, const InjectionPlan& plan) {
   constexpr size_t kNpos = static_cast<size_t>(-1);
@@ -298,12 +145,6 @@ InjectionResult InstrumentHtml(std::string_view html, const InjectionPlan& plan)
 
   const std::string head_blob = BuildHeadBlob(plan);
   const std::string body_blob = BuildBodyBlob(plan);
-  result.injected_beacon_script = !plan.beacon_script_url.empty();
-  result.injected_css_probe = !plan.css_probe_url.empty();
-  result.injected_audio_probe = !plan.audio_probe_url.empty();
-  result.injected_ua_echo = !plan.ua_echo_script.empty();
-  result.injected_hidden_link =
-      !plan.hidden_link_url.empty() && !plan.transparent_image_url.empty();
 
   const bool want_body_handler = !plan.mouse_handler_code.empty();
   const bool want_link_hooks = want_body_handler && plan.hook_links;
@@ -314,7 +155,7 @@ InjectionResult InstrumentHtml(std::string_view html, const InjectionPlan& plan)
   out.reserve(html.size() + head_blob.size() + body_blob.size() +
               (want_body_handler ? plan.mouse_handler_code.size() + 24 : 0));
 
-  // Output-buffer offsets of the legacy insertion anchors.
+  // Output-buffer offsets of the insertion anchors.
   size_t first_head_off = kNpos;   // right after the first <head> start tag
   size_t first_body_off = kNpos;   // right before the first <body> start tag
   size_t last_body_close_off = kNpos;  // right before the last </body>
@@ -344,15 +185,12 @@ InjectionResult InstrumentHtml(std::string_view html, const InjectionPlan& plan)
           first_body_off = out.size();
         }
         if (want_body_handler && !body_handler_done) {
-          AppendStartTagWithAttr(out, v, plan.mouse_event, plan.mouse_handler_code);
+          AppendBodyWithHandler(out, v, plan.mouse_handler_code);
           body_handler_done = true;
-          result.injected_mouse_handler = true;
           continue;
         }
       } else if (want_link_hooks && EqualsIgnoreCase(v.name, "a")) {
-        if (AppendAnchorHooked(out, v, plan.mouse_handler_code)) {
-          result.injected_mouse_handler = true;
-        }
+        AppendAnchorHooked(out, v, plan.mouse_handler_code);
         continue;
       }
     } else if (v.type == HtmlTokenType::kEndTag) {
@@ -367,7 +205,7 @@ InjectionResult InstrumentHtml(std::string_view html, const InjectionPlan& plan)
 
   // Splice the pre-serialized blobs at the recorded anchors. Inserting the
   // larger offset first keeps the smaller one valid; on a tie the head blob
-  // must end up before the body blob (matching the legacy insertion order).
+  // must end up before the body blob.
   const size_t body_at = last_body_close_off != kNpos
                              ? last_body_close_off
                              : (last_html_close_off != kNpos ? last_html_close_off : out.size());

@@ -8,8 +8,6 @@
 #include <string>
 #include <string_view>
 
-#include "src/html/tokenizer.h"
-
 namespace robodet {
 
 // What to weave into one page. All URLs are absolute; empty fields skip the
@@ -17,12 +15,11 @@ namespace robodet {
 struct InjectionPlan {
   // External beacon script (Figure 1's ./index_0729395150.js).
   std::string beacon_script_url;
-  // Event handler attribute installed on <body>, e.g. "return f();".
+  // Installed as <body onmousemove="..."> (Figure 1), e.g. "return f();".
   std::string mouse_handler_code;
-  // The event attribute to hook, default matching the paper's example.
-  std::string mouse_event = "onmousemove";
-  // Also install the handler as onclick on every visible link (the paper's
-  // alternative hook); applied in addition to the body handler when set.
+  // Also install the handler as onclick on every <a href> that has no
+  // onclick of its own (the paper's alternative hook); applied in addition
+  // to the body handler when set.
   bool hook_links = false;
 
   // Inline script that echoes the client's user agent back to the server
@@ -43,14 +40,6 @@ struct InjectionPlan {
 
 struct InjectionResult {
   std::string html;
-  // Which injections actually landed (a page without a <body> tag cannot
-  // take a mouse handler; we record rather than fail).
-  bool injected_beacon_script = false;
-  bool injected_mouse_handler = false;
-  bool injected_ua_echo = false;
-  bool injected_css_probe = false;
-  bool injected_audio_probe = false;
-  bool injected_hidden_link = false;
   // Bytes added by instrumentation; feeds the §3.2 overhead accounting.
   size_t added_bytes = 0;
 };
@@ -58,18 +47,15 @@ struct InjectionResult {
 // Applies `plan` to `html`. Insertion points follow the paper's example:
 // the beacon <script> and CSS probe go as early as possible (inside <head>
 // if present, else before <body>, else prepended); the mouse handler is an
-// attribute on <body>; the UA-echo script and hidden link go inside <body>
-// (appended before </body> or at document end).
+// onmousemove attribute on the first <body> (a page without one serves no
+// handler); the UA-echo script and hidden link go inside <body> (appended
+// before </body> or at document end).
 //
-// This is the serve-path implementation: a single streaming pass over the
-// zero-copy token stream that appends into one reserved output buffer.
-// Output is byte-identical to InstrumentHtmlLegacy on every input.
+// One streaming pass over the zero-copy token stream appends into one
+// reserved output buffer. The output must equal, byte for byte, that of
+// the tokenize→edit→serialize reference in tests/html/reference_rewriter
+// (html_streaming_parity_test checks it).
 InjectionResult InstrumentHtml(std::string_view html, const InjectionPlan& plan);
-
-// Reference implementation: materializes the full token vector, mutates it
-// and re-serializes (the pre-streaming path). Kept as the oracle for the
-// golden parity test and as the baseline for bench/rewrite_throughput.
-InjectionResult InstrumentHtmlLegacy(std::string_view html, const InjectionPlan& plan);
 
 }  // namespace robodet
 

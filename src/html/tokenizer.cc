@@ -18,50 +18,7 @@ bool IsSpace(char c) {
 
 bool IsAsciiAlpha(char c) { return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'); }
 
-void AppendToken(std::string& out, const HtmlToken& token) {
-  switch (token.type) {
-    case HtmlTokenType::kText:
-      out.append(token.text);
-      return;
-    case HtmlTokenType::kComment:
-      out.append("<!--");
-      out.append(token.text);
-      out.append("-->");
-      return;
-    case HtmlTokenType::kDoctype:
-      out.append("<!");
-      out.append(token.text);
-      out.push_back('>');
-      return;
-    case HtmlTokenType::kEndTag:
-      out.append("</");
-      out.append(token.name);
-      out.push_back('>');
-      return;
-    case HtmlTokenType::kStartTag: {
-      out.push_back('<');
-      out.append(token.name);
-      for (const auto& [k, v] : token.attrs) {
-        out.push_back(' ');
-        out.append(k);
-        out.append("=\"");
-        AppendReplaceAll(out, v, "\"", "&quot;");
-        out.push_back('"');
-      }
-      if (token.self_closing) {
-        out.append(" /");
-      }
-      out.push_back('>');
-      return;
-    }
-  }
-}
-
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Zero-copy streaming layer.
-// ---------------------------------------------------------------------------
 
 bool HtmlAttrCursor::Next(HtmlAttrView& out) {
   if (done_) {
@@ -287,8 +244,8 @@ void HtmlTokenStream::Produce() {
     text_start_ = i_;
 
     // Raw-text elements: consume until the matching close tag. The close
-    // search is byte-exact on the canonical lowercase form, matching the
-    // legacy tokenizer (an upper-case close tag leaves the element open).
+    // search is byte-exact on the canonical lowercase form (an upper-case
+    // close tag leaves the element open).
     if (tok.type == HtmlTokenType::kStartTag && !tok.self_closing &&
         (EqualsIgnoreCase(tok.name, "script") || EqualsIgnoreCase(tok.name, "style"))) {
       const std::string_view close = EqualsIgnoreCase(tok.name, "script") ? "</script" : "</style";
@@ -307,7 +264,7 @@ void HtmlTokenStream::Produce() {
       }
       PushText(html.substr(i_, end - i_));
       if (end < n) {
-        // Emit the close tag (attributes on it are dropped, as legacy did).
+        // Emit the close tag (attributes on it are dropped).
         const size_t close_end = html.find('>', end);
         HtmlTokenView close_tok;
         close_tok.type = HtmlTokenType::kEndTag;
@@ -388,84 +345,6 @@ void AppendTokenView(std::string& out, const HtmlTokenView& v) {
       return;
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Materializing layer (compatibility shim over the stream).
-// ---------------------------------------------------------------------------
-
-std::string_view HtmlToken::Attr(std::string_view attr_name) const {
-  for (const auto& [k, v] : attrs) {
-    if (EqualsIgnoreCase(k, attr_name)) {
-      return v;
-    }
-  }
-  return {};
-}
-
-bool HtmlToken::HasAttr(std::string_view attr_name) const {
-  for (const auto& [k, v] : attrs) {
-    if (EqualsIgnoreCase(k, attr_name)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void HtmlToken::SetAttr(std::string_view attr_name, std::string_view value) {
-  for (auto& [k, v] : attrs) {
-    if (EqualsIgnoreCase(k, attr_name)) {
-      v = std::string(value);
-      return;
-    }
-  }
-  attrs.emplace_back(AsciiLower(attr_name), std::string(value));
-}
-
-std::vector<HtmlToken> TokenizeHtml(std::string_view html) {
-  std::vector<HtmlToken> tokens;
-  HtmlTokenStream stream(html);
-  HtmlTokenView v;
-  while (stream.Next(v)) {
-    HtmlToken tok;
-    tok.type = v.type;
-    tok.self_closing = v.self_closing;
-    switch (v.type) {
-      case HtmlTokenType::kText:
-      case HtmlTokenType::kComment:
-      case HtmlTokenType::kDoctype:
-        tok.text.assign(v.text);
-        break;
-      case HtmlTokenType::kStartTag:
-      case HtmlTokenType::kEndTag: {
-        tok.name = AsciiLower(v.name);
-        HtmlAttrCursor cursor(v.attr_src);
-        HtmlAttrView a;
-        while (cursor.Next(a)) {
-          tok.attrs.emplace_back(AsciiLower(a.name), std::string(a.value));
-        }
-        break;
-      }
-    }
-    tokens.push_back(std::move(tok));
-  }
-  return tokens;
-}
-
-std::string SerializeHtml(const std::vector<HtmlToken>& tokens) {
-  std::string out;
-  size_t estimate = 0;
-  for (const HtmlToken& tok : tokens) {
-    estimate += tok.name.size() + tok.text.size() + 8;
-    for (const auto& [k, v] : tok.attrs) {
-      estimate += k.size() + v.size() + 4;
-    }
-  }
-  out.reserve(estimate);
-  for (const HtmlToken& tok : tokens) {
-    AppendToken(out, tok);
-  }
-  return out;
 }
 
 }  // namespace robodet

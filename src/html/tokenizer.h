@@ -1,33 +1,25 @@
-// A forgiving HTML tokenizer. Real CoDeeN rewrote whatever HTML the origin
-// produced, so the tokenizer must survive unquoted attributes, unclosed
-// tags and truncated documents; it never throws, it just yields its best
-// token stream. Round-tripping (tokenize + serialize) preserves content.
+// A forgiving, zero-copy HTML tokenizer. Real CoDeeN rewrote whatever HTML
+// the origin produced, so the tokenizer must survive unquoted attributes,
+// unclosed tags and truncated documents; it never throws, it just yields
+// its best token stream.
 //
-// Two API layers share one scanner:
+// It is the library's one HTML layer. Every view HtmlTokenStream yields
+// (tag name, text payload, raw attribute bytes) is a string_view into the
+// caller's buffer; nothing is allocated per token, and attributes are only
+// parsed when a consumer walks them with HtmlAttrCursor. The rewriter
+// (src/html/injector), the served-ref collector and HtmlDocument
+// (src/html/document) all read pages through it.
 //
-//  * HtmlTokenStream / HtmlTokenView — the zero-copy streaming layer. Every
-//    view (tag name, text payload, raw attribute bytes) is a string_view
-//    into the caller's buffer; nothing is allocated per token and
-//    attributes are only parsed when a consumer walks them with
-//    HtmlAttrCursor. This is the serve-path layer used by the streaming
-//    rewriter in src/html/injector.
-//
-//  * TokenizeHtml / HtmlToken — the legacy materializing layer, kept as a
-//    thin shim over the stream for tests and offline tools that want to
-//    mutate a token vector in place.
-//
-// AppendTokenView serializes a view with exactly the same normalization as
-// SerializeHtml (lowercased names, double-quoted attributes with '"'
-// escaped), so `for each view: AppendTokenView(out, v)` is byte-identical
-// to SerializeHtml(TokenizeHtml(html)).
+// AppendTokenView serializes a view in normalized form: lowercased names,
+// double-quoted attributes with '"' escaped, text verbatim. Serializing
+// every view of a document yields a fixed point: tokenizing that output
+// and serializing it again reproduces it byte for byte.
 #ifndef ROBODET_SRC_HTML_TOKENIZER_H_
 #define ROBODET_SRC_HTML_TOKENIZER_H_
 
 #include <cstddef>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 namespace robodet {
 
@@ -38,10 +30,6 @@ enum class HtmlTokenType {
   kComment,
   kDoctype,
 };
-
-// ---------------------------------------------------------------------------
-// Zero-copy streaming layer.
-// ---------------------------------------------------------------------------
 
 // One attribute as raw spans of the source buffer. `name` keeps the source
 // casing (consumers lowercase on use); `value` is the bytes between the
@@ -73,9 +61,8 @@ struct HtmlTokenView {
   bool self_closing = false;
 };
 
-// Lazily walks the attribute region of a tag. Replicates the legacy
-// ParseAttributes traversal exactly (quoted values may contain '>',
-// valueless attributes yield an empty value, stray bytes are skipped).
+// Lazily walks the attribute region of a tag: quoted values may contain
+// '>', valueless attributes yield an empty value, stray bytes are skipped.
 class HtmlAttrCursor {
  public:
   explicit HtmlAttrCursor(std::string_view attr_src) : s_(attr_src) {}
@@ -96,9 +83,9 @@ class HtmlAttrCursor {
   bool done_ = false;
 };
 
-// Pull-based tokenizer; emits the exact token sequence TokenizeHtml
-// materializes, without allocating. <script>/<style> contents are raw text
-// until the matching close tag, as per the HTML spec's raw-text states.
+// Pull-based tokenizer; yields one view per token, without allocating.
+// <script>/<style> contents are raw text until the matching close tag, as
+// per the HTML spec's raw-text states.
 class HtmlTokenStream {
  public:
   explicit HtmlTokenStream(std::string_view html) : html_(html) {}
@@ -142,36 +129,8 @@ class HtmlTokenStream {
   size_t queue_head_ = 0;
 };
 
-// Serializes one view onto `out` with the legacy normalization rules.
+// Serializes one view onto `out` in normalized form.
 void AppendTokenView(std::string& out, const HtmlTokenView& v);
-
-// ---------------------------------------------------------------------------
-// Materializing layer (compatibility shim over the stream).
-// ---------------------------------------------------------------------------
-
-struct HtmlToken {
-  HtmlTokenType type = HtmlTokenType::kText;
-  // Lowercased tag name for start/end tags; raw text for text/comment/
-  // doctype tokens (comment text excludes the <!-- --> delimiters).
-  std::string name;
-  std::string text;
-  std::vector<std::pair<std::string, std::string>> attrs;
-  bool self_closing = false;
-
-  // Case-insensitive attribute lookup; returns empty string if absent.
-  std::string_view Attr(std::string_view attr_name) const;
-  bool HasAttr(std::string_view attr_name) const;
-  void SetAttr(std::string_view attr_name, std::string_view value);
-};
-
-// Tokenizes the whole document. <script> and <style> element contents are
-// treated as raw text until the matching close tag, as per the HTML spec's
-// raw-text states.
-std::vector<HtmlToken> TokenizeHtml(std::string_view html);
-
-// Serializes tokens back to HTML. Attribute values are double-quoted with
-// '"' escaped; text is emitted verbatim.
-std::string SerializeHtml(const std::vector<HtmlToken>& tokens);
 
 }  // namespace robodet
 

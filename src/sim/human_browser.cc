@@ -273,7 +273,7 @@ void HumanBrowserClient::OnPageLoaded(Gateway& gateway, const Response& response
   if (profile_.js_enabled) {
     scripts_ = std::make_unique<PageScriptsHolder>(profile_.user_agent);
   }
-  mouse_handler_ = current_doc_->BodyEventHandler("onmousemove");
+  mouse_handler_ = current_doc_->BodyEventHandler();
 
   // Queue subresources in document-ish order: scripts, then CSS, then
   // images, then favicon (once per session).

@@ -575,7 +575,7 @@ std::optional<TimeMs> SmartBotClient::Step(TimeMs now, Gateway& gateway) {
 void SmartBotClient::ProcessPage(Gateway& gateway, const Response& response) {
   (void)gateway;
   HtmlDocument doc(response.body);
-  handler_code_ = doc.BodyEventHandler("onmousemove");
+  handler_code_ = doc.BodyEventHandler();
 
   for (const EmbedRef& embed : doc.EmbeddedObjects()) {
     const Url target = current_page_.Resolve(embed.url);

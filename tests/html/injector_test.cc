@@ -24,15 +24,10 @@ InjectionPlan FullPlan() {
 
 TEST(InjectorTest, AllInjectionsLand) {
   const InjectionResult result = InstrumentHtml(kPage, FullPlan());
-  EXPECT_TRUE(result.injected_beacon_script);
-  EXPECT_TRUE(result.injected_mouse_handler);
-  EXPECT_TRUE(result.injected_ua_echo);
-  EXPECT_TRUE(result.injected_css_probe);
-  EXPECT_TRUE(result.injected_hidden_link);
   EXPECT_GT(result.added_bytes, 0u);
 
   HtmlDocument doc(result.html);
-  EXPECT_EQ(doc.BodyEventHandler("onmousemove"), "return d();");
+  EXPECT_EQ(doc.BodyEventHandler(), "return d();");
 
   bool saw_script = false;
   bool saw_probe = false;
@@ -72,8 +67,9 @@ TEST(InjectorTest, OriginalContentPreserved) {
 
 TEST(InjectorTest, EmptyPlanIsIdentityModuloSerialization) {
   const InjectionResult result = InstrumentHtml(kPage, InjectionPlan{});
-  EXPECT_FALSE(result.injected_beacon_script);
-  EXPECT_FALSE(result.injected_mouse_handler);
+  // kPage is already in normalized form, so nothing changes.
+  EXPECT_EQ(result.html, kPage);
+  EXPECT_EQ(result.added_bytes, 0u);
   HtmlDocument before{std::string_view(kPage)};
   HtmlDocument after(result.html);
   EXPECT_EQ(before.Links().size(), after.Links().size());
@@ -83,10 +79,15 @@ TEST(InjectorTest, EmptyPlanIsIdentityModuloSerialization) {
 TEST(InjectorTest, NoBodyTagSkipsMouseHandler) {
   InjectionPlan plan = FullPlan();
   const InjectionResult result = InstrumentHtml("<p>fragment only</p>", plan);
-  EXPECT_FALSE(result.injected_mouse_handler);
+  EXPECT_EQ(result.html.find("onmousemove"), std::string::npos) << result.html;
   // Everything else still lands (prepended / appended).
-  EXPECT_TRUE(result.injected_beacon_script);
-  EXPECT_TRUE(result.injected_hidden_link);
+  HtmlDocument doc(result.html);
+  EXPECT_EQ(doc.BodyEventHandler(), "");
+  ASSERT_FALSE(doc.EmbeddedObjects().empty());
+  EXPECT_EQ(doc.EmbeddedObjects()[0].url, "http://e.com/__rd/js_tok.js");
+  ASSERT_EQ(doc.Links().size(), 1u);
+  EXPECT_EQ(doc.Links()[0].href, "http://e.com/__rd/hl_tok.html");
+  EXPECT_EQ(doc.InlineScripts().size(), 1u);
 }
 
 TEST(InjectorTest, NoHeadInsertsBeforeBody) {
@@ -136,13 +137,13 @@ TEST(InjectorTest, ExistingOnclickNotOverwritten) {
   }
 }
 
-TEST(InjectorTest, MouseEventAttributeConfigurable) {
-  InjectionPlan plan = FullPlan();
-  plan.mouse_event = "onkeypress";
-  const InjectionResult result = InstrumentHtml(kPage, plan);
-  HtmlDocument doc(result.html);
-  EXPECT_EQ(doc.BodyEventHandler("onkeypress"), "return d();");
-  EXPECT_EQ(doc.BodyEventHandler("onmousemove"), "");
+TEST(InjectorTest, ExistingBodyHandlerReplaced) {
+  InjectionPlan plan;
+  plan.mouse_handler_code = "return d();";
+  const InjectionResult result =
+      InstrumentHtml("<body class=\"c\" OnMouseMove=\"old()\"><p>x</p></body>", plan);
+  EXPECT_EQ(result.html,
+            "<body class=\"c\" onmousemove=\"return d();\"><p>x</p></body>");
 }
 
 TEST(InjectorTest, TruncatedHtmlDoesNotCrash) {

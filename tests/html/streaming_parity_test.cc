@@ -1,8 +1,8 @@
 // Golden parity corpus: the streaming single-pass rewriter must produce
-// byte-identical output to the legacy tokenize→inject→serialize path on
-// every document — well-formed pages, tag soup, truncated markup, quote
-// abuse, raw-text edge cases. The streaming path is the serve path; the
-// legacy path is the oracle.
+// byte-identical output to the reference tokenize→inject→serialize
+// algorithm (tests/html/reference_rewriter) on every document — well-formed
+// pages, tag soup, truncated markup, quote abuse, raw-text edge cases. The
+// streaming path is the serve path; the reference is the oracle.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -11,6 +11,8 @@
 #include "src/html/injector.h"
 #include "src/html/tokenizer.h"
 #include "src/util/rng.h"
+#include "tests/html/html_corpus.h"
+#include "tests/html/reference_rewriter.h"
 #include "tests/html/served_refs_test_util.h"
 
 namespace robodet {
@@ -48,96 +50,18 @@ std::vector<InjectionPlan> Plans() {
   quote_bomb.hook_links = true;
   plans.push_back(quote_bomb);
 
-  InjectionPlan custom_event = FullPlan();
-  custom_event.mouse_event = "OnMouseOver";
-  plans.push_back(custom_event);
-
   return plans;
 }
-
-// ≥20 documents spanning the tokenizer's grammar and its forgiveness rules.
-const char* const kCorpus[] = {
-    // 1: canonical well-formed page.
-    "<!DOCTYPE html><html><head><title>T</title></head>"
-    "<body><p>hello</p><a href=\"/x\">x</a></body></html>",
-    // 2: no head.
-    "<html><body><p>no head</p></body></html>",
-    // 3: no body, no head.
-    "<div><span>bare fragment</span></div>",
-    // 4: empty document.
-    "",
-    // 5: text only.
-    "just words, no markup at all",
-    // 6: comments, including one that never closes.
-    "<html><!-- a comment --><body>x</body><!-- unterminated",
-    // 7: doctype soup.
-    "<!doctype HTML PUBLIC \"-//W3C//DTD HTML 4.01//EN\"><html><body>y</body></html>",
-    // 8: script with markup inside (raw text).
-    "<head><script>if (a < b) document.write(\"<p>hi</p>\");</script></head><body>z</body>",
-    // 9: style with markup inside.
-    "<style>a > b { color: red; }</style><body>s</body>",
-    // 10: script that never closes.
-    "<body><script>var x = 1; // and the tag never ends",
-    // 11: uppercase everything.
-    "<HTML><HEAD><TITLE>UP</TITLE></HEAD><BODY BGCOLOR=\"#fff\"><A HREF=\"/Y\">Y</A></BODY></HTML>",
-    // 12: unquoted and single-quoted attributes.
-    "<body text=black><a href=/plain class='c1'>go</a></body>",
-    // 13: attribute values containing '>' and quotes.
-    "<body><a href=\"/x?a>b\" title='say \"hi\"'>t</a></body>",
-    // 14: valueless attributes and stray equals.
-    "<body><input disabled readonly = ><a href>bare</a></body>",
-    // 15: self-closing tags, with and without space.
-    "<body><br/><img src=\"/i.png\" /><hr></body>",
-    // 16: stray '<' characters and entities.
-    "a < b && c << d <3 <<>> &amp; done",
-    // 17: truncated tag at end of input.
-    "<body><p>cut <a href=\"/x",
-    // 18: truncated mid-attribute-value.
-    "<body><img src=\"/half",
-    // 19: end tags with attributes and self-closing end tags.
-    "<body><p>x</p class=\"odd\"></body/></html>",
-    // 20: body before head (pathological ordering).
-    "<body>early</body><head><title>late</title></head>",
-    // 21: multiple body tags — only the first takes the handler.
-    "<body id=\"one\">a</body><body id=\"two\">b</body>",
-    // 22: nested links with and without onclick.
-    "<body><a href=\"/1\">1</a><a href=\"/2\" onclick=\"x()\">2</a>"
-    "<a name=\"no-href\">3</a></body>",
-    // 23: duplicate attributes.
-    "<body class=\"a\" class=\"b\" onmousemove=\"old()\">dup</body>",
-    // 24: mixed-case raw-text close tag (stays open, legacy quirk).
-    "<body><script>var s = 1;</SCRIPT><p>after</p>",
-    // 25: trailing '<'.
-    "tail<",
-    // 26: html close but no body close.
-    "<html><body><p>unclosed</html>",
-    // 27: script close tag with attributes.
-    "<body><script>x()</script junk=\"1\"><p>rest</p></body>",
-    // 28: comment that looks like a tag.
-    "<!--<body>not a real body</body>--><div>real</div>",
-};
 
 TEST(StreamingParityTest, CorpusByteIdentical) {
   const std::vector<InjectionPlan> plans = Plans();
   ASSERT_GE(std::size(kCorpus), 20u);
   for (size_t d = 0; d < std::size(kCorpus); ++d) {
     for (size_t p = 0; p < plans.size(); ++p) {
-      const InjectionResult legacy = InstrumentHtmlLegacy(kCorpus[d], plans[p]);
+      const InjectionResult expected = reference::InstrumentHtml(kCorpus[d], plans[p]);
       const InjectionResult streaming = InstrumentHtml(kCorpus[d], plans[p]);
-      EXPECT_EQ(legacy.html, streaming.html) << "doc " << d + 1 << " plan " << p;
-      EXPECT_EQ(legacy.added_bytes, streaming.added_bytes) << "doc " << d + 1 << " plan " << p;
-      EXPECT_EQ(legacy.injected_beacon_script, streaming.injected_beacon_script)
-          << "doc " << d + 1 << " plan " << p;
-      EXPECT_EQ(legacy.injected_mouse_handler, streaming.injected_mouse_handler)
-          << "doc " << d + 1 << " plan " << p;
-      EXPECT_EQ(legacy.injected_ua_echo, streaming.injected_ua_echo)
-          << "doc " << d + 1 << " plan " << p;
-      EXPECT_EQ(legacy.injected_css_probe, streaming.injected_css_probe)
-          << "doc " << d + 1 << " plan " << p;
-      EXPECT_EQ(legacy.injected_audio_probe, streaming.injected_audio_probe)
-          << "doc " << d + 1 << " plan " << p;
-      EXPECT_EQ(legacy.injected_hidden_link, streaming.injected_hidden_link)
-          << "doc " << d + 1 << " plan " << p;
+      EXPECT_EQ(expected.html, streaming.html) << "doc " << d + 1 << " plan " << p;
+      EXPECT_EQ(expected.added_bytes, streaming.added_bytes) << "doc " << d + 1 << " plan " << p;
     }
   }
 }
@@ -154,8 +78,8 @@ TEST(StreamingParityTest, CorpusServedRefsMatchDocument) {
   }
 }
 
-// The streaming serializer over the token stream must reproduce
-// SerializeHtml(TokenizeHtml(doc)) byte-for-byte.
+// The streaming serializer over the token stream must reproduce the
+// reference's SerializeHtml(TokenizeHtml(doc)) byte-for-byte.
 TEST(StreamingParityTest, StreamSerializationMatchesMaterialized) {
   for (const char* doc : kCorpus) {
     std::string streamed;
@@ -164,14 +88,14 @@ TEST(StreamingParityTest, StreamSerializationMatchesMaterialized) {
     while (stream.Next(v)) {
       AppendTokenView(streamed, v);
     }
-    EXPECT_EQ(SerializeHtml(TokenizeHtml(doc)), streamed) << doc;
+    EXPECT_EQ(reference::SerializeHtml(reference::TokenizeHtml(doc)), streamed) << doc;
   }
 }
 
-// The materializing shim must agree with the stream token-by-token.
-TEST(StreamingParityTest, ShimTokensMatchStreamTokens) {
+// The reference's owned tokens must agree with the stream token-by-token.
+TEST(StreamingParityTest, ReferenceTokensMatchStreamTokens) {
   for (const char* doc : kCorpus) {
-    const std::vector<HtmlToken> tokens = TokenizeHtml(doc);
+    const std::vector<reference::HtmlToken> tokens = reference::TokenizeHtml(doc);
     HtmlTokenStream stream(doc);
     HtmlTokenView v;
     size_t i = 0;
@@ -234,12 +158,24 @@ TEST(StreamingParityTest, RandomizedDocumentsByteIdentical) {
   for (int iter = 0; iter < 400; ++iter) {
     const std::string doc = MessyHtml(rng, 64 + rng.UniformU64(2048));
     const InjectionPlan& plan = plans[static_cast<size_t>(iter) % plans.size()];
-    const InjectionResult legacy = InstrumentHtmlLegacy(doc, plan);
+    const InjectionResult expected = reference::InstrumentHtml(doc, plan);
     const InjectionResult streaming = InstrumentHtml(doc, plan);
-    ASSERT_EQ(legacy.html, streaming.html) << "iter " << iter << "\ndoc:\n" << doc;
-    ASSERT_EQ(legacy.added_bytes, streaming.added_bytes) << "iter " << iter;
-    ASSERT_EQ(legacy.injected_mouse_handler, streaming.injected_mouse_handler) << "iter " << iter;
+    ASSERT_EQ(expected.html, streaming.html) << "iter " << iter << "\ndoc:\n" << doc;
+    ASSERT_EQ(expected.added_bytes, streaming.added_bytes) << "iter " << iter;
   }
+}
+
+// The reference installs the body handler with SetAttr, which replaces the
+// first attribute of that name in any case, or appends it lowercased.
+TEST(ReferenceRewriterTest, SetAttrReplacesOrAppends) {
+  reference::HtmlToken tok;
+  tok.type = HtmlTokenType::kStartTag;
+  tok.name = "body";
+  tok.SetAttr("onmousemove", "f()");
+  EXPECT_EQ(tok.Attr("onmousemove"), "f()");
+  tok.SetAttr("OnMouseMove", "g()");
+  EXPECT_EQ(tok.Attr("onmousemove"), "g()");
+  EXPECT_EQ(tok.attrs.size(), 1u);
 }
 
 }  // namespace

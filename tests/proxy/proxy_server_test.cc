@@ -122,7 +122,7 @@ class ProxyServerTest : public ::testing::Test {
     EXPECT_EQ(Get(written.EmbeddedObjects()[0].url).response.status, StatusCode::kOk);
 
     interp.ClearObservations();
-    ASSERT_TRUE(interp.RunHandler(doc.BodyEventHandler("onmousemove")).ok);
+    ASSERT_TRUE(interp.RunHandler(doc.BodyEventHandler()).ok);
     ASSERT_EQ(interp.fetched_urls().size(), 1u);
     EXPECT_EQ(Get(interp.fetched_urls()[0]).response.status, StatusCode::kOk);
   }
@@ -146,7 +146,7 @@ TEST_F(ProxyServerTest, InstrumentsHtmlPages) {
   }
   EXPECT_TRUE(has_beacon_script);
   EXPECT_TRUE(has_css_probe);
-  EXPECT_FALSE(doc.BodyEventHandler("onmousemove").empty());
+  EXPECT_FALSE(doc.BodyEventHandler().empty());
   // Hidden link present.
   bool hidden = false;
   for (const LinkRef& link : doc.Links()) {
@@ -198,7 +198,8 @@ TEST_F(ProxyServerTest, HandleReportsVerdictOfHumanAndScraper) {
   // A scraper from IP 2 that follows the hidden link.
   const auto page = Get("/p/1.html", IpAddress(2));
   std::string hidden_url;
-  for (const LinkRef& link : HtmlDocument(page.response.body).Links()) {
+  const HtmlDocument doc(page.response.body);
+  for (const LinkRef& link : doc.Links()) {
     if (link.href.find("/__rd/hl_") != std::string::npos) {
       hidden_url = link.href;
     }
@@ -264,7 +265,7 @@ TEST_F(ProxyServerTest, BeaconKeyReplayFromAnotherIpFails) {
   const auto script = Get(script_url, IpAddress(1));
   JsInterpreter interp(JsInterpreter::Config{kUa, 300000});
   ASSERT_TRUE(interp.Run(script.response.body).ok);
-  ASSERT_TRUE(interp.RunHandler(doc.BodyEventHandler("onmousemove")).ok);
+  ASSERT_TRUE(interp.RunHandler(doc.BodyEventHandler()).ok);
   ASSERT_EQ(interp.fetched_urls().size(), 1u);
   // Replay the correct beacon from a different IP: wrong-key for that IP.
   Get(interp.fetched_urls()[0], IpAddress(99));

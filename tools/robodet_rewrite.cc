@@ -70,7 +70,8 @@ int main(int argc, char** argv) {
                page.body.size() - html.size(), config.num_decoys);
 
   if (flags.GetBool("show-script")) {
-    for (const EmbedRef& embed : HtmlDocument(page.body).EmbeddedObjects()) {
+    const HtmlDocument doc(page.body);
+    for (const EmbedRef& embed : doc.EmbeddedObjects()) {
       const auto url = Url::Parse(embed.url);
       if (!url.has_value()) {
         continue;
