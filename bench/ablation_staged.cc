@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
 
   Experiment experiment(CodeenWeekConfig(num_clients, 41));
   experiment.Run();
-  const auto sessions = experiment.RecordsWithMinRequests(10);
+  const auto sessions = experiment.RecordsWithMinRequests(kTable1MinRequests);
   std::printf("corpus: %zu sessions\n\n", sessions.size());
 
   // Train the ML fallback on a disjoint capture (never on the eval data).
@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   Experiment train_experiment(train_config);
   train_experiment.Run();
   Dataset train_data;
-  for (const SessionRecord* r : train_experiment.RecordsWithMinRequests(10)) {
+  for (const SessionRecord* r : train_experiment.RecordsWithMinRequests(kTable1MinRequests)) {
     Example e;
     e.x = ExtractFeatures(r->events);
     e.label = r->truly_human ? kLabelHuman : kLabelRobot;

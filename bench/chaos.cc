@@ -71,7 +71,7 @@ SweepRow RunSweepPoint(size_t num_clients, double fault_rate) {
   // the paper's threshold), using the online combined classifier.
   CombinedClassifier classifier;
   size_t correct = 0;
-  for (const SessionRecord* r : experiment.RecordsWithMinRequests(10)) {
+  for (const SessionRecord* r : experiment.RecordsWithMinRequests(kTable1MinRequests)) {
     const Verdict v = classifier.ClassifyOnline(r->observation).verdict;
     if (v == Verdict::kUnknown) {
       continue;
@@ -125,7 +125,7 @@ CrashRow RunCrashPoint(size_t num_clients, double crash_rate, bool persist,
 
   CombinedClassifier classifier;
   size_t correct = 0;
-  for (const SessionRecord* r : experiment.RecordsWithMinRequests(10)) {
+  for (const SessionRecord* r : experiment.RecordsWithMinRequests(kTable1MinRequests)) {
     const Verdict v = classifier.ClassifyOnline(r->observation).verdict;
     if (v == Verdict::kUnknown) {
       continue;

@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   EmpiricalCdf css;
   EmpiricalCdf js;
   EmpiricalCdf mouse;
-  for (const SessionRecord* r : experiment.RecordsWithMinRequests(10)) {
+  for (const SessionRecord* r : experiment.RecordsWithMinRequests(kTable1MinRequests)) {
     const SessionSignals& sig = r->signals();
     if (sig.css_probe_at > 0) {
       css.Add(sig.css_probe_at);

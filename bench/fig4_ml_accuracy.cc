@@ -26,7 +26,8 @@ int main(int argc, char** argv) {
 
   // Stable split of the session records (not of the per-N examples), so
   // every classifier sees the same train/test sessions — as in the paper.
-  std::vector<const SessionRecord*> sessions = experiment.RecordsWithMinRequests(10);
+  std::vector<const SessionRecord*> sessions =
+      experiment.RecordsWithMinRequests(kTable1MinRequests);
   Rng split_rng(5);
   split_rng.Shuffle(sessions);
   std::vector<const SessionRecord*> train_sessions;

@@ -7,8 +7,10 @@
 // `gate_` are dimensionless ratios — machine-independent, and the ones the
 // CI regression check compares.
 #include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/html/injector.h"
@@ -58,8 +60,6 @@ InjectionPlan FullPlan() {
 }
 
 // Runs `fn` until ~120 ms of wall time has elapsed; returns seconds/call.
-// Callers take the best of several alternating reps, so per-rep budget can
-// stay small.
 template <typename Fn>
 double TimePerCall(Fn&& fn) {
   constexpr uint64_t kBudgetNs = 120ull * 1000 * 1000;
@@ -74,6 +74,40 @@ double TimePerCall(Fn&& fn) {
     elapsed = MonotonicNanos() - t0;
   } while (elapsed < kBudgetNs);
   return static_cast<double>(elapsed) / 1e9 / static_cast<double>(iters);
+}
+
+// The median of `ns`, in seconds.
+double MedianSeconds(std::vector<uint64_t>& ns) {
+  std::nth_element(ns.begin(), ns.begin() + static_cast<std::ptrdiff_t>(ns.size() / 2), ns.end());
+  return static_cast<double>(ns[ns.size() / 2]) / 1e9;
+}
+
+// Times `a` and `b` alternately, one call each per iteration, until ~720 ms
+// of wall time has elapsed; returns the median seconds/call of each.
+// Interleaving per call rather than per timed block means both terms of a
+// ratio see the same host state, and the median drops the calls a busy
+// spell or a preemption hit. Each timed call follows an untimed call of the
+// same path, so it runs on caches that path warmed, as in a loop of its own.
+template <typename FnA, typename FnB>
+std::pair<double, double> TimePairPerCall(FnA&& a, FnB&& b) {
+  constexpr uint64_t kBudgetNs = 720ull * 1000 * 1000;
+  std::vector<uint64_t> a_ns;
+  std::vector<uint64_t> b_ns;
+  const uint64_t t0 = MonotonicNanos();
+  uint64_t t = t0;
+  do {
+    a();
+    const uint64_t a0 = MonotonicNanos();
+    a();
+    const uint64_t a1 = MonotonicNanos();
+    b();
+    const uint64_t b0 = MonotonicNanos();
+    b();
+    t = MonotonicNanos();
+    a_ns.push_back(a1 - a0);
+    b_ns.push_back(t - b0);
+  } while (t - t0 < kBudgetNs);
+  return {MedianSeconds(a_ns), MedianSeconds(b_ns)};
 }
 
 struct Case {
@@ -100,16 +134,9 @@ int main() {
       std::fprintf(stderr, "FATAL: stream/legacy output diverged on %s\n", c.name);
       return 1;
     }
-    // Alternate the two paths and keep the best rep of each: back-to-back
-    // single-shot timings on a busy one-core host drift by ~10%, which is
-    // enough to corrupt the ratio.
-    double stream_s = 1e9;
-    double legacy_s = 1e9;
-    for (int rep = 0; rep < 3; ++rep) {
-      stream_s = std::min(stream_s, TimePerCall([&] { (void)InstrumentHtml(html, plan); }));
-      legacy_s =
-          std::min(legacy_s, TimePerCall([&] { (void)reference::InstrumentHtml(html, plan); }));
-    }
+    const auto [stream_s, legacy_s] =
+        TimePairPerCall([&] { (void)InstrumentHtml(html, plan); },
+                        [&] { (void)reference::InstrumentHtml(html, plan); });
     const double mb = static_cast<double>(html.size()) / (1024.0 * 1024.0);
     const double stream_mbps = mb / stream_s;
     const double legacy_mbps = mb / legacy_s;

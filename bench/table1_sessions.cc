@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   Experiment experiment(CodeenWeekConfig(num_clients, 20060106));
   experiment.Run();
 
-  const auto sessions = experiment.RecordsWithMinRequests(10);
+  const auto sessions = experiment.RecordsWithMinRequests(kTable1MinRequests);
   const double n = static_cast<double>(sessions.size());
   if (sessions.empty()) {
     std::printf("no sessions with >10 requests\n");

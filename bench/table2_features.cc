@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   RunningStats human_stats[kNumFeatures];
   RunningStats robot_stats[kNumFeatures];
   Dataset corpus;
-  for (const SessionRecord* r : experiment.RecordsWithMinRequests(10)) {
+  for (const SessionRecord* r : experiment.RecordsWithMinRequests(kTable1MinRequests)) {
     Example e;
     e.x = ExtractFeatures(r->events);
     e.label = r->truly_human ? kLabelHuman : kLabelRobot;

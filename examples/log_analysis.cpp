@@ -17,7 +17,7 @@ using namespace robodet;
 
 Dataset BuildDataset(const Experiment& experiment, size_t first_n) {
   Dataset data;
-  for (const SessionRecord* r : experiment.RecordsWithMinRequests(10)) {
+  for (const SessionRecord* r : experiment.RecordsWithMinRequests(kTable1MinRequests)) {
     Example e;
     e.x = ExtractFeatures(r->events, first_n);
     e.label = r->truly_human ? kLabelHuman : kLabelRobot;

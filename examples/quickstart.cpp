@@ -82,16 +82,20 @@ int main() {
     }
   }
 
-  // 5. Ask the detectors what they saw. ClassifySession records each
-  // verdict into the registry, so the scrape below must show exactly these
-  // two sessions under robodet_verdict_total.
+  // 5. Ask the detectors what they saw, then close both sessions: the proxy
+  // counts a closed session's verdict under robodet_verdict_total when it
+  // has more than 10 requests, so the scrape below shows these verdicts.
   std::printf("robodet quickstart — behavioural robot detection (USENIX ATC 2006)\n\n");
+  const CombinedClassifier classifier;
   const SessionState& human_session =
       *proxy.sessions().Touch({human_id.ip, human_id.user_agent}, clock.Now());
   const SessionState& robot_session =
       *proxy.sessions().Touch({bot_id.ip, bot_id.user_agent}, clock.Now());
-  PrintClassification("human (Firefox)", human_session, proxy.ClassifySession(human_session));
-  PrintClassification("referrer spammer", robot_session, proxy.ClassifySession(robot_session));
+  PrintClassification("human (Firefox)", human_session,
+                      classifier.ClassifyOnline(human_session.observation()));
+  PrintClassification("referrer spammer", robot_session,
+                      classifier.ClassifyOnline(robot_session.observation()));
+  proxy.sessions().CloseAll();
 
   const RegistrySnapshot snapshot = proxy.metrics().Scrape();
   std::printf("\nproxy: %llu requests (%llu blocked), %llu pages instrumented, "

@@ -10,32 +10,7 @@ Verdict CombinedClassifier::SetAlgebraVerdict(const SessionSignals& signals) {
   return in_human ? Verdict::kHuman : Verdict::kRobot;
 }
 
-void CombinedClassifier::BindMetrics(MetricsRegistry& registry) {
-  metrics_.human =
-      registry.FindOrCreateCounter("robodet_classify_online_total", {{"verdict", "human"}});
-  metrics_.robot =
-      registry.FindOrCreateCounter("robodet_classify_online_total", {{"verdict", "robot"}});
-  metrics_.unknown =
-      registry.FindOrCreateCounter("robodet_classify_online_total", {{"verdict", "unknown"}});
-}
-
 Classification CombinedClassifier::ClassifyOnline(const SessionObservation& obs) const {
-  Classification out = ClassifyOnlineUncounted(obs);
-  switch (out.verdict) {
-    case Verdict::kHuman:
-      IncIfBound(metrics_.human);
-      break;
-    case Verdict::kRobot:
-      IncIfBound(metrics_.robot);
-      break;
-    case Verdict::kUnknown:
-      IncIfBound(metrics_.unknown);
-      break;
-  }
-  return out;
-}
-
-Classification CombinedClassifier::ClassifyOnlineUncounted(const SessionObservation& obs) const {
   // Mouse activity is the strongest human signal — check it first so that a
   // human who once tripped a weak robot heuristic is not misjudged.
   const SessionSignals& sig = obs.signals;

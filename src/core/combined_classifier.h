@@ -14,7 +14,6 @@
 #include "src/core/human_activity_detector.h"
 #include "src/core/signals.h"
 #include "src/core/verdict.h"
-#include "src/obs/metrics.h"
 
 namespace robodet {
 
@@ -33,23 +32,8 @@ class CombinedClassifier {
   // (wrong key, hidden link, UA mismatch, JS-without-mouse, probe-deaf)
   // wins over human-leaning evidence, mouse activity wins over everything.
   Classification ClassifyOnline(const SessionObservation& obs) const;
-  // The same rule without touching robodet_classify_online_total, for
-  // callers that only report the verdict back (ProxyServer::Result).
-  Classification ClassifyOnlineUncounted(const SessionObservation& obs) const;
-
-  // Counts every online classification into `registry` as
-  // robodet_classify_online_total{verdict=...}. An unbound classifier
-  // counts nothing.
-  void BindMetrics(MetricsRegistry& registry);
 
  private:
-  struct Metrics {
-    Counter* human = nullptr;
-    Counter* robot = nullptr;
-    Counter* unknown = nullptr;
-  };
-
-  Metrics metrics_;
   HumanActivityDetector human_activity_;
   BrowserTestDetector browser_test_;
 };

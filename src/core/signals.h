@@ -120,6 +120,11 @@ struct SessionObservation {
   }
 };
 
+// Table 1 analyzes only sessions "that have sent more than 10 requests".
+// The proxy counts a closed session's verdict under the same filter, so its
+// robodet_verdict_total series and the offline tables see the same sessions.
+inline constexpr int kTable1MinRequests = 10;
+
 }  // namespace robodet
 
 #endif  // ROBODET_SRC_CORE_SIGNALS_H_

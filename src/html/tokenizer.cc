@@ -243,21 +243,23 @@ void HtmlTokenStream::Produce() {
     }
     text_start_ = i_;
 
-    // Raw-text elements: consume until the matching close tag. The close
-    // search is byte-exact on the canonical lowercase form (an upper-case
-    // close tag leaves the element open).
+    // Raw-text elements: consume until the matching close tag, whose name
+    // matches in any ASCII case (WHATWG's "appropriate end tag"): find each
+    // "</", then compare the name.
     if (tok.type == HtmlTokenType::kStartTag && !tok.self_closing &&
         (EqualsIgnoreCase(tok.name, "script") || EqualsIgnoreCase(tok.name, "style"))) {
       const std::string_view close = EqualsIgnoreCase(tok.name, "script") ? "</script" : "</style";
+      const std::string_view name = close.substr(2);  // Static-storage "script"/"style".
       size_t end = i_;
       for (;;) {
-        end = html.find(close, end);
+        end = html.find("</", end);
         if (end == std::string_view::npos) {
           end = n;
           break;
         }
         const size_t after = end + close.size();
-        if (after >= n || html[after] == '>' || IsSpace(html[after])) {
+        if (after <= n && EqualsIgnoreCase(html.substr(end + 2, name.size()), name) &&
+            (after == n || html[after] == '>' || IsSpace(html[after]))) {
           break;
         }
         ++end;
@@ -268,7 +270,7 @@ void HtmlTokenStream::Produce() {
         const size_t close_end = html.find('>', end);
         HtmlTokenView close_tok;
         close_tok.type = HtmlTokenType::kEndTag;
-        close_tok.name = close.substr(2);  // Static-storage "script"/"style".
+        close_tok.name = name;
         if (sink_ != nullptr) {
           sink_->append(close);
           sink_->push_back('>');

@@ -129,9 +129,8 @@ ProxyServer::ProxyServer(ProxyConfig config, SimClock* clock, FallibleOriginHand
   if (config_.persistence.enabled()) {
     state_store_ = std::make_unique<StateStore>(config_.persistence, &key_table_, &sessions_);
     key_table_.set_observer(state_store_.get());
-    sessions_.set_close_observer(
-        [this](const SessionState& s) { state_store_->OnSessionClosed(s); });
   }
+  sessions_.set_close_observer([this](const SessionState& s) { OnSessionClosed(s); });
   BindMetrics();
   if (state_store_ != nullptr) {
     state_store_->Recover(clock_ != nullptr ? clock_->Now() : 0);
@@ -190,7 +189,6 @@ void ProxyServer::BindMetrics() {
   sessions_.BindMetrics(registry_);
   key_table_.BindMetrics(registry_);
   policy_.BindMetrics(registry_);
-  default_classifier_.BindMetrics(registry_);
   resilient_.BindMetrics(registry_);
   if (state_store_ != nullptr) {
     state_store_->BindMetrics(registry_);
@@ -201,13 +199,16 @@ Verdict ProxyServer::JudgeSession(const SessionState& session) const {
   return default_classifier_.ClassifyOnline(session.observation()).verdict;
 }
 
-Classification ProxyServer::ClassifySession(const SessionState& session) {
-  Classification classification = default_classifier_.ClassifyOnline(session.observation());
-  RecordVerdict(classification);
-  return classification;
-}
-
-void ProxyServer::RecordVerdict(const Classification& classification) {
+void ProxyServer::OnSessionClosed(const SessionState& session) {
+  if (state_store_ != nullptr) {
+    state_store_->OnSessionClosed(session);
+  }
+  // Table 1's last column: the class each analyzed session lands in, and
+  // the signal behind it ("wrong_beacon_key", "css_probe_fetched", ...).
+  if (session.request_count() <= kTable1MinRequests) {
+    return;
+  }
+  const Classification classification = default_classifier_.ClassifyOnline(session.observation());
   registry_
       .FindOrCreateCounter("robodet_verdict_total",
                            {{"class", std::string(VerdictName(classification.verdict))},
@@ -291,7 +292,7 @@ ProxyServer::Result ProxyServer::Handle(const Request& request) {
                        request.time);
   Result result = HandleSession(request, session);
   result.session_id = session.id();
-  result.verdict = default_classifier_.ClassifyOnlineUncounted(session.observation()).verdict;
+  result.verdict = JudgeSession(session);
   return result;
 }
 

@@ -106,8 +106,8 @@ class ProxyServer {
     bool blocked = false;
     uint64_t session_id = 0;
     // The session's online verdict by the combined classifier once this
-    // request is recorded. Not counted into robodet_verdict_total or
-    // robodet_classify_online_total.
+    // request is recorded. Not counted: robodet_verdict_total counts a
+    // session once, when it closes.
     Verdict verdict = Verdict::kUnknown;
     // How much instrumentation this serving decision actually kept.
     DegradationLevel degraded = DegradationLevel::kFull;
@@ -172,12 +172,6 @@ class ProxyServer {
   // recorder must outlive this server.
   void set_trace_recorder(TraceRecorder* recorder) { tracer_ = recorder; }
 
-  // Judges a session with the combined classifier's online rule and
-  // records robodet_verdict_total{class,source}. The
-  // source label is the signal behind the verdict's first matching piece
-  // of evidence ("wrong_beacon_key", "css_probe_fetched", ...).
-  Classification ClassifySession(const SessionState& session);
-
   // Wires the trusted-input authority used to verify event attestations.
   void set_attestation_authority(const AttestationAuthority* authority) {
     attestation_ = authority;
@@ -207,8 +201,10 @@ class ProxyServer {
   void NoteSessionMutation(SessionState& session);
   RequestEvent BuildEvent(const Request& request, const SessionState& session) const;
   Verdict JudgeSession(const SessionState& session) const;
+  // The session table's close observer: journals the close (with
+  // persistence) and counts the session's final verdict.
+  void OnSessionClosed(const SessionState& session);
   void BindMetrics();
-  void RecordVerdict(const Classification& classification);
   // The stripe of client_mutexes_ that serializes `ip`'s requests.
   std::mutex& ClientMutex(IpAddress ip);
 

@@ -165,16 +165,9 @@ std::optional<OriginErrorKind> ValidateOriginResponse(const Response& response,
 
 ResilientOrigin::ResilientOrigin(ResilienceConfig config, FallibleOriginHandler origin,
                                  uint64_t seed)
-    : config_(config), origin_(std::move(origin)), rng_(seed) {}
+    : config_(config), origin_(std::move(origin)), rng_(seed), breaker_(config_.breaker) {}
 
-CircuitBreaker& ResilientOrigin::BreakerFor(const std::string& host) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = breakers_.find(host);
-  if (it == breakers_.end()) {
-    it = breakers_.emplace(host, CircuitBreaker(config_.breaker)).first;
-  }
-  return it->second;
-}
+CircuitBreaker& ResilientOrigin::breaker() { return breaker_; }
 
 void ResilientOrigin::BindMetrics(MetricsRegistry& registry) {
   m_.fetch_by_outcome[0] =
@@ -242,31 +235,20 @@ bool ResilientOrigin::RetryableError(OriginErrorKind kind) const {
 FetchOutcome ResilientOrigin::Fetch(const Request& request) {
   FetchOutcome out;
   const TimeMs now = request.time;
-  const std::string& host = request.url.host();
 
-  // Pre-check under the lock: resolve breaker + reported slot (both stable
-  // pointers — node-based maps, never erased), take the governing state and
-  // probe budget. The origin attempts below run unlocked so concurrent
-  // fetches overlap their origin latency.
-  CircuitBreaker* breaker = nullptr;
-  CircuitBreaker::State* reported_slot = nullptr;
+  // Pre-check under the lock: take the governing state and probe budget.
+  // The origin attempts below run unlocked so concurrent fetches overlap
+  // their origin latency.
   bool full = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = breakers_.find(host);
-    if (it == breakers_.end()) {
-      it = breakers_.emplace(host, CircuitBreaker(config_.breaker)).first;
-    }
-    breaker = &it->second;
-    reported_slot =
-        &reported_.try_emplace(host, CircuitBreaker::State::kClosed).first->second;
-    const CircuitBreaker::State before = breaker->StateAt(now);
+    const CircuitBreaker::State before = breaker_.StateAt(now);
     out.breaker = before;
-    RecordTransition(*reported_slot, before);  // open→half_open cooldown edge, if any.
-    *reported_slot = before;
+    RecordTransition(reported_, before);  // open→half_open cooldown edge, if any.
+    reported_ = before;
 
     full = before == CircuitBreaker::State::kClosed;
-    if (before == CircuitBreaker::State::kHalfOpen && breaker->TryAcquireProbe(now)) {
+    if (before == CircuitBreaker::State::kHalfOpen && breaker_.TryAcquireProbe(now)) {
       out.probe = true;
       full = true;
     }
@@ -356,19 +338,19 @@ FetchOutcome ResilientOrigin::Fetch(const Request& request) {
   if (counts) {
     std::lock_guard<std::mutex> lock(mu_);
     if (out.error.has_value() && hard_failure) {
-      breaker->RecordFailure(now, out.probe);
+      breaker_.RecordFailure(now, out.probe);
       if (out.probe) {
         IncIfBound(m_.probes_fail);
       }
     } else if (!out.error.has_value()) {
-      breaker->RecordSuccess(now, out.probe);
+      breaker_.RecordSuccess(now, out.probe);
       if (out.probe) {
         IncIfBound(m_.probes_ok);
       }
     }
-    const CircuitBreaker::State after = breaker->StateAt(now);
-    RecordTransition(*reported_slot, after);
-    *reported_slot = after;
+    const CircuitBreaker::State after = breaker_.StateAt(now);
+    RecordTransition(reported_, after);
+    reported_ = after;
   }
 
   if (m_.latency_ms != nullptr) {

@@ -3,7 +3,7 @@
 // layer gives robodet's proxy the same property. It wraps the fallible
 // origin with (1) a per-request deadline charged in simulated time,
 // (2) bounded, jittered-exponential retries for idempotent requests,
-// (3) a per-origin circuit breaker (closed → open → half-open with a
+// (3) a circuit breaker on the one origin (closed → open → half-open with a
 // budgeted probe allowance), and (4) an admission controller that sheds
 // robot-classified sessions first under overload. The degradation ladder
 // (full instrumentation → beacon-only → pass-through) consumes the
@@ -17,7 +17,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 
 #include "src/http/origin_result.h"
 #include "src/obs/metrics.h"
@@ -165,18 +164,17 @@ struct FetchOutcome {
 //
 // Thread-safe: breaker/rng state is mutex-guarded, but the mutex is NOT
 // held across the origin call itself, so concurrent fetches overlap their
-// origin latency. Breaker references remain valid across rehashes
-// (node-based map, never erased).
+// origin latency.
 class ResilientOrigin {
  public:
   ResilientOrigin(ResilienceConfig config, FallibleOriginHandler origin, uint64_t seed);
 
   FetchOutcome Fetch(const Request& request);
 
-  // The breaker guarding `host`, created closed on first use. Test seam:
-  // chaos_test reaches a breaker through it to call ForceOpen. The returned
-  // reference is stable, but mutating it while workers serve is racy.
-  CircuitBreaker& BreakerFor(const std::string& host);
+  // The breaker guarding the origin. Test seam: chaos_test reaches it to
+  // call ForceOpen; mutating it while workers serve is racy. Out of line so
+  // tools/check_reachability.sh sees it.
+  CircuitBreaker& breaker();
 
   // Counts into `registry` under robodet_origin_* and robodet_breaker_*.
   // An unbound origin counts nothing.
@@ -206,10 +204,13 @@ class ResilientOrigin {
   FallibleOriginHandler origin_;
   std::mutex mu_;
   Rng rng_;  // Guarded by mu_.
-  std::unordered_map<std::string, CircuitBreaker> breakers_;  // Guarded by mu_.
-  // Last state reported to metrics per host, to turn state reads into
-  // transition edges. Guarded by mu_.
-  std::unordered_map<std::string, CircuitBreaker::State> reported_;
+  // One breaker: a proxy fronts exactly one origin, whatever Host a client
+  // names, so per-host breakers would only grow with client input. Guarded
+  // by mu_.
+  CircuitBreaker breaker_;
+  // Last state reported to metrics, to turn state reads into transition
+  // edges. Guarded by mu_.
+  CircuitBreaker::State reported_ = CircuitBreaker::State::kClosed;
   Metrics m_;
 };
 

@@ -49,8 +49,9 @@ class SessionTable {
   void set_on_closed(ClosedCallback cb) { on_closed_ = std::move(cb); }
 
   // Observer fired (outside shard locks) just before on_closed_ whenever a
-  // session leaves the table; the persistence layer journals the close so
-  // replay does not resurrect it. Not thread-safe; wire before serving.
+  // session leaves the table, but not on DropAll; the proxy journals the
+  // close there, so replay does not resurrect it, and counts the session's
+  // verdict. Not thread-safe; wire before serving.
   void set_close_observer(CloseObserver cb) { close_observer_ = std::move(cb); }
 
   // Finds the active session for `key`, splitting on idle timeout, or

@@ -75,7 +75,8 @@ class Experiment {
 
   const std::vector<SessionRecord>& records() const { return records_; }
 
-  // The paper analyzes sessions "that have sent more than 10 requests".
+  // The records with more than `min_requests` requests; Table 1's filter is
+  // kTable1MinRequests.
   std::vector<const SessionRecord*> RecordsWithMinRequests(int min_requests) const;
 
   ProxyServer& proxy() { return *proxy_; }

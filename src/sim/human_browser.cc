@@ -84,7 +84,7 @@ std::optional<TimeMs> HumanBrowserClient::Step(TimeMs now, Gateway& gateway) {
         phase_ = Phase::kNextPage;
         return config_.think_time_mean / 4;
       }
-      OnPageLoaded(gateway, result.response);
+      OnPageLoaded(result.response);
       phase_ = Phase::kSubresources;
       return config_.subfetch_delay;
     }
@@ -113,7 +113,7 @@ std::optional<TimeMs> HumanBrowserClient::Step(TimeMs now, Gateway& gateway) {
       if (!inline_scripts_run_ && profile_.js_enabled && scripts_ != nullptr &&
           current_doc_ != nullptr) {
         inline_scripts_run_ = true;
-        RunScripts(gateway, "");
+        RunScripts();
         if (!pending_subresources_.empty()) {
           return config_.subfetch_delay;
         }
@@ -133,27 +133,7 @@ std::optional<TimeMs> HumanBrowserClient::Step(TimeMs now, Gateway& gateway) {
 
     case Phase::kMouseMove: {
       if (scripts_ != nullptr) {
-        scripts_->interp.ClearObservations();
-        scripts_->interp.RunHandler(mouse_handler_);
-        for (const std::string& fetched : scripts_->interp.fetched_urls()) {
-          if (const auto url = Url::Parse(fetched); url.has_value()) {
-            // The hardware input stack attests the event behind this
-            // beacon, when this user has such hardware.
-            Headers extra;
-            const Headers* extra_ptr = nullptr;
-            if (input_device_ != nullptr) {
-              const std::string key =
-                  ExtractBeaconKey(url->path(), gateway.proxy_config().instr_prefix);
-              if (!key.empty()) {
-                extra.Set(AttestationAuthority::kHeaderName,
-                          input_device_->HeaderValue(key));
-                extra_ptr = &extra;
-              }
-            }
-            gateway.Fetch(identity(), Method::kGet, *url, current_page_.ToString(),
-                          stats_ptr(), extra_ptr);
-          }
-        }
+        FireHandler(gateway, mouse_handler_);
       }
       phase_ = Phase::kNextPage;
       return static_cast<TimeMs>(rng().Exponential(
@@ -222,25 +202,7 @@ std::optional<TimeMs> HumanBrowserClient::Step(TimeMs now, Gateway& gateway) {
         // The paper's alternative hook: an onclick handler on the link
         // itself fires on the click that navigates away.
         if (!link.onclick.empty() && profile_.js_enabled && scripts_ != nullptr) {
-          scripts_->interp.ClearObservations();
-          scripts_->interp.RunHandler(link.onclick);
-          for (const std::string& fetched : scripts_->interp.fetched_urls()) {
-            if (const auto url = Url::Parse(fetched); url.has_value()) {
-              Headers extra;
-              const Headers* extra_ptr = nullptr;
-              if (input_device_ != nullptr) {
-                const std::string key =
-                    ExtractBeaconKey(url->path(), gateway.proxy_config().instr_prefix);
-                if (!key.empty()) {
-                  extra.Set(AttestationAuthority::kHeaderName,
-                            input_device_->HeaderValue(key));
-                  extra_ptr = &extra;
-                }
-              }
-              gateway.Fetch(identity(), Method::kGet, *url, current_page_.ToString(),
-                            stats_ptr(), extra_ptr);
-            }
-          }
+          FireHandler(gateway, link.onclick);
         }
       } else {
         next = Url::Make(site_->host(), SiteModel::PagePath(site_->SampleEntryPage(rng())));
@@ -267,8 +229,7 @@ void HumanBrowserClient::PlanPageLoad(const Url& url, const std::string& referre
   phase_ = Phase::kLoadPage;
 }
 
-void HumanBrowserClient::OnPageLoaded(Gateway& gateway, const Response& response) {
-  (void)gateway;
+void HumanBrowserClient::OnPageLoaded(const Response& response) {
   current_doc_ = std::make_unique<HtmlDocument>(response.body);
   if (profile_.js_enabled) {
     scripts_ = std::make_unique<PageScriptsHolder>(profile_.user_agent);
@@ -314,9 +275,7 @@ void HumanBrowserClient::OnPageLoaded(Gateway& gateway, const Response& response
   }
 }
 
-void HumanBrowserClient::RunScripts(Gateway& gateway, const std::string& body) {
-  (void)gateway;
-  (void)body;
+void HumanBrowserClient::RunScripts() {
   if (scripts_ == nullptr || current_doc_ == nullptr) {
     return;
   }
@@ -341,6 +300,27 @@ void HumanBrowserClient::RunScripts(Gateway& gateway, const std::string& body) {
   for (const std::string& fetched : scripts_->interp.fetched_urls()) {
     if (const auto url = Url::Parse(fetched); url.has_value()) {
       pending_subresources_.push_back(*url);
+    }
+  }
+}
+
+void HumanBrowserClient::FireHandler(Gateway& gateway, const std::string& code) {
+  scripts_->interp.ClearObservations();
+  scripts_->interp.RunHandler(code);
+  for (const std::string& fetched : scripts_->interp.fetched_urls()) {
+    if (const auto url = Url::Parse(fetched); url.has_value()) {
+      // The hardware input stack attests the event behind this beacon.
+      Headers extra;
+      const Headers* extra_ptr = nullptr;
+      if (input_device_ != nullptr) {
+        const std::string key = ExtractBeaconKey(url->path(), gateway.proxy_config().instr_prefix);
+        if (!key.empty()) {
+          extra.Set(AttestationAuthority::kHeaderName, input_device_->HeaderValue(key));
+          extra_ptr = &extra;
+        }
+      }
+      gateway.Fetch(identity(), Method::kGet, *url, current_page_.ToString(), stats_ptr(),
+                    extra_ptr);
     }
   }
 }

@@ -91,8 +91,11 @@ class HumanBrowserClient : public Client {
   };
 
   void PlanPageLoad(const Url& url, const std::string& referrer);
-  void OnPageLoaded(Gateway& gateway, const Response& response);
-  void RunScripts(Gateway& gateway, const std::string& body);
+  void OnPageLoaded(const Response& response);
+  void RunScripts();
+  // Runs an event handler of the current page and fetches the beacons it
+  // requests, each attested by the input device when this user has one.
+  void FireHandler(Gateway& gateway, const std::string& code);
 
   const SiteModel* site_;
   BrowserProfile profile_;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/html/injector.h"
 #include "src/html/tokenizer.h"
 
 namespace robodet {
@@ -93,6 +94,30 @@ TEST(HtmlDocumentTest, OnclickCaptured) {
   const auto links = doc.Links();
   ASSERT_EQ(links.size(), 1u);
   EXPECT_EQ(links[0].onclick, "return f();");
+}
+
+// An upper-case </SCRIPT>, common in 2006-era pages, ends the script as it
+// does in every browser: the rest of the page is markup, not script text.
+TEST(HtmlDocumentTest, UpperCaseCloseTagEndsScript) {
+  constexpr std::string_view kUpperCasePage =
+      "<html><head><SCRIPT>var x = 1;</SCRIPT></head><body><a href=\"/next.html\">next</a>"
+      "<img src=\"/i.jpg\"></body></html>";
+  const HtmlDocument doc(kUpperCasePage);
+  ASSERT_EQ(doc.Links().size(), 1u);
+  EXPECT_EQ(doc.Links()[0].href, "/next.html");
+  ASSERT_EQ(doc.EmbeddedObjects().size(), 1u);
+  EXPECT_EQ(doc.EmbeddedObjects()[0].url, "/i.jpg");
+  ASSERT_EQ(doc.InlineScripts().size(), 1u);
+  EXPECT_EQ(doc.InlineScripts()[0], "var x = 1;");
+
+  const ServedRefs refs = CollectServedRefs(kUpperCasePage);
+  EXPECT_EQ(refs.links.size(), 1u);
+  EXPECT_EQ(refs.embeds.size(), 1u);
+
+  InjectionPlan plan;
+  plan.mouse_handler_code = "return f();";
+  const HtmlDocument instrumented(InstrumentHtml(kUpperCasePage, plan).html);
+  EXPECT_EQ(instrumented.BodyEventHandler(), "return f();");
 }
 
 TEST(HtmlDocumentTest, SerializedTokensRoundTrip) {

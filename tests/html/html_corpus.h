@@ -61,7 +61,7 @@ inline const char* const kCorpus[] = {
     "<a name=\"no-href\">3</a></body>",
     // 23: duplicate attributes.
     "<body class=\"a\" class=\"b\" onmousemove=\"old()\">dup</body>",
-    // 24: mixed-case raw-text close tag (stays open, legacy quirk).
+    // 24: mixed-case raw-text close tag (closes the script, as in browsers).
     "<body><script>var s = 1;</SCRIPT><p>after</p>",
     // 25: trailing '<'.
     "tail<",

@@ -2,6 +2,8 @@
 // counts live: after a simulated session mix, the latency histograms agree
 // with the counters, and verdict and trace outputs follow the sessions they
 // describe.
+#include <map>
+#include <memory>
 #include <string>
 
 #include "gtest/gtest.h"
@@ -80,7 +82,24 @@ TEST(StatsParityTest, HistogramsAgreeWithCountersAfterSessionMix) {
   EXPECT_EQ(static_cast<size_t>(active->gauge), proxy.sessions().active_count());
 }
 
-TEST(StatsParityTest, VerdictCountersFollowClassifySession) {
+// Each robodet_verdict_total series, keyed "class/source".
+std::map<std::string, uint64_t> VerdictSeries(const ProxyServer& proxy) {
+  std::map<std::string, uint64_t> series;
+  for (const MetricSnapshot& m : proxy.metrics().Scrape().metrics) {
+    if (m.name != "robodet_verdict_total") {
+      continue;
+    }
+    std::string class_label;
+    std::string source_label;
+    for (const Label& label : m.labels) {
+      (label.key == "class" ? class_label : source_label) = label.value;
+    }
+    series[class_label + "/" + source_label] += m.counter;
+  }
+  return series;
+}
+
+TEST(StatsParityTest, VerdictSeriesCountEachClosedSessionOnce) {
   SiteConfig site_config;
   Rng site_rng(2006);
   SiteModel site = SiteModel::Generate(site_config, site_rng);
@@ -90,40 +109,67 @@ TEST(StatsParityTest, VerdictCountersFollowClassifySession) {
   config.host = site.host();
   ProxyServer proxy(config, &clock, [&origin](const Request& r) { return origin.Handle(r); },
                     1);
+  // The classifier's verdict on every session as it closes, for the
+  // analyzed (more than 10 requests) ones.
+  std::map<std::string, uint64_t> expected;
+  int closed = 0;
+  int short_closed = 0;
+  proxy.sessions().set_on_closed([&](std::unique_ptr<SessionState> session) {
+    ++closed;
+    if (session->request_count() <= kTable1MinRequests) {
+      ++short_closed;
+      return;
+    }
+    const Classification c = CombinedClassifier{}.ClassifyOnline(session->observation());
+    ++expected[std::string(VerdictName(c.verdict)) + "/" + std::string(VerdictSource(c))];
+  });
+  Gateway gateway(&proxy, &clock);
+  RunSessionMix(&site, &gateway, &clock);
+  // A five-request visit: under Table 1's filter.
+  for (int i = 0; i < 5; ++i) {
+    Request r;
+    r.time = clock.Now();
+    r.client_ip = *IpAddress::Parse("10.0.0.3");
+    r.url = Url::Make(site.host(), SiteModel::PagePath(static_cast<PageId>(i)));
+    r.headers.Set("User-Agent", "ShortVisit/1.0");
+    proxy.Handle(r);
+    clock.Advance(kSecond);
+  }
+  EXPECT_TRUE(VerdictSeries(proxy).empty());  // Nothing closed yet.
+
+  proxy.sessions().CloseAll();
+  EXPECT_EQ(closed, 3);
+  EXPECT_EQ(short_closed, 1);
+  EXPECT_EQ(expected, (std::map<std::string, uint64_t>{{"human/mouse_event_key_match", 1},
+                                                       {"robot/ignored_all_css_probes", 1}}));
+  EXPECT_EQ(VerdictSeries(proxy), expected);
+}
+
+// The policy judges every request of a gated run, but a verdict series
+// moves only when a session closes.
+TEST(StatsParityTest, PolicyGatedRunCountsVerdictsOnlyAtClose) {
+  SiteConfig site_config;
+  Rng site_rng(2006);
+  SiteModel site = SiteModel::Generate(site_config, site_rng);
+  OriginServer origin(&site);
+  SimClock clock;
+  ProxyConfig config;
+  config.host = site.host();
+  config.enable_policy = true;
+  config.policy.max_get_per_minute = 30.0;
+  ProxyServer proxy(config, &clock, [&origin](const Request& r) { return origin.Handle(r); },
+                    1);
   Gateway gateway(&proxy, &clock);
   RunSessionMix(&site, &gateway, &clock);
 
-  const SessionState& human =
-      *proxy.sessions().Touch({*IpAddress::Parse("10.0.0.1"),
-                               StandardBrowserProfiles()[1].user_agent},
-                              clock.Now());
-  const SessionState& robot =
-      *proxy.sessions().Touch({*IpAddress::Parse("10.0.0.2"),
-                               StandardBrowserProfiles()[1].user_agent},
-                              clock.Now());
-  const Classification human_c = proxy.ClassifySession(human);
-  const Classification robot_c = proxy.ClassifySession(robot);
-  EXPECT_EQ(human_c.verdict, Verdict::kHuman);
-  EXPECT_EQ(robot_c.verdict, Verdict::kRobot);
-
-  const RegistrySnapshot snap = proxy.metrics().Scrape();
-  uint64_t human_total = 0;
-  uint64_t robot_total = 0;
-  for (const MetricSnapshot& m : snap.metrics) {
-    if (m.name != "robodet_verdict_total") {
-      continue;
-    }
-    for (const Label& label : m.labels) {
-      if (label.key == "class" && label.value == "human") {
-        human_total += m.counter;
-      }
-      if (label.key == "class" && label.value == "robot") {
-        robot_total += m.counter;
-      }
-    }
+  ASSERT_GT(proxy.metrics().Scrape().CounterValue("robodet_blocked_requests_total"), 0u);
+  EXPECT_TRUE(VerdictSeries(proxy).empty());
+  proxy.sessions().CloseAll();
+  uint64_t robots = 0;
+  for (const auto& [key, count] : VerdictSeries(proxy)) {
+    robots += key.rfind("robot/", 0) == 0 ? count : 0;
   }
-  EXPECT_EQ(human_total, 1u);
-  EXPECT_EQ(robot_total, 1u);
+  EXPECT_EQ(robots, 1u);
 }
 
 TEST(StatsParityTest, BlockedSessionsForceTraces) {

@@ -69,6 +69,13 @@ class ProxyServerTest : public ::testing::Test {
     return proxy_->sessions().Touch(SessionKey{ip, kUa}, clock_.Now());
   }
 
+  // Gets enough pages that the session passes Table 1's request filter.
+  void GetPastTable1Filter() {
+    for (int i = 0; i <= kTable1MinRequests; ++i) {
+      Get(SiteModel::PagePath(static_cast<PageId>(i % 10)));
+    }
+  }
+
   uint64_t Count(std::string_view name, const Labels& labels = {}) const {
     return proxy_->metrics().Scrape().CounterValue(name, labels);
   }
@@ -189,7 +196,7 @@ INSTANTIATE_TEST_SUITE_P(Decoys, ProxyServerDecoysTest, ::testing::Values(0u, 1u
 
 // Get checks Result::verdict against the session after every call; these
 // cases drive each way out of Handle and check that reporting the verdict
-// counts nothing: only ClassifySession records verdicts.
+// counts nothing: a session's verdict is counted once, when it closes.
 TEST_F(ProxyServerTest, HandleReportsVerdictOfHumanAndScraper) {
   // Probe intercepts and origin fetches of a human.
   DriveHumanBeaconLoop();
@@ -207,7 +214,6 @@ TEST_F(ProxyServerTest, HandleReportsVerdictOfHumanAndScraper) {
   ASSERT_FALSE(hidden_url.empty());
   EXPECT_EQ(Get(hidden_url, IpAddress(2)).verdict, Verdict::kRobot);
 
-  EXPECT_EQ(SeriesTotal("robodet_classify_online_total"), 0u);
   EXPECT_EQ(SeriesTotal("robodet_verdict_total"), 0u);
 }
 
@@ -225,8 +231,7 @@ TEST_F(ProxyServerTest, HandleReportsVerdictOfBlockedRobot) {
   }
   ASSERT_TRUE(result.blocked);
   EXPECT_EQ(result.verdict, Verdict::kRobot);
-  // The policy judged each request once; Handle's own verdict is not counted.
-  EXPECT_EQ(SeriesTotal("robodet_classify_online_total"), handled);
+  // The policy judged every request, and no verdict is counted before close.
   EXPECT_EQ(SeriesTotal("robodet_verdict_total"), 0u);
 }
 
@@ -240,8 +245,33 @@ TEST_F(ProxyServerTest, HandleReportsVerdictOfShedRequest) {
     levels.push_back(Get(SiteModel::PagePath(static_cast<PageId>(i))).degraded);
   }
   EXPECT_EQ(levels.back(), DegradationLevel::kShed);
-  // Only the shed-robots admission judged the session.
-  EXPECT_EQ(SeriesTotal("robodet_classify_online_total"), 1u);
+  EXPECT_EQ(SeriesTotal("robodet_verdict_total"), 0u);
+}
+
+TEST_F(ProxyServerTest, IdleSplitCountsTheOldSessionVerdictOnce) {
+  GetPastTable1Filter();
+  const Classification old_session =
+      CombinedClassifier{}.ClassifyOnline(Session()->observation());
+  EXPECT_EQ(SeriesTotal("robodet_verdict_total"), 0u);
+
+  clock_.Advance(2 * kHour);
+  Get("/p/1.html");  // Past the idle timeout: the old session closes.
+  EXPECT_EQ(SeriesTotal("robodet_verdict_total"), 1u);
+  EXPECT_EQ(Count("robodet_verdict_total",
+                  {{"class", std::string(VerdictName(old_session.verdict))},
+                   {"source", std::string(VerdictSource(old_session))}}),
+            1u);
+  Get("/p/2.html");
+  // The new session closes with 2 requests, under the filter.
+  proxy_->sessions().CloseAll();
+  EXPECT_EQ(SeriesTotal("robodet_verdict_total"), 1u);
+}
+
+TEST_F(ProxyServerTest, CrashDropCountsNoVerdict) {
+  GetPastTable1Filter();
+  proxy_->SimulateCrashRestart(clock_.Now());
+  EXPECT_EQ(proxy_->sessions().active_count(), 0u);
+  proxy_->sessions().CloseAll();
   EXPECT_EQ(SeriesTotal("robodet_verdict_total"), 0u);
 }
 

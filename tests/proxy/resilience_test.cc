@@ -235,6 +235,29 @@ TEST(ResilientOriginTest, BreakerOpensThenFailClosedRejectsWithoutOriginCall) {
   EXPECT_EQ(calls, calls_before);  // Origin untouched while rejected.
 }
 
+// The Host a client names does not pick the origin: a proxy has one, so
+// failures under any Host open the one breaker that guards every Host.
+TEST(ResilientOriginTest, OneBreakerGuardsTheOriginWhateverTheHost) {
+  int calls = 0;
+  ResilienceConfig config;
+  config.breaker.failure_threshold = 2;
+  config.fail_open = false;
+  ResilientOrigin origin(
+      config,
+      [&calls](const Request&) {
+        ++calls;
+        return OriginResult::Fail(OriginErrorKind::kConnectFail, 1);
+      },
+      7);
+  origin.Fetch(GetRequest(0, "a.example.com"));
+  origin.Fetch(GetRequest(10, "a.example.com"));
+  EXPECT_EQ(origin.breaker().StateAt(20), CircuitBreaker::State::kOpen);
+  const int calls_before = calls;
+  const FetchOutcome rejected = origin.Fetch(GetRequest(20, "b.example.com"));
+  EXPECT_TRUE(rejected.rejected);
+  EXPECT_EQ(calls, calls_before);
+}
+
 TEST(ResilientOriginTest, FailOpenDegradesToSingleAttempt) {
   int calls = 0;
   ResilienceConfig config;

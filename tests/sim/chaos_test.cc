@@ -104,7 +104,7 @@ TEST(DegradationLadderTest, BreakerForcedOpenFailOpenServesPassThrough) {
         }),
         911);
     // Operator throws the big red switch.
-    proxy->resilience().BreakerFor("www.example.com").ForceOpen(0);
+    proxy->resilience().breaker().ForceOpen(0);
     return proxy;
   };
 

@@ -36,7 +36,7 @@ set -euo pipefail
 ALLOW=(
   'robodet::AttestationAuthority::ManufactureDevice'
   'robodet::CircuitBreaker::ForceOpen'
-  'robodet::ResilientOrigin::BreakerFor'
+  'robodet::ResilientOrigin::breaker'
   'robodet::SessionTable::CloseIdle'
   'robodet::StateStore::Checkpoint'
   'robodet::TrustedInputDevice::TrustedInputDevice'

@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  const int min_requests = static_cast<int>(flags.GetInt("min-requests", 10));
+  const int min_requests = static_cast<int>(flags.GetInt("min-requests", kTable1MinRequests));
   std::vector<const SessionRecord*> sessions;
   for (const SessionRecord& r : log) {
     if (r.request_count() > min_requests) {

@@ -5,13 +5,16 @@
 //
 // Usage:
 //   robodet_metrics [--format=prom|json] [--clients=200] [--seed=1]
-//       [--min-requests=10] [--traces] [--trace-capacity=128]
-//       [--sample-every=64] [--policy]
+//       [--traces] [--trace-capacity=128] [--sample-every=64] [--policy]
 //       [--fault-rate=R] [--slow-rate=R/2] [--corrupt-rate=R/2]
 //       [--fault-seed=1337] [--breaker-threshold=5]
 //       [--breaker-cooldown-ms=30000] [--fail-closed] [--admission-rps=0]
 //       [--state-dir=DIR] [--snapshot-interval=8192] [--crash-rate=0]
 //       [--crash-restart-ms=30000] [--crash-seed=4242]
+//
+// robodet_verdict_total{class,source} is Table 1's last column: the proxy
+// counts each session with more than 10 requests once, when the session
+// closes, and the run closes every session at its end.
 //
 // With --fault-rate the scrape shows the resilient path end-to-end:
 // robodet_origin_* fetch outcomes, robodet_breaker_* trips and probes,
@@ -33,8 +36,10 @@ int main(int argc, char** argv) {
   if (flags.GetBool("help")) {
     std::fprintf(stderr,
                  "usage: robodet_metrics [--format=prom|json] [--clients=200] "
-                 "[--seed=1] [--min-requests=10] [--traces] "
-                 "[--trace-capacity=128] [--sample-every=64] [--policy]\n%s%s",
+                 "[--seed=1] [--traces] [--trace-capacity=128] "
+                 "[--sample-every=64] [--policy]\n%s%s"
+                 "robodet_verdict_total counts each session with more than 10 requests "
+                 "once, when it closes; the run closes every session at its end.\n",
                  kChaosUsage, kPersistenceUsage);
     return 0;
   }
@@ -58,23 +63,9 @@ int main(int argc, char** argv) {
 
   experiment.Run();
 
-  // Closed sessions never went through ClassifySession (the proxy only
-  // judges live ones), so feed the final observations through a classifier
-  // bound to the same registry and record the verdicts the same way.
-  MetricsRegistry& registry = experiment.proxy().metrics();
-  CombinedClassifier classifier;
-  classifier.BindMetrics(registry);
-  const int min_requests = static_cast<int>(flags.GetInt("min-requests", 10));
-  for (const SessionRecord* record : experiment.RecordsWithMinRequests(min_requests)) {
-    const Classification c = classifier.ClassifyOnline(record->observation);
-    registry
-        .FindOrCreateCounter("robodet_verdict_total",
-                             {{"class", std::string(VerdictName(c.verdict))},
-                              {"source", std::string(VerdictSource(c))}})
-        ->Inc();
-  }
-
-  const RegistrySnapshot snapshot = registry.Scrape();
+  // Run() closes every session at its end, so the scrape holds each
+  // session's verdict series as the proxy counted them on close.
+  const RegistrySnapshot snapshot = experiment.proxy().metrics().Scrape();
   const std::string format = flags.GetString("format", "prom");
   if (format == "json") {
     std::printf("%s\n", ExportJson(snapshot).c_str());
