@@ -130,6 +130,49 @@ void BM_SessionTableTouch(benchmark::State& state) {
 }
 BENCHMARK(BM_SessionTableTouch);
 
+// A session's URL sets at the sizes that matter: a flood probe's one entry,
+// the scan limit, a browsing session's link set and a crawler's.
+std::vector<uint64_t> RandomHashes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint64_t> hashes(n);
+  for (uint64_t& h : hashes) {
+    h = rng.NextU64();
+  }
+  return hashes;
+}
+
+void BM_UrlHashSetInsert(benchmark::State& state) {
+  const std::vector<uint64_t> hashes = RandomHashes(static_cast<size_t>(state.range(0)), 29);
+  for (auto _ : state) {
+    UrlHashSet set;
+    for (uint64_t h : hashes) {
+      set.InsertHash(h);
+    }
+    benchmark::DoNotOptimize(set.size());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_UrlHashSetInsert)->Arg(1)->Arg(16)->Arg(64)->Arg(1024)->ArgName("entries");
+
+// Half the lookups hit, half miss: the link and embed sets mostly miss, the
+// visited set mostly hits.
+void BM_UrlHashSetContains(benchmark::State& state) {
+  const std::vector<uint64_t> hashes = RandomHashes(static_cast<size_t>(state.range(0)), 31);
+  UrlHashSet set;
+  for (uint64_t h : hashes) {
+    set.InsertHash(h);
+  }
+  std::vector<uint64_t> probes = RandomHashes(1024, 37);
+  for (size_t i = 0; i < probes.size(); i += 2) {
+    probes[i] = hashes[i % hashes.size()];
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(set.ContainsHash(probes[i++ % probes.size()]));
+  }
+}
+BENCHMARK(BM_UrlHashSetContains)->Arg(1)->Arg(16)->Arg(64)->Arg(1024)->ArgName("entries");
+
 void BM_FeatureExtraction(benchmark::State& state) {
   std::vector<RequestEvent> events(static_cast<size_t>(state.range(0)));
   Rng rng(19);

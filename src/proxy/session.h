@@ -4,9 +4,11 @@
 #ifndef ROBODET_SRC_PROXY_SESSION_H_
 #define ROBODET_SRC_PROXY_SESSION_H_
 
+#include <bit>
 #include <cstdint>
+#include <memory>
 #include <string>
-#include <unordered_set>
+#include <string_view>
 #include <vector>
 
 #include "src/core/signals.h"
@@ -30,35 +32,49 @@ struct SessionKeyHash {
   }
 };
 
-// Bounded set of URL hashes. Sessions can be arbitrarily long (crawlers),
-// so the attribution sets must not grow without bound; once full, new
-// entries are dropped, which can only under-report "seen" — a conservative
-// failure direction for the unseen-referrer robot signature.
+// Bounded, exact set of URL hashes that remembers insertion order.
+// Sessions can be arbitrarily long (crawlers), so the attribution sets must
+// not grow without bound; once full, new entries are dropped, which can only
+// under-report "seen" — a conservative failure direction for the
+// unseen-referrer robot signature. The set is exact (no Bloom filter): a
+// false "seen" would flip that signature.
+//
+// Each hash is stored once, in an insertion-ordered vector. A small set is
+// scanned; past kScanLimit entries an open-addressed index of positions into
+// the vector answers Contains. An empty set allocates nothing.
 class UrlHashSet {
  public:
-  explicit UrlHashSet(size_t capacity = 4096) : capacity_(capacity) {}
+  static constexpr size_t kCapacity = 4096;
+  // Contains scans up to this many hashes before the set builds its index.
+  static constexpr size_t kScanLimit = 16;
 
   void Insert(std::string_view url) { InsertHash(Fnv1a(url)); }
 
   // Inserts a pre-computed hash; the persistence layer restores sets this
   // way. Insertion order is kept so two tables restored from the same
   // bytes serialize identically.
-  void InsertHash(uint64_t hash) {
-    if (hashes_.size() < capacity_ && hashes_.insert(hash).second) {
-      ordered_.push_back(hash);
-    }
-  }
+  void InsertHash(uint64_t hash);
 
-  bool Contains(std::string_view url) const { return hashes_.contains(Fnv1a(url)); }
+  bool Contains(std::string_view url) const { return ContainsHash(Fnv1a(url)); }
+  bool ContainsHash(uint64_t hash) const;
   size_t size() const { return hashes_.size(); }
 
   // Hashes in insertion order (deterministic serialization order).
-  const std::vector<uint64_t>& ordered_hashes() const { return ordered_; }
+  const std::vector<uint64_t>& ordered_hashes() const { return hashes_; }
 
  private:
-  size_t capacity_;
-  std::unordered_set<uint64_t> hashes_;
-  std::vector<uint64_t> ordered_;
+  // The index's size is a function of the set's: the smallest power of two
+  // that keeps it at most half full.
+  size_t IndexSlots() const { return std::bit_ceil(2 * hashes_.size()); }
+  // Records hashes_[position] in the index.
+  void IndexPosition(size_t position);
+  void Reindex();
+
+  std::vector<uint64_t> hashes_;
+  // Open-addressed, linear probing: 0 is an empty slot, p is hashes_[p - 1].
+  // Null until the set outgrows kScanLimit.
+  std::unique_ptr<uint16_t[]> index_;
+  static_assert(kCapacity <= UINT16_MAX, "index positions are 16-bit");
 };
 
 class SessionState {

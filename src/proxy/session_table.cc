@@ -71,14 +71,13 @@ SessionState* SessionTable::Touch(const SessionKey& key, TimeMs now) {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.sessions.find(key);
     if (it != shard.sessions.end()) {
-      SessionState* session = it->second.get();
+      SessionState* session = it->get();
       if (now - session->last_request_time() <= config_.idle_timeout) {
         return session;
       }
       // Idle too long: close the old session and fall through to create a
       // fresh one for the same key.
-      split = std::move(it->second);
-      shard.sessions.erase(it);
+      split = std::move(shard.sessions.extract(it).value());
     }
   }
   if (split != nullptr) {
@@ -89,13 +88,14 @@ SessionState* SessionTable::Touch(const SessionKey& key, TimeMs now) {
   }
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto& slot = shard.sessions[key];
-    if (slot != nullptr) {
+    auto it = shard.sessions.find(key);
+    if (it != shard.sessions.end()) {
       // Another worker created it between our two critical sections.
-      return slot.get();
+      return it->get();
     }
-    slot = std::make_unique<SessionState>(SessionIdFor(key, now), key, now);
-    SessionState* raw = slot.get();
+    SessionState* raw =
+        shard.sessions.insert(std::make_unique<SessionState>(SessionIdFor(key, now), key, now))
+            .first->get();
     active_.fetch_add(1, std::memory_order_relaxed);
     IncIfBound(metrics_.opened);
     UpdateActiveGauge();
@@ -108,9 +108,10 @@ size_t SessionTable::DrainShard(Shard& shard, TimeMs now, bool idle_only, Counte
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     for (auto it = shard.sessions.begin(); it != shard.sessions.end();) {
-      if (!idle_only || now - it->second->last_request_time() > config_.idle_timeout) {
-        drained.push_back(std::move(it->second));
-        it = shard.sessions.erase(it);
+      if (!idle_only || now - (*it)->last_request_time() > config_.idle_timeout) {
+        auto next = std::next(it);
+        drained.push_back(std::move(shard.sessions.extract(it).value()));
+        it = next;
       } else {
         ++it;
       }
@@ -150,7 +151,7 @@ void SessionTable::ForEachSessionInShard(size_t shard_index,
   }
   Shard& shard = *shards_[shard_index];
   std::lock_guard<std::mutex> lock(shard.mu);
-  for (const auto& [key, session] : shard.sessions) {
+  for (const auto& session : shard.sessions) {
     fn(*session);
   }
 }
@@ -160,9 +161,12 @@ void SessionTable::Restore(std::unique_ptr<SessionState> session) {
   bool replaced = false;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto& slot = shard.sessions[session->key()];
-    replaced = slot != nullptr;
-    slot = std::move(session);
+    auto it = shard.sessions.find(session->key());
+    replaced = it != shard.sessions.end();
+    if (replaced) {
+      shard.sessions.erase(it);
+    }
+    shard.sessions.insert(std::move(session));
   }
   if (!replaced) {
     active_.fetch_add(1, std::memory_order_relaxed);
@@ -183,17 +187,20 @@ void SessionTable::DropAll() {
 
 void SessionTable::EvictStalest() {
   // Phase 1: find the globally stalest session, locking one shard at a time.
+  // Ties go to the lowest id, so the victim does not depend on the order a
+  // shard's container yields its sessions.
   bool found = false;
-  SessionKey stalest_key{};
   TimeMs stalest_time = 0;
+  uint64_t stalest_id = 0;
   size_t stalest_shard = 0;
   for (size_t s = 0; s < shards_.size(); ++s) {
     std::lock_guard<std::mutex> lock(shards_[s]->mu);
-    for (const auto& [key, session] : shards_[s]->sessions) {
-      if (!found || session->last_request_time() < stalest_time) {
+    for (const auto& session : shards_[s]->sessions) {
+      const TimeMs t = session->last_request_time();
+      if (!found || t < stalest_time || (t == stalest_time && session->id() < stalest_id)) {
         found = true;
-        stalest_key = key;
-        stalest_time = session->last_request_time();
+        stalest_time = t;
+        stalest_id = session->id();
         stalest_shard = s;
       }
     }
@@ -207,10 +214,10 @@ void SessionTable::EvictStalest() {
   {
     Shard& shard = *shards_[stalest_shard];
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.sessions.find(stalest_key);
+    auto it = std::find_if(shard.sessions.begin(), shard.sessions.end(),
+                           [stalest_id](const auto& s) { return s->id() == stalest_id; });
     if (it != shard.sessions.end()) {
-      evicted = std::move(it->second);
-      shard.sessions.erase(it);
+      evicted = std::move(shard.sessions.extract(it).value());
     }
   }
   if (evicted != nullptr) {

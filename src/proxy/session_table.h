@@ -18,7 +18,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "src/obs/metrics.h"
@@ -94,10 +94,32 @@ class SessionTable {
   void DropAll();
 
  private:
+  // A shard keys each session by the session's own key(), so the key (and
+  // its User-Agent string) is stored once; lookups take a SessionKey.
+  struct SessionKeyOf {
+    const SessionKey& operator()(const SessionKey& key) const { return key; }
+    const SessionKey& operator()(const std::unique_ptr<SessionState>& s) const { return s->key(); }
+  };
+  struct SessionPtrHash {
+    using is_transparent = void;
+    template <typename T>
+    size_t operator()(const T& v) const {
+      return SessionKeyHash{}(SessionKeyOf{}(v));
+    }
+  };
+  struct SessionPtrEq {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
+      return SessionKeyOf{}(a) == SessionKeyOf{}(b);
+    }
+  };
+  using SessionSet = std::unordered_set<std::unique_ptr<SessionState>, SessionPtrHash, SessionPtrEq>;
+
   struct Shard {
     std::mutex mu;
     // Guarded by mu.
-    std::unordered_map<SessionKey, std::unique_ptr<SessionState>, SessionKeyHash> sessions;
+    SessionSet sessions;
   };
 
   struct Metrics {
@@ -110,7 +132,8 @@ class SessionTable {
   };
 
   Shard& ShardFor(const SessionKey& key);
-  // Scans every shard for the globally stalest session and closes it.
+  // Scans every shard for the globally stalest session and closes it;
+  // among equally stale sessions, the one with the lowest id.
   void EvictStalest();
   // Closes all sessions in one shard matching `stale_before` (or all when
   // stale_before is kNoCutoff); returns how many. Locks internally.

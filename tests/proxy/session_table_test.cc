@@ -1,5 +1,10 @@
 #include "src/proxy/session_table.h"
 
+#include <algorithm>
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace robodet {
@@ -85,6 +90,58 @@ TEST(SessionTableTest, CapacityEvictsStalest) {
   EXPECT_EQ(table.active_count(), 2u);
   ASSERT_EQ(closed_ids.size(), 1u);
   EXPECT_EQ(closed_ids[0], a_id);
+}
+
+TEST(SessionTableTest, EvictionTieGoesToLowestId) {
+  // 64 sessions equally stale, spread over the shards: each eviction takes
+  // the lowest id left, whatever order the shards hold them in.
+  constexpr uint32_t kSessions = 64;
+  SessionTable table({kHour, kSessions});
+  std::vector<uint64_t> closed_ids;
+  table.set_on_closed(
+      [&closed_ids](std::unique_ptr<SessionState> s) { closed_ids.push_back(s->id()); });
+  std::vector<uint64_t> ids;
+  for (uint32_t ip = 1; ip <= kSessions; ++ip) {
+    ids.push_back(table.Touch(Key(ip), 5000)->id());
+  }
+  for (uint32_t ip = 1000; ip < 1008; ++ip) {
+    table.Touch(Key(ip), 6000);
+  }
+  std::sort(ids.begin(), ids.end());
+  ids.resize(8);
+  EXPECT_EQ(closed_ids, ids);
+  EXPECT_EQ(table.active_count(), kSessions);
+}
+
+// Workers race Touch against eviction on shared keys and shards; CI runs
+// this under TSan. Every opened session is either still active or was
+// handed to on_closed exactly once.
+TEST(SessionTableTest, ConcurrentTouchAndEvictionKeepCounts) {
+  constexpr int kThreads = 4;
+  constexpr uint32_t kTouches = 3000;
+  MetricsRegistry registry;
+  SessionTable table({kHour, 64});
+  table.BindMetrics(registry);
+  std::atomic<uint64_t> closed{0};
+  table.set_on_closed([&closed](std::unique_ptr<SessionState>) { closed.fetch_add(1); });
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&table, t] {
+      for (uint32_t i = 0; i < kTouches; ++i) {
+        // Overlapping key ranges: threads meet on the same keys and shards.
+        table.Touch(Key((i * 7 + static_cast<uint32_t>(t) * 13) % 512), static_cast<TimeMs>(i));
+      }
+    });
+  }
+  for (std::thread& w : workers) {
+    w.join();
+  }
+  const uint64_t opened = registry.Scrape().CounterValue("robodet_sessions_opened_total");
+  EXPECT_GT(closed.load(), 0u);
+  EXPECT_EQ(opened, closed.load() + table.active_count());
+  table.CloseAll();
+  EXPECT_EQ(closed.load(), opened);
+  EXPECT_EQ(table.active_count(), 0u);
 }
 
 TEST(SessionTableTest, OpenedCounterCountsCreations) {

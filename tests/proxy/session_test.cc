@@ -1,6 +1,12 @@
 #include "src/proxy/session.h"
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "src/util/rng.h"
 
 namespace robodet {
 namespace {
@@ -67,20 +73,81 @@ TEST(SessionStateTest, InstrumentedPageCounter) {
 }
 
 TEST(UrlHashSetTest, InsertAndContains) {
-  UrlHashSet set(10);
+  UrlHashSet set;
   set.Insert("http://a.com/x");
   EXPECT_TRUE(set.Contains("http://a.com/x"));
   EXPECT_FALSE(set.Contains("http://a.com/y"));
 }
 
+TEST(UrlHashSetTest, DuplicatesAreStoredOnce) {
+  UrlHashSet set;
+  set.Insert("http://a.com/x");
+  set.Insert("http://a.com/x");
+  EXPECT_EQ(set.size(), 1u);
+  EXPECT_EQ(set.ordered_hashes(), std::vector<uint64_t>{Fnv1a("http://a.com/x")});
+}
+
 TEST(UrlHashSetTest, CapacityBound) {
-  UrlHashSet set(3);
-  for (int i = 0; i < 10; ++i) {
+  UrlHashSet set;
+  const size_t n = UrlHashSet::kCapacity + 10;
+  for (size_t i = 0; i < n; ++i) {
     set.Insert("url" + std::to_string(i));
   }
-  EXPECT_EQ(set.size(), 3u);
+  EXPECT_EQ(set.size(), UrlHashSet::kCapacity);
   EXPECT_TRUE(set.Contains("url0"));
-  EXPECT_FALSE(set.Contains("url9"));  // Dropped once full.
+  EXPECT_TRUE(set.Contains("url" + std::to_string(UrlHashSet::kCapacity - 1)));
+  // Dropped once full.
+  EXPECT_FALSE(set.Contains("url" + std::to_string(UrlHashSet::kCapacity)));
+  EXPECT_FALSE(set.Contains("url" + std::to_string(n - 1)));
+}
+
+// Random hashes, with repeats, checked against std::set at every size from
+// empty past the scan limit to the capacity, so both lookup paths and every
+// index growth are covered.
+TEST(UrlHashSetTest, ExactAgainstOracleAcrossIndexThreshold) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    UrlHashSet set;
+    std::set<uint64_t> oracle;
+    std::vector<uint64_t> inserted;
+    // A small pool forces repeats and hashes that share low bits collide in
+    // the index's probe sequences.
+    const uint64_t pool = seed % 2 == 0 ? 3 * UrlHashSet::kCapacity : 1ULL << 40;
+    for (size_t step = 0; step < UrlHashSet::kCapacity + 200; ++step) {
+      const uint64_t h = rng.UniformU64(pool) << (seed == 3 ? 20 : 0);
+      const bool fits = oracle.size() < UrlHashSet::kCapacity;
+      if (fits && oracle.insert(h).second) {
+        inserted.push_back(h);
+      }
+      set.InsertHash(h);
+      ASSERT_EQ(set.size(), oracle.size()) << "seed " << seed << " step " << step;
+      const uint64_t probe = rng.Bernoulli(0.5) && !inserted.empty()
+                                 ? inserted[rng.UniformU64(inserted.size())]
+                                 : rng.NextU64();
+      ASSERT_EQ(set.ContainsHash(probe), oracle.contains(probe))
+          << "seed " << seed << " step " << step;
+    }
+    EXPECT_EQ(set.ordered_hashes(), inserted);
+    for (uint64_t h : inserted) {
+      ASSERT_TRUE(set.ContainsHash(h));
+    }
+  }
+}
+
+// Recovery rebuilds a set by replaying its hashes through InsertHash; the
+// rebuilt set keeps the order, so its snapshot bytes match the original's.
+TEST(UrlHashSetTest, InsertHashReplayKeepsOrder) {
+  UrlHashSet original;
+  for (int i = 0; i < 100; ++i) {
+    original.Insert("http://h.test/" + std::to_string((i * 37) % 101));
+  }
+  UrlHashSet replayed;
+  for (uint64_t h : original.ordered_hashes()) {
+    replayed.InsertHash(h);
+  }
+  EXPECT_EQ(replayed.ordered_hashes(), original.ordered_hashes());
+  EXPECT_TRUE(replayed.Contains("http://h.test/0"));
+  EXPECT_FALSE(replayed.Contains("http://h.test/" + std::to_string((100 * 37) % 101)));
 }
 
 TEST(SessionKeyTest, EqualityAndHash) {
