@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cctype>
+#include <cstdint>
 #include <optional>
 
 #include "src/html/tokenizer.h"
@@ -19,17 +20,6 @@ bool IsBlankText(std::string_view s) {
   return true;
 }
 
-// The start tags that carry a served ref and the attribute that holds its
-// URL: <a href> is a link; every other row is an embed a rendering browser
-// fetches, and <link> is one only with rel=stylesheet. CollectServedRefs
-// and HtmlDocument both read this table.
-struct RefTag {
-  std::string_view tag;
-  std::string_view url_attr;
-  std::optional<EmbedRef::Kind> embed;  // nullopt: the row is a link.
-  std::string_view rel;                 // The rel value the tag needs; "" for any.
-};
-
 constexpr RefTag kRefTags[] = {
     {"a", "href", std::nullopt, ""},
     {"link", "href", EmbedRef::Kind::kCss, "stylesheet"},
@@ -41,14 +31,24 @@ constexpr RefTag kRefTags[] = {
     {"frame", "src", EmbedRef::Kind::kFrame, ""},
 };
 
-const RefTag* RefTagFor(std::string_view tag) {
-  for (const RefTag& row : kRefTags) {
-    if (EqualsIgnoreCase(tag, row.tag)) {
-      return &row;
-    }
-  }
-  return nullptr;
+// RefTagFor's index: the kRefTags row of each (name length, first letter),
+// or -1. No two rows share a slot.
+constexpr size_t kMaxRefTagSize = 7;
+constexpr size_t RefSlot(size_t size, char first) {
+  return size * 32 + (static_cast<unsigned char>(first) & 31);  // Either letter case.
 }
+constexpr auto kRefTagSlots = [] {
+  std::array<int8_t, (kMaxRefTagSize + 1) * 32> slots{};
+  slots.fill(-1);
+  for (size_t row = 0; row < std::size(kRefTags); ++row) {
+    const size_t slot = RefSlot(kRefTags[row].tag.size(), kRefTags[row].tag[0]);
+    if (slots[slot] != -1) {
+      throw "two kRefTags rows share a slot";
+    }
+    slots[slot] = static_cast<int8_t>(row);
+  }
+  return slots;
+}();
 
 // The first value of each of `names` among a tag's attributes, found in one
 // walk of its attribute bytes. Names match case-insensitively; "" matches
@@ -70,14 +70,19 @@ std::array<std::optional<std::string_view>, N> ReadAttrs(
   return values;
 }
 
-// Whether a tag of row `ref`, with these URL and rel attributes, carries a
-// served ref.
-bool CarriesRef(const RefTag& ref, const std::optional<std::string_view>& url,
-                const std::optional<std::string_view>& rel) {
-  return url && (ref.rel.empty() || EqualsIgnoreCase(rel.value_or(""), ref.rel));
+}  // namespace
+
+bool RefTag::Carries(bool has_url, std::optional<std::string_view> rel_value) const {
+  return has_url && (rel.empty() || EqualsIgnoreCase(rel_value.value_or(""), rel));
 }
 
-}  // namespace
+const RefTag* RefTagFor(std::string_view name) {
+  if (name.empty() || name.size() > kMaxRefTagSize) {
+    return nullptr;
+  }
+  const int row = kRefTagSlots[RefSlot(name.size(), name[0])];
+  return row >= 0 && EqualsIgnoreCase(name, kRefTags[row].tag) ? &kRefTags[row] : nullptr;
+}
 
 ServedRefs CollectServedRefs(std::string_view html) {
   ServedRefs out;
@@ -92,8 +97,9 @@ ServedRefs CollectServedRefs(std::string_view html) {
       continue;
     }
     const auto [url, rel] = ReadAttrs<2>(tok.attr_src, {ref->url_attr, "rel"});
-    if (CarriesRef(*ref, url, rel)) {
-      (ref->embed ? out.embeds : out.links).push_back(*url);
+    if (ref->Carries(url.has_value(), rel)) {
+      (ref->embed ? out.embeds : out.links)
+          .push_back({static_cast<size_t>(url->data() - html.data()), url->size()});
     }
   }
   return out;
@@ -171,7 +177,7 @@ HtmlDocument::HtmlDocument(std::string_view html) {
       inline_scripts_.emplace_back();
       in_inline_script = true;
     }
-    if (!CarriesRef(*ref, url, rel)) {
+    if (!ref->Carries(url.has_value(), rel)) {
       continue;
     }
     if (anchor) {

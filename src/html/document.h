@@ -1,10 +1,12 @@
 // Read-side view of an HTML document: the links a visitor could follow and
 // the objects a rendering browser would fetch. The simulated clients read
-// every page they fetch this way, and the proxy records what it served with
-// CollectServedRefs, by the same rules.
+// every page they fetch this way, and the proxy records what it served by
+// the same rules (CollectServedRefs, or InstrumentHtml's own walk).
 #ifndef ROBODET_SRC_HTML_DOCUMENT_H_
 #define ROBODET_SRC_HTML_DOCUMENT_H_
 
+#include <cstddef>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,18 +29,48 @@ struct EmbedRef {
   std::string url;
 };
 
-// The URLs of a page's links and embedded objects, as views into its bytes;
-// valid only while those bytes are.
+// A [offset, offset + size) span of a page's bytes. Spans, unlike views,
+// stay valid when the string holding the page is moved.
+struct HtmlSpan {
+  size_t offset = 0;
+  size_t size = 0;
+
+  std::string_view In(std::string_view html) const { return html.substr(offset, size); }
+  bool operator==(const HtmlSpan&) const = default;
+};
+
+// The URLs of a page's links and embedded objects, as spans of its bytes.
 struct ServedRefs {
   // The hrefs HtmlDocument::Links() returns, in document order.
-  std::vector<std::string_view> links;
+  std::vector<HtmlSpan> links;
   // The urls HtmlDocument::EmbeddedObjects() returns, in document order.
-  std::vector<std::string_view> embeds;
+  std::vector<HtmlSpan> embeds;
+
+  bool operator==(const ServedRefs&) const = default;
 };
+
+// A start tag that carries a served ref, and the attribute that holds its
+// URL: <a href> is a link; every other tag is an embed a rendering browser
+// fetches, and <link> is one only with rel=stylesheet.
+struct RefTag {
+  std::string_view tag;
+  std::string_view url_attr;
+  std::optional<EmbedRef::Kind> embed;  // nullopt: the tag is a link.
+  std::string_view rel;                 // The rel value the tag needs; "" for any.
+
+  // Whether a tag that has (or lacks) a url_attr attribute, and has this
+  // first rel value, carries a ref.
+  bool Carries(bool has_url, std::optional<std::string_view> rel_value) const;
+};
+
+// The RefTag of start tag `name` (any case), or nullptr. Constant-time: a
+// rewriter asks it of every tag it scans.
+const RefTag* RefTagFor(std::string_view name);
 
 // Collects both lists in one zero-copy scan of `html`, by HtmlDocument's
 // rules (case-insensitive names, first matching attribute, raw values).
-// The proxy records every page it serves this way.
+// The proxy records every uninstrumented page it serves this way;
+// InstrumentHtml returns the same lists for the pages it rewrites.
 ServedRefs CollectServedRefs(std::string_view html);
 
 // What a visitor reads off a page: its links, the objects a rendering

@@ -8,6 +8,8 @@
 #include <string>
 #include <string_view>
 
+#include "src/html/document.h"
+
 namespace robodet {
 
 // What to weave into one page. All URLs are absolute; empty fields skip the
@@ -23,7 +25,9 @@ struct InjectionPlan {
   bool hook_links = false;
 
   // Inline script that echoes the client's user agent back to the server
-  // (Figure 1's second <script> block). Empty skips.
+  // (Figure 1's second <script> block). Empty skips. It must not contain
+  // "</": the element would end early, and the markup after that point
+  // would no longer be what the plan says (nor what `refs` records).
   std::string ua_echo_script;
 
   // Dynamically named empty stylesheet probe (§2.2).
@@ -42,6 +46,10 @@ struct InjectionResult {
   std::string html;
   // Bytes added by instrumentation; feeds the §3.2 overhead accounting.
   size_t added_bytes = 0;
+  // The served refs of `html`, equal to CollectServedRefs(html) — the
+  // page's own and the insertions', as spans of `html` in document order —
+  // found during the rewrite instead of by reading the output again.
+  ServedRefs refs;
 };
 
 // Applies `plan` to `html`. Insertion points follow the paper's example:
@@ -54,7 +62,8 @@ struct InjectionResult {
 // One streaming pass over the zero-copy token stream appends into one
 // reserved output buffer. The output must equal, byte for byte, that of
 // the tokenize→edit→serialize reference in tests/html/reference_rewriter
-// (html_streaming_parity_test checks it).
+// (html_streaming_parity_test checks it), and `refs` must equal
+// CollectServedRefs of the output (it and html_fuzz_test check that).
 InjectionResult InstrumentHtml(std::string_view html, const InjectionPlan& plan);
 
 }  // namespace robodet

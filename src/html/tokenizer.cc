@@ -61,10 +61,10 @@ bool HtmlAttrCursor::Next(HtmlAttrView& out) {
       continue;
     }
     out.name = s.substr(name_start, i_ - name_start);
-    out.value = {};
+    const size_t name_end = i_;
+    out.value = s.substr(name_end, 0);  // Valueless: empty, just past the name.
     out.raw = {};
     out.canonical = false;
-    const size_t name_end = i_;
     while (i_ < s.size() && IsSpace(s[i_])) {
       ++i_;
     }
@@ -106,11 +106,13 @@ bool HtmlAttrCursor::Next(HtmlAttrView& out) {
 
 void HtmlTokenStream::Push(const HtmlTokenView& v) { queue_[queue_size_++] = v; }
 
-void HtmlTokenStream::PushText(std::string_view text) {
+// Text goes to the sink in routing mode, except the body of a routed
+// raw-text element, which must follow its start tag through the queue.
+void HtmlTokenStream::PushText(std::string_view text, bool to_sink) {
   if (text.empty()) {
     return;
   }
-  if (sink_ != nullptr) {
+  if (to_sink) {
     sink_->append(text);
     return;
   }
@@ -118,15 +120,6 @@ void HtmlTokenStream::PushText(std::string_view text) {
   tok.type = HtmlTokenType::kText;
   tok.text = text;
   Push(tok);
-}
-
-bool HtmlTokenStream::Routed(std::string_view name) const {
-  for (size_t k = 0; k < routed_count_; ++k) {
-    if (EqualsIgnoreCase(name, routed_[k])) {
-      return true;
-    }
-  }
-  return false;
 }
 
 void HtmlTokenStream::Produce() {
@@ -146,7 +139,7 @@ void HtmlTokenStream::Produce() {
     }
     const char next = html[i_ + 1];
     if (next == '!') {
-      PushText(html.substr(text_start_, i_ - text_start_));
+      PushText(html.substr(text_start_, i_ - text_start_), sink_ != nullptr);
       HtmlTokenView tok;
       if (html.compare(i_, 4, "<!--") == 0) {
         tok.type = HtmlTokenType::kComment;
@@ -185,7 +178,7 @@ void HtmlTokenStream::Produce() {
       ++i_;
       continue;
     }
-    PushText(html.substr(text_start_, i_ - text_start_));
+    PushText(html.substr(text_start_, i_ - text_start_), sink_ != nullptr);
 
     size_t j = name_start;
     while (j < n && IsTagNameChar(html[j])) {
@@ -194,7 +187,8 @@ void HtmlTokenStream::Produce() {
     HtmlTokenView tok;
     tok.type = is_end ? HtmlTokenType::kEndTag : HtmlTokenType::kStartTag;
     tok.name = html.substr(name_start, j - name_start);
-    if (sink_ != nullptr && !Routed(tok.name)) {
+    const bool to_sink = sink_ != nullptr && !routed_(tok.name, is_end);
+    if (to_sink) {
       // Routing mode, ordinary tag: serialize during the end-finding walk —
       // one pass over the attribute bytes instead of two.
       std::string& out = *sink_;
@@ -264,14 +258,14 @@ void HtmlTokenStream::Produce() {
         }
         ++end;
       }
-      PushText(html.substr(i_, end - i_));
+      PushText(html.substr(i_, end - i_), to_sink);
       if (end < n) {
         // Emit the close tag (attributes on it are dropped).
         const size_t close_end = html.find('>', end);
         HtmlTokenView close_tok;
         close_tok.type = HtmlTokenType::kEndTag;
         close_tok.name = name;
-        if (sink_ != nullptr) {
+        if (to_sink) {
           sink_->append(close);
           sink_->push_back('>');
         } else {
@@ -279,6 +273,7 @@ void HtmlTokenStream::Produce() {
         }
         i_ = close_end == std::string_view::npos ? n : close_end + 1;
       } else {
+        unclosed_raw_text_ = name;
         i_ = n;
       }
       text_start_ = i_;
@@ -286,7 +281,8 @@ void HtmlTokenStream::Produce() {
   }
   if (queue_size_ == 0 && !final_emitted_ && (scan_done_ || i_ >= n)) {
     final_emitted_ = true;
-    PushText(html.substr(text_start_, i_ > text_start_ ? i_ - text_start_ : n - text_start_));
+    PushText(html.substr(text_start_, i_ > text_start_ ? i_ - text_start_ : n - text_start_),
+             sink_ != nullptr);
   }
 }
 

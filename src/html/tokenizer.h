@@ -33,7 +33,8 @@ enum class HtmlTokenType {
 
 // One attribute as raw spans of the source buffer. `name` keeps the source
 // casing (consumers lowercase on use); `value` is the bytes between the
-// quotes (or the unquoted run), without any unescaping.
+// quotes (or the unquoted run), without any unescaping, and for a valueless
+// attribute the empty span just past its name.
 struct HtmlAttrView {
   std::string_view name;
   std::string_view value;
@@ -92,32 +93,36 @@ class HtmlTokenStream {
 
   // Routing mode, for single-pass rewriters: every ordinary token is
   // serialized (with the usual normalization) straight into `sink` during
-  // the scan, and Next() yields only start/end tags whose name matches one
-  // of the `routed_count` entries in `routed_names` case-insensitively —
-  // the caller serializes those itself, in order, onto the same sink. This
-  // removes the per-token hand-off and the second attribute walk for the
-  // bulk of a document. `routed_names` must outlive the stream and must
-  // not contain raw-text element names (script/style): their bodies are
-  // flushed to the sink as soon as the start tag is scanned, so a routed
-  // raw-text tag would be emitted out of order.
-  HtmlTokenStream(std::string_view html, std::string* sink,
-                  const std::string_view* routed_names, size_t routed_count)
-      : html_(html), sink_(sink), routed_(routed_names), routed_count_(routed_count) {}
+  // the scan, and Next() yields only the start and end tags for which
+  // `routed(name, end_tag)` is true — the caller serializes those itself,
+  // in order, onto the same sink. This removes the per-token hand-off and
+  // the second attribute walk for the bulk of a document. The predicate
+  // runs on every tag, so it should be constant-time. A routed raw-text
+  // start tag (<script>, <style>) is yielded with its body text and its
+  // close tag after it, for the caller to serialize too.
+  using RoutePredicate = bool (*)(std::string_view name, bool end_tag);
+  HtmlTokenStream(std::string_view html, std::string* sink, RoutePredicate routed)
+      : html_(html), sink_(sink), routed_(routed) {}
 
   // Fills `out` with the next token (in routing mode: the next routed
   // tag); returns false at end of input.
   bool Next(HtmlTokenView& out);
 
+  // Once Next() has returned false: the name of the raw-text element
+  // (lowercase "script" or "style") whose body ran to the end of the input
+  // without a close tag, or "" when the input ended outside one. Bytes
+  // appended after such a page are read as that element's text.
+  std::string_view unclosed_raw_text() const { return unclosed_raw_text_; }
+
  private:
   void Produce();
   void Push(const HtmlTokenView& v);
-  void PushText(std::string_view text);
-  bool Routed(std::string_view name) const;
+  void PushText(std::string_view text, bool to_sink);
 
   std::string_view html_;
   std::string* sink_ = nullptr;
-  const std::string_view* routed_ = nullptr;
-  size_t routed_count_ = 0;
+  RoutePredicate routed_ = nullptr;
+  std::string_view unclosed_raw_text_;
   size_t i_ = 0;
   size_t text_start_ = 0;
   bool scan_done_ = false;

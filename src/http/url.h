@@ -23,15 +23,11 @@ class Url {
   // Builds from parts; path must begin with '/'.
   static Url Make(std::string_view host, std::string_view path, std::string_view query = "");
 
-  const std::string& scheme() const { return scheme_; }
   const std::string& host() const { return host_; }
-  uint16_t port() const { return port_; }
   // Always begins with '/'.
   const std::string& path() const { return path_; }
   // Without the leading '?'; empty if absent.
   const std::string& query() const { return query_; }
-  // Without the leading '#'; empty if absent.
-  const std::string& fragment() const { return fragment_; }
 
   bool has_query() const { return has_query_; }
 

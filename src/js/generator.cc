@@ -1,7 +1,6 @@
 #include "src/js/generator.h"
 
 #include <algorithm>
-#include <set>
 
 #include "src/js/obfuscator.h"
 #include "src/js/transforms.h"
@@ -61,14 +60,14 @@ GeneratedBeacon GenerateBeaconScript(const BeaconSpec& spec, Rng& rng) {
   // Shuffle the real fetcher in among the decoys so its position carries no
   // information.
   const size_t n = spec.decoy_keys.size() + 1;
-  std::vector<std::string> urls = out.decoy_urls;
   const size_t real_pos = static_cast<size_t>(rng.UniformU64(n));
-  urls.insert(urls.begin() + static_cast<ptrdiff_t>(real_pos), out.real_url);
 
   std::string src;
   src.reserve(512 * n);
   for (size_t i = 0; i < n; ++i) {
-    AppendFetcher(src, static_cast<int>(i), urls[i]);
+    const std::string& url =
+        i == real_pos ? out.real_url : out.decoy_urls[i < real_pos ? i : i - 1];
+    AppendFetcher(src, static_cast<int>(i), url);
   }
 
   // The dispatcher: selects the real fetcher via arithmetic that a lexical
@@ -76,15 +75,17 @@ GeneratedBeacon GenerateBeaconScript(const BeaconSpec& spec, Rng& rng) {
   const uint64_t a = 3 + rng.UniformU64(97);
   const uint64_t b = 3 + rng.UniformU64(97);
   const uint64_t c = (real_pos + n * 200 - (a * b) % n) % n;
-  src += "function dispatch() {\n";
-  src += "  var sel = (" + std::to_string(a) + " * " + std::to_string(b) + " + " +
-         std::to_string(c) + ") % " + std::to_string(n) + ";\n";
+  src.append("function dispatch() {\n");
+  src.append("  var sel = (").append(std::to_string(a)).append(" * ").append(std::to_string(b));
+  src.append(" + ").append(std::to_string(c)).append(") % ").append(std::to_string(n));
+  src.append(";\n");
   for (size_t i = 0; i < n; ++i) {
-    src += "  if (sel == " + std::to_string(i) + ") { return fetch_" + std::to_string(i) +
-           "(); }\n";
+    const std::string idx = std::to_string(i);
+    src.append("  if (sel == ").append(idx).append(") { return fetch_").append(idx);
+    src.append("(); }\n");
   }
-  src += "  return false;\n";
-  src += "}\n";
+  src.append("  return false;\n");
+  src.append("}\n");
 
   std::string dispatcher_name = "dispatch";
   if (spec.obfuscation_level >= 5) {
@@ -137,7 +138,7 @@ std::string DeriveBeaconHandler(const BeaconSpec& spec, Rng& rng) {
   // later fetcher (Image is protected, .src a property), then dispatch. The
   // script's own names never start with '_' as drawn names do, so only the
   // drawn names can collide, and `used` holds just those.
-  std::set<std::string> used;
+  IdentifierSet used;
   for (size_t i = 0; i < 2 * n + 1; ++i) {
     DrawFreshIdentifier(rng, used);
   }

@@ -1,7 +1,5 @@
 #include "src/js/lexer.h"
 
-#include <cctype>
-
 namespace robodet {
 namespace {
 
@@ -11,40 +9,106 @@ bool IsIdentStart(char c) {
 
 bool IsIdentChar(char c) { return IsIdentStart(c) || (c >= '0' && c <= '9'); }
 
-// Multi-character punctuators, longest first.
-const char* const kPuncts3[] = {"===", "!=="};
-const char* const kPuncts2[] = {"==", "!=", "<=", ">=", "&&", "||", "+=", "-=", "*=", "/="};
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+// ASCII whitespace, as std::isspace in the C locale.
+bool IsSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r';
+}
+
+// The length of the punctuator at source[i], longest match first, or 0
+// when none starts there. Multi-character punctuators: === !== == != <= >=
+// && || += -= *= /=; single ones: + - * / % = < > ! ( ) { } [ ] ; , . ? :
+size_t PunctLength(std::string_view source, size_t i) {
+  const char c = source[i];
+  const char next = i + 1 < source.size() ? source[i + 1] : '\0';
+  switch (c) {
+    case '=':
+    case '!':
+      if (next != '=') {
+        return 1;
+      }
+      return i + 2 < source.size() && source[i + 2] == '=' ? 3 : 2;
+    case '<':
+    case '>':
+    case '+':
+    case '-':
+    case '*':
+    case '/':
+      return next == '=' ? 2 : 1;
+    case '&':
+    case '|':
+      return next == c ? 2 : 0;
+    case '%':
+    case '(':
+    case ')':
+    case '{':
+    case '}':
+    case '[':
+    case ']':
+    case ';':
+    case ',':
+    case '.':
+    case '?':
+    case ':':
+      return 1;
+    default:
+      return 0;
+  }
+}
 
 }  // namespace
 
 bool IsJsKeyword(std::string_view word) {
-  return word == "var" || word == "function" || word == "if" || word == "else" ||
-         word == "return" || word == "new" || word == "true" || word == "false" ||
-         word == "null" || word == "undefined" || word == "while" || word == "for" ||
-         word == "typeof";
+  switch (word.size()) {
+    case 2:
+      return word == "if";
+    case 3:
+      return word == "var" || word == "new" || word == "for";
+    case 4:
+      return word == "else" || word == "true" || word == "null";
+    case 5:
+      return word == "false" || word == "while";
+    case 6:
+      return word == "return" || word == "typeof";
+    case 8:
+      return word == "function";
+    case 9:
+      return word == "undefined";
+    default:
+      return false;
+  }
 }
 
 JsLexResult LexJs(std::string_view source) {
   JsLexResult result;
   size_t i = 0;
   const size_t n = source.size();
+  // About one token per four bytes of generated script.
+  result.tokens.reserve(n / 4 + 1);
 
   auto fail = [&result](size_t at, std::string msg) {
     result.ok = false;
     result.error = msg + " at offset " + std::to_string(at);
   };
+  // Appends a token of `type` at `offset`; returns it for its text.
+  auto push = [&result](JsTokenType type, size_t offset) -> JsToken& {
+    JsToken& tok = result.tokens.emplace_back();
+    tok.type = type;
+    tok.offset = offset;
+    return tok;
+  };
 
   while (i < n) {
     const char c = source[i];
-    if (std::isspace(static_cast<unsigned char>(c)) != 0) {
+    if (IsSpace(c)) {
       ++i;
       continue;
     }
     // Comments.
     if (c == '/' && i + 1 < n && source[i + 1] == '/') {
-      while (i < n && source[i] != '\n') {
-        ++i;
-      }
+      const size_t eol = source.find('\n', i);
+      i = eol == std::string_view::npos ? n : eol;
       continue;
     }
     if (c == '/' && i + 1 < n && source[i + 1] == '*') {
@@ -56,130 +120,77 @@ JsLexResult LexJs(std::string_view source) {
       i = end + 2;
       continue;
     }
-    // Strings.
+    // Strings: each run up to the quote, a backslash or a newline is copied
+    // whole.
     if (c == '\'' || c == '"') {
-      JsToken tok;
-      tok.type = JsTokenType::kString;
-      tok.quote = c;
-      tok.offset = i;
-      ++i;
+      const size_t start = i;
       std::string value;
       bool closed = false;
+      ++i;
       while (i < n) {
-        const char d = source[i];
-        if (d == '\\') {
-          if (i + 1 >= n) {
-            break;
-          }
-          const char e = source[i + 1];
-          switch (e) {
-            case 'n':
-              value.push_back('\n');
-              break;
-            case 't':
-              value.push_back('\t');
-              break;
-            case 'r':
-              value.push_back('\r');
-              break;
-            default:
-              value.push_back(e);
-              break;
-          }
-          i += 2;
-          continue;
+        size_t run = i;
+        while (run < n && source[run] != c && source[run] != '\\' && source[run] != '\n') {
+          ++run;
         }
-        if (d == c) {
+        value.append(source.data() + i, run - i);
+        i = run;
+        if (i >= n || source[i] == '\n') {
+          break;  // Newline in string literal: error out below.
+        }
+        if (source[i] == c) {
           closed = true;
           ++i;
           break;
         }
-        if (d == '\n') {
-          break;  // Newline in string literal: error out below.
+        // A backslash escape.
+        if (i + 1 >= n) {
+          break;
         }
-        value.push_back(d);
-        ++i;
+        const char e = source[i + 1];
+        value.push_back(e == 'n' ? '\n' : e == 't' ? '\t' : e == 'r' ? '\r' : e);
+        i += 2;
       }
       if (!closed) {
-        fail(tok.offset, "unterminated string literal");
+        fail(start, "unterminated string literal");
         return result;
       }
+      JsToken& tok = push(JsTokenType::kString, start);
+      tok.quote = c;
       tok.text = std::move(value);
-      result.tokens.push_back(std::move(tok));
       continue;
     }
     // Numbers.
-    if ((c >= '0' && c <= '9') ||
-        (c == '.' && i + 1 < n && source[i + 1] >= '0' && source[i + 1] <= '9')) {
-      JsToken tok;
-      tok.type = JsTokenType::kNumber;
-      tok.offset = i;
+    if (IsDigit(c) || (c == '.' && i + 1 < n && IsDigit(source[i + 1]))) {
       const size_t start = i;
       bool seen_dot = false;
-      while (i < n &&
-             ((source[i] >= '0' && source[i] <= '9') || (source[i] == '.' && !seen_dot))) {
-        if (source[i] == '.') {
-          seen_dot = true;
-        }
+      while (i < n && (IsDigit(source[i]) || (source[i] == '.' && !seen_dot))) {
+        seen_dot = seen_dot || source[i] == '.';
         ++i;
       }
-      tok.text = std::string(source.substr(start, i - start));
-      result.tokens.push_back(std::move(tok));
+      push(JsTokenType::kNumber, start).text.assign(source.data() + start, i - start);
       continue;
     }
     // Identifiers and keywords.
     if (IsIdentStart(c)) {
-      JsToken tok;
-      tok.offset = i;
       const size_t start = i;
       while (i < n && IsIdentChar(source[i])) {
         ++i;
       }
-      tok.text = std::string(source.substr(start, i - start));
-      tok.type = IsJsKeyword(tok.text) ? JsTokenType::kKeyword : JsTokenType::kIdentifier;
-      result.tokens.push_back(std::move(tok));
+      const std::string_view word = source.substr(start, i - start);
+      push(IsJsKeyword(word) ? JsTokenType::kKeyword : JsTokenType::kIdentifier, start)
+          .text.assign(word);
       continue;
     }
     // Punctuators.
-    {
-      JsToken tok;
-      tok.type = JsTokenType::kPunct;
-      tok.offset = i;
-      bool matched = false;
-      for (const char* p : kPuncts3) {
-        if (source.compare(i, 3, p) == 0) {
-          tok.text = p;
-          i += 3;
-          matched = true;
-          break;
-        }
-      }
-      if (!matched) {
-        for (const char* p : kPuncts2) {
-          if (source.compare(i, 2, p) == 0) {
-            tok.text = p;
-            i += 2;
-            matched = true;
-            break;
-          }
-        }
-      }
-      if (!matched) {
-        static const std::string_view kSingle = "+-*/%=<>!(){}[];,.?:";
-        if (kSingle.find(c) == std::string_view::npos) {
-          fail(i, std::string("unexpected character '") + c + "'");
-          return result;
-        }
-        tok.text = std::string(1, c);
-        ++i;
-      }
-      result.tokens.push_back(std::move(tok));
+    const size_t len = PunctLength(source, i);
+    if (len == 0) {
+      fail(i, std::string("unexpected character '") + c + "'");
+      return result;
     }
+    push(JsTokenType::kPunct, i).text.assign(source.data() + i, len);
+    i += len;
   }
-  JsToken eof;
-  eof.type = JsTokenType::kEof;
-  eof.offset = n;
-  result.tokens.push_back(std::move(eof));
+  push(JsTokenType::kEof, n);
   return result;
 }
 
@@ -193,6 +204,13 @@ std::string EmitJs(const std::vector<JsToken>& tokens) {
     if (wordy(prev) && wordy(cur)) {
       return true;
     }
+    // A '.' beside a number would be read as its decimal point ("1" "."
+    // -> "1.", "." "5" -> ".5").
+    auto dot = [](const JsToken& t) { return t.type == JsTokenType::kPunct && t.text == "."; };
+    if ((prev.type == JsTokenType::kNumber && dot(cur)) ||
+        (dot(prev) && cur.type == JsTokenType::kNumber)) {
+      return true;
+    }
     // Avoid gluing punctuators into longer ones (e.g. "=" "=" -> "==").
     if (prev.type == JsTokenType::kPunct && cur.type == JsTokenType::kPunct) {
       static const std::string_view kSticky = "=+-<>!&|*/";
@@ -204,6 +222,12 @@ std::string EmitJs(const std::vector<JsToken>& tokens) {
     }
     return false;
   };
+
+  size_t bytes = 0;
+  for (const JsToken& tok : tokens) {
+    bytes += tok.text.size() + 3;  // Room for a space and two quotes.
+  }
+  out.reserve(bytes);
 
   const JsToken* prev = nullptr;
   for (const JsToken& tok : tokens) {

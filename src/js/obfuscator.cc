@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <iterator>
-#include <map>
-#include <set>
+#include <unordered_map>
 
 #include "src/js/lexer.h"
 
@@ -13,11 +12,13 @@ namespace {
 
 // Names with host-defined meaning; renaming any of these would change what
 // the script does in a browser (or in our interpreter).
-const std::set<std::string>& ProtectedNames() {
-  static const std::set<std::string> kNames = {
-      "navigator", "document", "window", "Image", "Object", "String", "Math",
-  };
-  return kNames;
+constexpr std::string_view kProtectedNames[] = {
+    "navigator", "document", "window", "Image", "Object", "String", "Math",
+};
+
+bool IsProtectedName(std::string_view name) {
+  return std::find(std::begin(kProtectedNames), std::end(kProtectedNames), name) !=
+         std::end(kProtectedNames);
 }
 
 std::string RandomIdent(Rng& rng) {
@@ -71,7 +72,7 @@ JsToken Str(std::string value) {
 
 // A junk statement: `var <name> = <a> <op> <b>;` — pure arithmetic, no
 // observable effect.
-std::vector<JsToken> MakeJunkStatement(Rng& rng, std::set<std::string>& used) {
+std::vector<JsToken> MakeJunkStatement(Rng& rng, IdentifierSet& used) {
   const std::string name = DrawFreshIdentifier(rng, used);
   static const char* const kOps[] = {"+", "-", "*"};
   std::vector<JsToken> out;
@@ -86,7 +87,7 @@ std::vector<JsToken> MakeJunkStatement(Rng& rng, std::set<std::string>& used) {
 }
 
 // A junk function that is never called; used for size padding.
-std::vector<JsToken> MakeJunkFunction(Rng& rng, std::set<std::string>& used) {
+std::vector<JsToken> MakeJunkFunction(Rng& rng, IdentifierSet& used) {
   const std::string name = DrawFreshIdentifier(rng, used);
   std::vector<JsToken> out;
   out.push_back(Keyword("function"));
@@ -113,12 +114,11 @@ std::vector<JsToken> MakeJunkFunction(Rng& rng, std::set<std::string>& used) {
 
 }  // namespace
 
-std::string DrawFreshIdentifier(Rng& rng, std::set<std::string>& used) {
+std::string DrawFreshIdentifier(Rng& rng, IdentifierSet& used) {
   std::string name = RandomIdent(rng);
-  while (used.contains(name)) {
+  while (!used.insert(name).second) {
     name = RandomIdent(rng);
   }
-  used.insert(name);
   return name;
 }
 
@@ -141,9 +141,13 @@ ObfuscationResult ObfuscateJs(std::string_view source, const ObfuscationOptions&
   }
   std::vector<JsToken> tokens = std::move(lexed.tokens);
 
-  std::set<std::string> used_names;
+  // Every drawn name starts with '_', so only the script's own names that
+  // do can collide with one. The tables below are sized so that a beacon
+  // script's names (2m + 4 at m decoys) fit without a rehash.
+  IdentifierSet used_names;
+  used_names.reserve(64);
   for (const JsToken& t : tokens) {
-    if (t.type == JsTokenType::kIdentifier) {
+    if (t.type == JsTokenType::kIdentifier && t.text.starts_with('_')) {
       used_names.insert(t.text);
     }
   }
@@ -151,7 +155,10 @@ ObfuscationResult ObfuscateJs(std::string_view source, const ObfuscationOptions&
   // Pass 1: consistent identifier renaming. Identifiers immediately after
   // '.' are property names and keep their spelling.
   if (options.rename_identifiers) {
-    std::map<std::string, std::string> mapping;
+    // Old name -> index in result.renames, which lists renames in order of
+    // first appearance.
+    std::unordered_map<std::string, size_t> mapping;
+    mapping.reserve(64);
     for (size_t i = 0; i < tokens.size(); ++i) {
       JsToken& t = tokens[i];
       if (t.type != JsTokenType::kIdentifier) {
@@ -159,47 +166,62 @@ ObfuscationResult ObfuscateJs(std::string_view source, const ObfuscationOptions&
       }
       const bool is_property = i > 0 && tokens[i - 1].type == JsTokenType::kPunct &&
                                tokens[i - 1].text == ".";
-      if (is_property || ProtectedNames().contains(t.text)) {
+      if (is_property || IsProtectedName(t.text)) {
         continue;
       }
-      auto it = mapping.find(t.text);
-      if (it == mapping.end()) {
-        it = mapping.emplace(t.text, DrawFreshIdentifier(rng, used_names)).first;
+      const auto [it, first] = mapping.try_emplace(t.text, result.renames.size());
+      if (first) {
+        result.renames.emplace_back(t.text, DrawFreshIdentifier(rng, used_names));
       }
-      t.text = it->second;
+      t.text = result.renames[it->second].second;
     }
-    result.renames.assign(mapping.begin(), mapping.end());
   }
 
   // Pass 2: string splitting. Each literal of length >= 6 becomes a
   // parenthesized concatenation of 2..4 chunks.
   if (options.split_strings) {
-    std::vector<JsToken> rewritten;
-    rewritten.reserve(tokens.size() * 2);
-    for (JsToken& t : tokens) {
+    // Draw every literal's cuts first, in token order, then expand the
+    // literals in place from the back, so no token moves twice.
+    struct Split {
+      size_t token;
+      size_t cuts[3];
+      size_t num_cuts;
+    };
+    std::vector<Split> splits;
+    size_t added = 0;
+    for (size_t i = 0; i < tokens.size(); ++i) {
+      const JsToken& t = tokens[i];
       if (t.type != JsTokenType::kString || t.text.size() < 6) {
-        rewritten.push_back(std::move(t));
         continue;
       }
-      const std::string value = std::move(t.text);
+      Split& s = splits.emplace_back();
+      s.token = i;
       const size_t pieces = 2 + rng.UniformU64(3);
-      std::vector<size_t> cuts;
-      for (size_t i = 1; i < pieces; ++i) {
-        cuts.push_back(1 + rng.UniformU64(value.size() - 1));
+      for (size_t k = 0; k + 1 < pieces; ++k) {
+        s.cuts[k] = 1 + rng.UniformU64(t.text.size() - 1);
       }
-      std::sort(cuts.begin(), cuts.end());
-      cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
-      rewritten.push_back(Punct("("));
-      size_t start = 0;
-      for (size_t cut : cuts) {
-        rewritten.push_back(Str(value.substr(start, cut - start)));
-        rewritten.push_back(Punct("+"));
-        start = cut;
-      }
-      rewritten.push_back(Str(value.substr(start)));
-      rewritten.push_back(Punct(")"));
+      std::sort(s.cuts, s.cuts + pieces - 1);
+      s.num_cuts = static_cast<size_t>(std::unique(s.cuts, s.cuts + pieces - 1) - s.cuts);
+      added += 2 * s.num_cuts + 2;  // ( a + b ... ) replaces one literal.
     }
-    tokens = std::move(rewritten);
+    size_t src = tokens.size();
+    tokens.resize(tokens.size() + added);
+    size_t dst = tokens.size();
+    for (auto s = splits.rbegin(); s != splits.rend(); ++s) {
+      while (src > s->token + 1) {
+        tokens[--dst] = std::move(tokens[--src]);
+      }
+      const std::string value = std::move(tokens[--src].text);
+      tokens[--dst] = Punct(")");
+      size_t end = value.size();
+      for (size_t k = s->num_cuts; k-- > 0;) {
+        tokens[--dst] = Str(value.substr(s->cuts[k], end - s->cuts[k]));
+        tokens[--dst] = Punct("+");
+        end = s->cuts[k];
+      }
+      tokens[--dst] = Str(value.substr(0, end));
+      tokens[--dst] = Punct("(");
+    }
   }
 
   // Pass 3: junk statements at top-level statement boundaries.

@@ -7,9 +7,11 @@
 #ifndef ROBODET_SRC_JS_OBFUSCATOR_H_
 #define ROBODET_SRC_JS_OBFUSCATOR_H_
 
-#include <set>
 #include <string>
 #include <string_view>
+#include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "src/util/rng.h"
 
@@ -28,17 +30,21 @@ struct ObfuscationResult {
   bool ok = false;
   std::string error;
   std::string source;
-  // Renaming map (old -> new) for callers that must keep references in
-  // sync, e.g. the handler attribute naming the dispatcher function.
+  // Renaming map (old -> new), in order of first appearance, for callers
+  // that must keep references in sync, e.g. the handler attribute naming
+  // the dispatcher function.
   std::string RenamedOrSelf(const std::string& name) const;
   std::vector<std::pair<std::string, std::string>> renames;
 };
+
+// The names a script already uses.
+using IdentifierSet = std::unordered_set<std::string>;
 
 // The renamer's one name draw: random `_xxxx` identifiers from `rng` until
 // one is not in `used`, which then records it. Renaming, junk statements
 // and padding all name things this way, and the beacon generator replays
 // it to learn the dispatcher's name without running the obfuscator.
-std::string DrawFreshIdentifier(Rng& rng, std::set<std::string>& used);
+std::string DrawFreshIdentifier(Rng& rng, IdentifierSet& used);
 
 // Host names and property names are never renamed; identifiers following a
 // '.' are property accesses and keep their spelling.

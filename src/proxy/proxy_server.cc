@@ -186,6 +186,8 @@ void ProxyServer::BindMetrics() {
       registry_.FindOrCreateHistogram("robodet_page_key_duration_us", LatencyBucketsUs());
   m_.served_refs_us =
       registry_.FindOrCreateHistogram("robodet_served_refs_duration_us", LatencyBucketsUs());
+  m_.script_build_us =
+      registry_.FindOrCreateHistogram("robodet_script_build_duration_us", LatencyBucketsUs());
   sessions_.BindMetrics(registry_);
   key_table_.BindMetrics(registry_);
   policy_.BindMetrics(registry_);
@@ -428,8 +430,10 @@ ProxyServer::Result ProxyServer::HandleSession(const Request& request, SessionSt
     response = InstrumentPage(request, session, std::move(response), trace, beacon_only);
   } else if (level != DegradationLevel::kFailClosed && response.IsHtml() &&
              !response.body.empty()) {
-    // Track links/embeds of uninstrumented HTML too (HEAD bodies excluded).
-    RegisterServedContent(request, session, response.body);
+    // Track links/embeds of uninstrumented HTML too (HEAD bodies excluded),
+    // read off the page in a scan of its own.
+    const ScopedDurationUs timer(m_.served_refs_us);
+    RegisterServedContent(request, session, response.body, CollectServedRefs(response.body));
   }
 
   ev.status_class = static_cast<uint8_t>(StatusValue(response.status) / 100);
@@ -523,7 +527,11 @@ Response ProxyServer::HandleInstrumented(const Request& request, SessionState& s
       }
       SessionState::MarkSignal(sig.js_download_at, request_index);
       m_.probe_js_file->Inc();
-      GeneratedBeacon beacon = BuildBeaconForToken(probe.name, nullptr);
+      GeneratedBeacon beacon;
+      {
+        const ScopedDurationUs timer(m_.script_build_us);
+        beacon = BuildBeaconForToken(probe.name, nullptr);
+      }
       Response response = MakeResponse(StatusCode::kOk, ResourceKind::kJavaScript,
                                         std::move(beacon.script_source));
       response.headers.Set("Cache-Control", "no-cache, no-store");
@@ -714,21 +722,23 @@ Response ProxyServer::InstrumentPage(const Request& request, SessionState& sessi
   m_.pages_instrumented->Inc();
   session.NoteInstrumentedPage();
 
-  RegisterServedContent(request, session, response.body);
+  {
+    // The rewrite found the page's refs; nothing reads the page again.
+    const ScopedDurationUs timer(m_.served_refs_us);
+    RegisterServedContent(request, session, response.body, injected.refs);
+  }
   return response;
 }
 
 void ProxyServer::RegisterServedContent(const Request& request, SessionState& session,
-                                        std::string_view html) {
-  const ScopedDurationUs timer(m_.served_refs_us);
+                                        std::string_view html, const ServedRefs& refs) {
   // All links, then all embeds: each set keeps insertion order and drops
   // inserts past its capacity.
-  const ServedRefs refs = CollectServedRefs(html);
-  for (std::string_view href : refs.links) {
-    session.served_links().Insert(request.url.Resolve(href).ToString());
+  for (const HtmlSpan& href : refs.links) {
+    session.served_links().Insert(request.url.Resolve(href.In(html)).ToString());
   }
-  for (std::string_view url : refs.embeds) {
-    session.served_embeds().Insert(request.url.Resolve(url).ToString());
+  for (const HtmlSpan& url : refs.embeds) {
+    session.served_embeds().Insert(request.url.Resolve(url.In(html)).ToString());
   }
 }
 

@@ -18,6 +18,7 @@
 #include "src/core/combined_classifier.h"
 #include "src/core/verdict.h"
 #include "src/http/origin_result.h"
+#include "src/html/document.h"
 #include "src/http/request.h"
 #include "src/js/generator.h"
 #include "src/obs/metrics.h"
@@ -193,9 +194,10 @@ class ProxyServer {
   // The beacon's spec for one token: its keys, drawn from the start of the
   // token's stream, whose remaining draws shape the script.
   BeaconSpec DrawBeaconSpec(Rng& script_rng) const;
-  // Records the links and embeds of a served page in the session.
+  // Records the links and embeds of a served page in the session: `refs`
+  // are spans of `html`, resolved against the request URL.
   void RegisterServedContent(const Request& request, SessionState& session,
-                             std::string_view html);
+                             std::string_view html, const ServedRefs& refs);
   // Journals the session's state after a mutation (no-op without
   // persistence).
   void NoteSessionMutation(SessionState& session);
@@ -235,6 +237,7 @@ class ProxyServer {
     HistogramMetric* rewrite_us = nullptr;
     HistogramMetric* page_key_us = nullptr;
     HistogramMetric* served_refs_us = nullptr;
+    HistogramMetric* script_build_us = nullptr;
   };
 
   const ProxyConfig config_;

@@ -96,7 +96,6 @@ Response OriginServer::HandleBoard(const Request& request) {
       return MakeResponse(StatusCode::kBadRequest, ResourceKind::kHtml,
                           "<html><body>POST a message body.</body></html>");
     }
-    ++board_posts_total_;
     board_posts_.push_back(request.body.substr(0, 512));
     if (board_posts_.size() > 100) {
       board_posts_.erase(board_posts_.begin());

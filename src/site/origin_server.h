@@ -16,9 +16,6 @@ class OriginServer {
  public:
   explicit OriginServer(const SiteModel* site) : site_(site) {}
 
-  // Bulletin-board state (bounded; oldest posts scroll off).
-  size_t board_post_count() const { return board_posts_total_; }
-
   // Resolves one request. Pages render HTML; CGI endpoints render a small
   // dynamic page (and occasionally redirect, which is what makes
   // RESPCODE_3XX% informative); static assets return deterministic filler
@@ -35,8 +32,8 @@ class OriginServer {
   Response HandleBoard(const Request& request);
 
   const SiteModel* site_;  // Not owned.
+  // Bulletin-board state (bounded; oldest posts scroll off).
   std::vector<std::string> board_posts_;
-  uint64_t board_posts_total_ = 0;
 };
 
 }  // namespace robodet

@@ -100,6 +100,34 @@ TEST_P(HtmlFuzzTest, ServedRefsMatchDocument) {
   }
 }
 
+// The refs InstrumentHtml finds in its one walk equal a second read of its
+// output, on messy pages, under a full plan with link hooks and audio, the
+// same without hooks, and a beacon-only plan.
+TEST_P(HtmlFuzzTest, RewriteRefsMatchRescan) {
+  Rng rng(GetParam() ^ 0x0e3a1c);
+  InjectionPlan hooked;
+  hooked.beacon_script_url = "http://e.com/__rd/js_t.js";
+  hooked.mouse_handler_code = "return d(\"x\");";
+  hooked.hook_links = true;
+  hooked.ua_echo_script = "document.write('<link rel=\"stylesheet\" href=\"/u.css\">');";
+  hooked.css_probe_url = "http://e.com/__rd/cp_t.css";
+  hooked.audio_probe_url = "http://e.com/__rd/ap_t.wav";
+  hooked.hidden_link_url = "http://e.com/__rd/hl_t.html";
+  hooked.transparent_image_url = "http://e.com/__rd/ti.jpg";
+  InjectionPlan unhooked = hooked;
+  unhooked.hook_links = false;
+  InjectionPlan beacon_only;
+  beacon_only.beacon_script_url = hooked.beacon_script_url;
+  beacon_only.mouse_handler_code = hooked.mouse_handler_code;
+  for (int i = 0; i < 8; ++i) {
+    const std::string html = i % 2 == 0 ? GenerateMessyHtml(rng, 500 + rng.UniformU64(3000))
+                                        : GenerateRefSoup(rng, 500 + rng.UniformU64(3000));
+    for (const InjectionPlan* plan : {&hooked, &unhooked, &beacon_only}) {
+      ExpectRewriteRefsMatchRescan(html, *plan);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, HtmlFuzzTest,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 10u, 11u, 12u,
                                            13u, 14u, 15u, 16u));

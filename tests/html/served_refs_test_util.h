@@ -1,6 +1,7 @@
-// Parity oracle for the streaming served-ref collector: on any document,
-// CollectServedRefs must return exactly the hrefs of HtmlDocument::Links()
-// and the urls of HtmlDocument::EmbeddedObjects(), in the same order.
+// Parity oracles for served refs: on any document, CollectServedRefs must
+// return exactly the hrefs of HtmlDocument::Links() and the urls of
+// HtmlDocument::EmbeddedObjects(), in the same order; and InstrumentHtml's
+// refs must be CollectServedRefs of its output.
 #ifndef ROBODET_TESTS_HTML_SERVED_REFS_TEST_UTIL_H_
 #define ROBODET_TESTS_HTML_SERVED_REFS_TEST_UTIL_H_
 
@@ -11,10 +12,22 @@
 #include <vector>
 
 #include "src/html/document.h"
+#include "src/html/injector.h"
 
 namespace robodet {
 
+// The bytes of each span of `html`, in order.
+inline std::vector<std::string> ServedRefTexts(std::string_view html,
+                                               const std::vector<HtmlSpan>& spans) {
+  std::vector<std::string> texts;
+  for (const HtmlSpan& span : spans) {
+    texts.emplace_back(span.In(html));
+  }
+  return texts;
+}
+
 inline void ExpectServedRefsMatchDocument(std::string_view html) {
+  const ServedRefs refs = CollectServedRefs(html);
   const HtmlDocument doc(html);
   std::vector<std::string> links;
   for (const LinkRef& link : doc.Links()) {
@@ -24,9 +37,22 @@ inline void ExpectServedRefsMatchDocument(std::string_view html) {
   for (const EmbedRef& embed : doc.EmbeddedObjects()) {
     embeds.push_back(embed.url);
   }
-  const ServedRefs refs = CollectServedRefs(html);
-  EXPECT_EQ(std::vector<std::string>(refs.links.begin(), refs.links.end()), links) << html;
-  EXPECT_EQ(std::vector<std::string>(refs.embeds.begin(), refs.embeds.end()), embeds) << html;
+  EXPECT_EQ(ServedRefTexts(html, refs.links), links) << html;
+  EXPECT_EQ(ServedRefTexts(html, refs.embeds), embeds) << html;
+}
+
+// One-walk parity: the refs InstrumentHtml finds during its rewrite must be
+// exactly CollectServedRefs of its output — same spans, same order.
+inline void ExpectRewriteRefsMatchRescan(std::string_view html, const InjectionPlan& plan) {
+  const InjectionResult result = InstrumentHtml(html, plan);
+  const ServedRefs rescanned = CollectServedRefs(result.html);
+  EXPECT_EQ(ServedRefTexts(result.html, result.refs.links),
+            ServedRefTexts(result.html, rescanned.links))
+      << html;
+  EXPECT_EQ(ServedRefTexts(result.html, result.refs.embeds),
+            ServedRefTexts(result.html, rescanned.embeds))
+      << html;
+  EXPECT_TRUE(result.refs == rescanned) << html;
 }
 
 }  // namespace robodet

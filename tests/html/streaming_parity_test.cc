@@ -10,6 +10,7 @@
 
 #include "src/html/injector.h"
 #include "src/html/tokenizer.h"
+#include "src/site/site_model.h"
 #include "src/util/rng.h"
 #include "tests/html/html_corpus.h"
 #include "tests/html/reference_rewriter.h"
@@ -74,6 +75,49 @@ TEST(StreamingParityTest, CorpusServedRefsMatchDocument) {
     ExpectServedRefsMatchDocument(doc);
     for (const InjectionPlan& plan : plans) {
       ExpectServedRefsMatchDocument(InstrumentHtml(doc, plan).html);
+    }
+  }
+}
+
+// The refs the rewrite finds in its one walk are the refs a second read of
+// its output finds, on every corpus document under every plan.
+TEST(StreamingParityTest, CorpusRewriteRefsMatchRescan) {
+  for (const char* doc : kCorpus) {
+    for (const InjectionPlan& plan : Plans()) {
+      ExpectRewriteRefsMatchRescan(doc, plan);
+    }
+  }
+}
+
+// Documents that end where a reader's state matters to the insertions: in
+// an unclosed raw-text element (the late blob then lands inside it), an
+// uppercase close tag, an unclosed tag, a '"' inside an unquoted value.
+TEST(StreamingParityTest, EdgeDocumentRewriteRefsMatchRescan) {
+  const char* const kEdgeDocs[] = {
+      "<html><head><SCRIPT src=/a.js>var x = 1;</SCRIPT></head><body><a href=/n>n</a></body>",
+      "<html><body><a href=/n>n</a><script>var x = 1;",
+      "<html><body><a href=/n>n</a><script src=/s.js>if (a</scrip",
+      "<html><body><img src=/i.jpg><style>p { color: red }",
+      "<body><STYLE>a{}</STYLE><a href=/x>x</a><SCRIPT>y()</SCRIPT x>",
+      "<a href=/x\"y>q</a><img src=a\"b\"c><link rel=stylesheet href=s\"t.css>",
+      "<a href='/x\"y' onclick=go>q</a><a href=\"/z\" ONCLICK=\"f()\">z</a>",
+      "<html><body><a href=\"/open",
+      "<html><body><img src=/a.jpg",
+      "<html><head><link REL=STYLESHEET HREF=/c.css><link rel=icon href=/f.ico>",
+      "<head><script src=/a.js/></head><body><script/><a href>e</a><img src></body>",
+      "<frameset><frame src=/f1><iframe src=/f2></iframe><bgsound src=/s><audio src=/au>",
+      "text only <",
+      "<p>tail</",
+      "<a href=/1><a href=/2><img src=/3 width=1 height=1></a>",
+      "",
+  };
+  std::vector<InjectionPlan> plans = Plans();
+  InjectionPlan audio;
+  audio.audio_probe_url = "/__rd/ap_1.wav";
+  plans.push_back(audio);
+  for (const char* doc : kEdgeDocs) {
+    for (const InjectionPlan& plan : plans) {
+      ExpectRewriteRefsMatchRescan(doc, plan);
     }
   }
 }
@@ -162,6 +206,22 @@ TEST(StreamingParityTest, RandomizedDocumentsByteIdentical) {
     const InjectionResult streaming = InstrumentHtml(doc, plan);
     ASSERT_EQ(expected.html, streaming.html) << "iter " << iter << "\ndoc:\n" << doc;
     ASSERT_EQ(expected.added_bytes, streaming.added_bytes) << "iter " << iter;
+    ExpectRewriteRefsMatchRescan(doc, plan);
+  }
+}
+
+// The site model's pages, as the proxy serves them.
+TEST(StreamingParityTest, SitePagesRewriteRefsMatchRescan) {
+  SiteConfig config;
+  config.num_pages = 24;
+  Rng site_rng(11);
+  const SiteModel site = SiteModel::Generate(config, site_rng);
+  const std::vector<InjectionPlan> plans = Plans();
+  for (size_t page = 0; page < config.num_pages; ++page) {
+    const std::string html = site.RenderPage(page);
+    for (const InjectionPlan& plan : plans) {
+      ExpectRewriteRefsMatchRescan(html, plan);
+    }
   }
 }
 

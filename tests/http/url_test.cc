@@ -8,22 +8,20 @@ namespace {
 TEST(UrlTest, ParseBasic) {
   const auto url = Url::Parse("http://www.example.com/index.html");
   ASSERT_TRUE(url.has_value());
-  EXPECT_EQ(url->scheme(), "http");
   EXPECT_EQ(url->host(), "www.example.com");
-  EXPECT_EQ(url->port(), 80);
   EXPECT_EQ(url->path(), "/index.html");
   EXPECT_FALSE(url->has_query());
+  EXPECT_EQ(url->ToString(), "http://www.example.com/index.html");  // Port 80 is the default.
 }
 
 TEST(UrlTest, ParseFull) {
   const auto url = Url::Parse("https://Host.Example.COM:8443/a/b.cgi?x=1&y=2#frag");
   ASSERT_TRUE(url.has_value());
-  EXPECT_EQ(url->scheme(), "https");
   EXPECT_EQ(url->host(), "host.example.com");  // Lowercased.
-  EXPECT_EQ(url->port(), 8443);
   EXPECT_EQ(url->path(), "/a/b.cgi");
   EXPECT_EQ(url->query(), "x=1&y=2");
-  EXPECT_EQ(url->fragment(), "frag");
+  // Scheme, port and fragment survive into the canonical form.
+  EXPECT_EQ(url->ToString(), "https://host.example.com:8443/a/b.cgi?x=1&y=2#frag");
 }
 
 TEST(UrlTest, ParseHostOnly) {
@@ -35,7 +33,8 @@ TEST(UrlTest, ParseHostOnly) {
 TEST(UrlTest, DefaultHttpsPort) {
   const auto url = Url::Parse("https://example.com/");
   ASSERT_TRUE(url.has_value());
-  EXPECT_EQ(url->port(), 443);
+  EXPECT_EQ(url, Url::Parse("https://example.com:443/"));
+  EXPECT_NE(url, Url::Parse("https://example.com:80/"));
 }
 
 TEST(UrlTest, ParseRejectsGarbage) {

@@ -30,7 +30,7 @@ TEST(WireRequestTest, AbsoluteFormProxyRequest) {
       "GET http://origin.example.net:8080/x.css HTTP/1.0\r\n\r\n");
   ASSERT_TRUE(result) << result.error.message;
   EXPECT_EQ(result.value->url.host(), "origin.example.net");
-  EXPECT_EQ(result.value->url.port(), 8080);
+  EXPECT_EQ(result.value->url.ToString(), "http://origin.example.net:8080/x.css");
 }
 
 TEST(WireRequestTest, HostWithPort) {
@@ -38,7 +38,7 @@ TEST(WireRequestTest, HostWithPort) {
       "HEAD /x HTTP/1.1\r\nHost: example.com:8080\r\n\r\n");
   ASSERT_TRUE(result) << result.error.message;
   EXPECT_EQ(result.value->method, Method::kHead);
-  EXPECT_EQ(result.value->url.port(), 8080);
+  EXPECT_EQ(result.value->url.ToString(), "http://example.com:8080/x");
 }
 
 TEST(WireRequestTest, BareLfTolerated) {

@@ -5,7 +5,6 @@
 // is run with.
 #include <gtest/gtest.h>
 
-#include <set>
 #include <string>
 
 #include "src/js/generator.h"
@@ -62,14 +61,14 @@ INSTANTIATE_TEST_SUITE_P(Decoys, PageBeaconTest, ::testing::Values(0u, 1u, 4u, 8
 
 TEST(BeaconDerivationTest, FreshIdentifierRedrawsOnCollision) {
   Rng stream(99);
-  std::set<std::string> fresh;
+  IdentifierSet fresh;
   const std::string first = DrawFreshIdentifier(stream, fresh);
   const std::string second = DrawFreshIdentifier(stream, fresh);
   ASSERT_NE(first, second);
   // Replaying the stream with its first name already taken must skip to
   // its second name and leave the stream where two draws leave it.
   Rng replay(99);
-  std::set<std::string> taken = {first};
+  IdentifierSet taken = {first};
   EXPECT_EQ(DrawFreshIdentifier(replay, taken), second);
   EXPECT_EQ(replay.NextU64(), stream.NextU64());
 }

@@ -41,6 +41,20 @@ TEST(JsLexerTest, Comments) {
   EXPECT_EQ(result.tokens[2].text, "c");
 }
 
+// A '.' token next to a number keeps a space on re-emission, or the number
+// would swallow it as a decimal point.
+TEST(JsLexerTest, EmitKeepsDotsApartFromNumbers) {
+  const auto result = LexJs("a = 0 .. b . 5");
+  ASSERT_TRUE(result.ok);
+  const std::string emitted = EmitJs(result.tokens);
+  const auto relexed = LexJs(emitted);
+  ASSERT_TRUE(relexed.ok) << emitted;
+  ASSERT_EQ(relexed.tokens.size(), result.tokens.size()) << emitted;
+  for (size_t i = 0; i < result.tokens.size(); ++i) {
+    EXPECT_EQ(relexed.tokens[i].text, result.tokens[i].text) << emitted;
+  }
+}
+
 TEST(JsLexerTest, MultiCharPunctuators) {
   const auto result = LexJs("a === b !== c == d != e <= f >= g && h || i += j");
   ASSERT_TRUE(result.ok);

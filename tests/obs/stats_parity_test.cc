@@ -75,6 +75,11 @@ TEST(StatsParityTest, HistogramsAgreeWithCountersAfterSessionMix) {
   const MetricSnapshot* served_refs = snap.Find("robodet_served_refs_duration_us");
   ASSERT_NE(served_refs, nullptr);
   EXPECT_GE(served_refs->histogram.count, pages);
+  // Every beacon-script fetch with a valid token built one script.
+  const MetricSnapshot* script_build = snap.Find("robodet_script_build_duration_us");
+  ASSERT_NE(script_build, nullptr);
+  EXPECT_EQ(script_build->histogram.count,
+            snap.CounterValue("robodet_probe_hits_total", {{"kind", "js_file"}}));
 
   // Session-table metrics agree with the table.
   const MetricSnapshot* active = snap.Find("robodet_sessions_active");

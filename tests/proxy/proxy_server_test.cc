@@ -317,6 +317,20 @@ TEST_F(ProxyServerTest, HiddenLinkTrap) {
   EXPECT_GT(Session()->signals().hidden_link_at, 0);
 }
 
+// The script-build stage is timed on every js_ fetch that builds a script
+// and on no other request: a forged token is refused before any build.
+TEST_F(ProxyServerTest, ScriptBuildStageTimesEveryBuiltScript) {
+  DriveHumanBeaconLoop();
+  EXPECT_EQ(Get("/__rd/js_000000000000000000000000.js").response.status,
+            StatusCode::kNotFound);
+  const RegistrySnapshot snapshot = proxy_->metrics().Scrape();
+  const MetricSnapshot* build = snapshot.Find("robodet_script_build_duration_us");
+  ASSERT_NE(build, nullptr);
+  EXPECT_EQ(build->histogram.count,
+            snapshot.CounterValue("robodet_probe_hits_total", {{"kind", "js_file"}}));
+  EXPECT_GE(build->histogram.count, 1u);
+}
+
 TEST_F(ProxyServerTest, ForgedInstrumentationTokensRejected) {
   Get("/p/1.html");
   EXPECT_EQ(Get("/__rd/js_000000000000000000000000.js").response.status,
