@@ -4,10 +4,16 @@
 // bandwidth. The table benches report the bandwidth fraction; this binary
 // measures the compute side: script generation, obfuscation, HTML
 // instrumentation, token and key-table operations, feature extraction,
-// model prediction, and the full per-request proxy path.
+// model prediction, the full per-request proxy path, and the persistence
+// layer's checksum and restart recovery.
 #include <benchmark/benchmark.h>
 
+#include <filesystem>
+
+#include <unistd.h>
+
 #include "src/robodet.h"
+#include "src/util/checksum.h"
 
 namespace robodet {
 namespace {
@@ -346,6 +352,157 @@ void BM_ProxyBeaconHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ProxyBeaconHit);
+
+// The CRC32C every snapshot section and journal record carries: a small
+// record, a page-sized section and a large one.
+void BM_Crc32c(benchmark::State& state) {
+  std::string data(static_cast<size_t>(state.range(0)), '\0');
+  Rng rng(47);
+  for (char& c : data) {
+    c = static_cast<char>(rng.UniformU64(256));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32c(data));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32c)->Arg(64)->Arg(4 << 10)->Arg(1 << 20)->ArgName("bytes");
+
+// A browsing session as the daemon persists it: a user agent, some
+// signals, events and URL sets of a few dozen hashes each.
+persistence::SessionImage SyntheticSession(Rng& rng, uint64_t id) {
+  persistence::SessionImage s;
+  s.id = id;
+  s.ip = 0x0a000000u + static_cast<uint32_t>(id);
+  s.user_agent = "Mozilla/5.0 (X11; Linux x86_64) bench/" + std::to_string(id % 50);
+  s.first_request = 1000 + static_cast<TimeMs>(id);
+  s.request_count = 20 + static_cast<int32_t>(rng.UniformU64(20));
+  s.last_request = s.first_request + s.request_count * 500;
+  s.signals.js_download_at = 2;
+  s.signals.css_probe_at = 3;
+  s.instrumented_pages = 4;
+  s.instrumented_page_indices = {1, 6, 11, 16};
+  s.get_requests = s.request_count;
+  s.events.resize(static_cast<size_t>(s.request_count));
+  for (RequestEvent& e : s.events) {
+    e.kind = static_cast<ResourceKind>(rng.UniformU64(3));
+    e.status_class = 2;
+    e.is_embedded = rng.Bernoulli(0.5);
+  }
+  s.served_links = RandomHashes(25, id * 3);
+  s.served_embeds = RandomHashes(27, id * 3 + 1);
+  s.visited_urls = RandomHashes(19, id * 3 + 2);
+  return s;
+}
+
+// A state directory shaped like a daemon's after a run: a snapshot of
+// `sessions` / 2 sessions with four beacon keys each, and a journal that
+// extends every one of them, adds the other half, issues their keys and
+// consumes one key per session.
+void WriteStateDir(const std::string& dir, size_t sessions) {
+  constexpr uint32_t kShards = 16;
+  constexpr uint64_t kEpoch = 1;
+  Rng rng(53);
+  std::vector<persistence::SessionImage> all;
+  std::vector<persistence::KeyEntryImage> keys;
+  for (size_t i = 0; i < sessions; ++i) {
+    all.push_back(SyntheticSession(rng, 1 + i));
+    for (int k = 0; k < 4; ++k) {
+      keys.push_back({all.back().ip, "/p/" + std::to_string(k) + ".html", rng.HexKey128(),
+                      all.back().first_request + k});
+    }
+  }
+  const size_t in_snapshot = sessions / 2;
+  persistence::SnapshotWriter snapshot(kEpoch, 1000, kShards, kShards);
+  for (uint32_t shard = 0; shard < 2 * kShards; ++shard) {
+    const bool key_shard = shard < kShards;
+    const size_t n = key_shard ? 4 * in_snapshot : in_snapshot;
+    std::vector<size_t> members;
+    for (size_t i = shard % kShards; i < n; i += kShards) {
+      members.push_back(i);
+    }
+    ByteWriter payload;
+    payload.PutU32(static_cast<uint32_t>(members.size()));
+    for (size_t i : members) {
+      if (key_shard) {
+        persistence::EncodeKeyEntry(keys[i], &payload);
+      } else {
+        persistence::EncodeSession(all[i], &payload);
+      }
+    }
+    snapshot.AddSection(payload.bytes());
+  }
+  std::string journal = persistence::EncodeJournalHeader(kEpoch);
+  for (size_t i = 0; i < sessions; ++i) {
+    persistence::JournalRecord rec;
+    rec.type = persistence::JournalRecordType::kSessionUpdate;
+    rec.update.delta = SyntheticSession(rng, 1 + i);
+    if (i < in_snapshot) {
+      // Five more requests' worth of appends to a snapshot session.
+      persistence::SessionUpdateImage& u = rec.update;
+      u.page_indices_before = static_cast<uint32_t>(all[i].instrumented_page_indices.size());
+      u.events_before = static_cast<uint32_t>(all[i].events.size());
+      u.links_before = static_cast<uint32_t>(all[i].served_links.size());
+      u.embeds_before = static_cast<uint32_t>(all[i].served_embeds.size());
+      u.visited_before = static_cast<uint32_t>(all[i].visited_urls.size());
+      u.delta.instrumented_page_indices = {21};
+      u.delta.events.resize(5);
+      u.delta.served_links = RandomHashes(5, i + 7);
+      u.delta.served_embeds = RandomHashes(5, i + 11);
+      u.delta.visited_urls = RandomHashes(5, i + 13);
+    } else {
+      for (int k = 0; k < 4; ++k) {
+        persistence::JournalRecord issued;
+        issued.type = persistence::JournalRecordType::kKeyIssued;
+        issued.key = keys[4 * i + k];
+        journal += persistence::EncodeJournalRecord(issued);
+      }
+    }
+    journal += persistence::EncodeJournalRecord(rec);
+    persistence::JournalRecord consumed;
+    consumed.type = persistence::JournalRecordType::kKeyConsumed;
+    consumed.key = keys[4 * i];
+    journal += persistence::EncodeJournalRecord(consumed);
+  }
+  std::filesystem::create_directories(dir);
+  WriteFileAtomic(dir + "/snapshot.bin", snapshot.Finish());
+  WriteFileAtomic(dir + "/journal.bin", journal);
+}
+
+// Restart recovery of a generated directory of N sessions: read and verify
+// both files, replay the journal, install the tables and write the
+// recovery checkpoint. Each iteration recovers a fresh copy.
+void BM_StateStoreRecover(benchmark::State& state) {
+  const std::filesystem::path root = std::filesystem::temp_directory_path() /
+                                     ("robodet_bench_recover_" + std::to_string(::getpid()));
+  const std::string source = (root / "source").string();
+  const std::string work = (root / "work").string();
+  WriteStateDir(source, static_cast<size_t>(state.range(0)));
+  size_t restored = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::filesystem::remove_all(work);
+    std::filesystem::copy(source, work);
+    KeyTable keys(KeyTable::Config{});
+    SessionTable sessions(SessionTable::Config{});
+    StateStore store(PersistenceConfig{.state_dir = work}, &keys, &sessions);
+    keys.set_observer(&store);
+    state.ResumeTiming();
+    restored = store.Recover(1000).sessions_restored;
+    state.PauseTiming();
+    keys.set_observer(nullptr);
+    state.ResumeTiming();
+  }
+  std::filesystem::remove_all(root);
+  state.counters["sessions_restored"] = static_cast<double>(restored);
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_StateStoreRecover)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->ArgName("sessions")
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace robodet

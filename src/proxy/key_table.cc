@@ -152,27 +152,36 @@ std::vector<KeyTable::ExportedEntry> KeyTable::ExportShard(size_t shard_index) {
     return out;
   }
   Shard& shard = *shards_[shard_index];
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [ip, entries] : shard.by_ip) {
-      for (const Entry& e : entries) {
-        out.push_back(ExportedEntry{ip, e.page_path, e.key, e.issued_at});
-      }
+  std::lock_guard<std::mutex> lock(shard.mu);
+  // Sorts pointers, then copies each entry once into its place.
+  size_t count = 0;
+  for (const auto& [ip, entries] : shard.by_ip) {
+    count += entries.size();
+  }
+  std::vector<std::pair<uint32_t, const Entry*>> order;
+  order.reserve(count);
+  for (const auto& [ip, entries] : shard.by_ip) {
+    for (const Entry& e : entries) {
+      order.emplace_back(ip, &e);
     }
   }
-  std::sort(out.begin(), out.end(), [](const ExportedEntry& a, const ExportedEntry& b) {
-    if (a.ip != b.ip) {
-      return a.ip < b.ip;
+  std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
+    if (a.first != b.first) {
+      return a.first < b.first;
     }
-    if (a.issued_at != b.issued_at) {
-      return a.issued_at < b.issued_at;
+    if (a.second->issued_at != b.second->issued_at) {
+      return a.second->issued_at < b.second->issued_at;
     }
-    return a.key < b.key;
+    return a.second->key < b.second->key;
   });
+  out.reserve(count);
+  for (const auto& [ip, e] : order) {
+    out.emplace_back(ip, e->page_path, e->key, e->issued_at);
+  }
   return out;
 }
 
-void KeyTable::RestoreEntry(IpAddress ip, const std::string& page_path, const std::string& key,
+void KeyTable::RestoreEntry(IpAddress ip, std::string page_path, std::string key,
                             TimeMs issued_at) {
   if (total_entries() >= config_.max_total_entries) {
     return;
@@ -186,7 +195,7 @@ void KeyTable::RestoreEntry(IpAddress ip, const std::string& page_path, const st
       entries.pop_front();
       ++evicted_here;
     }
-    entries.push_back(Entry{page_path, key, issued_at});
+    entries.push_back(Entry{std::move(page_path), std::move(key), issued_at});
   }
   total_entries_.fetch_sub(evicted_here, std::memory_order_relaxed);
   total_entries_.fetch_add(1, std::memory_order_relaxed);

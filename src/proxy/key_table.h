@@ -93,8 +93,7 @@ class KeyTable {
   // Recovery-only: inserts an entry without firing the observer or the
   // issued counter (the entry was counted in a previous life). Per-IP and
   // total bounds still apply.
-  void RestoreEntry(IpAddress ip, const std::string& page_path, const std::string& key,
-                    TimeMs issued_at);
+  void RestoreEntry(IpAddress ip, std::string page_path, std::string key, TimeMs issued_at);
 
   // Drops every entry without counters or observer (simulated crash).
   void Clear();

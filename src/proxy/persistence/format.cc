@@ -1,12 +1,15 @@
 #include "src/proxy/persistence/format.h"
 
+#include <algorithm>
+#include <iterator>
+
 #include "src/http/content_type.h"
 #include "src/util/checksum.h"
 
 namespace robodet::persistence {
 namespace {
 
-// RequestEvent packs into three bytes: kind, status class, flag bits.
+// Flag bits of a packed RequestEvent.
 constexpr uint8_t kFlagHead = 1u << 0;
 constexpr uint8_t kFlagReferrer = 1u << 1;
 constexpr uint8_t kFlagUnseenReferrer = 1u << 2;
@@ -14,9 +17,21 @@ constexpr uint8_t kFlagEmbedded = 1u << 3;
 constexpr uint8_t kFlagLinkFollow = 1u << 4;
 constexpr uint8_t kFlagFavicon = 1u << 5;
 
-void EncodeEvent(const RequestEvent& e, ByteWriter* w) {
-  w->PutU8(static_cast<uint8_t>(e.kind));
-  w->PutU8(e.status_class);
+// Frames what the caller writes after BeginFrame as len u32 | bytes | crc
+// u32, in place: the length is patched in once the payload is known.
+size_t BeginFrame(ByteWriter* w) {
+  const size_t at = w->size();
+  w->PutU32(0);
+  return at;
+}
+
+void EndFrame(size_t at, ByteWriter* w) {
+  const std::string_view payload = std::string_view(w->bytes()).substr(at + 4);
+  w->PatchU32(at, static_cast<uint32_t>(payload.size()));
+  w->PutU32(Crc32c(payload));
+}
+
+uint8_t EventFlags(const RequestEvent& e) {
   uint8_t flags = 0;
   flags |= e.is_head ? kFlagHead : 0;
   flags |= e.has_referrer ? kFlagReferrer : 0;
@@ -24,29 +39,7 @@ void EncodeEvent(const RequestEvent& e, ByteWriter* w) {
   flags |= e.is_embedded ? kFlagEmbedded : 0;
   flags |= e.is_link_follow ? kFlagLinkFollow : 0;
   flags |= e.is_favicon ? kFlagFavicon : 0;
-  w->PutU8(flags);
-}
-
-bool DecodeEvent(ByteReader* r, RequestEvent* e) {
-  uint8_t kind = 0;
-  uint8_t status = 0;
-  uint8_t flags = 0;
-  if (!r->ReadU8(&kind) || !r->ReadU8(&status) || !r->ReadU8(&flags)) {
-    return false;
-  }
-  // An out-of-range kind would forge an enum value (UB downstream).
-  if (kind > static_cast<uint8_t>(ResourceKind::kOther)) {
-    return false;
-  }
-  e->kind = static_cast<ResourceKind>(kind);
-  e->status_class = status;
-  e->is_head = (flags & kFlagHead) != 0;
-  e->has_referrer = (flags & kFlagReferrer) != 0;
-  e->unseen_referrer = (flags & kFlagUnseenReferrer) != 0;
-  e->is_embedded = (flags & kFlagEmbedded) != 0;
-  e->is_link_follow = (flags & kFlagLinkFollow) != 0;
-  e->is_favicon = (flags & kFlagFavicon) != 0;
-  return true;
+  return flags;
 }
 
 void EncodeSignals(const SessionSignals& s, ByteWriter* w) {
@@ -65,85 +58,51 @@ bool DecodeSignals(ByteReader* r, SessionSignals* s) {
   return r->ReadString(&s->ua_echo_agent, kMaxStringBytes);
 }
 
-void EncodeI32Vec(const std::vector<int32_t>& v, ByteWriter* w) {
+// Events pack into three bytes each: kind, status class, flag bits.
+void EncodeEvents(std::span<const RequestEvent> v, ByteWriter* w) {
   w->PutU32(static_cast<uint32_t>(v.size()));
-  for (int32_t x : v) {
-    w->PutI32(x);
-  }
-}
-
-bool DecodeI32Vec(ByteReader* r, size_t max_items, std::vector<int32_t>* v) {
-  uint32_t n = 0;
-  if (!r->ReadU32(&n) || n > max_items || static_cast<size_t>(n) * 4 > r->remaining()) {
-    return false;
-  }
-  v->clear();
-  v->reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    int32_t x = 0;
-    if (!r->ReadI32(&x)) {
-      return false;
-    }
-    v->push_back(x);
-  }
-  return true;
-}
-
-void EncodeU64Vec(const std::vector<uint64_t>& v, ByteWriter* w) {
-  w->PutU32(static_cast<uint32_t>(v.size()));
-  for (uint64_t x : v) {
-    w->PutU64(x);
-  }
-}
-
-bool DecodeU64Vec(ByteReader* r, size_t max_items, std::vector<uint64_t>* v) {
-  uint32_t n = 0;
-  if (!r->ReadU32(&n) || n > max_items || static_cast<size_t>(n) * 8 > r->remaining()) {
-    return false;
-  }
-  v->clear();
-  v->reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    uint64_t x = 0;
-    if (!r->ReadU64(&x)) {
-      return false;
-    }
-    v->push_back(x);
-  }
-  return true;
-}
-
-void EncodeEventVec(const std::vector<RequestEvent>& v, ByteWriter* w) {
-  w->PutU32(static_cast<uint32_t>(v.size()));
+  char* packed = w->Extend(3 * v.size());
   for (const RequestEvent& e : v) {
-    EncodeEvent(e, w);
+    *packed++ = static_cast<char>(e.kind);
+    *packed++ = static_cast<char>(e.status_class);
+    *packed++ = static_cast<char>(EventFlags(e));
   }
 }
 
-bool DecodeEventVec(ByteReader* r, size_t max_items, std::vector<RequestEvent>* v) {
+bool DecodeEvents(ByteReader* r, size_t max_items, std::vector<RequestEvent>* v) {
   uint32_t n = 0;
-  if (!r->ReadU32(&n) || n > max_items || static_cast<size_t>(n) * 3 > r->remaining()) {
+  std::string_view packed;
+  if (!r->ReadU32(&n) || n > max_items || !r->ReadRaw(3 * static_cast<size_t>(n), &packed)) {
     return false;
   }
-  v->clear();
-  v->reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    RequestEvent e;
-    if (!DecodeEvent(r, &e)) {
+  v->resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    const auto kind = static_cast<uint8_t>(packed[3 * i]);
+    const auto flags = static_cast<uint8_t>(packed[3 * i + 2]);
+    // An out-of-range kind would forge an enum value (UB downstream).
+    if (kind > static_cast<uint8_t>(ResourceKind::kOther)) {
       return false;
     }
-    v->push_back(e);
+    RequestEvent& e = (*v)[i];
+    e.kind = static_cast<ResourceKind>(kind);
+    e.status_class = static_cast<uint8_t>(packed[3 * i + 1]);
+    e.is_head = (flags & kFlagHead) != 0;
+    e.has_referrer = (flags & kFlagReferrer) != 0;
+    e.unseen_referrer = (flags & kFlagUnseenReferrer) != 0;
+    e.is_embedded = (flags & kFlagEmbedded) != 0;
+    e.is_link_follow = (flags & kFlagLinkFollow) != 0;
+    e.is_favicon = (flags & kFlagFavicon) != 0;
   }
   return true;
 }
 
-void EncodeSessionScalars(const SessionImage& s, ByteWriter* w) {
+void EncodeSessionScalars(const SessionFields& s, ByteWriter* w) {
   w->PutU64(s.id);
   w->PutU32(s.ip);
   w->PutString(s.user_agent);
   w->PutI64(s.first_request);
   w->PutI64(s.last_request);
-  EncodeSignals(s.signals, w);
+  EncodeSignals(*s.signals, w);
   w->PutI32(s.request_count);
   w->PutI32(s.instrumented_pages);
   w->PutU8(s.blocked ? 1 : 0);
@@ -172,17 +131,35 @@ bool DecodeSessionScalars(ByteReader* r, SessionImage* s) {
   return true;
 }
 
-bool DecodeSessionVectors(ByteReader* r, SessionImage* s) {
-  return DecodeI32Vec(r, kMaxPageIndicesPerSession, &s->instrumented_page_indices) &&
-         DecodeEventVec(r, kMaxEventsPerSession, &s->events) &&
-         DecodeU64Vec(r, kMaxUrlHashesPerSession, &s->served_links) &&
-         DecodeU64Vec(r, kMaxUrlHashesPerSession, &s->served_embeds) &&
-         DecodeU64Vec(r, kMaxUrlHashesPerSession, &s->visited_urls);
-}
-
 }  // namespace
 
-void EncodeKeyEntry(const KeyEntryImage& e, ByteWriter* w) {
+KeyEntryFields::KeyEntryFields(uint32_t ip, std::string_view page_path, std::string_view key,
+                               TimeMs issued_at)
+    : ip(ip), page_path(page_path), key(key), issued_at(issued_at) {}
+
+KeyEntryFields::KeyEntryFields(const KeyEntryImage& e)
+    : KeyEntryFields(e.ip, e.page_path, e.key, e.issued_at) {}
+
+SessionFields::SessionFields(const SessionImage& s)
+    : id(s.id),
+      ip(s.ip),
+      user_agent(s.user_agent),
+      first_request(s.first_request),
+      last_request(s.last_request),
+      signals(&s.signals),
+      request_count(s.request_count),
+      instrumented_pages(s.instrumented_pages),
+      blocked(s.blocked),
+      cgi_requests(s.cgi_requests),
+      get_requests(s.get_requests),
+      error_responses(s.error_responses),
+      instrumented_page_indices(s.instrumented_page_indices),
+      events(s.events),
+      served_links(s.served_links),
+      served_embeds(s.served_embeds),
+      visited_urls(s.visited_urls) {}
+
+void EncodeKeyEntry(const KeyEntryFields& e, ByteWriter* w) {
   w->PutU32(e.ip);
   w->PutString(e.page_path);
   w->PutString(e.key);
@@ -194,50 +171,57 @@ bool DecodeKeyEntry(ByteReader* r, KeyEntryImage* e) {
          r->ReadString(&e->key, kMaxStringBytes) && r->ReadI64(&e->issued_at);
 }
 
-void EncodeSession(const SessionImage& s, ByteWriter* w) {
+void EncodeSession(const SessionFields& s, ByteWriter* w) {
   EncodeSessionScalars(s, w);
-  EncodeI32Vec(s.instrumented_page_indices, w);
-  EncodeEventVec(s.events, w);
-  EncodeU64Vec(s.served_links, w);
-  EncodeU64Vec(s.served_embeds, w);
-  EncodeU64Vec(s.visited_urls, w);
+  w->PutI32Run(s.instrumented_page_indices);
+  EncodeEvents(s.events, w);
+  w->PutU64Run(s.served_links);
+  w->PutU64Run(s.served_embeds);
+  w->PutU64Run(s.visited_urls);
 }
 
 bool DecodeSession(ByteReader* r, SessionImage* s) {
-  return DecodeSessionScalars(r, s) && DecodeSessionVectors(r, s);
+  return DecodeSessionScalars(r, s) &&
+         r->ReadI32Run(kMaxPageIndicesPerSession, &s->instrumented_page_indices) &&
+         DecodeEvents(r, kMaxEventsPerSession, &s->events) &&
+         r->ReadU64Run(kMaxUrlHashesPerSession, &s->served_links) &&
+         r->ReadU64Run(kMaxUrlHashesPerSession, &s->served_embeds) &&
+         r->ReadU64Run(kMaxUrlHashesPerSession, &s->visited_urls);
 }
 
 void EncodeSessionUpdate(const SessionUpdateImage& u, ByteWriter* w) {
-  EncodeSessionScalars(u.delta, w);
+  const SessionFields d(u.delta);
+  EncodeSessionScalars(d, w);
   w->PutU32(u.page_indices_before);
-  EncodeI32Vec(u.delta.instrumented_page_indices, w);
+  w->PutI32Run(d.instrumented_page_indices);
   w->PutU32(u.events_before);
-  EncodeEventVec(u.delta.events, w);
+  EncodeEvents(d.events, w);
   w->PutU32(u.links_before);
-  EncodeU64Vec(u.delta.served_links, w);
+  w->PutU64Run(d.served_links);
   w->PutU32(u.embeds_before);
-  EncodeU64Vec(u.delta.served_embeds, w);
+  w->PutU64Run(d.served_embeds);
   w->PutU32(u.visited_before);
-  EncodeU64Vec(u.delta.visited_urls, w);
+  w->PutU64Run(d.visited_urls);
 }
 
 bool DecodeSessionUpdate(ByteReader* r, SessionUpdateImage* u) {
-  return DecodeSessionScalars(r, &u->delta) && r->ReadU32(&u->page_indices_before) &&
-         DecodeI32Vec(r, kMaxPageIndicesPerSession, &u->delta.instrumented_page_indices) &&
-         r->ReadU32(&u->events_before) &&
-         DecodeEventVec(r, kMaxEventsPerSession, &u->delta.events) &&
+  SessionImage* d = &u->delta;
+  return DecodeSessionScalars(r, d) && r->ReadU32(&u->page_indices_before) &&
+         r->ReadI32Run(kMaxPageIndicesPerSession, &d->instrumented_page_indices) &&
+         r->ReadU32(&u->events_before) && DecodeEvents(r, kMaxEventsPerSession, &d->events) &&
          r->ReadU32(&u->links_before) &&
-         DecodeU64Vec(r, kMaxUrlHashesPerSession, &u->delta.served_links) &&
+         r->ReadU64Run(kMaxUrlHashesPerSession, &d->served_links) &&
          r->ReadU32(&u->embeds_before) &&
-         DecodeU64Vec(r, kMaxUrlHashesPerSession, &u->delta.served_embeds) &&
+         r->ReadU64Run(kMaxUrlHashesPerSession, &d->served_embeds) &&
          r->ReadU32(&u->visited_before) &&
-         DecodeU64Vec(r, kMaxUrlHashesPerSession, &u->delta.visited_urls);
+         r->ReadU64Run(kMaxUrlHashesPerSession, &d->visited_urls);
 }
 
 // --- Snapshot ---------------------------------------------------------
 
 SnapshotWriter::SnapshotWriter(uint64_t epoch, TimeMs created_at, uint32_t key_sections,
-                               uint32_t session_sections) {
+                               uint32_t session_sections, std::string buffer)
+    : out_(std::move(buffer)) {
   out_.PutRaw(kSnapshotMagic);
   out_.PutU32(kFormatVersion);
   out_.PutU64(epoch);
@@ -247,10 +231,16 @@ SnapshotWriter::SnapshotWriter(uint64_t epoch, TimeMs created_at, uint32_t key_s
 }
 
 void SnapshotWriter::AddSection(std::string_view payload) {
-  out_.PutU32(static_cast<uint32_t>(payload.size()));
-  out_.PutRaw(payload);
-  out_.PutU32(Crc32c(payload));
+  BeginSection()->PutRaw(payload);
+  EndSection();
 }
+
+ByteWriter* SnapshotWriter::BeginSection() {
+  section_at_ = BeginFrame(&out_);
+  return &out_;
+}
+
+void SnapshotWriter::EndSection() { EndFrame(section_at_, &out_); }
 
 namespace {
 
@@ -280,6 +270,46 @@ bool DecodeSection(std::string_view payload, DecodeFn decode, Vec* out) {
   return true;
 }
 
+// Reads one section's frame: payload_len | payload | crc.
+bool ReadSectionFrame(ByteReader* r, std::string_view* payload, uint32_t* crc) {
+  uint32_t len = 0;
+  return r->ReadU32(&len) && len <= kMaxSectionBytes && r->ReadRaw(len, payload) &&
+         r->ReadU32(crc);
+}
+
+// The smallest encodings: a key entry with empty strings, and a session
+// with empty strings and vectors.
+constexpr size_t kMinKeyEntryBytes = 4 + 4 + 4 + 8;
+constexpr size_t kMinSessionBytes =
+    8 + 4 + 4 + 8 + 8 + 4 * std::size(kSignalIndices) + 4 + 4 + 4 + 1 + 4 + 4 + 4 + 5 * 4;
+
+// Sizes both entry vectors once, from the entry counts the sections
+// declare, so decoding never regrows them. Each count is capped by what
+// its payload can hold, so a forged count reserves no more than the
+// file's own size allows.
+void ReserveEntries(ByteReader r, size_t key_sections, size_t total, SnapshotContents* out) {
+  size_t keys = 0;
+  size_t sessions = 0;
+  for (size_t i = 0; i < total; ++i) {
+    std::string_view payload;
+    uint32_t crc = 0;
+    if (!ReadSectionFrame(&r, &payload, &crc)) {
+      break;
+    }
+    ByteReader entries(payload);
+    uint32_t n = 0;
+    if (!entries.ReadU32(&n)) {
+      continue;
+    }
+    const bool key_section = i < key_sections;
+    const size_t fits =
+        entries.remaining() / (key_section ? kMinKeyEntryBytes : kMinSessionBytes);
+    (key_section ? keys : sessions) += std::min<size_t>(n, fits);
+  }
+  out->keys.reserve(keys);
+  out->sessions.reserve(sessions);
+}
+
 }  // namespace
 
 bool ReadSnapshot(std::string_view bytes, SnapshotContents* out) {
@@ -296,12 +326,11 @@ bool ReadSnapshot(std::string_view bytes, SnapshotContents* out) {
     return false;
   }
   const size_t total = static_cast<size_t>(key_sections) + session_sections;
+  ReserveEntries(r, key_sections, total, out);
   for (size_t i = 0; i < total; ++i) {
-    uint32_t len = 0;
     std::string_view payload;
     uint32_t crc = 0;
-    if (!r.ReadU32(&len) || len > kMaxSectionBytes || !r.ReadRaw(len, &payload) ||
-        !r.ReadU32(&crc)) {
+    if (!ReadSectionFrame(&r, &payload, &crc)) {
       // Truncated mid-section: everything from here on is untrusted.
       out->sections_dropped += total - i;
       out->sections_total = total;
@@ -331,28 +360,26 @@ std::string EncodeJournalHeader(uint64_t epoch) {
 }
 
 std::string EncodeJournalRecord(const JournalRecord& rec) {
-  ByteWriter frame;
-  frame.PutU8(static_cast<uint8_t>(rec.type));
+  ByteWriter w;
+  const size_t at = BeginFrame(&w);
+  w.PutU8(static_cast<uint8_t>(rec.type));
   switch (rec.type) {
     case JournalRecordType::kKeyIssued:
-      EncodeKeyEntry(rec.key, &frame);
+      EncodeKeyEntry(rec.key, &w);
       break;
     case JournalRecordType::kKeyConsumed:
-      frame.PutU32(rec.key.ip);
-      frame.PutString(rec.key.key);
+      w.PutU32(rec.key.ip);
+      w.PutString(rec.key.key);
       break;
     case JournalRecordType::kSessionUpdate:
-      EncodeSessionUpdate(rec.update, &frame);
+      EncodeSessionUpdate(rec.update, &w);
       break;
     case JournalRecordType::kSessionClosed:
-      frame.PutU64(rec.session_id);
+      w.PutU64(rec.session_id);
       break;
   }
-  ByteWriter out;
-  out.PutU32(static_cast<uint32_t>(frame.size()));
-  out.PutRaw(frame.bytes());
-  out.PutU32(Crc32c(frame.bytes()));
-  return out.Take();
+  EndFrame(at, &w);
+  return w.Take();
 }
 
 namespace {
@@ -389,37 +416,55 @@ bool DecodeJournalFrame(std::string_view frame, JournalRecord* rec) {
 
 }  // namespace
 
-bool ReadJournal(std::string_view bytes, JournalContents* out) {
-  *out = JournalContents{};
-  ByteReader r(bytes);
+bool JournalReader::Open(std::string_view bytes) {
+  reader_ = ByteReader(bytes);
+  records_dropped_ = 0;
+  bytes_dropped_ = 0;
   std::string_view magic;
   uint32_t version = 0;
-  if (!r.ReadRaw(kJournalMagic.size(), &magic) || magic != kJournalMagic ||
-      !r.ReadU32(&version) || version != kFormatVersion || !r.ReadU64(&out->epoch)) {
-    return false;
-  }
-  size_t tail = 0;
-  while (r.remaining() > 0) {
-    tail = r.remaining();  // Bytes abandoned if this frame turns out torn.
+  return reader_.ReadRaw(kJournalMagic.size(), &magic) && magic == kJournalMagic &&
+         reader_.ReadU32(&version) && version == kFormatVersion && reader_.ReadU64(&epoch_);
+}
+
+bool JournalReader::Next(JournalRecord* rec) {
+  while (reader_.remaining() > 0) {
+    const size_t tail = reader_.remaining();  // Abandoned if this frame is torn.
     uint32_t len = 0;
     std::string_view frame;
     uint32_t crc = 0;
-    if (!r.ReadU32(&len) || len > kMaxFrameBytes || len == 0 || !r.ReadRaw(len, &frame) ||
-        !r.ReadU32(&crc) || crc != Crc32c(frame)) {
+    if (!reader_.ReadU32(&len) || len > kMaxFrameBytes || len == 0 ||
+        !reader_.ReadRaw(len, &frame) || !reader_.ReadU32(&crc) || crc != Crc32c(frame)) {
       // Torn or corrupt tail: the frame boundary can no longer be trusted,
       // so everything from the frame start onward is abandoned.
-      out->bytes_dropped = tail;
+      bytes_dropped_ = tail;
+      reader_ = ByteReader({});
+      return false;
+    }
+    if (DecodeJournalFrame(frame, rec)) {
       return true;
     }
-    JournalRecord rec;
-    if (DecodeJournalFrame(frame, &rec)) {
-      out->records.push_back(std::move(rec));
-    } else {
-      // CRC-valid but undecodable (e.g. record type from a newer writer):
-      // skip just this frame; the framing itself is still sound.
-      ++out->records_dropped;
-    }
+    // CRC-valid but undecodable (e.g. record type from a newer writer):
+    // skip just this frame; the framing itself is still sound.
+    ++records_dropped_;
+    *rec = JournalRecord{};
   }
+  return false;
+}
+
+bool ReadJournal(std::string_view bytes, JournalContents* out) {
+  *out = JournalContents{};
+  JournalReader reader;
+  if (!reader.Open(bytes)) {
+    return false;
+  }
+  out->epoch = reader.epoch();
+  JournalRecord rec;
+  while (reader.Next(&rec)) {
+    out->records.push_back(std::move(rec));
+    rec = JournalRecord{};
+  }
+  out->records_dropped = reader.records_dropped();
+  out->bytes_dropped = reader.bytes_dropped();
   return true;
 }
 

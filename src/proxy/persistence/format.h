@@ -27,6 +27,7 @@
 #define ROBODET_SRC_PROXY_PERSISTENCE_FORMAT_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -116,12 +117,52 @@ struct JournalRecord {
   uint64_t session_id = 0;    // kSessionClosed
 };
 
+// --- Encoder input ----------------------------------------------------
+
+// The encoders read borrowed views of the persisted fields, so a
+// checkpoint encodes the live tables in place instead of first copying
+// them into images. An image converts implicitly. A view must not outlive
+// what it borrows.
+struct KeyEntryFields {
+  KeyEntryFields(uint32_t ip, std::string_view page_path, std::string_view key,
+                 TimeMs issued_at);
+  KeyEntryFields(const KeyEntryImage& e);
+
+  uint32_t ip;
+  std::string_view page_path;
+  std::string_view key;
+  TimeMs issued_at;
+};
+
+struct SessionFields {
+  SessionFields() = default;
+  SessionFields(const SessionImage& s);
+
+  uint64_t id = 0;
+  uint32_t ip = 0;
+  std::string_view user_agent;
+  TimeMs first_request = 0;
+  TimeMs last_request = 0;
+  const SessionSignals* signals = nullptr;  // Never null once filled in.
+  int32_t request_count = 0;
+  int32_t instrumented_pages = 0;
+  bool blocked = false;
+  int32_t cgi_requests = 0;
+  int32_t get_requests = 0;
+  int32_t error_responses = 0;
+  std::span<const int32_t> instrumented_page_indices;
+  std::span<const RequestEvent> events;
+  std::span<const uint64_t> served_links;
+  std::span<const uint64_t> served_embeds;
+  std::span<const uint64_t> visited_urls;
+};
+
 // --- Entry codecs -----------------------------------------------------
 
-void EncodeKeyEntry(const KeyEntryImage& e, ByteWriter* w);
+void EncodeKeyEntry(const KeyEntryFields& e, ByteWriter* w);
 bool DecodeKeyEntry(ByteReader* r, KeyEntryImage* e);
 
-void EncodeSession(const SessionImage& s, ByteWriter* w);
+void EncodeSession(const SessionFields& s, ByteWriter* w);
 bool DecodeSession(ByteReader* r, SessionImage* s);
 
 void EncodeSessionUpdate(const SessionUpdateImage& u, ByteWriter* w);
@@ -131,18 +172,27 @@ bool DecodeSessionUpdate(ByteReader* r, SessionUpdateImage* u);
 
 // Builds a snapshot file incrementally, one section per table shard (key
 // sections first, then session sections, as declared in the constructor).
+// A section's payload is either handed over whole (AddSection) or encoded
+// in place between BeginSection and EndSection, which copies nothing.
 class SnapshotWriter {
  public:
+  // The snapshot is written into `buffer`'s storage (see ByteWriter).
   SnapshotWriter(uint64_t epoch, TimeMs created_at, uint32_t key_sections,
-                 uint32_t session_sections);
+                 uint32_t session_sections, std::string buffer = {});
 
   // Appends one framed section: payload_len | payload | crc.
   void AddSection(std::string_view payload);
+
+  // Opens a section and returns the writer its payload goes to; the
+  // section is framed and checksummed by EndSection.
+  ByteWriter* BeginSection();
+  void EndSection();
 
   std::string Finish() { return out_.Take(); }
 
  private:
   ByteWriter out_;
+  size_t section_at_ = 0;
 };
 
 struct SnapshotContents {
@@ -181,6 +231,29 @@ struct JournalContents {
 // False when the header is invalid; true otherwise with the valid record
 // prefix in `records`.
 bool ReadJournal(std::string_view bytes, JournalContents* out);
+
+// Walks a journal one record at a time, for a caller that applies each
+// record and need not keep it; ReadJournal collects the same walk.
+class JournalReader {
+ public:
+  // False when the header is invalid.
+  bool Open(std::string_view bytes);
+  // Decodes the next intact record into `rec`, reusing its storage (only
+  // the fields of the record's type are written). False at the end of the
+  // valid prefix. Undecodable records are skipped and counted.
+  bool Next(JournalRecord* rec);
+
+  uint64_t epoch() const { return epoch_; }
+  // As in JournalContents, once Next has returned false.
+  size_t records_dropped() const { return records_dropped_; }
+  size_t bytes_dropped() const { return bytes_dropped_; }
+
+ private:
+  ByteReader reader_{{}};
+  uint64_t epoch_ = 0;
+  size_t records_dropped_ = 0;
+  size_t bytes_dropped_ = 0;
+};
 
 }  // namespace robodet::persistence
 

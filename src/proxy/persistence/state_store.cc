@@ -1,17 +1,18 @@
 #include "src/proxy/persistence/state_store.h"
 
 #include <algorithm>
+#include <deque>
 #include <filesystem>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "src/obs/trace.h"
 #include "src/util/binio.h"
+#include "src/util/hash.h"
 
 namespace robodet {
 namespace {
 
-using persistence::JournalContents;
 using persistence::JournalRecord;
 using persistence::JournalRecordType;
 using persistence::KeyEntryImage;
@@ -23,15 +24,19 @@ using persistence::SnapshotContents;
 // whichever fires first.
 constexpr size_t kMaxJournalBytes = 64u << 20;
 
-// Identity of a key-table entry for idempotent replay: the beacon key is
-// random per issue, so (ip, key) is unique in practice.
-std::string KeyIdentity(uint32_t ip, const std::string& key) {
-  std::string id(4, '\0');
-  for (int i = 0; i < 4; ++i) {
-    id[static_cast<size_t>(i)] = static_cast<char>((ip >> (8 * i)) & 0xffu);
+// A state file's size, or 0 when it is missing or too large to read.
+size_t StateFileSize(const std::string& path) {
+  std::error_code ec;
+  const uintmax_t size = std::filesystem::file_size(path, ec);
+  return ec || size > persistence::kMaxStateFileBytes ? 0 : static_cast<size_t>(size);
+}
+
+// Stage histograms observe only what their counter counts (an appended
+// record, a written snapshot), so each one's count equals its counter's.
+void ObserveUsSince(HistogramMetric* hist, uint64_t t0) {
+  if (hist != nullptr) {
+    hist->Observe(static_cast<double>(MonotonicNanos() - t0) / 1000.0);
   }
-  id += key;
-  return id;
 }
 
 // Copies the scalar (non-vector) state of a live session.
@@ -52,16 +57,128 @@ SessionImage ScalarsFromLive(const SessionState& s) {
   return img;
 }
 
-SessionImage ImageFromLive(const SessionState& s) {
-  SessionImage img = ScalarsFromLive(s);
-  const auto& ipi = s.observation().instrumented_page_indices;
-  img.instrumented_page_indices.assign(ipi.begin(), ipi.end());
-  img.events = s.events();
-  img.served_links = s.served_links().ordered_hashes();
-  img.served_embeds = s.served_embeds().ordered_hashes();
-  img.visited_urls = s.visited_urls().ordered_hashes();
-  return img;
+// A live session's persisted fields, borrowed for the checkpoint encoder.
+persistence::SessionFields FieldsOfLive(const SessionState& s) {
+  persistence::SessionFields f;
+  f.id = s.id();
+  f.ip = s.key().ip.value();
+  f.user_agent = s.key().user_agent;
+  f.first_request = s.first_request_time();
+  f.last_request = s.last_request_time();
+  f.signals = &s.signals();
+  f.request_count = s.observation().request_count;
+  f.instrumented_pages = s.observation().instrumented_pages;
+  f.blocked = s.blocked();
+  f.cgi_requests = s.cgi_requests();
+  f.get_requests = s.get_requests();
+  f.error_responses = s.error_responses();
+  f.instrumented_page_indices = s.observation().instrumented_page_indices;
+  f.events = s.events();
+  f.served_links = s.served_links().ordered_hashes();
+  f.served_embeds = s.served_embeds().ordered_hashes();
+  f.visited_urls = s.visited_urls().ordered_hashes();
+  return f;
 }
+
+// Identity of a key-table entry for idempotent replay: the beacon key is
+// random per issue, so (ip, key) is unique in practice. The key is
+// borrowed from a decoded image that outlives the replay.
+struct KeyIdentity {
+  uint32_t ip;
+  std::string_view key;
+  bool operator==(const KeyIdentity&) const = default;
+};
+
+struct KeyIdentityHash {
+  size_t operator()(const KeyIdentity& id) const {
+    return static_cast<size_t>(HashCombine(id.ip, Fnv1a(id.key)));
+  }
+};
+
+// The key entries replay leaves live, in the order they entered the
+// table: the snapshot's, then each kept journaled issue. Identities are
+// counted live as a set: an issue is dropped while its identity is
+// counted, and a consume uncounts it and removes its oldest live entry,
+// as the key table's own match does. The table does not deduplicate what
+// it is given, so it can hold one identity twice (one key recorded twice
+// for an IP); each identity keeps its live entries in a list. Both
+// operations are O(1).
+class KeyReplay {
+ public:
+  explicit KeyReplay(std::vector<KeyEntryImage>* snapshot_keys) {
+    entries_.reserve(snapshot_keys->size());
+    index_.reserve(snapshot_keys->size());
+    for (KeyEntryImage& k : *snapshot_keys) {
+      Append(&k, index_.find(KeyIdentity{k.ip, k.key}));
+    }
+  }
+
+  // A kept issue takes over `k`'s strings.
+  void Issue(KeyEntryImage* k) {
+    const auto it = index_.find(KeyIdentity{k->ip, k->key});
+    if (it != index_.end() && it->second.counted) {
+      return;
+    }
+    issued_.push_back(std::move(*k));
+    Append(&issued_.back(), it);
+  }
+
+  void Consume(const KeyEntryImage& k) {
+    const auto it = index_.find(KeyIdentity{k.ip, k.key});
+    if (it == index_.end() || !it->second.counted) {
+      return;
+    }
+    Live& live = it->second;
+    live.counted = false;
+    entries_[live.head].image = nullptr;
+    live.head = entries_[live.head].next;
+    if (live.head == kNone) {
+      index_.erase(it);
+    }
+  }
+
+  // Visits the live entries in table order.
+  template <typename Fn>
+  void ForEachLive(Fn fn) {
+    for (const Entry& e : entries_) {
+      if (e.image != nullptr) {
+        fn(e.image);
+      }
+    }
+  }
+
+ private:
+  static constexpr uint32_t kNone = UINT32_MAX;
+  struct Entry {
+    KeyEntryImage* image;  // Null once consumed.
+    uint32_t next;         // The identity's next live entry.
+  };
+  // One identity's live entries, oldest first, and whether it is counted.
+  struct Live {
+    uint32_t head;
+    uint32_t tail;
+    bool counted;
+  };
+  using Index = std::unordered_map<KeyIdentity, Live, KeyIdentityHash>;
+
+  // `it` is the identity's index entry, or end() for a new identity.
+  void Append(KeyEntryImage* k, Index::iterator it) {
+    const auto slot = static_cast<uint32_t>(entries_.size());
+    entries_.push_back(Entry{k, kNone});
+    if (it == index_.end()) {
+      index_.emplace(KeyIdentity{k->ip, k->key}, Live{slot, slot, true});
+      return;
+    }
+    entries_[it->second.tail].next = slot;
+    it->second.tail = slot;
+    it->second.counted = true;
+  }
+
+  std::vector<Entry> entries_;
+  // Kept journaled issues; a deque, so the identities' views stay valid.
+  std::deque<KeyEntryImage> issued_;
+  Index index_;
+};
 
 // Applies a suffix append guarded by its before-count: applies exactly
 // once whether or not the snapshot already folded it in.
@@ -94,6 +211,29 @@ void ApplyUpdate(const SessionUpdateImage& u, SessionImage* img) {
   ApplySuffix(&img->visited_urls, d.visited_urls, u.visited_before);
 }
 
+// Builds a live session from its image, taking over the image's strings
+// and vectors; the session's own bounds apply.
+std::unique_ptr<SessionState> SessionFromImage(SessionImage* img) {
+  auto session = std::make_unique<SessionState>(
+      img->id, SessionKey{IpAddress(img->ip), std::move(img->user_agent)}, img->first_request);
+  session->RestoreScalars(img->last_request, img->request_count, img->instrumented_pages,
+                          img->blocked, img->cgi_requests, img->get_requests,
+                          img->error_responses);
+  session->signals() = std::move(img->signals);
+  if (img->events.size() > SessionState::kMaxTrackedEvents) {
+    img->events.resize(SessionState::kMaxTrackedEvents);
+  }
+  session->mutable_events() = std::move(img->events);
+  if (img->instrumented_page_indices.size() > 64) {
+    img->instrumented_page_indices.resize(64);
+  }
+  session->mutable_instrumented_page_indices() = std::move(img->instrumented_page_indices);
+  session->served_links().Restore(std::move(img->served_links));
+  session->served_embeds().Restore(std::move(img->served_embeds));
+  session->visited_urls().Restore(std::move(img->visited_urls));
+  return session;
+}
+
 }  // namespace
 
 StateStore::StateStore(PersistenceConfig config, KeyTable* keys, SessionTable* sessions)
@@ -123,6 +263,12 @@ void StateStore::BindMetrics(MetricsRegistry& registry) {
   metrics_.checkpoints = registry.FindOrCreateCounter("robodet_persistence_checkpoints_total");
   metrics_.checkpoint_failures =
       registry.FindOrCreateCounter("robodet_persistence_checkpoint_failures_total");
+  // 1us..8.2ms: a journal append is one encode, write and flush.
+  metrics_.journal_append_us = registry.FindOrCreateHistogram(
+      "robodet_journal_append_duration_us", ExponentialBuckets(1.0, 2.0, 14));
+  // 16us..4.2s: a checkpoint encodes and writes the whole state.
+  metrics_.checkpoint_us = registry.FindOrCreateHistogram(
+      "robodet_checkpoint_duration_us", ExponentialBuckets(16.0, 2.0, 19));
   metrics_.recovery_cold_starts =
       registry.FindOrCreateCounter("robodet_recovery_total", {{"outcome", "cold"}});
   metrics_.recovery_warm_starts =
@@ -151,129 +297,100 @@ RecoveryReport StateStore::Recover(TimeMs now) {
 
   std::lock_guard<std::mutex> lock(mu_);
 
+  // One buffer holds the snapshot file, then the journal file, then the
+  // new snapshot, so recovery touches its memory once. Each journal record
+  // carries at least the bytes it adds to a snapshot, so the two files'
+  // sizes bound the new snapshot's.
+  std::string bytes;
+  bytes.reserve(StateFileSize(snapshot_path()) + StateFileSize(journal_path()));
   SnapshotContents snap;
-  {
-    std::string bytes;
-    if (ReadFileLimited(snapshot_path(), persistence::kMaxStateFileBytes, &bytes) &&
-        persistence::ReadSnapshot(bytes, &snap)) {
-      rep.snapshot_loaded = true;
-      rep.snapshot_sections_dropped = snap.sections_dropped;
-    }
+  if (ReadFileLimited(snapshot_path(), persistence::kMaxStateFileBytes, &bytes) &&
+      persistence::ReadSnapshot(bytes, &snap)) {
+    snapshot_bytes_ = bytes.size();
+    rep.snapshot_loaded = true;
+    rep.snapshot_sections_dropped = snap.sections_dropped;
   }
-  JournalContents jrnl;
-  bool journal_parsed = false;
-  {
-    std::string bytes;
-    if (ReadFileLimited(journal_path(), persistence::kMaxStateFileBytes, &bytes) &&
-        persistence::ReadJournal(bytes, &jrnl)) {
-      journal_parsed = true;
-    }
-  }
+  // The journal is applied as it is read, one reused record at a time.
+  persistence::JournalReader journal;
+  const bool journal_parsed =
+      ReadFileLimited(journal_path(), persistence::kMaxStateFileBytes, &bytes) &&
+      journal.Open(bytes);
   // A journal belongs to the snapshot with the same epoch. With no usable
   // snapshot we still replay (records are self-contained); with a
   // mismatched epoch the journal is stale — its effects are already folded
   // into the snapshot — and is ignored.
-  const bool replay = journal_parsed && (!rep.snapshot_loaded || jrnl.epoch == snap.epoch);
+  const bool replay =
+      journal_parsed && (!rep.snapshot_loaded || journal.epoch() == snap.epoch);
 
-  std::vector<KeyEntryImage> keys = std::move(snap.keys);
-  std::unordered_set<std::string> key_ids;
-  key_ids.reserve(keys.size());
-  for (const KeyEntryImage& k : keys) {
-    key_ids.insert(KeyIdentity(k.ip, k.key));
-  }
-  std::unordered_map<uint64_t, SessionImage> session_map;
-  session_map.reserve(snap.sessions.size());
-  for (SessionImage& s : snap.sessions) {
-    const uint64_t id = s.id;
-    session_map[id] = std::move(s);
+  KeyReplay keys(&snap.keys);
+  // Sessions by id, as indices into `images`: the snapshot's, then any
+  // that only the journal knows. A close drops the id; a later entry for
+  // the same id replaces the earlier one.
+  std::vector<SessionImage>& images = snap.sessions;
+  std::unordered_map<uint64_t, size_t> session_at;
+  session_at.reserve(images.size());
+  for (size_t i = 0; i < images.size(); ++i) {
+    session_at[images[i].id] = i;
   }
 
   if (replay) {
     rep.journal_replayed = true;
-    rep.journal_records_dropped = jrnl.records_dropped;
-    rep.journal_bytes_dropped = jrnl.bytes_dropped;
-    for (const JournalRecord& rec : jrnl.records) {
+    JournalRecord rec;
+    while (journal.Next(&rec)) {
       switch (rec.type) {
-        case JournalRecordType::kKeyIssued: {
-          if (key_ids.insert(KeyIdentity(rec.key.ip, rec.key.key)).second) {
-            keys.push_back(rec.key);
-          }
+        case JournalRecordType::kKeyIssued:
+          keys.Issue(&rec.key);
           break;
-        }
-        case JournalRecordType::kKeyConsumed: {
-          if (key_ids.erase(KeyIdentity(rec.key.ip, rec.key.key)) > 0) {
-            auto it = std::find_if(keys.begin(), keys.end(), [&](const KeyEntryImage& k) {
-              return k.ip == rec.key.ip && k.key == rec.key.key;
-            });
-            if (it != keys.end()) {
-              keys.erase(it);
-            }
-          }
+        case JournalRecordType::kKeyConsumed:
+          keys.Consume(rec.key);
           break;
-        }
         case JournalRecordType::kSessionUpdate: {
-          ApplyUpdate(rec.update, &session_map[rec.update.delta.id]);
+          auto [it, fresh] = session_at.try_emplace(rec.update.delta.id, images.size());
+          if (fresh) {
+            images.emplace_back();
+          }
+          ApplyUpdate(rec.update, &images[it->second]);
           break;
         }
-        case JournalRecordType::kSessionClosed: {
-          session_map.erase(rec.session_id);
+        case JournalRecordType::kSessionClosed:
+          session_at.erase(rec.session_id);
           break;
-        }
       }
       ++rep.journal_records_applied;
     }
+    rep.journal_records_dropped = journal.records_dropped();
+    rep.journal_bytes_dropped = journal.bytes_dropped();
   }
 
   rep.cold_start = !rep.snapshot_loaded && !rep.journal_replayed;
 
-  for (const KeyEntryImage& k : keys) {
-    keys_->RestoreEntry(IpAddress(k.ip), k.page_path, k.key, k.issued_at);
+  keys.ForEachLive([&](KeyEntryImage* k) {
+    keys_->RestoreEntry(IpAddress(k->ip), std::move(k->page_path), std::move(k->key),
+                        k->issued_at);
     ++rep.key_entries_restored;
-  }
+  });
 
   // Install sessions in id order so recovery is deterministic regardless
   // of hash-map iteration order.
   std::vector<SessionImage*> ordered;
-  ordered.reserve(session_map.size());
-  for (auto& [id, img] : session_map) {
-    ordered.push_back(&img);
+  ordered.reserve(session_at.size());
+  for (const auto& [id, at] : session_at) {
+    ordered.push_back(&images[at]);
   }
   std::sort(ordered.begin(), ordered.end(),
             [](const SessionImage* a, const SessionImage* b) { return a->id < b->id; });
   for (SessionImage* img : ordered) {
-    auto session = std::make_unique<SessionState>(
-        img->id, SessionKey{IpAddress(img->ip), img->user_agent}, img->first_request);
-    session->RestoreScalars(img->last_request, img->request_count, img->instrumented_pages,
-                            img->blocked, img->cgi_requests, img->get_requests,
-                            img->error_responses);
-    session->signals() = img->signals;
-    if (img->events.size() > SessionState::kMaxTrackedEvents) {
-      img->events.resize(SessionState::kMaxTrackedEvents);
-    }
-    session->mutable_events() = std::move(img->events);
-    if (img->instrumented_page_indices.size() > 64) {
-      img->instrumented_page_indices.resize(64);
-    }
-    session->mutable_instrumented_page_indices().assign(img->instrumented_page_indices.begin(),
-                                                        img->instrumented_page_indices.end());
-    for (uint64_t h : img->served_links) {
-      session->served_links().InsertHash(h);
-    }
-    for (uint64_t h : img->served_embeds) {
-      session->served_embeds().InsertHash(h);
-    }
-    for (uint64_t h : img->visited_urls) {
-      session->visited_urls().InsertHash(h);
-    }
-    sessions_->Restore(std::move(session));
+    sessions_->Restore(SessionFromImage(img));
     ++rep.sessions_restored;
   }
 
   // Start the new life from a consistent base: fold the salvage into a
-  // fresh snapshot and an empty journal at a new epoch.
+  // fresh snapshot and an empty journal at a new epoch. The decoded
+  // snapshot goes first, so the new one does not add to its peak.
   epoch_ = std::max(rep.snapshot_loaded ? snap.epoch : 0,
-                    journal_parsed ? jrnl.epoch : 0);
-  CheckpointLocked(now);
+                    journal_parsed ? journal.epoch() : 0);
+  snap = SnapshotContents{};
+  CheckpointLocked(now, std::move(bytes));
   rep.epoch = epoch_;
 
   recovery_ = rep;
@@ -295,41 +412,49 @@ bool StateStore::Checkpoint(TimeMs now) {
   return CheckpointLocked(now);
 }
 
-bool StateStore::CheckpointLocked(TimeMs now) {
+bool StateStore::CheckpointLocked(TimeMs now, std::string buffer) {
+  const uint64_t t0 = MonotonicNanos();
   const uint64_t next = epoch_ + 1;
+  // Reserved from the previous snapshot's size, so the buffer is filled
+  // once instead of regrowing; untouched reserve costs address space only.
+  buffer.reserve(std::max(buffer.capacity(), snapshot_bytes_ + snapshot_bytes_ / 4));
   persistence::SnapshotWriter writer(next, now, static_cast<uint32_t>(keys_->num_shards()),
-                                     static_cast<uint32_t>(sessions_->num_shards()));
+                                     static_cast<uint32_t>(sessions_->num_shards()),
+                                     std::move(buffer));
   for (size_t i = 0; i < keys_->num_shards(); ++i) {
     const auto entries = keys_->ExportShard(i);
-    ByteWriter payload;
-    payload.PutU32(static_cast<uint32_t>(entries.size()));
+    ByteWriter* payload = writer.BeginSection();
+    payload->PutU32(static_cast<uint32_t>(entries.size()));
     for (const auto& e : entries) {
-      persistence::EncodeKeyEntry(KeyEntryImage{e.ip, e.page_path, e.key, e.issued_at}, &payload);
+      persistence::EncodeKeyEntry({e.ip, e.page_path, e.key, e.issued_at}, payload);
     }
-    writer.AddSection(payload.bytes());
+    writer.EndSection();
   }
   std::unordered_map<uint64_t, Marks> fresh_marks;
+  fresh_marks.reserve(sessions_->active_count());
   for (size_t i = 0; i < sessions_->num_shards(); ++i) {
-    std::vector<SessionImage> images;
-    sessions_->ForEachSessionInShard(
-        i, [&images](const SessionState& s) { images.push_back(ImageFromLive(s)); });
-    std::sort(images.begin(), images.end(),
-              [](const SessionImage& a, const SessionImage& b) { return a.id < b.id; });
-    ByteWriter payload;
-    payload.PutU32(static_cast<uint32_t>(images.size()));
-    for (const SessionImage& img : images) {
-      persistence::EncodeSession(img, &payload);
-      Marks m;
-      m.page_indices = static_cast<uint32_t>(img.instrumented_page_indices.size());
-      m.events = static_cast<uint32_t>(img.events.size());
-      m.links = static_cast<uint32_t>(img.served_links.size());
-      m.embeds = static_cast<uint32_t>(img.served_embeds.size());
-      m.visited = static_cast<uint32_t>(img.visited_urls.size());
-      fresh_marks[img.id] = m;
-    }
-    writer.AddSection(payload.bytes());
+    ByteWriter* payload = writer.BeginSection();
+    const size_t count_at = payload->size();
+    payload->PutU32(0);
+    uint32_t count = 0;
+    // Encoded straight from the live sessions, in id order, under the
+    // shard's lock.
+    sessions_->ForEachSessionInShard(i, [&](const SessionState& s) {
+      const persistence::SessionFields f = FieldsOfLive(s);
+      persistence::EncodeSession(f, payload);
+      fresh_marks[f.id] = Marks{static_cast<uint32_t>(f.instrumented_page_indices.size()),
+                                static_cast<uint32_t>(f.events.size()),
+                                static_cast<uint32_t>(f.served_links.size()),
+                                static_cast<uint32_t>(f.served_embeds.size()),
+                                static_cast<uint32_t>(f.visited_urls.size())};
+      ++count;
+    });
+    payload->PatchU32(count_at, count);
+    writer.EndSection();
   }
-  if (!WriteFileAtomic(snapshot_path(), writer.Finish())) {
+  const std::string snapshot = writer.Finish();
+  snapshot_bytes_ = snapshot.size();
+  if (!WriteFileAtomic(snapshot_path(), snapshot)) {
     IncIfBound(metrics_.checkpoint_failures);
     return false;
   }
@@ -351,6 +476,7 @@ bool StateStore::CheckpointLocked(TimeMs now) {
   records_since_checkpoint_ = 0;
   marks_ = std::move(fresh_marks);
   IncIfBound(metrics_.checkpoints);
+  ObserveUsSince(metrics_.checkpoint_us, t0);
   if (!journal_open_) {
     IncIfBound(metrics_.checkpoint_failures);
   }
@@ -362,6 +488,7 @@ void StateStore::AppendLocked(const JournalRecord& rec, TimeMs now) {
   if (!journal_open_) {
     return;
   }
+  const uint64_t t0 = MonotonicNanos();
   const std::string bytes = persistence::EncodeJournalRecord(rec);
   journal_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   // Flushed per record: the simulated-crash model (and a real kill -9)
@@ -375,6 +502,7 @@ void StateStore::AppendLocked(const JournalRecord& rec, TimeMs now) {
   journal_bytes_ += bytes.size();
   ++records_since_checkpoint_;
   IncIfBound(metrics_.journal_records);
+  ObserveUsSince(metrics_.journal_append_us, t0);
   const bool record_trigger = config_.snapshot_interval_records > 0 &&
                               records_since_checkpoint_ >= config_.snapshot_interval_records;
   const bool size_trigger = journal_bytes_ >= kMaxJournalBytes;

@@ -2,11 +2,12 @@
 // and the session table). A StateStore pairs a checksummed snapshot file
 // with an append-only journal of mutations:
 //
-//   - A checkpoint serializes the tables one shard at a time (so
-//     snapshotting never stalls more than one lock stripe), writes the
-//     snapshot atomically, and resets the journal at a new epoch. Recover()
-//     and the journal-size triggers below run one; Checkpoint() is the
-//     explicit entry that tests use to compact at a chosen moment.
+//   - A checkpoint serializes the tables one shard at a time (holding one
+//     table lock stripe at a time), writes the snapshot atomically, and
+//     resets the journal at a new epoch. It holds the store's own mutex
+//     throughout, so journal appends wait for it. Recover() and the
+//     journal triggers below run one; Checkpoint() is the explicit entry
+//     that tests use to compact at a chosen moment.
 //   - Between checkpoints, every key issue/consume and every session
 //     mutation appends one journal record, flushed immediately.
 //   - Recover() loads snapshot + journal, installs whatever validated into
@@ -73,7 +74,9 @@ class StateStore : public KeyTable::Observer {
   StateStore& operator=(const StateStore&) = delete;
 
   // Counts journal/recovery activity into `registry` under
-  // robodet_persistence_* and robodet_recovery_*; call before Recover().
+  // robodet_persistence_* and robodet_recovery_*, and times each journal
+  // append and checkpoint (robodet_journal_append_duration_us,
+  // robodet_checkpoint_duration_us); call before Recover().
   // An unbound store counts nothing.
   void BindMetrics(MetricsRegistry& registry);
 
@@ -132,9 +135,12 @@ class StateStore : public KeyTable::Observer {
     Counter* recovery_records_applied = nullptr;
     Counter* recovery_records_dropped = nullptr;
     Counter* recovery_bytes_dropped = nullptr;
+    HistogramMetric* journal_append_us = nullptr;
+    HistogramMetric* checkpoint_us = nullptr;
   };
 
-  bool CheckpointLocked(TimeMs now);
+  // `buffer` lends its storage to the snapshot being written.
+  bool CheckpointLocked(TimeMs now, std::string buffer = {});
   void AppendLocked(const persistence::JournalRecord& rec, TimeMs now);
   persistence::SessionUpdateImage BuildUpdateLocked(const SessionState& session);
 
@@ -152,6 +158,8 @@ class StateStore : public KeyTable::Observer {
   uint64_t records_since_checkpoint_ = 0;
   size_t journal_bytes_ = 0;
   TimeMs last_now_ = 0;
+  // Size of the last snapshot read or written; the next one reserves it.
+  size_t snapshot_bytes_ = 0;
   std::unordered_map<uint64_t, Marks> marks_;
 };
 

@@ -46,6 +46,45 @@ void UrlHashSet::InsertHash(uint64_t hash) {
   }
 }
 
+void UrlHashSet::Restore(std::vector<uint64_t> hashes) {
+  hashes_ = std::move(hashes);
+  index_.reset();
+  size_t kept = 0;
+  size_t slots = 0;
+  if (hashes_.size() <= kScanLimit) {
+    for (const uint64_t hash : hashes_) {
+      if (std::find(hashes_.begin(), hashes_.begin() + kept, hash) == hashes_.begin() + kept) {
+        hashes_[kept++] = hash;
+      }
+    }
+  } else {
+    // Deduplicate through an index sized for the most the set can keep,
+    // compacting in place: positions below `kept` hold final values.
+    slots = std::bit_ceil(2 * std::min(hashes_.size(), kCapacity));
+    index_ = std::make_unique<uint16_t[]>(slots);
+    for (size_t i = 0; i < hashes_.size() && kept < kCapacity; ++i) {
+      const uint64_t hash = hashes_[i];
+      size_t slot = HomeSlot(hash, slots);
+      while (index_[slot] != 0 && hashes_[index_[slot] - 1] != hash) {
+        slot = (slot + 1) & (slots - 1);
+      }
+      if (index_[slot] == 0) {
+        hashes_[kept++] = hash;
+        index_[slot] = static_cast<uint16_t>(kept);
+      }
+    }
+  }
+  if (kept != hashes_.size()) {
+    hashes_.resize(kept);
+    hashes_.shrink_to_fit();
+  }
+  if (kept <= kScanLimit) {
+    index_.reset();
+  } else if (IndexSlots() != slots) {
+    Reindex();
+  }
+}
+
 void UrlHashSet::IndexPosition(size_t position) {
   const size_t slots = IndexSlots();
   size_t slot = HomeSlot(hashes_[position], slots);

@@ -50,10 +50,14 @@ class UrlHashSet {
 
   void Insert(std::string_view url) { InsertHash(Fnv1a(url)); }
 
-  // Inserts a pre-computed hash; the persistence layer restores sets this
-  // way. Insertion order is kept so two tables restored from the same
-  // bytes serialize identically.
   void InsertHash(uint64_t hash);
+
+  // Recovery-only: replaces the contents with what inserting `hashes` one
+  // by one into an empty set would keep (the first kCapacity distinct
+  // hashes, in order), taking over the vector and building the index
+  // once. Insertion order is kept so two tables restored from the same
+  // bytes serialize identically.
+  void Restore(std::vector<uint64_t> hashes);
 
   bool Contains(std::string_view url) const { return ContainsHash(Fnv1a(url)); }
   bool ContainsHash(uint64_t hash) const;

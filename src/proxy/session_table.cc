@@ -151,7 +151,14 @@ void SessionTable::ForEachSessionInShard(size_t shard_index,
   }
   Shard& shard = *shards_[shard_index];
   std::lock_guard<std::mutex> lock(shard.mu);
+  std::vector<const SessionState*> ordered;
+  ordered.reserve(shard.sessions.size());
   for (const auto& session : shard.sessions) {
+    ordered.push_back(session.get());
+  }
+  std::sort(ordered.begin(), ordered.end(),
+            [](const SessionState* a, const SessionState* b) { return a->id() < b->id(); });
+  for (const SessionState* session : ordered) {
     fn(*session);
   }
 }

@@ -1,72 +1,47 @@
 #include "src/util/binio.h"
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
 namespace robodet {
 
-bool ByteReader::Take(size_t n, const char** p) {
-  if (!ok_ || n > data_.size() - pos_) {
+void ByteWriter::PatchU32(size_t at, uint32_t v) {
+  for (size_t i = 0; i < 4; ++i) {
+    out_[at + i] = static_cast<char>((v >> (8 * i)) & 0xffu);
+  }
+}
+
+template <typename T>
+bool ByteReader::ReadRun(size_t max_items, std::vector<T>* v) {
+  uint32_t n = 0;
+  if (!ReadU32(&n) || n > max_items || static_cast<size_t>(n) * sizeof(T) > remaining()) {
     ok_ = false;
     return false;
   }
-  *p = data_.data() + pos_;
-  pos_ += n;
-  return true;
-}
-
-bool ByteReader::ReadU8(uint8_t* v) {
   const char* p = nullptr;
-  if (!Take(1, &p)) {
-    return false;
+  Take(n * sizeof(T), &p);
+  v->resize(n);
+  if (n == 0) {
+    return true;
   }
-  *v = static_cast<uint8_t>(*p);
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(v->data(), p, n * sizeof(T));
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      (*v)[i] = LoadLe<T>(p + i * sizeof(T));
+    }
+  }
   return true;
 }
 
-bool ByteReader::ReadU32(uint32_t* v) {
-  const char* p = nullptr;
-  if (!Take(4, &p)) {
-    return false;
-  }
-  uint32_t out = 0;
-  for (int i = 0; i < 4; ++i) {
-    out |= static_cast<uint32_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-  }
-  *v = out;
-  return true;
+bool ByteReader::ReadI32Run(size_t max_items, std::vector<int32_t>* v) {
+  return ReadRun(max_items, v);
 }
 
-bool ByteReader::ReadU64(uint64_t* v) {
-  const char* p = nullptr;
-  if (!Take(8, &p)) {
-    return false;
-  }
-  uint64_t out = 0;
-  for (int i = 0; i < 8; ++i) {
-    out |= static_cast<uint64_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-  }
-  *v = out;
-  return true;
-}
-
-bool ByteReader::ReadI64(int64_t* v) {
-  uint64_t raw = 0;
-  if (!ReadU64(&raw)) {
-    return false;
-  }
-  *v = static_cast<int64_t>(raw);
-  return true;
-}
-
-bool ByteReader::ReadI32(int32_t* v) {
-  uint32_t raw = 0;
-  if (!ReadU32(&raw)) {
-    return false;
-  }
-  *v = static_cast<int32_t>(raw);
-  return true;
+bool ByteReader::ReadU64Run(size_t max_items, std::vector<uint64_t>* v) {
+  return ReadRun(max_items, v);
 }
 
 bool ByteReader::ReadString(std::string* v, size_t max_len) {

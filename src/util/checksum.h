@@ -1,9 +1,10 @@
 // CRC32C (Castagnoli) checksums for the persistence layer. Every snapshot
 // section and journal record carries one so that recovery can tell a torn
 // or bit-rotted tail from valid state without trusting a single byte of
-// the input. Software table implementation: persistence is not a hot path
-// (one CRC per journal record), and a dependency-free routine keeps the
-// format verifiable anywhere.
+// the input. Portable slicing-by-8 (eight table lookups per eight input
+// bytes, no CPU-specific instructions): recovery checksums every byte of
+// the state directory before it trusts one, so the CRC runs at memory
+// speed, and a dependency-free routine keeps the format verifiable anywhere.
 #ifndef ROBODET_SRC_UTIL_CHECKSUM_H_
 #define ROBODET_SRC_UTIL_CHECKSUM_H_
 

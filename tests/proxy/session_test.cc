@@ -134,20 +134,39 @@ TEST(UrlHashSetTest, ExactAgainstOracleAcrossIndexThreshold) {
   }
 }
 
-// Recovery rebuilds a set by replaying its hashes through InsertHash; the
-// rebuilt set keeps the order, so its snapshot bytes match the original's.
-TEST(UrlHashSetTest, InsertHashReplayKeepsOrder) {
-  UrlHashSet original;
-  for (int i = 0; i < 100; ++i) {
-    original.Insert("http://h.test/" + std::to_string((i * 37) % 101));
+// Recovery restores a set from its persisted hashes in one call. Restore
+// must keep exactly what inserting them one by one would (order, no
+// repeats, the capacity bound), so the restored set serializes to the
+// same bytes and answers lookups and later inserts the same way. Sizes
+// straddle the scan limit and the capacity; small pools force repeats.
+TEST(UrlHashSetTest, RestoreKeepsWhatInsertsWould) {
+  Rng rng(17);
+  for (size_t n : {size_t{0}, size_t{1}, UrlHashSet::kScanLimit, UrlHashSet::kScanLimit + 1,
+                   size_t{100}, UrlHashSet::kCapacity, UrlHashSet::kCapacity + 300}) {
+    for (uint64_t pool : {uint64_t{8}, uint64_t{2 * UrlHashSet::kScanLimit},
+                          uint64_t{UrlHashSet::kCapacity}, uint64_t{1} << 40}) {
+      std::vector<uint64_t> hashes(n);
+      for (uint64_t& h : hashes) {
+        h = rng.UniformU64(pool);
+      }
+      UrlHashSet inserted;
+      for (uint64_t h : hashes) {
+        inserted.InsertHash(h);
+      }
+      UrlHashSet restored;
+      restored.Restore(hashes);
+      ASSERT_EQ(restored.ordered_hashes(), inserted.ordered_hashes())
+          << "n " << n << " pool " << pool;
+      for (int i = 0; i < 64; ++i) {
+        const uint64_t probe = rng.UniformU64(pool);
+        ASSERT_EQ(restored.ContainsHash(probe), inserted.ContainsHash(probe));
+        restored.InsertHash(probe);
+        inserted.InsertHash(probe);
+      }
+      ASSERT_EQ(restored.ordered_hashes(), inserted.ordered_hashes())
+          << "n " << n << " pool " << pool;
+    }
   }
-  UrlHashSet replayed;
-  for (uint64_t h : original.ordered_hashes()) {
-    replayed.InsertHash(h);
-  }
-  EXPECT_EQ(replayed.ordered_hashes(), original.ordered_hashes());
-  EXPECT_TRUE(replayed.Contains("http://h.test/0"));
-  EXPECT_FALSE(replayed.Contains("http://h.test/" + std::to_string((100 * 37) % 101)));
 }
 
 TEST(SessionKeyTest, EqualityAndHash) {

@@ -1,0 +1,251 @@
+// The state store seen from a durable proxy. A fixed-seed proxy with a
+// state directory serves a fixed sequence of site pages (each followed by
+// its beacon-script fetch, and for some clients the beacon image and the
+// CSS probe).
+//
+// StateBytesTest is the byte-identity guard for the persistence codec: the
+// run takes one explicit checkpoint midway, serves more after an idle gap
+// that splits every session, and then restarts from its directory. It
+// pins digests of snapshot.bin and journal.bin before the restart and of
+// the snapshot the recovery checkpoint writes. The expected digests are
+// constants: any change to the bytes the codec writes for the same state
+// shows up here, and such a change would make every existing state
+// directory cold-start.
+//
+// PersistenceStagesTest checks that the journal-append and checkpoint
+// histograms time exactly what the journal-record and checkpoint counters
+// count. KeyReplayTest checks that replay consumes a repeated key the way
+// the key table does.
+#include <gtest/gtest.h>
+
+#include <filesystem>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include <unistd.h>
+
+#include "src/js/generator.h"
+#include "src/proxy/persistence/format.h"
+#include "src/proxy/persistence/state_store.h"
+#include "src/proxy/proxy_server.h"
+#include "src/site/origin_server.h"
+#include "src/util/binio.h"
+#include "src/util/hash.h"
+
+namespace robodet {
+namespace {
+
+uint64_t FileDigest(const std::string& path) {
+  std::string bytes;
+  EXPECT_TRUE(ReadFileLimited(path, persistence::kMaxStateFileBytes, &bytes)) << path;
+  return HashCombine(Fnv1a(bytes), bytes.size());
+}
+
+class DurableProxyTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("robodet_state_store_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    std::filesystem::remove_all(dir_);
+    SiteConfig site_config;
+    site_config.num_pages = 24;
+    Rng site_rng(11);
+    site_ = std::make_unique<SiteModel>(SiteModel::Generate(site_config, site_rng));
+    origin_ = std::make_unique<OriginServer>(site_.get());
+  }
+
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  void StartProxy(uint64_t snapshot_interval_records) {
+    config_.host = site_->host();
+    config_.persistence.state_dir = dir_.string();
+    config_.persistence.snapshot_interval_records = snapshot_interval_records;
+    proxy_ = std::make_unique<ProxyServer>(
+        config_, &clock_, [this](const Request& r) { return origin_->Handle(r); }, 1234);
+  }
+
+  std::string Get(const std::string& path_or_url, size_t client) {
+    Request r;
+    r.time = clock_.Now();
+    r.client_ip = IpAddress(0x0a000001u + static_cast<uint32_t>(client));
+    if (path_or_url.rfind("http", 0) == 0) {
+      r.url = *Url::Parse(path_or_url);
+    } else {
+      r.url = Url::Make(site_->host(), path_or_url);
+    }
+    r.headers.Set("User-Agent", kAgents[client]);
+    clock_.Advance(100);
+    return proxy_->Handle(r).response.body;
+  }
+
+  // Client 0 runs the beacon script and fires the real beacon, client 1
+  // fetches the CSS probe, the others fetch only pages and scripts.
+  void ServeRound(size_t round) {
+    for (size_t i = 0; i < site_->page_count(); ++i) {
+      const size_t client = (i + round) % kAgents.size();
+      const PageId id = static_cast<PageId>((i * 7 + round * 5) % site_->page_count());
+      const std::string body = Get(site_->page(id).path, client);
+      const std::string script_stem = "/__rd/js_";
+      const size_t at = body.find(script_stem);
+      if (at == std::string::npos) {
+        continue;
+      }
+      const size_t start = body.rfind('"', at) + 1;
+      const size_t end = body.find('"', at);
+      Get(body.substr(start, end - start), client);
+      if (client == 0) {
+        const size_t token_at = at + script_stem.size();
+        const std::string token = body.substr(token_at, body.find(".js", token_at) - token_at);
+        std::string real_key;
+        (void)proxy_->BuildBeaconForToken(token, &real_key);
+        Get(ProbeUrl(config_.instr_prefix, ProbeKind::kBeaconImage, real_key), client);
+      }
+      const size_t css_at = body.find("/__rd/cp_");
+      if (client == 1 && css_at != std::string::npos) {
+        const size_t css_start = body.rfind('"', css_at) + 1;
+        Get(body.substr(css_start, body.find('"', css_at) - css_start), client);
+      }
+    }
+  }
+
+  const std::vector<std::string> kAgents = {
+      "Mozilla/5.0 (X11; Linux) Gecko/20060101 Firefox/1.5",
+      "Mozilla/4.0 (compatible; MSIE 6.0; Windows NT 5.1)",
+      "Wget/1.10.2",
+      "Opera/9.00 (Windows NT 5.1; U; en)",
+  };
+  std::filesystem::path dir_;
+  std::unique_ptr<SiteModel> site_;
+  std::unique_ptr<OriginServer> origin_;
+  ProxyConfig config_;
+  SimClock clock_{5000};
+  std::unique_ptr<ProxyServer> proxy_;
+};
+
+using StateBytesTest = DurableProxyTest;
+
+TEST_F(StateBytesTest, StateFilesMatchPinnedDigests) {
+  // Explicit checkpoints only, so the run controls when the journal resets.
+  StartProxy(/*snapshot_interval_records=*/0);
+  ServeRound(0);
+  ServeRound(1);
+  ASSERT_TRUE(proxy_->state_store()->Checkpoint(clock_.Now()));
+  ServeRound(2);
+  // An idle gap past the session timeout: round 3 splits every session,
+  // which journals the closes.
+  clock_.Advance(2 * kHour);
+  ServeRound(3);
+
+  const uint64_t snapshot = FileDigest(proxy_->state_store()->snapshot_path());
+  const uint64_t journal = FileDigest(proxy_->state_store()->journal_path());
+  // The journal holds every record type the codec writes.
+  const InspectionResult inspected = InspectState(dir_.string());
+  ASSERT_TRUE(inspected.clean);
+  size_t by_type[5] = {};
+  for (const persistence::JournalRecord& rec : inspected.journal.records) {
+    ++by_type[static_cast<size_t>(rec.type)];
+  }
+  EXPECT_GT(by_type[static_cast<size_t>(persistence::JournalRecordType::kKeyIssued)], 0u);
+  EXPECT_GT(by_type[static_cast<size_t>(persistence::JournalRecordType::kKeyConsumed)], 0u);
+  EXPECT_GT(by_type[static_cast<size_t>(persistence::JournalRecordType::kSessionUpdate)], 0u);
+  EXPECT_GT(by_type[static_cast<size_t>(persistence::JournalRecordType::kSessionClosed)], 0u);
+  proxy_->SimulateCrashRestart(clock_.Now());
+  const RecoveryReport& rep = proxy_->state_store()->last_recovery();
+  EXPECT_FALSE(rep.cold_start);
+  EXPECT_GT(rep.journal_records_applied, 0u);
+  EXPECT_GT(rep.sessions_restored, 0u);
+  EXPECT_GT(rep.key_entries_restored, 0u);
+  const uint64_t recovered = FileDigest(proxy_->state_store()->snapshot_path());
+
+  EXPECT_EQ(snapshot, 0x6ed5174a5e80ac24ULL) << std::hex << "snapshot digest 0x" << snapshot;
+  EXPECT_EQ(journal, 0x8e80719ec7d9f064ULL) << std::hex << "journal digest 0x" << journal;
+  EXPECT_EQ(recovered, 0x0d1252de398f7867ULL)
+      << std::hex << "recovered snapshot digest 0x" << recovered;
+}
+
+using PersistenceStagesTest = DurableProxyTest;
+
+TEST_F(PersistenceStagesTest, StageHistogramsCountWhatTheCountersCount) {
+  // A small interval, so the journal trigger checkpoints mid-round too.
+  StartProxy(/*snapshot_interval_records=*/40);
+  auto stages = [this] {
+    const RegistrySnapshot s = proxy_->metrics().Scrape();
+    const MetricSnapshot* append = s.Find("robodet_journal_append_duration_us");
+    const MetricSnapshot* checkpoint = s.Find("robodet_checkpoint_duration_us");
+    EXPECT_NE(append, nullptr);
+    EXPECT_NE(checkpoint, nullptr);
+    return std::vector<uint64_t>{
+        append == nullptr ? 0 : append->histogram.count,
+        s.CounterValue("robodet_persistence_journal_records_total"),
+        checkpoint == nullptr ? 0 : checkpoint->histogram.count,
+        s.CounterValue("robodet_persistence_checkpoints_total")};
+  };
+  const std::vector<uint64_t> before = stages();
+  ServeRound(0);
+  ServeRound(1);
+  ASSERT_TRUE(proxy_->state_store()->Checkpoint(clock_.Now()));
+  ServeRound(2);
+  proxy_->SimulateCrashRestart(clock_.Now());
+  ServeRound(3);
+  const std::vector<uint64_t> after = stages();
+
+  const uint64_t appends = after[0] - before[0];
+  const uint64_t records = after[1] - before[1];
+  const uint64_t checkpoint_obs = after[2] - before[2];
+  const uint64_t checkpoints = after[3] - before[3];
+  EXPECT_EQ(appends, records);
+  EXPECT_EQ(checkpoint_obs, checkpoints);
+  EXPECT_GT(records, 40u);
+  // Interval triggers, the explicit one and the recovery checkpoint.
+  EXPECT_GE(checkpoints, 3u);
+}
+
+// The key table keeps every entry it is given, so one (ip, key) recorded
+// twice is held twice. A match consumes the oldest entry; replay must leave
+// the same entry live as the table did.
+TEST(KeyReplayTest, RepeatedKeyRecoversToTheTablesEntries) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("robodet_key_replay_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  const IpAddress ip(0x0a000001);
+  auto entries = [](KeyTable& keys) {
+    std::vector<std::string> out;
+    for (size_t i = 0; i < keys.num_shards(); ++i) {
+      for (const KeyTable::ExportedEntry& e : keys.ExportShard(i)) {
+        out.push_back(e.page_path + " " + e.key + " " + std::to_string(e.issued_at));
+      }
+    }
+    return out;
+  };
+  const PersistenceConfig config{.state_dir = dir.string(), .snapshot_interval_records = 0};
+  std::vector<std::string> live;
+  {
+    KeyTable keys(KeyTable::Config{});
+    SessionTable sessions(SessionTable::Config{});
+    StateStore store(config, &keys, &sessions);
+    keys.set_observer(&store);
+    store.Recover(0);
+    keys.Record(ip, "/a.html", "k1", 10);
+    keys.Record(ip, "/b.html", "k1", 10);
+    ASSERT_TRUE(store.Checkpoint(20));
+    EXPECT_TRUE(keys.MatchAndConsume(ip, "k1", 30));  // Consumes /a.html.
+    keys.Record(ip, "/c.html", "k1", 40);
+    EXPECT_TRUE(keys.MatchAndConsume(ip, "k1", 50));  // Consumes /b.html.
+    live = entries(keys);
+    ASSERT_EQ(live, std::vector<std::string>{"/c.html k1 40"});
+    store.OnCrash();
+  }
+  KeyTable keys(KeyTable::Config{});
+  SessionTable sessions(SessionTable::Config{});
+  StateStore store(config, &keys, &sessions);
+  const RecoveryReport rep = store.Recover(60);
+  EXPECT_EQ(rep.journal_records_applied, 3u);
+  EXPECT_EQ(entries(keys), live);
+  std::filesystem::remove_all(dir);
+}
+
+}  // namespace
+}  // namespace robodet
