@@ -57,22 +57,20 @@ int main(int argc, char** argv) {
     e.label = r->truly_human ? kLabelHuman : kLabelRobot;
     train_data.examples.push_back(e);
   }
-  AdaBoost model(AdaBoost::Config{200, 1e-10});
+  AdaBoost model(AdaBoost::Config{200});
   model.Train(train_data);
 
   BrowserTestDetector browser_only;
   HumanActivityDetector activity_only;
   // The events of the record back the fallback's features.
   const SessionRecord* current_record = nullptr;
-  StagedPipeline staged(StagedPipeline::Options{},
-                        [&model, &current_record](const SessionObservation&) {
-                          if (current_record == nullptr) {
-                            return Verdict::kUnknown;
-                          }
-                          const FeatureVector x = ExtractFeatures(current_record->events);
-                          return model.Predict(x) == kLabelRobot ? Verdict::kRobot
-                                                                 : Verdict::kHuman;
-                        });
+  StagedPipeline staged([&model, &current_record](const SessionObservation&) {
+    if (current_record == nullptr) {
+      return Verdict::kUnknown;
+    }
+    const FeatureVector x = ExtractFeatures(current_record->events);
+    return model.Predict(x) == kLabelRobot ? Verdict::kRobot : Verdict::kHuman;
+  });
 
   Outcome browser_outcome;
   Outcome activity_outcome;

@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
   for (int n = 20; n <= 160; n += 20) {
     const Dataset train = dataset_at(train_sessions, static_cast<size_t>(n));
     const Dataset test = dataset_at(test_sessions, static_cast<size_t>(n));
-    AdaBoost model(AdaBoost::Config{200, 1e-10});
+    AdaBoost model(AdaBoost::Config{200});
     model.Train(train);
     const auto predict = [&model](const FeatureVector& x) { return model.Predict(x); };
     const double train_acc = Evaluate(train, predict).Accuracy();

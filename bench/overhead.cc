@@ -113,7 +113,7 @@ void BM_TokenMintValidate(benchmark::State& state) {
 BENCHMARK(BM_TokenMintValidate);
 
 void BM_KeyTableRecordMatch(benchmark::State& state) {
-  KeyTable table({64, 1 << 20, kHour});
+  KeyTable table(KeyTable::Config{});
   Rng rng(17);
   uint32_t ip = 0;
   for (auto _ : state) {
@@ -205,7 +205,7 @@ void BM_AdaBoostPredict(benchmark::State& state) {
     }
     data.examples.push_back(e);
   }
-  AdaBoost model(AdaBoost::Config{200, 1e-10});
+  AdaBoost model(AdaBoost::Config{200});
   model.Train(data);
   size_t i = 0;
   for (auto _ : state) {
@@ -227,7 +227,7 @@ void BM_AdaBoostTrain200(benchmark::State& state) {
     data.examples.push_back(e);
   }
   for (auto _ : state) {
-    AdaBoost model(AdaBoost::Config{200, 1e-10});
+    AdaBoost model(AdaBoost::Config{200});
     model.Train(data);
     benchmark::DoNotOptimize(model.stumps().size());
   }

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   // Importance ranking from the paper's learner.
   Rng split_rng(7);
   const TrainTestSplit split = StratifiedSplit(corpus, 0.5, split_rng);
-  AdaBoost model(AdaBoost::Config{200, 1e-10});
+  AdaBoost model(AdaBoost::Config{200});
   model.Train(split.train);
   const auto importance = model.FeatureImportance();
   std::vector<size_t> order(kNumFeatures);

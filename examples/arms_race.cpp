@@ -6,6 +6,7 @@
 //
 // Build & run:  ./build/examples/arms_race
 #include <cstdio>
+#include <optional>
 
 #include "src/robodet.h"
 
@@ -151,6 +152,71 @@ int main() {
     std::printf("\nWith hardware input attestation required (the §4.1 trusted-computing\n"
                 "path, implemented in core/attestation.h): full mimic caught %d%%.\n",
                 caught * 100 / kTrials);
+  }
+
+  // The scheme's cost to humans: under the same requirement, a user whose
+  // input device the authority manufactured, and one without such a device.
+  {
+    AttestationAuthority authority;
+    CombinedClassifier classifier;
+    std::printf("\nHumans under required attestation:\n");
+    std::printf("%-32s %8s %8s %8s\n", "human", "human", "robot", "unknown");
+    for (const bool has_device : {true, false}) {
+      int human = 0;
+      int robot = 0;
+      int unknown = 0;
+      constexpr int kTrials = 30;
+      for (int trial = 0; trial < kTrials; ++trial) {
+        SiteConfig site_config;
+        site_config.num_pages = 40;
+        Rng site_rng(900 + trial);
+        SiteModel site = SiteModel::Generate(site_config, site_rng);
+        OriginServer origin(&site);
+        SimClock clock;
+        ProxyConfig proxy_config;
+        proxy_config.host = site.host();
+        proxy_config.require_attestation = true;
+        ProxyServer proxy(proxy_config, &clock,
+                          [&origin](const Request& r) { return origin.Handle(r); },
+                          2700 + trial);
+        proxy.set_attestation_authority(&authority);
+        Gateway gateway(&proxy, &clock);
+
+        const BrowserProfile profile = StandardBrowserProfiles()[1];  // JS enabled.
+        ClientIdentity id;
+        id.ip = IpAddress(3000 + static_cast<uint32_t>(trial));
+        id.user_agent = profile.user_agent;
+        id.is_human = true;
+        HumanBrowserClient user(id, Rng(277 + trial), &site, profile, HumanConfig{});
+        std::optional<TrustedInputDevice> device;
+        if (has_device) {
+          device.emplace(authority.ManufactureDevice());
+          user.set_input_device(&*device);
+        }
+        while (true) {
+          const auto delay = user.Step(clock.Now(), gateway);
+          if (!delay.has_value()) {
+            break;
+          }
+          clock.Advance(*delay);
+        }
+        SessionState* session = proxy.sessions().Touch({id.ip, id.user_agent}, clock.Now());
+        switch (classifier.ClassifyOnline(session->observation()).verdict) {
+          case Verdict::kHuman:
+            ++human;
+            break;
+          case Verdict::kRobot:
+            ++robot;
+            break;
+          case Verdict::kUnknown:
+            ++unknown;
+            break;
+        }
+      }
+      std::printf("%-32s %7d%% %7d%% %7d%%\n",
+                  has_device ? "with a trusted input device" : "without one", human * 100 / kTrials,
+                  robot * 100 / kTrials, unknown * 100 / kTrials);
+    }
   }
   return 0;
 }

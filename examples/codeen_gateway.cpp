@@ -42,7 +42,6 @@ int main(int argc, char** argv) {
   Experiment experiment(config);
   experiment.Run();
 
-  CombinedClassifier classifier;
   std::map<std::string, TypeOutcome> outcomes;
   for (const SessionRecord& r : experiment.records()) {
     if (r.request_count() <= 10) {

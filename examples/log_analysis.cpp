@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   Rng split_rng(99);
   const TrainTestSplit split = StratifiedSplit(corpus, 0.5, split_rng);
 
-  AdaBoost model(AdaBoost::Config{200, 1e-10});
+  AdaBoost model(AdaBoost::Config{200});
   model.Train(split.train);
 
   const auto predict = [&model](const FeatureVector& x) { return model.Predict(x); };

@@ -1,8 +1,13 @@
 #include "src/core/browser_test_detector.h"
 
 namespace robodet {
+namespace {
 
-BrowserTestDetector::BrowserTestDetector() : options_(Options{}) {}
+// Declare "not a standard browser" only after this many instrumented pages
+// went by with no CSS probe fetch.
+constexpr int kProbeIgnorePatience = 5;
+
+}  // namespace
 
 Classification BrowserTestDetector::Classify(const SessionObservation& obs) const {
   Classification out;
@@ -45,11 +50,11 @@ Classification BrowserTestDetector::Classify(const SessionObservation& obs) cons
         {"browser_test", "audio_probe_fetched", sig.audio_probe_at, Verdict::kHuman});
     return out;
   }
-  if (obs.instrumented_pages >= options_.probe_ignore_patience) {
+  if (obs.instrumented_pages >= kProbeIgnorePatience) {
     // Served N probe-carrying pages, fetched none: goal-oriented robot that
     // skips presentation objects. The verdict was reachable the moment the
     // N-th probe-carrying page went by unfetched.
-    int decided = obs.InstrumentedPageRequestIndex(options_.probe_ignore_patience);
+    int decided = obs.InstrumentedPageRequestIndex(kProbeIgnorePatience);
     if (decided == 0) {
       decided = obs.request_count;
     }

@@ -14,19 +14,7 @@ namespace robodet {
 
 class BrowserTestDetector {
  public:
-  struct Options {
-    // Declare "not a standard browser" only after this many instrumented
-    // pages went by with no CSS probe fetch.
-    int probe_ignore_patience = 5;
-  };
-
-  BrowserTestDetector();
-  explicit BrowserTestDetector(Options options) : options_(options) {}
-
   Classification Classify(const SessionObservation& obs) const;
-
- private:
-  Options options_;
 };
 
 }  // namespace robodet

@@ -1,6 +1,12 @@
 #include "src/core/staged_pipeline.h"
 
 namespace robodet {
+namespace {
+
+// Consult stage 3 only once the session has this many requests.
+constexpr int kEscalateAfter = 40;
+
+}  // namespace
 
 StagedPipeline::Decision StagedPipeline::Decide(const SessionObservation& obs) const {
   Decision out;
@@ -23,7 +29,7 @@ StagedPipeline::Decision StagedPipeline::Decide(const SessionObservation& obs) c
     out.stage = 1;
     return out;
   }
-  if (fallback_ && obs.request_count >= options_.escalate_after) {
+  if (fallback_ && obs.request_count >= kEscalateAfter) {
     const Verdict v = fallback_(obs);
     if (v != Verdict::kUnknown) {
       out.classification.verdict = v;

@@ -3,8 +3,7 @@
 // then perform a careful decision algorithm for boundary cases"). Stage 1
 // is the cheap browser test; stage 2 the human-activity detector; stage 3
 // an optional pluggable judge (e.g. the AdaBoost model) consulted only for
-// sessions the first two stages leave undecided after `escalate_after`
-// requests.
+// sessions the first two stages leave undecided after 40 requests.
 #ifndef ROBODET_SRC_CORE_STAGED_PIPELINE_H_
 #define ROBODET_SRC_CORE_STAGED_PIPELINE_H_
 
@@ -19,12 +18,6 @@ namespace robodet {
 
 class StagedPipeline {
  public:
-  struct Options {
-    BrowserTestDetector::Options browser_test;
-    // Consult stage 3 only once the session has this many requests.
-    int escalate_after = 40;
-  };
-
   struct Decision {
     Classification classification;
     // 0 = undecided, 1 = browser test, 2 = human activity, 3 = fallback.
@@ -33,15 +26,11 @@ class StagedPipeline {
 
   using FallbackJudge = std::function<Verdict(const SessionObservation&)>;
 
-  explicit StagedPipeline(Options options, FallbackJudge fallback = nullptr)
-      : options_(options),
-        browser_test_(options.browser_test),
-        fallback_(std::move(fallback)) {}
+  explicit StagedPipeline(FallbackJudge fallback = nullptr) : fallback_(std::move(fallback)) {}
 
   Decision Decide(const SessionObservation& obs) const;
 
  private:
-  Options options_;
   BrowserTestDetector browser_test_;
   HumanActivityDetector human_activity_;
   FallbackJudge fallback_;

@@ -7,6 +7,10 @@
 namespace robodet {
 namespace {
 
+// Stop early if a stump achieves weighted error below this (perfectly
+// separable data would otherwise produce infinite alpha).
+constexpr double kMinError = 1e-10;
+
 // Per-feature presorted example order, computed once and reused by every
 // boosting round: stump fitting is then O(N) per feature per round.
 using FeatureOrder = std::vector<std::vector<size_t>>;
@@ -110,7 +114,7 @@ void AdaBoost::Train(const Dataset& train) {
     if (error >= 0.5 - 1e-12) {
       break;  // No weak learner better than chance remains.
     }
-    const double eps = std::max(error, config_.min_error);
+    const double eps = std::max(error, kMinError);
     stump.alpha = 0.5 * std::log((1.0 - eps) / eps);
     stumps_.push_back(stump);
 
@@ -128,7 +132,7 @@ void AdaBoost::Train(const Dataset& train) {
     for (double& w : weights) {
       w /= z;
     }
-    if (error <= config_.min_error) {
+    if (error <= kMinError) {
       break;  // Perfect stump: the ensemble is this stump.
     }
   }

@@ -30,9 +30,6 @@ class AdaBoost {
  public:
   struct Config {
     int rounds = 200;
-    // Stop early if a stump achieves weighted error below this (perfectly
-    // separable data would otherwise produce infinite alpha).
-    double min_error = 1e-10;
   };
 
   AdaBoost() : AdaBoost(Config{}) {}

@@ -6,6 +6,12 @@
 namespace robodet {
 namespace {
 
+constexpr int kMaxDepth = 8;
+// Do not split nodes smaller than this.
+constexpr size_t kMinNodeSize = 8;
+// Stop when a node is this pure (majority fraction).
+constexpr double kPurityStop = 0.995;
+
 double Entropy(size_t robots, size_t total) {
   if (total == 0 || robots == 0 || robots == total) {
     return 0.0;
@@ -77,8 +83,7 @@ int DecisionTree::Build(const Dataset& data, std::vector<size_t>& indices, int d
                       : static_cast<double>(robots) / static_cast<double>(indices.size());
 
   const double majority = std::max(node.robot_fraction, 1.0 - node.robot_fraction);
-  if (depth >= config_.max_depth || indices.size() < config_.min_node_size ||
-      majority >= config_.purity_stop) {
+  if (depth >= kMaxDepth || indices.size() < kMinNodeSize || majority >= kPurityStop) {
     nodes_.push_back(node);
     return static_cast<int>(nodes_.size()) - 1;
   }

@@ -14,17 +14,6 @@ namespace robodet {
 
 class DecisionTree {
  public:
-  struct Config {
-    int max_depth = 8;
-    // Do not split nodes smaller than this.
-    size_t min_node_size = 8;
-    // Stop when a node is this pure (majority fraction).
-    double purity_stop = 0.995;
-  };
-
-  DecisionTree() : DecisionTree(Config{}) {}
-  explicit DecisionTree(Config config) : config_(config) {}
-
   void Train(const Dataset& train);
 
   // Probability-like robot score in [-1, 1]: leaf robot-fraction mapped to
@@ -48,7 +37,6 @@ class DecisionTree {
 
   int Build(const Dataset& data, std::vector<size_t>& indices, int depth);
 
-  Config config_;
   std::vector<Node> nodes_;
   int depth_ = 0;
 };

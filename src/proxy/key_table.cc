@@ -5,11 +5,20 @@
 #include "src/util/hash.h"
 
 namespace robodet {
+namespace {
 
-KeyTable::KeyTable(Config config) : config_(config) {
-  config_.num_shards = std::max<size_t>(1, config_.num_shards);
-  shards_.reserve(config_.num_shards);
-  for (size_t i = 0; i < config_.num_shards; ++i) {
+// The table "holds multiple entries per IP address" — bounded here so a
+// crawler pulling thousands of pages cannot balloon server memory.
+constexpr size_t kMaxEntriesPerIp = 64;
+constexpr size_t kMaxTotalEntries = 1 << 20;
+constexpr TimeMs kEntryTtl = kHour;
+
+}  // namespace
+
+KeyTable::KeyTable(Config config) {
+  const size_t num_shards = std::max<size_t>(1, config.num_shards);
+  shards_.reserve(num_shards);
+  for (size_t i = 0; i < num_shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
 }
@@ -38,10 +47,10 @@ void KeyTable::Record(IpAddress ip, const std::string& page_path, const std::str
   // Global bound: sweep everything before refusing. Rare (the bound is
   // sized for memory pressure, not steady state), so the full sweep is
   // acceptable even from a worker thread.
-  if (total_entries() >= config_.max_total_entries) {
+  if (total_entries() >= kMaxTotalEntries) {
     ExpireOld(now);
   }
-  if (total_entries() >= config_.max_total_entries) {
+  if (total_entries() >= kMaxTotalEntries) {
     return;  // Still full: refuse to grow. Detection degrades gracefully.
   }
   Shard& shard = ShardFor(ip);
@@ -53,11 +62,11 @@ void KeyTable::Record(IpAddress ip, const std::string& page_path, const std::str
     // Entries are issued in this client's time order, so expired ones sit
     // at the front. Reaping them here keeps per-IP state bounded even when
     // no global sweep ever runs (concurrent mode).
-    while (!entries.empty() && now - entries.front().issued_at > config_.entry_ttl) {
+    while (!entries.empty() && now - entries.front().issued_at > kEntryTtl) {
       entries.pop_front();
       ++expired_here;
     }
-    while (entries.size() >= config_.max_entries_per_ip) {
+    while (entries.size() >= kMaxEntriesPerIp) {
       entries.pop_front();
       ++evicted_here;
     }
@@ -86,7 +95,7 @@ bool KeyTable::MatchAndConsume(IpAddress ip, const std::string& key, TimeMs now)
       for (auto e = entries.begin(); e != entries.end(); ++e) {
         if (e->key == key) {
           found = true;
-          live = now - e->issued_at <= config_.entry_ttl;
+          live = now - e->issued_at <= kEntryTtl;
           entries.erase(e);
           if (entries.empty()) {
             shard.by_ip.erase(it);
@@ -119,7 +128,7 @@ size_t KeyTable::ExpireShard(Shard& shard, TimeMs now) {
     std::lock_guard<std::mutex> lock(shard.mu);
     for (auto it = shard.by_ip.begin(); it != shard.by_ip.end();) {
       std::deque<Entry>& entries = it->second;
-      while (!entries.empty() && now - entries.front().issued_at > config_.entry_ttl) {
+      while (!entries.empty() && now - entries.front().issued_at > kEntryTtl) {
         entries.pop_front();
         ++reaped;
       }
@@ -183,7 +192,7 @@ std::vector<KeyTable::ExportedEntry> KeyTable::ExportShard(size_t shard_index) {
 
 void KeyTable::RestoreEntry(IpAddress ip, std::string page_path, std::string key,
                             TimeMs issued_at) {
-  if (total_entries() >= config_.max_total_entries) {
+  if (total_entries() >= kMaxTotalEntries) {
     return;
   }
   Shard& shard = ShardFor(ip);
@@ -191,7 +200,7 @@ void KeyTable::RestoreEntry(IpAddress ip, std::string page_path, std::string key
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     std::deque<Entry>& entries = shard.by_ip[ip.value()];
-    while (entries.size() >= config_.max_entries_per_ip) {
+    while (entries.size() >= kMaxEntriesPerIp) {
       entries.pop_front();
       ++evicted_here;
     }

@@ -48,11 +48,6 @@ class KeyTable {
   };
 
   struct Config {
-    // The table "holds multiple entries per IP address" — bounded here so a
-    // crawler pulling thousands of pages cannot balloon server memory.
-    size_t max_entries_per_ip = 64;
-    size_t max_total_entries = 1 << 20;
-    TimeMs entry_ttl = kHour;
     // Lock stripes. More shards = less contention; must be ≥ 1.
     size_t num_shards = 16;
   };
@@ -92,7 +87,8 @@ class KeyTable {
 
   // Recovery-only: inserts an entry without firing the observer or the
   // issued counter (the entry was counted in a previous life). Per-IP and
-  // total bounds still apply.
+  // total bounds still apply, so an entry may evict an older one or be
+  // refused.
   void RestoreEntry(IpAddress ip, std::string page_path, std::string key, TimeMs issued_at);
 
   // Drops every entry without counters or observer (simulated crash).
@@ -127,7 +123,6 @@ class KeyTable {
     Gauge* entries = nullptr;
   };
 
-  Config config_;
   Metrics metrics_;
   Observer* observer_ = nullptr;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -367,8 +367,10 @@ RecoveryReport StateStore::Recover(TimeMs now) {
   keys.ForEachLive([&](KeyEntryImage* k) {
     keys_->RestoreEntry(IpAddress(k->ip), std::move(k->page_path), std::move(k->key),
                         k->issued_at);
-    ++rep.key_entries_restored;
   });
+  // Recovery fills an empty table, and RestoreEntry keeps the per-IP and
+  // total bounds, so what the table holds now is what was restored.
+  rep.key_entries_restored = keys_->total_entries();
 
   // Install sessions in id order so recovery is deterministic regardless
   // of hash-map iteration order.

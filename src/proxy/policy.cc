@@ -18,7 +18,7 @@ PolicyAction PolicyEngine::Evaluate(SessionState& session, Verdict verdict, Time
     IncIfBound(metrics_.blocked_requests);
     return PolicyAction::kBlock;
   }
-  if (!config_.enforce || verdict != Verdict::kRobot) {
+  if (verdict != Verdict::kRobot) {
     return PolicyAction::kAllow;
   }
   const TimeMs lifetime = now - session.first_request_time();

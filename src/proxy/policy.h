@@ -18,9 +18,6 @@ struct PolicyConfig {
   int max_error_responses = 30;
   // Rates are meaningless over tiny windows; wait this long first.
   TimeMs min_observation = 30 * kSecond;
-  // If true, even robot-classified sessions within thresholds are allowed
-  // (detection-only mode; CoDeeN pre-August-2005).
-  bool enforce = true;
 };
 
 enum class PolicyAction {

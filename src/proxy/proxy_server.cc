@@ -58,6 +58,9 @@ Response Overloaded() {
 // not table size.
 constexpr uint64_t kMaintenanceStride = 1024;
 
+// Origin responses slower than this (simulated ms) are served beacon-only.
+constexpr TimeMs kSlowOrigin = 250;
+
 // Bodies above this are served beacon-only: a full rewrite costs too much.
 // (Above ResilienceConfig::max_body_bytes they are not instrumented at all.)
 constexpr size_t kMaxRewriteBytes = 1u << 20;
@@ -465,7 +468,7 @@ DegradationLevel ProxyServer::DecideDegradation(const FetchOutcome& fetch,
     // work or mint keys against a host we're not trusting yet.
     return DegradationLevel::kPassThrough;
   }
-  if (fetch.latency > resilient_.config().slow_origin || response.body.size() > kMaxRewriteBytes) {
+  if (fetch.latency > kSlowOrigin || response.body.size() > kMaxRewriteBytes) {
     return DegradationLevel::kBeaconOnly;
   }
   return DegradationLevel::kFull;

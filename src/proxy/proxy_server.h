@@ -146,10 +146,6 @@ class ProxyServer {
   SessionTable& sessions() { return sessions_; }
   KeyTable& keys() { return shared_keys_ != nullptr ? *shared_keys_ : key_table_; }
 
-  // The resilience pipeline guarding the origin. Exposed so operators (and
-  // tests) can force breakers open or inspect state.
-  ResilientOrigin& resilience() { return resilient_; }
-
   // Multi-node deployments can share one beacon key table so that a key
   // issued by any node validates on any other (see sim/cluster.h and the
   // ablation_cluster bench for why). The table must outlive this server.

@@ -12,6 +12,12 @@ namespace {
 // breaker tests whether the origin recovered.
 constexpr int kHalfOpenProbes = 3;
 
+// Probe successes that prove the origin recovered and close the breaker.
+constexpr int kHalfOpenSuccesses = 2;
+
+// Per-request origin budget (simulated ms) across attempts and backoff.
+constexpr TimeMs kDeadline = 2 * kSecond;
+
 // Single-attempt budget for degraded (breaker-open, fail-open) fetches.
 constexpr TimeMs kDegradedDeadline = 500;
 
@@ -56,9 +62,6 @@ std::string_view BreakerStateName(CircuitBreaker::State state) {
 }
 
 CircuitBreaker::State CircuitBreaker::StateAt(TimeMs now) {
-  if (latched_open_) {
-    return State::kOpen;
-  }
   if (state_ == State::kOpen && now - opened_at_ >= config_.open_duration) {
     state_ = State::kHalfOpen;
     probes_granted_ = 0;
@@ -80,11 +83,8 @@ bool CircuitBreaker::TryAcquireProbe(TimeMs now) {
 
 void CircuitBreaker::RecordSuccess(TimeMs now, bool was_probe) {
   (void)now;
-  if (latched_open_) {
-    return;
-  }
   if (state_ == State::kHalfOpen && was_probe) {
-    if (++probe_successes_ >= config_.half_open_successes) {
+    if (++probe_successes_ >= kHalfOpenSuccesses) {
       state_ = State::kClosed;
       consecutive_failures_ = 0;
       probes_granted_ = 0;
@@ -100,9 +100,6 @@ void CircuitBreaker::RecordSuccess(TimeMs now, bool was_probe) {
 }
 
 void CircuitBreaker::RecordFailure(TimeMs now, bool was_probe) {
-  if (latched_open_) {
-    return;
-  }
   if (state_ == State::kHalfOpen && was_probe) {
     Open(now);
     return;
@@ -110,11 +107,6 @@ void CircuitBreaker::RecordFailure(TimeMs now, bool was_probe) {
   if (state_ == State::kClosed && ++consecutive_failures_ >= config_.failure_threshold) {
     Open(now);
   }
-}
-
-void CircuitBreaker::ForceOpen(TimeMs now) {
-  latched_open_ = true;
-  Open(now);
 }
 
 void CircuitBreaker::Open(TimeMs now) {
@@ -166,8 +158,6 @@ std::optional<OriginErrorKind> ValidateOriginResponse(const Response& response,
 ResilientOrigin::ResilientOrigin(ResilienceConfig config, FallibleOriginHandler origin,
                                  uint64_t seed)
     : config_(config), origin_(std::move(origin)), rng_(seed), breaker_(config_.breaker) {}
-
-CircuitBreaker& ResilientOrigin::breaker() { return breaker_; }
 
 void ResilientOrigin::BindMetrics(MetricsRegistry& registry) {
   m_.fetch_by_outcome[0] =
@@ -260,7 +250,7 @@ FetchOutcome ResilientOrigin::Fetch(const Request& request) {
     return out;
   }
 
-  const TimeMs deadline = full ? config_.deadline : kDegradedDeadline;
+  const TimeMs deadline = full ? kDeadline : kDegradedDeadline;
   const int max_attempts = full ? kMaxRetries + 1 : 1;
   const bool idempotent = request.method == Method::kGet || request.method == Method::kHead;
 

@@ -45,13 +45,11 @@ std::string_view DegradationLevelName(DegradationLevel level);
 //
 //   closed    --failure_threshold consecutive failures-->  open
 //   open      --open_duration elapsed-->                   half-open
-//   half-open --half_open_successes probe successes-->     closed
+//   half-open --two probe successes-->                     closed
 //   half-open --any probe failure-->                       open
 //
 // While half-open, at most three requests are granted probe status (full
 // treatment); the rest are served as if the breaker were still open.
-// ForceOpen() latches the breaker open for the breaker's lifetime; it is a
-// test seam, with no serving caller.
 class CircuitBreaker {
  public:
   enum class State { kClosed, kOpen, kHalfOpen };
@@ -59,7 +57,6 @@ class CircuitBreaker {
   struct Config {
     int failure_threshold = 5;
     TimeMs open_duration = 30 * kSecond;
-    int half_open_successes = 2;
   };
 
   explicit CircuitBreaker(const Config& config) : config_(config) {}
@@ -76,10 +73,6 @@ class CircuitBreaker {
   void RecordSuccess(TimeMs now, bool was_probe);
   void RecordFailure(TimeMs now, bool was_probe);
 
-  // Test seam: chaos_test forces the breaker open without staging origin
-  // failures; latches for the breaker's lifetime.
-  void ForceOpen(TimeMs now);
-
   uint64_t times_opened() const { return times_opened_; }
 
  private:
@@ -87,7 +80,6 @@ class CircuitBreaker {
 
   Config config_;
   State state_ = State::kClosed;
-  bool latched_open_ = false;
   TimeMs opened_at_ = 0;
   int consecutive_failures_ = 0;
   int probes_granted_ = 0;
@@ -121,10 +113,6 @@ class AdmissionController {
 };
 
 struct ResilienceConfig {
-  // Per-request origin budget (simulated ms) across attempts and backoff.
-  TimeMs deadline = 2 * kSecond;
-  // Responses slower than this step the ladder to beacon-only.
-  TimeMs slow_origin = 250;
   // Bodies above this are a typed oversized-body error (pass-through).
   size_t max_body_bytes = 4u << 20;
   CircuitBreaker::Config breaker;
@@ -171,16 +159,9 @@ class ResilientOrigin {
 
   FetchOutcome Fetch(const Request& request);
 
-  // The breaker guarding the origin. Test seam: chaos_test reaches it to
-  // call ForceOpen; mutating it while workers serve is racy. Out of line so
-  // tools/check_reachability.sh sees it.
-  CircuitBreaker& breaker();
-
   // Counts into `registry` under robodet_origin_* and robodet_breaker_*.
   // An unbound origin counts nothing.
   void BindMetrics(MetricsRegistry& registry);
-
-  const ResilienceConfig& config() const { return config_; }
 
  private:
   bool RetryableError(OriginErrorKind kind) const;

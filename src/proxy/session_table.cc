@@ -125,14 +125,6 @@ size_t SessionTable::DrainShard(Shard& shard, TimeMs now, bool idle_only, Counte
   return drained.size();
 }
 
-size_t SessionTable::CloseIdle(TimeMs now) {
-  size_t closed = 0;
-  for (auto& shard : shards_) {
-    closed += DrainShard(*shard, now, /*idle_only=*/true, metrics_.closed_idle);
-  }
-  return closed;
-}
-
 size_t SessionTable::CloseIdleIncremental(TimeMs now) {
   const size_t idx = sweep_cursor_.fetch_add(1, std::memory_order_relaxed) % shards_.size();
   return DrainShard(*shards_[idx], now, /*idle_only=*/true, metrics_.closed_idle);

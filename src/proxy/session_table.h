@@ -59,11 +59,9 @@ class SessionTable {
   // session is closed.
   SessionState* Touch(const SessionKey& key, TimeMs now);
 
-  // Closes every session idle at `now` (call periodically or at shutdown).
-  // Returns how many sessions were closed.
-  size_t CloseIdle(TimeMs now);
-
-  // Incremental variant: sweeps a single shard (round-robin across calls).
+  // Closes the sessions idle at `now` in one shard (round-robin across
+  // calls; num_shards() calls sweep the whole table). Returns how many
+  // sessions were closed.
   size_t CloseIdleIncremental(TimeMs now);
 
   // Closes everything unconditionally.

@@ -9,6 +9,9 @@
 namespace robodet {
 namespace {
 
+// Origin host assumed for relative targets.
+constexpr char kDefaultHost[] = "log.import";
+
 // Days since 1970-01-01 for a civil date (Howard Hinnant's algorithm).
 int64_t DaysFromCivil(int64_t y, unsigned m, unsigned d) {
   y -= m <= 2;
@@ -163,12 +166,9 @@ std::optional<ClfEntry> ParseClfLine(std::string_view line) {
   return entry;
 }
 
-ClfReplayResult ReplayClfLog(const std::vector<std::string>& lines,
-                             const ClfReplayOptions& options) {
+ClfReplayResult ReplayClfLog(const std::vector<std::string>& lines) {
   ClfReplayResult result;
-  SessionTable::Config table_config;
-  table_config.idle_timeout = options.session_idle_timeout;
-  SessionTable table(table_config);
+  SessionTable table(SessionTable::Config{});
   table.set_on_closed([&result](std::unique_ptr<SessionState> session) {
     SessionRecord record;
     record.session_id = session->id();
@@ -199,7 +199,7 @@ ClfReplayResult ReplayClfLog(const std::vector<std::string>& lines,
     if (const auto parsed = Url::Parse(entry->target); parsed.has_value()) {
       url = *parsed;
     } else if (!entry->target.empty() && entry->target[0] == '/') {
-      url = Url::Make(options.default_host, entry->target);
+      url = Url::Make(kDefaultHost, entry->target);
     } else {
       ++result.lines_malformed;
       continue;
@@ -224,8 +224,7 @@ ClfReplayResult ReplayClfLog(const std::vector<std::string>& lines,
   return result;
 }
 
-std::optional<ClfReplayResult> ReplayClfFile(const std::string& path,
-                                             const ClfReplayOptions& options) {
+std::optional<ClfReplayResult> ReplayClfFile(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
     return std::nullopt;
@@ -235,7 +234,7 @@ std::optional<ClfReplayResult> ReplayClfFile(const std::string& path,
   while (std::getline(in, line)) {
     lines.push_back(line);
   }
-  return ReplayClfLog(lines, options);
+  return ReplayClfLog(lines);
 }
 
 }  // namespace robodet

@@ -50,23 +50,17 @@ struct ClfReplayResult {
   size_t lines_malformed = 0;
 };
 
-struct ClfReplayOptions {
-  TimeMs session_idle_timeout = kHour;
-  // Origin host assumed for relative targets.
-  std::string default_host = "log.import";
-};
-
 // Replays parsed entries (must be in log order) through the <IP, UA>
-// session model, producing SessionRecords with per-request events and the
-// passive signals (robots.txt). Ground-truth labels are not available
-// from a log; records carry client_type "clf".
-ClfReplayResult ReplayClfLog(const std::vector<std::string>& lines,
-                             const ClfReplayOptions& options = {});
+// session model with the proxy's one-hour idle split, producing
+// SessionRecords with per-request events and the passive signals
+// (robots.txt). Relative targets are taken to be on host "log.import".
+// Ground-truth labels are not available from a log; records carry
+// client_type "clf".
+ClfReplayResult ReplayClfLog(const std::vector<std::string>& lines);
 
 // Convenience: loads a file and replays it. Returns nullopt if the file
 // cannot be read.
-std::optional<ClfReplayResult> ReplayClfFile(const std::string& path,
-                                             const ClfReplayOptions& options = {});
+std::optional<ClfReplayResult> ReplayClfFile(const std::string& path);
 
 }  // namespace robodet
 

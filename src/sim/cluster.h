@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "src/proxy/proxy_server.h"
-#include "src/sim/fault_injector.h"
 #include "src/sim/gateway.h"
 
 namespace robodet {
@@ -30,16 +29,10 @@ class ProxyCluster {
     // validate anywhere. Fixes the wrong-key fragmentation that node
     // switching causes, at the cost of a shared (network) table.
     bool share_key_table = false;
-    // Seeded node crash/restart schedule. A crashed node loses its
-    // in-memory tables (recovering from disk when the node's ProxyConfig
-    // has persistence wired), stays unroutable for restart_delay, then
-    // rejoins. Disabled by default.
-    CrashPlan crashes;
-    // How far ahead the crash schedule is materialized; crashes past the
-    // horizon never fire.
-    TimeMs crash_horizon = 30 * kDay;
   };
 
+  // Every node runs `proxy_config` as given; its tables live in memory, so
+  // the config names no persistence state_dir (the nodes would share it).
   ProxyCluster(Config config, const ProxyConfig& proxy_config, SimClock* clock,
                ProxyServer::OriginHandler origin, uint64_t seed);
 
@@ -47,24 +40,8 @@ class ProxyCluster {
   ProxyServer& node(size_t i) { return *nodes_[i]; }
 
   // Routes a request: the client's home node by rendezvous (highest-
-  // random-weight) hashing over the currently *live* nodes, or a random
-  // live node with switch_prob. A crashed node is never returned: its
-  // clients fail over to the next-highest-scoring live node — one
-  // consistent target per client — and return home when it restarts.
-  // Routing a request first advances the crash schedule to the cluster
-  // clock, so crash/restart events apply in timestamp order.
+  // random-weight) hashing, or a random node with switch_prob.
   ProxyServer* Route(const ClientIdentity& id);
-
-  // Applies every crash event with timestamp <= now and expires completed
-  // restart windows. Route calls this; tests and benches can call it
-  // directly to force a crash boundary.
-  void UpdateLiveness(TimeMs now);
-
-  // False while `node` is inside a crash window at time `now`.
-  bool IsLive(size_t node, TimeMs now) const;
-
-  // Crash events applied so far (nodes restarted).
-  uint64_t crashes_applied() const { return crashes_applied_; }
 
   // Merges a client's per-node session signals into one cluster-wide view:
   // each first-detection index is the minimum nonzero across nodes (the
@@ -73,22 +50,13 @@ class ProxyCluster {
   SessionSignals CombinedSignalsFor(IpAddress ip, const std::string& user_agent, TimeMs now);
 
  private:
-  // Index of the highest-scoring live node for `ip` (all nodes when none
-  // are live, so Route never returns null).
-  size_t RendezvousPick(uint32_t ip, TimeMs now) const;
+  // Index of the highest-scoring node for `ip`.
+  size_t RendezvousPick(uint32_t ip) const;
 
   Config config_;
-  SimClock* clock_ = nullptr;  // Not owned.
   std::vector<std::unique_ptr<ProxyServer>> nodes_;
   std::unique_ptr<KeyTable> shared_keys_;
   Rng rng_;
-  // Crash schedule, sorted by time; next_crash_ is the replay cursor.
-  std::vector<CrashEvent> schedule_;
-  size_t next_crash_ = 0;
-  // Per node: end of the current crash window (node is down while
-  // now < down_until_[i]).
-  std::vector<TimeMs> down_until_;
-  uint64_t crashes_applied_ = 0;
 };
 
 }  // namespace robodet

@@ -85,11 +85,10 @@ void Experiment::Run() {
     for (size_t i = 0; i < clients.size(); ++i) {
       queue.emplace(arrivals[i], i);
     }
-    // Single-proxy crash schedule ("one node"): events land between client
-    // steps in timestamp order, so a crash at t wipes exactly the state
-    // built before t.
-    const std::vector<CrashEvent> crash_schedule =
-        GenerateCrashSchedule(config_.crashes, 1, config_.arrival_window + kDay);
+    // Crash schedule: events land between client steps in timestamp order,
+    // so a crash at t wipes exactly the state built before t.
+    const std::vector<TimeMs> crash_schedule =
+        GenerateCrashSchedule(config_.crashes, config_.arrival_window + kDay);
     size_t next_crash = 0;
     Gateway gateway(proxy_.get(), &clock_);
     uint64_t steps = 0;
@@ -97,9 +96,8 @@ void Experiment::Run() {
       const auto [when, idx] = queue.top();
       queue.pop();
       clock_.AdvanceTo(when);
-      while (next_crash < crash_schedule.size() && crash_schedule[next_crash].at <= clock_.Now()) {
-        proxy_->SimulateCrashRestart(crash_schedule[next_crash].at +
-                                     config_.crashes.restart_delay);
+      while (next_crash < crash_schedule.size() && crash_schedule[next_crash] <= clock_.Now()) {
+        proxy_->SimulateCrashRestart(crash_schedule[next_crash] + config_.crashes.restart_delay);
         ++next_crash;
         ++crashes_applied_;
       }

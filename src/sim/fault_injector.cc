@@ -1,48 +1,41 @@
 #include "src/sim/fault_injector.h"
 
-#include <algorithm>
 #include <string>
 #include <utility>
 
 #include "src/util/hash.h"
 
 namespace robodet {
+namespace {
 
-std::vector<CrashEvent> GenerateCrashSchedule(const CrashPlan& plan, size_t nodes,
-                                              TimeMs horizon) {
-  std::vector<CrashEvent> events;
-  if (!plan.enabled() || nodes == 0 || horizon <= 0) {
-    return events;
+// Service time a slow fetch adds (simulated ms): past the proxy's 250 ms
+// slow-origin threshold, inside its 2 s deadline.
+constexpr TimeMs kSlowLatency = 400;
+
+}  // namespace
+
+std::vector<TimeMs> GenerateCrashSchedule(const CrashPlan& plan, TimeMs horizon) {
+  std::vector<TimeMs> crashes;
+  if (!plan.enabled() || horizon <= 0) {
+    return crashes;
   }
   const double mean_gap_ms = static_cast<double>(kHour) / plan.crash_rate_per_hour;
-  for (size_t n = 0; n < nodes; ++n) {
-    // Per-node streams: adding a node never perturbs the others' schedules.
-    Rng rng(Mix64(plan.seed ^ (0x9e3779b97f4a7c15ULL * (n + 1))));
-    double t = rng.Exponential(mean_gap_ms);
-    while (t < static_cast<double>(horizon)) {
-      events.push_back(CrashEvent{static_cast<TimeMs>(t), n});
-      // A node cannot crash again before it has restarted.
-      t += static_cast<double>(plan.restart_delay) + rng.Exponential(mean_gap_ms);
-    }
+  // Salted so the schedule does not share a stream with other draws seeded
+  // from plan.seed.
+  Rng rng(Mix64(plan.seed ^ 0x9e3779b97f4a7c15ULL));
+  double t = rng.Exponential(mean_gap_ms);
+  while (t < static_cast<double>(horizon)) {
+    crashes.push_back(static_cast<TimeMs>(t));
+    // The proxy cannot crash again before it has restarted.
+    t += static_cast<double>(plan.restart_delay) + rng.Exponential(mean_gap_ms);
   }
-  std::sort(events.begin(), events.end(), [](const CrashEvent& a, const CrashEvent& b) {
-    return a.at != b.at ? a.at < b.at : a.node < b.node;
-  });
-  return events;
+  return crashes;
 }
 
 OriginResult FaultInjector::operator()(const Request& request) {
   ++counts_.total;
   if (!plan_.enabled()) {
     return inner_(request);
-  }
-
-  // Outage window: unconditional connect failures, no draws consumed so the
-  // post-outage schedule is unaffected by the window's width.
-  if (plan_.outage_start >= 0 && request.time >= plan_.outage_start &&
-      request.time < plan_.outage_end) {
-    ++counts_.errors;
-    return OriginResult::Fail(OriginErrorKind::kConnectFail, 1);
   }
 
   // Fixed draw order keeps the schedule a pure function of (seed, stream).
@@ -58,7 +51,7 @@ OriginResult FaultInjector::operator()(const Request& request) {
   OriginResult result = inner_(request);
   if (slow_draw < plan_.slow_rate) {
     ++counts_.slowed;
-    result.latency += plan_.slow_latency;
+    result.latency += kSlowLatency;
   }
   if (corrupt_draw < plan_.corrupt_rate && result.ok() && result.response.has_value() &&
       !result.response->body.empty()) {

@@ -19,55 +19,41 @@ struct FaultPlan {
   // Probability per fetch of a hard fault (timeout / connect-fail / reset /
   // 5xx, drawn uniformly among the four).
   double error_rate = 0.0;
-  // Probability per fetch of `slow_latency` added service time.
+  // Probability per fetch of 400 ms added service time.
   double slow_rate = 0.0;
   // Probability per fetch of a corrupted-but-delivered body (truncated
   // Content-Length, oversized padding, or a content-type lie, drawn
   // uniformly; oversize is skipped when oversize_bytes == 0).
   double corrupt_rate = 0.0;
-  TimeMs slow_latency = 400;
   size_t oversize_bytes = 0;
   uint64_t seed = 1337;
-  // Hard outage window [start, end) in simulated ms: every fetch inside it
-  // fails to connect. -1 disables. This is what drives breaker tests.
-  TimeMs outage_start = -1;
-  TimeMs outage_end = -1;
 
-  bool enabled() const {
-    return error_rate > 0.0 || slow_rate > 0.0 || corrupt_rate > 0.0 || outage_start >= 0;
-  }
+  bool enabled() const { return error_rate > 0.0 || slow_rate > 0.0 || corrupt_rate > 0.0; }
 };
 
-// Seeded node-crash schedule: each node crashes with exponential
-// inter-arrival gaps (a Poisson process per node, the standard PlanetLab
-// restart model) and comes back restart_delay later. Same plan -> same
-// schedule, so chaos runs with and without persistence see identical
-// crashes.
+// Seeded crash schedule for one proxy: it crashes with exponential
+// inter-arrival gaps (a Poisson process, the standard PlanetLab restart
+// model) and comes back restart_delay later. Same plan -> same schedule,
+// so chaos runs with and without persistence see identical crashes.
 struct CrashPlan {
-  // Expected crashes per node per simulated hour. 0 disables.
+  // Expected crashes per simulated hour. 0 disables.
   double crash_rate_per_hour = 0.0;
-  // How long a crashed node stays unroutable before it restarts.
+  // The proxy restarts (and recovers) this long after each crash.
   TimeMs restart_delay = 30 * kSecond;
   uint64_t seed = 4242;
 
   bool enabled() const { return crash_rate_per_hour > 0.0; }
 };
 
-struct CrashEvent {
-  TimeMs at = 0;
-  size_t node = 0;
-};
-
-// The crash times for `nodes` nodes over [0, horizon), sorted by time.
-// Pure function of (plan, nodes, horizon).
-std::vector<CrashEvent> GenerateCrashSchedule(const CrashPlan& plan, size_t nodes,
-                                              TimeMs horizon);
+// The crash times over [0, horizon), ascending. Pure function of (plan,
+// horizon).
+std::vector<TimeMs> GenerateCrashSchedule(const CrashPlan& plan, TimeMs horizon);
 
 class FaultInjector {
  public:
   struct Counts {
     uint64_t total = 0;
-    uint64_t errors = 0;     // Hard faults injected (incl. outage window).
+    uint64_t errors = 0;     // Hard faults injected.
     uint64_t slowed = 0;
     uint64_t corrupted = 0;
   };
@@ -78,7 +64,6 @@ class FaultInjector {
   OriginResult operator()(const Request& request);
 
   const Counts& counts() const { return counts_; }
-  const FaultPlan& plan() const { return plan_; }
 
  private:
   OriginResult InjectHardFault(const Request& request);

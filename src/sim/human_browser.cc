@@ -9,6 +9,17 @@
 #include "src/util/strings.h"
 
 namespace robodet {
+namespace {
+
+// Probability of jumping to a random popular page instead of clicking a
+// link (bookmark/URL-bar navigation).
+constexpr double kJumpProb = 0.15;
+
+// Probability the favicon is NOT already cached (browsers cache favicons
+// essentially forever, so most sessions never request one).
+constexpr double kFaviconColdCacheProb = 0.35;
+
+}  // namespace
 
 const std::vector<BrowserProfile>& StandardBrowserProfiles() {
   static const std::vector<BrowserProfile> kProfiles = {
@@ -47,7 +58,7 @@ HumanBrowserClient::HumanBrowserClient(ClientIdentity identity, Rng rng, const S
       site_(site),
       profile_(std::move(profile)),
       config_(config) {
-  wants_favicon_ = this->rng().Bernoulli(config_.favicon_cold_cache_prob);
+  wants_favicon_ = this->rng().Bernoulli(kFaviconColdCacheProb);
   wants_captcha_ = this->rng().Bernoulli(config_.captcha_attempt_prob);
 }
 
@@ -196,7 +207,7 @@ std::optional<TimeMs> HumanBrowserClient::Step(TimeMs now, Gateway& gateway) {
       if (current_doc_ != nullptr) {
         visible = current_doc_->VisibleLinks();
       }
-      if (!visible.empty() && !rng().Bernoulli(config_.jump_prob)) {
+      if (!visible.empty() && !rng().Bernoulli(kJumpProb)) {
         const LinkRef& link = visible[rng().UniformU64(visible.size())];
         next = current_page_.Resolve(link.href);
         // The paper's alternative hook: an onclick handler on the link

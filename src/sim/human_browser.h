@@ -51,12 +51,6 @@ struct HumanConfig {
   // Probability of opting into the CAPTCHA (for the bandwidth incentive)
   // once per session, when the proxy offers one.
   double captcha_attempt_prob = 0.0;
-  // Probability of jumping to a random popular page instead of clicking a
-  // link (bookmark/URL-bar navigation).
-  double jump_prob = 0.15;
-  // Probability the favicon is NOT already cached (browsers cache favicons
-  // essentially forever, so most sessions never request one).
-  double favicon_cold_cache_prob = 0.35;
 };
 
 class HumanBrowserClient : public Client {

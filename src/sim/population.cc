@@ -1,6 +1,22 @@
 #include "src/sim/population.h"
 
 namespace robodet {
+namespace {
+
+// Human sub-parameters of the calibrated mix.
+constexpr double kHumanJsDisabledFraction = 0.042;  // Paper: 3.4-6%.
+// Fraction of humans on text-mode browsers (no CSS/images/JS at all).
+constexpr double kHumanTextBrowserFraction = 0.05;
+// Per page-view; low enough that some humans need several pages before
+// their first event, which is what gives Figure 2's mouse CDF its tail.
+constexpr double kHumanMouseProb = 0.55;
+constexpr int kHumanMinPages = 4;
+
+// Fraction of JS-executing smart bots whose header disagrees with their
+// engine (drives Table 1's 0.7% browser-type mismatch row).
+constexpr double kSmartUaMisalignedFraction = 0.15;
+
+}  // namespace
 
 std::string_view ClientTypeName(ClientType type) {
   switch (type) {
@@ -40,11 +56,24 @@ std::string_view ClientTypeName(ClientType type) {
 
 bool IsHumanType(ClientType type) { return type == ClientType::kHuman; }
 
-std::vector<double> PopulationMix::Weights() const {
-  return {human,        crawler,      polite_crawler,    email_harvester,
-          referrer_spammer, click_fraud, bulletin_spam,  link_checker,
-          vuln_scanner,     offline_browser,  smart_scrape_one, smart_scrape_all,
-          smart_js_no_events, smart_full_mimic};
+const std::vector<double>& ClientTypeWeights() {
+  static const std::vector<double> kWeights = {
+      23.4,  // kHuman
+      0.2,   // kCrawler
+      0.2,   // kPoliteCrawler
+      0.15,  // kEmailHarvester
+      37.2,  // kReferrerSpammer
+      24.5,  // kClickFraud
+      1.5,   // kBulletinSpam
+      0.5,   // kLinkChecker
+      8.0,   // kVulnScanner
+      0.3,   // kOfflineBrowser
+      0.4,   // kSmartBotScrapeOne
+      0.2,   // kSmartBotScrapeAll
+      4.4,   // kSmartBotJsNoEvents
+      0.0,   // kSmartBotFullMimic: none existed in 2006 (§4.1).
+  };
+  return kWeights;
 }
 
 PopulationFactory::PopulationFactory(const SiteModel* site, PopulationMix mix, uint64_t seed)
@@ -58,7 +87,7 @@ IpAddress PopulationFactory::IpForIndex(uint32_t index) {
 }
 
 ClientType PopulationFactory::SampleType() {
-  const size_t idx = rng_.WeightedIndex(mix_.Weights());
+  const size_t idx = rng_.WeightedIndex(ClientTypeWeights());
   return idx < static_cast<size_t>(ClientType::kNumTypes) ? static_cast<ClientType>(idx)
                                                           : ClientType::kHuman;
 }
@@ -81,18 +110,18 @@ std::string PopulationFactory::RobotUserAgent() {
 
 std::unique_ptr<Client> PopulationFactory::MakeHuman(ClientIdentity id) {
   BrowserProfile profile;
-  if (rng_.Bernoulli(mix_.human_text_browser_fraction)) {
+  if (rng_.Bernoulli(kHumanTextBrowserFraction)) {
     profile = TextBrowserProfile();
   } else {
     const auto& profiles = StandardBrowserProfiles();
     profile = profiles[rng_.UniformU64(profiles.size())];
-    profile.js_enabled = !rng_.Bernoulli(mix_.human_js_disabled_fraction);
+    profile.js_enabled = !rng_.Bernoulli(kHumanJsDisabledFraction);
   }
   id.user_agent = profile.user_agent;  // Humans do not forge.
   HumanConfig config;
-  config.min_pages = mix_.human_min_pages;
+  config.min_pages = kHumanMinPages;
   config.max_pages = mix_.human_max_pages;
-  config.mouse_move_prob = mix_.human_mouse_prob;
+  config.mouse_move_prob = kHumanMouseProb;
   config.captcha_attempt_prob = mix_.human_captcha_attempt_prob;
   return std::make_unique<HumanBrowserClient>(std::move(id), rng_.Fork(), site_,
                                               std::move(profile), config);
@@ -109,7 +138,7 @@ std::unique_ptr<Client> PopulationFactory::MakeSmartBot(ClientIdentity id, Smart
   // content-mix heuristics; the behavioural probes still catch them.
   config.fetch_images = execute_inline;
   config.engine_agent = "Mozilla/4.0 (compatible; MSIE 6.0; Windows NT 5.1)";
-  if (rng_.Bernoulli(mix_.smart_ua_misaligned_fraction)) {
+  if (rng_.Bernoulli(kSmartUaMisalignedFraction)) {
     // A sloppy bot author: the engine self-reports its real name while the
     // header claims MSIE — the UA-echo comparison will catch it.
     config.engine_agent = "CustomBotEngine/0.9";

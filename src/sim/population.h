@@ -39,45 +39,21 @@ enum class ClientType {
 std::string_view ClientTypeName(ClientType type);
 bool IsHumanType(ClientType type);
 
+// Relative weight of each client type, indexed by ClientType and
+// normalized when sampled. Calibrated so a Table-1 run over sessions with
+// >10 requests lands near CoDeeN's observed fractions (CSS 28.9%, JS
+// 27.1%, mouse 22.3%, hidden 1.0%, UA mismatch 0.7%, S_H 24.2%). See
+// bench/table1_sessions.cc.
+const std::vector<double>& ClientTypeWeights();
+
 struct PopulationMix {
-  // Relative weights; normalized internally. Defaults are calibrated so a
-  // Table-1 run over sessions with >10 requests lands near CoDeeN's
-  // observed fractions (CSS 28.9%, JS 27.1%, mouse 22.3%, hidden 1.0%,
-  // UA mismatch 0.7%, S_H 24.2%). See bench/table1_sessions.cc.
-  double human = 23.4;
-  double crawler = 0.2;
-  double polite_crawler = 0.2;
-  double email_harvester = 0.15;
-  double referrer_spammer = 37.2;
-  double click_fraud = 24.5;
-  double bulletin_spam = 1.5;
-  double link_checker = 0.5;
-  double vuln_scanner = 8.0;
-  double offline_browser = 0.3;
-  double smart_scrape_one = 0.4;
-  double smart_scrape_all = 0.2;
-  double smart_js_no_events = 4.4;
-  double smart_full_mimic = 0.0;  // None existed in 2006 (§4.1).
-
-  // Human sub-parameters.
-  double human_js_disabled_fraction = 0.042;  // Paper: 3.4-6%.
-  // Fraction of humans on text-mode browsers (no CSS/images/JS at all).
-  double human_text_browser_fraction = 0.05;
-  // Per page-view; low enough that some humans need several pages before
-  // their first event, which is what gives Figure 2's mouse CDF its tail.
-  double human_mouse_prob = 0.55;
+  // Human sub-parameters; the rest of the calibrated mix is fixed in
+  // population.cc.
   double human_captcha_attempt_prob = 0.0;  // Enabled for Table-1 runs.
-  int human_min_pages = 4;
   int human_max_pages = 26;
-
-  // Fraction of JS-executing smart bots whose header disagrees with their
-  // engine (drives Table 1's 0.7% browser-type mismatch row).
-  double smart_ua_misaligned_fraction = 0.15;
 
   // Robot pacing/volume.
   RobotConfig robot;
-
-  std::vector<double> Weights() const;
 };
 
 class PopulationFactory {

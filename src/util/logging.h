@@ -77,20 +77,9 @@ class LogLine {
     return *this;
   }
 
-  // Structured attachments, e.g.:
-  //   ROBODET_LOG(kInfo).With("session", id).With("verdict", "robot")
-  //       << "classified";
-  LogLine& With(std::string key, std::string value) {
-    record_.fields.push_back({std::move(key), std::move(value), /*quoted=*/true});
-    return *this;
-  }
-  LogLine& With(std::string key, const char* value) {
-    return With(std::move(key), std::string(value));
-  }
-  LogLine& With(std::string key, bool value) {
-    record_.fields.push_back({std::move(key), value ? "true" : "false", /*quoted=*/false});
-    return *this;
-  }
+  // Structured numeric attachments, e.g.:
+  //   ROBODET_LOG(kInfo).With("sessions", n).With("accuracy", acc)
+  //       << "analyzed";
   template <typename T, std::enable_if_t<std::is_arithmetic_v<T> && !std::is_same_v<T, bool>,
                                          int> = 0>
   LogLine& With(std::string key, T value) {

@@ -83,14 +83,14 @@ TEST(BrowserTestDetectorTest, CssProbeMeansBrowserLike) {
 }
 
 TEST(BrowserTestDetectorTest, ProbeDeafMeansRobot) {
-  BrowserTestDetector detector(BrowserTestDetector::Options{5});
+  BrowserTestDetector detector;
   SessionObservation s = MakeSession();
   NotePages(s, 6);
   EXPECT_EQ(detector.Classify(s).verdict, Verdict::kRobot);
 }
 
 TEST(BrowserTestDetectorTest, FewPagesStillUnknown) {
-  BrowserTestDetector detector(BrowserTestDetector::Options{5});
+  BrowserTestDetector detector;
   SessionObservation s = MakeSession();
   NotePages(s, 1);
   EXPECT_EQ(detector.Classify(s).verdict, Verdict::kUnknown);
@@ -156,7 +156,7 @@ TEST(CombinedClassifierTest, OnlineCssOnlyIsHuman) {
 }
 
 TEST(StagedPipelineTest, BrowserTestDecidesFirst) {
-  StagedPipeline pipeline(StagedPipeline::Options{});
+  StagedPipeline pipeline;
   SessionObservation s = MakeSession();
   s.signals.hidden_link_at = 2;
   const auto decision = pipeline.Decide(s);
@@ -165,7 +165,7 @@ TEST(StagedPipelineTest, BrowserTestDecidesFirst) {
 }
 
 TEST(StagedPipelineTest, MouseEvidenceBeatsStageOrder) {
-  StagedPipeline pipeline(StagedPipeline::Options{});
+  StagedPipeline pipeline;
   SessionObservation s = MakeSession();
   NotePages(s, 10);  // Probe-deaf, stage 1 would say robot...
   s.signals.mouse_event_at = 5;  // ...but there is mouse proof.
@@ -176,14 +176,13 @@ TEST(StagedPipelineTest, MouseEvidenceBeatsStageOrder) {
 
 TEST(StagedPipelineTest, FallbackConsultedForBoundaryCases) {
   int fallback_calls = 0;
-  StagedPipeline::Options options;
-  options.escalate_after = 25;
-  options.browser_test.probe_ignore_patience = 1000000;  // Never fires.
-  StagedPipeline pipeline(options, [&fallback_calls](const SessionObservation&) {
+  StagedPipeline pipeline([&fallback_calls](const SessionObservation&) {
     ++fallback_calls;
     return Verdict::kRobot;
   });
-  SessionObservation s = MakeSession(30);  // No signals at all.
+  // No signals at all and no probe-carrying pages, at the 40-request
+  // escalation point.
+  SessionObservation s = MakeSession(40);
   const auto decision = pipeline.Decide(s);
   EXPECT_EQ(fallback_calls, 1);
   EXPECT_EQ(decision.stage, 3);
@@ -192,14 +191,11 @@ TEST(StagedPipelineTest, FallbackConsultedForBoundaryCases) {
 
 TEST(StagedPipelineTest, FallbackNotConsultedTooEarly) {
   int fallback_calls = 0;
-  StagedPipeline::Options options;
-  options.escalate_after = 100;
-  options.browser_test.probe_ignore_patience = 1000000;
-  StagedPipeline pipeline(options, [&fallback_calls](const SessionObservation&) {
+  StagedPipeline pipeline([&fallback_calls](const SessionObservation&) {
     ++fallback_calls;
     return Verdict::kRobot;
   });
-  SessionObservation s = MakeSession(30);
+  SessionObservation s = MakeSession(39);  // One request short of escalation.
   const auto decision = pipeline.Decide(s);
   EXPECT_EQ(fallback_calls, 0);
   EXPECT_EQ(decision.stage, 0);

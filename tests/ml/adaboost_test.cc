@@ -42,7 +42,7 @@ TEST(AdaBoostTest, LearnsSeparableData) {
 TEST(AdaBoostTest, HandlesNoisyData) {
   const Dataset train = MakeCorpus(2000, 0.25, 2);
   const Dataset test = MakeCorpus(2000, 0.25, 3);
-  AdaBoost model(AdaBoost::Config{200, 1e-10});
+  AdaBoost model(AdaBoost::Config{200});
   model.Train(train);
   const ConfusionMatrix cm =
       Evaluate(test, [&model](const FeatureVector& x) { return model.Predict(x); });
@@ -71,9 +71,9 @@ class AdaBoostRoundsTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(AdaBoostRoundsTest, MoreRoundsNeverWorseOnTrain) {
   const Dataset train = MakeCorpus(1000, 0.3, 5);
-  AdaBoost small(AdaBoost::Config{GetParam(), 1e-10});
+  AdaBoost small(AdaBoost::Config{GetParam()});
   small.Train(train);
-  AdaBoost large(AdaBoost::Config{GetParam() * 4, 1e-10});
+  AdaBoost large(AdaBoost::Config{GetParam() * 4});
   large.Train(train);
   const auto acc = [&train](const AdaBoost& m) {
     return Evaluate(train, [&m](const FeatureVector& x) { return m.Predict(x); }).Accuracy();

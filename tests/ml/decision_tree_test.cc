@@ -38,7 +38,7 @@ TEST(DecisionTreeTest, LearnsSeparableData) {
 TEST(DecisionTreeTest, GeneralizesOnNoisyData) {
   const Dataset train = MakeCorpus(2000, 0.25, 2);
   const Dataset test = MakeCorpus(2000, 0.25, 3);
-  DecisionTree tree(DecisionTree::Config{6, 16, 0.98});
+  DecisionTree tree;
   tree.Train(train);
   const ConfusionMatrix cm =
       Evaluate(test, [&tree](const FeatureVector& x) { return tree.Predict(x); });
@@ -46,10 +46,11 @@ TEST(DecisionTreeTest, GeneralizesOnNoisyData) {
 }
 
 TEST(DecisionTreeTest, DepthLimitRespected) {
-  const Dataset data = MakeCorpus(1000, 0.4, 4);
-  DecisionTree tree(DecisionTree::Config{3, 2, 1.0});
+  // Noisy enough that splitting would go on past the depth limit of 8.
+  const Dataset data = MakeCorpus(4000, 0.4, 4);
+  DecisionTree tree;
   tree.Train(data);
-  EXPECT_LE(tree.depth(), 3);
+  EXPECT_EQ(tree.depth(), 8);
 }
 
 TEST(DecisionTreeTest, EmptyAndSingleClass) {

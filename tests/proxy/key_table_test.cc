@@ -2,24 +2,26 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace robodet {
 namespace {
 
 TEST(KeyTableTest, RecordAndMatch) {
-  KeyTable table({64, 1000, kHour});
+  KeyTable table(KeyTable::Config{});
   table.Record(IpAddress(1), "/p/1.html", "key-a", 0);
   EXPECT_TRUE(table.MatchAndConsume(IpAddress(1), "key-a", 1000));
 }
 
 TEST(KeyTableTest, MatchConsumesEntryPreventingReplay) {
-  KeyTable table({64, 1000, kHour});
+  KeyTable table(KeyTable::Config{});
   table.Record(IpAddress(1), "/p/1.html", "key-a", 0);
   EXPECT_TRUE(table.MatchAndConsume(IpAddress(1), "key-a", 1));
   EXPECT_FALSE(table.MatchAndConsume(IpAddress(1), "key-a", 2));
 }
 
 TEST(KeyTableTest, WrongKeyAndWrongIpFail) {
-  KeyTable table({64, 1000, kHour});
+  KeyTable table(KeyTable::Config{});
   table.Record(IpAddress(1), "/p/1.html", "key-a", 0);
   EXPECT_FALSE(table.MatchAndConsume(IpAddress(1), "key-b", 1));
   EXPECT_FALSE(table.MatchAndConsume(IpAddress(2), "key-a", 1));
@@ -28,7 +30,7 @@ TEST(KeyTableTest, WrongKeyAndWrongIpFail) {
 }
 
 TEST(KeyTableTest, MultipleEntriesPerIp) {
-  KeyTable table({64, 1000, kHour});
+  KeyTable table(KeyTable::Config{});
   table.Record(IpAddress(1), "/p/1.html", "k1", 0);
   table.Record(IpAddress(1), "/p/2.html", "k2", 0);
   table.Record(IpAddress(1), "/p/3.html", "k3", 0);
@@ -38,42 +40,45 @@ TEST(KeyTableTest, MultipleEntriesPerIp) {
 }
 
 TEST(KeyTableTest, ExpiredKeyDoesNotMatch) {
-  KeyTable table({64, 1000, kHour});
+  KeyTable table(KeyTable::Config{});
   table.Record(IpAddress(1), "/p/1.html", "old", 0);
   EXPECT_FALSE(table.MatchAndConsume(IpAddress(1), "old", kHour + 1));
 }
 
 TEST(KeyTableTest, PerIpBoundDropsOldest) {
-  KeyTable table({4, 1000, kHour});
-  for (int i = 0; i < 8; ++i) {
+  KeyTable table(KeyTable::Config{});
+  // Twice the per-IP bound of 64: the first 64 fall off.
+  for (int i = 0; i < 128; ++i) {
     table.Record(IpAddress(1), "/p", "k" + std::to_string(i), i);
   }
-  EXPECT_EQ(table.total_entries(), 4u);
-  EXPECT_FALSE(table.MatchAndConsume(IpAddress(1), "k0", 10));
-  EXPECT_TRUE(table.MatchAndConsume(IpAddress(1), "k7", 10));
+  EXPECT_EQ(table.total_entries(), 64u);
+  EXPECT_FALSE(table.MatchAndConsume(IpAddress(1), "k63", 200));
+  EXPECT_TRUE(table.MatchAndConsume(IpAddress(1), "k64", 200));
+  EXPECT_TRUE(table.MatchAndConsume(IpAddress(1), "k127", 200));
 }
 
-TEST(KeyTableTest, GlobalBoundRefusesGrowthWhenNothingExpired) {
-  KeyTable table({64, 3, kHour});
-  table.Record(IpAddress(1), "/p", "a", 0);
-  table.Record(IpAddress(2), "/p", "b", 0);
-  table.Record(IpAddress(3), "/p", "c", 0);
-  table.Record(IpAddress(4), "/p", "d", 0);  // Refused: full, nothing expired.
-  EXPECT_EQ(table.total_entries(), 3u);
-  EXPECT_FALSE(table.MatchAndConsume(IpAddress(4), "d", 1));
-}
-
-TEST(KeyTableTest, GlobalBoundRecoversAfterExpiry) {
-  KeyTable table({64, 2, kHour});
-  table.Record(IpAddress(1), "/p", "a", 0);
-  table.Record(IpAddress(2), "/p", "b", 0);
-  // An hour later the old entries are expirable, so new ones fit.
-  table.Record(IpAddress(3), "/p", "c", 2 * kHour);
-  EXPECT_TRUE(table.MatchAndConsume(IpAddress(3), "c", 2 * kHour + 1));
+TEST(KeyTableTest, GlobalBoundRefusesGrowthUntilEntriesExpire) {
+  constexpr size_t kMaxTotal = size_t{1} << 20;
+  constexpr uint32_t kPerIp = 64;
+  KeyTable table(KeyTable::Config{});
+  for (uint32_t ip = 1; table.total_entries() < kMaxTotal; ++ip) {
+    for (uint32_t k = 0; k < kPerIp; ++k) {
+      table.Record(IpAddress(ip), "/p", std::to_string(k), 0);
+    }
+  }
+  ASSERT_EQ(table.total_entries(), kMaxTotal);
+  // Full and nothing expired: refused.
+  table.Record(IpAddress(0), "/p", "late", 1);
+  EXPECT_EQ(table.total_entries(), kMaxTotal);
+  EXPECT_FALSE(table.MatchAndConsume(IpAddress(0), "late", 2));
+  // Two hours later every entry is expirable, so a new one fits.
+  table.Record(IpAddress(0), "/p", "fresh", 2 * kHour);
+  EXPECT_EQ(table.total_entries(), 1u);
+  EXPECT_TRUE(table.MatchAndConsume(IpAddress(0), "fresh", 2 * kHour + 1));
 }
 
 TEST(KeyTableTest, ExpireOldPurges) {
-  KeyTable table({64, 1000, kHour});
+  KeyTable table(KeyTable::Config{});
   table.Record(IpAddress(1), "/p", "a", 0);
   table.Record(IpAddress(2), "/p", "b", 30 * kMinute);
   table.ExpireOld(90 * kMinute);
@@ -82,7 +87,7 @@ TEST(KeyTableTest, ExpireOldPurges) {
 
 TEST(KeyTableTest, StatsCount) {
   MetricsRegistry registry;
-  KeyTable table({64, 1000, kHour});
+  KeyTable table(KeyTable::Config{});
   table.BindMetrics(registry);
   table.Record(IpAddress(1), "/p", "a", 0);
   table.MatchAndConsume(IpAddress(1), "a", 1);

@@ -203,7 +203,13 @@ TEST_F(PersistenceTest, RecoverAtEveryJournalBoundary) {
     s->RecordRequest(kHour - 100, MakeEvent(ResourceKind::kHtml, 2));
     live.store.OnSessionUpdated(*s);
   });
-  steps.push_back([&] { EXPECT_EQ(live.sessions.CloseIdle(kHour + 10000), 1u); });
+  steps.push_back([&] {
+    size_t closed = 0;
+    for (size_t i = 0; i < live.sessions.num_shards(); ++i) {
+      closed += live.sessions.CloseIdleIncremental(kHour + 10000);
+    }
+    EXPECT_EQ(closed, 1u);
+  });
 
   for (const auto& step : steps) {
     step();

@@ -119,15 +119,5 @@ TEST(PolicyTest, BlockLatches) {
   EXPECT_EQ(BlockedSessions(snapshot), 1u);
 }
 
-TEST(PolicyTest, EnforcementToggle) {
-  PolicyConfig config = StrictConfig();
-  config.enforce = false;
-  PolicyEngine policy(config);
-  SessionState session = MakeSession();
-  AddRequests(session, 1000, 0, 0, kSecond);
-  EXPECT_EQ(policy.Evaluate(session, Verdict::kRobot, session.last_request_time()),
-            PolicyAction::kAllow);
-}
-
 }  // namespace
 }  // namespace robodet

@@ -107,11 +107,11 @@ TEST(LinkHookTest, ClickFiresBeaconWithoutMouseMovement) {
   BrowserProfile profile = StandardBrowserProfiles()[1];
   HumanConfig human_config = FastHuman();
   human_config.mouse_move_prob = 0.0;  // The body handler never fires...
-  human_config.jump_prob = 0.0;        // ...and every navigation is a click.
   HumanBrowserClient human(HumanIdentity(profile, 10), Rng(33), &rig.site, profile,
                            human_config);
   rig.RunToCompletion(human);
-  // ...yet the onclick hook still produced a correct-key beacon.
+  // ...yet the onclick hook, on the navigations that are clicks, still
+  // produced a correct-key beacon.
   EXPECT_GT(rig.SessionFor(human)->signals().mouse_event_at, 0);
   EXPECT_EQ(rig.proxy->metrics().Scrape().CounterValue("robodet_beacon_hits_total",
                                                        {{"result", "wrong_key"}}),
@@ -123,7 +123,6 @@ TEST(LinkHookTest, WithoutHookNoBeaconFromClicks) {
   BrowserProfile profile = StandardBrowserProfiles()[1];
   HumanConfig human_config = FastHuman();
   human_config.mouse_move_prob = 0.0;
-  human_config.jump_prob = 0.0;
   HumanBrowserClient human(HumanIdentity(profile, 11), Rng(35), &rig.site, profile,
                            human_config);
   rig.RunToCompletion(human);

@@ -60,7 +60,10 @@ TEST(SessionTableTest, CloseIdleClosesOnlyStale) {
   table.set_on_closed([&closed](std::unique_ptr<SessionState>) { ++closed; });
   table.Touch(Key(1), 0);
   table.Touch(Key(2), 30 * kMinute);
-  table.CloseIdle(90 * kMinute);  // Key 1 idle 90m > 1h; key 2 idle 60m = 1h.
+  // Key 1 idle 90m > 1h; key 2 idle 60m = 1h.
+  for (size_t i = 0; i < table.num_shards(); ++i) {
+    table.CloseIdleIncremental(90 * kMinute);
+  }
   EXPECT_EQ(closed, 1);
   EXPECT_EQ(table.active_count(), 1u);
 }

@@ -15,7 +15,7 @@
 // PersistenceStagesTest checks that the journal-append and checkpoint
 // histograms time exactly what the journal-record and checkpoint counters
 // count. KeyReplayTest checks that replay consumes a repeated key the way
-// the key table does.
+// the key table does, and that recovery counts the entries the table keeps.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -244,6 +244,49 @@ TEST(KeyReplayTest, RepeatedKeyRecoversToTheTablesEntries) {
   const RecoveryReport rep = store.Recover(60);
   EXPECT_EQ(rep.journal_records_applied, 3u);
   EXPECT_EQ(entries(keys), live);
+  std::filesystem::remove_all(dir);
+}
+
+// The journal records issues, not the table's evictions, so one IP that
+// was issued more keys than the table's per-IP bound of 64 replays them
+// all; the table keeps the newest 64, and recovery reports those.
+TEST(KeyReplayTest, RecoveryCountsTheEntriesTheTableKeeps) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("robodet_key_count_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  const IpAddress ip(0x0a000002);
+  const PersistenceConfig config{.state_dir = dir.string(), .snapshot_interval_records = 0};
+  {
+    KeyTable keys(KeyTable::Config{});
+    SessionTable sessions(SessionTable::Config{});
+    StateStore store(config, &keys, &sessions);
+    keys.set_observer(&store);
+    store.Recover(0);
+    for (int i = 0; i < 100; ++i) {
+      keys.Record(ip, "/p/" + std::to_string(i) + ".html", "k" + std::to_string(i), 10 + i);
+    }
+    ASSERT_EQ(keys.total_entries(), 64u);
+    store.OnCrash();
+  }
+  MetricsRegistry registry;
+  KeyTable keys(KeyTable::Config{});
+  keys.BindMetrics(registry);
+  SessionTable sessions(SessionTable::Config{});
+  StateStore store(config, &keys, &sessions);
+  store.BindMetrics(registry);
+  const RecoveryReport rep = store.Recover(200);
+  EXPECT_EQ(rep.journal_records_applied, 100u);
+  EXPECT_EQ(rep.key_entries_restored, 64u);
+  EXPECT_EQ(keys.total_entries(), 64u);
+  const RegistrySnapshot snapshot = registry.Scrape();
+  const MetricSnapshot* gauge = snapshot.Find("robodet_key_table_entries");
+  ASSERT_NE(gauge, nullptr);
+  EXPECT_EQ(snapshot.CounterValue("robodet_recovery_key_entries_restored_total"),
+            static_cast<uint64_t>(gauge->gauge));
+  // The oldest issues fell off; the newest survived.
+  EXPECT_FALSE(keys.MatchAndConsume(ip, "k35", 300));
+  EXPECT_TRUE(keys.MatchAndConsume(ip, "k36", 300));
   std::filesystem::remove_all(dir);
 }
 

@@ -6,6 +6,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "src/robodet.h"
 
@@ -92,61 +93,82 @@ TEST(ChaosTest, DetectionDegradesGracefullyUnderFaults) {
   EXPECT_GT(snapshot.CounterValue("robodet_beacon_hits_total", {{"result", "ok"}}), 0u);
 }
 
-TEST(DegradationLadderTest, BreakerForcedOpenFailOpenServesPassThrough) {
+// The origin fails `failure_threshold` fetches in a row, which opens the
+// breaker; the next page is served by the ladder's breaker-open rung.
+TEST(DegradationLadderTest, BreakerOpenFailOpenServesPassThrough) {
   SimClock clock;
-  auto make_proxy = [&clock](bool fail_open) {
+  const int failures = CircuitBreaker::Config{}.failure_threshold;
+  auto make_proxy = [&clock, failures](bool fail_open) {
     ProxyConfig config;
     config.host = "www.example.com";
     config.resilience.fail_open = fail_open;
     auto proxy = std::make_unique<ProxyServer>(
-        config, &clock, FallibleOriginHandler([](const Request&) {
-          return OriginResult::Ok(MakeHtmlResponse("<html><body>page</body></html>"), 5);
+        config, &clock, FallibleOriginHandler([](const Request& r) {
+          // Pages requested before t=1000 hit a dead origin.
+          return r.time < 1000
+                     ? OriginResult::Fail(OriginErrorKind::kConnectFail, 1)
+                     : OriginResult::Ok(MakeHtmlResponse("<html><body>page</body></html>"), 5);
         }),
         911);
-    // Operator throws the big red switch.
-    proxy->resilience().breaker().ForceOpen(0);
+    for (int i = 0; i < failures; ++i) {
+      proxy->Handle(PageRequest("www.example.com", "/p/1.html", IpAddress(1), 10 * i));
+    }
+    const RegistrySnapshot staged = proxy->metrics().Scrape();
+    const MetricSnapshot* state = staged.Find("robodet_breaker_state");
+    EXPECT_TRUE(state != nullptr &&
+                state->gauge == static_cast<int64_t>(CircuitBreaker::State::kOpen));
     return proxy;
+  };
+  // Counter growth across the one request under test.
+  auto delta = [](const RegistrySnapshot& before, const RegistrySnapshot& after,
+                  std::string_view name, const Labels& labels = {}) {
+    return after.CounterValue(name, labels) - before.CounterValue(name, labels);
   };
 
   const auto open_proxy = make_proxy(/*fail_open=*/true);
+  const RegistrySnapshot open_before = open_proxy->metrics().Scrape();
   const auto open_result =
-      open_proxy->Handle(PageRequest("www.example.com", "/p/1.html", IpAddress(1), 100));
+      open_proxy->Handle(PageRequest("www.example.com", "/p/1.html", IpAddress(1), 1000));
   EXPECT_EQ(open_result.response.status, StatusCode::kOk);
   EXPECT_EQ(open_result.degraded, DegradationLevel::kPassThrough);
   EXPECT_EQ(open_result.response.body.find("/__rd/"), std::string::npos);
 
   // Same outage, fail-closed policy: a distinct status, origin untouched.
   const auto closed_proxy = make_proxy(/*fail_open=*/false);
+  const RegistrySnapshot closed_before = closed_proxy->metrics().Scrape();
   const auto closed_result =
-      closed_proxy->Handle(PageRequest("www.example.com", "/p/2.html", IpAddress(1), 200));
+      closed_proxy->Handle(PageRequest("www.example.com", "/p/2.html", IpAddress(1), 1000));
   EXPECT_EQ(closed_result.response.status, StatusCode::kServiceUnavailable);
   EXPECT_EQ(closed_result.degraded, DegradationLevel::kFailClosed);
 
-  const RegistrySnapshot open_snapshot = open_proxy->metrics().Scrape();
-  EXPECT_EQ(open_snapshot.CounterValue("robodet_degraded_total", {{"level", "pass_through"}}),
+  const RegistrySnapshot open_after = open_proxy->metrics().Scrape();
+  EXPECT_EQ(delta(open_before, open_after, "robodet_degraded_total", {{"level", "pass_through"}}),
             1u);
-  EXPECT_EQ(open_snapshot.CounterValue("robodet_degraded_total", {{"level", "fail_closed"}}),
+  EXPECT_EQ(delta(open_before, open_after, "robodet_degraded_total", {{"level", "fail_closed"}}),
             0u);
-  EXPECT_EQ(open_snapshot.CounterValue("robodet_degraded_total", {{"level", "full"}}), 0u);
-  EXPECT_EQ(open_snapshot.CounterValue("robodet_breaker_rejected_total"), 0u);
-  const RegistrySnapshot closed_snapshot = closed_proxy->metrics().Scrape();
-  EXPECT_EQ(closed_snapshot.CounterValue("robodet_degraded_total", {{"level", "fail_closed"}}),
-            1u);
-  EXPECT_EQ(closed_snapshot.CounterValue("robodet_degraded_total", {{"level", "pass_through"}}),
+  EXPECT_EQ(delta(open_before, open_after, "robodet_degraded_total", {{"level", "full"}}), 0u);
+  EXPECT_EQ(delta(open_before, open_after, "robodet_breaker_rejected_total"), 0u);
+  const RegistrySnapshot closed_after = closed_proxy->metrics().Scrape();
+  EXPECT_EQ(
+      delta(closed_before, closed_after, "robodet_degraded_total", {{"level", "fail_closed"}}),
+      1u);
+  EXPECT_EQ(
+      delta(closed_before, closed_after, "robodet_degraded_total", {{"level", "pass_through"}}),
+      0u);
+  EXPECT_EQ(delta(closed_before, closed_after, "robodet_breaker_rejected_total"), 1u);
+  EXPECT_EQ(delta(closed_before, closed_after, "robodet_degraded_total", {{"level", "full"}}),
             0u);
-  EXPECT_EQ(closed_snapshot.CounterValue("robodet_breaker_rejected_total"), 1u);
-  EXPECT_EQ(closed_snapshot.CounterValue("robodet_degraded_total", {{"level", "full"}}), 0u);
 }
 
 TEST(DegradationLadderTest, SlowOriginStepsDownToBeaconOnly) {
   ProxyConfig config;
   config.host = "www.example.com";
-  config.resilience.slow_origin = 100;
   SimClock clock;
+  // 400 ms: past the proxy's 250 ms slow-origin threshold.
   ProxyServer proxy(config, &clock,
                     FallibleOriginHandler([](const Request&) {
                       return OriginResult::Ok(
-                          MakeHtmlResponse("<html><body>slow page</body></html>"), 250);
+                          MakeHtmlResponse("<html><body>slow page</body></html>"), 400);
                     }),
                     911);
   const auto result =

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <set>
 #include <string_view>
 
@@ -31,28 +30,6 @@ class ClusterTest : public ::testing::Test {
         [this](const Request& r) { return origin_->Handle(r); }, 71);
   }
 
-  std::unique_ptr<ProxyCluster> MakeCrashCluster(size_t nodes, double crash_rate,
-                                                 TimeMs restart_delay,
-                                                 double switch_prob = 0.0) {
-    ProxyConfig config;
-    config.host = site_.host();
-    ProxyCluster::Config cluster_config;
-    cluster_config.nodes = nodes;
-    cluster_config.switch_prob = switch_prob;
-    cluster_config.crashes.crash_rate_per_hour = crash_rate;
-    cluster_config.crashes.restart_delay = restart_delay;
-    cluster_config.crashes.seed = 11;
-    return std::make_unique<ProxyCluster>(
-        cluster_config, config, &clock_,
-        [this](const Request& r) { return origin_->Handle(r); }, 71);
-  }
-
-  static ClientIdentity MakeId(uint32_t ip) {
-    ClientIdentity id;
-    id.ip = IpAddress(ip);
-    return id;
-  }
-
   // A counter summed over every node's registry.
   static uint64_t SumOverNodes(ProxyCluster& cluster, std::string_view name,
                                const Labels& labels) {
@@ -61,16 +38,6 @@ class ClusterTest : public ::testing::Test {
       sum += cluster.node(i).metrics().Scrape().CounterValue(name, labels);
     }
     return sum;
-  }
-
-  // Index of the first node currently in a crash window, or nodes.size().
-  static size_t FirstDownNode(ProxyCluster& cluster, TimeMs now) {
-    for (size_t i = 0; i < cluster.size(); ++i) {
-      if (!cluster.IsLive(i, now)) {
-        return i;
-      }
-    }
-    return cluster.size();
   }
 
   // Runs one JS-enabled human through the cluster; returns merged signals.
@@ -164,81 +131,6 @@ TEST_F(ClusterTest, SharedKeyTableSurvivesNodeBouncing) {
   }
   EXPECT_EQ(wrong_keys, 0);
   EXPECT_EQ(with_mouse, 8);
-}
-
-TEST_F(ClusterTest, CrashedNodeIsNeverRoutedAndFailoverIsSticky) {
-  const TimeMs restart_delay = 10 * kMinute;
-  auto cluster = MakeCrashCluster(4, 1.0, restart_delay);
-
-  // Home assignments before any crash fires.
-  std::map<uint32_t, ProxyServer*> home;
-  for (uint32_t ip = 1; ip <= 64; ++ip) {
-    home[ip] = cluster->Route(MakeId(ip));
-  }
-
-  // Advance (minute granularity, well under the restart delay) until the
-  // seeded schedule has exactly one node down — the scenario under test.
-  size_t down = cluster->size();
-  while (clock_.Now() < 30 * kDay) {
-    clock_.Advance(kMinute);
-    cluster->UpdateLiveness(clock_.Now());
-    size_t down_count = 0;
-    for (size_t i = 0; i < cluster->size(); ++i) {
-      if (!cluster->IsLive(i, clock_.Now())) {
-        down = i;
-        ++down_count;
-      }
-    }
-    if (down_count == 1) {
-      break;
-    }
-    down = cluster->size();
-  }
-  ASSERT_LT(down, cluster->size()) << "crash schedule never fired";
-  EXPECT_GT(cluster->crashes_applied(), 0u);
-
-  // While the node is down: nobody routes to it, clients homed elsewhere
-  // stay put, and the crashed node's clients each get ONE consistent live
-  // failover target — not a per-request reshuffle.
-  for (const auto& [ip, home_node] : home) {
-    ProxyServer* target = cluster->Route(MakeId(ip));
-    ASSERT_NE(target, &cluster->node(down));
-    if (home_node != &cluster->node(down)) {
-      EXPECT_EQ(target, home_node) << "live node's client got reshuffled";
-    } else {
-      for (int i = 0; i < 10; ++i) {
-        EXPECT_EQ(cluster->Route(MakeId(ip)), target)
-            << "failover target must be sticky for ip " << ip;
-      }
-    }
-  }
-
-  // Once every node is back up, everyone returns to their original home.
-  while (clock_.Now() < 60 * kDay) {
-    clock_.Advance(kMinute);
-    cluster->UpdateLiveness(clock_.Now());
-    if (FirstDownNode(*cluster, clock_.Now()) == cluster->size()) {
-      break;
-    }
-  }
-  ASSERT_EQ(FirstDownNode(*cluster, clock_.Now()), cluster->size());
-  for (const auto& [ip, home_node] : home) {
-    EXPECT_EQ(cluster->Route(MakeId(ip)), home_node);
-  }
-}
-
-TEST_F(ClusterTest, RandomSwitchingNeverLandsOnCrashedNode) {
-  auto cluster = MakeCrashCluster(4, 1.0, 10 * kMinute, /*switch_prob=*/1.0);
-  size_t down = cluster->size();
-  while (clock_.Now() < 30 * kDay && down == cluster->size()) {
-    clock_.Advance(kMinute);
-    cluster->UpdateLiveness(clock_.Now());
-    down = FirstDownNode(*cluster, clock_.Now());
-  }
-  ASSERT_LT(down, cluster->size());
-  for (uint32_t ip = 1; ip <= 200; ++ip) {
-    EXPECT_NE(cluster->Route(MakeId(ip)), &cluster->node(down));
-  }
 }
 
 TEST_F(ClusterTest, SingleNodeClusterBehavesLikeOneProxy) {

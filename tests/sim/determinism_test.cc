@@ -23,7 +23,6 @@ ExperimentConfig BaseConfig(size_t threads) {
   config.arrival_window = kHour;
   config.site.num_pages = 40;
   config.mix.robot.max_requests = 60;
-  config.mix.human_min_pages = 3;
   config.mix.human_max_pages = 8;
   // Determinism across thread counts requires the cross-client paths to
   // stay quiet: faults off, admission off, capacity bounds far away (all

@@ -14,7 +14,6 @@ ExperimentConfig SmallConfig(uint64_t seed = 1) {
   config.arrival_window = kHour;
   config.site.num_pages = 40;
   config.mix.robot.max_requests = 60;
-  config.mix.human_min_pages = 3;
   config.mix.human_max_pages = 8;
   return config;
 }

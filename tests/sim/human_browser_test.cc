@@ -23,7 +23,6 @@ HumanConfig FastHuman() {
   config.mouse_move_prob = 1.0;
   config.think_time_mean = 200;
   config.subfetch_delay = 5;
-  config.favicon_cold_cache_prob = 1.0;  // Deterministic for these tests.
   return config;
 }
 
@@ -81,17 +80,25 @@ TEST(HumanBrowserTest, MouseSignalRequiresCorrectKeyNoWrongKeys) {
   EXPECT_EQ(snapshot.CounterValue("robodet_beacon_hits_total", {{"result", "wrong_key"}}), 0u);
 }
 
-TEST(HumanBrowserTest, FetchesFaviconOnce) {
-  SimRig rig;
-  BrowserProfile profile = StandardBrowserProfiles()[1];
-  HumanBrowserClient client(HumanIdentity(profile), Rng(9), &rig.site, profile, FastHuman());
-  rig.RunToCompletion(client);
-  // The favicon request appears exactly once in the session's events.
-  int favicons = 0;
-  for (const RequestEvent& e : rig.SessionFor(client)->events()) {
-    favicons += e.is_favicon ? 1 : 0;
+TEST(HumanBrowserTest, FetchesFaviconAtMostOnce) {
+  // Most browsers have the favicon cached; over a dozen users some fetch
+  // it, and none more than once per session.
+  int sessions_with_favicon = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    SimRig rig(seed);
+    BrowserProfile profile = StandardBrowserProfiles()[1];
+    HumanBrowserClient client(HumanIdentity(profile), Rng(seed), &rig.site, profile,
+                              FastHuman());
+    rig.RunToCompletion(client);
+    int favicons = 0;
+    for (const RequestEvent& e : rig.SessionFor(client)->events()) {
+      favicons += e.is_favicon ? 1 : 0;
+    }
+    EXPECT_LE(favicons, 1) << "seed " << seed;
+    sessions_with_favicon += favicons;
   }
-  EXPECT_EQ(favicons, 1);
+  EXPECT_GT(sessions_with_favicon, 0);
+  EXPECT_LT(sessions_with_favicon, 12);
 }
 
 TEST(HumanBrowserTest, AttemptsCaptchaWhenOffered) {

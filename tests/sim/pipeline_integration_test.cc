@@ -58,7 +58,7 @@ TEST_F(PipelineIntegrationTest, CaptureSerializeTrainClassify) {
   ASSERT_GT(corpus.CountLabel(kLabelRobot), 10u);
   Rng split_rng(3);
   const TrainTestSplit split = StratifiedSplit(corpus, 0.5, split_rng);
-  AdaBoost model(AdaBoost::Config{100, 1e-10});
+  AdaBoost model(AdaBoost::Config{100});
   model.Train(split.train);
   const double test_acc =
       Evaluate(split.test, [&model](const FeatureVector& x) { return model.Predict(x); })
@@ -68,15 +68,10 @@ TEST_F(PipelineIntegrationTest, CaptureSerializeTrainClassify) {
   // 4. Staged pipeline with the trained fallback, over the same log.
   size_t record_index = 0;
   const std::vector<SessionRecord>* log_ptr = &log;
-  StagedPipeline::Options options;
-  options.escalate_after = 15;
-  StagedPipeline staged(options,
-                        [&model, &record_index, log_ptr](const SessionObservation&) {
-                          const FeatureVector x =
-                              ExtractFeatures((*log_ptr)[record_index].events);
-                          return model.Predict(x) == kLabelRobot ? Verdict::kRobot
-                                                                 : Verdict::kHuman;
-                        });
+  StagedPipeline staged([&model, &record_index, log_ptr](const SessionObservation&) {
+    const FeatureVector x = ExtractFeatures((*log_ptr)[record_index].events);
+    return model.Predict(x) == kLabelRobot ? Verdict::kRobot : Verdict::kHuman;
+  });
   ConfusionMatrix cm;
   int undecided = 0;
   for (record_index = 0; record_index < log.size(); ++record_index) {

@@ -47,7 +47,8 @@ TEST(PopulationTest, SampleRespectsWeights) {
   for (int i = 0; i < kSamples; ++i) {
     ++counts[factory.SampleType()];
   }
-  const std::vector<double> weights = mix.Weights();
+  const std::vector<double>& weights = ClientTypeWeights();
+  ASSERT_EQ(weights.size(), static_cast<size_t>(ClientType::kNumTypes));
   double total_weight = 0.0;
   for (double w : weights) {
     total_weight += w;
@@ -56,10 +57,12 @@ TEST(PopulationTest, SampleRespectsWeights) {
   // weight shares.
   const double human_share =
       static_cast<double>(counts[ClientType::kHuman]) / kSamples;
-  EXPECT_NEAR(human_share, mix.human / total_weight, 0.01);
+  EXPECT_NEAR(human_share,
+              weights[static_cast<size_t>(ClientType::kHuman)] / total_weight, 0.01);
   const double spam_share =
       static_cast<double>(counts[ClientType::kReferrerSpammer]) / kSamples;
-  EXPECT_NEAR(spam_share, mix.referrer_spammer / total_weight, 0.015);
+  EXPECT_NEAR(spam_share,
+              weights[static_cast<size_t>(ClientType::kReferrerSpammer)] / total_weight, 0.015);
   // Zero-weight types never appear.
   EXPECT_EQ(counts[ClientType::kSmartBotFullMimic], 0);
 }

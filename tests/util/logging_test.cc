@@ -44,9 +44,8 @@ TEST_F(LoggingTest, MacroStreamsAndConcatenates) {
 TEST_F(LoggingTest, WithFieldsFlattenOnStderr) {
   SetLogLevel(LogLevel::kDebug);
   testing::internal::CaptureStderr();
-  ROBODET_LOG(kInfo).With("session", 7).With("verdict", "robot") << "classified";
-  EXPECT_EQ(testing::internal::GetCapturedStderr(),
-            "[INFO] classified session=7 verdict=robot\n");
+  ROBODET_LOG(kInfo).With("session", 7).With("rate", 0.5) << "classified";
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "[INFO] classified session=7 rate=0.5\n");
 }
 
 class StructuredLoggingTest : public ::testing::Test {
@@ -64,26 +63,17 @@ class StructuredLoggingTest : public ::testing::Test {
 };
 
 TEST_F(StructuredLoggingTest, ReceivesMessageAndTypedFields) {
-  ROBODET_LOG(kWarning)
-      .With("path", "/p/1.html")
-      .With("requests", 42)
-      .With("rate", 1.5)
-      .With("blocked", true)
-      << "policy tripped";
+  ROBODET_LOG(kWarning).With("requests", 42).With("rate", 1.5) << "policy tripped";
   ASSERT_EQ(captured_.size(), 1u);
   const LogRecord& r = captured_[0];
   EXPECT_EQ(r.level, LogLevel::kWarning);
   EXPECT_EQ(r.message, "policy tripped");
-  ASSERT_EQ(r.fields.size(), 4u);
-  EXPECT_EQ(r.fields[0].key, "path");
-  EXPECT_EQ(r.fields[0].value, "/p/1.html");
-  EXPECT_TRUE(r.fields[0].quoted);
-  EXPECT_EQ(r.fields[1].value, "42");
+  ASSERT_EQ(r.fields.size(), 2u);
+  EXPECT_EQ(r.fields[0].key, "requests");
+  EXPECT_EQ(r.fields[0].value, "42");
+  EXPECT_FALSE(r.fields[0].quoted);
+  EXPECT_EQ(r.fields[1].value, "1.5");
   EXPECT_FALSE(r.fields[1].quoted);
-  EXPECT_EQ(r.fields[2].value, "1.5");
-  EXPECT_FALSE(r.fields[2].quoted);
-  EXPECT_EQ(r.fields[3].value, "true");
-  EXPECT_FALSE(r.fields[3].quoted);
 }
 
 TEST_F(StructuredLoggingTest, ReplacesTheStderrWriter) {

@@ -34,12 +34,7 @@ set -euo pipefail
 # its parameter list; it covers every overload and constructor variant of
 # that name. DESIGN.md ("Test seams") gives the one-line reason for each.
 ALLOW=(
-  'robodet::AttestationAuthority::ManufactureDevice'
-  'robodet::CircuitBreaker::ForceOpen'
-  'robodet::ResilientOrigin::breaker'
-  'robodet::SessionTable::CloseIdle'
   'robodet::StateStore::Checkpoint'
-  'robodet::TrustedInputDevice::TrustedInputDevice'
 )
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"

@@ -151,7 +151,6 @@ int main(int argc, char** argv) {
   }
 
   // Classifier outcomes vs. the log's ground-truth labels.
-  CombinedClassifier classifier;
   ConfusionMatrix combined_cm;
   for (const SessionRecord* r : sessions) {
     const Verdict v = CombinedClassifier::SetAlgebraVerdict(r->signals());
@@ -182,7 +181,7 @@ int main(int argc, char** argv) {
     Rng rng(42);
     const TrainTestSplit split = StratifiedSplit(corpus, 0.5, rng);
     AdaBoost model(
-        AdaBoost::Config{static_cast<int>(flags.GetInt("rounds", 200)), 1e-10});
+        AdaBoost::Config{static_cast<int>(flags.GetInt("rounds", 200))});
     model.Train(split.train);
     const ConfusionMatrix test_cm = Evaluate(
         split.test, [&model](const FeatureVector& x) { return model.Predict(x); });
