@@ -31,6 +31,7 @@ struct RequestEvent {
   bool is_link_follow = false;
   bool is_favicon = false;
 };
+static_assert(sizeof(RequestEvent) == 8, "a session keeps up to 256 of these");
 
 // First-detection request indices, 1-based; 0 means "never observed".
 // One per signal of Table 1 / Figure 2.

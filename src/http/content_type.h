@@ -4,13 +4,15 @@
 #ifndef ROBODET_SRC_HTTP_CONTENT_TYPE_H_
 #define ROBODET_SRC_HTTP_CONTENT_TYPE_H_
 
+#include <cstdint>
 #include <string_view>
 
 #include "src/http/url.h"
 
 namespace robodet {
 
-enum class ResourceKind {
+// One byte, so a RequestEvent packs into eight.
+enum class ResourceKind : uint8_t {
   kHtml,
   kCss,
   kJavaScript,

@@ -95,7 +95,7 @@ bool NetServer::Start(std::string* error) {
 template <typename Pred>
 void NetServer::DestroyIf(Worker* worker, Pred close) {
   for (auto it = worker->conns.begin(); it != worker->conns.end();) {
-    it = close(*it->second) ? DestroyConn(worker, it) : std::next(it);
+    it = close(it->second) ? DestroyConn(worker, it) : std::next(it);
   }
 }
 
@@ -117,12 +117,12 @@ void NetServer::RunWorker(Worker* worker) {
         worker->loop.Del(worker->listener.fd.get());
         worker->listener.fd.reset();
         // An idle connection finishes the moment it starts draining.
-        DestroyIf(worker, [&](NetConnection& conn) {
-          conn.BeginDrain();
-          if (conn.finished()) {
+        DestroyIf(worker, [&](ConnEntry& entry) {
+          entry.conn->BeginDrain();
+          if (entry.conn->finished()) {
             return true;
           }
-          UpdateInterest(worker, conn);
+          UpdateInterest(worker, entry);
           return false;
         });
       }
@@ -148,7 +148,7 @@ void NetServer::RunWorker(Worker* worker) {
   }
 
   // Worker exit: everything closes (RAII), gauge reflects it.
-  DestroyIf(worker, [](const NetConnection&) { return true; });
+  DestroyIf(worker, [](const ConnEntry&) { return true; });
 }
 
 void NetServer::HandleAccept(Worker* worker) {
@@ -178,7 +178,8 @@ void NetServer::AdmitConnection(Worker* worker, AcceptedSocket accepted) {
     // last request classified as a robot; humans are never evicted.
     const auto victim = std::find_if(worker->conns.begin(), worker->conns.end(),
                                      [](const ConnMap::value_type& entry) {
-                                       return entry.second->robot() && entry.second->idle();
+                                       return entry.second.conn->robot() &&
+                                              entry.second.conn->idle();
                                      });
     if (victim != worker->conns.end()) {
       m_shed_evicted_->Inc();
@@ -203,10 +204,11 @@ void NetServer::AdmitConnection(Worker* worker, AcceptedSocket accepted) {
     }
   }
   const int fd = conn->fd();
-  if (!worker->loop.Add(fd, conn->WantedEvents())) {
+  const uint32_t events = conn->WantedEvents();
+  if (!worker->loop.Add(fd, events)) {
     return;  // epoll refused the fd; drop the connection.
   }
-  worker->conns.emplace(fd, std::move(conn));
+  worker->conns.emplace(fd, ConnEntry{std::move(conn), events});
   m_open_->Add(1);
 }
 
@@ -215,7 +217,7 @@ void NetServer::HandleConnEvent(Worker* worker, int fd, uint32_t events) {
   if (it == worker->conns.end()) {
     return;
   }
-  NetConnection* conn = it->second.get();
+  NetConnection* conn = it->second.conn.get();
 
   bool alive = true;
   if ((events & (EPOLLERR | EPOLLHUP)) != 0) {
@@ -235,15 +237,20 @@ void NetServer::HandleConnEvent(Worker* worker, int fd, uint32_t events) {
     DestroyConn(worker, it);
     return;
   }
-  UpdateInterest(worker, *conn);
+  UpdateInterest(worker, it->second);
 }
 
-void NetServer::UpdateInterest(Worker* worker, const NetConnection& conn) {
-  worker->loop.Mod(conn.fd(), conn.WantedEvents());
+void NetServer::UpdateInterest(Worker* worker, ConnEntry& entry) {
+  const uint32_t events = entry.conn->WantedEvents();
+  if (events != entry.registered_events) {
+    worker->loop.Mod(entry.conn->fd(), events);
+    entry.registered_events = events;
+  }
 }
 
 void NetServer::SweepDeadlines(Worker* worker, TimeMs now) {
-  DestroyIf(worker, [&](NetConnection& conn) {
+  DestroyIf(worker, [&](ConnEntry& entry) {
+    NetConnection& conn = *entry.conn;
     switch (conn.CheckDeadline(now)) {
       case TimeoutKind::kNone:
         return false;
@@ -255,7 +262,7 @@ void NetServer::SweepDeadlines(Worker* worker, TimeMs now) {
         if (!conn.OnWritable()) {
           return true;
         }
-        UpdateInterest(worker, conn);
+        UpdateInterest(worker, entry);
         return false;
       case TimeoutKind::kIdle:
         m_timeout_idle_->Inc();

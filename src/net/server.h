@@ -86,7 +86,13 @@ class NetServer {
   // Keyed by fd; loop-thread only. The only place a worker finds a
   // connection, so an event for an fd closed earlier in the same batch
   // finds nothing.
-  using ConnMap = std::unordered_map<int, std::unique_ptr<NetConnection>>;
+  // A connection and the epoll interest its fd is registered with, so an
+  // unchanged interest costs no epoll_ctl.
+  struct ConnEntry {
+    std::unique_ptr<NetConnection> conn;
+    uint32_t registered_events = 0;
+  };
+  using ConnMap = std::unordered_map<int, ConnEntry>;
 
   struct Worker {
     EventLoop loop;
@@ -100,11 +106,12 @@ class NetServer {
   void AdmitConnection(Worker* worker, AcceptedSocket accepted);
   void HandleConnEvent(Worker* worker, int fd, uint32_t events);
   void SweepDeadlines(Worker* worker, TimeMs now);
-  // Destroys every connection for which `close(conn)` returns true.
+  // Destroys every connection for which `close(entry)` returns true.
   template <typename Pred>
   void DestroyIf(Worker* worker, Pred close);
   ConnMap::iterator DestroyConn(Worker* worker, ConnMap::iterator it);
-  void UpdateInterest(Worker* worker, const NetConnection& conn);
+  // Re-registers the connection's interest if it changed.
+  void UpdateInterest(Worker* worker, ConnEntry& entry);
 
   NetServerConfig config_;
   NetHandler handler_;

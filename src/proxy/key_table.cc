@@ -15,6 +15,32 @@ constexpr TimeMs kEntryTtl = kHour;
 
 }  // namespace
 
+void KeyTable::EntryFifo::pop_front() {
+  slots_[head_] = Entry{};  // Frees the strings now.
+  head_ = (head_ + 1) % slots_.size();
+  --size_;
+}
+
+void KeyTable::EntryFifo::push_back(Entry entry) {
+  if (size_ == slots_.size()) {
+    // Full: straighten the ring so the vector can grow at its end.
+    std::rotate(slots_.begin(), slots_.begin() + static_cast<ptrdiff_t>(head_), slots_.end());
+    head_ = 0;
+    slots_.push_back(std::move(entry));
+  } else {
+    (*this)[size_] = std::move(entry);
+  }
+  ++size_;
+}
+
+void KeyTable::EntryFifo::erase(size_t i) {
+  for (; i + 1 < size_; ++i) {
+    (*this)[i] = std::move((*this)[i + 1]);
+  }
+  (*this)[size_ - 1] = Entry{};
+  --size_;
+}
+
 KeyTable::KeyTable(Config config) {
   const size_t num_shards = std::max<size_t>(1, config.num_shards);
   shards_.reserve(num_shards);
@@ -58,11 +84,11 @@ void KeyTable::Record(IpAddress ip, const std::string& page_path, const std::str
   size_t evicted_here = 0;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    std::deque<Entry>& entries = shard.by_ip[ip.value()];
+    EntryFifo& entries = shard.by_ip[ip.value()];
     // Entries are issued in this client's time order, so expired ones sit
     // at the front. Reaping them here keeps per-IP state bounded even when
     // no global sweep ever runs (concurrent mode).
-    while (!entries.empty() && now - entries.front().issued_at > kEntryTtl) {
+    while (!entries.empty() && now - entries[0].issued_at > kEntryTtl) {
       entries.pop_front();
       ++expired_here;
     }
@@ -91,12 +117,12 @@ bool KeyTable::MatchAndConsume(IpAddress ip, const std::string& key, TimeMs now)
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.by_ip.find(ip.value());
     if (it != shard.by_ip.end()) {
-      std::deque<Entry>& entries = it->second;
-      for (auto e = entries.begin(); e != entries.end(); ++e) {
-        if (e->key == key) {
+      EntryFifo& entries = it->second;
+      for (size_t i = 0; i < entries.size(); ++i) {
+        if (entries[i].key == key) {
           found = true;
-          live = now - e->issued_at <= kEntryTtl;
-          entries.erase(e);
+          live = now - entries[i].issued_at <= kEntryTtl;
+          entries.erase(i);
           if (entries.empty()) {
             shard.by_ip.erase(it);
           }
@@ -127,8 +153,8 @@ size_t KeyTable::ExpireShard(Shard& shard, TimeMs now) {
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     for (auto it = shard.by_ip.begin(); it != shard.by_ip.end();) {
-      std::deque<Entry>& entries = it->second;
-      while (!entries.empty() && now - entries.front().issued_at > kEntryTtl) {
+      EntryFifo& entries = it->second;
+      while (!entries.empty() && now - entries[0].issued_at > kEntryTtl) {
         entries.pop_front();
         ++reaped;
       }
@@ -170,8 +196,8 @@ std::vector<KeyTable::ExportedEntry> KeyTable::ExportShard(size_t shard_index) {
   std::vector<std::pair<uint32_t, const Entry*>> order;
   order.reserve(count);
   for (const auto& [ip, entries] : shard.by_ip) {
-    for (const Entry& e : entries) {
-      order.emplace_back(ip, &e);
+    for (size_t i = 0; i < entries.size(); ++i) {
+      order.emplace_back(ip, &entries[i]);
     }
   }
   std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
@@ -199,7 +225,7 @@ void KeyTable::RestoreEntry(IpAddress ip, std::string page_path, std::string key
   size_t evicted_here = 0;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    std::deque<Entry>& entries = shard.by_ip[ip.value()];
+    EntryFifo& entries = shard.by_ip[ip.value()];
     while (entries.size() >= kMaxEntriesPerIp) {
       entries.pop_front();
       ++evicted_here;

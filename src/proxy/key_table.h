@@ -12,7 +12,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -103,10 +102,31 @@ class KeyTable {
     TimeMs issued_at = 0;
   };
 
+  // One IP's entries, oldest first: a ring over a vector that never holds
+  // more slots than the per-IP bound, so a client with one key pays for
+  // one entry.
+  class EntryFifo {
+   public:
+    bool empty() const { return size_ == 0; }
+    size_t size() const { return size_; }
+    // The i-th oldest entry.
+    Entry& operator[](size_t i) { return slots_[(head_ + i) % slots_.size()]; }
+    const Entry& operator[](size_t i) const { return slots_[(head_ + i) % slots_.size()]; }
+    void pop_front();
+    void push_back(Entry entry);
+    // Removes the i-th oldest entry, keeping the others in order.
+    void erase(size_t i);
+
+   private:
+    std::vector<Entry> slots_;
+    size_t head_ = 0;
+    size_t size_ = 0;
+  };
+
   struct Shard {
     std::mutex mu;
     // Guarded by mu.
-    std::unordered_map<uint32_t, std::deque<Entry>> by_ip;
+    std::unordered_map<uint32_t, EntryFifo> by_ip;
   };
 
   Shard& ShardFor(IpAddress ip);

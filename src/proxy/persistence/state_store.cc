@@ -211,27 +211,21 @@ void ApplyUpdate(const SessionUpdateImage& u, SessionImage* img) {
   ApplySuffix(&img->visited_urls, d.visited_urls, u.visited_before);
 }
 
-// Builds a live session from its image, taking over the image's strings
-// and vectors; the session's own bounds apply.
-std::unique_ptr<SessionState> SessionFromImage(SessionImage* img) {
-  auto session = std::make_unique<SessionState>(
-      img->id, SessionKey{IpAddress(img->ip), std::move(img->user_agent)}, img->first_request);
+// Fills a freshly installed session from its image; the session's own
+// bounds apply.
+void FillFromImage(SessionImage* img, SessionState* session) {
   session->RestoreScalars(img->last_request, img->request_count, img->instrumented_pages,
                           img->blocked, img->cgi_requests, img->get_requests,
                           img->error_responses);
   session->signals() = std::move(img->signals);
-  if (img->events.size() > SessionState::kMaxTrackedEvents) {
-    img->events.resize(SessionState::kMaxTrackedEvents);
-  }
-  session->mutable_events() = std::move(img->events);
+  session->RestoreEvents(img->events);
   if (img->instrumented_page_indices.size() > 64) {
     img->instrumented_page_indices.resize(64);
   }
   session->mutable_instrumented_page_indices() = std::move(img->instrumented_page_indices);
-  session->served_links().Restore(std::move(img->served_links));
-  session->served_embeds().Restore(std::move(img->served_embeds));
-  session->visited_urls().Restore(std::move(img->visited_urls));
-  return session;
+  session->served_links().Restore(img->served_links);
+  session->served_embeds().Restore(img->served_embeds);
+  session->visited_urls().Restore(img->visited_urls);
 }
 
 }  // namespace
@@ -382,7 +376,8 @@ RecoveryReport StateStore::Recover(TimeMs now) {
   std::sort(ordered.begin(), ordered.end(),
             [](const SessionImage* a, const SessionImage* b) { return a->id < b->id; });
   for (SessionImage* img : ordered) {
-    sessions_->Restore(SessionFromImage(img));
+    FillFromImage(img, sessions_->Restore(img->id, {IpAddress(img->ip), img->user_agent},
+                                          img->first_request));
     ++rep.sessions_restored;
   }
 

@@ -292,9 +292,7 @@ ProxyServer::Result ProxyServer::Handle(const Request& request) {
   // Reap before Touch so the returned session pointer cannot be invalidated
   // by the idle sweep.
   MaybeMaintainTables(request.time);
-  SessionState& session =
-      *sessions_.Touch(SessionKey{request.client_ip, std::string(request.UserAgent())},
-                       request.time);
+  SessionState& session = *sessions_.Touch({request.client_ip, request.UserAgent()}, request.time);
   Result result = HandleSession(request, session);
   result.session_id = session.id();
   result.verdict = JudgeSession(session);

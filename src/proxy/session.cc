@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
+#include <new>
 
 namespace robodet {
 
@@ -14,90 +16,136 @@ size_t HomeSlot(uint64_t hash, size_t slots) {
 
 }  // namespace
 
-bool UrlHashSet::ContainsHash(uint64_t hash) const {
-  if (index_ == nullptr) {
-    return std::find(hashes_.begin(), hashes_.end(), hash) != hashes_.end();
+SharedUserAgent::SharedUserAgent(std::string_view text, uint64_t hash)
+    : block_(static_cast<Block*>(::operator new(sizeof(Block) + text.size()))) {
+  new (block_) Block{{1}, static_cast<uint32_t>(text.size()), hash, 0};
+  std::memcpy(reinterpret_cast<char*>(block_ + 1), text.data(), text.size());
+}
+
+SharedUserAgent::~SharedUserAgent() {
+  if (block_ != nullptr && block_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    block_->~Block();
+    ::operator delete(block_);
   }
-  const size_t slots = IndexSlots();
+}
+
+UrlHashSet::~UrlHashSet() { ::operator delete(block_); }
+
+bool UrlHashSet::ContainsHash(uint64_t hash) const {
+  if (block_ == nullptr) {
+    return false;
+  }
+  const uint64_t* hashes = Hashes(block_);
+  const size_t slots = IndexSlots(block_->capacity);
+  if (slots == 0) {
+    return std::find(hashes, hashes + block_->size, hash) != hashes + block_->size;
+  }
+  const uint16_t* index = Index(block_);
   for (size_t slot = HomeSlot(hash, slots);; slot = (slot + 1) & (slots - 1)) {
-    const uint16_t p = index_[slot];
+    const uint16_t p = index[slot];
     if (p == 0) {
       return false;
     }
-    if (hashes_[p - 1] == hash) {
+    if (hashes[p - 1] == hash) {
       return true;
     }
   }
 }
 
 void UrlHashSet::InsertHash(uint64_t hash) {
-  if (hashes_.size() >= kCapacity || ContainsHash(hash)) {
+  const size_t n = size();
+  if (n >= kCapacity) {
     return;
   }
-  const size_t slots_before = IndexSlots();
-  hashes_.push_back(hash);
-  if (hashes_.size() <= kScanLimit) {
+  if (block_ == nullptr || n == block_->capacity) {
+    if (ContainsHash(hash)) {
+      return;
+    }
+    Reallocate(std::min(std::max<size_t>(1, 2 * n), kCapacity));
+  }
+  Add(hash);
+}
+
+void UrlHashSet::Restore(std::span<const uint64_t> hashes) {
+  ::operator delete(std::exchange(block_, nullptr));
+  if (hashes.empty()) {
     return;
   }
-  if (index_ == nullptr || IndexSlots() != slots_before) {
-    Reindex();
-  } else {
-    IndexPosition(hashes_.size() - 1);
+  // Repeats only make the block larger than it needs to be.
+  Reallocate(std::min(hashes.size(), kCapacity));
+  for (size_t i = 0; i < hashes.size() && block_->size < kCapacity; ++i) {
+    Add(hashes[i]);
   }
 }
 
-void UrlHashSet::Restore(std::vector<uint64_t> hashes) {
-  hashes_ = std::move(hashes);
-  index_.reset();
-  size_t kept = 0;
-  size_t slots = 0;
-  if (hashes_.size() <= kScanLimit) {
-    for (const uint64_t hash : hashes_) {
-      if (std::find(hashes_.begin(), hashes_.begin() + kept, hash) == hashes_.begin() + kept) {
-        hashes_[kept++] = hash;
-      }
+void UrlHashSet::Reallocate(size_t capacity) {
+  const size_t slots = IndexSlots(capacity);
+  auto* block = static_cast<Header*>(::operator new(
+      sizeof(Header) + capacity * sizeof(uint64_t) + slots * sizeof(uint16_t)));
+  *block = Header{0, static_cast<uint32_t>(capacity)};
+  std::memset(Index(block), 0, slots * sizeof(uint16_t));
+  Header* old = std::exchange(block_, block);
+  if (old != nullptr) {
+    for (uint32_t i = 0; i < old->size; ++i) {
+      Add(Hashes(old)[i]);
+    }
+    ::operator delete(old);
+  }
+}
+
+void UrlHashSet::Add(uint64_t hash) {
+  uint64_t* hashes = Hashes(block_);
+  const uint32_t n = block_->size;
+  const size_t slots = IndexSlots(block_->capacity);
+  if (slots == 0) {
+    if (std::find(hashes, hashes + n, hash) != hashes + n) {
+      return;
     }
   } else {
-    // Deduplicate through an index sized for the most the set can keep,
-    // compacting in place: positions below `kept` hold final values.
-    slots = std::bit_ceil(2 * std::min(hashes_.size(), kCapacity));
-    index_ = std::make_unique<uint16_t[]>(slots);
-    for (size_t i = 0; i < hashes_.size() && kept < kCapacity; ++i) {
-      const uint64_t hash = hashes_[i];
-      size_t slot = HomeSlot(hash, slots);
-      while (index_[slot] != 0 && hashes_[index_[slot] - 1] != hash) {
-        slot = (slot + 1) & (slots - 1);
-      }
-      if (index_[slot] == 0) {
-        hashes_[kept++] = hash;
-        index_[slot] = static_cast<uint16_t>(kept);
+    // One probe finds the hash or the empty slot it goes in.
+    uint16_t* index = Index(block_);
+    size_t slot = HomeSlot(hash, slots);
+    for (; index[slot] != 0; slot = (slot + 1) & (slots - 1)) {
+      if (hashes[index[slot] - 1] == hash) {
+        return;
       }
     }
+    index[slot] = static_cast<uint16_t>(n + 1);
   }
-  if (kept != hashes_.size()) {
-    hashes_.resize(kept);
-    hashes_.shrink_to_fit();
+  hashes[n] = hash;
+  block_->size = n + 1;
+}
+
+EventLog::~EventLog() { ::operator delete(block_); }
+
+void EventLog::Append(const RequestEvent& event) {
+  const size_t n = size();
+  if (block_ == nullptr || n == block_->capacity) {
+    Reallocate(std::max<size_t>(1, 2 * n));
   }
-  if (kept <= kScanLimit) {
-    index_.reset();
-  } else if (IndexSlots() != slots) {
-    Reindex();
+  Events()[block_->size++] = event;
+}
+
+void EventLog::Assign(std::span<const RequestEvent> events) {
+  ::operator delete(std::exchange(block_, nullptr));
+  if (!events.empty()) {
+    Reallocate(events.size());
+    std::copy(events.begin(), events.end(), Events());
+    block_->size = static_cast<uint32_t>(events.size());
   }
 }
 
-void UrlHashSet::IndexPosition(size_t position) {
-  const size_t slots = IndexSlots();
-  size_t slot = HomeSlot(hashes_[position], slots);
-  while (index_[slot] != 0) {
-    slot = (slot + 1) & (slots - 1);
-  }
-  index_[slot] = static_cast<uint16_t>(position + 1);
-}
-
-void UrlHashSet::Reindex() {
-  index_ = std::make_unique<uint16_t[]>(IndexSlots());
-  for (size_t i = 0; i < hashes_.size(); ++i) {
-    IndexPosition(i);
+void EventLog::Reallocate(size_t capacity) {
+  auto* block = static_cast<Header*>(
+      ::operator new(sizeof(Header) + capacity * sizeof(RequestEvent)));
+  *block = Header{0, static_cast<uint32_t>(capacity)};
+  Header* old = std::exchange(block_, block);
+  if (old != nullptr) {
+    const std::span<const RequestEvent> kept(reinterpret_cast<const RequestEvent*>(old + 1),
+                                             old->size);
+    std::copy(kept.begin(), kept.end(), Events());
+    block_->size = old->size;
+    ::operator delete(old);
   }
 }
 
@@ -107,7 +155,7 @@ int SessionState::RecordRequest(TimeMs now, const RequestEvent& event) {
     last_request_ = now;
   }
   if (events_.size() < kMaxTrackedEvents) {
-    events_.push_back(event);
+    events_.Append(event);
   }
   if (event.kind == ResourceKind::kCgi) {
     ++cgi_requests_;

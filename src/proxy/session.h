@@ -4,11 +4,14 @@
 #ifndef ROBODET_SRC_PROXY_SESSION_H_
 #define ROBODET_SRC_PROXY_SESSION_H_
 
+#include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/core/signals.h"
@@ -17,19 +20,66 @@
 
 namespace robodet {
 
+// A session key as views: how a request names its session without copying
+// its User-Agent, and how a live session shows its key. The views borrow
+// from the request or the session.
+struct SessionKeyView {
+  IpAddress ip;
+  std::string_view user_agent;
+};
+
+// An owning session key, for callers that keep keys beyond the request
+// that carried them.
 struct SessionKey {
   IpAddress ip;
   std::string user_agent;
 
-  friend bool operator==(const SessionKey& a, const SessionKey& b) {
-    return a.ip == b.ip && a.user_agent == b.user_agent;
-  }
+  operator SessionKeyView() const { return {ip, user_agent}; }
 };
 
-struct SessionKeyHash {
-  size_t operator()(const SessionKey& k) const {
-    return static_cast<size_t>(HashCombine(k.ip.value(), Fnv1a(k.user_agent)));
+// Combines the address with the agent's Fnv1a. A session id is derived
+// from this value, so it must not change.
+constexpr uint64_t SessionKeyHashOf(IpAddress ip, uint64_t agent_hash) {
+  return HashCombine(ip.value(), agent_hash);
+}
+
+// One heap copy of a User-Agent string and its Fnv1a, shared by reference
+// count and freed with its last holder. A SessionTable gives every session
+// of a shard with the same agent the same copy, so a flood that draws on a
+// few agents stores each of them once per shard, not once per session.
+class SharedUserAgent {
+ public:
+  explicit SharedUserAgent(std::string_view text) : SharedUserAgent(text, Fnv1a(text)) {}
+  SharedUserAgent(const SharedUserAgent& other) noexcept : block_(other.block_) {
+    block_->refs.fetch_add(1, std::memory_order_relaxed);
   }
+  SharedUserAgent(SharedUserAgent&& other) noexcept
+      : block_(std::exchange(other.block_, nullptr)) {}
+  SharedUserAgent& operator=(const SharedUserAgent&) = delete;
+  ~SharedUserAgent();
+
+  std::string_view text() const {
+    return {reinterpret_cast<const char*>(block_ + 1), block_->size};
+  }
+  // Fnv1a(text()), computed once.
+  uint64_t hash() const { return block_->hash; }
+
+ private:
+  friend class SessionTable;
+
+  // Followed in the same allocation by the text.
+  struct Block {
+    std::atomic<uint32_t> refs;
+    uint32_t size;
+    uint64_t hash;
+    // How many sessions in a table hold this copy. Only the table that
+    // made the copy counts here, under the lock of its shard.
+    uint32_t table_uses;
+  };
+
+  SharedUserAgent(std::string_view text, uint64_t hash);
+
+  Block* block_;  // Null once moved from.
 };
 
 // Bounded, exact set of URL hashes that remembers insertion order.
@@ -39,14 +89,23 @@ struct SessionKeyHash {
 // unseen-referrer robot signature. The set is exact (no Bloom filter): a
 // false "seen" would flip that signature.
 //
-// Each hash is stored once, in an insertion-ordered vector. A small set is
-// scanned; past kScanLimit entries an open-addressed index of positions into
-// the vector answers Contains. An empty set allocates nothing.
+// The set is one pointer to one heap block, null while empty: a header,
+// then each hash once, in insertion order, then, once the capacity passes
+// kScanLimit, an open-addressed index of positions into the hashes. A set
+// with room for at most kScanLimit hashes is scanned instead.
 class UrlHashSet {
  public:
   static constexpr size_t kCapacity = 4096;
   // Contains scans up to this many hashes before the set builds its index.
   static constexpr size_t kScanLimit = 16;
+
+  UrlHashSet() = default;
+  UrlHashSet(UrlHashSet&& other) noexcept : block_(std::exchange(other.block_, nullptr)) {}
+  UrlHashSet& operator=(UrlHashSet&& other) noexcept {
+    std::swap(block_, other.block_);
+    return *this;
+  }
+  ~UrlHashSet();
 
   void Insert(std::string_view url) { InsertHash(Fnv1a(url)); }
 
@@ -54,40 +113,102 @@ class UrlHashSet {
 
   // Recovery-only: replaces the contents with what inserting `hashes` one
   // by one into an empty set would keep (the first kCapacity distinct
-  // hashes, in order), taking over the vector and building the index
-  // once. Insertion order is kept so two tables restored from the same
-  // bytes serialize identically.
-  void Restore(std::vector<uint64_t> hashes);
+  // hashes, in order), in a block sized to fit them. Insertion order is
+  // kept so two tables restored from the same bytes serialize identically.
+  void Restore(std::span<const uint64_t> hashes);
 
   bool Contains(std::string_view url) const { return ContainsHash(Fnv1a(url)); }
   bool ContainsHash(uint64_t hash) const;
-  size_t size() const { return hashes_.size(); }
+  size_t size() const { return block_ == nullptr ? 0 : block_->size; }
 
   // Hashes in insertion order (deterministic serialization order).
-  const std::vector<uint64_t>& ordered_hashes() const { return hashes_; }
+  std::span<const uint64_t> ordered_hashes() const {
+    return block_ == nullptr ? std::span<const uint64_t>() : std::span(Hashes(block_), size());
+  }
 
  private:
-  // The index's size is a function of the set's: the smallest power of two
-  // that keeps it at most half full.
-  size_t IndexSlots() const { return std::bit_ceil(2 * hashes_.size()); }
-  // Records hashes_[position] in the index.
-  void IndexPosition(size_t position);
-  void Reindex();
+  // Followed in the same allocation by `capacity` hashes and then, when
+  // capacity > kScanLimit, IndexSlots(capacity) 16-bit index slots.
+  struct Header {
+    uint32_t size;
+    uint32_t capacity;
+  };
 
-  std::vector<uint64_t> hashes_;
-  // Open-addressed, linear probing: 0 is an empty slot, p is hashes_[p - 1].
-  // Null until the set outgrows kScanLimit.
-  std::unique_ptr<uint16_t[]> index_;
+  static uint64_t* Hashes(Header* block) { return reinterpret_cast<uint64_t*>(block + 1); }
+  static const uint64_t* Hashes(const Header* block) {
+    return reinterpret_cast<const uint64_t*>(block + 1);
+  }
+  // The smallest power of two that keeps a full set at most half full; 0
+  // while the set is scanned.
+  static size_t IndexSlots(size_t capacity) {
+    return capacity > kScanLimit ? std::bit_ceil(2 * capacity) : 0;
+  }
+  // Open-addressed, linear probing: 0 is an empty slot, p is hash p - 1.
+  static uint16_t* Index(Header* block) {
+    return reinterpret_cast<uint16_t*>(Hashes(block) + block->capacity);
+  }
+  static const uint16_t* Index(const Header* block) {
+    return reinterpret_cast<const uint16_t*>(Hashes(block) + block->capacity);
+  }
+  // Moves the contents into a new block with room for `capacity` hashes.
+  void Reallocate(size_t capacity);
+  // Appends `hash` unless the set holds it; there must be room.
+  void Add(uint64_t hash);
+
+  Header* block_ = nullptr;
   static_assert(kCapacity <= UINT16_MAX, "index positions are 16-bit");
+};
+
+// A session's stored request events, oldest first; its owner caps them.
+// Like UrlHashSet it is one pointer to one heap block (a count, a
+// capacity, the events), null while empty: 8 bytes of the session where a
+// vector takes 24.
+class EventLog {
+ public:
+  EventLog() = default;
+  EventLog(EventLog&& other) noexcept : block_(std::exchange(other.block_, nullptr)) {}
+  EventLog& operator=(EventLog&& other) noexcept {
+    std::swap(block_, other.block_);
+    return *this;
+  }
+  ~EventLog();
+
+  size_t size() const { return block_ == nullptr ? 0 : block_->size; }
+  std::span<const RequestEvent> view() const {
+    return block_ == nullptr ? std::span<const RequestEvent>()
+                             : std::span(reinterpret_cast<const RequestEvent*>(block_ + 1), size());
+  }
+
+  void Append(const RequestEvent& event);
+  // Replaces the contents, in a block sized to fit them.
+  void Assign(std::span<const RequestEvent> events);
+
+ private:
+  // Followed in the same allocation by `capacity` events.
+  struct Header {
+    uint32_t size;
+    uint32_t capacity;
+  };
+  RequestEvent* Events() { return reinterpret_cast<RequestEvent*>(block_ + 1); }
+  void Reallocate(size_t capacity);
+
+  Header* block_ = nullptr;
 };
 
 class SessionState {
  public:
-  SessionState(uint64_t id, SessionKey key, TimeMs start)
-      : id_(id), key_(std::move(key)), first_request_(start), last_request_(start) {}
+  SessionState(uint64_t id, IpAddress ip, SharedUserAgent user_agent, TimeMs start)
+      : id_(id),
+        user_agent_(std::move(user_agent)),
+        first_request_(start),
+        last_request_(start),
+        ip_(ip) {}
+  // A table links sessions by address.
+  SessionState(const SessionState&) = delete;
+  SessionState& operator=(const SessionState&) = delete;
 
   uint64_t id() const { return id_; }
-  const SessionKey& key() const { return key_; }
+  SessionKeyView key() const { return {ip_, user_agent_.text()}; }
   TimeMs first_request_time() const { return first_request_; }
   TimeMs last_request_time() const { return last_request_; }
   int request_count() const { return observation_.request_count; }
@@ -98,7 +219,7 @@ class SessionState {
   SessionSignals& signals() { return observation_.signals; }
   const SessionSignals& signals() const { return observation_.signals; }
 
-  const std::vector<RequestEvent>& events() const { return events_; }
+  std::span<const RequestEvent> events() const { return events_.view(); }
 
   // URL attribution sets.
   UrlHashSet& served_links() { return served_links_; }
@@ -157,25 +278,34 @@ class SessionState {
     get_requests_ = get_requests;
     error_responses_ = error_responses;
   }
-  std::vector<RequestEvent>& mutable_events() { return events_; }
+  // Keeps at most kMaxTrackedEvents of `events`.
+  void RestoreEvents(std::span<const RequestEvent> events) {
+    events_.Assign(events.first(std::min(events.size(), kMaxTrackedEvents)));
+  }
   std::vector<int>& mutable_instrumented_page_indices() {
     return observation_.instrumented_page_indices;
   }
 
  private:
+  friend class SessionTable;
+
   uint64_t id_;
-  SessionKey key_;
+  SharedUserAgent user_agent_;
   TimeMs first_request_;
   TimeMs last_request_;
   SessionObservation observation_;
-  std::vector<RequestEvent> events_;
+  EventLog events_;
   UrlHashSet served_links_;
   UrlHashSet served_embeds_;
   UrlHashSet visited_urls_;
-  bool blocked_ = false;
+  // The next session in the same bucket of the table that holds this one,
+  // so a session and its table slot are one allocation.
+  SessionState* chain_next_ = nullptr;
+  IpAddress ip_;
   int cgi_requests_ = 0;
   int get_requests_ = 0;
   int error_responses_ = 0;
+  bool blocked_ = false;
 };
 
 }  // namespace robodet

@@ -17,8 +17,6 @@
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <unordered_set>
 #include <vector>
 
 #include "src/obs/metrics.h"
@@ -44,6 +42,7 @@ class SessionTable {
   using CloseObserver = std::function<void(const SessionState&)>;
 
   explicit SessionTable(Config config);
+  ~SessionTable();
 
   // Not thread-safe; wire before serving.
   void set_on_closed(ClosedCallback cb) { on_closed_ = std::move(cb); }
@@ -56,8 +55,10 @@ class SessionTable {
 
   // Finds the active session for `key`, splitting on idle timeout, or
   // creates one. Never returns null; the pointer stays valid until the
-  // session is closed.
-  SessionState* Touch(const SessionKey& key, TimeMs now);
+  // session is closed. Copies nothing of the key unless it creates a
+  // session, and then shares the User-Agent text with the shard's other
+  // sessions that carry it.
+  SessionState* Touch(SessionKeyView key, TimeMs now);
 
   // Closes the sessions idle at `now` in one shard (round-robin across
   // calls; num_shards() calls sweep the whole table). Returns how many
@@ -82,43 +83,20 @@ class SessionTable {
   // stripe at a time without stalling the others.
   void ForEachSessionInShard(size_t shard_index, const std::function<void(const SessionState&)>& fn);
 
-  // Recovery-only: installs an already-populated session (keeps its id and
-  // timestamps). Replaces any existing session for the same key. Does not
-  // fire opened counters — the session was counted in a previous life.
-  void Restore(std::unique_ptr<SessionState> session);
+  // Recovery-only: installs an empty session with the given id, key and
+  // start, replacing any session of the same key, and returns it for the
+  // caller to fill in before serving starts. Does not fire opened counters
+  // — the session was counted in a previous life.
+  SessionState* Restore(uint64_t id, SessionKeyView key, TimeMs first_request);
 
   // Drops every session without callbacks, counters, or records (simulated
   // crash: in-flight state simply vanishes).
   void DropAll();
 
  private:
-  // A shard keys each session by the session's own key(), so the key (and
-  // its User-Agent string) is stored once; lookups take a SessionKey.
-  struct SessionKeyOf {
-    const SessionKey& operator()(const SessionKey& key) const { return key; }
-    const SessionKey& operator()(const std::unique_ptr<SessionState>& s) const { return s->key(); }
-  };
-  struct SessionPtrHash {
-    using is_transparent = void;
-    template <typename T>
-    size_t operator()(const T& v) const {
-      return SessionKeyHash{}(SessionKeyOf{}(v));
-    }
-  };
-  struct SessionPtrEq {
-    using is_transparent = void;
-    template <typename A, typename B>
-    bool operator()(const A& a, const B& b) const {
-      return SessionKeyOf{}(a) == SessionKeyOf{}(b);
-    }
-  };
-  using SessionSet = std::unordered_set<std::unique_ptr<SessionState>, SessionPtrHash, SessionPtrEq>;
-
-  struct Shard {
-    std::mutex mu;
-    // Guarded by mu.
-    SessionSet sessions;
-  };
+  // A shard's sessions and the User-Agent copies they share; defined in
+  // the .cc.
+  struct Shard;
 
   struct Metrics {
     Counter* opened = nullptr;
@@ -129,7 +107,7 @@ class SessionTable {
     Gauge* active = nullptr;
   };
 
-  Shard& ShardFor(const SessionKey& key);
+  Shard& ShardFor(IpAddress ip);
   // Scans every shard for the globally stalest session and closes it;
   // among equally stale sessions, the one with the lowest id.
   void EvictStalest();

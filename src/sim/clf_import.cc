@@ -174,7 +174,7 @@ ClfReplayResult ReplayClfLog(const std::vector<std::string>& lines) {
     record.session_id = session->id();
     record.client_type = "clf";
     record.observation = session->observation();
-    record.events = session->events();
+    record.events.assign(session->events().begin(), session->events().end());
     record.first_request = session->first_request_time();
     record.last_request = session->last_request_time();
     result.records.push_back(std::move(record));
@@ -192,7 +192,7 @@ ClfReplayResult ReplayClfLog(const std::vector<std::string>& lines) {
       continue;
     }
     SessionState* session =
-        table.Touch(SessionKey{entry->ip, entry->user_agent}, entry->time);
+        table.Touch({entry->ip, entry->user_agent}, entry->time);
 
     // The target may be absolute (proxy logs) or a bare path.
     Url url;

@@ -61,7 +61,7 @@ SessionSignals ProxyCluster::CombinedSignalsFor(IpAddress ip, const std::string&
   };
   for (const auto& node : nodes_) {
     const SessionSignals& s =
-        node->sessions().Touch(SessionKey{ip, user_agent}, now)->signals();
+        node->sessions().Touch({ip, user_agent}, now)->signals();
     for (const SignalIndex& index : kSignalIndices) {
       merge_index(combined.*index.field, s.*index.field);
     }

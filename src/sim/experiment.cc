@@ -42,7 +42,7 @@ void Experiment::Run() {
     SessionRecord record;
     record.session_id = session->id();
     record.observation = session->observation();
-    record.events = session->events();
+    record.events.assign(session->events().begin(), session->events().end());
     record.first_request = session->first_request_time();
     record.last_request = session->last_request_time();
     const auto it = identity_by_ip_.find(session->key().ip.value());

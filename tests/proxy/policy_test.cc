@@ -6,7 +6,7 @@ namespace robodet {
 namespace {
 
 SessionState MakeSession(TimeMs start = 0) {
-  return SessionState(1, SessionKey{IpAddress(1), "ua"}, start);
+  return SessionState(1, IpAddress(1), SharedUserAgent("ua"), start);
 }
 
 void AddRequests(SessionState& session, int cgi, int get, int errors, TimeMs spacing) {

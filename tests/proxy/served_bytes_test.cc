@@ -7,6 +7,7 @@
 // or to what it records as served, shows up here.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,7 +26,7 @@ struct GuardCase {
   uint64_t refs_digest;
 };
 
-uint64_t DigestHashes(const std::vector<uint64_t>& hashes, uint64_t h) {
+uint64_t DigestHashes(std::span<const uint64_t> hashes, uint64_t h) {
   h = HashCombine(h, hashes.size());
   for (uint64_t v : hashes) {
     h = HashCombine(h, v);

@@ -1,6 +1,7 @@
 #include "src/proxy/session.h"
 
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -11,10 +12,15 @@
 namespace robodet {
 namespace {
 
-SessionKey Key() { return SessionKey{IpAddress(42), "UA/1.0"}; }
+SharedUserAgent Agent() { return SharedUserAgent("UA/1.0"); }
+
+std::vector<uint64_t> Hashes(const UrlHashSet& set) {
+  const std::span<const uint64_t> hashes = set.ordered_hashes();
+  return {hashes.begin(), hashes.end()};
+}
 
 TEST(SessionStateTest, RecordRequestIncrementsAndTimestamps) {
-  SessionState s(1, Key(), 1000);
+  SessionState s(1, IpAddress(42), Agent(), 1000);
   RequestEvent ev;
   EXPECT_EQ(s.RecordRequest(2000, ev), 1);
   EXPECT_EQ(s.RecordRequest(3000, ev), 2);
@@ -24,7 +30,7 @@ TEST(SessionStateTest, RecordRequestIncrementsAndTimestamps) {
 }
 
 TEST(SessionStateTest, LastRequestNeverMovesBackwards) {
-  SessionState s(1, Key(), 1000);
+  SessionState s(1, IpAddress(42), Agent(), 1000);
   RequestEvent ev;
   s.RecordRequest(5000, ev);
   s.RecordRequest(2000, ev);
@@ -32,7 +38,7 @@ TEST(SessionStateTest, LastRequestNeverMovesBackwards) {
 }
 
 TEST(SessionStateTest, CountersByKind) {
-  SessionState s(1, Key(), 0);
+  SessionState s(1, IpAddress(42), Agent(), 0);
   RequestEvent cgi;
   cgi.kind = ResourceKind::kCgi;
   RequestEvent head;
@@ -48,7 +54,7 @@ TEST(SessionStateTest, CountersByKind) {
 }
 
 TEST(SessionStateTest, EventStorageIsBounded) {
-  SessionState s(1, Key(), 0);
+  SessionState s(1, IpAddress(42), Agent(), 0);
   RequestEvent ev;
   for (int i = 0; i < 1000; ++i) {
     s.RecordRequest(i, ev);
@@ -65,7 +71,7 @@ TEST(SessionStateTest, MarkSignalOnlyFirst) {
 }
 
 TEST(SessionStateTest, InstrumentedPageCounter) {
-  SessionState s(1, Key(), 0);
+  SessionState s(1, IpAddress(42), Agent(), 0);
   EXPECT_EQ(s.instrumented_pages(), 0);
   s.NoteInstrumentedPage();
   s.NoteInstrumentedPage();
@@ -84,7 +90,7 @@ TEST(UrlHashSetTest, DuplicatesAreStoredOnce) {
   set.Insert("http://a.com/x");
   set.Insert("http://a.com/x");
   EXPECT_EQ(set.size(), 1u);
-  EXPECT_EQ(set.ordered_hashes(), std::vector<uint64_t>{Fnv1a("http://a.com/x")});
+  EXPECT_EQ(Hashes(set), std::vector<uint64_t>{Fnv1a("http://a.com/x")});
 }
 
 TEST(UrlHashSetTest, CapacityBound) {
@@ -127,7 +133,7 @@ TEST(UrlHashSetTest, ExactAgainstOracleAcrossIndexThreshold) {
       ASSERT_EQ(set.ContainsHash(probe), oracle.contains(probe))
           << "seed " << seed << " step " << step;
     }
-    EXPECT_EQ(set.ordered_hashes(), inserted);
+    EXPECT_EQ(Hashes(set), inserted);
     for (uint64_t h : inserted) {
       ASSERT_TRUE(set.ContainsHash(h));
     }
@@ -155,7 +161,7 @@ TEST(UrlHashSetTest, RestoreKeepsWhatInsertsWould) {
       }
       UrlHashSet restored;
       restored.Restore(hashes);
-      ASSERT_EQ(restored.ordered_hashes(), inserted.ordered_hashes())
+      ASSERT_EQ(Hashes(restored), Hashes(inserted))
           << "n " << n << " pool " << pool;
       for (int i = 0; i < 64; ++i) {
         const uint64_t probe = rng.UniformU64(pool);
@@ -163,23 +169,10 @@ TEST(UrlHashSetTest, RestoreKeepsWhatInsertsWould) {
         restored.InsertHash(probe);
         inserted.InsertHash(probe);
       }
-      ASSERT_EQ(restored.ordered_hashes(), inserted.ordered_hashes())
+      ASSERT_EQ(Hashes(restored), Hashes(inserted))
           << "n " << n << " pool " << pool;
     }
   }
-}
-
-TEST(SessionKeyTest, EqualityAndHash) {
-  const SessionKey a{IpAddress(1), "ua"};
-  const SessionKey b{IpAddress(1), "ua"};
-  const SessionKey c{IpAddress(2), "ua"};
-  const SessionKey d{IpAddress(1), "other"};
-  EXPECT_EQ(a, b);
-  EXPECT_FALSE(a == c);
-  EXPECT_FALSE(a == d);
-  SessionKeyHash hash;
-  EXPECT_EQ(hash(a), hash(b));
-  EXPECT_NE(hash(a), hash(c));
 }
 
 }  // namespace

@@ -25,7 +25,7 @@ class Flags {
       arg.remove_prefix(2);
       const size_t eq = arg.find('=');
       if (eq == std::string_view::npos) {
-        values_[std::string(arg)] = "1";
+        values_[std::string(arg)].assign(1, '1');
       } else {
         values_[std::string(arg.substr(0, eq))] = std::string(arg.substr(eq + 1));
       }

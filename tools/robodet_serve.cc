@@ -97,7 +97,8 @@ int Main(int argc, char** argv) {
 
   TraceRecorder tracer(TraceRecorder::Config{
       .capacity = 128,
-      .sample_every = static_cast<uint32_t>(flags.GetInt("trace-sample", 64))});
+      .sample_every = static_cast<uint32_t>(flags.GetInt("trace-sample", 64)),
+      .now_ns = nullptr});  // The monotonic clock.
   proxy.set_trace_recorder(&tracer);
 
   const bool trust_xff = flags.GetBool("trust-xff");
