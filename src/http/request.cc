@@ -5,19 +5,36 @@
 namespace robodet {
 
 std::optional<IpAddress> IpAddress::Parse(std::string_view dotted) {
-  const std::vector<std::string> parts = Split(dotted, '.');
-  if (parts.size() != 4) {
-    return std::nullopt;
-  }
   uint32_t v = 0;
-  for (const std::string& p : parts) {
-    const auto octet = ParseU64(p);
-    if (!octet.has_value() || *octet > 255) {
-      return std::nullopt;
+  size_t i = 0;
+  for (int octet = 0; octet < 4; ++octet) {
+    if (octet > 0) {
+      if (i >= dotted.size() || dotted[i] != '.') {
+        return std::nullopt;
+      }
+      ++i;
     }
-    v = (v << 8) | static_cast<uint32_t>(*octet);
+    const size_t start = i;
+    uint32_t value = 0;
+    for (; i < dotted.size() && dotted[i] >= '0' && dotted[i] <= '9'; ++i) {
+      value = value * 10 + static_cast<uint32_t>(dotted[i] - '0');
+      if (value > 255) {
+        return std::nullopt;
+      }
+    }
+    if (i == start) {
+      return std::nullopt;  // Empty octet, or one that is not a number.
+    }
+    v = (v << 8) | value;
+  }
+  if (i != dotted.size()) {
+    return std::nullopt;  // A fifth part, or trailing bytes.
   }
   return IpAddress(v);
+}
+
+std::optional<IpAddress> IpAddress::ParseForwardedFor(std::string_view x_forwarded_for) {
+  return Parse(TrimWhitespace(x_forwarded_for.substr(0, x_forwarded_for.find(','))));
 }
 
 bool Response::IsHtml() const {

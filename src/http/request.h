@@ -24,7 +24,12 @@ class IpAddress {
   constexpr IpAddress() = default;
   constexpr explicit IpAddress(uint32_t v) : value_(v) {}
 
+  // Four dot-separated decimal octets, each 0-255; leading zeros are
+  // allowed at any length. Parsed in place, with no allocation.
   static std::optional<IpAddress> Parse(std::string_view dotted);
+  // The client an X-Forwarded-For value names: its first comma-separated
+  // element, surrounding whitespace trimmed.
+  static std::optional<IpAddress> ParseForwardedFor(std::string_view x_forwarded_for);
 
   constexpr uint32_t value() const { return value_; }
 

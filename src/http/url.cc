@@ -1,8 +1,26 @@
 #include "src/http/url.h"
 
+#include <charconv>
+
+#include "src/util/hash.h"
 #include "src/util/strings.h"
 
 namespace robodet {
+
+// A URL as views: into a Url's members, into parsed text, or both. The
+// path is path_head followed by path_tail (a base's directory and a
+// relative ref); the host keeps the case it was written in.
+struct Url::Parts {
+  std::string_view scheme;  // "http" or "https", lowercase.
+  std::string_view host;
+  uint16_t port = 80;
+  std::string_view path_head;
+  std::string_view path_tail;
+  std::string_view query;
+  bool has_query = false;
+  std::string_view fragment;
+};
+
 namespace {
 
 bool IsValidHostChar(char c) {
@@ -10,70 +28,165 @@ bool IsValidHostChar(char c) {
          c == '-' || c == '_';
 }
 
-}  // namespace
+char LowerAscii(char c) { return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c; }
 
-std::optional<Url> Url::Parse(std::string_view raw) {
-  Url url;
-  const size_t scheme_end = raw.find("://");
-  if (scheme_end == std::string_view::npos || scheme_end == 0) {
-    return std::nullopt;
-  }
-  std::string scheme = AsciiLower(raw.substr(0, scheme_end));
-  if (scheme != "http" && scheme != "https") {
-    return std::nullopt;
-  }
-  url.scheme_ = scheme;
-  url.port_ = scheme == "https" ? 443 : 80;
+uint16_t DefaultPort(std::string_view scheme) { return scheme == "https" ? 443 : 80; }
 
-  std::string_view rest = raw.substr(scheme_end + 3);
-  const size_t authority_end = rest.find_first_of("/?#");
-  std::string_view authority =
-      authority_end == std::string_view::npos ? rest : rest.substr(0, authority_end);
-  if (authority.empty()) {
-    return std::nullopt;
+// Whether `ref` starts with a scheme and ':' (RFC 3986 §3.1: a letter,
+// then letters, digits, '+', '-' or '.').
+bool StartsWithScheme(std::string_view ref) {
+  auto letter = [](char c) { return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'); };
+  if (ref.empty() || !letter(ref[0])) {
+    return false;
   }
-
-  const size_t colon = authority.rfind(':');
-  if (colon != std::string_view::npos) {
-    const auto port = ParseU64(authority.substr(colon + 1));
-    if (!port.has_value() || *port == 0 || *port > 65535) {
-      return std::nullopt;
+  for (size_t i = 1; i < ref.size(); ++i) {
+    const char c = ref[i];
+    if (c == ':') {
+      return true;
     }
-    url.port_ = static_cast<uint16_t>(*port);
-    authority = authority.substr(0, colon);
-  }
-  if (authority.empty()) {
-    return std::nullopt;
-  }
-  for (char c : authority) {
-    if (!IsValidHostChar(c)) {
-      return std::nullopt;
+    if (!letter(c) && !(c >= '0' && c <= '9') && c != '+' && c != '-' && c != '.') {
+      return false;
     }
   }
-  url.host_ = AsciiLower(authority);
+  return false;
+}
 
-  if (authority_end == std::string_view::npos) {
-    return url;
-  }
-  rest = rest.substr(authority_end);
-
+// Splits "#fragment" and then "?query" off the end of `rest` into `parts`,
+// leaving the path in `rest`.
+void SplitQueryAndFragment(std::string_view& rest, Url::Parts& parts) {
   // Fragment first (it binds last in the grammar).
   const size_t hash = rest.find('#');
   if (hash != std::string_view::npos) {
-    url.fragment_ = std::string(rest.substr(hash + 1));
+    parts.fragment = rest.substr(hash + 1);
     rest = rest.substr(0, hash);
   }
   const size_t qmark = rest.find('?');
   if (qmark != std::string_view::npos) {
-    url.has_query_ = true;
-    url.query_ = std::string(rest.substr(qmark + 1));
+    parts.has_query = true;
+    parts.query = rest.substr(qmark + 1);
     rest = rest.substr(0, qmark);
   }
-  url.path_ = rest.empty() ? "/" : std::string(rest);
-  if (url.path_[0] != '/') {
+}
+
+// Parses what follows "scheme://" into `parts`, whose scheme and default
+// port are set. False on an empty or invalid authority.
+bool ParseAfterScheme(std::string_view rest, Url::Parts& parts) {
+  const size_t authority_end = rest.find_first_of("/?#");
+  std::string_view authority =
+      authority_end == std::string_view::npos ? rest : rest.substr(0, authority_end);
+  if (authority.empty()) {
+    return false;
+  }
+  const size_t colon = authority.rfind(':');
+  if (colon != std::string_view::npos) {
+    const auto port = ParseU64(authority.substr(colon + 1));
+    if (!port.has_value() || *port == 0 || *port > 65535) {
+      return false;
+    }
+    parts.port = static_cast<uint16_t>(*port);
+    authority = authority.substr(0, colon);
+  }
+  if (authority.empty()) {
+    return false;
+  }
+  for (char c : authority) {
+    if (!IsValidHostChar(c)) {
+      return false;
+    }
+  }
+  parts.host = authority;
+  parts.path_head = "/";
+  if (authority_end == std::string_view::npos) {
+    return true;
+  }
+  rest = rest.substr(authority_end);
+  SplitQueryAndFragment(rest, parts);
+  if (!rest.empty()) {
+    if (rest[0] != '/') {
+      return false;
+    }
+    parts.path_head = rest;
+  }
+  return true;
+}
+
+// Parses an absolute http(s) URL into `parts`.
+bool ParseAbsolute(std::string_view raw, Url::Parts& parts) {
+  const size_t scheme_end = raw.find("://");
+  if (scheme_end == std::string_view::npos || scheme_end == 0) {
+    return false;
+  }
+  const std::string_view scheme = raw.substr(0, scheme_end);
+  if (EqualsIgnoreCase(scheme, "http")) {
+    parts.scheme = "http";
+  } else if (EqualsIgnoreCase(scheme, "https")) {
+    parts.scheme = "https";
+  } else {
+    return false;
+  }
+  parts.port = DefaultPort(parts.scheme);
+  return ParseAfterScheme(raw.substr(scheme_end + 3), parts);
+}
+
+// Writes the canonical form of `parts` into `sink`: the one spelling that
+// ToString builds and Hash and ResolveHash hash.
+template <typename Sink>
+void WriteCanonical(const Url::Parts& parts, Sink& sink) {
+  sink.Put(parts.scheme);
+  sink.Put("://");
+  sink.PutLower(parts.host);
+  if (parts.port != DefaultPort(parts.scheme)) {
+    char digits[8];
+    const auto [end, ec] = std::to_chars(digits, digits + sizeof(digits), parts.port);
+    sink.Put(":");
+    sink.Put(std::string_view(digits, static_cast<size_t>(end - digits)));
+  }
+  sink.Put(parts.path_head);
+  sink.Put(parts.path_tail);
+  if (parts.has_query) {
+    sink.Put("?");
+    sink.Put(parts.query);
+  }
+  if (!parts.fragment.empty()) {
+    sink.Put("#");
+    sink.Put(parts.fragment);
+  }
+}
+
+class StringSink {
+ public:
+  explicit StringSink(std::string& out) : out_(out) {}
+  void Put(std::string_view s) { out_.append(s); }
+  void PutLower(std::string_view s) { AppendAsciiLower(out_, s); }
+
+ private:
+  std::string& out_;
+};
+
+// Fnv1a over everything put, as if the puts were one string.
+class HashSink {
+ public:
+  void Put(std::string_view s) { hash_ = Fnv1a(s, hash_); }
+  void PutLower(std::string_view s) {
+    for (char c : s) {
+      hash_ ^= static_cast<uint8_t>(LowerAscii(c));
+      hash_ *= kFnvPrime;
+    }
+  }
+  uint64_t hash() const { return hash_; }
+
+ private:
+  uint64_t hash_ = kFnvOffset;
+};
+
+}  // namespace
+
+std::optional<Url> Url::Parse(std::string_view raw) {
+  Parts parts;
+  if (!ParseAbsolute(raw, parts)) {
     return std::nullopt;
   }
-  return url;
+  return FromParts(parts);
 }
 
 Url Url::Make(std::string_view host, std::string_view path, std::string_view query) {
@@ -101,70 +214,81 @@ std::string_view Url::Filename() const {
   return std::string_view(path_).substr(slash + 1);
 }
 
+Url::Parts Url::AsParts() const {
+  Parts parts;
+  parts.scheme = scheme_;
+  parts.host = host_;
+  parts.port = port_;
+  parts.path_head = path_;
+  parts.query = query_;
+  parts.has_query = has_query_;
+  parts.fragment = fragment_;
+  return parts;
+}
+
+Url Url::FromParts(const Parts& parts) {
+  Url url;
+  url.scheme_ = parts.scheme;
+  url.host_ = AsciiLower(parts.host);
+  url.port_ = parts.port;
+  url.path_.assign(parts.path_head).append(parts.path_tail);
+  url.query_ = parts.query;
+  url.has_query_ = parts.has_query;
+  url.fragment_ = parts.fragment;
+  return url;
+}
+
 std::string Url::ToString() const {
-  std::string out = scheme_;
-  out += "://";
-  out += host_;
-  const bool default_port = (scheme_ == "http" && port_ == 80) ||
-                            (scheme_ == "https" && port_ == 443);
-  if (!default_port) {
-    out += ':';
-    out += std::to_string(port_);
+  std::string out;
+  // Scheme, "://", a port and the '?' and '#' fit in the slack.
+  out.reserve(scheme_.size() + host_.size() + path_.size() + query_.size() + fragment_.size() +
+              16);
+  StringSink sink(out);
+  WriteCanonical(AsParts(), sink);
+  return out;
+}
+
+uint64_t Url::Hash() const {
+  HashSink sink;
+  WriteCanonical(AsParts(), sink);
+  return sink.hash();
+}
+
+Url::Parts Url::ResolveParts(std::string_view ref) const {
+  if (StartsWithScheme(ref)) {
+    Parts absolute;
+    return ParseAbsolute(ref, absolute) ? absolute : AsParts();
   }
-  out += path_;
-  if (has_query_) {
-    out += '?';
-    out += query_;
+  if (ref.starts_with("//")) {
+    Parts network;
+    network.scheme = scheme_;
+    network.port = DefaultPort(scheme_);
+    return ParseAfterScheme(ref.substr(2), network) ? network : AsParts();
   }
-  if (!fragment_.empty()) {
-    out += '#';
-    out += fragment_;
+  Parts out = AsParts();
+  out.query = {};
+  out.has_query = false;
+  out.fragment = {};
+  std::string_view rest = ref;
+  SplitQueryAndFragment(rest, out);
+  if (rest.empty()) {
+    // Same document, possibly new query/fragment.
+  } else if (rest[0] == '/') {
+    out.path_head = rest;
+  } else {
+    const size_t slash = path_.rfind('/');
+    out.path_head = std::string_view(path_).substr(0, slash + 1);
+    out.path_tail = rest;
   }
   return out;
 }
 
-Url Url::Resolve(std::string_view ref) const {
-  if (ref.find("://") != std::string_view::npos) {
-    if (auto abs = Parse(ref); abs.has_value()) {
-      return *abs;
-    }
-    // Malformed absolute reference: fall back to self.
-    return *this;
-  }
-  Url out = *this;
-  out.fragment_.clear();
-  out.query_.clear();
-  out.has_query_ = false;
+Url Url::Resolve(std::string_view ref) const { return FromParts(ResolveParts(ref)); }
 
-  std::string_view rest = ref;
-  const size_t hash = rest.find('#');
-  std::string fragment;
-  if (hash != std::string_view::npos) {
-    fragment = std::string(rest.substr(hash + 1));
-    rest = rest.substr(0, hash);
-  }
-  const size_t qmark = rest.find('?');
-  std::string query;
-  bool has_query = false;
-  if (qmark != std::string_view::npos) {
-    has_query = true;
-    query = std::string(rest.substr(qmark + 1));
-    rest = rest.substr(0, qmark);
-  }
-
-  if (rest.empty()) {
-    // Same document, possibly new query/fragment.
-    out.path_ = path_;
-  } else if (rest[0] == '/') {
-    out.path_ = std::string(rest);
-  } else {
-    const size_t slash = path_.rfind('/');
-    out.path_ = path_.substr(0, slash + 1) + std::string(rest);
-  }
-  out.query_ = std::move(query);
-  out.has_query_ = has_query;
-  out.fragment_ = std::move(fragment);
-  return out;
+uint64_t Url::ResolveHash(std::string_view ref) const {
+  HashSink sink;
+  WriteCanonical(ResolveParts(ref), sink);
+  return sink.hash();
 }
 
 }  // namespace robodet

@@ -40,11 +40,19 @@ class Url {
 
   // Canonical string form; omits default ports.
   std::string ToString() const;
+  // Fnv1a(ToString()), hashed from the parts without building the string.
+  uint64_t Hash() const;
 
-  // Resolves `ref` against this URL: absolute URLs pass through, "/x" is
-  // host-relative, "x" is resolved against this URL's directory. Fragments
-  // and queries in `ref` are honored.
+  // Resolves `ref` against this URL. A ref that starts with a scheme and
+  // ':' (RFC 3986 §3.1) is absolute and passes through; one Url cannot
+  // hold (not http or https, or malformed) resolves to this URL. "//x" is
+  // scheme-relative and takes this URL's scheme, "/x" is host-relative,
+  // and "x" is resolved against this URL's directory. Fragments and
+  // queries in `ref` are honored; dot segments are kept as written.
   Url Resolve(std::string_view ref) const;
+  // Fnv1a(Resolve(ref).ToString()), computed from views into this URL and
+  // `ref` without building either.
+  uint64_t ResolveHash(std::string_view ref) const;
 
   friend bool operator==(const Url& a, const Url& b) {
     return a.scheme_ == b.scheme_ && a.host_ == b.host_ && a.port_ == b.port_ &&
@@ -52,7 +60,15 @@ class Url {
            a.fragment_ == b.fragment_;
   }
 
+  // The parts of a URL as views, which parsing, resolving, ToString and the
+  // hashes share (defined in url.cc).
+  struct Parts;
+
  private:
+  Parts AsParts() const;
+  Parts ResolveParts(std::string_view ref) const;
+  static Url FromParts(const Parts& parts);
+
   std::string scheme_ = "http";
   std::string host_;
   uint16_t port_ = 80;

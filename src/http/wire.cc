@@ -1,5 +1,7 @@
 #include "src/http/wire.h"
 
+#include <charconv>
+
 #include "src/util/strings.h"
 
 namespace robodet {
@@ -211,33 +213,39 @@ WireResult<Request> ParseRequestText(std::string_view text) {
 }
 
 std::string SerializeResponse(const Response& response) {
-  std::string out = "HTTP/1.1 ";
+  std::string out;
+  AppendSerializedResponse(out, response);
+  return out;
+}
+
+void AppendSerializedResponse(std::string& out, const Response& response, bool omit_body) {
+  // The status line, the headers and a Content-Length fit in this.
+  out.reserve(out.size() + response.WireSize() + 32);
   const int status = StatusValue(response.status);
-  out += std::to_string(status);
-  out += ' ';
-  out += ReasonPhrase(response.status);
-  out += "\r\n";
+  char digits[24];
+  const auto [end, ec] = std::to_chars(digits, digits + sizeof(digits), status);
+  out.append("HTTP/1.1 ").append(digits, static_cast<size_t>(end - digits)).push_back(' ');
+  out.append(ReasonPhrase(response.status)).append("\r\n");
   // Framing headers are replaced, not echoed.
   for (const auto& [name, value] : response.headers.entries()) {
     if (EqualsIgnoreCase(name, "Content-Length") || EqualsIgnoreCase(name, "Transfer-Encoding")) {
       continue;
     }
-    out += name;
-    out += ": ";
-    out += value;
-    out += "\r\n";
+    out.append(name).append(": ").append(value).append("\r\n");
   }
   // 1xx/204/304 must not carry a body; everything else states its length
   // explicitly so a keep-alive peer can frame the next message.
   const bool bodyless = status < 200 || status == 204 || status == 304;
   if (!bodyless || !response.body.empty()) {
-    out += "Content-Length: ";
-    out += std::to_string(response.body.size());
-    out += "\r\n";
+    const auto [len_end, len_ec] =
+        std::to_chars(digits, digits + sizeof(digits), response.body.size());
+    out.append("Content-Length: ").append(digits, static_cast<size_t>(len_end - digits));
+    out.append("\r\n");
   }
-  out += "\r\n";
-  out += response.body;
-  return out;
+  out.append("\r\n");
+  if (!omit_body) {
+    out.append(response.body);
+  }
 }
 
 }  // namespace robodet

@@ -107,6 +107,10 @@ WireResult<Request> ParseRequestText(std::string_view text);
 // keep-alive stream. Bodyless statuses (1xx/204/304) omit Content-Length
 // when the body is empty.
 std::string SerializeResponse(const Response& response);
+// Appends SerializeResponse(response) to `out`; with `omit_body` (a HEAD
+// response) the header block alone, still stating the body's length.
+void AppendSerializedResponse(std::string& out, const Response& response,
+                              bool omit_body = false);
 
 // `Connection` header semantics (RFC 9112 §9.3): a "close" token in any
 // Connection line closes, whatever else the lines say; otherwise a

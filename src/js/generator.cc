@@ -1,6 +1,8 @@
 #include "src/js/generator.h"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 
 #include "src/js/obfuscator.h"
 #include "src/js/transforms.h"
@@ -30,29 +32,123 @@ constexpr ProbeShape kProbeShapes[] = {
 };
 static_assert(std::size(kProbeShapes) == static_cast<size_t>(ProbeKind::kNone));
 
-// One guarded fetcher function in the Figure-1 shape. Appends in place —
-// this runs once per probe key on every instrumented page, so it must not
-// churn temporaries.
-void AppendFetcher(std::string& out, int index, const std::string& url) {
-  const std::string idx = std::to_string(index);
-  out.append("var done_").append(idx).append(" = false;\n");
-  out.append("function fetch_").append(idx).append("() {\n");
-  out.append("  if (done_").append(idx).append(" == false) {\n");
-  out.append("    var img = new Image();\n");
-  out.append("    done_").append(idx).append(" = true;\n");
-  out.append("    img.src = '").append(url).append("';\n");
-  out.append("    return true;\n");
-  out.append("  }\n");
-  out.append("  return false;\n");
-  out.append("}\n");
+// The script of Figure 1 as text with holes, each a whole token: '$' and a
+// letter. In a fetcher, $d is its done_<i> flag, $f its fetch_<i> function
+// and $u (a string literal's text) the URL it fetches. In the dispatcher,
+// $a and $b are the factors, $c the offset and $n the number of fetchers;
+// in each case, $i is a fetcher's index and $f its function.
+enum Shape { kFetcher, kDispatchHead, kDispatchCase, kDispatchTail };
+constexpr std::string_view kShapes[] = {
+    // kFetcher
+    "var $d = false;\n"
+    "function $f() {\n"
+    "  if ($d == false) {\n"
+    "    var img = new Image();\n"
+    "    $d = true;\n"
+    "    img.src = '$u';\n"
+    "    return true;\n"
+    "  }\n"
+    "  return false;\n"
+    "}\n",
+    // kDispatchHead
+    "function dispatch() {\n"
+    "  var sel = ($a * $b + $c) % $n;\n",
+    // kDispatchCase
+    "  if (sel == $i) { return $f(); }\n",
+    // kDispatchTail
+    "  return false;\n"
+    "}\n",
+};
+
+// The texts that fill a shape's holes, by the holes' letters.
+class Holes {
+ public:
+  std::string_view& operator[](char name) { return fillings_[name - 'a']; }
+  std::string_view operator[](char name) const { return fillings_[name - 'a']; }
+
+ private:
+  std::array<std::string_view, 26> fillings_;
+};
+
+// Appends `shape` with its holes filled.
+void AppendShapeText(std::string& out, Shape shape, const Holes& holes) {
+  const std::string_view text = kShapes[shape];
+  size_t from = 0;
+  for (size_t at = text.find('$'); at != std::string_view::npos; at = text.find('$', from)) {
+    out.append(text.substr(from, at - from)).append(holes[text[at + 1]]);
+    from = at + 2;
+  }
+  out.append(text.substr(from));
+}
+
+// Appends the tokens LexJs reads from AppendShapeText(shape, holes) (their
+// offsets aside), without writing or lexing that text: each shape is lexed
+// once, and a hole's token takes its filling as its text, a literal's
+// staying a literal, $d and $f staying identifiers and the rest becoming
+// numbers.
+void AppendShapeTokens(std::vector<JsToken>& out, Shape shape, const Holes& holes) {
+  // A shape's tokens, less the kEof, and the indices of its holes.
+  struct Lexed {
+    std::vector<JsToken> tokens;
+    std::vector<size_t> holes;
+  };
+  static const std::array<Lexed, std::size(kShapes)> kLexed = [] {
+    std::array<Lexed, std::size(kShapes)> lexed;
+    for (size_t s = 0; s < lexed.size(); ++s) {
+      lexed[s].tokens = LexJs(kShapes[s]).tokens;
+      lexed[s].tokens.pop_back();
+      for (size_t k = 0; k < lexed[s].tokens.size(); ++k) {
+        if (lexed[s].tokens[k].text.starts_with('$')) {
+          lexed[s].holes.push_back(k);
+        }
+      }
+    }
+    return lexed;
+  }();
+  const Lexed& lexed = kLexed[shape];
+  const size_t first = out.size();
+  out.insert(out.end(), lexed.tokens.begin(), lexed.tokens.end());
+  for (size_t k : lexed.holes) {
+    JsToken& tok = out[first + k];
+    const char name = tok.text[1];
+    tok.text = holes[name];
+    if (tok.type == JsTokenType::kIdentifier && name != 'd' && name != 'f') {
+      tok.type = JsTokenType::kNumber;
+    }
+  }
+}
+
+// Calls `append(shape, holes)` for each shape of the script in order: the
+// fetchers, then the dispatcher with a case per fetcher.
+template <typename Append>
+void ForEachShape(const std::vector<Holes>& fetchers, const Holes& dispatch, Append&& append) {
+  for (const Holes& holes : fetchers) {
+    append(kFetcher, holes);
+  }
+  append(kDispatchHead, dispatch);
+  for (const Holes& holes : fetchers) {
+    append(kDispatchCase, holes);
+  }
+  append(kDispatchTail, dispatch);
+}
+
+// "return <dispatcher>();", the handler attribute's code.
+std::string HandlerCode(std::string_view dispatcher) {
+  std::string code;
+  code.reserve(dispatcher.size() + 10);
+  code.append("return ").append(dispatcher).append("();");
+  return code;
 }
 
 }  // namespace
 
 GeneratedBeacon GenerateBeaconScript(const BeaconSpec& spec, Rng& rng) {
   GeneratedBeacon out;
-  const std::string base = "http://" + spec.host + spec.path_prefix;
+  std::string base;
+  base.reserve(7 + spec.host.size() + spec.path_prefix.size());
+  base.append("http://").append(spec.host).append(spec.path_prefix);
   out.real_url = ProbeUrl(base, ProbeKind::kBeaconImage, spec.real_key);
+  out.decoy_urls.reserve(spec.decoy_keys.size());
   for (const std::string& k : spec.decoy_keys) {
     out.decoy_urls.push_back(ProbeUrl(base, ProbeKind::kBeaconImage, k));
   }
@@ -61,55 +157,82 @@ GeneratedBeacon GenerateBeaconScript(const BeaconSpec& spec, Rng& rng) {
   // information.
   const size_t n = spec.decoy_keys.size() + 1;
   const size_t real_pos = static_cast<size_t>(rng.UniformU64(n));
-
-  std::string src;
-  src.reserve(512 * n);
-  for (size_t i = 0; i < n; ++i) {
-    const std::string& url =
-        i == real_pos ? out.real_url : out.decoy_urls[i < real_pos ? i : i - 1];
-    AppendFetcher(src, static_cast<int>(i), url);
-  }
-
   // The dispatcher: selects the real fetcher via arithmetic that a lexical
   // scraper cannot resolve without evaluating it.
   const uint64_t a = 3 + rng.UniformU64(97);
   const uint64_t b = 3 + rng.UniformU64(97);
   const uint64_t c = (real_pos + n * 200 - (a * b) % n) % n;
-  src.append("function dispatch() {\n");
-  src.append("  var sel = (").append(std::to_string(a)).append(" * ").append(std::to_string(b));
-  src.append(" + ").append(std::to_string(c)).append(") % ").append(std::to_string(n));
-  src.append(";\n");
+
+  // Every filling in one buffer, reserved up front so views of it stay
+  // valid: a fetcher's "done_<i>", "fetch_<i>" and "<i>", and the
+  // dispatcher's four numbers, each of at most 20 digits.
+  std::string fillings;
+  fillings.reserve(n * (5 + 6 + 3 * 20) + 4 * 20);
+  auto fill = [&fillings](std::string_view prefix, uint64_t value) {
+    const size_t start = fillings.size();
+    char digits[20];
+    const auto [end, ec] = std::to_chars(digits, digits + sizeof(digits), value);
+    fillings.append(prefix).append(digits, static_cast<size_t>(end - digits));
+    return std::string_view(fillings).substr(start);
+  };
+  std::vector<Holes> fetchers(n);
   for (size_t i = 0; i < n; ++i) {
-    const std::string idx = std::to_string(i);
-    src.append("  if (sel == ").append(idx).append(") { return fetch_").append(idx);
-    src.append("(); }\n");
+    Holes& holes = fetchers[i];
+    holes['d'] = fill("done_", i);
+    holes['f'] = fill("fetch_", i);
+    holes['i'] = fill("", i);
+    holes['u'] = i == real_pos ? out.real_url : out.decoy_urls[i < real_pos ? i : i - 1];
   }
-  src.append("  return false;\n");
-  src.append("}\n");
+  Holes dispatch;
+  dispatch['a'] = fill("", a);
+  dispatch['b'] = fill("", b);
+  dispatch['c'] = fill("", c);
+  dispatch['n'] = fill("", n);
+
+  // Levels 1-3 obfuscate the script's tokens, made without writing or
+  // lexing its text; level 0 is the text, and levels 4-5 transform it.
+  const int level = spec.obfuscation_level;
+  ObfuscationOptions options;
+  options.rename_identifiers = true;
+  // At level 5 the long literals are gone; splitting would only mangle
+  // short leftovers.
+  options.split_strings = level >= 2 && level < 5;
+  options.junk_statements = level >= 3 ? 8 : 0;
+  options.pad_to_bytes = level >= 3 ? spec.pad_to_bytes : 0;
+  if (level >= 1 && level <= 3) {
+    std::vector<JsToken> tokens;
+    tokens.reserve(n * 48 + 24);  // A fetcher is 43 tokens, a case 12.
+    ForEachShape(fetchers, dispatch,
+                 [&tokens](Shape shape, const Holes& holes) {
+                   AppendShapeTokens(tokens, shape, holes);
+                 });
+    tokens.emplace_back();  // kEof.
+    ObfuscationResult obf = ObfuscateTokens(std::move(tokens), options, rng);
+    out.script_source = std::move(obf.source);
+    out.handler_code = HandlerCode(obf.RenamedOrSelf("dispatch"));
+    return out;
+  }
+
+  std::string src;
+  src.reserve(512 * n);
+  ForEachShape(fetchers, dispatch, [&src](Shape shape, const Holes& holes) {
+    AppendShapeText(src, shape, holes);
+  });
 
   std::string dispatcher_name = "dispatch";
-  if (spec.obfuscation_level >= 5) {
+  if (level >= 5) {
     TransformResult encoded = EncodeStringsAsCharCodes(src, rng);
     if (encoded.ok) {
       src = std::move(encoded.source);
     }
   }
-  if (spec.obfuscation_level >= 4) {
+  if (level >= 4) {
     // AST-level pass first: opaque predicates survive the token-level
     // renaming/splitting that follows.
     TransformResult transformed = ApplyOpaquePredicates(src, 8, rng);
     if (transformed.ok) {
       src = std::move(transformed.source);
     }
-  }
-  if (spec.obfuscation_level > 0) {
-    ObfuscationOptions options;
-    options.rename_identifiers = true;
-    // At level 5 the long literals are gone; splitting would only mangle
-    // short leftovers.
-    options.split_strings = spec.obfuscation_level >= 2 && spec.obfuscation_level < 5;
-    options.junk_statements = spec.obfuscation_level >= 3 ? 8 : 0;
-    options.pad_to_bytes = spec.obfuscation_level >= 3 ? spec.pad_to_bytes : 0;
     ObfuscationResult obf = ObfuscateJs(src, options, rng);
     if (obf.ok) {
       src = std::move(obf.source);
@@ -118,7 +241,7 @@ GeneratedBeacon GenerateBeaconScript(const BeaconSpec& spec, Rng& rng) {
   }
 
   out.script_source = std::move(src);
-  out.handler_code = "return " + dispatcher_name + "();";
+  out.handler_code = HandlerCode(dispatcher_name);
   return out;
 }
 
@@ -131,7 +254,7 @@ std::string DeriveBeaconHandler(const BeaconSpec& spec, Rng& rng) {
   rng.UniformU64(97);
   rng.UniformU64(97);
   if (spec.obfuscation_level == 0) {
-    return "return dispatch();";
+    return HandlerCode("dispatch");
   }
   // Levels 1-3 rename first, drawing a fresh name per identifier in order of
   // first appearance: done_0, fetch_0, img, then done_i, fetch_i for each
@@ -142,7 +265,7 @@ std::string DeriveBeaconHandler(const BeaconSpec& spec, Rng& rng) {
   for (size_t i = 0; i < 2 * n + 1; ++i) {
     DrawFreshIdentifier(rng, used);
   }
-  return "return " + DrawFreshIdentifier(rng, used) + "();";
+  return HandlerCode(DrawFreshIdentifier(rng, used));
 }
 
 std::string GenerateUaEchoScript(const std::string& host, const std::string& path_prefix,

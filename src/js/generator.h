@@ -52,7 +52,8 @@ GeneratedBeacon GenerateBeaconScript(const BeaconSpec& spec, Rng& rng);
 // building, lexing or obfuscating the script: it replays the generator's
 // draws from `rng` in the generator's order, up to the renamer's name for
 // the dispatcher. Valid for obfuscation levels 0-3; above that the AST
-// transforms draw from `rng` before the renamer does.
+// transforms draw from `rng` before the renamer does. Reads only the spec's
+// obfuscation level and the number of its decoy keys, not the keys.
 std::string DeriveBeaconHandler(const BeaconSpec& spec, Rng& rng);
 
 // The UA-echo inline script (second <script> block in Figure 1): on

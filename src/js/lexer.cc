@@ -1,5 +1,8 @@
 #include "src/js/lexer.h"
 
+#include <algorithm>
+#include <array>
+
 namespace robodet {
 namespace {
 
@@ -57,6 +60,57 @@ size_t PunctLength(std::string_view source, size_t i) {
   }
 }
 
+// The letter EmitJs escapes a string byte with after a backslash, or 0
+// for a byte written as is (the quote aside).
+constexpr std::array<char, 256> kEscapes = [] {
+  std::array<char, 256> escapes{};
+  escapes['\\'] = '\\';
+  escapes['\n'] = 'n';
+  escapes['\t'] = 't';
+  escapes['\r'] = 'r';
+  return escapes;
+}();
+
+// Spacing bits: what a token shows its neighbours. JsEmitter puts a space
+// between two tokens when the first's trailing bits meet the second's
+// leading bits: two words; a number then '.', or '.' then a number, which
+// would read as a decimal point ("1" "." -> "1.", "." "5" -> ".5"); or
+// punctuators that would glue into a longer one ("=" "=" -> "==").
+constexpr uint8_t kWordBit = 1;
+constexpr uint8_t kNumberThenDotBit = 2;
+constexpr uint8_t kDotThenNumberBit = 4;
+constexpr uint8_t kStickyBit = 8;
+
+// Leading and trailing bits by token type; a punctuator adds its own.
+constexpr uint8_t kTypeLeading[] = {
+    kWordBit,                      // kIdentifier
+    kWordBit,                      // kKeyword
+    kWordBit | kDotThenNumberBit,  // kNumber
+    0,                             // kString
+    0,                             // kPunct
+    0,                             // kEof
+};
+constexpr uint8_t kTypeTrailing[] = {
+    kWordBit, kWordBit, kWordBit | kNumberThenDotBit, 0, 0, 0,
+};
+
+// A punctuator's leading bits by its first character and trailing bits by
+// its last. The only punctuator with a '.' is "." itself.
+struct PunctBits {
+  std::array<uint8_t, 256> leading{};
+  std::array<uint8_t, 256> trailing{};
+};
+constexpr PunctBits kPunctBits = [] {
+  PunctBits bits;
+  for (char c : std::string_view("=+-<>!&|*/")) {
+    bits.leading[static_cast<uint8_t>(c)] = kStickyBit;
+    bits.trailing[static_cast<uint8_t>(c)] = kStickyBit;
+  }
+  bits.leading['.'] = kNumberThenDotBit;
+  bits.trailing['.'] = kDotThenNumberBit;
+  return bits;
+}();
+
 }  // namespace
 
 bool IsJsKeyword(std::string_view word) {
@@ -91,12 +145,9 @@ JsLexResult LexJs(std::string_view source) {
     result.ok = false;
     result.error = msg + " at offset " + std::to_string(at);
   };
-  // Appends a token of `type` at `offset`; returns it for its text.
-  auto push = [&result](JsTokenType type, size_t offset) -> JsToken& {
-    JsToken& tok = result.tokens.emplace_back();
-    tok.type = type;
-    tok.offset = offset;
-    return tok;
+  auto push = [&result](JsTokenType type, size_t offset, std::string_view text,
+                        char quote = '\'') {
+    result.tokens.push_back(JsToken{text, offset, type, quote});
   };
 
   while (i < n) {
@@ -120,43 +171,42 @@ JsLexResult LexJs(std::string_view source) {
       i = end + 2;
       continue;
     }
-    // Strings: each run up to the quote, a backslash or a newline is copied
-    // whole.
+    // Strings: a literal without escapes views the source between its
+    // quotes; one with escapes is decoded into the result's storage.
     if (c == '\'' || c == '"') {
+      // The end of the run from `at`: the closing quote, a backslash, a
+      // newline or the end.
+      auto run_end = [&](size_t at) {
+        while (at < n && source[at] != c && source[at] != '\\' && source[at] != '\n') {
+          ++at;
+        }
+        return at;
+      };
       const size_t start = i;
-      std::string value;
-      bool closed = false;
       ++i;
-      while (i < n) {
-        size_t run = i;
-        while (run < n && source[run] != c && source[run] != '\\' && source[run] != '\n') {
-          ++run;
+      size_t run = run_end(i);
+      std::string_view text = source.substr(i, run - i);
+      i = run;
+      if (i < n && source[i] == '\\') {
+        std::string& value = result.decoded.emplace_front(text);
+        while (i < n && source[i] == '\\' && i + 1 < n) {
+          const char e = source[i + 1];
+          value.push_back(e == 'n' ? '\n' : e == 't' ? '\t' : e == 'r' ? '\r' : e);
+          i += 2;
+          run = run_end(i);
+          value.append(source.data() + i, run - i);
+          i = run;
         }
-        value.append(source.data() + i, run - i);
-        i = run;
-        if (i >= n || source[i] == '\n') {
-          break;  // Newline in string literal: error out below.
-        }
-        if (source[i] == c) {
-          closed = true;
-          ++i;
-          break;
-        }
-        // A backslash escape.
-        if (i + 1 >= n) {
-          break;
-        }
-        const char e = source[i + 1];
-        value.push_back(e == 'n' ? '\n' : e == 't' ? '\t' : e == 'r' ? '\r' : e);
-        i += 2;
+        text = value;
       }
-      if (!closed) {
+      // Anything but the closing quote here (a newline, a trailing
+      // backslash, the end) leaves the literal open.
+      if (i >= n || source[i] != c) {
         fail(start, "unterminated string literal");
         return result;
       }
-      JsToken& tok = push(JsTokenType::kString, start);
-      tok.quote = c;
-      tok.text = std::move(value);
+      ++i;
+      push(JsTokenType::kString, start, text, c);
       continue;
     }
     // Numbers.
@@ -167,7 +217,7 @@ JsLexResult LexJs(std::string_view source) {
         seen_dot = seen_dot || source[i] == '.';
         ++i;
       }
-      push(JsTokenType::kNumber, start).text.assign(source.data() + start, i - start);
+      push(JsTokenType::kNumber, start, source.substr(start, i - start));
       continue;
     }
     // Identifiers and keywords.
@@ -177,8 +227,7 @@ JsLexResult LexJs(std::string_view source) {
         ++i;
       }
       const std::string_view word = source.substr(start, i - start);
-      push(IsJsKeyword(word) ? JsTokenType::kKeyword : JsTokenType::kIdentifier, start)
-          .text.assign(word);
+      push(IsJsKeyword(word) ? JsTokenType::kKeyword : JsTokenType::kIdentifier, start, word);
       continue;
     }
     // Punctuators.
@@ -187,87 +236,72 @@ JsLexResult LexJs(std::string_view source) {
       fail(i, std::string("unexpected character '") + c + "'");
       return result;
     }
-    push(JsTokenType::kPunct, i).text.assign(source.data() + i, len);
+    push(JsTokenType::kPunct, i, source.substr(i, len));
     i += len;
   }
-  push(JsTokenType::kEof, n);
+  push(JsTokenType::kEof, n, {});
   return result;
 }
 
-std::string EmitJs(const std::vector<JsToken>& tokens) {
-  std::string out;
-  auto needs_space = [](const JsToken& prev, const JsToken& cur) {
-    auto wordy = [](const JsToken& t) {
-      return t.type == JsTokenType::kIdentifier || t.type == JsTokenType::kKeyword ||
-             t.type == JsTokenType::kNumber;
-    };
-    if (wordy(prev) && wordy(cur)) {
-      return true;
-    }
-    // A '.' beside a number would be read as its decimal point ("1" "."
-    // -> "1.", "." "5" -> ".5").
-    auto dot = [](const JsToken& t) { return t.type == JsTokenType::kPunct && t.text == "."; };
-    if ((prev.type == JsTokenType::kNumber && dot(cur)) ||
-        (dot(prev) && cur.type == JsTokenType::kNumber)) {
-      return true;
-    }
-    // Avoid gluing punctuators into longer ones (e.g. "=" "=" -> "==").
-    if (prev.type == JsTokenType::kPunct && cur.type == JsTokenType::kPunct) {
-      static const std::string_view kSticky = "=+-<>!&|*/";
-      if (!prev.text.empty() && !cur.text.empty() &&
-          kSticky.find(prev.text.back()) != std::string_view::npos &&
-          kSticky.find(cur.text.front()) != std::string_view::npos) {
-        return true;
-      }
-    }
-    return false;
-  };
+JsEmitter::JsEmitter(size_t size_hint) : out_(size_hint, '\0') {}
 
-  size_t bytes = 0;
+void JsEmitter::Append(std::span<const JsToken> tokens) {
+  // Room for the worst case (a space before every token, every string byte
+  // escaped), so the loop below writes through a bare pointer; tokens are
+  // copied byte by byte, being too short for a library call to pay.
+  size_t worst = 0;
   for (const JsToken& tok : tokens) {
-    bytes += tok.text.size() + 3;  // Room for a space and two quotes.
+    worst += 1 + (tok.type == JsTokenType::kString ? 2 * tok.text.size() + 2 : tok.text.size());
   }
-  out.reserve(bytes);
-
-  const JsToken* prev = nullptr;
+  if (size_ + worst > out_.size()) {
+    out_.resize(std::max(2 * out_.size(), size_ + worst));
+  }
+  char* p = out_.data() + size_;
+  uint8_t trailing = trailing_;
   for (const JsToken& tok : tokens) {
-    if (tok.type == JsTokenType::kEof) {
-      break;
-    }
-    if (prev != nullptr && needs_space(*prev, tok)) {
-      out.push_back(' ');
-    }
+    const auto type = static_cast<size_t>(tok.type);
+    const bool punct = tok.type == JsTokenType::kPunct && !tok.text.empty();
+    const auto first = static_cast<uint8_t>(punct ? tok.text.front() : 0);
+    const auto last = static_cast<uint8_t>(punct ? tok.text.back() : 0);
+    const uint8_t leading = kTypeLeading[type] | kPunctBits.leading[first];
+    // Written always, kept when needed: no branch to mispredict.
+    *p = ' ';
+    p += (trailing & leading) != 0 ? 1 : 0;
     if (tok.type == JsTokenType::kString) {
-      out.push_back(tok.quote);
-      for (char c : tok.text) {
-        switch (c) {
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          default:
-            if (c == tok.quote) {
-              out.push_back('\\');
-            }
-            out.push_back(c);
-            break;
+      *p++ = tok.quote;
+      for (const char c : tok.text) {
+        const char escaped = c == tok.quote ? c : kEscapes[static_cast<uint8_t>(c)];
+        if (escaped != '\0') {
+          *p++ = '\\';
+          *p++ = escaped;
+        } else {
+          *p++ = c;
         }
       }
-      out.push_back(tok.quote);
+      *p++ = tok.quote;
     } else {
-      out += tok.text;
+      for (const char c : tok.text) {
+        *p++ = c;
+      }
     }
-    prev = &tok;
+    trailing = kTypeTrailing[type] | kPunctBits.trailing[last];
   }
-  return out;
+  size_ = static_cast<size_t>(p - out_.data());
+  trailing_ = trailing;
+}
+
+std::string JsEmitter::Finish() && {
+  out_.resize(size_);
+  return std::move(out_);
+}
+
+std::string EmitJs(const std::vector<JsToken>& tokens) {
+  const auto eof = std::find_if(tokens.begin(), tokens.end(), [](const JsToken& tok) {
+    return tok.type == JsTokenType::kEof;
+  });
+  JsEmitter emitter(0);
+  emitter.Append(std::span(tokens.begin(), eof));
+  return std::move(emitter).Finish();
 }
 
 }  // namespace robodet

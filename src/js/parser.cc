@@ -10,6 +10,7 @@ namespace {
 
 class Parser {
  public:
+  // The tokens' text must outlive the parser; the tree copies what it keeps.
   explicit Parser(std::vector<JsToken> tokens) : tokens_(std::move(tokens)) {}
 
   JsParseResult ParseProgram() {
@@ -106,7 +107,7 @@ class Parser {
           Fail("expected parameter name");
           return stmt;
         }
-        stmt->params.push_back(Next().text);
+        stmt->params.emplace_back(Next().text);
         if (!CheckPunct(")")) {
           ExpectPunct(",");
         }
@@ -440,7 +441,7 @@ class Parser {
     switch (tok.type) {
       case JsTokenType::kNumber:
         node->kind = JsExprKind::kNumber;
-        node->number_value = std::strtod(Next().text.c_str(), nullptr);
+        node->number_value = std::strtod(std::string(Next().text).c_str(), nullptr);
         return node;
       case JsTokenType::kString:
         node->kind = JsExprKind::kString;
@@ -466,7 +467,7 @@ class Parser {
           node->kind = JsExprKind::kUndefined;
           return node;
         }
-        Fail("unexpected keyword '" + tok.text + "'");
+        Fail("unexpected keyword '" + std::string(tok.text) + "'");
         return node;
       case JsTokenType::kPunct:
         if (tok.text == "(") {
@@ -475,7 +476,7 @@ class Parser {
           ExpectPunct(")");
           return inner;
         }
-        Fail("unexpected token '" + tok.text + "'");
+        Fail("unexpected token '" + std::string(tok.text) + "'");
         return node;
       case JsTokenType::kEof:
         Fail("unexpected end of input");

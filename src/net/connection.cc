@@ -187,16 +187,10 @@ bool NetConnection::ServeOne(const FramedRequest& framed) {
 
   const bool close = draining_ || !framed.keep_alive;
   served.response.headers.Set("Connection", close ? "close" : "keep-alive");
-  std::string text = SerializeResponse(served.response);
-  if (head) {
-    // HEAD: full header block (Content-Length states what a GET would
-    // return) but no body bytes on the wire.
-    const size_t header_end = text.find("\r\n\r\n");
-    if (header_end != std::string::npos) {
-      text.resize(header_end + 4);
-    }
-  }
-  out_ += text;
+  // Serialized straight onto the send buffer. HEAD: full header block
+  // (Content-Length states what a GET would return) but no body bytes on
+  // the wire.
+  AppendSerializedResponse(out_, served.response, /*omit_body=*/head);
   if (close) {
     close_after_flush_ = true;
   }

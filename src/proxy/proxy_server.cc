@@ -120,6 +120,7 @@ double InstrumentationOverheadFraction(const RegistrySnapshot& snapshot) {
 ProxyServer::ProxyServer(ProxyConfig config, SimClock* clock, FallibleOriginHandler origin,
                          uint64_t rng_seed)
     : config_(std::move(config)),
+      beacon_shape_(BeaconShape(config_)),
       clock_(clock),
       rng_(rng_seed),
       minter_(config_.secret, &rng_),
@@ -230,17 +231,22 @@ std::mutex& ProxyServer::ClientMutex(IpAddress ip) {
   return client_mutexes_[(mixed >> 32) % client_mutexes_.size()];
 }
 
+BeaconSpec ProxyServer::BeaconShape(const ProxyConfig& config) {
+  BeaconSpec shape;
+  shape.host = config.host;
+  shape.path_prefix = config.instr_prefix;
+  shape.decoy_keys.resize(config.num_decoys);
+  shape.obfuscation_level = kBeaconObfuscationLevel;
+  shape.pad_to_bytes = kBeaconPadBytes;
+  return shape;
+}
+
 BeaconSpec ProxyServer::DrawBeaconSpec(Rng& script_rng) const {
-  BeaconSpec spec;
-  spec.host = config_.host;
-  spec.path_prefix = config_.instr_prefix;
+  BeaconSpec spec = beacon_shape_;
   spec.real_key = script_rng.HexKey128();
-  spec.decoy_keys.reserve(config_.num_decoys);
-  for (size_t i = 0; i < config_.num_decoys; ++i) {
-    spec.decoy_keys.push_back(script_rng.HexKey128());
+  for (std::string& key : spec.decoy_keys) {
+    key = script_rng.HexKey128();
   }
-  spec.obfuscation_level = kBeaconObfuscationLevel;
-  spec.pad_to_bytes = kBeaconPadBytes;
   return spec;
 }
 
@@ -257,15 +263,18 @@ GeneratedBeacon ProxyServer::BuildBeaconForToken(std::string_view token,
 }
 
 ProxyServer::PageBeacon ProxyServer::DerivePageBeacon(std::string_view token) const {
+  // DrawBeaconSpec's draws: the real key, then the decoys', which the
+  // handler does not depend on and so are skipped, not formatted.
   Rng script_rng(minter_.SeedFor(token));
-  BeaconSpec spec = DrawBeaconSpec(script_rng);
   PageBeacon beacon;
-  beacon.handler_code = DeriveBeaconHandler(spec, script_rng);
-  beacon.real_key = std::move(spec.real_key);
+  beacon.real_key = script_rng.HexKey128();
+  script_rng.SkipHexKeys128(beacon_shape_.decoy_keys.size());
+  beacon.handler_code = DeriveBeaconHandler(beacon_shape_, script_rng);
   return beacon;
 }
 
-RequestEvent ProxyServer::BuildEvent(const Request& request, const SessionState& session) const {
+RequestEvent ProxyServer::BuildEvent(const Request& request, uint64_t url_hash,
+                                     const SessionState& session) const {
   RequestEvent ev;
   ev.kind = request.Kind();
   ev.is_head = request.method == Method::kHead;
@@ -274,9 +283,8 @@ RequestEvent ProxyServer::BuildEvent(const Request& request, const SessionState&
   if (ev.has_referrer) {
     ev.unseen_referrer = !session.visited_urls().Contains(request.Referrer());
   }
-  const std::string url = request.url.ToString();
-  ev.is_embedded = session.served_embeds().Contains(url);
-  ev.is_link_follow = session.served_links().Contains(url);
+  ev.is_embedded = session.served_embeds().ContainsHash(url_hash);
+  ev.is_link_follow = session.served_links().ContainsHash(url_hash);
   return ev;
 }
 
@@ -308,6 +316,9 @@ ProxyServer::Result ProxyServer::HandleSession(const Request& request, SessionSt
   if (trace != nullptr) {
     trace->set_session_id(session.id());
   }
+  // The request URL's hash, as the session's URL sets key it: hashed once,
+  // never spelled out.
+  const uint64_t url_hash = request.url.Hash();
 
   // Overload shedding: past the admission budget, robot-classified
   // sessions go first; past twice the budget, everything goes.
@@ -323,7 +334,7 @@ ProxyServer::Result ProxyServer::HandleSession(const Request& request, SessionSt
     if (shed) {
       (admit == AdmissionController::Decision::kShedAll ? m_.shed_all : m_.shed_robots)->Inc();
       m_.degraded[static_cast<int>(DegradationLevel::kShed)]->Inc();
-      RequestEvent shed_ev = BuildEvent(request, session);
+      RequestEvent shed_ev = BuildEvent(request, url_hash, session);
       shed_ev.status_class = 5;
       session.RecordRequest(now, shed_ev);
       NoteSessionMutation(session);
@@ -351,7 +362,7 @@ ProxyServer::Result ProxyServer::HandleSession(const Request& request, SessionSt
     }
     if (action == PolicyAction::kBlock) {
       m_.blocked->Inc();
-      RequestEvent ev = BuildEvent(request, session);
+      RequestEvent ev = BuildEvent(request, url_hash, session);
       ev.status_class = 4;
       session.RecordRequest(now, ev);
       NoteSessionMutation(session);
@@ -370,7 +381,7 @@ ProxyServer::Result ProxyServer::HandleSession(const Request& request, SessionSt
   RequestEvent ev;
   {
     SpanScope span(trace, "parse");
-    ev = BuildEvent(request, session);
+    ev = BuildEvent(request, url_hash, session);
   }
   const int index = session.request_count() + 1;  // This request's 1-based index.
 
@@ -389,7 +400,7 @@ ProxyServer::Result ProxyServer::HandleSession(const Request& request, SessionSt
     {
       SpanScope span(trace, "session_update");
       session.RecordRequest(now, ev);
-      session.visited_urls().Insert(request.url.ToString());
+      session.visited_urls().InsertHash(url_hash);
       NoteSessionMutation(session);
     }
     m_.instr_bytes->Inc(result.response.WireSize());
@@ -434,14 +445,14 @@ ProxyServer::Result ProxyServer::HandleSession(const Request& request, SessionSt
     // Track links/embeds of uninstrumented HTML too (HEAD bodies excluded),
     // read off the page in a scan of its own.
     const ScopedDurationUs timer(m_.served_refs_us);
-    RegisterServedContent(request, session, response.body, CollectServedRefs(response.body));
+    RegisterServedContent(request.url, response.body, CollectServedRefs(response.body), session);
   }
 
   ev.status_class = static_cast<uint8_t>(StatusValue(response.status) / 100);
   {
     SpanScope span(trace, "session_update");
     session.RecordRequest(now, ev);
-    session.visited_urls().Insert(request.url.ToString());
+    session.visited_urls().InsertHash(url_hash);
     NoteSessionMutation(session);
   }
 
@@ -726,20 +737,21 @@ Response ProxyServer::InstrumentPage(const Request& request, SessionState& sessi
   {
     // The rewrite found the page's refs; nothing reads the page again.
     const ScopedDurationUs timer(m_.served_refs_us);
-    RegisterServedContent(request, session, response.body, injected.refs);
+    RegisterServedContent(request.url, response.body, injected.refs, session);
   }
   return response;
 }
 
-void ProxyServer::RegisterServedContent(const Request& request, SessionState& session,
-                                        std::string_view html, const ServedRefs& refs) {
+void ProxyServer::RegisterServedContent(const Url& page_url, std::string_view html,
+                                        const ServedRefs& refs, SessionState& session) {
   // All links, then all embeds: each set keeps insertion order and drops
-  // inserts past its capacity.
+  // inserts past its capacity. Each ref is hashed as it resolves, with no
+  // Url or string built.
   for (const HtmlSpan& href : refs.links) {
-    session.served_links().Insert(request.url.Resolve(href.In(html)).ToString());
+    session.served_links().InsertHash(page_url.ResolveHash(href.In(html)));
   }
   for (const HtmlSpan& url : refs.embeds) {
-    session.served_embeds().Insert(request.url.Resolve(url.In(html)).ToString());
+    session.served_embeds().InsertHash(page_url.ResolveHash(url.In(html)));
   }
 }
 

@@ -143,6 +143,12 @@ class ProxyServer {
   };
   PageBeacon DerivePageBeacon(std::string_view token) const;
 
+  // Records the links and embeds of a page served at `page_url` in
+  // `session`: `refs` are spans of `html`, resolved against `page_url`.
+  // Allocates nothing beyond the session's URL sets' own growth.
+  static void RegisterServedContent(const Url& page_url, std::string_view html,
+                                    const ServedRefs& refs, SessionState& session);
+
   SessionTable& sessions() { return sessions_; }
   KeyTable& keys() { return shared_keys_ != nullptr ? *shared_keys_ : key_table_; }
 
@@ -187,17 +193,20 @@ class ProxyServer {
   DegradationLevel DecideDegradation(const FetchOutcome& fetch, const Response& response) const;
   // Every kMaintenanceStride requests: reap expired keys and idle sessions.
   void MaybeMaintainTables(TimeMs now);
-  // The beacon's spec for one token: its keys, drawn from the start of the
-  // token's stream, whose remaining draws shape the script.
+  // The beacon every page carries, less its keys: host, prefix, level,
+  // padding and config.num_decoys empty decoy keys.
+  static BeaconSpec BeaconShape(const ProxyConfig& config);
+  // The beacon's spec for one token: beacon_shape_ with its keys, drawn
+  // from the start of the token's stream, whose remaining draws shape the
+  // script.
   BeaconSpec DrawBeaconSpec(Rng& script_rng) const;
-  // Records the links and embeds of a served page in the session: `refs`
-  // are spans of `html`, resolved against the request URL.
-  void RegisterServedContent(const Request& request, SessionState& session,
-                             std::string_view html, const ServedRefs& refs);
   // Journals the session's state after a mutation (no-op without
   // persistence).
   void NoteSessionMutation(SessionState& session);
-  RequestEvent BuildEvent(const Request& request, const SessionState& session) const;
+  // The request's event as the session sees it; `url_hash` is
+  // request.url.Hash().
+  RequestEvent BuildEvent(const Request& request, uint64_t url_hash,
+                          const SessionState& session) const;
   Verdict JudgeSession(const SessionState& session) const;
   // The session table's close observer: journals the close (with
   // persistence) and counts the session's final verdict.
@@ -237,6 +246,8 @@ class ProxyServer {
   };
 
   const ProxyConfig config_;
+  // BeaconShape(config_): all DeriveBeaconHandler reads of a spec.
+  const BeaconSpec beacon_shape_;
   SimClock* clock_;  // Not owned.
   // Declared before every member that binds a handle into it, so it
   // outlives them.

@@ -19,7 +19,11 @@ size_t HomeSlot(uint64_t hash, size_t slots) {
 SharedUserAgent::SharedUserAgent(std::string_view text, uint64_t hash)
     : block_(static_cast<Block*>(::operator new(sizeof(Block) + text.size()))) {
   new (block_) Block{{1}, static_cast<uint32_t>(text.size()), hash, 0};
-  std::memcpy(reinterpret_cast<char*>(block_ + 1), text.data(), text.size());
+  // A request with no User-Agent has an empty agent whose data() may be
+  // null, which memcpy must not be given even for no bytes.
+  if (!text.empty()) {
+    std::memcpy(reinterpret_cast<char*>(block_ + 1), text.data(), text.size());
+  }
 }
 
 SharedUserAgent::~SharedUserAgent() {

@@ -13,26 +13,22 @@ constexpr size_t kTokenChars = kRandomHexChars + kMacHexChars;
 
 bool IsLowerHex(char c) { return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'); }
 
-std::string ToHex(uint64_t v, size_t chars) {
+// Appends the low `chars` hex digits of `v`, most significant first.
+void AppendHex(std::string& out, uint64_t v, size_t chars) {
   static const char kHex[] = "0123456789abcdef";
-  std::string out(chars, '0');
-  for (size_t i = chars; i > 0; --i) {
-    out[i - 1] = kHex[v & 0xf];
+  out.resize(out.size() + chars);
+  for (size_t i = out.size(); chars > 0; --chars) {
+    out[--i] = kHex[v & 0xf];
     v >>= 4;
   }
-  return out;
 }
 
 }  // namespace
 
-std::string TokenMinter::Mint() {
-  const std::string random_part = ToHex(rng_->NextU64(), kRandomHexChars);
-  return random_part + ToHex(Mac(random_part), kMacHexChars);
-}
+std::string TokenMinter::Mint() { return TokenOf(rng_->NextU64()); }
 
 std::string TokenMinter::MintFor(uint64_t entropy) const {
-  const std::string random_part = ToHex(Mix64(HashCombine(secret_, entropy)), kRandomHexChars);
-  return random_part + ToHex(Mac(random_part), kMacHexChars);
+  return TokenOf(Mix64(HashCombine(secret_, entropy)));
 }
 
 bool TokenMinter::Validate(std::string_view token) const {
@@ -44,13 +40,21 @@ bool TokenMinter::Validate(std::string_view token) const {
       return false;
     }
   }
-  const std::string_view random_part = token.substr(0, kRandomHexChars);
-  const std::string_view mac_part = token.substr(kRandomHexChars);
-  return ToHex(Mac(random_part), kMacHexChars) == mac_part;
+  std::string mac;  // Short enough to need no allocation.
+  AppendHex(mac, Mac(token.substr(0, kRandomHexChars)), kMacHexChars);
+  return mac == token.substr(kRandomHexChars);
 }
 
 uint64_t TokenMinter::SeedFor(std::string_view token) const {
   return HashCombine(secret_, Fnv1a(token));
+}
+
+std::string TokenMinter::TokenOf(uint64_t random) const {
+  std::string token;
+  token.reserve(kTokenChars);
+  AppendHex(token, random, kRandomHexChars);
+  AppendHex(token, Mac(token), kMacHexChars);
+  return token;
 }
 
 uint64_t TokenMinter::Mac(std::string_view random_part) const {

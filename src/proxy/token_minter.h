@@ -42,6 +42,8 @@ class TokenMinter {
 
  private:
   uint64_t Mac(std::string_view random_part) const;
+  // The token whose random half spells `random`, built in one allocation.
+  std::string TokenOf(uint64_t random) const;
 
   uint64_t secret_;
   Rng* rng_;

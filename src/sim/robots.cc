@@ -35,7 +35,7 @@ std::vector<std::string> ScrapeUrlsFromScript(const std::string& source) {
     if (tokens[i].type != JsTokenType::kString) {
       continue;
     }
-    std::string value = tokens[i].text;
+    std::string value(tokens[i].text);
     size_t j = i;
     while (j + 2 < tokens.size() && tokens[j + 1].type == JsTokenType::kPunct &&
            tokens[j + 1].text == "+" && tokens[j + 2].type == JsTokenType::kString) {

@@ -13,40 +13,12 @@ uint64_t SplitMix64(uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
   uint64_t s = seed;
   for (auto& w : state_) {
     w = SplitMix64(s);
-  }
-}
-
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-uint64_t Rng::UniformU64(uint64_t bound) {
-  if (bound == 0) {
-    return 0;
-  }
-  // Rejection sampling: discard the biased tail of the 64-bit range.
-  const uint64_t threshold = -bound % bound;
-  for (;;) {
-    uint64_t r = NextU64();
-    if (r >= threshold) {
-      return r % bound;
-    }
   }
 }
 
@@ -114,12 +86,11 @@ size_t Rng::Zipf(size_t n, double s) {
 
 std::string Rng::HexKey128() {
   static const char kHex[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(32);
-  for (int word = 0; word < 2; ++word) {
-    uint64_t v = NextU64();
-    for (int i = 60; i >= 0; i -= 4) {
-      out.push_back(kHex[(v >> i) & 0xf]);
+  std::string out(16 * kHexKey128Words, '0');
+  for (int word = 0; word < kHexKey128Words; ++word) {
+    const uint64_t v = NextU64();
+    for (int i = 0; i < 16; ++i) {
+      out[16 * word + i] = kHex[(v >> (60 - 4 * i)) & 0xf];
     }
   }
   return out;

@@ -21,11 +21,33 @@ class Rng {
   explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
   // Next raw 64-bit output.
-  uint64_t NextU64();
+  uint64_t NextU64() {
+    const uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
+    const uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = Rotl(state_[3], 45);
+    return result;
+  }
 
   // Uniform in [0, bound); bound == 0 returns 0. Uses rejection sampling to
-  // avoid modulo bias.
-  uint64_t UniformU64(uint64_t bound);
+  // avoid modulo bias. Inline, so a constant bound divides by multiplying.
+  uint64_t UniformU64(uint64_t bound) {
+    if (bound == 0) {
+      return 0;
+    }
+    // Rejection sampling: discard the biased tail of the 64-bit range.
+    const uint64_t threshold = -bound % bound;
+    for (;;) {
+      const uint64_t r = NextU64();
+      if (r >= threshold) {
+        return r % bound;
+      }
+    }
+  }
 
   // Uniform in [lo, hi] inclusive; requires lo <= hi.
   int64_t UniformInt(int64_t lo, int64_t hi);
@@ -46,6 +68,12 @@ class Rng {
   // 128-bit random key rendered as 32 lowercase hex characters. This is the
   // k of the paper's beacon URLs, k in [0, 2^128).
   std::string HexKey128();
+  // Advances the stream past `count` HexKey128 draws without formatting them.
+  void SkipHexKeys128(size_t count) {
+    for (size_t i = 0; i < count * kHexKey128Words; ++i) {
+      NextU64();
+    }
+  }
 
   // Fisher-Yates shuffle.
   template <typename T>
@@ -68,6 +96,11 @@ class Rng {
   Rng Fork();
 
  private:
+  // The words of the stream one HexKey128 takes.
+  static constexpr int kHexKey128Words = 2;
+
+  static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
   std::array<uint64_t, 4> state_;
   // Cached Zipf normalization: harmonic sums for the last (n, s) requested.
   size_t zipf_n_ = 0;

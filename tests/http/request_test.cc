@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "src/util/rng.h"
+#include "src/util/strings.h"
+
 namespace robodet {
 namespace {
 
@@ -17,6 +25,112 @@ TEST(IpAddressTest, ParseRejectsInvalid) {
   EXPECT_FALSE(IpAddress::Parse("1.2.3.4.5").has_value());
   EXPECT_FALSE(IpAddress::Parse("256.1.1.1").has_value());
   EXPECT_FALSE(IpAddress::Parse("a.b.c.d").has_value());
+}
+
+// The accept rule Parse keeps: split on '.', four parts, each a decimal
+// run ParseU64 takes whole, at most 255.
+std::optional<IpAddress> SplitParse(std::string_view dotted) {
+  const std::vector<std::string> parts = Split(dotted, '.');
+  if (parts.size() != 4) {
+    return std::nullopt;
+  }
+  uint32_t v = 0;
+  for (const std::string& p : parts) {
+    const auto octet = ParseU64(p);
+    if (!octet.has_value() || *octet > 255) {
+      return std::nullopt;
+    }
+    v = (v << 8) | static_cast<uint32_t>(*octet);
+  }
+  return IpAddress(v);
+}
+
+struct ParseCase {
+  const char* text;
+  std::optional<uint32_t> value;
+};
+
+TEST(IpAddressTest, ParseTable) {
+  const ParseCase cases[] = {
+      {"0.0.0.0", 0u},
+      {"255.255.255.255", 0xffffffffu},
+      {"1.2.3.4", 0x01020304u},
+      {"01.002.0003.000", 0x01020300u},                  // Leading zeros.
+      {"000000000000000000000000001.2.3.4", 0x01020304u},  // An over-long zero run.
+      {"", std::nullopt},
+      {".", std::nullopt},
+      {"...", std::nullopt},
+      {"1..2.3", std::nullopt},    // Empty octets.
+      {".1.2.3", std::nullopt},
+      {"1.2.3.", std::nullopt},
+      {"1.2.3", std::nullopt},     // 3 parts.
+      {"1.2.3.4.5", std::nullopt},  // 5 parts.
+      {"256.1.1.1", std::nullopt},
+      {"1.1.1.256", std::nullopt},
+      {"1.1.1.1000", std::nullopt},
+      {"99999999999999999999999.1.1.1", std::nullopt},  // Over-long digits.
+      {"1.2.3.4 ", std::nullopt},
+      {" 1.2.3.4", std::nullopt},
+      {"1.2.3.-4", std::nullopt},
+      {"1.2.3.+4", std::nullopt},
+      {"1.2.3.4a", std::nullopt},
+      {"a.b.c.d", std::nullopt},
+  };
+  for (const ParseCase& c : cases) {
+    const auto parsed = IpAddress::Parse(c.text);
+    ASSERT_EQ(parsed.has_value(), c.value.has_value()) << "'" << c.text << "'";
+    if (c.value.has_value()) {
+      EXPECT_EQ(parsed->value(), *c.value) << "'" << c.text << "'";
+    }
+    EXPECT_EQ(parsed, SplitParse(c.text)) << "'" << c.text << "'";
+  }
+}
+
+// Seeded dotted strings of 3 to 5 parts, each 0 to 4 bytes, mostly
+// digits: Parse accepts exactly what the split-based rule does, with the
+// same value.
+TEST(IpAddressTest, ParseAcceptsWhatSplitParseAccepts) {
+  Rng rng(17);
+  constexpr std::string_view kAlphabet = "0123456789012345678901234567890123456789 a-";
+  int accepted = 0;
+  for (int i = 0; i < 20000; ++i) {
+    std::string text;
+    const size_t parts = 3 + rng.UniformU64(3);
+    for (size_t p = 0; p < parts; ++p) {
+      if (p > 0) {
+        text.push_back('.');
+      }
+      for (size_t k = rng.UniformU64(5); k > 0; --k) {
+        text.push_back(kAlphabet[rng.UniformU64(kAlphabet.size())]);
+      }
+    }
+    const auto parsed = IpAddress::Parse(text);
+    ASSERT_EQ(parsed, SplitParse(text)) << "'" << text << "'";
+    accepted += parsed.has_value() ? 1 : 0;
+  }
+  EXPECT_GT(accepted, 100);  // The sample reaches the accepting side.
+}
+
+TEST(IpAddressTest, ParseForwardedForTakesTheFirstElementTrimmed) {
+  const ParseCase cases[] = {
+      {"10.1.2.3", 0x0a010203u},
+      {"  10.1.2.3  ", 0x0a010203u},
+      {"\t10.1.2.3\t, 192.168.0.1", 0x0a010203u},
+      {"10.1.2.3,192.168.0.1", 0x0a010203u},
+      {"10.1.2.3 , garbage", 0x0a010203u},
+      {"", std::nullopt},
+      {" , 10.1.2.3", std::nullopt},  // An empty first element.
+      {"10.1 .2.3", std::nullopt},    // Space inside the address.
+      {"garbage, 10.1.2.3", std::nullopt},
+      {"10.1.2.3.4, 1.1.1.1", std::nullopt},
+  };
+  for (const ParseCase& c : cases) {
+    const auto parsed = IpAddress::ParseForwardedFor(c.text);
+    ASSERT_EQ(parsed.has_value(), c.value.has_value()) << "'" << c.text << "'";
+    if (c.value.has_value()) {
+      EXPECT_EQ(parsed->value(), *c.value) << "'" << c.text << "'";
+    }
+  }
 }
 
 TEST(IpAddressTest, Ordering) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/util/hash.h"
+
 namespace robodet {
 namespace {
 
@@ -122,6 +124,55 @@ TEST(UrlTest, ResolveQueryAndFragmentOnly) {
 TEST(UrlTest, ResolveDropsBaseQuery) {
   const Url base = *Url::Parse("http://a.com/x/y.html?old=1");
   EXPECT_EQ(base.Resolve("z.html").ToString(), "http://a.com/x/z.html");
+}
+
+// A ref is absolute only when it starts with a scheme and ':' (RFC 3986
+// §3.1), so a "://" later in a relative ref's query is just query text.
+TEST(UrlTest, ResolveRelativeRefWhoseQueryHoldsAUrl) {
+  const Url base = *Url::Parse("http://www.example.com/dir/page.html");
+  EXPECT_EQ(base.Resolve("/go?u=http://other.com/x").ToString(),
+            "http://www.example.com/go?u=http://other.com/x");
+  EXPECT_EQ(base.Resolve("next.html?to=https://a.b/").ToString(),
+            "http://www.example.com/dir/next.html?to=https://a.b/");
+  EXPECT_EQ(base.Resolve("#see=http://x.y/").ToString(),
+            "http://www.example.com/dir/page.html#see=http://x.y/");
+}
+
+// "//host/path" takes the base's scheme and names its own host.
+TEST(UrlTest, ResolveSchemeRelative) {
+  const Url base = *Url::Parse("http://www.example.com/dir/page.html");
+  EXPECT_EQ(base.Resolve("//cdn.example.com/a.js").ToString(), "http://cdn.example.com/a.js");
+  EXPECT_EQ(base.Resolve("//CDN.example.com:8080/a.js?v=1#top").ToString(),
+            "http://cdn.example.com:8080/a.js?v=1#top");
+  EXPECT_EQ(base.Resolve("//cdn.example.com").ToString(), "http://cdn.example.com/");
+  const Url secure = *Url::Parse("https://www.example.com/dir/page.html");
+  EXPECT_EQ(secure.Resolve("//cdn.example.com/a.js").ToString(), "https://cdn.example.com/a.js");
+  // No host, or a bad one: the base itself, as for a malformed absolute ref.
+  EXPECT_EQ(base.Resolve("//").ToString(), base.ToString());
+  EXPECT_EQ(base.Resolve("//bad host/a.js").ToString(), base.ToString());
+}
+
+TEST(UrlTest, ResolveAbsoluteNeedsSchemeThenColon) {
+  const Url base = *Url::Parse("http://www.example.com/dir/page.html");
+  EXPECT_EQ(base.Resolve("HTTP://B.example.com/z").ToString(), "http://b.example.com/z");
+  EXPECT_EQ(base.Resolve("https://b.example.com:443/z").ToString(), "https://b.example.com/z");
+  // Schemes Url cannot hold, and malformed absolute refs, resolve to the base.
+  EXPECT_EQ(base.Resolve("mailto:someone@example.com").ToString(), base.ToString());
+  EXPECT_EQ(base.Resolve("javascript:void(0)").ToString(), base.ToString());
+  EXPECT_EQ(base.Resolve("http://").ToString(), base.ToString());
+  // A ':' after a '/' or '?' does not make a scheme.
+  EXPECT_EQ(base.Resolve("a/b:c.html").ToString(), "http://www.example.com/dir/a/b:c.html");
+  EXPECT_EQ(base.Resolve("x.html?t=1:2").ToString(), "http://www.example.com/dir/x.html?t=1:2");
+}
+
+// Hash and ResolveHash hash the canonical form without building it.
+TEST(UrlTest, HashesMatchTheCanonicalForm) {
+  const Url base = *Url::Parse("https://Host.Example.COM:8443/a/b.cgi?x=1#frag");
+  EXPECT_EQ(base.Hash(), Fnv1a(base.ToString()));
+  for (const char* ref : {"", "?q", "#f", "c.html", "/d/e.html", "//cdn.example.com/a.js",
+                          "http://Other.COM:80/p?", "/go?u=http://other.com/x", "mailto:x"}) {
+    EXPECT_EQ(base.ResolveHash(ref), Fnv1a(base.Resolve(ref).ToString())) << ref;
+  }
 }
 
 }  // namespace

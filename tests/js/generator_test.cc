@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/js/interpreter.h"
+#include "src/js/obfuscator.h"
 
 namespace robodet {
 namespace {
@@ -100,6 +101,36 @@ TEST(GeneratorTest, ZeroDecoysStillWorks) {
   ASSERT_TRUE(interp.RunHandler(beacon.handler_code).ok);
   ASSERT_EQ(interp.fetched_urls().size(), 1u);
   EXPECT_EQ(interp.fetched_urls()[0], beacon.real_url);
+}
+
+// Levels 1-3 build the script's tokens without writing or lexing its text.
+// They must be the tokens LexJs reads from the level-0 text: obfuscating
+// that text, after the same generator draws, gives the same script.
+TEST(GeneratorTest, TokenBuiltLevelsMatchObfuscatingTheText) {
+  for (int level = 1; level <= 3; ++level) {
+    for (size_t decoys : {0u, 1u, 4u, 11u}) {
+      BeaconSpec spec = MakeSpec(level, decoys);
+      spec.pad_to_bytes = 1024;
+      BeaconSpec plain = spec;
+      plain.obfuscation_level = 0;
+      ObfuscationOptions options;
+      options.split_strings = level >= 2;
+      options.junk_statements = level >= 3 ? 8 : 0;
+      options.pad_to_bytes = level >= 3 ? spec.pad_to_bytes : 0;
+      for (uint64_t seed = 0; seed < 50; ++seed) {
+        Rng built_rng(seed);
+        const GeneratedBeacon built = GenerateBeaconScript(spec, built_rng);
+        Rng text_rng(seed);
+        const std::string text = GenerateBeaconScript(plain, text_rng).script_source;
+        const ObfuscationResult obfuscated = ObfuscateJs(text, options, text_rng);
+        ASSERT_TRUE(obfuscated.ok) << obfuscated.error;
+        ASSERT_EQ(built.script_source, obfuscated.source)
+            << "level " << level << " decoys " << decoys << " seed " << seed;
+        ASSERT_EQ(built.handler_code, "return " + obfuscated.RenamedOrSelf("dispatch") + "();");
+        ASSERT_EQ(built_rng.NextU64(), text_rng.NextU64());
+      }
+    }
+  }
 }
 
 TEST(UaEchoTest, ExecutionWritesStylesheetWithTokenAndAgent) {

@@ -61,7 +61,7 @@ TEST(JsLexerTest, MultiCharPunctuators) {
   std::vector<std::string> puncts;
   for (const JsToken& t : result.tokens) {
     if (t.type == JsTokenType::kPunct) {
-      puncts.push_back(t.text);
+      puncts.emplace_back(t.text);
     }
   }
   EXPECT_EQ(puncts, (std::vector<std::string>{"===", "!==", "==", "!=", "<=", ">=", "&&", "||",

@@ -20,7 +20,6 @@
 
 #include "src/robodet.h"
 #include "src/util/hash.h"
-#include "src/util/strings.h"
 #include "tools/flags.h"
 
 namespace robodet {
@@ -131,7 +130,7 @@ int Main(int argc, char** argv) {
       // Loopback load tools stamp synthetic client addresses here so the
       // session table sees distinct visitors instead of one 127.0.0.1.
       if (const auto xff = request.headers.Get("X-Forwarded-For"); xff.has_value()) {
-        const auto parsed = IpAddress::Parse(TrimWhitespace(Split(*xff, ',')[0]));
+        const auto parsed = IpAddress::ParseForwardedFor(*xff);
         if (parsed.has_value()) {
           request.client_ip = *parsed;
         }
