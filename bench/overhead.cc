@@ -370,28 +370,29 @@ BENCHMARK(BM_Crc32c)->Arg(64)->Arg(4 << 10)->Arg(1 << 20)->ArgName("bytes");
 
 // A browsing session as the daemon persists it: a user agent, some
 // signals, events and URL sets of a few dozen hashes each.
-persistence::SessionImage SyntheticSession(Rng& rng, uint64_t id) {
-  persistence::SessionImage s;
-  s.id = id;
-  s.ip = 0x0a000000u + static_cast<uint32_t>(id);
-  s.user_agent = "Mozilla/5.0 (X11; Linux x86_64) bench/" + std::to_string(id % 50);
-  s.first_request = 1000 + static_cast<TimeMs>(id);
-  s.request_count = 20 + static_cast<int32_t>(rng.UniformU64(20));
-  s.last_request = s.first_request + s.request_count * 500;
-  s.signals.js_download_at = 2;
-  s.signals.css_probe_at = 3;
-  s.instrumented_pages = 4;
-  s.instrumented_page_indices = {1, 6, 11, 16};
-  s.get_requests = s.request_count;
-  s.events.resize(static_cast<size_t>(s.request_count));
-  for (RequestEvent& e : s.events) {
+std::unique_ptr<SessionState> SyntheticSession(Rng& rng, uint64_t id) {
+  const TimeMs first_request = 1000 + static_cast<TimeMs>(id);
+  auto s = std::make_unique<SessionState>(
+      id, IpAddress(0x0a000000u + static_cast<uint32_t>(id)),
+      SharedUserAgent("Mozilla/5.0 (X11; Linux x86_64) bench/" + std::to_string(id % 50)),
+      first_request);
+  const auto requests = 20 + static_cast<int32_t>(rng.UniformU64(20));
+  s->RestoreScalars(first_request + requests * 500, requests, /*instrumented_pages=*/4,
+                    /*blocked=*/false, /*cgi_requests=*/0, /*get_requests=*/requests,
+                    /*error_responses=*/0);
+  s->signals().js_download_at = 2;
+  s->signals().css_probe_at = 3;
+  s->mutable_instrumented_page_indices() = {1, 6, 11, 16};
+  std::vector<RequestEvent> events(static_cast<size_t>(requests));
+  for (RequestEvent& e : events) {
     e.kind = static_cast<ResourceKind>(rng.UniformU64(3));
     e.status_class = 2;
     e.is_embedded = rng.Bernoulli(0.5);
   }
-  s.served_links = RandomHashes(25, id * 3);
-  s.served_embeds = RandomHashes(27, id * 3 + 1);
-  s.visited_urls = RandomHashes(19, id * 3 + 2);
+  s->RestoreEvents(events);
+  s->served_links().Restore(RandomHashes(25, id * 3));
+  s->served_embeds().Restore(RandomHashes(27, id * 3 + 1));
+  s->visited_urls().Restore(RandomHashes(19, id * 3 + 2));
   return s;
 }
 
@@ -403,15 +404,18 @@ void WriteStateDir(const std::string& dir, size_t sessions) {
   constexpr uint32_t kShards = 16;
   constexpr uint64_t kEpoch = 1;
   Rng rng(53);
-  std::vector<persistence::SessionImage> all;
+  std::vector<std::unique_ptr<SessionState>> all;
   std::vector<persistence::KeyEntryImage> keys;
   for (size_t i = 0; i < sessions; ++i) {
     all.push_back(SyntheticSession(rng, 1 + i));
     for (int k = 0; k < 4; ++k) {
-      keys.push_back({all.back().ip, "/p/" + std::to_string(k) + ".html", rng.HexKey128(),
-                      all.back().first_request + k});
+      keys.push_back({all.back()->key().ip.value(), "/p/" + std::to_string(k) + ".html",
+                      rng.HexKey128(), all.back()->first_request_time() + k});
     }
   }
+  auto key_fields = [](const persistence::KeyEntryImage& k) {
+    return persistence::KeyEntryFields{k.ip, k.page_path, k.key, k.issued_at};
+  };
   const size_t in_snapshot = sessions / 2;
   persistence::SnapshotWriter snapshot(kEpoch, 1000, kShards, kShards);
   for (uint32_t shard = 0; shard < 2 * kShards; ++shard) {
@@ -421,52 +425,49 @@ void WriteStateDir(const std::string& dir, size_t sessions) {
     for (size_t i = shard % kShards; i < n; i += kShards) {
       members.push_back(i);
     }
-    ByteWriter payload;
-    payload.PutU32(static_cast<uint32_t>(members.size()));
+    ByteWriter* payload = snapshot.BeginSection();
+    payload->PutU32(static_cast<uint32_t>(members.size()));
     for (size_t i : members) {
       if (key_shard) {
-        persistence::EncodeKeyEntry(keys[i], &payload);
+        persistence::EncodeKeyEntry(key_fields(keys[i]), payload);
       } else {
-        persistence::EncodeSession(all[i], &payload);
+        persistence::EncodeSession(FieldsOfLive(*all[i]), payload);
       }
     }
-    snapshot.AddSection(payload.bytes());
+    snapshot.EndSection();
   }
-  std::string journal = persistence::EncodeJournalHeader(kEpoch);
+  ByteWriter journal;
+  journal.PutRaw(persistence::EncodeJournalHeader(kEpoch));
   for (size_t i = 0; i < sessions; ++i) {
-    persistence::JournalRecord rec;
-    rec.type = persistence::JournalRecordType::kSessionUpdate;
-    rec.update.delta = SyntheticSession(rng, 1 + i);
+    SessionState& s = *all[i];
+    persistence::RunMarks marks;
     if (i < in_snapshot) {
       // Five more requests' worth of appends to a snapshot session.
-      persistence::SessionUpdateImage& u = rec.update;
-      u.page_indices_before = static_cast<uint32_t>(all[i].instrumented_page_indices.size());
-      u.events_before = static_cast<uint32_t>(all[i].events.size());
-      u.links_before = static_cast<uint32_t>(all[i].served_links.size());
-      u.embeds_before = static_cast<uint32_t>(all[i].served_embeds.size());
-      u.visited_before = static_cast<uint32_t>(all[i].visited_urls.size());
-      u.delta.instrumented_page_indices = {21};
-      u.delta.events.resize(5);
-      u.delta.served_links = RandomHashes(5, i + 7);
-      u.delta.served_embeds = RandomHashes(5, i + 11);
-      u.delta.visited_urls = RandomHashes(5, i + 13);
+      marks = persistence::RunLengths(FieldsOfLive(s));
+      s.mutable_instrumented_page_indices().push_back(21);
+      std::vector<RequestEvent> events(s.events().begin(), s.events().end());
+      events.resize(events.size() + 5);
+      s.RestoreEvents(events);
+      for (uint64_t h : RandomHashes(5, i + 7)) {
+        s.served_links().InsertHash(h);
+      }
+      for (uint64_t h : RandomHashes(5, i + 11)) {
+        s.served_embeds().InsertHash(h);
+      }
+      for (uint64_t h : RandomHashes(5, i + 13)) {
+        s.visited_urls().InsertHash(h);
+      }
     } else {
       for (int k = 0; k < 4; ++k) {
-        persistence::JournalRecord issued;
-        issued.type = persistence::JournalRecordType::kKeyIssued;
-        issued.key = keys[4 * i + k];
-        journal += persistence::EncodeJournalRecord(issued);
+        persistence::EncodeKeyIssued(key_fields(keys[4 * i + k]), &journal);
       }
     }
-    journal += persistence::EncodeJournalRecord(rec);
-    persistence::JournalRecord consumed;
-    consumed.type = persistence::JournalRecordType::kKeyConsumed;
-    consumed.key = keys[4 * i];
-    journal += persistence::EncodeJournalRecord(consumed);
+    persistence::EncodeSessionUpdate(FieldsOfLive(s), marks, &journal);
+    persistence::EncodeKeyConsumed(keys[4 * i].ip, keys[4 * i].key, &journal);
   }
   std::filesystem::create_directories(dir);
   WriteFileAtomic(dir + "/snapshot.bin", snapshot.Finish());
-  WriteFileAtomic(dir + "/journal.bin", journal);
+  WriteFileAtomic(dir + "/journal.bin", journal.bytes());
 }
 
 // Restart recovery of a generated directory of N sessions: read and verify

@@ -40,8 +40,6 @@ class AttestationAuthority {
   // Verifies that `mac` is `payload` signed by device `device_id`.
   bool Verify(uint64_t device_id, std::string_view payload, std::string_view mac) const;
 
-  size_t device_count() const { return secrets_.size(); }
-
   // Header carrying attestations, and its wire format helpers:
   //   X-Input-Attestation: <device_id_hex>:<mac_hex>
   static constexpr const char* kHeaderName = "X-Input-Attestation";

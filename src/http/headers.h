@@ -27,7 +27,6 @@ class Headers {
   size_t Remove(std::string_view name);
 
   size_t size() const { return entries_.size(); }
-  bool empty() const { return entries_.empty(); }
 
   const std::vector<std::pair<std::string, std::string>>& entries() const { return entries_; }
 

@@ -1,6 +1,8 @@
 #include "src/http/url.h"
 
+#include <algorithm>
 #include <charconv>
+#include <cstring>
 
 #include "src/util/hash.h"
 #include "src/util/strings.h"
@@ -179,6 +181,103 @@ class HashSink {
   uint64_t hash_ = kFnvOffset;
 };
 
+// Whether a segment of the path head+tail may be "." or "..": one that
+// starts with '.', after a '/' or at the start of `tail` (which follows a
+// head that ends in '/').
+bool MayHaveDotSegments(std::string_view head, std::string_view tail) {
+  return head.find("/.") != std::string_view::npos || tail.starts_with('.') ||
+         tail.find("/.") != std::string_view::npos;
+}
+
+// Storage for a path whose dot segments were removed: on the stack for a
+// path of up to 1 KiB, so resolving one allocates nothing.
+class PathBuffer {
+ public:
+  // The path head+tail, which starts with '/', with its dot segments
+  // removed (RFC 3986 §5.2.4).
+  std::string_view RemoveDotSegments(std::string_view head, std::string_view tail) {
+    const size_t n = head.size() + tail.size();
+    char* buf = inline_;
+    if (n > sizeof(inline_)) {
+      heap_.resize(n);
+      buf = heap_.data();
+    }
+    std::copy(tail.begin(), tail.end(), std::copy(head.begin(), head.end(), buf));
+    // In place: the output, buf[0, out), never passes the input read so
+    // far, buf[0, at). Each step takes one "/segment".
+    size_t out = 0;
+    for (size_t at = 0; at < n;) {
+      const auto end = static_cast<size_t>(std::find(buf + at + 1, buf + n, '/') - buf);
+      const std::string_view segment(buf + at + 1, end - at - 1);
+      const bool dot = segment == ".";
+      const bool dot_dot = segment == "..";
+      if (dot_dot) {
+        // Drops the output's last "/segment".
+        while (out > 0 && buf[out - 1] != '/') {
+          --out;
+        }
+        out -= out > 0 ? 1 : 0;
+      } else if (!dot) {
+        std::memmove(buf + out, buf + at, end - at);
+        out += end - at;
+      }
+      // A path that ends in a dot segment names a directory.
+      if (end == n && (dot || dot_dot)) {
+        buf[out++] = '/';
+      }
+      at = end;
+    }
+    return {buf, out};
+  }
+
+ private:
+  char inline_[1024];
+  std::string heap_;
+};
+
+// Resolves `ref` against `base` (RFC 3986 §5.2.2) and drops the fragment.
+// A ref with no path keeps the base's path as it is, and its query unless
+// the ref has one; every other path has its dot segments removed into
+// `buffer`.
+Url::Parts ResolveParts(const Url::Parts& base, std::string_view ref, PathBuffer& buffer) {
+  Url::Parts out;
+  bool parsed = true;
+  if (StartsWithScheme(ref)) {
+    parsed = ParseAbsolute(ref, out);
+  } else if (ref.starts_with("//")) {
+    out.scheme = base.scheme;
+    out.port = DefaultPort(base.scheme);
+    parsed = ParseAfterScheme(ref.substr(2), out);
+  } else {
+    std::string_view rest = ref;
+    Url::Parts split;
+    SplitQueryAndFragment(rest, split);
+    out = base;
+    if (!rest.empty() || split.has_query) {
+      out.query = split.query;
+      out.has_query = split.has_query;
+    }
+    if (rest.empty()) {
+      out.fragment = {};
+      return out;
+    }
+    if (rest[0] == '/') {
+      out.path_head = rest;
+    } else {
+      out.path_head = base.path_head.substr(0, base.path_head.rfind('/') + 1);
+      out.path_tail = rest;
+    }
+  }
+  if (!parsed) {
+    out = base;
+  } else if (MayHaveDotSegments(out.path_head, out.path_tail)) {
+    out.path_head = buffer.RemoveDotSegments(out.path_head, out.path_tail);
+    out.path_tail = {};
+  }
+  out.fragment = {};
+  return out;
+}
+
 }  // namespace
 
 std::optional<Url> Url::Parse(std::string_view raw) {
@@ -254,40 +353,15 @@ uint64_t Url::Hash() const {
   return sink.hash();
 }
 
-Url::Parts Url::ResolveParts(std::string_view ref) const {
-  if (StartsWithScheme(ref)) {
-    Parts absolute;
-    return ParseAbsolute(ref, absolute) ? absolute : AsParts();
-  }
-  if (ref.starts_with("//")) {
-    Parts network;
-    network.scheme = scheme_;
-    network.port = DefaultPort(scheme_);
-    return ParseAfterScheme(ref.substr(2), network) ? network : AsParts();
-  }
-  Parts out = AsParts();
-  out.query = {};
-  out.has_query = false;
-  out.fragment = {};
-  std::string_view rest = ref;
-  SplitQueryAndFragment(rest, out);
-  if (rest.empty()) {
-    // Same document, possibly new query/fragment.
-  } else if (rest[0] == '/') {
-    out.path_head = rest;
-  } else {
-    const size_t slash = path_.rfind('/');
-    out.path_head = std::string_view(path_).substr(0, slash + 1);
-    out.path_tail = rest;
-  }
-  return out;
+Url Url::Resolve(std::string_view ref) const {
+  PathBuffer buffer;
+  return FromParts(ResolveParts(AsParts(), ref, buffer));
 }
 
-Url Url::Resolve(std::string_view ref) const { return FromParts(ResolveParts(ref)); }
-
 uint64_t Url::ResolveHash(std::string_view ref) const {
+  PathBuffer buffer;
   HashSink sink;
-  WriteCanonical(ResolveParts(ref), sink);
+  WriteCanonical(ResolveParts(AsParts(), ref, buffer), sink);
   return sink.hash();
 }
 

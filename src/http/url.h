@@ -47,8 +47,10 @@ class Url {
   // ':' (RFC 3986 §3.1) is absolute and passes through; one Url cannot
   // hold (not http or https, or malformed) resolves to this URL. "//x" is
   // scheme-relative and takes this URL's scheme, "/x" is host-relative,
-  // and "x" is resolved against this URL's directory. Fragments and
-  // queries in `ref` are honored; dot segments are kept as written.
+  // and "x" is resolved against this URL's directory (RFC 3986 §5.2.2).
+  // The result has no fragment. A ref with no path ("", "?q", "#f") keeps
+  // this URL's path, and its query unless the ref has one; any other path
+  // has its "." and ".." segments removed (§5.2.4).
   Url Resolve(std::string_view ref) const;
   // Fnv1a(Resolve(ref).ToString()), computed from views into this URL and
   // `ref` without building either.
@@ -66,7 +68,6 @@ class Url {
 
  private:
   Parts AsParts() const;
-  Parts ResolveParts(std::string_view ref) const;
   static Url FromParts(const Parts& parts);
 
   std::string scheme_ = "http";

@@ -33,10 +33,6 @@ class Parser {
 
  private:
   const JsToken& Peek() const { return tokens_[pos_]; }
-  const JsToken& PeekAhead(size_t k) const {
-    const size_t i = pos_ + k;
-    return i < tokens_.size() ? tokens_[i] : tokens_.back();
-  }
   bool AtEof() const { return Peek().type == JsTokenType::kEof; }
 
   JsToken Next() {

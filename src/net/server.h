@@ -80,8 +80,6 @@ class NetServer {
   // Hard stop: abandon open connections (kernel RSTs them on close).
   void Stop();
 
-  bool running() const { return running_.load(std::memory_order_acquire); }
-
  private:
   // Keyed by fd; loop-thread only. The only place a worker finds a
   // connection, so an event for an fd closed earlier in the same batch

@@ -94,7 +94,6 @@ class TraceRecorder {
 
   uint64_t started() const { return started_.load(std::memory_order_relaxed); }
   uint64_t evicted() const { return evicted_.load(std::memory_order_relaxed); }
-  const Config& config() const { return config_; }
 
  private:
   uint64_t Now() const { return config_.now_ns ? config_.now_ns() : MonotonicNanos(); }

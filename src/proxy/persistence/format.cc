@@ -31,6 +31,28 @@ void EndFrame(size_t at, ByteWriter* w) {
   w->PutU32(Crc32c(payload));
 }
 
+// Starts a record of `type`; EndFrame closes it.
+size_t BeginRecord(JournalRecordType type, ByteWriter* w) {
+  const size_t at = BeginFrame(w);
+  w->PutU8(static_cast<uint8_t>(type));
+  return at;
+}
+
+// The run from `mark` on; empty when the mark is at or past its end.
+template <typename T>
+std::span<const T> From(std::span<const T> run, uint32_t mark) {
+  return run.subspan(std::min<size_t>(mark, run.size()));
+}
+
+// Applies a suffix append guarded by its mark: applies exactly once
+// whether or not the snapshot already folded it in.
+template <typename T>
+void ApplySuffix(std::vector<T>* dst, const std::vector<T>& suffix, uint32_t before) {
+  if (dst->size() == before) {
+    dst->insert(dst->end(), suffix.begin(), suffix.end());
+  }
+}
+
 uint8_t EventFlags(const RequestEvent& e) {
   uint8_t flags = 0;
   flags |= e.is_head ? kFlagHead : 0;
@@ -133,31 +155,12 @@ bool DecodeSessionScalars(ByteReader* r, SessionImage* s) {
 
 }  // namespace
 
-KeyEntryFields::KeyEntryFields(uint32_t ip, std::string_view page_path, std::string_view key,
-                               TimeMs issued_at)
-    : ip(ip), page_path(page_path), key(key), issued_at(issued_at) {}
-
-KeyEntryFields::KeyEntryFields(const KeyEntryImage& e)
-    : KeyEntryFields(e.ip, e.page_path, e.key, e.issued_at) {}
-
-SessionFields::SessionFields(const SessionImage& s)
-    : id(s.id),
-      ip(s.ip),
-      user_agent(s.user_agent),
-      first_request(s.first_request),
-      last_request(s.last_request),
-      signals(&s.signals),
-      request_count(s.request_count),
-      instrumented_pages(s.instrumented_pages),
-      blocked(s.blocked),
-      cgi_requests(s.cgi_requests),
-      get_requests(s.get_requests),
-      error_responses(s.error_responses),
-      instrumented_page_indices(s.instrumented_page_indices),
-      events(s.events),
-      served_links(s.served_links),
-      served_embeds(s.served_embeds),
-      visited_urls(s.visited_urls) {}
+RunMarks RunLengths(const SessionFields& s) {
+  return {static_cast<uint32_t>(s.instrumented_page_indices.size()),
+          static_cast<uint32_t>(s.events.size()), static_cast<uint32_t>(s.served_links.size()),
+          static_cast<uint32_t>(s.served_embeds.size()),
+          static_cast<uint32_t>(s.visited_urls.size())};
+}
 
 void EncodeKeyEntry(const KeyEntryFields& e, ByteWriter* w) {
   w->PutU32(e.ip);
@@ -189,32 +192,26 @@ bool DecodeSession(ByteReader* r, SessionImage* s) {
          r->ReadU64Run(kMaxUrlHashesPerSession, &s->visited_urls);
 }
 
-void EncodeSessionUpdate(const SessionUpdateImage& u, ByteWriter* w) {
-  const SessionFields d(u.delta);
-  EncodeSessionScalars(d, w);
-  w->PutU32(u.page_indices_before);
-  w->PutI32Run(d.instrumented_page_indices);
-  w->PutU32(u.events_before);
-  EncodeEvents(d.events, w);
-  w->PutU32(u.links_before);
-  w->PutU64Run(d.served_links);
-  w->PutU32(u.embeds_before);
-  w->PutU64Run(d.served_embeds);
-  w->PutU32(u.visited_before);
-  w->PutU64Run(d.visited_urls);
-}
-
-bool DecodeSessionUpdate(ByteReader* r, SessionUpdateImage* u) {
-  SessionImage* d = &u->delta;
-  return DecodeSessionScalars(r, d) && r->ReadU32(&u->page_indices_before) &&
-         r->ReadI32Run(kMaxPageIndicesPerSession, &d->instrumented_page_indices) &&
-         r->ReadU32(&u->events_before) && DecodeEvents(r, kMaxEventsPerSession, &d->events) &&
-         r->ReadU32(&u->links_before) &&
-         r->ReadU64Run(kMaxUrlHashesPerSession, &d->served_links) &&
-         r->ReadU32(&u->embeds_before) &&
-         r->ReadU64Run(kMaxUrlHashesPerSession, &d->served_embeds) &&
-         r->ReadU32(&u->visited_before) &&
-         r->ReadU64Run(kMaxUrlHashesPerSession, &d->visited_urls);
+void ApplySessionUpdate(const SessionUpdateImage& u, SessionImage* img) {
+  const SessionImage& d = u.delta;
+  img->id = d.id;
+  img->ip = d.ip;
+  img->user_agent = d.user_agent;
+  img->first_request = d.first_request;
+  img->last_request = d.last_request;
+  img->signals = d.signals;
+  img->request_count = d.request_count;
+  img->instrumented_pages = d.instrumented_pages;
+  img->blocked = d.blocked;
+  img->cgi_requests = d.cgi_requests;
+  img->get_requests = d.get_requests;
+  img->error_responses = d.error_responses;
+  ApplySuffix(&img->instrumented_page_indices, d.instrumented_page_indices,
+              u.before.page_indices);
+  ApplySuffix(&img->events, d.events, u.before.events);
+  ApplySuffix(&img->served_links, d.served_links, u.before.links);
+  ApplySuffix(&img->served_embeds, d.served_embeds, u.before.embeds);
+  ApplySuffix(&img->visited_urls, d.visited_urls, u.before.visited);
 }
 
 // --- Snapshot ---------------------------------------------------------
@@ -228,11 +225,6 @@ SnapshotWriter::SnapshotWriter(uint64_t epoch, TimeMs created_at, uint32_t key_s
   out_.PutI64(created_at);
   out_.PutU32(key_sections);
   out_.PutU32(session_sections);
-}
-
-void SnapshotWriter::AddSection(std::string_view payload) {
-  BeginSection()->PutRaw(payload);
-  EndSection();
 }
 
 ByteWriter* SnapshotWriter::BeginSection() {
@@ -359,30 +351,53 @@ std::string EncodeJournalHeader(uint64_t epoch) {
   return w.Take();
 }
 
-std::string EncodeJournalRecord(const JournalRecord& rec) {
-  ByteWriter w;
-  const size_t at = BeginFrame(&w);
-  w.PutU8(static_cast<uint8_t>(rec.type));
-  switch (rec.type) {
-    case JournalRecordType::kKeyIssued:
-      EncodeKeyEntry(rec.key, &w);
-      break;
-    case JournalRecordType::kKeyConsumed:
-      w.PutU32(rec.key.ip);
-      w.PutString(rec.key.key);
-      break;
-    case JournalRecordType::kSessionUpdate:
-      EncodeSessionUpdate(rec.update, &w);
-      break;
-    case JournalRecordType::kSessionClosed:
-      w.PutU64(rec.session_id);
-      break;
-  }
-  EndFrame(at, &w);
-  return w.Take();
+void EncodeKeyIssued(const KeyEntryFields& e, ByteWriter* w) {
+  const size_t at = BeginRecord(JournalRecordType::kKeyIssued, w);
+  EncodeKeyEntry(e, w);
+  EndFrame(at, w);
+}
+
+void EncodeKeyConsumed(uint32_t ip, std::string_view key, ByteWriter* w) {
+  const size_t at = BeginRecord(JournalRecordType::kKeyConsumed, w);
+  w->PutU32(ip);
+  w->PutString(key);
+  EndFrame(at, w);
+}
+
+void EncodeSessionUpdate(const SessionFields& s, const RunMarks& marks, ByteWriter* w) {
+  const size_t at = BeginRecord(JournalRecordType::kSessionUpdate, w);
+  EncodeSessionScalars(s, w);
+  w->PutU32(marks.page_indices);
+  w->PutI32Run(From(s.instrumented_page_indices, marks.page_indices));
+  w->PutU32(marks.events);
+  EncodeEvents(From(s.events, marks.events), w);
+  w->PutU32(marks.links);
+  w->PutU64Run(From(s.served_links, marks.links));
+  w->PutU32(marks.embeds);
+  w->PutU64Run(From(s.served_embeds, marks.embeds));
+  w->PutU32(marks.visited);
+  w->PutU64Run(From(s.visited_urls, marks.visited));
+  EndFrame(at, w);
+}
+
+void EncodeSessionClosed(uint64_t session_id, ByteWriter* w) {
+  const size_t at = BeginRecord(JournalRecordType::kSessionClosed, w);
+  w->PutU64(session_id);
+  EndFrame(at, w);
 }
 
 namespace {
+
+bool DecodeSessionUpdate(ByteReader* r, SessionUpdateImage* u) {
+  SessionImage* d = &u->delta;
+  RunMarks* m = &u->before;
+  return DecodeSessionScalars(r, d) && r->ReadU32(&m->page_indices) &&
+         r->ReadI32Run(kMaxPageIndicesPerSession, &d->instrumented_page_indices) &&
+         r->ReadU32(&m->events) && DecodeEvents(r, kMaxEventsPerSession, &d->events) &&
+         r->ReadU32(&m->links) && r->ReadU64Run(kMaxUrlHashesPerSession, &d->served_links) &&
+         r->ReadU32(&m->embeds) && r->ReadU64Run(kMaxUrlHashesPerSession, &d->served_embeds) &&
+         r->ReadU32(&m->visited) && r->ReadU64Run(kMaxUrlHashesPerSession, &d->visited_urls);
+}
 
 bool DecodeJournalFrame(std::string_view frame, JournalRecord* rec) {
   ByteReader r(frame);
@@ -449,23 +464,6 @@ bool JournalReader::Next(JournalRecord* rec) {
     *rec = JournalRecord{};
   }
   return false;
-}
-
-bool ReadJournal(std::string_view bytes, JournalContents* out) {
-  *out = JournalContents{};
-  JournalReader reader;
-  if (!reader.Open(bytes)) {
-    return false;
-  }
-  out->epoch = reader.epoch();
-  JournalRecord rec;
-  while (reader.Next(&rec)) {
-    out->records.push_back(std::move(rec));
-    rec = JournalRecord{};
-  }
-  out->records_dropped = reader.records_dropped();
-  out->bytes_dropped = reader.bytes_dropped();
-  return true;
 }
 
 }  // namespace robodet::persistence

@@ -95,21 +95,27 @@ struct SessionImage {
   std::vector<uint64_t> visited_urls;
 };
 
-// One journaled session mutation. Scalars (including signals) are the full
-// current values — replay overwrites, so applying the same record twice is
-// a no-op. The vectors in `delta` hold only the items appended since the
-// previous update; each `*_before` is the vector's size before the append,
-// so replay applies a suffix exactly once no matter how the journal
-// overlaps the snapshot.
-struct SessionUpdateImage {
-  SessionImage delta;
-  uint32_t page_indices_before = 0;
-  uint32_t events_before = 0;
-  uint32_t links_before = 0;
-  uint32_t embeds_before = 0;
-  uint32_t visited_before = 0;
+// A length for each of a session's five append-only runs, in encoding
+// order: how much of each run a snapshot or the journal already holds.
+struct RunMarks {
+  uint32_t page_indices = 0;
+  uint32_t events = 0;
+  uint32_t links = 0;
+  uint32_t embeds = 0;
+  uint32_t visited = 0;
 };
 
+// One decoded session update. Scalars (including signals) are the full
+// current values — replay overwrites, so applying the same record twice is
+// a no-op. The vectors in `delta` hold only each run's items from its mark
+// in `before` on, so replay applies a suffix exactly once no matter how
+// the journal overlaps the snapshot.
+struct SessionUpdateImage {
+  SessionImage delta;
+  RunMarks before;
+};
+
+// One decoded journal record.
 struct JournalRecord {
   JournalRecordType type = JournalRecordType::kKeyIssued;
   KeyEntryImage key;          // kKeyIssued (all fields) / kKeyConsumed (ip+key)
@@ -120,14 +126,9 @@ struct JournalRecord {
 // --- Encoder input ----------------------------------------------------
 
 // The encoders read borrowed views of the persisted fields, so a
-// checkpoint encodes the live tables in place instead of first copying
-// them into images. An image converts implicitly. A view must not outlive
-// what it borrows.
+// checkpoint or a journal record encodes the live tables in place instead
+// of first copying them. A view must not outlive what it borrows.
 struct KeyEntryFields {
-  KeyEntryFields(uint32_t ip, std::string_view page_path, std::string_view key,
-                 TimeMs issued_at);
-  KeyEntryFields(const KeyEntryImage& e);
-
   uint32_t ip;
   std::string_view page_path;
   std::string_view key;
@@ -135,9 +136,6 @@ struct KeyEntryFields {
 };
 
 struct SessionFields {
-  SessionFields() = default;
-  SessionFields(const SessionImage& s);
-
   uint64_t id = 0;
   uint32_t ip = 0;
   std::string_view user_agent;
@@ -157,6 +155,9 @@ struct SessionFields {
   std::span<const uint64_t> visited_urls;
 };
 
+// The full length of each of the session's runs.
+RunMarks RunLengths(const SessionFields& s);
+
 // --- Entry codecs -----------------------------------------------------
 
 void EncodeKeyEntry(const KeyEntryFields& e, ByteWriter* w);
@@ -165,26 +166,24 @@ bool DecodeKeyEntry(ByteReader* r, KeyEntryImage* e);
 void EncodeSession(const SessionFields& s, ByteWriter* w);
 bool DecodeSession(ByteReader* r, SessionImage* s);
 
-void EncodeSessionUpdate(const SessionUpdateImage& u, ByteWriter* w);
-bool DecodeSessionUpdate(ByteReader* r, SessionUpdateImage* u);
+// Brings `img` up to date with `u`: overwrites the scalars and appends
+// each suffix whose run is exactly at its mark.
+void ApplySessionUpdate(const SessionUpdateImage& u, SessionImage* img);
 
 // --- Snapshot ---------------------------------------------------------
 
 // Builds a snapshot file incrementally, one section per table shard (key
 // sections first, then session sections, as declared in the constructor).
-// A section's payload is either handed over whole (AddSection) or encoded
-// in place between BeginSection and EndSection, which copies nothing.
+// Each section's payload is encoded in place between BeginSection and
+// EndSection, which copies nothing.
 class SnapshotWriter {
  public:
   // The snapshot is written into `buffer`'s storage (see ByteWriter).
   SnapshotWriter(uint64_t epoch, TimeMs created_at, uint32_t key_sections,
                  uint32_t session_sections, std::string buffer = {});
 
-  // Appends one framed section: payload_len | payload | crc.
-  void AddSection(std::string_view payload);
-
   // Opens a section and returns the writer its payload goes to; the
-  // section is framed and checksummed by EndSection.
+  // section is framed (payload_len | payload | crc) by EndSection.
   ByteWriter* BeginSection();
   void EndSection();
 
@@ -214,26 +213,18 @@ bool ReadSnapshot(std::string_view bytes, SnapshotContents* out);
 // --- Journal ----------------------------------------------------------
 
 std::string EncodeJournalHeader(uint64_t epoch);
-// Frames one record: frame_len | (type | payload) | crc.
-std::string EncodeJournalRecord(const JournalRecord& rec);
 
-struct JournalContents {
-  uint64_t epoch = 0;
-  std::vector<JournalRecord> records;
-  // Records whose frame was intact (CRC valid) but whose payload did not
-  // decode — skipped, parsing continues.
-  size_t records_dropped = 0;
-  // Bytes abandoned at the first torn/corrupt frame (framing can no longer
-  // be trusted past that point).
-  size_t bytes_dropped = 0;
-};
+// Each appends one framed record, frame_len | (type | payload) | crc, to
+// `w`.
+void EncodeKeyIssued(const KeyEntryFields& e, ByteWriter* w);
+void EncodeKeyConsumed(uint32_t ip, std::string_view key, ByteWriter* w);
+// The session's scalars, then each run's mark and the run from that mark
+// on; a mark past its run's end is written with an empty suffix.
+void EncodeSessionUpdate(const SessionFields& s, const RunMarks& marks, ByteWriter* w);
+void EncodeSessionClosed(uint64_t session_id, ByteWriter* w);
 
-// False when the header is invalid; true otherwise with the valid record
-// prefix in `records`.
-bool ReadJournal(std::string_view bytes, JournalContents* out);
-
-// Walks a journal one record at a time, for a caller that applies each
-// record and need not keep it; ReadJournal collects the same walk.
+// Walks a journal one record at a time; both recovery and inspection read
+// it this way.
 class JournalReader {
  public:
   // False when the header is invalid.
@@ -244,7 +235,10 @@ class JournalReader {
   bool Next(JournalRecord* rec);
 
   uint64_t epoch() const { return epoch_; }
-  // As in JournalContents, once Next has returned false.
+  // Once Next has returned false: records whose frame was intact (CRC
+  // valid) but whose payload did not decode, which were skipped; and the
+  // bytes abandoned at the first torn or corrupt frame, past which
+  // framing can no longer be trusted.
   size_t records_dropped() const { return records_dropped_; }
   size_t bytes_dropped() const { return bytes_dropped_; }
 

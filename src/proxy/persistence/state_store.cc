@@ -17,7 +17,6 @@ using persistence::JournalRecord;
 using persistence::JournalRecordType;
 using persistence::KeyEntryImage;
 using persistence::SessionImage;
-using persistence::SessionUpdateImage;
 using persistence::SnapshotContents;
 
 // Size-based checkpoint trigger, beside snapshot_interval_records:
@@ -37,47 +36,6 @@ void ObserveUsSince(HistogramMetric* hist, uint64_t t0) {
   if (hist != nullptr) {
     hist->Observe(static_cast<double>(MonotonicNanos() - t0) / 1000.0);
   }
-}
-
-// Copies the scalar (non-vector) state of a live session.
-SessionImage ScalarsFromLive(const SessionState& s) {
-  SessionImage img;
-  img.id = s.id();
-  img.ip = s.key().ip.value();
-  img.user_agent = s.key().user_agent;
-  img.first_request = s.first_request_time();
-  img.last_request = s.last_request_time();
-  img.signals = s.signals();
-  img.request_count = s.observation().request_count;
-  img.instrumented_pages = s.observation().instrumented_pages;
-  img.blocked = s.blocked();
-  img.cgi_requests = s.cgi_requests();
-  img.get_requests = s.get_requests();
-  img.error_responses = s.error_responses();
-  return img;
-}
-
-// A live session's persisted fields, borrowed for the checkpoint encoder.
-persistence::SessionFields FieldsOfLive(const SessionState& s) {
-  persistence::SessionFields f;
-  f.id = s.id();
-  f.ip = s.key().ip.value();
-  f.user_agent = s.key().user_agent;
-  f.first_request = s.first_request_time();
-  f.last_request = s.last_request_time();
-  f.signals = &s.signals();
-  f.request_count = s.observation().request_count;
-  f.instrumented_pages = s.observation().instrumented_pages;
-  f.blocked = s.blocked();
-  f.cgi_requests = s.cgi_requests();
-  f.get_requests = s.get_requests();
-  f.error_responses = s.error_responses();
-  f.instrumented_page_indices = s.observation().instrumented_page_indices;
-  f.events = s.events();
-  f.served_links = s.served_links().ordered_hashes();
-  f.served_embeds = s.served_embeds().ordered_hashes();
-  f.visited_urls = s.visited_urls().ordered_hashes();
-  return f;
 }
 
 // Identity of a key-table entry for idempotent replay: the beacon key is
@@ -180,37 +138,6 @@ class KeyReplay {
   Index index_;
 };
 
-// Applies a suffix append guarded by its before-count: applies exactly
-// once whether or not the snapshot already folded it in.
-template <typename T>
-void ApplySuffix(std::vector<T>* dst, const std::vector<T>& suffix, uint32_t before) {
-  if (dst->size() == before) {
-    dst->insert(dst->end(), suffix.begin(), suffix.end());
-  }
-}
-
-void ApplyUpdate(const SessionUpdateImage& u, SessionImage* img) {
-  const SessionImage& d = u.delta;
-  img->id = d.id;
-  img->ip = d.ip;
-  img->user_agent = d.user_agent;
-  img->first_request = d.first_request;
-  img->last_request = d.last_request;
-  img->signals = d.signals;
-  img->request_count = d.request_count;
-  img->instrumented_pages = d.instrumented_pages;
-  img->blocked = d.blocked;
-  img->cgi_requests = d.cgi_requests;
-  img->get_requests = d.get_requests;
-  img->error_responses = d.error_responses;
-  ApplySuffix(&img->instrumented_page_indices, d.instrumented_page_indices,
-              u.page_indices_before);
-  ApplySuffix(&img->events, d.events, u.events_before);
-  ApplySuffix(&img->served_links, d.served_links, u.links_before);
-  ApplySuffix(&img->served_embeds, d.served_embeds, u.embeds_before);
-  ApplySuffix(&img->visited_urls, d.visited_urls, u.visited_before);
-}
-
 // Fills a freshly installed session from its image; the session's own
 // bounds apply.
 void FillFromImage(SessionImage* img, SessionState* session) {
@@ -229,6 +156,28 @@ void FillFromImage(SessionImage* img, SessionState* session) {
 }
 
 }  // namespace
+
+persistence::SessionFields FieldsOfLive(const SessionState& s) {
+  persistence::SessionFields f;
+  f.id = s.id();
+  f.ip = s.key().ip.value();
+  f.user_agent = s.key().user_agent;
+  f.first_request = s.first_request_time();
+  f.last_request = s.last_request_time();
+  f.signals = &s.signals();
+  f.request_count = s.observation().request_count;
+  f.instrumented_pages = s.observation().instrumented_pages;
+  f.blocked = s.blocked();
+  f.cgi_requests = s.cgi_requests();
+  f.get_requests = s.get_requests();
+  f.error_responses = s.error_responses();
+  f.instrumented_page_indices = s.observation().instrumented_page_indices;
+  f.events = s.events();
+  f.served_links = s.served_links().ordered_hashes();
+  f.served_embeds = s.served_embeds().ordered_hashes();
+  f.visited_urls = s.visited_urls().ordered_hashes();
+  return f;
+}
 
 StateStore::StateStore(PersistenceConfig config, KeyTable* keys, SessionTable* sessions)
     : config_(std::move(config)), keys_(keys), sessions_(sessions) {
@@ -343,7 +292,7 @@ RecoveryReport StateStore::Recover(TimeMs now) {
           if (fresh) {
             images.emplace_back();
           }
-          ApplyUpdate(rec.update, &images[it->second]);
+          ApplySessionUpdate(rec.update, &images[it->second]);
           break;
         }
         case JournalRecordType::kSessionClosed:
@@ -427,7 +376,7 @@ bool StateStore::CheckpointLocked(TimeMs now, std::string buffer) {
     }
     writer.EndSection();
   }
-  std::unordered_map<uint64_t, Marks> fresh_marks;
+  std::unordered_map<uint64_t, persistence::RunMarks> fresh_marks;
   fresh_marks.reserve(sessions_->active_count());
   for (size_t i = 0; i < sessions_->num_shards(); ++i) {
     ByteWriter* payload = writer.BeginSection();
@@ -439,11 +388,7 @@ bool StateStore::CheckpointLocked(TimeMs now, std::string buffer) {
     sessions_->ForEachSessionInShard(i, [&](const SessionState& s) {
       const persistence::SessionFields f = FieldsOfLive(s);
       persistence::EncodeSession(f, payload);
-      fresh_marks[f.id] = Marks{static_cast<uint32_t>(f.instrumented_page_indices.size()),
-                                static_cast<uint32_t>(f.events.size()),
-                                static_cast<uint32_t>(f.served_links.size()),
-                                static_cast<uint32_t>(f.served_embeds.size()),
-                                static_cast<uint32_t>(f.visited_urls.size())};
+      fresh_marks[f.id] = persistence::RunLengths(f);
       ++count;
     });
     payload->PatchU32(count_at, count);
@@ -480,13 +425,16 @@ bool StateStore::CheckpointLocked(TimeMs now, std::string buffer) {
   return journal_open_;
 }
 
-void StateStore::AppendLocked(const JournalRecord& rec, TimeMs now) {
+template <typename Encode>
+void StateStore::AppendLocked(TimeMs now, Encode encode) {
   last_now_ = std::max(last_now_, now);
   if (!journal_open_) {
     return;
   }
   const uint64_t t0 = MonotonicNanos();
-  const std::string bytes = persistence::EncodeJournalRecord(rec);
+  record_.Clear();
+  encode(&record_);
+  const std::string& bytes = record_.bytes();
   journal_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   // Flushed per record: the simulated-crash model (and a real kill -9)
   // keeps everything the stream has pushed to the OS.
@@ -511,36 +459,35 @@ void StateStore::AppendLocked(const JournalRecord& rec, TimeMs now) {
 void StateStore::OnKeyIssued(IpAddress ip, const std::string& page_path, const std::string& key,
                              TimeMs issued_at) {
   std::lock_guard<std::mutex> lock(mu_);
-  JournalRecord rec;
-  rec.type = JournalRecordType::kKeyIssued;
-  rec.key = KeyEntryImage{ip.value(), page_path, key, issued_at};
-  AppendLocked(rec, issued_at);
+  AppendLocked(issued_at, [&](ByteWriter* w) {
+    persistence::EncodeKeyIssued({ip.value(), page_path, key, issued_at}, w);
+  });
 }
 
 void StateStore::OnKeyConsumed(IpAddress ip, const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
-  JournalRecord rec;
-  rec.type = JournalRecordType::kKeyConsumed;
-  rec.key.ip = ip.value();
-  rec.key.key = key;
-  AppendLocked(rec, last_now_);
+  AppendLocked(last_now_,
+               [&](ByteWriter* w) { persistence::EncodeKeyConsumed(ip.value(), key, w); });
 }
 
+// Journals each run from its mark on, then moves the marks to the runs'
+// ends. While the journal is closed the marks stay put: the checkpoint
+// that reopens it resets them all.
 void StateStore::OnSessionUpdated(const SessionState& session) {
   std::lock_guard<std::mutex> lock(mu_);
-  JournalRecord rec;
-  rec.type = JournalRecordType::kSessionUpdate;
-  rec.update = BuildUpdateLocked(session);
-  AppendLocked(rec, session.last_request_time());
+  AppendLocked(session.last_request_time(), [&](ByteWriter* w) {
+    const persistence::SessionFields f = FieldsOfLive(session);
+    persistence::RunMarks& marks = marks_[f.id];
+    persistence::EncodeSessionUpdate(f, marks, w);
+    marks = persistence::RunLengths(f);
+  });
 }
 
 void StateStore::OnSessionClosed(const SessionState& session) {
   std::lock_guard<std::mutex> lock(mu_);
   marks_.erase(session.id());
-  JournalRecord rec;
-  rec.type = JournalRecordType::kSessionClosed;
-  rec.session_id = session.id();
-  AppendLocked(rec, session.last_request_time());
+  AppendLocked(session.last_request_time(),
+               [&](ByteWriter* w) { persistence::EncodeSessionClosed(session.id(), w); });
 }
 
 void StateStore::OnCrash() {
@@ -550,49 +497,6 @@ void StateStore::OnCrash() {
   }
   journal_open_ = false;
   marks_.clear();
-}
-
-persistence::SessionUpdateImage StateStore::BuildUpdateLocked(const SessionState& session) {
-  Marks& m = marks_[session.id()];
-  SessionUpdateImage u;
-  u.delta = ScalarsFromLive(session);
-
-  const auto& ipi = session.observation().instrumented_page_indices;
-  u.page_indices_before = m.page_indices;
-  for (size_t i = m.page_indices; i < ipi.size(); ++i) {
-    u.delta.instrumented_page_indices.push_back(ipi[i]);
-  }
-  m.page_indices = static_cast<uint32_t>(ipi.size());
-
-  const auto& events = session.events();
-  u.events_before = m.events;
-  for (size_t i = m.events; i < events.size(); ++i) {
-    u.delta.events.push_back(events[i]);
-  }
-  m.events = static_cast<uint32_t>(events.size());
-
-  const auto& links = session.served_links().ordered_hashes();
-  u.links_before = m.links;
-  for (size_t i = m.links; i < links.size(); ++i) {
-    u.delta.served_links.push_back(links[i]);
-  }
-  m.links = static_cast<uint32_t>(links.size());
-
-  const auto& embeds = session.served_embeds().ordered_hashes();
-  u.embeds_before = m.embeds;
-  for (size_t i = m.embeds; i < embeds.size(); ++i) {
-    u.delta.served_embeds.push_back(embeds[i]);
-  }
-  m.embeds = static_cast<uint32_t>(embeds.size());
-
-  const auto& visited = session.visited_urls().ordered_hashes();
-  u.visited_before = m.visited;
-  for (size_t i = m.visited; i < visited.size(); ++i) {
-    u.delta.visited_urls.push_back(visited[i]);
-  }
-  m.visited = static_cast<uint32_t>(visited.size());
-
-  return u;
 }
 
 InspectionResult InspectState(const std::string& state_dir) {
@@ -614,8 +518,17 @@ InspectionResult InspectState(const std::string& state_dir) {
   }
   if (res.journal_present) {
     std::string bytes;
-    if (ReadFileLimited(jrnl_path, persistence::kMaxStateFileBytes, &bytes)) {
-      res.journal_valid = persistence::ReadJournal(bytes, &res.journal);
+    persistence::JournalReader reader;
+    if (ReadFileLimited(jrnl_path, persistence::kMaxStateFileBytes, &bytes) &&
+        reader.Open(bytes)) {
+      res.journal_valid = true;
+      res.journal.epoch = reader.epoch();
+      persistence::JournalRecord rec;
+      while (reader.Next(&rec)) {
+        ++res.journal.records;
+      }
+      res.journal.records_dropped = reader.records_dropped();
+      res.journal.bytes_dropped = reader.bytes_dropped();
     }
     if (!res.journal_valid || res.journal.records_dropped > 0 || res.journal.bytes_dropped > 0) {
       res.clean = false;

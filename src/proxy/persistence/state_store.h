@@ -15,7 +15,7 @@
 //     recovery still starts its journal from a consistent snapshot.
 //
 // Replay is idempotent (session updates overwrite scalars and append
-// suffixes guarded by before-counts; key issues dedupe on the random key),
+// suffixes guarded by run marks; key issues dedupe on the random key),
 // which is what makes a checkpoint taken concurrently with serving safe:
 // a mutation that lands in both the snapshot and the journal applies once.
 //
@@ -35,6 +35,7 @@
 #include "src/proxy/key_table.h"
 #include "src/proxy/persistence/format.h"
 #include "src/proxy/session_table.h"
+#include "src/util/binio.h"
 
 namespace robodet {
 
@@ -112,16 +113,6 @@ class StateStore : public KeyTable::Observer {
   std::string journal_path() const;
 
  private:
-  // Per-session watermarks: how much of each append-only vector has been
-  // journaled (or folded into the latest snapshot).
-  struct Marks {
-    uint32_t page_indices = 0;
-    uint32_t events = 0;
-    uint32_t links = 0;
-    uint32_t embeds = 0;
-    uint32_t visited = 0;
-  };
-
   struct StoreMetrics {
     Counter* journal_records = nullptr;
     Counter* journal_write_failures = nullptr;
@@ -141,8 +132,9 @@ class StateStore : public KeyTable::Observer {
 
   // `buffer` lends its storage to the snapshot being written.
   bool CheckpointLocked(TimeMs now, std::string buffer = {});
-  void AppendLocked(const persistence::JournalRecord& rec, TimeMs now);
-  persistence::SessionUpdateImage BuildUpdateLocked(const SessionState& session);
+  // Encodes one record into record_ through `encode` and appends it.
+  template <typename Encode>
+  void AppendLocked(TimeMs now, Encode encode);
 
   PersistenceConfig config_;
   KeyTable* keys_;
@@ -160,8 +152,16 @@ class StateStore : public KeyTable::Observer {
   TimeMs last_now_ = 0;
   // Size of the last snapshot read or written; the next one reserves it.
   size_t snapshot_bytes_ = 0;
-  std::unordered_map<uint64_t, Marks> marks_;
+  // Per session, how much of each run the journal or the latest snapshot
+  // holds.
+  std::unordered_map<uint64_t, persistence::RunMarks> marks_;
+  // Every record is encoded here, reusing its storage.
+  ByteWriter record_;
 };
+
+// A live session's persisted fields, borrowed for the encoders: valid
+// until the session is next mutated.
+persistence::SessionFields FieldsOfLive(const SessionState& s);
 
 // Read-only validation of a state directory, for tools/robodet_statedump.
 // Never mutates files.
@@ -174,7 +174,13 @@ struct InspectionResult {
   // Strictly clean: nothing dropped, no torn tail, epochs consistent.
   bool clean = true;
   persistence::SnapshotContents snapshot;
-  persistence::JournalContents journal;
+  // The journal's epoch, its intact records, and what its walk dropped.
+  struct {
+    uint64_t epoch = 0;
+    size_t records = 0;
+    size_t records_dropped = 0;
+    size_t bytes_dropped = 0;
+  } journal;
 };
 
 InspectionResult InspectState(const std::string& state_dir);

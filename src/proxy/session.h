@@ -135,9 +135,6 @@ class UrlHashSet {
   };
 
   static uint64_t* Hashes(Header* block) { return reinterpret_cast<uint64_t*>(block + 1); }
-  static const uint64_t* Hashes(const Header* block) {
-    return reinterpret_cast<const uint64_t*>(block + 1);
-  }
   // The smallest power of two that keeps a full set at most half full; 0
   // while the set is scanned.
   static size_t IndexSlots(size_t capacity) {
@@ -146,9 +143,6 @@ class UrlHashSet {
   // Open-addressed, linear probing: 0 is an empty slot, p is hash p - 1.
   static uint16_t* Index(Header* block) {
     return reinterpret_cast<uint16_t*>(Hashes(block) + block->capacity);
-  }
-  static const uint16_t* Index(const Header* block) {
-    return reinterpret_cast<const uint16_t*>(Hashes(block) + block->capacity);
   }
   // Moves the contents into a new block with room for `capacity` hashes.
   void Reallocate(size_t capacity);

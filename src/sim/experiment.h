@@ -80,8 +80,6 @@ class Experiment {
   std::vector<const SessionRecord*> RecordsWithMinRequests(int min_requests) const;
 
   ProxyServer& proxy() { return *proxy_; }
-  const SiteModel& site() const { return site_; }
-  SimClock& clock() { return clock_; }
   const FaultInjector& faults() const { return *faults_; }
 
   struct TypeStats {

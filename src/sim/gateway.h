@@ -61,7 +61,6 @@ class Gateway {
   FetchResult Post(const ClientIdentity& id, const Url& url, std::string body,
                    std::string_view referrer, FetchStats* stats);
 
-  TimeMs Now() const { return clock_->Now(); }
   const ProxyConfig& proxy_config() const { return proxy_->config(); }
 
  private:

@@ -3,8 +3,8 @@
 // to a growable buffer; ByteReader is its hostile-input counterpart: every
 // read is bounds-checked, length prefixes are validated against explicit
 // caps before a single byte is allocated, and the first malformed field
-// poisons the reader (ok() goes false, every later read fails) so decoders
-// can check once at the end instead of after every field.
+// poisons the reader (every later read fails) so decoders can check once
+// at the end instead of after every field.
 #ifndef ROBODET_SRC_UTIL_BINIO_H_
 #define ROBODET_SRC_UTIL_BINIO_H_
 
@@ -54,6 +54,8 @@ class ByteWriter {
 
   const std::string& bytes() const { return out_; }
   std::string Take() { return std::move(out_); }
+  // Empties the buffer and keeps its storage for the next bytes.
+  void Clear() { out_.clear(); }
   size_t size() const { return out_.size(); }
 
  private:
@@ -101,9 +103,6 @@ class ByteReader {
   bool ReadRaw(size_t n, std::string_view* v);
 
   size_t remaining() const { return data_.size() - pos_; }
-  size_t pos() const { return pos_; }
-  // True until any read has failed; a failed reader fails all later reads.
-  bool ok() const { return ok_; }
 
  private:
   bool Take(size_t n, const char** p) {

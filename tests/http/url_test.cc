@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "src/util/hash.h"
 
 namespace robodet {
@@ -118,7 +121,16 @@ TEST(UrlTest, ResolvePathRelative) {
 TEST(UrlTest, ResolveQueryAndFragmentOnly) {
   const Url base = Url::Make("a.com", "/x/y.html");
   EXPECT_EQ(base.Resolve("?p=1").ToString(), "http://a.com/x/y.html?p=1");
-  EXPECT_EQ(base.Resolve("#sec").ToString(), "http://a.com/x/y.html#sec");
+  EXPECT_EQ(base.Resolve("#sec").ToString(), "http://a.com/x/y.html");
+}
+
+// A ref with no path keeps the base's query unless it has its own; the
+// fragment goes either way (RFC 3986 §5.2.2).
+TEST(UrlTest, ResolveRefWithoutPathKeepsBaseQuery) {
+  const Url base = *Url::Parse("http://a.com/x/y.html?old=1#top");
+  EXPECT_EQ(base.Resolve("#sec").ToString(), "http://a.com/x/y.html?old=1");
+  EXPECT_EQ(base.Resolve("").ToString(), "http://a.com/x/y.html?old=1");
+  EXPECT_EQ(base.Resolve("?new=2#sec").ToString(), "http://a.com/x/y.html?new=2");
 }
 
 TEST(UrlTest, ResolveDropsBaseQuery) {
@@ -134,8 +146,7 @@ TEST(UrlTest, ResolveRelativeRefWhoseQueryHoldsAUrl) {
             "http://www.example.com/go?u=http://other.com/x");
   EXPECT_EQ(base.Resolve("next.html?to=https://a.b/").ToString(),
             "http://www.example.com/dir/next.html?to=https://a.b/");
-  EXPECT_EQ(base.Resolve("#see=http://x.y/").ToString(),
-            "http://www.example.com/dir/page.html#see=http://x.y/");
+  EXPECT_EQ(base.Resolve("#see=http://x.y/").ToString(), "http://www.example.com/dir/page.html");
 }
 
 // "//host/path" takes the base's scheme and names its own host.
@@ -143,7 +154,7 @@ TEST(UrlTest, ResolveSchemeRelative) {
   const Url base = *Url::Parse("http://www.example.com/dir/page.html");
   EXPECT_EQ(base.Resolve("//cdn.example.com/a.js").ToString(), "http://cdn.example.com/a.js");
   EXPECT_EQ(base.Resolve("//CDN.example.com:8080/a.js?v=1#top").ToString(),
-            "http://cdn.example.com:8080/a.js?v=1#top");
+            "http://cdn.example.com:8080/a.js?v=1");
   EXPECT_EQ(base.Resolve("//cdn.example.com").ToString(), "http://cdn.example.com/");
   const Url secure = *Url::Parse("https://www.example.com/dir/page.html");
   EXPECT_EQ(secure.Resolve("//cdn.example.com/a.js").ToString(), "https://cdn.example.com/a.js");
@@ -163,6 +174,73 @@ TEST(UrlTest, ResolveAbsoluteNeedsSchemeThenColon) {
   // A ':' after a '/' or '?' does not make a scheme.
   EXPECT_EQ(base.Resolve("a/b:c.html").ToString(), "http://www.example.com/dir/a/b:c.html");
   EXPECT_EQ(base.Resolve("x.html?t=1:2").ToString(), "http://www.example.com/dir/x.html?t=1:2");
+}
+
+// The examples of RFC 3986 §5.4.1 (normal) and §5.4.2 (abnormal), with
+// the fragment removed from each result. Three cannot be held as written:
+// "g:h" and "http:g" name no http(s) URL and resolve to the base, and
+// "//g" has the empty path that this model spells "/".
+TEST(UrlTest, ResolveRfc3986Examples) {
+  const Url base = *Url::Parse("http://a/b/c/d;p?q");
+  const std::pair<const char*, const char*> kExamples[] = {
+      // §5.4.1
+      {"g", "http://a/b/c/g"},
+      {"./g", "http://a/b/c/g"},
+      {"g/", "http://a/b/c/g/"},
+      {"/g", "http://a/g"},
+      {"//g", "http://g/"},
+      {"?y", "http://a/b/c/d;p?y"},
+      {"g?y", "http://a/b/c/g?y"},
+      {"#s", "http://a/b/c/d;p?q"},
+      {"g#s", "http://a/b/c/g"},
+      {"g?y#s", "http://a/b/c/g?y"},
+      {";x", "http://a/b/c/;x"},
+      {"g;x", "http://a/b/c/g;x"},
+      {"g;x?y#s", "http://a/b/c/g;x?y"},
+      {"", "http://a/b/c/d;p?q"},
+      {".", "http://a/b/c/"},
+      {"./", "http://a/b/c/"},
+      {"..", "http://a/b/"},
+      {"../", "http://a/b/"},
+      {"../g", "http://a/b/g"},
+      {"../..", "http://a/"},
+      {"../../", "http://a/"},
+      {"../../g", "http://a/g"},
+      // §5.4.2
+      {"../../../g", "http://a/g"},
+      {"../../../../g", "http://a/g"},
+      {"/./g", "http://a/g"},
+      {"/../g", "http://a/g"},
+      {"g.", "http://a/b/c/g."},
+      {".g", "http://a/b/c/.g"},
+      {"g..", "http://a/b/c/g.."},
+      {"..g", "http://a/b/c/..g"},
+      {"./../g", "http://a/b/g"},
+      {"./g/.", "http://a/b/c/g/"},
+      {"g/./h", "http://a/b/c/g/h"},
+      {"g/../h", "http://a/b/c/h"},
+      {"g;x=1/./y", "http://a/b/c/g;x=1/y"},
+      {"g;x=1/../y", "http://a/b/c/y"},
+      {"g?y/./x", "http://a/b/c/g?y/./x"},
+      {"g?y/../x", "http://a/b/c/g?y/../x"},
+      {"g#s/./x", "http://a/b/c/g"},
+      {"g#s/../x", "http://a/b/c/g"},
+      {"http://a/b/c/./../g", "http://a/b/g"},
+      {"//a/b/../g", "http://a/g"},
+  };
+  for (const auto& [ref, want] : kExamples) {
+    EXPECT_EQ(base.Resolve(ref).ToString(), want) << ref;
+    EXPECT_EQ(base.ResolveHash(ref), Fnv1a(want)) << ref;
+  }
+}
+
+// A path longer than the stack buffer that dot-segment removal works in.
+TEST(UrlTest, ResolveRemovesDotSegmentsFromALongPath) {
+  const std::string dir = "/" + std::string(2000, 'd') + "/";
+  const Url base = Url::Make("a.com", dir + "e/page.html");
+  const std::string want = "http://a.com" + dir + "f/g.html";
+  EXPECT_EQ(base.Resolve("../f/./g.html").ToString(), want);
+  EXPECT_EQ(base.ResolveHash("../f/./g.html"), Fnv1a(want));
 }
 
 // Hash and ResolveHash hash the canonical form without building it.

@@ -10,12 +10,17 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <new>
 #include <string>
+#include <utility>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include "src/html/document.h"
+#include "src/proxy/persistence/state_store.h"
 #include "src/proxy/proxy_server.h"
 #include "src/proxy/session.h"
 
@@ -187,6 +192,87 @@ TEST(ServedRefsAllocationTest, UrlHashesAllocateNothing) {
             }),
             0);
   EXPECT_NE(sum, 0u);
+}
+
+// Journaling a browse-shaped session: 100 requests, every fifth an
+// instrumented page that serves ten links and five embeds, each request a
+// new visited URL. The store encodes each record into one buffer it
+// reuses, so once a session of the same shape has warmed that buffer, a
+// session's first update allocates only its marks entry and every later
+// update and every key record allocates nothing.
+class JournalAllocationTest : public ::testing::Test {
+ protected:
+  JournalAllocationTest()
+      : dir_(std::filesystem::temp_directory_path() /
+             ("robodet_journal_alloc_" + std::to_string(::getpid()))),
+        store_(PersistenceConfig{.state_dir = dir_.string(), .snapshot_interval_records = 0},
+               &keys_, &sessions_) {
+    store_.Recover(0);
+  }
+  ~JournalAllocationTest() override { std::filesystem::remove_all(dir_); }
+
+  // Runs a session of `requests` requests through the journal; returns
+  // the allocations of its first update and the most of any later one.
+  std::pair<int64_t, int64_t> JournalSession(uint64_t id, int requests) {
+    const SharedUserAgent agent("Mozilla/5.0 (Windows NT 10.0; Win64; x64) Gecko/20100101");
+    SessionState session(id, IpAddress(static_cast<uint32_t>(id)), agent, 1000);
+    session.signals().ua_echo_agent = "mozilla-5.0windowsnt10.0win64x64gecko";
+    int64_t first = 0;
+    int64_t most = 0;
+    for (int i = 0; i < requests; ++i) {
+      RequestEvent event;
+      event.kind = i % 5 == 0 ? ResourceKind::kHtml : ResourceKind::kImage;
+      event.status_class = 2;
+      session.RecordRequest(1000 + 500 * i, event);
+      session.visited_urls().InsertHash(id * 1000 + static_cast<uint64_t>(i));
+      if (i % 5 == 0) {
+        session.NoteInstrumentedPage();
+        for (uint64_t k = 0; k < 10; ++k) {
+          session.served_links().InsertHash(id * 100000 + i * 16 + k);
+        }
+        for (uint64_t k = 0; k < 5; ++k) {
+          session.served_embeds().InsertHash(id * 200000 + i * 16 + k);
+        }
+      }
+      const int64_t n = Allocations([&] { store_.OnSessionUpdated(session); });
+      if (i == 0) {
+        first = n;
+      } else {
+        most = std::max(most, n);
+      }
+    }
+    store_.OnSessionClosed(session);
+    return {first, most};
+  }
+
+  std::filesystem::path dir_;
+  KeyTable keys_{KeyTable::Config{}};
+  SessionTable sessions_{SessionTable::Config{}};
+  StateStore store_;
+};
+
+TEST_F(JournalAllocationTest, SessionUpdates) {
+  JournalSession(1, 100);  // Warms the encode buffer.
+  const auto [first, most] = JournalSession(2, 100);
+  std::printf("OnSessionUpdated: first %lld, later at most %lld allocations\n",
+              static_cast<long long>(first), static_cast<long long>(most));
+  EXPECT_LE(first, 1);
+  EXPECT_EQ(most, 0);
+}
+
+TEST_F(JournalAllocationTest, KeyRecords) {
+  const std::string path = "/catalog/page-0042.html";
+  const std::string key = "0123456789abcdef0123456789abcdef";
+  store_.OnKeyIssued(IpAddress(7), path, key, 10);  // Warms the encode buffer.
+  store_.OnKeyConsumed(IpAddress(7), key);
+  const int64_t issued =
+      MostAllocations(16, [&](int i) { store_.OnKeyIssued(IpAddress(7), path, key, 20 + i); });
+  const int64_t consumed =
+      MostAllocations(16, [&](int) { store_.OnKeyConsumed(IpAddress(7), key); });
+  std::printf("OnKeyIssued: %lld, OnKeyConsumed: %lld allocations\n",
+              static_cast<long long>(issued), static_cast<long long>(consumed));
+  EXPECT_EQ(issued, 0);
+  EXPECT_EQ(consumed, 0);
 }
 
 }  // namespace

@@ -1,21 +1,25 @@
 // Hostile-input hardening for the persistence load path. Snapshot and
 // journal files are read back after crashes — exactly when their bytes are
-// least trustworthy — so ReadSnapshot / ReadJournal must survive random
+// least trustworthy — so ReadSnapshot and JournalReader must survive random
 // garbage, bit flips in valid files, and truncation at every offset
 // without crashing, and everything they accept must respect the format's
 // hard limits.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+#include <tuple>
+
 #include "src/proxy/persistence/format.h"
+#include "src/proxy/persistence/state_store.h"
 #include "src/util/binio.h"
 #include "src/util/rng.h"
 
 namespace robodet {
 namespace {
 
-using persistence::JournalContents;
+using persistence::JournalReader;
 using persistence::JournalRecord;
-using persistence::JournalRecordType;
 using persistence::KeyEntryImage;
 using persistence::SessionImage;
 using persistence::SnapshotContents;
@@ -30,31 +34,30 @@ KeyEntryImage MakeKey(Rng& rng) {
   return e;
 }
 
-SessionImage MakeSession(Rng& rng, uint64_t id) {
-  SessionImage s;
-  s.id = id;
-  s.ip = static_cast<uint32_t>(rng.UniformU64(1u << 24));
-  s.user_agent = "agent/" + std::to_string(rng.UniformU64(50));
-  s.first_request = static_cast<TimeMs>(rng.UniformU64(1u << 20));
-  s.last_request = s.first_request + static_cast<TimeMs>(rng.UniformU64(1u << 20));
-  s.signals.css_probe_at = static_cast<int>(rng.UniformU64(20));
-  s.signals.mouse_event_at = static_cast<int>(rng.UniformU64(20));
-  s.signals.ua_echo_agent = "echo-" + std::to_string(rng.UniformU64(10));
-  s.request_count = static_cast<int32_t>(rng.UniformU64(500));
-  s.instrumented_pages = static_cast<int32_t>(rng.UniformU64(30));
-  const size_t events = rng.UniformU64(6);
-  for (size_t i = 0; i < events; ++i) {
-    RequestEvent e;
+std::unique_ptr<SessionState> MakeSession(Rng& rng, uint64_t id) {
+  const IpAddress ip(static_cast<uint32_t>(rng.UniformU64(1u << 24)));
+  const SharedUserAgent agent("agent/" + std::to_string(rng.UniformU64(50)));
+  const auto first_request = static_cast<TimeMs>(rng.UniformU64(1u << 20));
+  auto s = std::make_unique<SessionState>(id, ip, agent, first_request);
+  const TimeMs last_request = first_request + static_cast<TimeMs>(rng.UniformU64(1u << 20));
+  s->signals().css_probe_at = static_cast<int>(rng.UniformU64(20));
+  s->signals().mouse_event_at = static_cast<int>(rng.UniformU64(20));
+  s->signals().ua_echo_agent = "echo-" + std::to_string(rng.UniformU64(10));
+  const auto request_count = static_cast<int32_t>(rng.UniformU64(500));
+  const auto instrumented_pages = static_cast<int32_t>(rng.UniformU64(30));
+  s->RestoreScalars(last_request, request_count, instrumented_pages, false, 0, 0, 0);
+  std::vector<RequestEvent> events(rng.UniformU64(6));
+  for (RequestEvent& e : events) {
     e.kind = static_cast<ResourceKind>(
         rng.UniformU64(static_cast<uint64_t>(ResourceKind::kOther) + 1));
     e.status_class = static_cast<uint8_t>(2 + rng.UniformU64(4));
     e.is_embedded = rng.Bernoulli(0.3);
-    s.events.push_back(e);
   }
+  s->RestoreEvents(events);
   const size_t hashes = rng.UniformU64(8);
   for (size_t i = 0; i < hashes; ++i) {
-    s.served_links.push_back(rng.UniformU64(UINT64_MAX));
-    s.visited_urls.push_back(rng.UniformU64(UINT64_MAX));
+    s->served_links().InsertHash(rng.UniformU64(UINT64_MAX));
+    s->visited_urls().InsertHash(rng.UniformU64(UINT64_MAX));
   }
   return s;
 }
@@ -62,53 +65,69 @@ SessionImage MakeSession(Rng& rng, uint64_t id) {
 std::string MakeValidSnapshot(Rng& rng) {
   SnapshotWriter writer(3, 1000, 2, 2);
   for (int section = 0; section < 2; ++section) {
-    ByteWriter payload;
+    ByteWriter* payload = writer.BeginSection();
     const size_t n = 1 + rng.UniformU64(4);
-    payload.PutU32(static_cast<uint32_t>(n));
+    payload->PutU32(static_cast<uint32_t>(n));
     for (size_t i = 0; i < n; ++i) {
-      EncodeKeyEntry(MakeKey(rng), &payload);
+      const KeyEntryImage k = MakeKey(rng);
+      persistence::EncodeKeyEntry({k.ip, k.page_path, k.key, k.issued_at}, payload);
     }
-    writer.AddSection(payload.Take());
+    writer.EndSection();
   }
   for (int section = 0; section < 2; ++section) {
-    ByteWriter payload;
+    ByteWriter* payload = writer.BeginSection();
     const size_t n = 1 + rng.UniformU64(3);
-    payload.PutU32(static_cast<uint32_t>(n));
+    payload->PutU32(static_cast<uint32_t>(n));
     for (size_t i = 0; i < n; ++i) {
-      EncodeSession(MakeSession(rng, 100 + rng.UniformU64(1000)), &payload);
+      EncodeSession(FieldsOfLive(*MakeSession(rng, 100 + rng.UniformU64(1000))), payload);
     }
-    writer.AddSection(payload.Take());
+    writer.EndSection();
   }
   return writer.Finish();
 }
 
 std::string MakeValidJournal(Rng& rng) {
-  std::string bytes = persistence::EncodeJournalHeader(3);
+  ByteWriter w;
+  w.PutRaw(persistence::EncodeJournalHeader(3));
   const size_t n = 2 + rng.UniformU64(10);
   for (size_t i = 0; i < n; ++i) {
-    JournalRecord rec;
     switch (rng.UniformU64(4)) {
-      case 0:
-        rec.type = JournalRecordType::kKeyIssued;
-        rec.key = MakeKey(rng);
+      case 0: {
+        const KeyEntryImage k = MakeKey(rng);
+        persistence::EncodeKeyIssued({k.ip, k.page_path, k.key, k.issued_at}, &w);
         break;
-      case 1:
-        rec.type = JournalRecordType::kKeyConsumed;
-        rec.key = MakeKey(rng);
+      }
+      case 1: {
+        const KeyEntryImage k = MakeKey(rng);
+        persistence::EncodeKeyConsumed(k.ip, k.key, &w);
         break;
-      case 2:
-        rec.type = JournalRecordType::kSessionUpdate;
-        rec.update.delta = MakeSession(rng, 100 + i);
-        rec.update.events_before = static_cast<uint32_t>(rng.UniformU64(4));
+      }
+      case 2: {
+        const std::unique_ptr<SessionState> s = MakeSession(rng, 100 + i);
+        const persistence::RunMarks marks{.events = static_cast<uint32_t>(rng.UniformU64(4))};
+        persistence::EncodeSessionUpdate(FieldsOfLive(*s), marks, &w);
         break;
+      }
       default:
-        rec.type = JournalRecordType::kSessionClosed;
-        rec.session_id = 100 + rng.UniformU64(100);
+        persistence::EncodeSessionClosed(100 + rng.UniformU64(100), &w);
         break;
     }
-    bytes += EncodeJournalRecord(rec);
   }
-  return bytes;
+  return w.Take();
+}
+
+// Walks a whole journal, as recovery and inspection do: the count of its
+// intact records, or nullopt when its header is invalid.
+std::optional<size_t> WalkJournal(std::string_view bytes, JournalReader* reader) {
+  if (!reader->Open(bytes)) {
+    return std::nullopt;
+  }
+  size_t records = 0;
+  JournalRecord rec;
+  while (reader->Next(&rec)) {
+    ++records;
+  }
+  return records;
 }
 
 // Everything an accepting parse hands back must already be clamped.
@@ -149,8 +168,8 @@ TEST_P(PersistenceFuzzTest, RandomBytesNeverCrash) {
     if (ReadSnapshot(bytes, &snap)) {
       CheckSnapshotInvariants(snap);
     }
-    JournalContents jrnl;
-    (void)ReadJournal(bytes, &jrnl);
+    JournalReader jrnl;
+    (void)WalkJournal(bytes, &jrnl);
   }
 }
 
@@ -167,8 +186,8 @@ TEST_P(PersistenceFuzzTest, RandomBytesWithValidMagicNeverCrash) {
     if (ReadSnapshot(bytes, &snap)) {
       CheckSnapshotInvariants(snap);
     }
-    JournalContents jrnl;
-    (void)ReadJournal(bytes, &jrnl);
+    JournalReader jrnl;
+    (void)WalkJournal(bytes, &jrnl);
   }
 }
 
@@ -188,8 +207,8 @@ TEST_P(PersistenceFuzzTest, MutatedValidFilesNeverCrash) {
     if (ReadSnapshot(snap_bytes, &snap)) {
       CheckSnapshotInvariants(snap);
     }
-    JournalContents jrnl;
-    (void)ReadJournal(jrnl_bytes, &jrnl);
+    JournalReader jrnl;
+    (void)WalkJournal(jrnl_bytes, &jrnl);
   }
 }
 
@@ -204,11 +223,95 @@ TEST_P(PersistenceFuzzTest, EveryTruncationOffsetSurvives) {
     }
   }
   for (size_t cut = 0; cut <= journal.size(); ++cut) {
-    JournalContents jrnl;
-    if (ReadJournal(std::string_view(journal).substr(0, cut), &jrnl)) {
+    JournalReader jrnl;
+    if (WalkJournal(std::string_view(journal).substr(0, cut), &jrnl)) {
       // A truncated journal yields a valid prefix, never an over-read.
-      EXPECT_EQ(jrnl.epoch, 3u);
+      EXPECT_EQ(jrnl.epoch(), 3u);
     }
+  }
+}
+
+void ExpectSameImage(const SessionImage& got, const SessionImage& want) {
+  EXPECT_EQ(got.id, want.id);
+  EXPECT_EQ(got.ip, want.ip);
+  EXPECT_EQ(got.user_agent, want.user_agent);
+  EXPECT_EQ(got.first_request, want.first_request);
+  EXPECT_EQ(got.last_request, want.last_request);
+  for (const SignalIndex& index : kSignalIndices) {
+    EXPECT_EQ(got.signals.*index.field, want.signals.*index.field) << index.name;
+  }
+  EXPECT_EQ(got.signals.ua_echo_agent, want.signals.ua_echo_agent);
+  EXPECT_EQ(got.request_count, want.request_count);
+  EXPECT_EQ(got.instrumented_pages, want.instrumented_pages);
+  EXPECT_EQ(got.blocked, want.blocked);
+  EXPECT_EQ(got.cgi_requests, want.cgi_requests);
+  EXPECT_EQ(got.get_requests, want.get_requests);
+  EXPECT_EQ(got.error_responses, want.error_responses);
+  EXPECT_EQ(got.instrumented_page_indices, want.instrumented_page_indices);
+  auto packed = [](const std::vector<RequestEvent>& events) {
+    std::vector<std::tuple<ResourceKind, uint8_t, bool, bool>> out;
+    for (const RequestEvent& e : events) {
+      out.emplace_back(e.kind, e.status_class, e.is_embedded, e.is_link_follow);
+    }
+    return out;
+  };
+  EXPECT_EQ(packed(got.events), packed(want.events));
+  EXPECT_EQ(got.served_links, want.served_links);
+  EXPECT_EQ(got.served_embeds, want.served_embeds);
+  EXPECT_EQ(got.visited_urls, want.visited_urls);
+}
+
+// A journaled session update, written from a live session at random
+// marks, decodes and applies to the session's image cut at those marks
+// to give its full image, and applying it again changes nothing. Marks
+// are drawn up to two past each run's end: a mark at or past the end
+// writes an empty suffix, which leaves the uncut run as it is.
+TEST_P(PersistenceFuzzTest, SessionUpdateRoundTrip) {
+  Rng rng(GetParam() ^ 0x5e55ULL);
+  for (int round = 0; round < 32; ++round) {
+    const std::unique_ptr<SessionState> live = MakeSession(rng, 1 + round);
+    for (uint64_t i = rng.UniformU64(6); i > 0; --i) {
+      live->mutable_instrumented_page_indices().push_back(static_cast<int>(rng.UniformU64(99)));
+      live->served_embeds().InsertHash(rng.UniformU64(UINT64_MAX));
+    }
+    live->set_blocked(rng.Bernoulli(0.5));
+    const persistence::SessionFields fields = FieldsOfLive(*live);
+    ByteWriter snapshot_entry;
+    persistence::EncodeSession(fields, &snapshot_entry);
+    ByteReader entry_reader(snapshot_entry.bytes());
+    SessionImage full;
+    ASSERT_TRUE(persistence::DecodeSession(&entry_reader, &full));
+
+    const persistence::RunMarks lengths = persistence::RunLengths(fields);
+    auto draw = [&rng](uint32_t length) { return static_cast<uint32_t>(rng.UniformU64(length + 3)); };
+    const persistence::RunMarks marks{draw(lengths.page_indices), draw(lengths.events),
+                                      draw(lengths.links), draw(lengths.embeds),
+                                      draw(lengths.visited)};
+    SessionImage cut;  // Its scalars are all stale.
+    auto cut_run = [](const auto& run, uint32_t mark, auto* out) {
+      out->assign(run.begin(), run.begin() + std::min<size_t>(mark, run.size()));
+    };
+    cut_run(full.instrumented_page_indices, marks.page_indices, &cut.instrumented_page_indices);
+    cut_run(full.events, marks.events, &cut.events);
+    cut_run(full.served_links, marks.links, &cut.served_links);
+    cut_run(full.served_embeds, marks.embeds, &cut.served_embeds);
+    cut_run(full.visited_urls, marks.visited, &cut.visited_urls);
+
+    ByteWriter journal;
+    journal.PutRaw(persistence::EncodeJournalHeader(1));
+    persistence::EncodeSessionUpdate(fields, marks, &journal);
+    JournalReader reader;
+    ASSERT_TRUE(reader.Open(journal.bytes()));
+    JournalRecord rec;
+    ASSERT_TRUE(reader.Next(&rec));
+    ASSERT_EQ(rec.type, persistence::JournalRecordType::kSessionUpdate);
+    EXPECT_FALSE(reader.Next(&rec));
+    EXPECT_EQ(reader.records_dropped() + reader.bytes_dropped(), 0u);
+
+    persistence::ApplySessionUpdate(rec.update, &cut);
+    ExpectSameImage(cut, full);
+    persistence::ApplySessionUpdate(rec.update, &cut);
+    ExpectSameImage(cut, full);
   }
 }
 
@@ -236,10 +339,11 @@ TEST(PersistenceLimitsTest, HugeFrameLengthIsRejectedNotAllocated) {
   ByteWriter evil;
   evil.PutU32(0xffffffffu);  // frame length far past kMaxFrameBytes
   bytes += evil.Take();
-  JournalContents jrnl;
-  ASSERT_TRUE(ReadJournal(bytes, &jrnl));
-  EXPECT_TRUE(jrnl.records.empty());
-  EXPECT_GT(jrnl.bytes_dropped, 0u);
+  JournalReader jrnl;
+  const std::optional<size_t> records = WalkJournal(bytes, &jrnl);
+  ASSERT_TRUE(records.has_value());
+  EXPECT_EQ(*records, 0u);
+  EXPECT_GT(jrnl.bytes_dropped(), 0u);
 }
 
 }  // namespace

@@ -216,7 +216,7 @@ TEST_F(PersistenceTest, RecoverAtEveryJournalBoundary) {
     boundaries.push_back(std::filesystem::file_size(Dir() + "/journal.bin"));
     expected.push_back(Fingerprint(live.keys, live.sessions));
   }
-  ASSERT_EQ(InspectState(Dir()).journal.records.size(), steps.size());
+  ASSERT_EQ(InspectState(Dir()).journal.records, steps.size());
 
   // Crash at every record boundary: exact replay of the flushed prefix.
   for (size_t i = 0; i < boundaries.size(); ++i) {
@@ -366,7 +366,7 @@ TEST_F(PersistenceTest, InspectStateReportsCleanAndTorn) {
     EXPECT_TRUE(clean.journal_valid);
     EXPECT_TRUE(clean.epoch_match);
     EXPECT_TRUE(clean.clean);
-    EXPECT_EQ(clean.journal.records.size(), 1u);
+    EXPECT_EQ(clean.journal.records, 1u);
   }
   // Tear the journal tail.
   const size_t size = std::filesystem::file_size(Dir() + "/journal.bin");

@@ -387,6 +387,27 @@ TEST_F(ProxyServerTest, SessionEventAttribution) {
   }
 }
 
+// A link written with a fragment or with dot segments is followed at the
+// URL a browser requests for it: fragment dropped, dot segments removed.
+TEST_F(ProxyServerTest, FragmentAndDotSegmentLinksAreFollowed) {
+  ProxyConfig config;
+  config.host = site_.host();
+  proxy_ = std::make_unique<ProxyServer>(
+      config, &clock_,
+      [](const Request& r) {
+        return MakeHtmlResponse(r.url.path() == "/dir/a.html"
+                                    ? "<html><body><a href=\"b.html#sec\">b</a>"
+                                      "<a href=\"../top.html\">top</a></body></html>"
+                                    : "<html><body>leaf</body></html>");
+      },
+      77);
+  Get("/dir/a.html");
+  Get("/dir/b.html");
+  EXPECT_TRUE(Session()->events().back().is_link_follow);
+  Get("/top.html");
+  EXPECT_TRUE(Session()->events().back().is_link_follow);
+}
+
 TEST_F(ProxyServerTest, UnseenReferrerFlagged) {
   Request r;
   r.time = clock_.Now();

@@ -16,11 +16,14 @@
 // histograms time exactly what the journal-record and checkpoint counters
 // count. KeyReplayTest checks that replay consumes a repeated key the way
 // the key table does, and that recovery counts the entries the table keeps.
+// ConcurrentJournalTest journals from four threads through one store.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -141,10 +144,15 @@ TEST_F(StateBytesTest, StateFilesMatchPinnedDigests) {
   const uint64_t snapshot = FileDigest(proxy_->state_store()->snapshot_path());
   const uint64_t journal = FileDigest(proxy_->state_store()->journal_path());
   // The journal holds every record type the codec writes.
-  const InspectionResult inspected = InspectState(dir_.string());
-  ASSERT_TRUE(inspected.clean);
+  ASSERT_TRUE(InspectState(dir_.string()).clean);
+  std::string journal_bytes;
+  ASSERT_TRUE(ReadFileLimited(proxy_->state_store()->journal_path(),
+                              persistence::kMaxStateFileBytes, &journal_bytes));
+  persistence::JournalReader reader;
+  ASSERT_TRUE(reader.Open(journal_bytes));
   size_t by_type[5] = {};
-  for (const persistence::JournalRecord& rec : inspected.journal.records) {
+  persistence::JournalRecord rec;
+  while (reader.Next(&rec)) {
     ++by_type[static_cast<size_t>(rec.type)];
   }
   EXPECT_GT(by_type[static_cast<size_t>(persistence::JournalRecordType::kKeyIssued)], 0u);
@@ -287,6 +295,113 @@ TEST(KeyReplayTest, RecoveryCountsTheEntriesTheTableKeeps) {
   // The oldest issues fell off; the newest survived.
   EXPECT_FALSE(keys.MatchAndConsume(ip, "k35", 300));
   EXPECT_TRUE(keys.MatchAndConsume(ip, "k36", 300));
+  std::filesystem::remove_all(dir);
+}
+
+// Four threads journal through one store at once, with no checkpoints:
+// each issues and consumes beacon keys through the key table, and updates
+// and then closes sessions it built before it started. Every record is
+// encoded in the store's one reused buffer, so the journal must decode to
+// exactly the records each thread appended, in the order it appended them.
+TEST(ConcurrentJournalTest, FourThreadsDecodeToTheirRecords) {
+  constexpr int kThreads = 4;
+  constexpr int kSessionsPerThread = 6;
+  constexpr int kRequests = 12;
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("robodet_concurrent_journal_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  KeyTable keys(KeyTable::Config{});
+  SessionTable sessions(SessionTable::Config{});
+  StateStore store(PersistenceConfig{.state_dir = dir.string(), .snapshot_interval_records = 0},
+                   &keys, &sessions);
+  keys.set_observer(&store);
+  store.Recover(0);
+
+  auto thread_ip = [](int t) { return IpAddress(0x0a000000u + static_cast<uint32_t>(t)); };
+  auto key_name = [](uint64_t session, int request) {
+    return "k" + std::to_string(session) + "-" + std::to_string(request);
+  };
+  std::vector<std::vector<std::unique_ptr<SessionState>>> owned(kThreads);
+  std::vector<std::vector<std::string>> want(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    const SharedUserAgent agent("agent/" + std::to_string(t));
+    for (int j = 0; j < kSessionsPerThread; ++j) {
+      const uint64_t id = 1 + static_cast<uint64_t>(t * kSessionsPerThread + j);
+      owned[t].push_back(std::make_unique<SessionState>(id, thread_ip(t), agent, 0));
+      for (int r = 0; r < kRequests; ++r) {
+        want[t].push_back("issue " + key_name(id, r));
+        want[t].push_back("update " + std::to_string(id) + " " + std::to_string(r + 1) + " " +
+                          std::to_string(r));
+        want[t].push_back("consume " + key_name(id, r));
+      }
+      want[t].push_back("close " + std::to_string(id));
+    }
+  }
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (const std::unique_ptr<SessionState>& s : owned[t]) {
+        for (int r = 0; r < kRequests; ++r) {
+          const std::string key = key_name(s->id(), r);
+          keys.Record(thread_ip(t), "/p/" + std::to_string(r) + ".html", key, r);
+          RequestEvent event;
+          event.kind = ResourceKind::kHtml;
+          s->RecordRequest(100 * r, event);
+          s->visited_urls().InsertHash(s->id() * 1000 + static_cast<uint64_t>(r));
+          store.OnSessionUpdated(*s);
+          EXPECT_TRUE(keys.MatchAndConsume(thread_ip(t), key, r));
+        }
+        store.OnSessionClosed(*s);
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+
+  std::string bytes;
+  ASSERT_TRUE(ReadFileLimited(store.journal_path(), persistence::kMaxStateFileBytes, &bytes));
+  persistence::JournalReader reader;
+  ASSERT_TRUE(reader.Open(bytes));
+  std::vector<std::vector<std::string>> got(kThreads);
+  std::map<uint64_t, persistence::SessionImage> images;
+  auto thread_of_session = [](uint64_t id) { return static_cast<int>((id - 1) / kSessionsPerThread); };
+  persistence::JournalRecord rec;
+  while (reader.Next(&rec)) {
+    switch (rec.type) {
+      case persistence::JournalRecordType::kKeyIssued:
+        got[rec.key.ip - thread_ip(0).value()].push_back("issue " + rec.key.key);
+        break;
+      case persistence::JournalRecordType::kKeyConsumed:
+        got[rec.key.ip - thread_ip(0).value()].push_back("consume " + rec.key.key);
+        break;
+      case persistence::JournalRecordType::kSessionUpdate: {
+        const persistence::SessionImage& d = rec.update.delta;
+        got[thread_of_session(d.id)].push_back(
+            "update " + std::to_string(d.id) + " " + std::to_string(d.request_count) + " " +
+            std::to_string(rec.update.before.events));
+        persistence::ApplySessionUpdate(rec.update, &images[d.id]);
+        break;
+      }
+      case persistence::JournalRecordType::kSessionClosed:
+        got[thread_of_session(rec.session_id)].push_back("close " +
+                                                         std::to_string(rec.session_id));
+        break;
+    }
+  }
+  EXPECT_EQ(reader.records_dropped(), 0u);
+  EXPECT_EQ(reader.bytes_dropped(), 0u);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(got[t], want[t]) << "thread " << t;
+    for (const std::unique_ptr<SessionState>& s : owned[t]) {
+      const persistence::SessionImage& img = images[s->id()];
+      EXPECT_EQ(img.events.size(), s->events().size());
+      const std::span<const uint64_t> visited = s->visited_urls().ordered_hashes();
+      EXPECT_EQ(img.visited_urls, std::vector<uint64_t>(visited.begin(), visited.end()));
+    }
+  }
+  keys.set_observer(nullptr);
   std::filesystem::remove_all(dir);
 }
 

@@ -149,10 +149,10 @@ TEST_F(RecordIoTest, EverySignalIndexSurvivesEveryLayer) {
   };
 
   // Snapshot codec.
-  persistence::SessionImage image;
-  image.signals = want;
+  persistence::SessionFields fields;
+  fields.signals = &want;
   ByteWriter writer;
-  persistence::EncodeSession(image, &writer);
+  persistence::EncodeSession(fields, &writer);
   const std::string bytes = writer.Take();
   ByteReader reader(bytes);
   persistence::SessionImage decoded;

@@ -59,8 +59,7 @@ int main(int argc, char** argv) {
               YesNo(result.journal_valid));
   if (result.journal_valid) {
     std::printf(" epoch=%llu records=%zu",
-                static_cast<unsigned long long>(result.journal.epoch),
-                result.journal.records.size());
+                static_cast<unsigned long long>(result.journal.epoch), result.journal.records);
     if (result.journal.records_dropped > 0) {
       std::printf(" records_dropped=%zu", result.journal.records_dropped);
     }
