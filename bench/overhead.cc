@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
+#include <fstream>
 
 #include <unistd.h>
 
@@ -417,7 +418,9 @@ void WriteStateDir(const std::string& dir, size_t sessions) {
     return persistence::KeyEntryFields{k.ip, k.page_path, k.key, k.issued_at};
   };
   const size_t in_snapshot = sessions / 2;
-  persistence::SnapshotWriter snapshot(kEpoch, 1000, kShards, kShards);
+  std::filesystem::create_directories(dir);
+  std::ofstream snapshot_out(dir + "/snapshot.bin", std::ios::binary | std::ios::trunc);
+  persistence::SnapshotWriter snapshot(&snapshot_out, kEpoch, 1000, kShards, kShards);
   for (uint32_t shard = 0; shard < 2 * kShards; ++shard) {
     const bool key_shard = shard < kShards;
     const size_t n = key_shard ? 4 * in_snapshot : in_snapshot;
@@ -445,9 +448,7 @@ void WriteStateDir(const std::string& dir, size_t sessions) {
       // Five more requests' worth of appends to a snapshot session.
       marks = persistence::RunLengths(FieldsOfLive(s));
       s.mutable_instrumented_page_indices().push_back(21);
-      std::vector<RequestEvent> events(s.events().begin(), s.events().end());
-      events.resize(events.size() + 5);
-      s.RestoreEvents(events);
+      s.RestoreEvents(std::vector<RequestEvent>(5));
       for (uint64_t h : RandomHashes(5, i + 7)) {
         s.served_links().InsertHash(h);
       }
@@ -465,9 +466,7 @@ void WriteStateDir(const std::string& dir, size_t sessions) {
     persistence::EncodeSessionUpdate(FieldsOfLive(s), marks, &journal);
     persistence::EncodeKeyConsumed(keys[4 * i].ip, keys[4 * i].key, &journal);
   }
-  std::filesystem::create_directories(dir);
-  WriteFileAtomic(dir + "/snapshot.bin", snapshot.Finish());
-  WriteFileAtomic(dir + "/journal.bin", journal.bytes());
+  std::ofstream(dir + "/journal.bin", std::ios::binary | std::ios::trunc) << journal.bytes();
 }
 
 // Restart recovery of a generated directory of N sessions: read and verify

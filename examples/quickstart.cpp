@@ -18,7 +18,8 @@ void PrintClassification(const char* who, const SessionState& session,
               std::string(VerdictName(c.verdict)).c_str(), c.decided_at,
               session.request_count());
   for (const Evidence& e : c.evidence) {
-    std::printf("    evidence: %s/%s at request %d\n", e.detector.c_str(), e.signal.c_str(),
+    std::printf("    evidence: %.*s/%.*s at request %d\n", static_cast<int>(e.detector.size()),
+                e.detector.data(), static_cast<int>(e.signal.size()), e.signal.data(),
                 e.request_index);
   }
   const SessionSignals& sig = session.signals();

@@ -27,9 +27,10 @@ constexpr std::string_view VerdictName(Verdict v) {
 }
 
 struct Evidence {
-  // Which detector and which signal produced this piece of evidence.
-  std::string detector;
-  std::string signal;
+  // Which detector and which signal produced this piece of evidence; both
+  // name string literals, so they copy nothing.
+  std::string_view detector;
+  std::string_view signal;
   // 1-based request index at which the signal fired.
   int request_index = 0;
   // Direction the evidence points.

@@ -27,6 +27,9 @@ class Headers {
   size_t Remove(std::string_view name);
 
   size_t size() const { return entries_.size(); }
+  // Makes room for `n` entries in all, so adding up to that many allocates
+  // no more slots.
+  void Reserve(size_t n) { entries_.reserve(n); }
 
   const std::vector<std::pair<std::string, std::string>>& entries() const { return entries_; }
 

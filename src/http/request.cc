@@ -64,6 +64,9 @@ Response MakeHtmlResponse(std::string body) {
 Response MakeResponse(StatusCode status, ResourceKind kind, std::string body) {
   Response r;
   r.status = status;
+  // Its two headers, and the Cache-Control and Connection that serving
+  // adds to most responses.
+  r.headers.Reserve(4);
   r.headers.Set("Content-Type", MimeTypeFor(kind));
   r.headers.Set("Content-Length", std::to_string(body.size()));
   r.body = std::move(body);

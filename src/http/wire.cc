@@ -165,6 +165,7 @@ WireResult<Request> BuildRequest(const FramedRequest& framed) {
   WireResult<Request> result;
   Request request;
   request.method = framed.method;
+  request.headers.Reserve(framed.headers.size());
   for (const HeaderField& field : framed.headers) {
     request.headers.Add(field.name, field.value);
   }
@@ -172,7 +173,7 @@ WireResult<Request> BuildRequest(const FramedRequest& framed) {
   // Resolve the target: absolute form, or origin form + Host header.
   const std::string_view target = framed.target;
   if (auto absolute = Url::Parse(target); absolute.has_value()) {
-    request.url = *absolute;
+    request.url = std::move(*absolute);
   } else if (!target.empty() && target[0] == '/') {
     const auto host = request.headers.Get("Host");
     if (!host.has_value() || host->empty()) {
@@ -182,12 +183,12 @@ WireResult<Request> BuildRequest(const FramedRequest& framed) {
     // Host may carry a port.
     std::string absolute_form = "http://";
     absolute_form.append(*host).append(target);
-    const auto with_host = Url::Parse(absolute_form);
+    auto with_host = Url::Parse(absolute_form);
     if (!with_host.has_value()) {
       result.error = {"unparseable Host + target combination"};
       return result;
     }
-    request.url = *with_host;
+    request.url = std::move(*with_host);
   } else {
     result.error = {"unsupported request target '" + std::string(target) + "'"};
     return result;

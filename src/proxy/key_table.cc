@@ -68,16 +68,16 @@ void KeyTable::UpdateEntriesGauge() {
   }
 }
 
-void KeyTable::Record(IpAddress ip, const std::string& page_path, const std::string& key,
-                      TimeMs now) {
+bool KeyTable::Add(IpAddress ip, std::string_view page_path, std::string_view key, TimeMs now,
+                   bool counted) {
   // Global bound: sweep everything before refusing. Rare (the bound is
   // sized for memory pressure, not steady state), so the full sweep is
   // acceptable even from a worker thread.
   if (total_entries() >= kMaxTotalEntries) {
-    ExpireOld(now);
+    counted ? ExpireOld(now) : ExpireAll(now);
   }
   if (total_entries() >= kMaxTotalEntries) {
-    return;  // Still full: refuse to grow. Detection degrades gracefully.
+    return false;  // Still full: refuse to grow. Detection degrades gracefully.
   }
   Shard& shard = ShardFor(ip);
   size_t expired_here = 0;
@@ -85,6 +85,11 @@ void KeyTable::Record(IpAddress ip, const std::string& page_path, const std::str
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     EntryFifo& entries = shard.by_ip[ip.value()];
+    for (size_t i = 0; !counted && i < entries.size(); ++i) {
+      if (entries[i].key == key && entries[i].issued_at == now && entries[i].page_path == page_path) {
+        return false;
+      }
+    }
     // Entries are issued in this client's time order, so expired ones sit
     // at the front. Reaping them here keeps per-IP state bounded even when
     // no global sweep ever runs (concurrent mode).
@@ -96,51 +101,65 @@ void KeyTable::Record(IpAddress ip, const std::string& page_path, const std::str
       entries.pop_front();
       ++evicted_here;
     }
-    entries.push_back(Entry{page_path, key, now});
+    entries.push_back(Entry{std::string(page_path), std::string(key), now});
   }
   total_entries_.fetch_sub(expired_here + evicted_here, std::memory_order_relaxed);
   total_entries_.fetch_add(1, std::memory_order_relaxed);
-  IncIfBound(metrics_.expired, expired_here);
-  IncIfBound(metrics_.evicted, evicted_here);
-  IncIfBound(metrics_.issued);
+  if (counted) {
+    IncIfBound(metrics_.expired, expired_here);
+    IncIfBound(metrics_.evicted, evicted_here);
+  }
   UpdateEntriesGauge();
+  return true;
+}
+
+void KeyTable::Record(IpAddress ip, const std::string& page_path, const std::string& key,
+                      TimeMs now) {
+  if (!Add(ip, page_path, key, now, /*counted=*/true)) {
+    return;
+  }
+  IncIfBound(metrics_.issued);
   if (observer_ != nullptr) {
     observer_->OnKeyIssued(ip, page_path, key, now);
   }
 }
 
-bool KeyTable::MatchAndConsume(IpAddress ip, const std::string& key, TimeMs now) {
+bool KeyTable::Remove(IpAddress ip, std::string_view key, TimeMs* issued_at) {
   Shard& shard = ShardFor(ip);
-  bool found = false;
-  bool live = false;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.by_ip.find(ip.value());
-    if (it != shard.by_ip.end()) {
-      EntryFifo& entries = it->second;
-      for (size_t i = 0; i < entries.size(); ++i) {
-        if (entries[i].key == key) {
-          found = true;
-          live = now - entries[i].issued_at <= kEntryTtl;
-          entries.erase(i);
-          if (entries.empty()) {
-            shard.by_ip.erase(it);
-          }
-          break;
-        }
-      }
+    if (it == shard.by_ip.end()) {
+      return false;
+    }
+    EntryFifo& entries = it->second;
+    size_t i = 0;
+    while (i < entries.size() && entries[i].key != key) {
+      ++i;
+    }
+    if (i == entries.size()) {
+      return false;
+    }
+    *issued_at = entries[i].issued_at;
+    entries.erase(i);
+    if (entries.empty()) {
+      shard.by_ip.erase(it);
     }
   }
-  if (found) {
-    total_entries_.fetch_sub(1, std::memory_order_relaxed);
-    UpdateEntriesGauge();
-  }
+  total_entries_.fetch_sub(1, std::memory_order_relaxed);
+  UpdateEntriesGauge();
+  return true;
+}
+
+bool KeyTable::MatchAndConsume(IpAddress ip, const std::string& key, TimeMs now) {
+  TimeMs issued_at = 0;
+  const bool found = Remove(ip, key, &issued_at);
   if (found && observer_ != nullptr) {
     // Journaled for any consumption (matched or stale): the entry is gone
     // from the table either way.
     observer_->OnKeyConsumed(ip, key);
   }
-  if (found && live) {
+  if (found && now - issued_at <= kEntryTtl) {
     IncIfBound(metrics_.matched);
     return true;
   }
@@ -165,19 +184,22 @@ size_t KeyTable::ExpireShard(Shard& shard, TimeMs now) {
       }
     }
   }
-  if (reaped > 0) {
-    total_entries_.fetch_sub(reaped, std::memory_order_relaxed);
-    IncIfBound(metrics_.expired, reaped);
-  }
+  total_entries_.fetch_sub(reaped, std::memory_order_relaxed);
   return reaped;
 }
 
-size_t KeyTable::ExpireOld(TimeMs now) {
+size_t KeyTable::ExpireAll(TimeMs now) {
   size_t reaped = 0;
   for (auto& shard : shards_) {
     reaped += ExpireShard(*shard, now);
   }
   UpdateEntriesGauge();
+  return reaped;
+}
+
+size_t KeyTable::ExpireOld(TimeMs now) {
+  const size_t reaped = ExpireAll(now);
+  IncIfBound(metrics_.expired, reaped);
   return reaped;
 }
 
@@ -216,25 +238,14 @@ std::vector<KeyTable::ExportedEntry> KeyTable::ExportShard(size_t shard_index) {
   return out;
 }
 
-void KeyTable::RestoreEntry(IpAddress ip, std::string page_path, std::string key,
+void KeyTable::RestoreEntry(IpAddress ip, std::string_view page_path, std::string_view key,
                             TimeMs issued_at) {
-  if (total_entries() >= kMaxTotalEntries) {
-    return;
-  }
-  Shard& shard = ShardFor(ip);
-  size_t evicted_here = 0;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    EntryFifo& entries = shard.by_ip[ip.value()];
-    while (entries.size() >= kMaxEntriesPerIp) {
-      entries.pop_front();
-      ++evicted_here;
-    }
-    entries.push_back(Entry{std::move(page_path), std::move(key), issued_at});
-  }
-  total_entries_.fetch_sub(evicted_here, std::memory_order_relaxed);
-  total_entries_.fetch_add(1, std::memory_order_relaxed);
-  UpdateEntriesGauge();
+  Add(ip, page_path, key, issued_at, /*counted=*/false);
+}
+
+void KeyTable::RestoreConsume(IpAddress ip, std::string_view key) {
+  TimeMs issued_at = 0;
+  Remove(ip, key, &issued_at);
 }
 
 void KeyTable::Clear() {
@@ -253,6 +264,7 @@ void KeyTable::Clear() {
 size_t KeyTable::ExpireOldIncremental(TimeMs now) {
   const size_t idx = sweep_cursor_.fetch_add(1, std::memory_order_relaxed) % shards_.size();
   const size_t reaped = ExpireShard(*shards_[idx], now);
+  IncIfBound(metrics_.expired, reaped);
   UpdateEntriesGauge();
   return reaped;
 }

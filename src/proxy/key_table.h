@@ -15,6 +15,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -84,11 +85,18 @@ class KeyTable {
   // Takes only that shard's lock.
   std::vector<ExportedEntry> ExportShard(size_t shard_index);
 
-  // Recovery-only: inserts an entry without firing the observer or the
-  // issued counter (the entry was counted in a previous life). Per-IP and
-  // total bounds still apply, so an entry may evict an older one or be
-  // refused.
-  void RestoreEntry(IpAddress ip, std::string page_path, std::string key, TimeMs issued_at);
+  // Recovery-only: Record without the observer or counters (the entry was
+  // counted in a previous life). The same expiry, per-IP eviction and
+  // total bound apply, so entries restored in the order they were issued
+  // leave the table as the issues left it. An entry that the IP already
+  // holds with the same page, key and time is not added again: the journal
+  // can repeat an issue that a checkpoint folded into the snapshot.
+  void RestoreEntry(IpAddress ip, std::string_view page_path, std::string_view key,
+                    TimeMs issued_at);
+
+  // Recovery-only: MatchAndConsume's removal without the observer or
+  // counters.
+  void RestoreConsume(IpAddress ip, std::string_view key);
 
   // Drops every entry without counters or observer (simulated crash).
   void Clear();
@@ -130,8 +138,19 @@ class KeyTable {
   };
 
   Shard& ShardFor(IpAddress ip);
-  // Reaps expired entries in one shard; caller must NOT hold shard.mu.
+  // Record's bounds and insert, counting expiries and evictions only when
+  // `counted`; a restored entry that the IP already holds is skipped.
+  // False when the entry was not added.
+  bool Add(IpAddress ip, std::string_view page_path, std::string_view key, TimeMs now,
+           bool counted);
+  // Removes the oldest entry of `key` for `ip`; false when there is none.
+  // `*issued_at` gets the removed entry's time.
+  bool Remove(IpAddress ip, std::string_view key, TimeMs* issued_at);
+  // Reaps expired entries in one shard, counting nothing; caller must NOT
+  // hold shard.mu.
   size_t ExpireShard(Shard& shard, TimeMs now);
+  // Reaps expired entries in every shard, counting nothing.
+  size_t ExpireAll(TimeMs now);
   void UpdateEntriesGauge();
 
   struct Metrics {

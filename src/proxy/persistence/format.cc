@@ -1,7 +1,6 @@
 #include "src/proxy/persistence/format.h"
 
 #include <algorithm>
-#include <iterator>
 
 #include "src/http/content_type.h"
 #include "src/util/checksum.h"
@@ -42,15 +41,6 @@ size_t BeginRecord(JournalRecordType type, ByteWriter* w) {
 template <typename T>
 std::span<const T> From(std::span<const T> run, uint32_t mark) {
   return run.subspan(std::min<size_t>(mark, run.size()));
-}
-
-// Applies a suffix append guarded by its mark: applies exactly once
-// whether or not the snapshot already folded it in.
-template <typename T>
-void ApplySuffix(std::vector<T>* dst, const std::vector<T>& suffix, uint32_t before) {
-  if (dst->size() == before) {
-    dst->insert(dst->end(), suffix.begin(), suffix.end());
-  }
 }
 
 uint8_t EventFlags(const RequestEvent& e) {
@@ -192,153 +182,77 @@ bool DecodeSession(ByteReader* r, SessionImage* s) {
          r->ReadU64Run(kMaxUrlHashesPerSession, &s->visited_urls);
 }
 
-void ApplySessionUpdate(const SessionUpdateImage& u, SessionImage* img) {
-  const SessionImage& d = u.delta;
-  img->id = d.id;
-  img->ip = d.ip;
-  img->user_agent = d.user_agent;
-  img->first_request = d.first_request;
-  img->last_request = d.last_request;
-  img->signals = d.signals;
-  img->request_count = d.request_count;
-  img->instrumented_pages = d.instrumented_pages;
-  img->blocked = d.blocked;
-  img->cgi_requests = d.cgi_requests;
-  img->get_requests = d.get_requests;
-  img->error_responses = d.error_responses;
-  ApplySuffix(&img->instrumented_page_indices, d.instrumented_page_indices,
-              u.before.page_indices);
-  ApplySuffix(&img->events, d.events, u.before.events);
-  ApplySuffix(&img->served_links, d.served_links, u.before.links);
-  ApplySuffix(&img->served_embeds, d.served_embeds, u.before.embeds);
-  ApplySuffix(&img->visited_urls, d.visited_urls, u.before.visited);
-}
-
 // --- Snapshot ---------------------------------------------------------
 
-SnapshotWriter::SnapshotWriter(uint64_t epoch, TimeMs created_at, uint32_t key_sections,
-                               uint32_t session_sections, std::string buffer)
-    : out_(std::move(buffer)) {
-  out_.PutRaw(kSnapshotMagic);
-  out_.PutU32(kFormatVersion);
-  out_.PutU64(epoch);
-  out_.PutI64(created_at);
-  out_.PutU32(key_sections);
-  out_.PutU32(session_sections);
+SnapshotWriter::SnapshotWriter(std::ostream* out, uint64_t epoch, TimeMs created_at,
+                               uint32_t key_sections, uint32_t session_sections,
+                               std::string buffer)
+    : out_(out), section_(std::move(buffer)) {
+  section_.PutRaw(kSnapshotMagic);
+  section_.PutU32(kFormatVersion);
+  section_.PutU64(epoch);
+  section_.PutI64(created_at);
+  section_.PutU32(key_sections);
+  section_.PutU32(session_sections);
+  out_->write(section_.bytes().data(), static_cast<std::streamsize>(section_.size()));
 }
 
 ByteWriter* SnapshotWriter::BeginSection() {
-  section_at_ = BeginFrame(&out_);
-  return &out_;
+  section_.Clear();
+  BeginFrame(&section_);
+  return &section_;
 }
 
-void SnapshotWriter::EndSection() { EndFrame(section_at_, &out_); }
+void SnapshotWriter::EndSection() {
+  EndFrame(0, &section_);
+  out_->write(section_.bytes().data(), static_cast<std::streamsize>(section_.size()));
+}
 
-namespace {
-
-// Decodes one section payload into `out`, appending entries. False drops
-// the whole section (it is not safe to trust a partial decode: the framing
-// was CRC-valid, so a decode failure means a version/format mismatch).
-template <typename Image, typename DecodeFn, typename Vec>
-bool DecodeSection(std::string_view payload, DecodeFn decode, Vec* out) {
-  ByteReader r(payload);
-  uint32_t n = 0;
-  if (!r.ReadU32(&n) || n > kMaxEntriesPerSection) {
+bool SnapshotReader::Open(std::istream* in) {
+  reader_ = StreamReader(in);
+  std::string_view header;
+  if (!reader_.Read(kSnapshotMagic.size() + 4 + 8 + 8 + 4 + 4, &header)) {
     return false;
   }
-  const size_t base = out->size();
-  for (uint32_t i = 0; i < n; ++i) {
-    Image img;
-    if (!decode(&r, &img)) {
-      out->resize(base);
-      return false;
-    }
-    out->push_back(std::move(img));
-  }
-  if (r.remaining() != 0) {
-    out->resize(base);
-    return false;
-  }
-  return true;
-}
-
-// Reads one section's frame: payload_len | payload | crc.
-bool ReadSectionFrame(ByteReader* r, std::string_view* payload, uint32_t* crc) {
-  uint32_t len = 0;
-  return r->ReadU32(&len) && len <= kMaxSectionBytes && r->ReadRaw(len, payload) &&
-         r->ReadU32(crc);
-}
-
-// The smallest encodings: a key entry with empty strings, and a session
-// with empty strings and vectors.
-constexpr size_t kMinKeyEntryBytes = 4 + 4 + 4 + 8;
-constexpr size_t kMinSessionBytes =
-    8 + 4 + 4 + 8 + 8 + 4 * std::size(kSignalIndices) + 4 + 4 + 4 + 1 + 4 + 4 + 4 + 5 * 4;
-
-// Sizes both entry vectors once, from the entry counts the sections
-// declare, so decoding never regrows them. Each count is capped by what
-// its payload can hold, so a forged count reserves no more than the
-// file's own size allows.
-void ReserveEntries(ByteReader r, size_t key_sections, size_t total, SnapshotContents* out) {
-  size_t keys = 0;
-  size_t sessions = 0;
-  for (size_t i = 0; i < total; ++i) {
-    std::string_view payload;
-    uint32_t crc = 0;
-    if (!ReadSectionFrame(&r, &payload, &crc)) {
-      break;
-    }
-    ByteReader entries(payload);
-    uint32_t n = 0;
-    if (!entries.ReadU32(&n)) {
-      continue;
-    }
-    const bool key_section = i < key_sections;
-    const size_t fits =
-        entries.remaining() / (key_section ? kMinKeyEntryBytes : kMinSessionBytes);
-    (key_section ? keys : sessions) += std::min<size_t>(n, fits);
-  }
-  out->keys.reserve(keys);
-  out->sessions.reserve(sessions);
-}
-
-}  // namespace
-
-bool ReadSnapshot(std::string_view bytes, SnapshotContents* out) {
-  *out = SnapshotContents{};
-  ByteReader r(bytes);
+  ByteReader r(header);
   std::string_view magic;
   uint32_t version = 0;
   uint32_t key_sections = 0;
   uint32_t session_sections = 0;
   if (!r.ReadRaw(kSnapshotMagic.size(), &magic) || magic != kSnapshotMagic ||
-      !r.ReadU32(&version) || version != kFormatVersion || !r.ReadU64(&out->epoch) ||
-      !r.ReadI64(&out->created_at) || !r.ReadU32(&key_sections) || !r.ReadU32(&session_sections) ||
+      !r.ReadU32(&version) || version != kFormatVersion || !r.ReadU64(&epoch_) ||
+      !r.ReadI64(&created_at_) || !r.ReadU32(&key_sections) || !r.ReadU32(&session_sections) ||
       key_sections > kMaxSections || session_sections > kMaxSections) {
     return false;
   }
-  const size_t total = static_cast<size_t>(key_sections) + session_sections;
-  ReserveEntries(r, key_sections, total, out);
-  for (size_t i = 0; i < total; ++i) {
-    std::string_view payload;
-    uint32_t crc = 0;
-    if (!ReadSectionFrame(&r, &payload, &crc)) {
+  key_sections_ = key_sections;
+  session_sections_ = session_sections;
+  return true;
+}
+
+bool SnapshotReader::Next(std::string_view* payload, bool* key_section) {
+  for (; next_ < sections_total(); ++next_) {
+    // A frame is payload_len | payload | crc.
+    uint32_t len = 0;
+    std::string_view frame;
+    if (!reader_.ReadU32(&len) || len > kMaxSectionBytes || !reader_.Read(len + 4, &frame)) {
       // Truncated mid-section: everything from here on is untrusted.
-      out->sections_dropped += total - i;
-      out->sections_total = total;
+      sections_dropped_ += sections_total() - next_;
+      next_ = sections_total();
+      return false;
+    }
+    largest_section_ = std::max<size_t>(largest_section_, len);
+    uint32_t crc = 0;
+    ByteReader(frame.substr(len)).ReadU32(&crc);
+    *payload = frame.substr(0, len);
+    if (crc == Crc32c(*payload)) {
+      *key_section = next_ < key_sections_;
+      ++next_;
       return true;
     }
-    ++out->sections_total;
-    bool good = crc == Crc32c(payload);
-    if (good) {
-      good = i < key_sections ? DecodeSection<KeyEntryImage>(payload, DecodeKeyEntry, &out->keys)
-                              : DecodeSection<SessionImage>(payload, DecodeSession, &out->sessions);
-    }
-    if (!good) {
-      ++out->sections_dropped;
-    }
+    ++sections_dropped_;
   }
-  return true;
+  return false;
 }
 
 // --- Journal ----------------------------------------------------------
@@ -399,6 +313,8 @@ bool DecodeSessionUpdate(ByteReader* r, SessionUpdateImage* u) {
          r->ReadU32(&m->visited) && r->ReadU64Run(kMaxUrlHashesPerSession, &d->visited_urls);
 }
 
+}  // namespace
+
 bool DecodeJournalFrame(std::string_view frame, JournalRecord* rec) {
   ByteReader r(frame);
   uint8_t type = 0;
@@ -429,30 +345,37 @@ bool DecodeJournalFrame(std::string_view frame, JournalRecord* rec) {
   return ok && r.remaining() == 0;
 }
 
-}  // namespace
-
-bool JournalReader::Open(std::string_view bytes) {
-  reader_ = ByteReader(bytes);
+bool JournalReader::Open(std::istream* in) {
+  reader_ = StreamReader(in);
   records_dropped_ = 0;
   bytes_dropped_ = 0;
+  std::string_view header;
+  if (!reader_.Read(kJournalMagic.size() + 4 + 8, &header)) {
+    return false;
+  }
+  ByteReader r(header);
   std::string_view magic;
   uint32_t version = 0;
-  return reader_.ReadRaw(kJournalMagic.size(), &magic) && magic == kJournalMagic &&
-         reader_.ReadU32(&version) && version == kFormatVersion && reader_.ReadU64(&epoch_);
+  return r.ReadRaw(kJournalMagic.size(), &magic) && magic == kJournalMagic &&
+         r.ReadU32(&version) && version == kFormatVersion && r.ReadU64(&epoch_);
 }
 
 bool JournalReader::Next(JournalRecord* rec) {
   while (reader_.remaining() > 0) {
     const size_t tail = reader_.remaining();  // Abandoned if this frame is torn.
+    // A frame is frame_len | frame | crc.
     uint32_t len = 0;
-    std::string_view frame;
+    std::string_view framed;
     uint32_t crc = 0;
-    if (!reader_.ReadU32(&len) || len > kMaxFrameBytes || len == 0 ||
-        !reader_.ReadRaw(len, &frame) || !reader_.ReadU32(&crc) || crc != Crc32c(frame)) {
+    const bool intact = reader_.ReadU32(&len) && len <= kMaxFrameBytes && len != 0 &&
+                        reader_.Read(len + 4, &framed) &&
+                        ByteReader(framed.substr(len)).ReadU32(&crc);
+    const std::string_view frame = framed.substr(0, len);
+    if (!intact || crc != Crc32c(frame)) {
       // Torn or corrupt tail: the frame boundary can no longer be trusted,
       // so everything from the frame start onward is abandoned.
       bytes_dropped_ = tail;
-      reader_ = ByteReader({});
+      reader_ = StreamReader();
       return false;
     }
     if (DecodeJournalFrame(frame, rec)) {

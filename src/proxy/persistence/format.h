@@ -6,7 +6,9 @@
 // record carries a CRC32C, every length prefix is validated against a hard
 // cap before allocation, and a torn or corrupt tail degrades to "keep the
 // valid prefix" rather than an error. Decoders never throw and never read
-// out of bounds (all access goes through ByteReader).
+// out of bounds (all access goes through ByteReader). Both files stream:
+// the writer sends each section to the file as it is framed, and the
+// readers hold one section or one record at a time.
 //
 // Snapshot layout (little-endian throughout):
 //   magic[8] "RDSNAP1\0" | version u32 | epoch u64 | created_at i64
@@ -27,6 +29,8 @@
 #define ROBODET_SRC_PROXY_PERSISTENCE_FORMAT_H_
 
 #include <cstdint>
+#include <istream>
+#include <ostream>
 #include <span>
 #include <string>
 #include <string_view>
@@ -45,7 +49,6 @@ inline constexpr uint32_t kFormatVersion = 1;
 
 // Hard limits enforced before any allocation; input exceeding them is
 // hostile (or corrupt), not merely large.
-inline constexpr size_t kMaxStateFileBytes = 256u << 20;  // whole-file read cap
 inline constexpr size_t kMaxSectionBytes = 16u << 20;     // one shard's payload
 inline constexpr size_t kMaxSections = 4096;              // shards per table
 inline constexpr size_t kMaxEntriesPerSection = 1u << 20;
@@ -108,8 +111,9 @@ struct RunMarks {
 // One decoded session update. Scalars (including signals) are the full
 // current values — replay overwrites, so applying the same record twice is
 // a no-op. The vectors in `delta` hold only each run's items from its mark
-// in `before` on, so replay applies a suffix exactly once no matter how
-// the journal overlaps the snapshot.
+// in `before` on, and replay appends a suffix only to a run that is exactly
+// at its mark, so it applies each suffix once no matter how the journal
+// overlaps the snapshot.
 struct SessionUpdateImage {
   SessionImage delta;
   RunMarks before;
@@ -160,26 +164,26 @@ RunMarks RunLengths(const SessionFields& s);
 
 // --- Entry codecs -----------------------------------------------------
 
+// The decoders write into an image whose storage they reuse, so one image
+// can take every entry of a file in turn.
 void EncodeKeyEntry(const KeyEntryFields& e, ByteWriter* w);
 bool DecodeKeyEntry(ByteReader* r, KeyEntryImage* e);
 
 void EncodeSession(const SessionFields& s, ByteWriter* w);
 bool DecodeSession(ByteReader* r, SessionImage* s);
 
-// Brings `img` up to date with `u`: overwrites the scalars and appends
-// each suffix whose run is exactly at its mark.
-void ApplySessionUpdate(const SessionUpdateImage& u, SessionImage* img);
-
 // --- Snapshot ---------------------------------------------------------
 
-// Builds a snapshot file incrementally, one section per table shard (key
+// Writes a snapshot file incrementally, one section per table shard (key
 // sections first, then session sections, as declared in the constructor).
-// Each section's payload is encoded in place between BeginSection and
-// EndSection, which copies nothing.
+// Each section's payload is encoded between BeginSection and EndSection
+// into one buffer that every section reuses, and EndSection frames it and
+// writes it out.
 class SnapshotWriter {
  public:
-  // The snapshot is written into `buffer`'s storage (see ByteWriter).
-  SnapshotWriter(uint64_t epoch, TimeMs created_at, uint32_t key_sections,
+  // Writes the header to `out`, which must outlive the writer. The
+  // sections are encoded in `buffer`'s storage (see ByteWriter).
+  SnapshotWriter(std::ostream* out, uint64_t epoch, TimeMs created_at, uint32_t key_sections,
                  uint32_t session_sections, std::string buffer = {});
 
   // Opens a section and returns the writer its payload goes to; the
@@ -187,28 +191,92 @@ class SnapshotWriter {
   ByteWriter* BeginSection();
   void EndSection();
 
-  std::string Finish() { return out_.Take(); }
-
  private:
-  ByteWriter out_;
-  size_t section_at_ = 0;
+  std::ostream* out_;
+  ByteWriter section_;
 };
 
-struct SnapshotContents {
-  uint64_t epoch = 0;
-  TimeMs created_at = 0;
-  std::vector<KeyEntryImage> keys;
-  std::vector<SessionImage> sessions;
-  size_t sections_total = 0;
+// Reads a snapshot one section at a time: the header, then each section's
+// frame through one buffer sized by the largest, checked against its CRC,
+// and then its entries through one reused image each.
+class SnapshotReader {
+ public:
+  // Reads the header from `in`, which must outlive the reader. False when
+  // the header itself is invalid (wrong magic/version, truncated) — the
+  // caller cold-starts.
+  bool Open(std::istream* in);
+
+  // Reads every section, handing each decoded key entry to `on_key` and
+  // each session to `on_session`; an entry is valid only during its call.
+  // A section whose CRC fails, or whose payload does not decode whole, is
+  // dropped whole: its framing was CRC-valid, so a decode failure means a
+  // format mismatch, and a partial decode is not to be trusted. A
+  // truncated frame drops it and every section after it.
+  template <typename OnKey, typename OnSession>
+  void ForEachEntry(OnKey on_key, OnSession on_session) {
+    KeyEntryImage key;
+    SessionImage session;
+    std::string_view payload;
+    bool key_section = false;
+    while (Next(&payload, &key_section)) {
+      const bool decoded = key_section ? DecodeEntries(payload, DecodeKeyEntry, &key, on_key)
+                                       : DecodeEntries(payload, DecodeSession, &session, on_session);
+      if (!decoded) {
+        ++sections_dropped_;
+      }
+    }
+  }
+
+  uint64_t epoch() const { return epoch_; }
+  TimeMs created_at() const { return created_at_; }
+  size_t sections_total() const { return key_sections_ + session_sections_; }
   // Sections whose CRC or payload failed validation; their entries are
   // dropped, the rest of the snapshot is salvaged.
-  size_t sections_dropped = 0;
-};
+  size_t sections_dropped() const { return sections_dropped_; }
+  size_t largest_section() const { return largest_section_; }
 
-// False when the header itself is invalid (wrong magic/version, truncated)
-// — the caller cold-starts. True otherwise, with per-section salvage
-// counted in `sections_dropped`.
-bool ReadSnapshot(std::string_view bytes, SnapshotContents* out);
+ private:
+  // The next section whose CRC holds: its payload, valid until the next
+  // call, and whether it is a key section (else a session section).
+  bool Next(std::string_view* payload, bool* key_section);
+
+  // Decodes a payload — an entry count, then that many entries with
+  // nothing after them — into `entry` and hands each entry to `fn`, but
+  // only once the whole payload decoded, so it decodes the payload twice.
+  // False when it does not decode whole.
+  template <typename Image, typename Fn>
+  static bool DecodeEntries(std::string_view payload, bool (*decode)(ByteReader*, Image*),
+                            Image* entry, Fn& fn) {
+    for (const bool deliver : {false, true}) {
+      ByteReader r(payload);
+      uint32_t n = 0;
+      if (!r.ReadU32(&n) || n > kMaxEntriesPerSection) {
+        return false;
+      }
+      for (uint32_t i = 0; i < n; ++i) {
+        if (!decode(&r, entry)) {
+          return false;
+        }
+        if (deliver) {
+          fn(*entry);
+        }
+      }
+      if (r.remaining() != 0) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  StreamReader reader_;
+  uint64_t epoch_ = 0;
+  TimeMs created_at_ = 0;
+  size_t key_sections_ = 0;
+  size_t session_sections_ = 0;
+  size_t next_ = 0;
+  size_t sections_dropped_ = 0;
+  size_t largest_section_ = 0;
+};
 
 // --- Journal ----------------------------------------------------------
 
@@ -223,12 +291,18 @@ void EncodeKeyConsumed(uint32_t ip, std::string_view key, ByteWriter* w);
 void EncodeSessionUpdate(const SessionFields& s, const RunMarks& marks, ByteWriter* w);
 void EncodeSessionClosed(uint64_t session_id, ByteWriter* w);
 
-// Walks a journal one record at a time; both recovery and inspection read
-// it this way.
+// Decodes one record's frame (type | payload) into `rec`, reusing its
+// storage; only the fields of the record's type are written. False for an
+// unknown type or a payload that does not decode whole.
+bool DecodeJournalFrame(std::string_view frame, JournalRecord* rec);
+
+// Walks a journal one record at a time, through one buffer sized by the
+// largest frame; both recovery and inspection read it this way.
 class JournalReader {
  public:
-  // False when the header is invalid.
-  bool Open(std::string_view bytes);
+  // Reads the header from `in`, which must outlive the reader. False when
+  // the header is invalid.
+  bool Open(std::istream* in);
   // Decodes the next intact record into `rec`, reusing its storage (only
   // the fields of the record's type are written). False at the end of the
   // valid prefix. Undecodable records are skipped and counted.
@@ -243,7 +317,7 @@ class JournalReader {
   size_t bytes_dropped() const { return bytes_dropped_; }
 
  private:
-  ByteReader reader_{{}};
+  StreamReader reader_;
   uint64_t epoch_ = 0;
   size_t records_dropped_ = 0;
   size_t bytes_dropped_ = 0;

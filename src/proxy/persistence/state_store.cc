@@ -1,14 +1,14 @@
 #include "src/proxy/persistence/state_store.h"
 
 #include <algorithm>
-#include <deque>
 #include <filesystem>
+#include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "src/obs/trace.h"
 #include "src/util/binio.h"
-#include "src/util/hash.h"
 
 namespace robodet {
 namespace {
@@ -16,19 +16,12 @@ namespace {
 using persistence::JournalRecord;
 using persistence::JournalRecordType;
 using persistence::KeyEntryImage;
+using persistence::RunMarks;
 using persistence::SessionImage;
-using persistence::SnapshotContents;
 
 // Size-based checkpoint trigger, beside snapshot_interval_records:
 // whichever fires first.
 constexpr size_t kMaxJournalBytes = 64u << 20;
-
-// A state file's size, or 0 when it is missing or too large to read.
-size_t StateFileSize(const std::string& path) {
-  std::error_code ec;
-  const uintmax_t size = std::filesystem::file_size(path, ec);
-  return ec || size > persistence::kMaxStateFileBytes ? 0 : static_cast<size_t>(size);
-}
 
 // Stage histograms observe only what their counter counts (an appended
 // record, a written snapshot), so each one's count equals its counter's.
@@ -38,122 +31,117 @@ void ObserveUsSince(HistogramMetric* hist, uint64_t t0) {
   }
 }
 
-// Identity of a key-table entry for idempotent replay: the beacon key is
-// random per issue, so (ip, key) is unique in practice. The key is
-// borrowed from a decoded image that outlives the replay.
-struct KeyIdentity {
-  uint32_t ip;
-  std::string_view key;
-  bool operator==(const KeyIdentity&) const = default;
-};
-
-struct KeyIdentityHash {
-  size_t operator()(const KeyIdentity& id) const {
-    return static_cast<size_t>(HashCombine(id.ip, Fnv1a(id.key)));
+// Appends `hashes` as inserting them one by one would; an empty set takes
+// them in one block sized to fit.
+void AppendHashes(std::span<const uint64_t> hashes, UrlHashSet* set) {
+  if (set->size() == 0) {
+    set->Restore(hashes);
+    return;
   }
-};
+  for (uint64_t h : hashes) {
+    set->InsertHash(h);
+  }
+}
 
-// The key entries replay leaves live, in the order they entered the
-// table: the snapshot's, then each kept journaled issue. Identities are
-// counted live as a set: an issue is dropped while its identity is
-// counted, and a consume uncounts it and removes its oldest live entry,
-// as the key table's own match does. The table does not deduplicate what
-// it is given, so it can hold one identity twice (one key recorded twice
-// for an IP); each identity keeps its live entries in a list. Both
-// operations are O(1).
-class KeyReplay {
+// Whether a run, `*decoded` long so far, is at `mark`; if so it takes `n`
+// more items.
+bool ExtendAtMark(uint32_t* decoded, uint32_t mark, size_t n) {
+  if (*decoded != mark) {
+    return false;
+  }
+  *decoded += static_cast<uint32_t>(n);
+  return true;
+}
+
+// Applies decoded sessions to the live table as they are read: snapshot
+// entries, then journal updates and closes, each to the session it names.
+class SessionReplay {
  public:
-  explicit KeyReplay(std::vector<KeyEntryImage>* snapshot_keys) {
-    entries_.reserve(snapshot_keys->size());
-    index_.reserve(snapshot_keys->size());
-    for (KeyEntryImage& k : *snapshot_keys) {
-      Append(&k, index_.find(KeyIdentity{k.ip, k.key}));
-    }
+  explicit SessionReplay(SessionTable* table) : table_(table) {}
+
+  // A snapshot entry; a later entry with the same id replaces it.
+  void Install(const SessionImage& img) {
+    Drop(img.id);
+    Apply(img, RunMarks{}, &Create(img));
   }
 
-  // A kept issue takes over `k`'s strings.
-  void Issue(KeyEntryImage* k) {
-    const auto it = index_.find(KeyIdentity{k->ip, k->key});
-    if (it != index_.end() && it->second.counted) {
-      return;
-    }
-    issued_.push_back(std::move(*k));
-    Append(&issued_.back(), it);
-  }
-
-  void Consume(const KeyEntryImage& k) {
-    const auto it = index_.find(KeyIdentity{k.ip, k.key});
-    if (it == index_.end() || !it->second.counted) {
-      return;
-    }
-    Live& live = it->second;
-    live.counted = false;
-    entries_[live.head].image = nullptr;
-    live.head = entries_[live.head].next;
-    if (live.head == kNone) {
-      index_.erase(it);
-    }
-  }
-
-  // Visits the live entries in table order.
-  template <typename Fn>
-  void ForEachLive(Fn fn) {
-    for (const Entry& e : entries_) {
-      if (e.image != nullptr) {
-        fn(e.image);
+  // A journal update: overwrites the session's scalars and appends each
+  // run's suffix whose run is exactly at its mark. An update whose key or
+  // start differs from its session's (no writer makes one) starts the
+  // session afresh.
+  void Update(const persistence::SessionUpdateImage& u) {
+    const SessionImage& d = u.delta;
+    const auto it = restored_.find(d.id);
+    if (it != restored_.end()) {
+      const SessionState& s = *it->second.session;
+      if (s.key().ip.value() == d.ip && s.key().user_agent == d.user_agent &&
+          s.first_request_time() == d.first_request) {
+        Apply(d, u.before, &it->second);
+        return;
       }
+      Drop(d.id);
     }
+    Apply(d, u.before, &Create(d));
   }
+
+  void Close(uint64_t id) { Drop(id); }
 
  private:
-  static constexpr uint32_t kNone = UINT32_MAX;
-  struct Entry {
-    KeyEntryImage* image;  // Null once consumed.
-    uint32_t next;         // The identity's next live entry.
+  struct Restored {
+    SessionState* session;
+    // Each run's length as decoded so far. The marks are compared against
+    // these, not against the live runs, which keep only what their bounds
+    // allow and each hash once.
+    RunMarks decoded;
   };
-  // One identity's live entries, oldest first, and whether it is counted.
-  struct Live {
-    uint32_t head;
-    uint32_t tail;
-    bool counted;
-  };
-  using Index = std::unordered_map<KeyIdentity, Live, KeyIdentityHash>;
 
-  // `it` is the identity's index entry, or end() for a new identity.
-  void Append(KeyEntryImage* k, Index::iterator it) {
-    const auto slot = static_cast<uint32_t>(entries_.size());
-    entries_.push_back(Entry{k, kNone});
-    if (it == index_.end()) {
-      index_.emplace(KeyIdentity{k->ip, k->key}, Live{slot, slot, true});
-      return;
+  Restored& Create(const SessionImage& d) {
+    std::optional<uint64_t> replaced;
+    SessionState* s =
+        table_->Restore(d.id, {IpAddress(d.ip), d.user_agent}, d.first_request, &replaced);
+    if (replaced.has_value()) {
+      restored_.erase(*replaced);
     }
-    entries_[it->second.tail].next = slot;
-    it->second.tail = slot;
-    it->second.counted = true;
+    return restored_[d.id] = Restored{s, RunMarks{}};
   }
 
-  std::vector<Entry> entries_;
-  // Kept journaled issues; a deque, so the identities' views stay valid.
-  std::deque<KeyEntryImage> issued_;
-  Index index_;
+  void Drop(uint64_t id) {
+    if (const auto it = restored_.find(id); it != restored_.end()) {
+      table_->RemoveRestored(it->second.session);
+      restored_.erase(it);
+    }
+  }
+
+  // The session's own bounds apply to what is appended.
+  static void Apply(const SessionImage& d, const RunMarks& before, Restored* r) {
+    SessionState* s = r->session;
+    s->RestoreScalars(d.last_request, d.request_count, d.instrumented_pages, d.blocked,
+                      d.cgi_requests, d.get_requests, d.error_responses);
+    s->signals() = d.signals;
+    const std::vector<int32_t>& pages = d.instrumented_page_indices;
+    if (ExtendAtMark(&r->decoded.page_indices, before.page_indices, pages.size())) {
+      std::vector<int>& kept = s->mutable_instrumented_page_indices();
+      const size_t room =
+          SessionState::kMaxPageIndices - std::min(kept.size(), SessionState::kMaxPageIndices);
+      kept.insert(kept.end(), pages.begin(), pages.begin() + std::min(room, pages.size()));
+    }
+    if (ExtendAtMark(&r->decoded.events, before.events, d.events.size())) {
+      s->RestoreEvents(d.events);
+    }
+    if (ExtendAtMark(&r->decoded.links, before.links, d.served_links.size())) {
+      AppendHashes(d.served_links, &s->served_links());
+    }
+    if (ExtendAtMark(&r->decoded.embeds, before.embeds, d.served_embeds.size())) {
+      AppendHashes(d.served_embeds, &s->served_embeds());
+    }
+    if (ExtendAtMark(&r->decoded.visited, before.visited, d.visited_urls.size())) {
+      AppendHashes(d.visited_urls, &s->visited_urls());
+    }
+  }
+
+  SessionTable* table_;
+  std::unordered_map<uint64_t, Restored> restored_;
 };
-
-// Fills a freshly installed session from its image; the session's own
-// bounds apply.
-void FillFromImage(SessionImage* img, SessionState* session) {
-  session->RestoreScalars(img->last_request, img->request_count, img->instrumented_pages,
-                          img->blocked, img->cgi_requests, img->get_requests,
-                          img->error_responses);
-  session->signals() = std::move(img->signals);
-  session->RestoreEvents(img->events);
-  if (img->instrumented_page_indices.size() > 64) {
-    img->instrumented_page_indices.resize(64);
-  }
-  session->mutable_instrumented_page_indices() = std::move(img->instrumented_page_indices);
-  session->served_links().Restore(img->served_links);
-  session->served_embeds().Restore(img->served_embeds);
-  session->visited_urls().Restore(img->visited_urls);
-}
 
 }  // namespace
 
@@ -240,103 +228,72 @@ RecoveryReport StateStore::Recover(TimeMs now) {
 
   std::lock_guard<std::mutex> lock(mu_);
 
-  // One buffer holds the snapshot file, then the journal file, then the
-  // new snapshot, so recovery touches its memory once. Each journal record
-  // carries at least the bytes it adds to a snapshot, so the two files'
-  // sizes bound the new snapshot's.
-  std::string bytes;
-  bytes.reserve(StateFileSize(snapshot_path()) + StateFileSize(journal_path()));
-  SnapshotContents snap;
-  if (ReadFileLimited(snapshot_path(), persistence::kMaxStateFileBytes, &bytes) &&
-      persistence::ReadSnapshot(bytes, &snap)) {
-    snapshot_bytes_ = bytes.size();
-    rep.snapshot_loaded = true;
-    rep.snapshot_sections_dropped = snap.sections_dropped;
-  }
-  // The journal is applied as it is read, one reused record at a time.
-  persistence::JournalReader journal;
-  const bool journal_parsed =
-      ReadFileLimited(journal_path(), persistence::kMaxStateFileBytes, &bytes) &&
-      journal.Open(bytes);
-  // A journal belongs to the snapshot with the same epoch. With no usable
-  // snapshot we still replay (records are self-contained); with a
-  // mismatched epoch the journal is stale — its effects are already folded
-  // into the snapshot — and is ignored.
-  const bool replay =
-      journal_parsed && (!rep.snapshot_loaded || journal.epoch() == snap.epoch);
-
-  KeyReplay keys(&snap.keys);
-  // Sessions by id, as indices into `images`: the snapshot's, then any
-  // that only the journal knows. A close drops the id; a later entry for
-  // the same id replaces the earlier one.
-  std::vector<SessionImage>& images = snap.sessions;
-  std::unordered_map<uint64_t, size_t> session_at;
-  session_at.reserve(images.size());
-  for (size_t i = 0; i < images.size(); ++i) {
-    session_at[images[i].id] = i;
-  }
-
-  if (replay) {
-    rep.journal_replayed = true;
-    JournalRecord rec;
-    while (journal.Next(&rec)) {
-      switch (rec.type) {
-        case JournalRecordType::kKeyIssued:
-          keys.Issue(&rec.key);
-          break;
-        case JournalRecordType::kKeyConsumed:
-          keys.Consume(rec.key);
-          break;
-        case JournalRecordType::kSessionUpdate: {
-          auto [it, fresh] = session_at.try_emplace(rec.update.delta.id, images.size());
-          if (fresh) {
-            images.emplace_back();
-          }
-          ApplySessionUpdate(rec.update, &images[it->second]);
-          break;
-        }
-        case JournalRecordType::kSessionClosed:
-          session_at.erase(rec.session_id);
-          break;
-      }
-      ++rep.journal_records_applied;
+  // Each snapshot entry and journal record goes into the live tables as
+  // it is read, in file order, so recovery holds one section or one
+  // record beside them. Keys replay through the table's own expiry and
+  // eviction, so the table ends as the issues and consumes left it.
+  uint64_t snapshot_epoch = 0;
+  bool journal_parsed = false;
+  uint64_t journal_epoch = 0;
+  {
+    SessionReplay sessions(sessions_);
+    std::ifstream snapshot_in(snapshot_path(), std::ios::binary);
+    persistence::SnapshotReader snapshot;
+    if (snapshot_in && snapshot.Open(&snapshot_in)) {
+      rep.snapshot_loaded = true;
+      snapshot_epoch = snapshot.epoch();
+      snapshot.ForEachEntry(
+          [this](const KeyEntryImage& k) {
+            keys_->RestoreEntry(IpAddress(k.ip), k.page_path, k.key, k.issued_at);
+          },
+          [&sessions](const SessionImage& s) { sessions.Install(s); });
+      rep.snapshot_sections_dropped = snapshot.sections_dropped();
+      section_bytes_ = snapshot.largest_section();
     }
-    rep.journal_records_dropped = journal.records_dropped();
-    rep.journal_bytes_dropped = journal.bytes_dropped();
+    std::ifstream journal_in(journal_path(), std::ios::binary);
+    persistence::JournalReader journal;
+    journal_parsed = journal_in && journal.Open(&journal_in);
+    journal_epoch = journal.epoch();
+    // A journal belongs to the snapshot with the same epoch. With no
+    // usable snapshot we still replay (records are self-contained); with a
+    // mismatched epoch the journal is stale — its effects are already
+    // folded into the snapshot — and is ignored.
+    if (journal_parsed && (!rep.snapshot_loaded || journal_epoch == snapshot_epoch)) {
+      rep.journal_replayed = true;
+      JournalRecord rec;
+      while (journal.Next(&rec)) {
+        switch (rec.type) {
+          case JournalRecordType::kKeyIssued:
+            keys_->RestoreEntry(IpAddress(rec.key.ip), rec.key.page_path, rec.key.key,
+                                rec.key.issued_at);
+            break;
+          case JournalRecordType::kKeyConsumed:
+            keys_->RestoreConsume(IpAddress(rec.key.ip), rec.key.key);
+            break;
+          case JournalRecordType::kSessionUpdate:
+            sessions.Update(rec.update);
+            break;
+          case JournalRecordType::kSessionClosed:
+            sessions.Close(rec.session_id);
+            break;
+        }
+        ++rep.journal_records_applied;
+      }
+      rep.journal_records_dropped = journal.records_dropped();
+      rep.journal_bytes_dropped = journal.bytes_dropped();
+    }
   }
 
   rep.cold_start = !rep.snapshot_loaded && !rep.journal_replayed;
-
-  keys.ForEachLive([&](KeyEntryImage* k) {
-    keys_->RestoreEntry(IpAddress(k->ip), std::move(k->page_path), std::move(k->key),
-                        k->issued_at);
-  });
-  // Recovery fills an empty table, and RestoreEntry keeps the per-IP and
-  // total bounds, so what the table holds now is what was restored.
+  // Recovery fills empty tables, so what they hold now is what was
+  // restored.
   rep.key_entries_restored = keys_->total_entries();
-
-  // Install sessions in id order so recovery is deterministic regardless
-  // of hash-map iteration order.
-  std::vector<SessionImage*> ordered;
-  ordered.reserve(session_at.size());
-  for (const auto& [id, at] : session_at) {
-    ordered.push_back(&images[at]);
-  }
-  std::sort(ordered.begin(), ordered.end(),
-            [](const SessionImage* a, const SessionImage* b) { return a->id < b->id; });
-  for (SessionImage* img : ordered) {
-    FillFromImage(img, sessions_->Restore(img->id, {IpAddress(img->ip), img->user_agent},
-                                          img->first_request));
-    ++rep.sessions_restored;
-  }
+  rep.sessions_restored = sessions_->active_count();
 
   // Start the new life from a consistent base: fold the salvage into a
-  // fresh snapshot and an empty journal at a new epoch. The decoded
-  // snapshot goes first, so the new one does not add to its peak.
-  epoch_ = std::max(rep.snapshot_loaded ? snap.epoch : 0,
-                    journal_parsed ? journal.epoch() : 0);
-  snap = SnapshotContents{};
-  CheckpointLocked(now, std::move(bytes));
+  // fresh snapshot and an empty journal at a new epoch.
+  epoch_ = std::max(rep.snapshot_loaded ? snapshot_epoch : 0, journal_parsed ? journal_epoch : 0);
+  CheckpointLocked(now);
   rep.epoch = epoch_;
 
   recovery_ = rep;
@@ -358,45 +315,63 @@ bool StateStore::Checkpoint(TimeMs now) {
   return CheckpointLocked(now);
 }
 
-bool StateStore::CheckpointLocked(TimeMs now, std::string buffer) {
+bool StateStore::CheckpointLocked(TimeMs now) {
   const uint64_t t0 = MonotonicNanos();
   const uint64_t next = epoch_ + 1;
-  // Reserved from the previous snapshot's size, so the buffer is filled
-  // once instead of regrowing; untouched reserve costs address space only.
-  buffer.reserve(std::max(buffer.capacity(), snapshot_bytes_ + snapshot_bytes_ / 4));
-  persistence::SnapshotWriter writer(next, now, static_cast<uint32_t>(keys_->num_shards()),
-                                     static_cast<uint32_t>(sessions_->num_shards()),
-                                     std::move(buffer));
-  for (size_t i = 0; i < keys_->num_shards(); ++i) {
-    const auto entries = keys_->ExportShard(i);
-    ByteWriter* payload = writer.BeginSection();
-    payload->PutU32(static_cast<uint32_t>(entries.size()));
-    for (const auto& e : entries) {
-      persistence::EncodeKeyEntry({e.ip, e.page_path, e.key, e.issued_at}, payload);
-    }
-    writer.EndSection();
-  }
+  // Each section goes to a temporary file as it is encoded, and the file
+  // replaces the snapshot by rename, so readers see the old snapshot or
+  // the new one, never a torn middle.
+  const std::string tmp_path = snapshot_path() + ".tmp";
   std::unordered_map<uint64_t, persistence::RunMarks> fresh_marks;
   fresh_marks.reserve(sessions_->active_count());
-  for (size_t i = 0; i < sessions_->num_shards(); ++i) {
-    ByteWriter* payload = writer.BeginSection();
-    const size_t count_at = payload->size();
-    payload->PutU32(0);
-    uint32_t count = 0;
-    // Encoded straight from the live sessions, in id order, under the
-    // shard's lock.
-    sessions_->ForEachSessionInShard(i, [&](const SessionState& s) {
-      const persistence::SessionFields f = FieldsOfLive(s);
-      persistence::EncodeSession(f, payload);
-      fresh_marks[f.id] = persistence::RunLengths(f);
-      ++count;
-    });
-    payload->PatchU32(count_at, count);
-    writer.EndSection();
+  size_t largest = 0;
+  bool written = false;
+  {
+    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
+    // One section buffer, reserved from the last snapshot's largest
+    // section so it is filled once instead of regrowing.
+    std::string buffer;
+    buffer.reserve(section_bytes_ + section_bytes_ / 4);
+    persistence::SnapshotWriter writer(&out, next, now, static_cast<uint32_t>(keys_->num_shards()),
+                                       static_cast<uint32_t>(sessions_->num_shards()),
+                                       std::move(buffer));
+    for (size_t i = 0; i < keys_->num_shards(); ++i) {
+      const auto entries = keys_->ExportShard(i);
+      ByteWriter* payload = writer.BeginSection();
+      payload->PutU32(static_cast<uint32_t>(entries.size()));
+      for (const auto& e : entries) {
+        persistence::EncodeKeyEntry({e.ip, e.page_path, e.key, e.issued_at}, payload);
+      }
+      largest = std::max(largest, payload->size());
+      writer.EndSection();
+    }
+    for (size_t i = 0; i < sessions_->num_shards(); ++i) {
+      ByteWriter* payload = writer.BeginSection();
+      const size_t count_at = payload->size();
+      payload->PutU32(0);
+      uint32_t count = 0;
+      // Encoded straight from the live sessions, in id order, under the
+      // shard's lock.
+      sessions_->ForEachSessionInShard(i, [&](const SessionState& s) {
+        const persistence::SessionFields f = FieldsOfLive(s);
+        persistence::EncodeSession(f, payload);
+        fresh_marks[f.id] = persistence::RunLengths(f);
+        ++count;
+      });
+      payload->PatchU32(count_at, count);
+      largest = std::max(largest, payload->size());
+      writer.EndSection();
+    }
+    out.close();
+    written = !out.fail();
   }
-  const std::string snapshot = writer.Finish();
-  snapshot_bytes_ = snapshot.size();
-  if (!WriteFileAtomic(snapshot_path(), snapshot)) {
+  section_bytes_ = largest;
+  std::error_code ec;
+  if (written) {
+    std::filesystem::rename(tmp_path, snapshot_path(), ec);
+  }
+  if (!written || ec) {
+    std::filesystem::remove(tmp_path, ec);
     IncIfBound(metrics_.checkpoint_failures);
     return false;
   }
@@ -508,19 +483,25 @@ InspectionResult InspectState(const std::string& state_dir) {
   res.journal_present = std::filesystem::exists(jrnl_path, ec);
 
   if (res.snapshot_present) {
-    std::string bytes;
-    if (ReadFileLimited(snap_path, persistence::kMaxStateFileBytes, &bytes)) {
-      res.snapshot_valid = persistence::ReadSnapshot(bytes, &res.snapshot);
+    std::ifstream in(snap_path, std::ios::binary);
+    persistence::SnapshotReader reader;
+    if (in && reader.Open(&in)) {
+      res.snapshot_valid = true;
+      res.snapshot.epoch = reader.epoch();
+      res.snapshot.created_at = reader.created_at();
+      reader.ForEachEntry([&res](const KeyEntryImage&) { ++res.snapshot.keys; },
+                          [&res](const SessionImage&) { ++res.snapshot.sessions; });
+      res.snapshot.sections_total = reader.sections_total();
+      res.snapshot.sections_dropped = reader.sections_dropped();
     }
     if (!res.snapshot_valid || res.snapshot.sections_dropped > 0) {
       res.clean = false;
     }
   }
   if (res.journal_present) {
-    std::string bytes;
+    std::ifstream in(jrnl_path, std::ios::binary);
     persistence::JournalReader reader;
-    if (ReadFileLimited(jrnl_path, persistence::kMaxStateFileBytes, &bytes) &&
-        reader.Open(bytes)) {
+    if (in && reader.Open(&in)) {
       res.journal_valid = true;
       res.journal.epoch = reader.epoch();
       persistence::JournalRecord rec;

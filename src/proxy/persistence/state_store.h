@@ -3,21 +3,25 @@
 // with an append-only journal of mutations:
 //
 //   - A checkpoint serializes the tables one shard at a time (holding one
-//     table lock stripe at a time), writes the snapshot atomically, and
-//     resets the journal at a new epoch. It holds the store's own mutex
-//     throughout, so journal appends wait for it. Recover() and the
-//     journal triggers below run one; Checkpoint() is the explicit entry
-//     that tests use to compact at a chosen moment.
+//     table lock stripe at a time), writing each shard's section to
+//     snapshot.bin.tmp as it is encoded and renaming the file over the
+//     snapshot at the end, and resets the journal at a new epoch. It holds
+//     the store's own mutex throughout, so journal appends wait for it.
+//     Recover() and the journal triggers below run one; Checkpoint() is
+//     the explicit entry that tests use to compact at a chosen moment.
 //   - Between checkpoints, every key issue/consume and every session
 //     mutation appends one journal record, flushed immediately.
-//   - Recover() loads snapshot + journal, installs whatever validated into
-//     the live tables, and checkpoints — so a process that crashes during
-//     recovery still starts its journal from a consistent snapshot.
+//   - Recover() streams snapshot + journal into the live tables, one
+//     section or record at a time, and checkpoints — so a process that
+//     crashes during recovery still starts its journal from a consistent
+//     snapshot.
+// So beside the live tables, the store holds one section or one record.
 //
 // Replay is idempotent (session updates overwrite scalars and append
-// suffixes guarded by run marks; key issues dedupe on the random key),
-// which is what makes a checkpoint taken concurrently with serving safe:
-// a mutation that lands in both the snapshot and the journal applies once.
+// suffixes guarded by run marks; a key issue the table already holds
+// exactly is not added twice), which is what makes a checkpoint taken
+// concurrently with serving safe: a mutation that lands in both the
+// snapshot and the journal applies once.
 //
 // All on-disk input is treated as hostile; see format.h for the limits and
 // salvage semantics. A fully corrupt state directory degrades to a cold
@@ -81,8 +85,8 @@ class StateStore : public KeyTable::Observer {
   // An unbound store counts nothing.
   void BindMetrics(MetricsRegistry& registry);
 
-  // Loads whatever state the directory holds, installs it into the
-  // tables, and checkpoints. Call once before serving (and after a
+  // Loads whatever state the directory holds into the tables, which must
+  // be empty, and checkpoints. Call once before serving (and after a
   // simulated crash). `now` is used only to stamp the fresh snapshot.
   RecoveryReport Recover(TimeMs now);
 
@@ -130,8 +134,7 @@ class StateStore : public KeyTable::Observer {
     HistogramMetric* checkpoint_us = nullptr;
   };
 
-  // `buffer` lends its storage to the snapshot being written.
-  bool CheckpointLocked(TimeMs now, std::string buffer = {});
+  bool CheckpointLocked(TimeMs now);
   // Encodes one record into record_ through `encode` and appends it.
   template <typename Encode>
   void AppendLocked(TimeMs now, Encode encode);
@@ -150,8 +153,9 @@ class StateStore : public KeyTable::Observer {
   uint64_t records_since_checkpoint_ = 0;
   size_t journal_bytes_ = 0;
   TimeMs last_now_ = 0;
-  // Size of the last snapshot read or written; the next one reserves it.
-  size_t snapshot_bytes_ = 0;
+  // The largest section of the last snapshot read or written; the next
+  // checkpoint's section buffer reserves it.
+  size_t section_bytes_ = 0;
   // Per session, how much of each run the journal or the latest snapshot
   // holds.
   std::unordered_map<uint64_t, persistence::RunMarks> marks_;
@@ -173,7 +177,16 @@ struct InspectionResult {
   bool epoch_match = false;     // journal belongs to this snapshot
   // Strictly clean: nothing dropped, no torn tail, epochs consistent.
   bool clean = true;
-  persistence::SnapshotContents snapshot;
+  // The snapshot's header, the entries of its intact sections, and how
+  // many sections it declares and dropped.
+  struct {
+    uint64_t epoch = 0;
+    TimeMs created_at = 0;
+    size_t keys = 0;
+    size_t sessions = 0;
+    size_t sections_total = 0;
+    size_t sections_dropped = 0;
+  } snapshot;
   // The journal's epoch, its intact records, and what its walk dropped.
   struct {
     uint64_t epoch = 0;

@@ -412,8 +412,10 @@ ProxyServer::Result ProxyServer::HandleSession(const Request& request, SessionSt
   {
     SpanScope span(trace, "origin_fetch");
     fetch = resilient_.Fetch(request);
-    span.Annotate("attempts=" + std::to_string(fetch.attempts) +
-                  " breaker=" + std::string(BreakerStateName(fetch.breaker)));
+    if (trace != nullptr) {
+      span.Annotate("attempts=" + std::to_string(fetch.attempts) +
+                    " breaker=" + std::string(BreakerStateName(fetch.breaker)));
+    }
   }
   Response response;
   if (fetch.response.has_value()) {
@@ -722,7 +724,9 @@ Response ProxyServer::InstrumentPage(const Request& request, SessionState& sessi
     const ScopedDurationUs timer(m_.rewrite_us);
     injected = InstrumentHtml(response.body, plan);
   }
-  span.Annotate("added_bytes=" + std::to_string(injected.added_bytes));
+  if (trace != nullptr) {
+    span.Annotate("added_bytes=" + std::to_string(injected.added_bytes));
+  }
   response.body = std::move(injected.html);
   response.headers.Set("Content-Length", std::to_string(response.body.size()));
   // "To prevent caching the JavaScript file at the client browser, the

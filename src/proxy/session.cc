@@ -130,13 +130,16 @@ void EventLog::Append(const RequestEvent& event) {
   Events()[block_->size++] = event;
 }
 
-void EventLog::Assign(std::span<const RequestEvent> events) {
-  ::operator delete(std::exchange(block_, nullptr));
-  if (!events.empty()) {
-    Reallocate(events.size());
-    std::copy(events.begin(), events.end(), Events());
-    block_->size = static_cast<uint32_t>(events.size());
+void EventLog::Append(std::span<const RequestEvent> events) {
+  if (events.empty()) {
+    return;
   }
+  const size_t n = size();
+  if (block_ == nullptr || n + events.size() > block_->capacity) {
+    Reallocate(std::max(n + events.size(), 2 * n));
+  }
+  std::copy(events.begin(), events.end(), Events() + n);
+  block_->size = static_cast<uint32_t>(n + events.size());
 }
 
 void EventLog::Reallocate(size_t capacity) {

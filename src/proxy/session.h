@@ -174,8 +174,8 @@ class EventLog {
   }
 
   void Append(const RequestEvent& event);
-  // Replaces the contents, in a block sized to fit them.
-  void Assign(std::span<const RequestEvent> events);
+  // Appends `events`; an empty log takes them in a block sized to fit.
+  void Append(std::span<const RequestEvent> events);
 
  private:
   // Followed in the same allocation by `capacity` events.
@@ -250,18 +250,20 @@ class SessionState {
   int instrumented_pages() const { return observation_.instrumented_pages; }
   void NoteInstrumentedPage() {
     ++observation_.instrumented_pages;
-    if (observation_.instrumented_page_indices.size() < 64) {
+    if (observation_.instrumented_page_indices.size() < kMaxPageIndices) {
       // The page being instrumented is the request currently in flight.
       observation_.instrumented_page_indices.push_back(observation_.request_count + 1);
     }
   }
 
   static constexpr size_t kMaxTrackedEvents = 256;
+  // Instrumented pages whose request index the session keeps.
+  static constexpr size_t kMaxPageIndices = 64;
 
   // --- Recovery-only hooks --------------------------------------------
-  // Used by the persistence layer to rebuild a session from a decoded
-  // snapshot/journal image. Not for serving paths: they bypass the
-  // signal-marking logic that RecordRequest enforces.
+  // Used by the persistence layer to rebuild a session from decoded
+  // snapshot entries and journal records. Not for serving paths: they
+  // bypass the signal-marking logic that RecordRequest enforces.
   void RestoreScalars(TimeMs last_request, int request_count, int instrumented_pages,
                       bool blocked, int cgi_requests, int get_requests, int error_responses) {
     last_request_ = last_request;
@@ -272,9 +274,11 @@ class SessionState {
     get_requests_ = get_requests;
     error_responses_ = error_responses;
   }
-  // Keeps at most kMaxTrackedEvents of `events`.
+  // Appends `events` to the stored ones, keeping at most
+  // kMaxTrackedEvents in all.
   void RestoreEvents(std::span<const RequestEvent> events) {
-    events_.Assign(events.first(std::min(events.size(), kMaxTrackedEvents)));
+    const size_t room = kMaxTrackedEvents - std::min(events_.size(), kMaxTrackedEvents);
+    events_.Append(events.first(std::min(events.size(), room)));
   }
   std::vector<int>& mutable_instrumented_page_indices() {
     return observation_.instrumented_page_indices;

@@ -283,24 +283,35 @@ void SessionTable::ForEachSessionInShard(size_t shard_index,
   }
 }
 
-SessionState* SessionTable::Restore(uint64_t id, SessionKeyView key, TimeMs first_request) {
+SessionState* SessionTable::Restore(uint64_t id, SessionKeyView key, TimeMs first_request,
+                                    std::optional<uint64_t>* replaced) {
   const uint64_t agent_hash = Fnv1a(key.user_agent);
   Shard& shard = ShardFor(key.ip);
-  bool replaced = false;
+  replaced->reset();
   SessionState* session = nullptr;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     if (SessionState* old = shard.Find(key, SessionKeyHashOf(key.ip, agent_hash)); old != nullptr) {
-      replaced = true;
+      *replaced = old->id();
       shard.Unlink(old);
     }
     session = shard.Create(id, key, agent_hash, first_request);
   }
-  if (!replaced) {
+  if (!replaced->has_value()) {
     active_.fetch_add(1, std::memory_order_relaxed);
   }
   UpdateActiveGauge();
   return session;
+}
+
+void SessionTable::RemoveRestored(SessionState* session) {
+  Shard& shard = ShardFor(session->key().ip);
+  {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    shard.Unlink(session);
+  }
+  active_.fetch_sub(1, std::memory_order_relaxed);
+  UpdateActiveGauge();
 }
 
 void SessionTable::DropAll() {

@@ -17,6 +17,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/obs/metrics.h"
@@ -84,10 +85,17 @@ class SessionTable {
   void ForEachSessionInShard(size_t shard_index, const std::function<void(const SessionState&)>& fn);
 
   // Recovery-only: installs an empty session with the given id, key and
-  // start, replacing any session of the same key, and returns it for the
-  // caller to fill in before serving starts. Does not fire opened counters
-  // — the session was counted in a previous life.
-  SessionState* Restore(uint64_t id, SessionKeyView key, TimeMs first_request);
+  // start, and returns it for the caller to fill in before serving starts.
+  // It replaces any session of the same key, whose id goes to `*replaced`.
+  // Does not fire opened counters — the session was counted in a previous
+  // life.
+  SessionState* Restore(uint64_t id, SessionKeyView key, TimeMs first_request,
+                        std::optional<uint64_t>* replaced);
+
+  // Recovery-only: removes a restored session without the close observer,
+  // the closed callback or counters (a replayed close was counted in a
+  // previous life).
+  void RemoveRestored(SessionState* session);
 
   // Drops every session without callbacks, counters, or records (simulated
   // crash: in-flight state simply vanishes).

@@ -1,9 +1,6 @@
 #include "src/util/binio.h"
 
-#include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 
 namespace robodet {
 
@@ -70,41 +67,41 @@ bool ByteReader::ReadRaw(size_t n, std::string_view* v) {
   return true;
 }
 
-bool ReadFileLimited(const std::string& path, size_t max_bytes, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return false;
+StreamReader::StreamReader(std::istream* in) : in_(in) {
+  const std::istream::pos_type at = in->tellg();
+  in->seekg(0, std::ios::end);
+  const std::istream::pos_type end = in->tellg();
+  in->seekg(at);
+  if (at >= 0 && end >= at && *in) {
+    remaining_ = static_cast<size_t>(end - at);
   }
-  in.seekg(0, std::ios::end);
-  const std::streamoff size = in.tellg();
-  if (size < 0 || static_cast<uint64_t>(size) > max_bytes) {
-    return false;
-  }
-  in.seekg(0, std::ios::beg);
-  out->resize(static_cast<size_t>(size));
-  in.read(out->data(), size);
-  return static_cast<bool>(in) || size == 0;
 }
 
-bool WriteFileAtomic(const std::string& path, std::string_view data) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return false;
-    }
-    out.write(data.data(), static_cast<std::streamsize>(data.size()));
-    if (!out) {
-      return false;
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
+bool StreamReader::Read(size_t n, std::string_view* out) {
+  if (n > remaining_) {
+    remaining_ = 0;
     return false;
   }
+  if (n == 0) {
+    *out = {};
+    return true;
+  }
+  if (buffer_.size() < n) {
+    buffer_.resize(n);
+  }
+  in_->read(buffer_.data(), static_cast<std::streamsize>(n));
+  if (static_cast<size_t>(in_->gcount()) != n) {
+    remaining_ = 0;
+    return false;
+  }
+  remaining_ -= n;
+  *out = std::string_view(buffer_.data(), n);
   return true;
+}
+
+bool StreamReader::ReadU32(uint32_t* v) {
+  std::string_view bytes;
+  return Read(4, &bytes) && ByteReader(bytes).ReadU32(v);
 }
 
 }  // namespace robodet

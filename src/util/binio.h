@@ -1,15 +1,17 @@
-// Bounds-checked binary encoding and small file helpers for the
-// persistence layer. ByteWriter appends fixed-width little-endian fields
-// to a growable buffer; ByteReader is its hostile-input counterpart: every
-// read is bounds-checked, length prefixes are validated against explicit
-// caps before a single byte is allocated, and the first malformed field
+// Bounds-checked binary encoding for the persistence layer. ByteWriter
+// appends fixed-width little-endian fields to a growable buffer;
+// ByteReader is its hostile-input counterpart: every read is
+// bounds-checked, length prefixes are validated against explicit caps
+// before a single byte is allocated, and the first malformed field
 // poisons the reader (every later read fails) so decoders can check once
-// at the end instead of after every field.
+// at the end instead of after every field. StreamReader hands a stream to
+// them one piece at a time, so no file is ever held whole.
 #ifndef ROBODET_SRC_UTIL_BINIO_H_
 #define ROBODET_SRC_UTIL_BINIO_H_
 
 #include <bit>
 #include <cstdint>
+#include <istream>
 #include <span>
 #include <string>
 #include <string_view>
@@ -140,14 +142,29 @@ class ByteReader {
   bool ok_ = true;
 };
 
-// Reads at most `max_bytes` of `path` into `out`. False when the file is
-// missing, unreadable, or larger than the cap (oversized state files are
-// treated as hostile, not truncated silently).
-bool ReadFileLimited(const std::string& path, size_t max_bytes, std::string* out);
+// Reads a stream front to back in pieces the caller sizes, through one
+// buffer that it reuses and grows to the largest piece. A piece longer
+// than what the stream has left fails before a byte is allocated for it,
+// so a forged length costs nothing.
+class StreamReader {
+ public:
+  StreamReader() = default;
+  // Reads `in` from its position on; `in` must outlive the reader.
+  explicit StreamReader(std::istream* in);
 
-// Writes `data` to `path` via a sibling temp file + rename, so readers see
-// either the old file or the new one, never a torn middle.
-bool WriteFileAtomic(const std::string& path, std::string_view data);
+  // The next `n` bytes, valid until the next read. False when fewer are
+  // left or the stream fails; every later read fails too.
+  bool Read(size_t n, std::string_view* out);
+  // Reads a little-endian u32, as ByteReader does.
+  bool ReadU32(uint32_t* v);
+
+  size_t remaining() const { return remaining_; }
+
+ private:
+  std::istream* in_ = nullptr;
+  size_t remaining_ = 0;
+  std::string buffer_;
+};
 
 }  // namespace robodet
 

@@ -1,19 +1,29 @@
 // Hostile-input hardening for the persistence load path. Snapshot and
 // journal files are read back after crashes — exactly when their bytes are
-// least trustworthy — so ReadSnapshot and JournalReader must survive random
-// garbage, bit flips in valid files, and truncation at every offset
+// least trustworthy — so SnapshotReader and JournalReader must survive
+// random garbage, bit flips in valid files, and truncation at every offset
 // without crashing, and everything they accept must respect the format's
-// hard limits.
+// hard limits. Both read a file one section or record at a time; read
+// from files torn at every offset, and with frames larger than a stream's
+// own buffer, they must decode exactly what a decode of the whole file
+// held in memory does.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <tuple>
+
+#include <unistd.h>
 
 #include "src/proxy/persistence/format.h"
 #include "src/proxy/persistence/state_store.h"
 #include "src/util/binio.h"
+#include "src/util/checksum.h"
 #include "src/util/rng.h"
+#include "tests/proxy/persistence_test_util.h"
 
 namespace robodet {
 namespace {
@@ -63,7 +73,8 @@ std::unique_ptr<SessionState> MakeSession(Rng& rng, uint64_t id) {
 }
 
 std::string MakeValidSnapshot(Rng& rng) {
-  SnapshotWriter writer(3, 1000, 2, 2);
+  std::ostringstream out;
+  SnapshotWriter writer(&out, 3, 1000, 2, 2);
   for (int section = 0; section < 2; ++section) {
     ByteWriter* payload = writer.BeginSection();
     const size_t n = 1 + rng.UniformU64(4);
@@ -83,7 +94,7 @@ std::string MakeValidSnapshot(Rng& rng) {
     }
     writer.EndSection();
   }
-  return writer.Finish();
+  return out.str();
 }
 
 std::string MakeValidJournal(Rng& rng) {
@@ -119,7 +130,8 @@ std::string MakeValidJournal(Rng& rng) {
 // Walks a whole journal, as recovery and inspection do: the count of its
 // intact records, or nullopt when its header is invalid.
 std::optional<size_t> WalkJournal(std::string_view bytes, JournalReader* reader) {
-  if (!reader->Open(bytes)) {
+  std::istringstream in{std::string(bytes)};
+  if (!reader->Open(&in)) {
     return std::nullopt;
   }
   size_t records = 0;
@@ -301,7 +313,8 @@ TEST_P(PersistenceFuzzTest, SessionUpdateRoundTrip) {
     journal.PutRaw(persistence::EncodeJournalHeader(1));
     persistence::EncodeSessionUpdate(fields, marks, &journal);
     JournalReader reader;
-    ASSERT_TRUE(reader.Open(journal.bytes()));
+    std::istringstream journal_in(journal.bytes());
+    ASSERT_TRUE(reader.Open(&journal_in));
     JournalRecord rec;
     ASSERT_TRUE(reader.Next(&rec));
     ASSERT_EQ(rec.type, persistence::JournalRecordType::kSessionUpdate);
@@ -315,6 +328,301 @@ TEST_P(PersistenceFuzzTest, SessionUpdateRoundTrip) {
   }
 }
 
+// --- Whole-buffer reference decode -----------------------------------
+
+// Decodes a section payload whole into `out`; false (leaving `out` as it
+// was) when it does not decode whole.
+template <typename Image>
+bool DecodeWholeSection(std::string_view payload, bool (*decode)(ByteReader*, Image*),
+                        std::vector<Image>* out) {
+  ByteReader r(payload);
+  uint32_t n = 0;
+  if (!r.ReadU32(&n) || n > persistence::kMaxEntriesPerSection) {
+    return false;
+  }
+  std::vector<Image> got;
+  for (uint32_t i = 0; i < n; ++i) {
+    Image img;
+    if (!decode(&r, &img)) {
+      return false;
+    }
+    got.push_back(std::move(img));
+  }
+  if (r.remaining() != 0) {
+    return false;
+  }
+  out->insert(out->end(), got.begin(), got.end());
+  return true;
+}
+
+// The snapshot in `bytes` decoded from memory in one pass over it, as
+// format.h lays it out.
+bool DecodeWholeSnapshot(std::string_view bytes, SnapshotContents* out) {
+  *out = SnapshotContents{};
+  ByteReader r(bytes);
+  std::string_view magic;
+  uint32_t version = 0;
+  uint32_t key_sections = 0;
+  uint32_t session_sections = 0;
+  if (!r.ReadRaw(persistence::kSnapshotMagic.size(), &magic) ||
+      magic != persistence::kSnapshotMagic || !r.ReadU32(&version) ||
+      version != persistence::kFormatVersion || !r.ReadU64(&out->epoch) ||
+      !r.ReadI64(&out->created_at) || !r.ReadU32(&key_sections) ||
+      !r.ReadU32(&session_sections) || key_sections > persistence::kMaxSections ||
+      session_sections > persistence::kMaxSections) {
+    return false;
+  }
+  const size_t total = static_cast<size_t>(key_sections) + session_sections;
+  out->sections_total = total;
+  for (size_t i = 0; i < total; ++i) {
+    uint32_t len = 0;
+    std::string_view payload;
+    uint32_t crc = 0;
+    if (!r.ReadU32(&len) || len > persistence::kMaxSectionBytes || !r.ReadRaw(len, &payload) ||
+        !r.ReadU32(&crc)) {
+      out->sections_dropped += total - i;
+      return true;
+    }
+    const bool good =
+        crc == Crc32c(payload) &&
+        (i < key_sections
+             ? DecodeWholeSection(payload, persistence::DecodeKeyEntry, &out->keys)
+             : DecodeWholeSection(payload, persistence::DecodeSession, &out->sessions));
+    if (!good) {
+      ++out->sections_dropped;
+    }
+  }
+  return true;
+}
+
+struct JournalContents {
+  uint64_t epoch = 0;
+  std::vector<JournalRecord> records;
+  size_t records_dropped = 0;
+  size_t bytes_dropped = 0;
+};
+
+// The journal in `bytes` decoded from memory in one pass over it.
+bool DecodeWholeJournal(std::string_view bytes, JournalContents* out) {
+  *out = JournalContents{};
+  ByteReader r(bytes);
+  std::string_view magic;
+  uint32_t version = 0;
+  if (!r.ReadRaw(persistence::kJournalMagic.size(), &magic) ||
+      magic != persistence::kJournalMagic || !r.ReadU32(&version) ||
+      version != persistence::kFormatVersion || !r.ReadU64(&out->epoch)) {
+    return false;
+  }
+  while (r.remaining() > 0) {
+    const size_t tail = r.remaining();
+    uint32_t len = 0;
+    std::string_view frame;
+    uint32_t crc = 0;
+    if (!r.ReadU32(&len) || len > persistence::kMaxFrameBytes || len == 0 ||
+        !r.ReadRaw(len, &frame) || !r.ReadU32(&crc) || crc != Crc32c(frame)) {
+      out->bytes_dropped = tail;
+      break;
+    }
+    JournalRecord rec;
+    if (persistence::DecodeJournalFrame(frame, &rec)) {
+      out->records.push_back(std::move(rec));
+    } else {
+      ++out->records_dropped;
+    }
+  }
+  return true;
+}
+
+// The same journal through JournalReader, from `in`.
+bool StreamJournal(std::istream* in, JournalContents* out) {
+  *out = JournalContents{};
+  JournalReader reader;
+  if (!reader.Open(in)) {
+    return false;
+  }
+  out->epoch = reader.epoch();
+  JournalRecord rec;
+  while (reader.Next(&rec)) {
+    out->records.push_back(rec);
+  }
+  out->records_dropped = reader.records_dropped();
+  out->bytes_dropped = reader.bytes_dropped();
+  return true;
+}
+
+void ExpectSameKey(const KeyEntryImage& got, const KeyEntryImage& want) {
+  EXPECT_EQ(got.ip, want.ip);
+  EXPECT_EQ(got.page_path, want.page_path);
+  EXPECT_EQ(got.key, want.key);
+  EXPECT_EQ(got.issued_at, want.issued_at);
+}
+
+void ExpectSameSnapshot(const SnapshotContents& got, const SnapshotContents& want) {
+  EXPECT_EQ(got.epoch, want.epoch);
+  EXPECT_EQ(got.created_at, want.created_at);
+  EXPECT_EQ(got.sections_total, want.sections_total);
+  EXPECT_EQ(got.sections_dropped, want.sections_dropped);
+  ASSERT_EQ(got.keys.size(), want.keys.size());
+  for (size_t i = 0; i < got.keys.size(); ++i) {
+    ExpectSameKey(got.keys[i], want.keys[i]);
+  }
+  ASSERT_EQ(got.sessions.size(), want.sessions.size());
+  for (size_t i = 0; i < got.sessions.size(); ++i) {
+    ExpectSameImage(got.sessions[i], want.sessions[i]);
+  }
+}
+
+void ExpectSameJournal(const JournalContents& got, const JournalContents& want) {
+  EXPECT_EQ(got.epoch, want.epoch);
+  EXPECT_EQ(got.records_dropped, want.records_dropped);
+  EXPECT_EQ(got.bytes_dropped, want.bytes_dropped);
+  ASSERT_EQ(got.records.size(), want.records.size());
+  for (size_t i = 0; i < got.records.size(); ++i) {
+    const JournalRecord& g = got.records[i];
+    const JournalRecord& w = want.records[i];
+    ASSERT_EQ(g.type, w.type);
+    switch (g.type) {
+      case persistence::JournalRecordType::kKeyIssued:
+        ExpectSameKey(g.key, w.key);
+        break;
+      case persistence::JournalRecordType::kKeyConsumed:
+        EXPECT_EQ(g.key.ip, w.key.ip);
+        EXPECT_EQ(g.key.key, w.key.key);
+        break;
+      case persistence::JournalRecordType::kSessionUpdate:
+        ExpectSameImage(g.update.delta, w.update.delta);
+        EXPECT_EQ(std::tie(g.update.before.page_indices, g.update.before.events,
+                           g.update.before.links, g.update.before.embeds,
+                           g.update.before.visited),
+                  std::tie(w.update.before.page_indices, w.update.before.events,
+                           w.update.before.links, w.update.before.embeds,
+                           w.update.before.visited));
+        break;
+      case persistence::JournalRecordType::kSessionClosed:
+        EXPECT_EQ(g.session_id, w.session_id);
+        break;
+    }
+  }
+}
+
+// Reads files from disk through std::ifstream, the way recovery and
+// inspection do.
+class StreamedFileTest : public ::testing::Test {
+ protected:
+  StreamedFileTest()
+      : path_(std::filesystem::temp_directory_path() /
+              ("robodet_streamed_" + std::to_string(::getpid()) + "_" +
+               ::testing::UnitTest::GetInstance()->current_test_info()->name())) {}
+  ~StreamedFileTest() override { std::filesystem::remove(path_); }
+
+  // Writes `bytes` to the file and checks that both readers, streaming it
+  // from the file, decode what the whole-buffer decode of `bytes` does.
+  void ExpectStreamedMatchesWhole(std::string_view bytes) {
+    std::ofstream(path_, std::ios::binary | std::ios::trunc).write(
+        bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    SnapshotContents whole;
+    const bool whole_ok = DecodeWholeSnapshot(bytes, &whole);
+    {
+      std::ifstream in(path_, std::ios::binary);
+      SnapshotContents streamed;
+      ASSERT_EQ(ReadSnapshot(&in, &streamed), whole_ok);
+      if (whole_ok) {
+        ExpectSameSnapshot(streamed, whole);
+      }
+    }
+    JournalContents whole_journal;
+    const bool whole_journal_ok = DecodeWholeJournal(bytes, &whole_journal);
+    std::ifstream in(path_, std::ios::binary);
+    JournalContents streamed_journal;
+    ASSERT_EQ(StreamJournal(&in, &streamed_journal), whole_journal_ok);
+    if (whole_journal_ok) {
+      ExpectSameJournal(streamed_journal, whole_journal);
+    }
+  }
+
+  std::filesystem::path path_;
+};
+
+// A small directory's two files, torn at every offset.
+TEST_F(StreamedFileTest, EveryTornFileDecodesAsTheWholeBuffer) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed ^ 0x7e4aULL);
+    const std::string snapshot = MakeValidSnapshot(rng);
+    const std::string journal = MakeValidJournal(rng);
+    for (size_t cut = 0; cut <= snapshot.size(); ++cut) {
+      ExpectStreamedMatchesWhole(std::string_view(snapshot).substr(0, cut));
+    }
+    for (size_t cut = 0; cut <= journal.size(); ++cut) {
+      ExpectStreamedMatchesWhole(std::string_view(journal).substr(0, cut));
+    }
+  }
+}
+
+// Sections and records far larger than a file stream's own buffer, some
+// smaller and some larger than the one before, so the readers' one buffer
+// regrows mid-file; then the same files with a byte of a large frame
+// flipped, and torn inside their last frame.
+TEST_F(StreamedFileTest, FramesLargerThanTheReadBuffer) {
+  Rng rng(41);
+  auto big_session = [&rng](uint64_t id, size_t hashes) {
+    std::unique_ptr<SessionState> s = MakeSession(rng, id);
+    std::vector<uint64_t> links;
+    std::vector<uint64_t> visited;
+    for (size_t i = 0; i < hashes; ++i) {
+      links.push_back(rng.UniformU64(UINT64_MAX));
+      visited.push_back(rng.UniformU64(UINT64_MAX));
+    }
+    s->served_links().Restore(links);
+    s->visited_urls().Restore(visited);
+    return s;
+  };
+  std::ostringstream out;
+  SnapshotWriter writer(&out, 5, 2000, 1, 4);
+  {
+    ByteWriter* payload = writer.BeginSection();
+    payload->PutU32(3);
+    for (int i = 0; i < 3; ++i) {
+      const KeyEntryImage k = MakeKey(rng);
+      persistence::EncodeKeyEntry({k.ip, k.page_path, k.key, k.issued_at}, payload);
+    }
+    writer.EndSection();
+  }
+  for (size_t sessions : {1u, 8u, 2u, 24u}) {
+    ByteWriter* payload = writer.BeginSection();
+    payload->PutU32(static_cast<uint32_t>(sessions));
+    for (size_t i = 0; i < sessions; ++i) {
+      EncodeSession(FieldsOfLive(*big_session(1 + i, 1024)), payload);
+    }
+    writer.EndSection();
+  }
+  const std::string snapshot = out.str();
+  ASSERT_GT(snapshot.size(), 500'000u);
+  ExpectStreamedMatchesWhole(snapshot);
+
+  ByteWriter w;
+  w.PutRaw(persistence::EncodeJournalHeader(5));
+  for (size_t hashes : {16u, 2048u, 4u, 4096u, 1u, 3000u}) {
+    const KeyEntryImage k = MakeKey(rng);
+    persistence::EncodeKeyIssued({k.ip, k.page_path, k.key, k.issued_at}, &w);
+    persistence::EncodeSessionUpdate(FieldsOfLive(*big_session(7, hashes)), persistence::RunMarks{},
+                                     &w);
+  }
+  const std::string journal = w.Take();
+  ExpectStreamedMatchesWhole(journal);
+
+  // One large frame's bytes flipped: a dropped section, and a journal cut
+  // short at that record.
+  std::string bad_snapshot = snapshot;
+  bad_snapshot[snapshot.size() / 2] ^= 0x5a;
+  ExpectStreamedMatchesWhole(bad_snapshot);
+  std::string bad_journal = journal;
+  bad_journal[journal.size() / 2] ^= 0x5a;
+  ExpectStreamedMatchesWhole(bad_journal);
+  // Torn inside the last frame.
+  ExpectStreamedMatchesWhole(std::string_view(snapshot).substr(0, snapshot.size() - 1000));
+  ExpectStreamedMatchesWhole(std::string_view(journal).substr(0, journal.size() - 1000));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, PersistenceFuzzTest,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 10u, 11u, 12u,
                                            13u, 14u, 15u, 16u));
@@ -322,8 +630,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PersistenceFuzzTest,
 // Oversized length prefixes must be rejected before allocation: a 4-byte
 // claim of a 4 GiB section must not reserve 4 GiB.
 TEST(PersistenceLimitsTest, HugeSectionLengthIsRejectedNotAllocated) {
-  SnapshotWriter writer(1, 0, 1, 0);
-  std::string bytes = writer.Finish();
+  std::ostringstream out;
+  SnapshotWriter writer(&out, 1, 0, 1, 0);
+  std::string bytes = out.str();
   ByteWriter evil;
   evil.PutU32(0xffffffffu);  // section length far past kMaxSectionBytes
   bytes += evil.Take();

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <unistd.h>
 
@@ -261,6 +263,162 @@ TEST_F(PersistenceTest, RecoverAtEveryJournalBoundary) {
     EXPECT_EQ(Fingerprint(recovered.keys, recovered.sessions), expected[0]) << "cut " << cut;
     std::filesystem::remove_all(crash_dir);
   }
+}
+
+// A crash in the middle of a checkpoint leaves snapshot.bin.tmp torn, or
+// written whole but not yet renamed, beside the intact snapshot.bin and
+// its journal. Recovery ignores the temporary file, recovers warm from
+// the snapshot and the journal, and its own checkpoint replaces the
+// temporary file.
+TEST_F(PersistenceTest, CrashMidCheckpointRecoversFromTheLastSnapshot) {
+  Rig live(Dir());
+  live.store.Recover(0);
+  live.keys.Record(IpAddress(kIp1), "/a.html", "key-a1", 1000);
+  {
+    SessionState* s = live.sessions.Touch(SessionKey{IpAddress(kIp1), "ua-one"}, 1100);
+    s->RecordRequest(1100, MakeEvent(ResourceKind::kHtml, 2));
+    s->served_links().Insert("http://h.test/one.html");
+    live.store.OnSessionUpdated(*s);
+  }
+  ASSERT_TRUE(live.store.Checkpoint(2000));
+  live.keys.Record(IpAddress(kIp2), "/b.html", "key-b1", 2100);
+  {
+    SessionState* s = live.sessions.Touch(SessionKey{IpAddress(kIp1), "ua-one"}, 2200);
+    s->RecordRequest(2200, MakeEvent(ResourceKind::kImage, 2));
+    s->visited_urls().Insert("http://h.test/one.html");
+    live.store.OnSessionUpdated(*s);
+  }
+  const std::string expected = Fingerprint(live.keys, live.sessions);
+  std::ifstream in(Dir() + "/snapshot.bin", std::ios::binary);
+  const std::string snapshot((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  in.close();
+  live.store.OnCrash();
+
+  for (const size_t cut : {size_t{0}, snapshot.size() / 2, snapshot.size()}) {
+    const std::string crash_dir = Dir("crash_" + std::to_string(cut));
+    CopyState(Dir(), crash_dir, SIZE_MAX);
+    const std::string tmp = crash_dir + "/snapshot.bin.tmp";
+    std::ofstream(tmp, std::ios::binary) << snapshot.substr(0, cut) << "torn";
+    Rig recovered(crash_dir);
+    const RecoveryReport report = recovered.store.Recover(9000);
+    EXPECT_FALSE(report.cold_start) << "cut " << cut;
+    EXPECT_TRUE(report.snapshot_loaded) << "cut " << cut;
+    EXPECT_TRUE(report.journal_replayed) << "cut " << cut;
+    EXPECT_EQ(report.journal_records_applied, 2u) << "cut " << cut;
+    EXPECT_EQ(Fingerprint(recovered.keys, recovered.sessions), expected) << "cut " << cut;
+    EXPECT_FALSE(std::filesystem::exists(tmp)) << "cut " << cut;
+    const InspectionResult after = InspectState(crash_dir);
+    EXPECT_TRUE(after.clean) << "cut " << cut;
+    EXPECT_EQ(after.snapshot.epoch, report.epoch) << "cut " << cut;
+    EXPECT_EQ(after.snapshot.keys, 2u) << "cut " << cut;
+    EXPECT_EQ(after.snapshot.sessions, 1u) << "cut " << cut;
+  }
+}
+
+// A checkpoint whose snapshot cannot be written counts a failure, leaves
+// no temporary file, and keeps journaling at the old epoch, so a crash
+// after it loses nothing.
+TEST_F(PersistenceTest, FailedCheckpointKeepsJournaling) {
+  MetricsRegistry registry;
+  Rig live(Dir());
+  live.store.BindMetrics(registry);
+  live.store.Recover(0);
+  live.keys.Record(IpAddress(kIp1), "/a.html", "key-a1", 100);
+  // A directory where the temporary file goes: the snapshot cannot open.
+  const std::string tmp = Dir() + "/snapshot.bin.tmp";
+  std::filesystem::create_directory(tmp);
+  EXPECT_FALSE(live.store.Checkpoint(200));
+  EXPECT_EQ(registry.Scrape().CounterValue("robodet_persistence_checkpoint_failures_total"), 1u);
+  EXPECT_FALSE(std::filesystem::exists(tmp));
+  live.keys.Record(IpAddress(kIp2), "/b.html", "key-b1", 300);
+  const std::string expected = Fingerprint(live.keys, live.sessions);
+  live.store.OnCrash();
+
+  Rig recovered(Dir());
+  const RecoveryReport report = recovered.store.Recover(400);
+  EXPECT_EQ(report.journal_records_applied, 2u);
+  EXPECT_EQ(Fingerprint(recovered.keys, recovered.sessions), expected);
+}
+
+// A damaged but CRC-valid directory: a snapshot session whose runs hold
+// repeated hashes and more events and page indices than a session keeps,
+// then journal updates marked against the runs as written. Replay appends
+// a suffix only when the run as decoded, repeats and overflow included,
+// is at the suffix's mark, so the session recovers to what the image of
+// its decoded runs, cut to the session's bounds, holds.
+TEST_F(PersistenceTest, ReplayMarksCountRunsAsDecoded) {
+  const std::string dir = Dir();
+  std::filesystem::create_directories(dir);
+  SessionSignals signals;
+  signals.css_probe_at = 3;
+  std::vector<int32_t> pages(70, 5);
+  std::vector<RequestEvent> events(300, MakeEvent(ResourceKind::kHtml, 2));
+  std::vector<uint64_t> links = {1, 2, 2, 3, 1, 3, 3, 2, 1, 1};
+  std::vector<uint64_t> visited = {7, 7};
+  auto fields = [&](int32_t requests) {
+    persistence::SessionFields f;
+    f.id = 42;
+    f.ip = kIp1;
+    f.user_agent = "ua-damaged";
+    f.first_request = 100;
+    f.last_request = 100 + requests;
+    f.signals = &signals;
+    f.request_count = requests;
+    f.instrumented_page_indices = pages;
+    f.events = events;
+    f.served_links = links;
+    f.visited_urls = visited;
+    return f;
+  };
+  {
+    std::ofstream out(dir + "/snapshot.bin", std::ios::binary);
+    persistence::SnapshotWriter writer(&out, 1, 100, 1, 1);
+    writer.BeginSection()->PutU32(0);
+    writer.EndSection();
+    ByteWriter* payload = writer.BeginSection();
+    payload->PutU32(1);
+    persistence::EncodeSession(fields(300), payload);
+    writer.EndSection();
+  }
+  ByteWriter journal;
+  journal.PutRaw(persistence::EncodeJournalHeader(1));
+  // At the runs' written lengths: every suffix applies (the events and
+  // pages past the session's bounds are dropped).
+  const persistence::RunMarks at_end = persistence::RunLengths(fields(300));
+  pages.push_back(9);
+  events.push_back(MakeEvent(ResourceKind::kCss, 2));
+  links.insert(links.end(), {4, 2, 5});
+  visited.push_back(8);
+  persistence::EncodeSessionUpdate(fields(301), at_end, &journal);
+  // Marks at the live session's sizes (64 pages, 256 events, 5 distinct
+  // links, 2 distinct visited URLs) are stale against the runs as
+  // decoded: nothing applies but the scalars.
+  const persistence::RunMarks stale{.page_indices = 64, .events = 256, .links = 5, .visited = 2};
+  links.resize(5);
+  links.push_back(9);
+  visited.resize(2);
+  visited.push_back(10);
+  persistence::EncodeSessionUpdate(fields(302), stale, &journal);
+  std::ofstream(dir + "/journal.bin", std::ios::binary) << journal.bytes();
+
+  Rig recovered(dir);
+  const RecoveryReport report = recovered.store.Recover(1000);
+  EXPECT_EQ(report.journal_records_applied, 2u);
+  ASSERT_EQ(report.sessions_restored, 1u);
+  const SessionState* s =
+      recovered.sessions.Touch(SessionKey{IpAddress(kIp1), "ua-damaged"}, 402);
+  EXPECT_EQ(s->id(), 42u);
+  EXPECT_EQ(s->request_count(), 302);
+  EXPECT_EQ(s->signals().css_probe_at, 3);
+  EXPECT_EQ(s->observation().instrumented_page_indices, std::vector<int>(64, 5));
+  EXPECT_EQ(s->events().size(), SessionState::kMaxTrackedEvents);
+  const std::span<const uint64_t> got_links = s->served_links().ordered_hashes();
+  EXPECT_EQ(std::vector<uint64_t>(got_links.begin(), got_links.end()),
+            (std::vector<uint64_t>{1, 2, 3, 4, 5}));
+  const std::span<const uint64_t> got_visited = s->visited_urls().ordered_hashes();
+  EXPECT_EQ(std::vector<uint64_t>(got_visited.begin(), got_visited.end()),
+            (std::vector<uint64_t>{7, 8}));
 }
 
 // A recovered store is itself crash-safe: recover, mutate, crash again,

@@ -5,21 +5,24 @@
 //
 // StateBytesTest is the byte-identity guard for the persistence codec: the
 // run takes one explicit checkpoint midway, serves more after an idle gap
-// that splits every session, and then restarts from its directory. It
-// pins digests of snapshot.bin and journal.bin before the restart and of
-// the snapshot the recovery checkpoint writes. The expected digests are
-// constants: any change to the bytes the codec writes for the same state
-// shows up here, and such a change would make every existing state
-// directory cold-start.
+// that splits every session and expires every older key, and then
+// restarts from its directory. It pins digests of snapshot.bin and
+// journal.bin before the restart and of the snapshot the recovery
+// checkpoint writes. The expected digests are constants: any change to
+// the bytes the codec writes for the same state shows up here, and such a
+// change would make every existing state directory cold-start.
 //
 // PersistenceStagesTest checks that the journal-append and checkpoint
 // histograms time exactly what the journal-record and checkpoint counters
 // count. KeyReplayTest checks that replay consumes a repeated key the way
-// the key table does, and that recovery counts the entries the table keeps.
+// the key table does, keeps an evicted key evicted, and counts the entries
+// the table keeps.
 // ConcurrentJournalTest journals from four threads through one store.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -35,13 +38,19 @@
 #include "src/site/origin_server.h"
 #include "src/util/binio.h"
 #include "src/util/hash.h"
+#include "tests/proxy/persistence_test_util.h"
 
 namespace robodet {
 namespace {
 
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in) << path;
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
 uint64_t FileDigest(const std::string& path) {
-  std::string bytes;
-  EXPECT_TRUE(ReadFileLimited(path, persistence::kMaxStateFileBytes, &bytes)) << path;
+  const std::string bytes = FileBytes(path);
   return HashCombine(Fnv1a(bytes), bytes.size());
 }
 
@@ -145,11 +154,9 @@ TEST_F(StateBytesTest, StateFilesMatchPinnedDigests) {
   const uint64_t journal = FileDigest(proxy_->state_store()->journal_path());
   // The journal holds every record type the codec writes.
   ASSERT_TRUE(InspectState(dir_.string()).clean);
-  std::string journal_bytes;
-  ASSERT_TRUE(ReadFileLimited(proxy_->state_store()->journal_path(),
-                              persistence::kMaxStateFileBytes, &journal_bytes));
+  std::ifstream journal_in(proxy_->state_store()->journal_path(), std::ios::binary);
   persistence::JournalReader reader;
-  ASSERT_TRUE(reader.Open(journal_bytes));
+  ASSERT_TRUE(reader.Open(&journal_in));
   size_t by_type[5] = {};
   persistence::JournalRecord rec;
   while (reader.Next(&rec)) {
@@ -159,17 +166,21 @@ TEST_F(StateBytesTest, StateFilesMatchPinnedDigests) {
   EXPECT_GT(by_type[static_cast<size_t>(persistence::JournalRecordType::kKeyConsumed)], 0u);
   EXPECT_GT(by_type[static_cast<size_t>(persistence::JournalRecordType::kSessionUpdate)], 0u);
   EXPECT_GT(by_type[static_cast<size_t>(persistence::JournalRecordType::kSessionClosed)], 0u);
+  const size_t live_keys = proxy_->keys().total_entries();
   proxy_->SimulateCrashRestart(clock_.Now());
   const RecoveryReport& rep = proxy_->state_store()->last_recovery();
   EXPECT_FALSE(rep.cold_start);
   EXPECT_GT(rep.journal_records_applied, 0u);
   EXPECT_GT(rep.sessions_restored, 0u);
   EXPECT_GT(rep.key_entries_restored, 0u);
+  // Round 3's issues expired each client's older keys in the live table;
+  // replay expires them the same way.
+  EXPECT_EQ(rep.key_entries_restored, live_keys);
   const uint64_t recovered = FileDigest(proxy_->state_store()->snapshot_path());
 
   EXPECT_EQ(snapshot, 0x6ed5174a5e80ac24ULL) << std::hex << "snapshot digest 0x" << snapshot;
   EXPECT_EQ(journal, 0x8e80719ec7d9f064ULL) << std::hex << "journal digest 0x" << journal;
-  EXPECT_EQ(recovered, 0x0d1252de398f7867ULL)
+  EXPECT_EQ(recovered, 0x13784eb982b91e94ULL)
       << std::hex << "recovered snapshot digest 0x" << recovered;
 }
 
@@ -252,6 +263,62 @@ TEST(KeyReplayTest, RepeatedKeyRecoversToTheTablesEntries) {
   const RecoveryReport rep = store.Recover(60);
   EXPECT_EQ(rep.journal_records_applied, 3u);
   EXPECT_EQ(entries(keys), live);
+  std::filesystem::remove_all(dir);
+}
+
+// The table evicts an IP's oldest key at its per-IP bound of 64 and
+// journals no record of it. Replay applies the issues and consumes in
+// order through the table's own eviction, so 65 issues and a consume of
+// the second key recover to keys 3-65, as the table held them, and the
+// evicted first key stays gone: its beacon must read as a wrong key, not
+// a mouse event. The same holds with the first 40 issues folded into a
+// snapshot.
+TEST(KeyReplayTest, EvictedKeyStaysEvicted) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("robodet_key_evicted_" + std::to_string(::getpid()));
+  const IpAddress ip(0x0a000003);
+  auto entries = [](KeyTable& keys) {
+    std::vector<std::string> out;
+    for (size_t i = 0; i < keys.num_shards(); ++i) {
+      for (const KeyTable::ExportedEntry& e : keys.ExportShard(i)) {
+        out.push_back(e.page_path + " " + e.key + " " + std::to_string(e.issued_at));
+      }
+    }
+    return out;
+  };
+  const PersistenceConfig config{.state_dir = dir.string(), .snapshot_interval_records = 0};
+  for (const int checkpoint_after : {0, 40}) {
+    std::filesystem::remove_all(dir);
+    std::vector<std::string> live;
+    {
+      KeyTable keys(KeyTable::Config{});
+      SessionTable sessions(SessionTable::Config{});
+      StateStore store(config, &keys, &sessions);
+      keys.set_observer(&store);
+      store.Recover(0);
+      for (int i = 1; i <= 65; ++i) {
+        const std::string n = std::to_string(i);
+        keys.Record(ip, "/p/" + n + ".html", "k" + n, 10 + i);
+        if (i == checkpoint_after) {
+          ASSERT_TRUE(store.Checkpoint(10 + i));
+        }
+      }
+      EXPECT_TRUE(keys.MatchAndConsume(ip, "k2", 100));
+      live = entries(keys);
+      ASSERT_EQ(live.size(), 63u);
+      ASSERT_EQ(live.front(), "/p/3.html k3 13");
+      store.OnCrash();
+      keys.set_observer(nullptr);
+    }
+    KeyTable keys(KeyTable::Config{});
+    SessionTable sessions(SessionTable::Config{});
+    StateStore store(config, &keys, &sessions);
+    const RecoveryReport rep = store.Recover(200);
+    EXPECT_EQ(rep.key_entries_restored, 63u) << "checkpoint after " << checkpoint_after;
+    EXPECT_EQ(entries(keys), live) << "checkpoint after " << checkpoint_after;
+    EXPECT_FALSE(keys.MatchAndConsume(ip, "k1", 300)) << "checkpoint after " << checkpoint_after;
+  }
   std::filesystem::remove_all(dir);
 }
 
@@ -360,10 +427,9 @@ TEST(ConcurrentJournalTest, FourThreadsDecodeToTheirRecords) {
     thread.join();
   }
 
-  std::string bytes;
-  ASSERT_TRUE(ReadFileLimited(store.journal_path(), persistence::kMaxStateFileBytes, &bytes));
+  std::ifstream journal_in(store.journal_path(), std::ios::binary);
   persistence::JournalReader reader;
-  ASSERT_TRUE(reader.Open(bytes));
+  ASSERT_TRUE(reader.Open(&journal_in));
   std::vector<std::vector<std::string>> got(kThreads);
   std::map<uint64_t, persistence::SessionImage> images;
   auto thread_of_session = [](uint64_t id) { return static_cast<int>((id - 1) / kSessionsPerThread); };

@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
     std::printf(" epoch=%llu created_at=%lld keys=%zu sessions=%zu",
                 static_cast<unsigned long long>(result.snapshot.epoch),
                 static_cast<long long>(result.snapshot.created_at),
-                result.snapshot.keys.size(), result.snapshot.sessions.size());
+                result.snapshot.keys, result.snapshot.sessions);
     if (result.snapshot.sections_dropped > 0) {
       std::printf(" sections_dropped=%zu/%zu", result.snapshot.sections_dropped,
                   result.snapshot.sections_total);
