@@ -354,8 +354,8 @@ void BM_ProxyBeaconHit(benchmark::State& state) {
 }
 BENCHMARK(BM_ProxyBeaconHit);
 
-// The CRC32C every snapshot section and journal record carries: a small
-// record, a page-sized section and a large one.
+// The CRC32C every record of the state file carries: a small record, a
+// page-sized one and a large one.
 void BM_Crc32c(benchmark::State& state) {
   std::string data(static_cast<size_t>(state.range(0)), '\0');
   Rng rng(47);
@@ -397,13 +397,11 @@ std::unique_ptr<SessionState> SyntheticSession(Rng& rng, uint64_t id) {
   return s;
 }
 
-// A state directory shaped like a daemon's after a run: a snapshot of
-// `sessions` / 2 sessions with four beacon keys each, and a journal that
-// extends every one of them, adds the other half, issues their keys and
-// consumes one key per session.
+// A state directory shaped like a daemon's after a run: a checkpoint's
+// records of `sessions` / 2 sessions with four beacon keys each, then
+// appended records that extend every one of them, add the other half,
+// issue their keys and consume one key per session.
 void WriteStateDir(const std::string& dir, size_t sessions) {
-  constexpr uint32_t kShards = 16;
-  constexpr uint64_t kEpoch = 1;
   Rng rng(53);
   std::vector<std::unique_ptr<SessionState>> all;
   std::vector<persistence::KeyEntryImage> keys;
@@ -417,35 +415,21 @@ void WriteStateDir(const std::string& dir, size_t sessions) {
   auto key_fields = [](const persistence::KeyEntryImage& k) {
     return persistence::KeyEntryFields{k.ip, k.page_path, k.key, k.issued_at};
   };
-  const size_t in_snapshot = sessions / 2;
+  const size_t compacted = sessions / 2;
   std::filesystem::create_directories(dir);
-  std::ofstream snapshot_out(dir + "/snapshot.bin", std::ios::binary | std::ios::trunc);
-  persistence::SnapshotWriter snapshot(&snapshot_out, kEpoch, 1000, kShards, kShards);
-  for (uint32_t shard = 0; shard < 2 * kShards; ++shard) {
-    const bool key_shard = shard < kShards;
-    const size_t n = key_shard ? 4 * in_snapshot : in_snapshot;
-    std::vector<size_t> members;
-    for (size_t i = shard % kShards; i < n; i += kShards) {
-      members.push_back(i);
-    }
-    ByteWriter* payload = snapshot.BeginSection();
-    payload->PutU32(static_cast<uint32_t>(members.size()));
-    for (size_t i : members) {
-      if (key_shard) {
-        persistence::EncodeKeyEntry(key_fields(keys[i]), payload);
-      } else {
-        persistence::EncodeSession(FieldsOfLive(*all[i]), payload);
-      }
-    }
-    snapshot.EndSection();
-  }
   ByteWriter journal;
-  journal.PutRaw(persistence::EncodeJournalHeader(kEpoch));
+  persistence::EncodeJournalHeader(&journal);
+  for (size_t i = 0; i < 4 * compacted; ++i) {
+    persistence::EncodeKeyIssued(key_fields(keys[i]), &journal);
+  }
+  for (size_t i = 0; i < compacted; ++i) {
+    persistence::EncodeSessionUpdate(FieldsOfLive(*all[i]), persistence::RunMarks{}, &journal);
+  }
   for (size_t i = 0; i < sessions; ++i) {
     SessionState& s = *all[i];
     persistence::RunMarks marks;
-    if (i < in_snapshot) {
-      // Five more requests' worth of appends to a snapshot session.
+    if (i < compacted) {
+      // Five more requests' worth of appends to a compacted session.
       marks = persistence::RunLengths(FieldsOfLive(s));
       s.mutable_instrumented_page_indices().push_back(21);
       s.RestoreEvents(std::vector<RequestEvent>(5));
@@ -466,12 +450,12 @@ void WriteStateDir(const std::string& dir, size_t sessions) {
     persistence::EncodeSessionUpdate(FieldsOfLive(s), marks, &journal);
     persistence::EncodeKeyConsumed(keys[4 * i].ip, keys[4 * i].key, &journal);
   }
-  std::ofstream(dir + "/journal.bin", std::ios::binary | std::ios::trunc) << journal.bytes();
+  std::ofstream(dir + "/state.bin", std::ios::binary | std::ios::trunc) << journal.bytes();
 }
 
-// Restart recovery of a generated directory of N sessions: read and verify
-// both files, replay the journal, install the tables and write the
-// recovery checkpoint. Each iteration recovers a fresh copy.
+// Restart recovery of a generated directory of N sessions: read, verify
+// and replay every record into the tables and write the recovery
+// checkpoint. Each iteration recovers a fresh copy.
 void BM_StateStoreRecover(benchmark::State& state) {
   const std::filesystem::path root = std::filesystem::temp_directory_path() /
                                      ("robodet_bench_recover_" + std::to_string(::getpid()));

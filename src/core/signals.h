@@ -75,8 +75,8 @@ struct SessionSignals {
 };
 
 // The one list of SessionSignals' first-detection indices: each one's name
-// (its sessions-CSV column) and field, in declaration order. The snapshot
-// and journal codecs, the sessions CSV and the cluster merge iterate it, so
+// (its sessions-CSV column) and field, in declaration order. The state
+// file's record codec, the sessions CSV and the cluster merge iterate it, so
 // a signal added above is added here and nowhere else. The order is the
 // persisted byte order: adding or moving an entry changes the state-file
 // format (persistence::kFormatVersion).

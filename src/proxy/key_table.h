@@ -89,8 +89,8 @@ class KeyTable {
   // counted in a previous life). The same expiry, per-IP eviction and
   // total bound apply, so entries restored in the order they were issued
   // leave the table as the issues left it. An entry that the IP already
-  // holds with the same page, key and time is not added again: the journal
-  // can repeat an issue that a checkpoint folded into the snapshot.
+  // holds with the same page, key and time is not added again: an appended
+  // record can repeat an issue that a checkpoint already compacted.
   void RestoreEntry(IpAddress ip, std::string_view page_path, std::string_view key,
                     TimeMs issued_at);
 

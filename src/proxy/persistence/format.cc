@@ -143,15 +143,6 @@ bool DecodeSessionScalars(ByteReader* r, SessionImage* s) {
   return true;
 }
 
-}  // namespace
-
-RunMarks RunLengths(const SessionFields& s) {
-  return {static_cast<uint32_t>(s.instrumented_page_indices.size()),
-          static_cast<uint32_t>(s.events.size()), static_cast<uint32_t>(s.served_links.size()),
-          static_cast<uint32_t>(s.served_embeds.size()),
-          static_cast<uint32_t>(s.visited_urls.size())};
-}
-
 void EncodeKeyEntry(const KeyEntryFields& e, ByteWriter* w) {
   w->PutU32(e.ip);
   w->PutString(e.page_path);
@@ -164,105 +155,18 @@ bool DecodeKeyEntry(ByteReader* r, KeyEntryImage* e) {
          r->ReadString(&e->key, kMaxStringBytes) && r->ReadI64(&e->issued_at);
 }
 
-void EncodeSession(const SessionFields& s, ByteWriter* w) {
-  EncodeSessionScalars(s, w);
-  w->PutI32Run(s.instrumented_page_indices);
-  EncodeEvents(s.events, w);
-  w->PutU64Run(s.served_links);
-  w->PutU64Run(s.served_embeds);
-  w->PutU64Run(s.visited_urls);
+}  // namespace
+
+RunMarks RunLengths(const SessionFields& s) {
+  return {static_cast<uint32_t>(s.instrumented_page_indices.size()),
+          static_cast<uint32_t>(s.events.size()), static_cast<uint32_t>(s.served_links.size()),
+          static_cast<uint32_t>(s.served_embeds.size()),
+          static_cast<uint32_t>(s.visited_urls.size())};
 }
 
-bool DecodeSession(ByteReader* r, SessionImage* s) {
-  return DecodeSessionScalars(r, s) &&
-         r->ReadI32Run(kMaxPageIndicesPerSession, &s->instrumented_page_indices) &&
-         DecodeEvents(r, kMaxEventsPerSession, &s->events) &&
-         r->ReadU64Run(kMaxUrlHashesPerSession, &s->served_links) &&
-         r->ReadU64Run(kMaxUrlHashesPerSession, &s->served_embeds) &&
-         r->ReadU64Run(kMaxUrlHashesPerSession, &s->visited_urls);
-}
-
-// --- Snapshot ---------------------------------------------------------
-
-SnapshotWriter::SnapshotWriter(std::ostream* out, uint64_t epoch, TimeMs created_at,
-                               uint32_t key_sections, uint32_t session_sections,
-                               std::string buffer)
-    : out_(out), section_(std::move(buffer)) {
-  section_.PutRaw(kSnapshotMagic);
-  section_.PutU32(kFormatVersion);
-  section_.PutU64(epoch);
-  section_.PutI64(created_at);
-  section_.PutU32(key_sections);
-  section_.PutU32(session_sections);
-  out_->write(section_.bytes().data(), static_cast<std::streamsize>(section_.size()));
-}
-
-ByteWriter* SnapshotWriter::BeginSection() {
-  section_.Clear();
-  BeginFrame(&section_);
-  return &section_;
-}
-
-void SnapshotWriter::EndSection() {
-  EndFrame(0, &section_);
-  out_->write(section_.bytes().data(), static_cast<std::streamsize>(section_.size()));
-}
-
-bool SnapshotReader::Open(std::istream* in) {
-  reader_ = StreamReader(in);
-  std::string_view header;
-  if (!reader_.Read(kSnapshotMagic.size() + 4 + 8 + 8 + 4 + 4, &header)) {
-    return false;
-  }
-  ByteReader r(header);
-  std::string_view magic;
-  uint32_t version = 0;
-  uint32_t key_sections = 0;
-  uint32_t session_sections = 0;
-  if (!r.ReadRaw(kSnapshotMagic.size(), &magic) || magic != kSnapshotMagic ||
-      !r.ReadU32(&version) || version != kFormatVersion || !r.ReadU64(&epoch_) ||
-      !r.ReadI64(&created_at_) || !r.ReadU32(&key_sections) || !r.ReadU32(&session_sections) ||
-      key_sections > kMaxSections || session_sections > kMaxSections) {
-    return false;
-  }
-  key_sections_ = key_sections;
-  session_sections_ = session_sections;
-  return true;
-}
-
-bool SnapshotReader::Next(std::string_view* payload, bool* key_section) {
-  for (; next_ < sections_total(); ++next_) {
-    // A frame is payload_len | payload | crc.
-    uint32_t len = 0;
-    std::string_view frame;
-    if (!reader_.ReadU32(&len) || len > kMaxSectionBytes || !reader_.Read(len + 4, &frame)) {
-      // Truncated mid-section: everything from here on is untrusted.
-      sections_dropped_ += sections_total() - next_;
-      next_ = sections_total();
-      return false;
-    }
-    largest_section_ = std::max<size_t>(largest_section_, len);
-    uint32_t crc = 0;
-    ByteReader(frame.substr(len)).ReadU32(&crc);
-    *payload = frame.substr(0, len);
-    if (crc == Crc32c(*payload)) {
-      *key_section = next_ < key_sections_;
-      ++next_;
-      return true;
-    }
-    ++sections_dropped_;
-  }
-  return false;
-}
-
-// --- Journal ----------------------------------------------------------
-
-std::string EncodeJournalHeader(uint64_t epoch) {
-  ByteWriter w;
-  w.PutRaw(kJournalMagic);
-  w.PutU32(kFormatVersion);
-  w.PutU64(epoch);
-  return w.Take();
+void EncodeJournalHeader(ByteWriter* w) {
+  w->PutRaw(kJournalMagic);
+  w->PutU32(kFormatVersion);
 }
 
 void EncodeKeyIssued(const KeyEntryFields& e, ByteWriter* w) {
@@ -350,14 +254,14 @@ bool JournalReader::Open(std::istream* in) {
   records_dropped_ = 0;
   bytes_dropped_ = 0;
   std::string_view header;
-  if (!reader_.Read(kJournalMagic.size() + 4 + 8, &header)) {
+  if (!reader_.Read(kJournalMagic.size() + 4, &header)) {
     return false;
   }
   ByteReader r(header);
   std::string_view magic;
   uint32_t version = 0;
   return r.ReadRaw(kJournalMagic.size(), &magic) && magic == kJournalMagic &&
-         r.ReadU32(&version) && version == kFormatVersion && r.ReadU64(&epoch_);
+         r.ReadU32(&version) && version == kFormatVersion;
 }
 
 bool JournalReader::Next(JournalRecord* rec) {
@@ -366,23 +270,24 @@ bool JournalReader::Next(JournalRecord* rec) {
     // A frame is frame_len | frame | crc.
     uint32_t len = 0;
     std::string_view framed;
-    uint32_t crc = 0;
-    const bool intact = reader_.ReadU32(&len) && len <= kMaxFrameBytes && len != 0 &&
-                        reader_.Read(len + 4, &framed) &&
-                        ByteReader(framed.substr(len)).ReadU32(&crc);
-    const std::string_view frame = framed.substr(0, len);
-    if (!intact || crc != Crc32c(frame)) {
-      // Torn or corrupt tail: the frame boundary can no longer be trusted,
-      // so everything from the frame start onward is abandoned.
+    if (!reader_.ReadU32(&len) || len == 0 || len > kMaxFrameBytes ||
+        !reader_.Read(len + 4, &framed)) {
+      // An out-of-bounds length or a short read: the frame boundary can no
+      // longer be trusted, so everything from the frame start on is
+      // abandoned.
       bytes_dropped_ = tail;
       reader_ = StreamReader();
       return false;
     }
-    if (DecodeJournalFrame(frame, rec)) {
+    uint32_t crc = 0;
+    ByteReader(framed.substr(len)).ReadU32(&crc);
+    const std::string_view frame = framed.substr(0, len);
+    if (crc == Crc32c(frame) && DecodeJournalFrame(frame, rec)) {
       return true;
     }
-    // CRC-valid but undecodable (e.g. record type from a newer writer):
-    // skip just this frame; the framing itself is still sound.
+    // A whole frame that fails its CRC (a flipped byte) or does not decode
+    // (a record type from a newer writer): skip just this frame, as its
+    // length still marks where the next one starts.
     ++records_dropped_;
     *rec = JournalRecord{};
   }

@@ -15,16 +15,17 @@ namespace {
 
 using persistence::JournalRecord;
 using persistence::JournalRecordType;
-using persistence::KeyEntryImage;
 using persistence::RunMarks;
 using persistence::SessionImage;
+
+constexpr char kStateFile[] = "/state.bin";
 
 // Size-based checkpoint trigger, beside snapshot_interval_records:
 // whichever fires first.
 constexpr size_t kMaxJournalBytes = 64u << 20;
 
 // Stage histograms observe only what their counter counts (an appended
-// record, a written snapshot), so each one's count equals its counter's.
+// record, a rewritten file), so each one's count equals its counter's.
 void ObserveUsSince(HistogramMetric* hist, uint64_t t0) {
   if (hist != nullptr) {
     hist->Observe(static_cast<double>(MonotonicNanos() - t0) / 1000.0);
@@ -53,22 +54,17 @@ bool ExtendAtMark(uint32_t* decoded, uint32_t mark, size_t n) {
   return true;
 }
 
-// Applies decoded sessions to the live table as they are read: snapshot
-// entries, then journal updates and closes, each to the session it names.
+// Applies decoded session records to the live table as they are read,
+// each to the session it names.
 class SessionReplay {
  public:
   explicit SessionReplay(SessionTable* table) : table_(table) {}
 
-  // A snapshot entry; a later entry with the same id replaces it.
-  void Install(const SessionImage& img) {
-    Drop(img.id);
-    Apply(img, RunMarks{}, &Create(img));
-  }
-
-  // A journal update: overwrites the session's scalars and appends each
-  // run's suffix whose run is exactly at its mark. An update whose key or
-  // start differs from its session's (no writer makes one) starts the
-  // session afresh.
+  // An update: overwrites the session's scalars and appends each run's
+  // suffix whose run is exactly at its mark. An update for a new id
+  // creates the session, as a checkpoint's update from marks 0 does. An
+  // update whose key or start differs from its session's (no writer makes
+  // one) starts the session afresh.
   void Update(const persistence::SessionUpdateImage& u) {
     const SessionImage& d = u.delta;
     const auto it = restored_.find(d.id);
@@ -183,8 +179,7 @@ StateStore::~StateStore() {
   }
 }
 
-std::string StateStore::snapshot_path() const { return config_.state_dir + "/snapshot.bin"; }
-std::string StateStore::journal_path() const { return config_.state_dir + "/journal.bin"; }
+std::string StateStore::state_path() const { return config_.state_dir + kStateFile; }
 
 void StateStore::BindMetrics(MetricsRegistry& registry) {
   metrics_.journal_records =
@@ -208,8 +203,6 @@ void StateStore::BindMetrics(MetricsRegistry& registry) {
       registry.FindOrCreateCounter("robodet_recovery_key_entries_restored_total");
   metrics_.recovery_sessions =
       registry.FindOrCreateCounter("robodet_recovery_sessions_restored_total");
-  metrics_.recovery_sections_dropped =
-      registry.FindOrCreateCounter("robodet_recovery_snapshot_sections_dropped_total");
   metrics_.recovery_records_applied =
       registry.FindOrCreateCounter("robodet_recovery_journal_records_applied_total");
   metrics_.recovery_records_dropped =
@@ -218,7 +211,7 @@ void StateStore::BindMetrics(MetricsRegistry& registry) {
       registry.FindOrCreateCounter("robodet_recovery_journal_bytes_dropped_total");
 }
 
-RecoveryReport StateStore::Recover(TimeMs now) {
+RecoveryReport StateStore::Recover(TimeMs /*now*/) {
   RecoveryReport rep;
   if (!config_.enabled()) {
     recovery_ = rep;
@@ -228,40 +221,18 @@ RecoveryReport StateStore::Recover(TimeMs now) {
 
   std::lock_guard<std::mutex> lock(mu_);
 
-  // Each snapshot entry and journal record goes into the live tables as
-  // it is read, in file order, so recovery holds one section or one
-  // record beside them. Keys replay through the table's own expiry and
-  // eviction, so the table ends as the issues and consumes left it.
-  uint64_t snapshot_epoch = 0;
-  bool journal_parsed = false;
-  uint64_t journal_epoch = 0;
+  // Each record goes into the live tables as it is read, in file order, so
+  // recovery holds one record beside them. Keys replay through the table's
+  // own expiry and eviction, so the table ends as the issues and consumes
+  // left it.
   {
-    SessionReplay sessions(sessions_);
-    std::ifstream snapshot_in(snapshot_path(), std::ios::binary);
-    persistence::SnapshotReader snapshot;
-    if (snapshot_in && snapshot.Open(&snapshot_in)) {
-      rep.snapshot_loaded = true;
-      snapshot_epoch = snapshot.epoch();
-      snapshot.ForEachEntry(
-          [this](const KeyEntryImage& k) {
-            keys_->RestoreEntry(IpAddress(k.ip), k.page_path, k.key, k.issued_at);
-          },
-          [&sessions](const SessionImage& s) { sessions.Install(s); });
-      rep.snapshot_sections_dropped = snapshot.sections_dropped();
-      section_bytes_ = snapshot.largest_section();
-    }
-    std::ifstream journal_in(journal_path(), std::ios::binary);
-    persistence::JournalReader journal;
-    journal_parsed = journal_in && journal.Open(&journal_in);
-    journal_epoch = journal.epoch();
-    // A journal belongs to the snapshot with the same epoch. With no
-    // usable snapshot we still replay (records are self-contained); with a
-    // mismatched epoch the journal is stale — its effects are already
-    // folded into the snapshot — and is ignored.
-    if (journal_parsed && (!rep.snapshot_loaded || journal_epoch == snapshot_epoch)) {
-      rep.journal_replayed = true;
+    std::ifstream in(state_path(), std::ios::binary);
+    persistence::JournalReader reader;
+    if (in && reader.Open(&in)) {
+      rep.cold_start = false;
+      SessionReplay sessions(sessions_);
       JournalRecord rec;
-      while (journal.Next(&rec)) {
+      while (reader.Next(&rec)) {
         switch (rec.type) {
           case JournalRecordType::kKeyIssued:
             keys_->RestoreEntry(IpAddress(rec.key.ip), rec.key.page_path, rec.key.key,
@@ -279,96 +250,78 @@ RecoveryReport StateStore::Recover(TimeMs now) {
         }
         ++rep.journal_records_applied;
       }
-      rep.journal_records_dropped = journal.records_dropped();
-      rep.journal_bytes_dropped = journal.bytes_dropped();
+      rep.journal_records_dropped = reader.records_dropped();
+      rep.journal_bytes_dropped = reader.bytes_dropped();
     }
   }
 
-  rep.cold_start = !rep.snapshot_loaded && !rep.journal_replayed;
   // Recovery fills empty tables, so what they hold now is what was
   // restored.
   rep.key_entries_restored = keys_->total_entries();
   rep.sessions_restored = sessions_->active_count();
 
-  // Start the new life from a consistent base: fold the salvage into a
-  // fresh snapshot and an empty journal at a new epoch.
-  epoch_ = std::max(rep.snapshot_loaded ? snapshot_epoch : 0, journal_parsed ? journal_epoch : 0);
-  CheckpointLocked(now);
-  rep.epoch = epoch_;
+  // Start the new life from a whole file: the salvage compacted into one
+  // record per key and session.
+  CheckpointLocked();
 
   recovery_ = rep;
   IncIfBound(rep.cold_start ? metrics_.recovery_cold_starts : metrics_.recovery_warm_starts);
   IncIfBound(metrics_.recovery_key_entries, rep.key_entries_restored);
   IncIfBound(metrics_.recovery_sessions, rep.sessions_restored);
-  IncIfBound(metrics_.recovery_sections_dropped, rep.snapshot_sections_dropped);
   IncIfBound(metrics_.recovery_records_applied, rep.journal_records_applied);
   IncIfBound(metrics_.recovery_records_dropped, rep.journal_records_dropped);
   IncIfBound(metrics_.recovery_bytes_dropped, rep.journal_bytes_dropped);
   return rep;
 }
 
-bool StateStore::Checkpoint(TimeMs now) {
+bool StateStore::Checkpoint() {
   if (!config_.enabled()) {
     return false;
   }
   std::lock_guard<std::mutex> lock(mu_);
-  return CheckpointLocked(now);
+  return CheckpointLocked();
 }
 
-bool StateStore::CheckpointLocked(TimeMs now) {
+bool StateStore::CheckpointLocked() {
   const uint64_t t0 = MonotonicNanos();
-  const uint64_t next = epoch_ + 1;
-  // Each section goes to a temporary file as it is encoded, and the file
-  // replaces the snapshot by rename, so readers see the old snapshot or
-  // the new one, never a torn middle.
-  const std::string tmp_path = snapshot_path() + ".tmp";
+  // The records go to a temporary file as they are encoded, and the file
+  // replaces state.bin by rename, so a crash leaves the old file or the new
+  // one whole, never a torn middle.
+  const std::string tmp_path = state_path() + ".tmp";
   std::unordered_map<uint64_t, persistence::RunMarks> fresh_marks;
   fresh_marks.reserve(sessions_->active_count());
-  size_t largest = 0;
   bool written = false;
   {
     std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    // One section buffer, reserved from the last snapshot's largest
-    // section so it is filled once instead of regrowing.
-    std::string buffer;
-    buffer.reserve(section_bytes_ + section_bytes_ / 4);
-    persistence::SnapshotWriter writer(&out, next, now, static_cast<uint32_t>(keys_->num_shards()),
-                                       static_cast<uint32_t>(sessions_->num_shards()),
-                                       std::move(buffer));
+    auto write = [&out, this] {
+      out.write(record_.bytes().data(), static_cast<std::streamsize>(record_.size()));
+      record_.Clear();
+    };
+    record_.Clear();
+    persistence::EncodeJournalHeader(&record_);
+    write();
     for (size_t i = 0; i < keys_->num_shards(); ++i) {
-      const auto entries = keys_->ExportShard(i);
-      ByteWriter* payload = writer.BeginSection();
-      payload->PutU32(static_cast<uint32_t>(entries.size()));
-      for (const auto& e : entries) {
-        persistence::EncodeKeyEntry({e.ip, e.page_path, e.key, e.issued_at}, payload);
+      for (const auto& e : keys_->ExportShard(i)) {
+        persistence::EncodeKeyIssued({e.ip, e.page_path, e.key, e.issued_at}, &record_);
+        write();
       }
-      largest = std::max(largest, payload->size());
-      writer.EndSection();
     }
     for (size_t i = 0; i < sessions_->num_shards(); ++i) {
-      ByteWriter* payload = writer.BeginSection();
-      const size_t count_at = payload->size();
-      payload->PutU32(0);
-      uint32_t count = 0;
       // Encoded straight from the live sessions, in id order, under the
       // shard's lock.
       sessions_->ForEachSessionInShard(i, [&](const SessionState& s) {
         const persistence::SessionFields f = FieldsOfLive(s);
-        persistence::EncodeSession(f, payload);
+        persistence::EncodeSessionUpdate(f, RunMarks{}, &record_);
+        write();
         fresh_marks[f.id] = persistence::RunLengths(f);
-        ++count;
       });
-      payload->PatchU32(count_at, count);
-      largest = std::max(largest, payload->size());
-      writer.EndSection();
     }
     out.close();
     written = !out.fail();
   }
-  section_bytes_ = largest;
   std::error_code ec;
   if (written) {
-    std::filesystem::rename(tmp_path, snapshot_path(), ec);
+    std::filesystem::rename(tmp_path, state_path(), ec);
   }
   if (!written || ec) {
     std::filesystem::remove(tmp_path, ec);
@@ -379,18 +332,10 @@ bool StateStore::CheckpointLocked(TimeMs now) {
     journal_.close();
   }
   journal_.clear();
-  journal_.open(journal_path(), std::ios::binary | std::ios::trunc);
+  journal_.open(state_path(), std::ios::binary | std::ios::app);
   journal_open_ = journal_.is_open();
-  journal_bytes_ = 0;
-  if (journal_open_) {
-    const std::string header = persistence::EncodeJournalHeader(next);
-    journal_.write(header.data(), static_cast<std::streamsize>(header.size()));
-    journal_.flush();
-    journal_open_ = static_cast<bool>(journal_);
-    journal_bytes_ = header.size();
-  }
-  epoch_ = next;
   records_since_checkpoint_ = 0;
+  journal_bytes_ = 0;
   marks_ = std::move(fresh_marks);
   IncIfBound(metrics_.checkpoints);
   ObserveUsSince(metrics_.checkpoint_us, t0);
@@ -401,8 +346,7 @@ bool StateStore::CheckpointLocked(TimeMs now) {
 }
 
 template <typename Encode>
-void StateStore::AppendLocked(TimeMs now, Encode encode) {
-  last_now_ = std::max(last_now_, now);
+void StateStore::AppendLocked(Encode encode) {
   if (!journal_open_) {
     return;
   }
@@ -427,30 +371,34 @@ void StateStore::AppendLocked(TimeMs now, Encode encode) {
                               records_since_checkpoint_ >= config_.snapshot_interval_records;
   const bool size_trigger = journal_bytes_ >= kMaxJournalBytes;
   if (record_trigger || size_trigger) {
-    CheckpointLocked(last_now_);
+    // The counts restart on the attempt, not on its success: under a
+    // lasting failure (a full disk) the checkpoint retries once an
+    // interval, not on every append.
+    records_since_checkpoint_ = 0;
+    journal_bytes_ = 0;
+    CheckpointLocked();
   }
 }
 
 void StateStore::OnKeyIssued(IpAddress ip, const std::string& page_path, const std::string& key,
                              TimeMs issued_at) {
   std::lock_guard<std::mutex> lock(mu_);
-  AppendLocked(issued_at, [&](ByteWriter* w) {
+  AppendLocked([&](ByteWriter* w) {
     persistence::EncodeKeyIssued({ip.value(), page_path, key, issued_at}, w);
   });
 }
 
 void StateStore::OnKeyConsumed(IpAddress ip, const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
-  AppendLocked(last_now_,
-               [&](ByteWriter* w) { persistence::EncodeKeyConsumed(ip.value(), key, w); });
+  AppendLocked([&](ByteWriter* w) { persistence::EncodeKeyConsumed(ip.value(), key, w); });
 }
 
-// Journals each run from its mark on, then moves the marks to the runs'
-// ends. While the journal is closed the marks stay put: the checkpoint
-// that reopens it resets them all.
+// Appends each run from its mark on, then moves the marks to the runs'
+// ends. While the file is closed the marks stay put: the checkpoint that
+// reopens it resets them all.
 void StateStore::OnSessionUpdated(const SessionState& session) {
   std::lock_guard<std::mutex> lock(mu_);
-  AppendLocked(session.last_request_time(), [&](ByteWriter* w) {
+  AppendLocked([&](ByteWriter* w) {
     const persistence::SessionFields f = FieldsOfLive(session);
     persistence::RunMarks& marks = marks_[f.id];
     persistence::EncodeSessionUpdate(f, marks, w);
@@ -461,8 +409,7 @@ void StateStore::OnSessionUpdated(const SessionState& session) {
 void StateStore::OnSessionClosed(const SessionState& session) {
   std::lock_guard<std::mutex> lock(mu_);
   marks_.erase(session.id());
-  AppendLocked(session.last_request_time(),
-               [&](ByteWriter* w) { persistence::EncodeSessionClosed(session.id(), w); });
+  AppendLocked([&](ByteWriter* w) { persistence::EncodeSessionClosed(session.id(), w); });
 }
 
 void StateStore::OnCrash() {
@@ -476,54 +423,35 @@ void StateStore::OnCrash() {
 
 InspectionResult InspectState(const std::string& state_dir) {
   InspectionResult res;
-  const std::string snap_path = state_dir + "/snapshot.bin";
-  const std::string jrnl_path = state_dir + "/journal.bin";
+  const std::string path = state_dir + kStateFile;
   std::error_code ec;
-  res.snapshot_present = std::filesystem::exists(snap_path, ec);
-  res.journal_present = std::filesystem::exists(jrnl_path, ec);
-
-  if (res.snapshot_present) {
-    std::ifstream in(snap_path, std::ios::binary);
-    persistence::SnapshotReader reader;
-    if (in && reader.Open(&in)) {
-      res.snapshot_valid = true;
-      res.snapshot.epoch = reader.epoch();
-      res.snapshot.created_at = reader.created_at();
-      reader.ForEachEntry([&res](const KeyEntryImage&) { ++res.snapshot.keys; },
-                          [&res](const SessionImage&) { ++res.snapshot.sessions; });
-      res.snapshot.sections_total = reader.sections_total();
-      res.snapshot.sections_dropped = reader.sections_dropped();
-    }
-    if (!res.snapshot_valid || res.snapshot.sections_dropped > 0) {
-      res.clean = false;
+  res.present = std::filesystem::exists(path, ec);
+  std::ifstream in(path, std::ios::binary);
+  persistence::JournalReader reader;
+  res.valid = res.present && in && reader.Open(&in);
+  if (!res.valid) {
+    return res;
+  }
+  persistence::JournalRecord rec;
+  while (reader.Next(&rec)) {
+    switch (rec.type) {
+      case JournalRecordType::kKeyIssued:
+        ++res.key_issues;
+        break;
+      case JournalRecordType::kKeyConsumed:
+        ++res.key_consumes;
+        break;
+      case JournalRecordType::kSessionUpdate:
+        ++res.session_updates;
+        break;
+      case JournalRecordType::kSessionClosed:
+        ++res.session_closes;
+        break;
     }
   }
-  if (res.journal_present) {
-    std::ifstream in(jrnl_path, std::ios::binary);
-    persistence::JournalReader reader;
-    if (in && reader.Open(&in)) {
-      res.journal_valid = true;
-      res.journal.epoch = reader.epoch();
-      persistence::JournalRecord rec;
-      while (reader.Next(&rec)) {
-        ++res.journal.records;
-      }
-      res.journal.records_dropped = reader.records_dropped();
-      res.journal.bytes_dropped = reader.bytes_dropped();
-    }
-    if (!res.journal_valid || res.journal.records_dropped > 0 || res.journal.bytes_dropped > 0) {
-      res.clean = false;
-    }
-  }
-  if (res.snapshot_valid && res.journal_valid) {
-    res.epoch_match = res.snapshot.epoch == res.journal.epoch;
-    // A journal older than the snapshot is the legitimate
-    // crash-during-checkpoint window (its effects are already folded in);
-    // a journal from the future is not explainable by any valid history.
-    if (res.journal.epoch > res.snapshot.epoch) {
-      res.clean = false;
-    }
-  }
+  res.records_dropped = reader.records_dropped();
+  res.bytes_dropped = reader.bytes_dropped();
+  res.clean = res.records_dropped == 0 && res.bytes_dropped == 0;
   return res;
 }
 

@@ -1,31 +1,30 @@
 // Crash-safe persistence for the proxy's detection state (§2's key table
-// and the session table). A StateStore pairs a checksummed snapshot file
-// with an append-only journal of mutations:
+// and the session table). A StateStore keeps one file, state.bin, of
+// CRC-framed records (format.h):
 //
-//   - A checkpoint serializes the tables one shard at a time (holding one
-//     table lock stripe at a time), writing each shard's section to
-//     snapshot.bin.tmp as it is encoded and renaming the file over the
-//     snapshot at the end, and resets the journal at a new epoch. It holds
-//     the store's own mutex throughout, so journal appends wait for it.
-//     Recover() and the journal triggers below run one; Checkpoint() is
-//     the explicit entry that tests use to compact at a chosen moment.
-//   - Between checkpoints, every key issue/consume and every session
-//     mutation appends one journal record, flushed immediately.
-//   - Recover() streams snapshot + journal into the live tables, one
-//     section or record at a time, and checkpoints — so a process that
-//     crashes during recovery still starts its journal from a consistent
-//     snapshot.
-// So beside the live tables, the store holds one section or one record.
+//   - Every key issue/consume and every session mutation appends one
+//     record, flushed immediately.
+//   - A checkpoint rewrites the file as one record per live key and
+//     session: it writes them to state.bin.tmp one table shard at a time
+//     (holding one table lock stripe at a time), renames the file over
+//     state.bin and keeps appending to it. It holds the store's own mutex
+//     throughout, so appends wait for it. Recover() and the append
+//     triggers below run one; Checkpoint() is the explicit entry that
+//     tests use to compact at a chosen moment.
+//   - Recover() streams the file into the live tables one record at a
+//     time and checkpoints, so a process that crashes during recovery
+//     still restarts from a whole file.
+// So beside the live tables, the store holds one record.
 //
 // Replay is idempotent (session updates overwrite scalars and append
 // suffixes guarded by run marks; a key issue the table already holds
 // exactly is not added twice), which is what makes a checkpoint taken
 // concurrently with serving safe: a mutation that lands in both the
-// snapshot and the journal applies once.
+// compacted records and an appended one applies once.
 //
 // All on-disk input is treated as hostile; see format.h for the limits and
-// salvage semantics. A fully corrupt state directory degrades to a cold
-// start — never a crash — with recovery_ metrics recording the outcome.
+// salvage rules. A corrupt or missing file degrades to a cold start —
+// never a crash — with recovery_ metrics recording the outcome.
 #ifndef ROBODET_SRC_PROXY_PERSISTENCE_STATE_STORE_H_
 #define ROBODET_SRC_PROXY_PERSISTENCE_STATE_STORE_H_
 
@@ -44,9 +43,9 @@
 namespace robodet {
 
 struct PersistenceConfig {
-  // Directory for snapshot.bin + journal.bin; empty disables persistence.
+  // Directory for state.bin; empty disables persistence.
   std::string state_dir;
-  // Journal records between automatic checkpoints. A 64 MB journal also
+  // Records appended between automatic checkpoints. 64 MB appended also
   // triggers one, whichever fires first; with 0, only that size trigger
   // compacts.
   uint64_t snapshot_interval_records = 8192;
@@ -57,14 +56,11 @@ struct PersistenceConfig {
 // What recovery found and salvaged; mirrored into recovery_ metrics.
 struct RecoveryReport {
   bool attempted = false;
-  // True when nothing usable was on disk (first boot or corrupt header).
+  // True when nothing usable was on disk (first boot, or no valid header).
   bool cold_start = true;
-  bool snapshot_loaded = false;
-  bool journal_replayed = false;
-  uint64_t epoch = 0;  // Epoch in effect after the recovery checkpoint.
   size_t key_entries_restored = 0;
   size_t sessions_restored = 0;
-  size_t snapshot_sections_dropped = 0;
+  // What the walk of state.bin applied and dropped (JournalReader).
   size_t journal_records_applied = 0;
   size_t journal_records_dropped = 0;
   size_t journal_bytes_dropped = 0;
@@ -87,16 +83,17 @@ class StateStore : public KeyTable::Observer {
 
   // Loads whatever state the directory holds into the tables, which must
   // be empty, and checkpoints. Call once before serving (and after a
-  // simulated crash). `now` is used only to stamp the fresh snapshot.
+  // simulated crash). The file holds no clock, so `now` is not read; it
+  // stays for the callers that pass the proxy's clock.
   RecoveryReport Recover(TimeMs now);
 
-  // Writes a fresh snapshot and resets the journal. Safe concurrently
-  // with serving (see header comment). False on I/O failure (journaling
-  // continues against the old epoch). Test seam: serving code relies on
-  // the automatic triggers.
-  bool Checkpoint(TimeMs now);
+  // Rewrites state.bin as the live tables' records. Safe concurrently
+  // with serving (see header comment). False on I/O failure (appends
+  // continue on the old file). Test seam: serving code relies on the
+  // automatic triggers.
+  bool Checkpoint();
 
-  // Simulated crash: abandon the journal handle without checkpointing.
+  // Simulated crash: abandon the file handle without checkpointing.
   // On-disk state stays exactly as the last flushed record left it.
   void OnCrash();
 
@@ -113,8 +110,7 @@ class StateStore : public KeyTable::Observer {
 
   const RecoveryReport& last_recovery() const { return recovery_; }
 
-  std::string snapshot_path() const;
-  std::string journal_path() const;
+  std::string state_path() const;
 
  private:
   struct StoreMetrics {
@@ -126,7 +122,6 @@ class StateStore : public KeyTable::Observer {
     Counter* recovery_warm_starts = nullptr;
     Counter* recovery_key_entries = nullptr;
     Counter* recovery_sessions = nullptr;
-    Counter* recovery_sections_dropped = nullptr;
     Counter* recovery_records_applied = nullptr;
     Counter* recovery_records_dropped = nullptr;
     Counter* recovery_bytes_dropped = nullptr;
@@ -134,10 +129,10 @@ class StateStore : public KeyTable::Observer {
     HistogramMetric* checkpoint_us = nullptr;
   };
 
-  bool CheckpointLocked(TimeMs now);
+  bool CheckpointLocked();
   // Encodes one record into record_ through `encode` and appends it.
   template <typename Encode>
-  void AppendLocked(TimeMs now, Encode encode);
+  void AppendLocked(Encode encode);
 
   PersistenceConfig config_;
   KeyTable* keys_;
@@ -147,19 +142,17 @@ class StateStore : public KeyTable::Observer {
 
   mutable std::mutex mu_;
   // All below guarded by mu_.
+  // state.bin, open for append.
   std::ofstream journal_;
   bool journal_open_ = false;
-  uint64_t epoch_ = 0;
+  // What was appended since the last checkpoint attempt; the triggers
+  // count only these, not the compacted records.
   uint64_t records_since_checkpoint_ = 0;
   size_t journal_bytes_ = 0;
-  TimeMs last_now_ = 0;
-  // The largest section of the last snapshot read or written; the next
-  // checkpoint's section buffer reserves it.
-  size_t section_bytes_ = 0;
-  // Per session, how much of each run the journal or the latest snapshot
-  // holds.
+  // Per session, how much of each run state.bin holds.
   std::unordered_map<uint64_t, persistence::RunMarks> marks_;
-  // Every record is encoded here, reusing its storage.
+  // Every record, appended or compacted, is encoded here, reusing its
+  // storage.
   ByteWriter record_;
 };
 
@@ -170,30 +163,19 @@ persistence::SessionFields FieldsOfLive(const SessionState& s);
 // Read-only validation of a state directory, for tools/robodet_statedump.
 // Never mutates files.
 struct InspectionResult {
-  bool snapshot_present = false;
-  bool journal_present = false;
-  bool snapshot_valid = false;  // header parsed
-  bool journal_valid = false;   // header parsed
-  bool epoch_match = false;     // journal belongs to this snapshot
-  // Strictly clean: nothing dropped, no torn tail, epochs consistent.
-  bool clean = true;
-  // The snapshot's header, the entries of its intact sections, and how
-  // many sections it declares and dropped.
-  struct {
-    uint64_t epoch = 0;
-    TimeMs created_at = 0;
-    size_t keys = 0;
-    size_t sessions = 0;
-    size_t sections_total = 0;
-    size_t sections_dropped = 0;
-  } snapshot;
-  // The journal's epoch, its intact records, and what its walk dropped.
-  struct {
-    uint64_t epoch = 0;
-    size_t records = 0;
-    size_t records_dropped = 0;
-    size_t bytes_dropped = 0;
-  } journal;
+  bool present = false;
+  bool valid = false;  // header parsed
+  // Strictly clean: present, valid, nothing dropped, no torn tail.
+  bool clean = false;
+  // Intact records, by type, and what the walk dropped.
+  size_t key_issues = 0;
+  size_t key_consumes = 0;
+  size_t session_updates = 0;
+  size_t session_closes = 0;
+  size_t records_dropped = 0;
+  size_t bytes_dropped = 0;
+
+  size_t records() const { return key_issues + key_consumes + session_updates + session_closes; }
 };
 
 InspectionResult InspectState(const std::string& state_dir);

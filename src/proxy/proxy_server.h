@@ -76,7 +76,7 @@ struct ProxyConfig {
   ResilienceConfig resilience;
 
   // Crash-safe state: with a state_dir set, the key and session tables are
-  // snapshotted + journaled there and recovered on construction (and after
+  // journaled there and recovered on construction (and after
   // SimulateCrashRestart). See src/proxy/persistence/state_store.h.
   PersistenceConfig persistence;
 

@@ -262,7 +262,7 @@ class SessionState {
 
   // --- Recovery-only hooks --------------------------------------------
   // Used by the persistence layer to rebuild a session from decoded
-  // snapshot entries and journal records. Not for serving paths: they
+  // records. Not for serving paths: they
   // bypass the signal-marking logic that RecordRequest enforces.
   void RestoreScalars(TimeMs last_request, int request_count, int instrumented_pages,
                       bool blocked, int cgi_requests, int get_requests, int error_responses) {

@@ -80,7 +80,7 @@ class SessionTable {
   size_t num_shards() const { return shards_.size(); }
 
   // Visits every session in one shard, in id order, under that shard's
-  // lock; `fn` must not re-enter the table. Used by the persistence layer to snapshot one
+  // lock; `fn` must not re-enter the table. Used by the persistence layer to checkpoint one
   // stripe at a time without stalling the others.
   void ForEachSessionInShard(size_t shard_index, const std::function<void(const SessionState&)>& fn);
 

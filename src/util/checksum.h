@@ -1,5 +1,5 @@
-// CRC32C (Castagnoli) checksums for the persistence layer. Every snapshot
-// section and journal record carries one so that recovery can tell a torn
+// CRC32C (Castagnoli) checksums for the persistence layer. Every record of
+// the state file carries one so that recovery can tell a torn
 // or bit-rotted tail from valid state without trusting a single byte of
 // the input. Portable slicing-by-8 (eight table lookups per eight input
 // bytes, no CPU-specific instructions): recovery checksums every byte of

@@ -412,7 +412,7 @@ void WriteDurableDir(const std::string& dir, int visitors) {
   Rng rng(29);
   for (int v = 0; v < visitors; ++v) {
     if (v == visitors * 83 / 100) {
-      ASSERT_TRUE(proxy.state_store()->Checkpoint(clock.Now()));
+      ASSERT_TRUE(proxy.state_store()->Checkpoint());
     }
     const IpAddress ip(0xac100001u + static_cast<uint32_t>(v));
     const std::string agent = kAgents[v % 4];
@@ -453,13 +453,13 @@ void WriteDurableDir(const std::string& dir, int visitors) {
 
 // What a durable daemon's state costs in heap beyond the state itself:
 // recovery's peak above what it leaves live, and a checkpoint's peak
-// above the heap it starts from, on a durable_io-shaped directory. Both
-// files stream through one section or record at a time, so recovery peaks
-// at about one snapshot section and its replay index above the tables,
-// whatever the journal's length, and a checkpoint at about one section.
-// When each file was read and written whole, recovery peaked 4.43 MB
-// above the 2.34 MB it left live (10.3 MB with the journal four times as
-// long) and a checkpoint 1.69 MB above its start.
+// above the heap it starts from, on a durable_io-shaped directory. The
+// file streams through one record at a time, so recovery peaks at about
+// its replay index and the largest record above the tables, whatever the
+// file's length, and a checkpoint at about one key shard's export and the
+// marks it rebuilds. When the state was read and written whole, recovery
+// peaked 4.43 MB above the 2.34 MB it left live (10.3 MB with four times
+// the records) and a checkpoint 1.69 MB above its start.
 class StateStoreHeapTest : public ::testing::Test {
  protected:
   StateStoreHeapTest()
@@ -496,7 +496,7 @@ class StateStoreHeapTest : public ::testing::Test {
     f.keys = report.key_entries_restored;
     ResetPeakBytes();
     const int64_t start = LiveBytes();
-    EXPECT_TRUE(store.Checkpoint(1 << 30));
+    EXPECT_TRUE(store.Checkpoint());
     f.checkpoint_peak = PeakBytes() - start;
     keys.set_observer(nullptr);
     return f;
@@ -508,11 +508,10 @@ class StateStoreHeapTest : public ::testing::Test {
 TEST_F(StateStoreHeapTest, RecoveryAndCheckpointPeaks) {
   const std::string source = (root_ / "source").string();
   WriteDurableDir(source, 1200);
-  const size_t snapshot = std::filesystem::file_size(source + "/snapshot.bin");
-  const size_t journal = std::filesystem::file_size(source + "/journal.bin");
+  const size_t state = std::filesystem::file_size(source + "/state.bin");
   const Figures f = Measure(source, "plain");
-  std::printf("directory: snapshot %zu B, journal %zu B; %zu sessions, %zu keys\n", snapshot,
-              journal, f.sessions, f.keys);
+  std::printf("directory: state.bin %zu B; %zu sessions, %zu keys\n", state, f.sessions,
+              f.keys);
   std::printf("Recover: live %lld B, peak above live %lld B; Checkpoint: peak %lld B\n",
               static_cast<long long>(f.live), static_cast<long long>(f.recover_peak),
               static_cast<long long>(f.checkpoint_peak));
@@ -521,16 +520,16 @@ TEST_F(StateStoreHeapTest, RecoveryAndCheckpointPeaks) {
   EXPECT_LE(f.recover_peak, 256 << 10);
   EXPECT_LE(f.checkpoint_peak, 256 << 10);
 
-  // The same directory with a journal four times as long that ends in the
+  // The same directory with a file four times as long that ends in the
   // same state: each padding record pair issues and consumes a key.
   const std::string longer = (root_ / "longer").string();
   std::filesystem::copy(source, longer);
   {
-    std::ofstream out(longer + "/journal.bin", std::ios::binary | std::ios::app);
+    std::ofstream out(longer + "/state.bin", std::ios::binary | std::ios::app);
     ByteWriter w;
     Rng rng(31);
     size_t added = 0;
-    for (uint32_t i = 0; added < 3 * journal; ++i) {
+    for (uint32_t i = 0; added < 3 * state; ++i) {
       w.Clear();
       const std::string key = rng.HexKey128();
       const IpAddress ip(0x0c000001u + i % 4096);
@@ -541,7 +540,7 @@ TEST_F(StateStoreHeapTest, RecoveryAndCheckpointPeaks) {
     }
   }
   const Figures g = Measure(longer, "longer_run");
-  std::printf("4x journal: live %lld B, peak above live %lld B\n", static_cast<long long>(g.live),
+  std::printf("4x file: live %lld B, peak above live %lld B\n", static_cast<long long>(g.live),
               static_cast<long long>(g.recover_peak));
   EXPECT_EQ(g.sessions, f.sessions);
   EXPECT_EQ(g.keys, f.keys);

@@ -1,12 +1,11 @@
-// Hostile-input hardening for the persistence load path. Snapshot and
-// journal files are read back after crashes — exactly when their bytes are
-// least trustworthy — so SnapshotReader and JournalReader must survive
-// random garbage, bit flips in valid files, and truncation at every offset
-// without crashing, and everything they accept must respect the format's
-// hard limits. Both read a file one section or record at a time; read
-// from files torn at every offset, and with frames larger than a stream's
-// own buffer, they must decode exactly what a decode of the whole file
-// held in memory does.
+// Hostile-input hardening for the persistence load path. The state file
+// is read back after crashes — exactly when its bytes are least
+// trustworthy — so JournalReader must survive random garbage, bit flips in
+// valid files, and truncation at every offset without crashing, and
+// everything it accepts must respect the format's hard limits. It reads a
+// file one record at a time; read from files torn at every offset, and
+// with frames larger than a stream's own buffer, it must decode exactly
+// what a decode of the whole file held in memory does.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -32,8 +31,6 @@ using persistence::JournalReader;
 using persistence::JournalRecord;
 using persistence::KeyEntryImage;
 using persistence::SessionImage;
-using persistence::SnapshotContents;
-using persistence::SnapshotWriter;
 
 KeyEntryImage MakeKey(Rng& rng) {
   KeyEntryImage e;
@@ -72,34 +69,9 @@ std::unique_ptr<SessionState> MakeSession(Rng& rng, uint64_t id) {
   return s;
 }
 
-std::string MakeValidSnapshot(Rng& rng) {
-  std::ostringstream out;
-  SnapshotWriter writer(&out, 3, 1000, 2, 2);
-  for (int section = 0; section < 2; ++section) {
-    ByteWriter* payload = writer.BeginSection();
-    const size_t n = 1 + rng.UniformU64(4);
-    payload->PutU32(static_cast<uint32_t>(n));
-    for (size_t i = 0; i < n; ++i) {
-      const KeyEntryImage k = MakeKey(rng);
-      persistence::EncodeKeyEntry({k.ip, k.page_path, k.key, k.issued_at}, payload);
-    }
-    writer.EndSection();
-  }
-  for (int section = 0; section < 2; ++section) {
-    ByteWriter* payload = writer.BeginSection();
-    const size_t n = 1 + rng.UniformU64(3);
-    payload->PutU32(static_cast<uint32_t>(n));
-    for (size_t i = 0; i < n; ++i) {
-      EncodeSession(FieldsOfLive(*MakeSession(rng, 100 + rng.UniformU64(1000))), payload);
-    }
-    writer.EndSection();
-  }
-  return out.str();
-}
-
 std::string MakeValidJournal(Rng& rng) {
   ByteWriter w;
-  w.PutRaw(persistence::EncodeJournalHeader(3));
+  persistence::EncodeJournalHeader(&w);
   const size_t n = 2 + rng.UniformU64(10);
   for (size_t i = 0; i < n; ++i) {
     switch (rng.UniformU64(4)) {
@@ -127,8 +99,26 @@ std::string MakeValidJournal(Rng& rng) {
   return w.Take();
 }
 
-// Walks a whole journal, as recovery and inspection do: the count of its
-// intact records, or nullopt when its header is invalid.
+// Everything an accepting parse hands back must already be clamped.
+void CheckRecordInvariants(const JournalRecord& rec) {
+  EXPECT_LE(rec.key.page_path.size(), persistence::kMaxStringBytes);
+  EXPECT_LE(rec.key.key.size(), persistence::kMaxStringBytes);
+  const SessionImage& s = rec.update.delta;
+  EXPECT_LE(s.user_agent.size(), persistence::kMaxStringBytes);
+  EXPECT_LE(s.events.size(), persistence::kMaxEventsPerSession);
+  EXPECT_LE(s.served_links.size(), persistence::kMaxUrlHashesPerSession);
+  EXPECT_LE(s.served_embeds.size(), persistence::kMaxUrlHashesPerSession);
+  EXPECT_LE(s.visited_urls.size(), persistence::kMaxUrlHashesPerSession);
+  EXPECT_LE(s.instrumented_page_indices.size(), persistence::kMaxPageIndicesPerSession);
+  EXPECT_GE(s.request_count, 0);
+  for (const RequestEvent& e : s.events) {
+    EXPECT_LE(static_cast<uint64_t>(e.kind), static_cast<uint64_t>(ResourceKind::kOther));
+  }
+}
+
+// Walks a whole file, as recovery and inspection do, checking each record
+// it accepts: the count of its intact records, or nullopt when its header
+// is invalid.
 std::optional<size_t> WalkJournal(std::string_view bytes, JournalReader* reader) {
   std::istringstream in{std::string(bytes)};
   if (!reader->Open(&in)) {
@@ -137,32 +127,10 @@ std::optional<size_t> WalkJournal(std::string_view bytes, JournalReader* reader)
   size_t records = 0;
   JournalRecord rec;
   while (reader->Next(&rec)) {
+    CheckRecordInvariants(rec);
     ++records;
   }
   return records;
-}
-
-// Everything an accepting parse hands back must already be clamped.
-void CheckSnapshotInvariants(const SnapshotContents& snap) {
-  EXPECT_LE(snap.keys.size(),
-            persistence::kMaxSections * persistence::kMaxEntriesPerSection);
-  for (const KeyEntryImage& k : snap.keys) {
-    EXPECT_LE(k.page_path.size(), persistence::kMaxStringBytes);
-    EXPECT_LE(k.key.size(), persistence::kMaxStringBytes);
-  }
-  for (const SessionImage& s : snap.sessions) {
-    EXPECT_LE(s.user_agent.size(), persistence::kMaxStringBytes);
-    EXPECT_LE(s.events.size(), persistence::kMaxEventsPerSession);
-    EXPECT_LE(s.served_links.size(), persistence::kMaxUrlHashesPerSession);
-    EXPECT_LE(s.served_embeds.size(), persistence::kMaxUrlHashesPerSession);
-    EXPECT_LE(s.visited_urls.size(), persistence::kMaxUrlHashesPerSession);
-    EXPECT_LE(s.instrumented_page_indices.size(), persistence::kMaxPageIndicesPerSession);
-    EXPECT_GE(s.request_count, 0);
-    for (const RequestEvent& e : s.events) {
-      EXPECT_LE(static_cast<uint64_t>(e.kind),
-                static_cast<uint64_t>(ResourceKind::kOther));
-    }
-  }
 }
 
 class PersistenceFuzzTest : public ::testing::TestWithParam<uint64_t> {};
@@ -176,27 +144,25 @@ TEST_P(PersistenceFuzzTest, RandomBytesNeverCrash) {
     for (size_t i = 0; i < n; ++i) {
       bytes.push_back(static_cast<char>(rng.UniformU64(256)));
     }
-    SnapshotContents snap;
-    if (ReadSnapshot(bytes, &snap)) {
-      CheckSnapshotInvariants(snap);
-    }
     JournalReader jrnl;
     (void)WalkJournal(bytes, &jrnl);
   }
 }
 
+// A valid header, so the walk reaches the random frames, or the magic
+// alone.
 TEST_P(PersistenceFuzzTest, RandomBytesWithValidMagicNeverCrash) {
   Rng rng(GetParam() ^ 0x3a61cULL);
   for (int round = 0; round < 48; ++round) {
-    std::string bytes(rng.Bernoulli(0.5) ? persistence::kSnapshotMagic
-                                         : persistence::kJournalMagic);
+    ByteWriter w;
+    persistence::EncodeJournalHeader(&w);
+    std::string bytes = w.Take();
+    if (rng.Bernoulli(0.5)) {
+      bytes.resize(persistence::kJournalMagic.size());
+    }
     const size_t n = rng.UniformU64(2048);
     for (size_t i = 0; i < n; ++i) {
       bytes.push_back(static_cast<char>(rng.UniformU64(256)));
-    }
-    SnapshotContents snap;
-    if (ReadSnapshot(bytes, &snap)) {
-      CheckSnapshotInvariants(snap);
     }
     JournalReader jrnl;
     (void)WalkJournal(bytes, &jrnl);
@@ -205,19 +171,12 @@ TEST_P(PersistenceFuzzTest, RandomBytesWithValidMagicNeverCrash) {
 
 TEST_P(PersistenceFuzzTest, MutatedValidFilesNeverCrash) {
   Rng rng(GetParam() ^ 0xf1eaULL);
-  const std::string snapshot = MakeValidSnapshot(rng);
   const std::string journal = MakeValidJournal(rng);
   for (int round = 0; round < 48; ++round) {
-    std::string snap_bytes = snapshot;
     std::string jrnl_bytes = journal;
     const size_t flips = 1 + rng.UniformU64(8);
     for (size_t i = 0; i < flips; ++i) {
-      snap_bytes[rng.UniformU64(snap_bytes.size())] = static_cast<char>(rng.UniformU64(256));
       jrnl_bytes[rng.UniformU64(jrnl_bytes.size())] = static_cast<char>(rng.UniformU64(256));
-    }
-    SnapshotContents snap;
-    if (ReadSnapshot(snap_bytes, &snap)) {
-      CheckSnapshotInvariants(snap);
     }
     JournalReader jrnl;
     (void)WalkJournal(jrnl_bytes, &jrnl);
@@ -226,19 +185,17 @@ TEST_P(PersistenceFuzzTest, MutatedValidFilesNeverCrash) {
 
 TEST_P(PersistenceFuzzTest, EveryTruncationOffsetSurvives) {
   Rng rng(GetParam() ^ 0xc07ULL);
-  const std::string snapshot = MakeValidSnapshot(rng);
   const std::string journal = MakeValidJournal(rng);
-  for (size_t cut = 0; cut <= snapshot.size(); ++cut) {
-    SnapshotContents snap;
-    if (ReadSnapshot(std::string_view(snapshot).substr(0, cut), &snap)) {
-      CheckSnapshotInvariants(snap);
-    }
-  }
+  JournalReader whole;
+  const std::optional<size_t> all = WalkJournal(journal, &whole);
+  ASSERT_TRUE(all.has_value());
   for (size_t cut = 0; cut <= journal.size(); ++cut) {
     JournalReader jrnl;
-    if (WalkJournal(std::string_view(journal).substr(0, cut), &jrnl)) {
-      // A truncated journal yields a valid prefix, never an over-read.
-      EXPECT_EQ(jrnl.epoch(), 3u);
+    if (const std::optional<size_t> records =
+            WalkJournal(std::string_view(journal).substr(0, cut), &jrnl)) {
+      // A truncated file yields a valid prefix, never an over-read.
+      EXPECT_LE(*records, *all);
+      EXPECT_EQ(jrnl.records_dropped(), 0u);
     }
   }
 }
@@ -273,9 +230,10 @@ void ExpectSameImage(const SessionImage& got, const SessionImage& want) {
   EXPECT_EQ(got.visited_urls, want.visited_urls);
 }
 
-// A journaled session update, written from a live session at random
-// marks, decodes and applies to the session's image cut at those marks
-// to give its full image, and applying it again changes nothing. Marks
+// A session update, written from a live session at random marks, decodes
+// and applies to the session's image cut at those marks to give its full
+// image (a checkpoint's update from marks 0), and applying it again
+// changes nothing. Marks
 // are drawn up to two past each run's end: a mark at or past the end
 // writes an empty suffix, which leaves the uncut run as it is.
 TEST_P(PersistenceFuzzTest, SessionUpdateRoundTrip) {
@@ -288,11 +246,13 @@ TEST_P(PersistenceFuzzTest, SessionUpdateRoundTrip) {
     }
     live->set_blocked(rng.Bernoulli(0.5));
     const persistence::SessionFields fields = FieldsOfLive(*live);
-    ByteWriter snapshot_entry;
-    persistence::EncodeSession(fields, &snapshot_entry);
-    ByteReader entry_reader(snapshot_entry.bytes());
-    SessionImage full;
-    ASSERT_TRUE(persistence::DecodeSession(&entry_reader, &full));
+    ByteWriter compacted;
+    persistence::EncodeSessionUpdate(fields, persistence::RunMarks{}, &compacted);
+    // frame_len u32 | frame | crc u32
+    const std::string_view framed = compacted.bytes();
+    JournalRecord whole;
+    ASSERT_TRUE(persistence::DecodeJournalFrame(framed.substr(4, framed.size() - 8), &whole));
+    const SessionImage& full = whole.update.delta;
 
     const persistence::RunMarks lengths = persistence::RunLengths(fields);
     auto draw = [&rng](uint32_t length) { return static_cast<uint32_t>(rng.UniformU64(length + 3)); };
@@ -310,7 +270,7 @@ TEST_P(PersistenceFuzzTest, SessionUpdateRoundTrip) {
     cut_run(full.visited_urls, marks.visited, &cut.visited_urls);
 
     ByteWriter journal;
-    journal.PutRaw(persistence::EncodeJournalHeader(1));
+    persistence::EncodeJournalHeader(&journal);
     persistence::EncodeSessionUpdate(fields, marks, &journal);
     JournalReader reader;
     std::istringstream journal_in(journal.bytes());
@@ -330,79 +290,16 @@ TEST_P(PersistenceFuzzTest, SessionUpdateRoundTrip) {
 
 // --- Whole-buffer reference decode -----------------------------------
 
-// Decodes a section payload whole into `out`; false (leaving `out` as it
-// was) when it does not decode whole.
-template <typename Image>
-bool DecodeWholeSection(std::string_view payload, bool (*decode)(ByteReader*, Image*),
-                        std::vector<Image>* out) {
-  ByteReader r(payload);
-  uint32_t n = 0;
-  if (!r.ReadU32(&n) || n > persistence::kMaxEntriesPerSection) {
-    return false;
-  }
-  std::vector<Image> got;
-  for (uint32_t i = 0; i < n; ++i) {
-    Image img;
-    if (!decode(&r, &img)) {
-      return false;
-    }
-    got.push_back(std::move(img));
-  }
-  if (r.remaining() != 0) {
-    return false;
-  }
-  out->insert(out->end(), got.begin(), got.end());
-  return true;
-}
-
-// The snapshot in `bytes` decoded from memory in one pass over it, as
-// format.h lays it out.
-bool DecodeWholeSnapshot(std::string_view bytes, SnapshotContents* out) {
-  *out = SnapshotContents{};
-  ByteReader r(bytes);
-  std::string_view magic;
-  uint32_t version = 0;
-  uint32_t key_sections = 0;
-  uint32_t session_sections = 0;
-  if (!r.ReadRaw(persistence::kSnapshotMagic.size(), &magic) ||
-      magic != persistence::kSnapshotMagic || !r.ReadU32(&version) ||
-      version != persistence::kFormatVersion || !r.ReadU64(&out->epoch) ||
-      !r.ReadI64(&out->created_at) || !r.ReadU32(&key_sections) ||
-      !r.ReadU32(&session_sections) || key_sections > persistence::kMaxSections ||
-      session_sections > persistence::kMaxSections) {
-    return false;
-  }
-  const size_t total = static_cast<size_t>(key_sections) + session_sections;
-  out->sections_total = total;
-  for (size_t i = 0; i < total; ++i) {
-    uint32_t len = 0;
-    std::string_view payload;
-    uint32_t crc = 0;
-    if (!r.ReadU32(&len) || len > persistence::kMaxSectionBytes || !r.ReadRaw(len, &payload) ||
-        !r.ReadU32(&crc)) {
-      out->sections_dropped += total - i;
-      return true;
-    }
-    const bool good =
-        crc == Crc32c(payload) &&
-        (i < key_sections
-             ? DecodeWholeSection(payload, persistence::DecodeKeyEntry, &out->keys)
-             : DecodeWholeSection(payload, persistence::DecodeSession, &out->sessions));
-    if (!good) {
-      ++out->sections_dropped;
-    }
-  }
-  return true;
-}
-
 struct JournalContents {
-  uint64_t epoch = 0;
   std::vector<JournalRecord> records;
   size_t records_dropped = 0;
   size_t bytes_dropped = 0;
 };
 
-// The journal in `bytes` decoded from memory in one pass over it.
+// The file in `bytes` decoded from memory in one pass over it, as format.h
+// lays it out: a whole, in-bounds frame that fails its CRC or does not
+// decode is dropped alone; an out-of-bounds length or a short frame ends
+// the walk and drops the bytes from its start on.
 bool DecodeWholeJournal(std::string_view bytes, JournalContents* out) {
   *out = JournalContents{};
   ByteReader r(bytes);
@@ -410,7 +307,7 @@ bool DecodeWholeJournal(std::string_view bytes, JournalContents* out) {
   uint32_t version = 0;
   if (!r.ReadRaw(persistence::kJournalMagic.size(), &magic) ||
       magic != persistence::kJournalMagic || !r.ReadU32(&version) ||
-      version != persistence::kFormatVersion || !r.ReadU64(&out->epoch)) {
+      version != persistence::kFormatVersion) {
     return false;
   }
   while (r.remaining() > 0) {
@@ -419,12 +316,12 @@ bool DecodeWholeJournal(std::string_view bytes, JournalContents* out) {
     std::string_view frame;
     uint32_t crc = 0;
     if (!r.ReadU32(&len) || len > persistence::kMaxFrameBytes || len == 0 ||
-        !r.ReadRaw(len, &frame) || !r.ReadU32(&crc) || crc != Crc32c(frame)) {
+        !r.ReadRaw(len, &frame) || !r.ReadU32(&crc)) {
       out->bytes_dropped = tail;
       break;
     }
     JournalRecord rec;
-    if (persistence::DecodeJournalFrame(frame, &rec)) {
+    if (crc == Crc32c(frame) && persistence::DecodeJournalFrame(frame, &rec)) {
       out->records.push_back(std::move(rec));
     } else {
       ++out->records_dropped;
@@ -440,7 +337,6 @@ bool StreamJournal(std::istream* in, JournalContents* out) {
   if (!reader.Open(in)) {
     return false;
   }
-  out->epoch = reader.epoch();
   JournalRecord rec;
   while (reader.Next(&rec)) {
     out->records.push_back(rec);
@@ -457,23 +353,7 @@ void ExpectSameKey(const KeyEntryImage& got, const KeyEntryImage& want) {
   EXPECT_EQ(got.issued_at, want.issued_at);
 }
 
-void ExpectSameSnapshot(const SnapshotContents& got, const SnapshotContents& want) {
-  EXPECT_EQ(got.epoch, want.epoch);
-  EXPECT_EQ(got.created_at, want.created_at);
-  EXPECT_EQ(got.sections_total, want.sections_total);
-  EXPECT_EQ(got.sections_dropped, want.sections_dropped);
-  ASSERT_EQ(got.keys.size(), want.keys.size());
-  for (size_t i = 0; i < got.keys.size(); ++i) {
-    ExpectSameKey(got.keys[i], want.keys[i]);
-  }
-  ASSERT_EQ(got.sessions.size(), want.sessions.size());
-  for (size_t i = 0; i < got.sessions.size(); ++i) {
-    ExpectSameImage(got.sessions[i], want.sessions[i]);
-  }
-}
-
 void ExpectSameJournal(const JournalContents& got, const JournalContents& want) {
-  EXPECT_EQ(got.epoch, want.epoch);
   EXPECT_EQ(got.records_dropped, want.records_dropped);
   EXPECT_EQ(got.bytes_dropped, want.bytes_dropped);
   ASSERT_EQ(got.records.size(), want.records.size());
@@ -515,21 +395,11 @@ class StreamedFileTest : public ::testing::Test {
                ::testing::UnitTest::GetInstance()->current_test_info()->name())) {}
   ~StreamedFileTest() override { std::filesystem::remove(path_); }
 
-  // Writes `bytes` to the file and checks that both readers, streaming it
-  // from the file, decode what the whole-buffer decode of `bytes` does.
+  // Writes `bytes` to the file and checks that the reader, streaming it
+  // from the file, decodes what the whole-buffer decode of `bytes` does.
   void ExpectStreamedMatchesWhole(std::string_view bytes) {
     std::ofstream(path_, std::ios::binary | std::ios::trunc).write(
         bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    SnapshotContents whole;
-    const bool whole_ok = DecodeWholeSnapshot(bytes, &whole);
-    {
-      std::ifstream in(path_, std::ios::binary);
-      SnapshotContents streamed;
-      ASSERT_EQ(ReadSnapshot(&in, &streamed), whole_ok);
-      if (whole_ok) {
-        ExpectSameSnapshot(streamed, whole);
-      }
-    }
     JournalContents whole_journal;
     const bool whole_journal_ok = DecodeWholeJournal(bytes, &whole_journal);
     std::ifstream in(path_, std::ios::binary);
@@ -543,25 +413,22 @@ class StreamedFileTest : public ::testing::Test {
   std::filesystem::path path_;
 };
 
-// A small directory's two files, torn at every offset.
+// A small directory's file, torn at every offset.
 TEST_F(StreamedFileTest, EveryTornFileDecodesAsTheWholeBuffer) {
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     Rng rng(seed ^ 0x7e4aULL);
-    const std::string snapshot = MakeValidSnapshot(rng);
     const std::string journal = MakeValidJournal(rng);
-    for (size_t cut = 0; cut <= snapshot.size(); ++cut) {
-      ExpectStreamedMatchesWhole(std::string_view(snapshot).substr(0, cut));
-    }
     for (size_t cut = 0; cut <= journal.size(); ++cut) {
       ExpectStreamedMatchesWhole(std::string_view(journal).substr(0, cut));
     }
   }
 }
 
-// Sections and records far larger than a file stream's own buffer, some
-// smaller and some larger than the one before, so the readers' one buffer
-// regrows mid-file; then the same files with a byte of a large frame
-// flipped, and torn inside their last frame.
+// Records far larger than a file stream's own buffer, some smaller and
+// some larger than the one before, so the reader's one buffer regrows
+// mid-file: a checkpoint's records of sessions with up to 24 KB of hashes
+// each, then appended updates of up to 64 KB; then the same file with a
+// byte of a large frame flipped, and torn inside its last frame.
 TEST_F(StreamedFileTest, FramesLargerThanTheReadBuffer) {
   Rng rng(41);
   auto big_session = [&rng](uint64_t id, size_t hashes) {
@@ -576,31 +443,16 @@ TEST_F(StreamedFileTest, FramesLargerThanTheReadBuffer) {
     s->visited_urls().Restore(visited);
     return s;
   };
-  std::ostringstream out;
-  SnapshotWriter writer(&out, 5, 2000, 1, 4);
-  {
-    ByteWriter* payload = writer.BeginSection();
-    payload->PutU32(3);
-    for (int i = 0; i < 3; ++i) {
-      const KeyEntryImage k = MakeKey(rng);
-      persistence::EncodeKeyEntry({k.ip, k.page_path, k.key, k.issued_at}, payload);
-    }
-    writer.EndSection();
-  }
-  for (size_t sessions : {1u, 8u, 2u, 24u}) {
-    ByteWriter* payload = writer.BeginSection();
-    payload->PutU32(static_cast<uint32_t>(sessions));
-    for (size_t i = 0; i < sessions; ++i) {
-      EncodeSession(FieldsOfLive(*big_session(1 + i, 1024)), payload);
-    }
-    writer.EndSection();
-  }
-  const std::string snapshot = out.str();
-  ASSERT_GT(snapshot.size(), 500'000u);
-  ExpectStreamedMatchesWhole(snapshot);
-
   ByteWriter w;
-  w.PutRaw(persistence::EncodeJournalHeader(5));
+  persistence::EncodeJournalHeader(&w);
+  for (int i = 0; i < 3; ++i) {
+    const KeyEntryImage k = MakeKey(rng);
+    persistence::EncodeKeyIssued({k.ip, k.page_path, k.key, k.issued_at}, &w);
+  }
+  for (size_t hashes : {1024u, 8u, 1536u, 24u}) {
+    persistence::EncodeSessionUpdate(FieldsOfLive(*big_session(1 + hashes, hashes)),
+                                     persistence::RunMarks{}, &w);
+  }
   for (size_t hashes : {16u, 2048u, 4u, 4096u, 1u, 3000u}) {
     const KeyEntryImage k = MakeKey(rng);
     persistence::EncodeKeyIssued({k.ip, k.page_path, k.key, k.issued_at}, &w);
@@ -608,18 +460,14 @@ TEST_F(StreamedFileTest, FramesLargerThanTheReadBuffer) {
                                      &w);
   }
   const std::string journal = w.Take();
+  ASSERT_GT(journal.size(), 150'000u);
   ExpectStreamedMatchesWhole(journal);
 
-  // One large frame's bytes flipped: a dropped section, and a journal cut
-  // short at that record.
-  std::string bad_snapshot = snapshot;
-  bad_snapshot[snapshot.size() / 2] ^= 0x5a;
-  ExpectStreamedMatchesWhole(bad_snapshot);
+  // One large frame's byte flipped: that record dropped.
   std::string bad_journal = journal;
   bad_journal[journal.size() / 2] ^= 0x5a;
   ExpectStreamedMatchesWhole(bad_journal);
   // Torn inside the last frame.
-  ExpectStreamedMatchesWhole(std::string_view(snapshot).substr(0, snapshot.size() - 1000));
   ExpectStreamedMatchesWhole(std::string_view(journal).substr(0, journal.size() - 1000));
 }
 
@@ -628,26 +476,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PersistenceFuzzTest,
                                            13u, 14u, 15u, 16u));
 
 // Oversized length prefixes must be rejected before allocation: a 4-byte
-// claim of a 4 GiB section must not reserve 4 GiB.
-TEST(PersistenceLimitsTest, HugeSectionLengthIsRejectedNotAllocated) {
-  std::ostringstream out;
-  SnapshotWriter writer(&out, 1, 0, 1, 0);
-  std::string bytes = out.str();
-  ByteWriter evil;
-  evil.PutU32(0xffffffffu);  // section length far past kMaxSectionBytes
-  bytes += evil.Take();
-  SnapshotContents snap;
-  if (ReadSnapshot(bytes, &snap)) {
-    EXPECT_TRUE(snap.keys.empty());
-    EXPECT_GE(snap.sections_dropped + snap.sections_total, 0u);
-  }
-}
-
+// claim of a 4 GiB frame must not reserve 4 GiB.
 TEST(PersistenceLimitsTest, HugeFrameLengthIsRejectedNotAllocated) {
-  std::string bytes = persistence::EncodeJournalHeader(1);
   ByteWriter evil;
+  persistence::EncodeJournalHeader(&evil);
   evil.PutU32(0xffffffffu);  // frame length far past kMaxFrameBytes
-  bytes += evil.Take();
+  const std::string bytes = evil.Take();
   JournalReader jrnl;
   const std::optional<size_t> records = WalkJournal(bytes, &jrnl);
   ASSERT_TRUE(records.has_value());

@@ -1,8 +1,9 @@
-// Crash-recovery round trip for the persistence layer. The core claim:
-// snapshot + journal recover the tables to exactly the pre-crash state,
-// and a crash that tears the journal at ANY byte — every record boundary
-// and every mid-record offset — recovers to the clean prefix of mutations
-// that were fully flushed, never to garbage and never with a crash.
+// Crash-recovery round trip for the persistence layer. The core claim: the
+// state file recovers the tables to exactly the pre-crash state, a crash
+// that tears it at ANY byte — every record boundary and every mid-record
+// offset — recovers to the clean prefix of mutations that were fully
+// flushed, and a crash at any step of a checkpoint recovers what the
+// checkpoint started from, never garbage and never with a crash.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <sstream>
 #include <unistd.h>
 
@@ -127,35 +129,52 @@ class PersistenceTest : public ::testing::Test {
 
   std::string Dir(const std::string& sub = "live") const { return (dir_ / sub).string(); }
 
-  static void CopyState(const std::string& from_dir, const std::string& to_dir,
-                        size_t journal_bytes) {
-    std::filesystem::create_directories(to_dir);
-    std::filesystem::copy_file(std::filesystem::path(from_dir) / "snapshot.bin",
-                               std::filesystem::path(to_dir) / "snapshot.bin",
-                               std::filesystem::copy_options::overwrite_existing);
-    std::ifstream in(std::filesystem::path(from_dir) / "journal.bin", std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    bytes.resize(std::min(journal_bytes, bytes.size()));
-    std::ofstream out(std::filesystem::path(to_dir) / "journal.bin",
-                      std::ios::binary | std::ios::trunc);
-    out << bytes;
+  static std::string ReadState(const std::string& dir) {
+    std::ifstream in(dir + "/state.bin", std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+
+  static void WriteState(const std::string& dir, std::string_view bytes) {
+    std::filesystem::create_directories(dir);
+    std::ofstream(dir + "/state.bin", std::ios::binary | std::ios::trunc) << bytes;
+  }
+
+  // Copies `from_dir`'s state file to `to_dir`, cut to its first `bytes`.
+  static void CopyState(const std::string& from_dir, const std::string& to_dir, size_t bytes) {
+    const std::string state = ReadState(from_dir);
+    WriteState(to_dir, std::string_view(state).substr(0, std::min(bytes, state.size())));
+  }
+
+  // Where each record of a state file starts (past its header), and the
+  // file's end.
+  static std::vector<size_t> RecordStarts(std::string_view state) {
+    std::vector<size_t> starts;
+    ByteWriter header;
+    persistence::EncodeJournalHeader(&header);
+    for (size_t at = header.size(); at < state.size();) {
+      starts.push_back(at);
+      uint32_t len = 0;
+      ByteReader(state.substr(at)).ReadU32(&len);
+      at += 4 + len + 4;  // frame_len u32 | frame | crc u32
+    }
+    starts.push_back(state.size());
+    return starts;
   }
 
   std::filesystem::path dir_;
 };
 
-// The tentpole scenario: phase A folded into a snapshot, phase B journaled
-// one record per mutation, then a crash at every possible cut of the
-// journal. Each boundary cut recovers the exact live state after that many
-// mutations; each mid-record cut recovers the preceding boundary's state
-// and reports the torn bytes.
+// The tentpole scenario: phase A compacted by a checkpoint, phase B
+// appended one record per mutation, then a crash at every possible cut of
+// the appended records. Each boundary cut recovers the exact live state
+// after that many mutations; each mid-record cut recovers the preceding
+// boundary's state and reports the torn bytes.
 TEST_F(PersistenceTest, RecoverAtEveryJournalBoundary) {
   Rig live(Dir());
   const auto initial = live.store.Recover(0);
   EXPECT_TRUE(initial.cold_start);
 
-  // Phase A: state that lands in the snapshot.
+  // Phase A: state that the checkpoint compacts.
   live.keys.Record(IpAddress(kIp1), "/a.html", "key-a1", 1000);
   live.keys.Record(IpAddress(kIp2), "/b.html", "key-b1", 1100);
   {
@@ -166,9 +185,11 @@ TEST_F(PersistenceTest, RecoverAtEveryJournalBoundary) {
     s->served_links().Insert("http://h.test/one.html");
     live.store.OnSessionUpdated(*s);
   }
-  ASSERT_TRUE(live.store.Checkpoint(2000));
-  const size_t header_bytes = std::filesystem::file_size(Dir() + "/journal.bin");
-  std::vector<size_t> boundaries{header_bytes};
+  ASSERT_TRUE(live.store.Checkpoint());
+  // Two keys, then one session.
+  ASSERT_EQ(InspectState(Dir()).records(), 3u);
+  const size_t compacted = 3;
+  std::vector<size_t> boundaries{std::filesystem::file_size(Dir() + "/state.bin")};
   std::vector<std::string> expected{Fingerprint(live.keys, live.sessions)};
 
   // Phase B: one journal record per step; fingerprint the live tables after
@@ -215,10 +236,10 @@ TEST_F(PersistenceTest, RecoverAtEveryJournalBoundary) {
 
   for (const auto& step : steps) {
     step();
-    boundaries.push_back(std::filesystem::file_size(Dir() + "/journal.bin"));
+    boundaries.push_back(std::filesystem::file_size(Dir() + "/state.bin"));
     expected.push_back(Fingerprint(live.keys, live.sessions));
   }
-  ASSERT_EQ(InspectState(Dir()).journal.records, steps.size());
+  ASSERT_EQ(InspectState(Dir()).records(), compacted + steps.size());
 
   // Crash at every record boundary: exact replay of the flushed prefix.
   for (size_t i = 0; i < boundaries.size(); ++i) {
@@ -227,8 +248,7 @@ TEST_F(PersistenceTest, RecoverAtEveryJournalBoundary) {
     Rig recovered(crash_dir);
     const RecoveryReport report = recovered.store.Recover(9000);
     EXPECT_FALSE(report.cold_start);
-    EXPECT_TRUE(report.snapshot_loaded);
-    EXPECT_EQ(report.journal_records_applied, i);
+    EXPECT_EQ(report.journal_records_applied, compacted + i);
     EXPECT_EQ(report.journal_records_dropped, 0u);
     EXPECT_EQ(report.journal_bytes_dropped, 0u);
     EXPECT_EQ(Fingerprint(recovered.keys, recovered.sessions), expected[i])
@@ -243,7 +263,7 @@ TEST_F(PersistenceTest, RecoverAtEveryJournalBoundary) {
       CopyState(Dir(), crash_dir, cut);
       Rig recovered(crash_dir);
       const RecoveryReport report = recovered.store.Recover(9000);
-      EXPECT_EQ(report.journal_records_applied, i) << "cut " << cut;
+      EXPECT_EQ(report.journal_records_applied, compacted + i) << "cut " << cut;
       EXPECT_GT(report.journal_bytes_dropped, 0u) << "cut " << cut;
       EXPECT_EQ(Fingerprint(recovered.keys, recovered.sessions), expected[i])
           << "cut " << cut;
@@ -251,26 +271,28 @@ TEST_F(PersistenceTest, RecoverAtEveryJournalBoundary) {
     }
   }
 
-  // Crash inside the journal header: the journal is unusable, the snapshot
-  // alone is recovered.
+  // Cut inside the header: nothing is usable, a cold start.
+  const size_t header_bytes = RecordStarts(ReadState(Dir())).front();
   for (size_t cut = 0; cut < header_bytes; ++cut) {
     const std::string crash_dir = Dir("hdr_" + std::to_string(cut));
     CopyState(Dir(), crash_dir, cut);
     Rig recovered(crash_dir);
     const RecoveryReport report = recovered.store.Recover(9000);
-    EXPECT_TRUE(report.snapshot_loaded) << "cut " << cut;
-    EXPECT_FALSE(report.journal_replayed) << "cut " << cut;
-    EXPECT_EQ(Fingerprint(recovered.keys, recovered.sessions), expected[0]) << "cut " << cut;
+    EXPECT_TRUE(report.cold_start) << "cut " << cut;
+    EXPECT_EQ(recovered.keys.total_entries(), 0u) << "cut " << cut;
+    EXPECT_EQ(recovered.sessions.active_count(), 0u) << "cut " << cut;
     std::filesystem::remove_all(crash_dir);
   }
 }
 
-// A crash in the middle of a checkpoint leaves snapshot.bin.tmp torn, or
-// written whole but not yet renamed, beside the intact snapshot.bin and
-// its journal. Recovery ignores the temporary file, recovers warm from
-// the snapshot and the journal, and its own checkpoint replaces the
-// temporary file.
-TEST_F(PersistenceTest, CrashMidCheckpointRecoversFromTheLastSnapshot) {
+// A checkpoint writes state.bin.tmp, renames it over state.bin and then
+// appends to it. A crash at each step recovers warm to the live tables as
+// the crash left them: with state.bin.tmp torn at its start or its middle,
+// or whole but not renamed, from the old state.bin, which recovery's own
+// checkpoint then replaces, removing the temporary file; once renamed,
+// from the new file, with or without appends after it. Each directory
+// then inspects clean.
+TEST_F(PersistenceTest, CrashAtEveryCheckpointStepRecoversTheLiveTables) {
   Rig live(Dir());
   live.store.Recover(0);
   live.keys.Record(IpAddress(kIp1), "/a.html", "key-a1", 1000);
@@ -280,7 +302,7 @@ TEST_F(PersistenceTest, CrashMidCheckpointRecoversFromTheLastSnapshot) {
     s->served_links().Insert("http://h.test/one.html");
     live.store.OnSessionUpdated(*s);
   }
-  ASSERT_TRUE(live.store.Checkpoint(2000));
+  ASSERT_TRUE(live.store.Checkpoint());
   live.keys.Record(IpAddress(kIp2), "/b.html", "key-b1", 2100);
   {
     SessionState* s = live.sessions.Touch(SessionKey{IpAddress(kIp1), "ua-one"}, 2200);
@@ -288,47 +310,68 @@ TEST_F(PersistenceTest, CrashMidCheckpointRecoversFromTheLastSnapshot) {
     s->visited_urls().Insert("http://h.test/one.html");
     live.store.OnSessionUpdated(*s);
   }
-  const std::string expected = Fingerprint(live.keys, live.sessions);
-  std::ifstream in(Dir() + "/snapshot.bin", std::ios::binary);
-  const std::string snapshot((std::istreambuf_iterator<char>(in)),
-                             std::istreambuf_iterator<char>());
-  in.close();
+  const std::string before = Fingerprint(live.keys, live.sessions);
+  const std::string old_file = ReadState(Dir());
+  // The checkpoint the crash interrupts: two keys and one session.
+  ASSERT_TRUE(live.store.Checkpoint());
+  const std::string rewritten = ReadState(Dir());
+  ASSERT_EQ(RecordStarts(rewritten).size(), 3u + 1);
+  // Appends after the rename.
+  live.keys.Record(IpAddress(kIp2), "/c.html", "key-c1", 2300);
+  EXPECT_TRUE(live.keys.MatchAndConsume(IpAddress(kIp1), "key-a1", 2400));
+  const std::string after = Fingerprint(live.keys, live.sessions);
+  const std::string appended = ReadState(Dir());
   live.store.OnCrash();
 
-  for (const size_t cut : {size_t{0}, snapshot.size() / 2, snapshot.size()}) {
-    const std::string crash_dir = Dir("crash_" + std::to_string(cut));
-    CopyState(Dir(), crash_dir, SIZE_MAX);
-    const std::string tmp = crash_dir + "/snapshot.bin.tmp";
-    std::ofstream(tmp, std::ios::binary) << snapshot.substr(0, cut) << "torn";
+  struct Step {
+    std::string name;
+    std::string state;
+    std::optional<std::string> tmp;
+    const std::string* expected;
+    size_t records;
+  };
+  const std::vector<Step> steps = {
+      {"tmp_torn_at_0", old_file, rewritten.substr(0, 0), &before, 4},
+      {"tmp_torn_at_half", old_file, rewritten.substr(0, rewritten.size() / 2), &before, 4},
+      {"tmp_whole", old_file, rewritten, &before, 4},
+      {"renamed", rewritten, std::nullopt, &before, 3},
+      {"renamed_and_appended", appended, std::nullopt, &after, 5},
+  };
+  for (const Step& step : steps) {
+    const std::string crash_dir = Dir(step.name);
+    WriteState(crash_dir, step.state);
+    const std::string tmp = crash_dir + "/state.bin.tmp";
+    if (step.tmp.has_value()) {
+      std::ofstream(tmp, std::ios::binary) << *step.tmp;
+    }
     Rig recovered(crash_dir);
     const RecoveryReport report = recovered.store.Recover(9000);
-    EXPECT_FALSE(report.cold_start) << "cut " << cut;
-    EXPECT_TRUE(report.snapshot_loaded) << "cut " << cut;
-    EXPECT_TRUE(report.journal_replayed) << "cut " << cut;
-    EXPECT_EQ(report.journal_records_applied, 2u) << "cut " << cut;
-    EXPECT_EQ(Fingerprint(recovered.keys, recovered.sessions), expected) << "cut " << cut;
-    EXPECT_FALSE(std::filesystem::exists(tmp)) << "cut " << cut;
-    const InspectionResult after = InspectState(crash_dir);
-    EXPECT_TRUE(after.clean) << "cut " << cut;
-    EXPECT_EQ(after.snapshot.epoch, report.epoch) << "cut " << cut;
-    EXPECT_EQ(after.snapshot.keys, 2u) << "cut " << cut;
-    EXPECT_EQ(after.snapshot.sessions, 1u) << "cut " << cut;
+    EXPECT_FALSE(report.cold_start) << step.name;
+    EXPECT_EQ(report.journal_records_applied, step.records) << step.name;
+    EXPECT_EQ(Fingerprint(recovered.keys, recovered.sessions), *step.expected) << step.name;
+    EXPECT_FALSE(std::filesystem::exists(tmp)) << step.name;
+    const InspectionResult inspected = InspectState(crash_dir);
+    EXPECT_TRUE(inspected.clean) << step.name;
+    EXPECT_EQ(inspected.key_issues, recovered.keys.total_entries()) << step.name;
+    EXPECT_EQ(inspected.session_updates, 1u) << step.name;
+    EXPECT_EQ(inspected.records(), inspected.key_issues + inspected.session_updates)
+        << step.name;
   }
 }
 
-// A checkpoint whose snapshot cannot be written counts a failure, leaves
-// no temporary file, and keeps journaling at the old epoch, so a crash
-// after it loses nothing.
+// A checkpoint whose file cannot be written counts a failure, leaves no
+// temporary file, and keeps appending to the old file, so a crash after
+// it loses nothing.
 TEST_F(PersistenceTest, FailedCheckpointKeepsJournaling) {
   MetricsRegistry registry;
   Rig live(Dir());
   live.store.BindMetrics(registry);
   live.store.Recover(0);
   live.keys.Record(IpAddress(kIp1), "/a.html", "key-a1", 100);
-  // A directory where the temporary file goes: the snapshot cannot open.
-  const std::string tmp = Dir() + "/snapshot.bin.tmp";
+  // A directory where the temporary file goes: the file cannot open.
+  const std::string tmp = Dir() + "/state.bin.tmp";
   std::filesystem::create_directory(tmp);
-  EXPECT_FALSE(live.store.Checkpoint(200));
+  EXPECT_FALSE(live.store.Checkpoint());
   EXPECT_EQ(registry.Scrape().CounterValue("robodet_persistence_checkpoint_failures_total"), 1u);
   EXPECT_FALSE(std::filesystem::exists(tmp));
   live.keys.Record(IpAddress(kIp2), "/b.html", "key-b1", 300);
@@ -341,9 +384,111 @@ TEST_F(PersistenceTest, FailedCheckpointKeepsJournaling) {
   EXPECT_EQ(Fingerprint(recovered.keys, recovered.sessions), expected);
 }
 
-// A damaged but CRC-valid directory: a snapshot session whose runs hold
+// Under a lasting write failure the automatic checkpoint retries once an
+// interval, not on every append: with state.bin.tmp blocked by a non-empty
+// directory, which the failed checkpoint cannot remove, and an interval of
+// 4 records, 20 key issues make 5 attempts and 5 failures. A recovery
+// afterwards restores every record.
+TEST_F(PersistenceTest, FailedCheckpointRetriesOnceAnInterval) {
+  MetricsRegistry registry;
+  KeyTable keys(KeyTable::Config{.num_shards = 4});
+  SessionTable sessions(SessionTable::Config{.num_shards = 4});
+  StateStore store(PersistenceConfig{.state_dir = Dir(), .snapshot_interval_records = 4}, &keys,
+                   &sessions);
+  keys.set_observer(&store);
+  store.BindMetrics(registry);
+  store.Recover(0);
+  const std::string tmp = Dir() + "/state.bin.tmp";
+  std::filesystem::create_directories(tmp + "/blocker");
+  for (uint32_t i = 0; i < 20; ++i) {
+    keys.Record(IpAddress(kIp1 + i), "/a.html", "key-" + std::to_string(i), 100 + i);
+  }
+  const RegistrySnapshot scrape = registry.Scrape();
+  EXPECT_EQ(scrape.CounterValue("robodet_persistence_checkpoint_failures_total"), 5u);
+  // Only the recovery's checkpoint succeeded.
+  EXPECT_EQ(scrape.CounterValue("robodet_persistence_checkpoints_total"), 1u);
+  EXPECT_EQ(scrape.CounterValue("robodet_persistence_journal_records_total"), 20u);
+  const std::string expected = Fingerprint(keys, sessions);
+  store.OnCrash();
+  keys.set_observer(nullptr);
+  std::filesystem::remove_all(tmp);
+
+  Rig recovered(Dir());
+  const RecoveryReport report = recovered.store.Recover(400);
+  EXPECT_EQ(report.journal_records_applied, 20u);
+  EXPECT_EQ(report.key_entries_restored, 20u);
+  EXPECT_EQ(Fingerprint(recovered.keys, recovered.sessions), expected);
+}
+
+// The salvage rule: a whole frame whose CRC fails costs that record alone,
+// and every later record still applies; a torn frame ends the walk. So a
+// flipped byte in the second compacted record, or in an appended record,
+// recovers what the file without that record recovers, and a file cut
+// mid-record recovers what the file cut at that record's start does.
+TEST_F(PersistenceTest, SalvageDropsOneCorruptRecordAndKeepsTheRest) {
+  Rig live(Dir());
+  live.store.Recover(0);
+  live.keys.Record(IpAddress(kIp1), "/a.html", "key-a1", 1000);
+  live.keys.Record(IpAddress(kIp2), "/b.html", "key-b1", 1100);
+  {
+    SessionState* s = live.sessions.Touch(SessionKey{IpAddress(kIp1), "ua-one"}, 1200);
+    s->RecordRequest(1200, MakeEvent(ResourceKind::kHtml, 2));
+    s->served_links().Insert("http://h.test/one.html");
+    live.store.OnSessionUpdated(*s);
+  }
+  ASSERT_TRUE(live.store.Checkpoint());
+  live.keys.Record(IpAddress(kIp1), "/c.html", "key-c1", 2100);
+  {
+    SessionState* s = live.sessions.Touch(SessionKey{IpAddress(kIp2), "ua-two"}, 2200);
+    s->RecordRequest(2200, MakeEvent(ResourceKind::kCgi, 4));
+    live.store.OnSessionUpdated(*s);
+  }
+  EXPECT_TRUE(live.keys.MatchAndConsume(IpAddress(kIp2), "key-b1", 2300));
+  live.store.OnCrash();
+  const std::string state = ReadState(Dir());
+  const std::vector<size_t> starts = RecordStarts(state);
+  ASSERT_EQ(starts.size(), 6u + 1);  // Three compacted records, three appended.
+
+  auto recover = [this](const std::string& name, std::string_view bytes, std::string* fingerprint) {
+    WriteState(Dir(name), bytes);
+    Rig rig(Dir(name));
+    const RecoveryReport report = rig.store.Recover(9000);
+    *fingerprint = Fingerprint(rig.keys, rig.sessions);
+    return report;
+  };
+  // The second compacted record (the second key) and the second appended
+  // record (a session update).
+  for (const size_t record : {size_t{1}, size_t{4}}) {
+    const std::string name = "flip_" + std::to_string(record);
+    std::string flipped = state;
+    flipped[(starts[record] + starts[record + 1]) / 2] ^= 0x20;
+    std::string without = state;
+    without.erase(starts[record], starts[record + 1] - starts[record]);
+    std::string got;
+    std::string want;
+    const RecoveryReport report = recover(name, flipped, &got);
+    recover(name + "_without", without, &want);
+    EXPECT_FALSE(report.cold_start) << name;
+    EXPECT_EQ(report.journal_records_applied, 5u) << name;
+    EXPECT_EQ(report.journal_records_dropped, 1u) << name;
+    EXPECT_EQ(report.journal_bytes_dropped, 0u) << name;
+    EXPECT_EQ(got, want) << name;
+  }
+  // Cut in the middle of the second appended record.
+  std::string got;
+  std::string want;
+  const RecoveryReport report =
+      recover("torn", std::string_view(state).substr(0, starts[4] + 6), &got);
+  recover("cut", std::string_view(state).substr(0, starts[4]), &want);
+  EXPECT_EQ(report.journal_records_applied, 4u);
+  EXPECT_EQ(report.journal_records_dropped, 0u);
+  EXPECT_EQ(report.journal_bytes_dropped, 6u);
+  EXPECT_EQ(got, want);
+}
+
+// A damaged but CRC-valid directory: a compacted session whose runs hold
 // repeated hashes and more events and page indices than a session keeps,
-// then journal updates marked against the runs as written. Replay appends
+// then appended updates marked against the runs as written. Replay appends
 // a suffix only when the run as decoded, repeats and overflow included,
 // is at the suffix's mark, so the session recovers to what the image of
 // its decoded runs, cut to the session's bounds, holds.
@@ -371,18 +516,9 @@ TEST_F(PersistenceTest, ReplayMarksCountRunsAsDecoded) {
     f.visited_urls = visited;
     return f;
   };
-  {
-    std::ofstream out(dir + "/snapshot.bin", std::ios::binary);
-    persistence::SnapshotWriter writer(&out, 1, 100, 1, 1);
-    writer.BeginSection()->PutU32(0);
-    writer.EndSection();
-    ByteWriter* payload = writer.BeginSection();
-    payload->PutU32(1);
-    persistence::EncodeSession(fields(300), payload);
-    writer.EndSection();
-  }
   ByteWriter journal;
-  journal.PutRaw(persistence::EncodeJournalHeader(1));
+  persistence::EncodeJournalHeader(&journal);
+  persistence::EncodeSessionUpdate(fields(300), persistence::RunMarks{}, &journal);
   // At the runs' written lengths: every suffix applies (the events and
   // pages past the session's bounds are dropped).
   const persistence::RunMarks at_end = persistence::RunLengths(fields(300));
@@ -400,11 +536,11 @@ TEST_F(PersistenceTest, ReplayMarksCountRunsAsDecoded) {
   visited.resize(2);
   visited.push_back(10);
   persistence::EncodeSessionUpdate(fields(302), stale, &journal);
-  std::ofstream(dir + "/journal.bin", std::ios::binary) << journal.bytes();
+  WriteState(dir, journal.bytes());
 
   Rig recovered(dir);
   const RecoveryReport report = recovered.store.Recover(1000);
-  EXPECT_EQ(report.journal_records_applied, 2u);
+  EXPECT_EQ(report.journal_records_applied, 3u);
   ASSERT_EQ(report.sessions_restored, 1u);
   const SessionState* s =
       recovered.sessions.Touch(SessionKey{IpAddress(kIp1), "ua-damaged"}, 402);
@@ -455,15 +591,10 @@ TEST_F(PersistenceTest, RecoveryChainsAcrossGenerations) {
   EXPECT_FALSE(third.keys.MatchAndConsume(IpAddress(kIp1), "gen1-key", 2100));
 }
 
-// Corrupt state files degrade to a cold start with metrics, never a crash.
+// A corrupt state file degrades to a cold start with metrics, never a
+// crash.
 TEST_F(PersistenceTest, CorruptStateColdStartsWithMetrics) {
-  std::filesystem::create_directories(Dir());
-  {
-    std::ofstream snap(Dir() + "/snapshot.bin", std::ios::binary);
-    snap << "not a snapshot at all, just hostile bytes \x01\x02\x03";
-    std::ofstream jrnl(Dir() + "/journal.bin", std::ios::binary);
-    jrnl << "RDJRNL1";  // Truncated magic.
-  }
+  WriteState(Dir(), "not a state file at all, just hostile bytes \x01\x02\x03");
   MetricsRegistry registry;
   Rig rig(Dir());
   rig.store.BindMetrics(registry);
@@ -480,65 +611,75 @@ TEST_F(PersistenceTest, CorruptStateColdStartsWithMetrics) {
   EXPECT_GE(registry.Scrape().CounterValue("robodet_persistence_journal_records_total"), 1u);
 }
 
-// A stale journal (older epoch than the snapshot) is ignored: its effects
-// are already folded into the snapshot, and double-applying would corrupt.
-TEST_F(PersistenceTest, StaleJournalEpochIsIgnored) {
-  Rig live(Dir());
-  live.store.Recover(0);
-  live.keys.Record(IpAddress(kIp1), "/a.html", "folded-key", 100);
-  // Preserve the epoch-N journal holding the key-issue record...
-  std::ifstream in(Dir() + "/journal.bin", std::ios::binary);
-  const std::string old_journal((std::istreambuf_iterator<char>(in)),
-                                std::istreambuf_iterator<char>());
-  in.close();
-  // ...then checkpoint (folds the key into the snapshot, epoch N+1) and put
-  // the stale journal back, as if the journal reset hit disk late.
-  ASSERT_TRUE(live.store.Checkpoint(200));
-  live.store.OnCrash();
+// Format version 1 kept two files, snapshot.bin and journal.bin, tied by a
+// generation number in each header. Nothing reads those files: a
+// directory that holds only them cold-starts and leaves them as they are,
+// and a version-1 journal under the new file's name fails its header
+// check.
+TEST_F(PersistenceTest, VersionOneDirectoryColdStarts) {
+  ByteWriter journal;
+  journal.PutRaw(persistence::kJournalMagic);
+  journal.PutU32(1);  // version
+  journal.PutU64(1);  // generation
+  persistence::EncodeKeyIssued({kIp1, "/a.html", "key-a1", 100}, &journal);
+  ByteWriter snapshot;
+  snapshot.PutRaw(std::string_view("RDSNAP1\0", 8));
+  snapshot.PutU32(1);    // version
+  snapshot.PutU64(1);    // generation
+  snapshot.PutI64(100);  // created_at
+  snapshot.PutU32(0);    // key sections
+  snapshot.PutU32(0);    // session sections
+  std::filesystem::create_directories(Dir());
+  std::ofstream(Dir() + "/journal.bin", std::ios::binary) << journal.bytes();
+  std::ofstream(Dir() + "/snapshot.bin", std::ios::binary) << snapshot.bytes();
   {
-    std::ofstream out(Dir() + "/journal.bin", std::ios::binary | std::ios::trunc);
-    out << old_journal;
+    Rig rig(Dir());
+    const RecoveryReport report = rig.store.Recover(200);
+    EXPECT_TRUE(report.cold_start);
+    EXPECT_EQ(report.journal_records_applied, 0u);
+    EXPECT_EQ(rig.keys.total_entries(), 0u);
   }
-  Rig recovered(Dir());
-  const RecoveryReport report = recovered.store.Recover(300);
-  EXPECT_TRUE(report.snapshot_loaded);
-  EXPECT_FALSE(report.journal_replayed);
-  EXPECT_EQ(report.journal_records_applied, 0u);
-  // Exactly one copy of the key: the snapshot's.
-  EXPECT_EQ(recovered.keys.total_entries(), 1u);
-  EXPECT_TRUE(recovered.keys.MatchAndConsume(IpAddress(kIp1), "folded-key", 400));
-  EXPECT_FALSE(recovered.keys.MatchAndConsume(IpAddress(kIp1), "folded-key", 400));
+  std::ifstream in(Dir() + "/journal.bin", std::ios::binary);
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()),
+            journal.bytes());
+  EXPECT_TRUE(InspectState(Dir()).clean);  // The recovery's own, empty file.
+
+  WriteState(Dir("renamed"), journal.bytes());
+  Rig rig(Dir("renamed"));
+  EXPECT_TRUE(rig.store.Recover(200).cold_start);
+  EXPECT_EQ(rig.keys.total_entries(), 0u);
 }
 
-// InspectState mirrors what the statedump tool prints: clean for a healthy
-// pair, not clean for a torn tail or an epoch mismatch.
+// InspectState mirrors what the statedump tool prints: clean for a whole
+// file, not clean for a torn tail or a missing file.
 TEST_F(PersistenceTest, InspectStateReportsCleanAndTorn) {
+  EXPECT_FALSE(InspectState(Dir()).present);
+  EXPECT_FALSE(InspectState(Dir()).clean);
   Rig live(Dir());
   live.store.Recover(0);
   live.keys.Record(IpAddress(kIp1), "/a.html", "k", 100);
   {
     const InspectionResult clean = InspectState(Dir());
-    EXPECT_TRUE(clean.snapshot_present);
-    EXPECT_TRUE(clean.journal_present);
-    EXPECT_TRUE(clean.snapshot_valid);
-    EXPECT_TRUE(clean.journal_valid);
-    EXPECT_TRUE(clean.epoch_match);
+    EXPECT_TRUE(clean.present);
+    EXPECT_TRUE(clean.valid);
     EXPECT_TRUE(clean.clean);
-    EXPECT_EQ(clean.journal.records, 1u);
+    EXPECT_EQ(clean.records(), 1u);
+    EXPECT_EQ(clean.key_issues, 1u);
   }
-  // Tear the journal tail.
-  const size_t size = std::filesystem::file_size(Dir() + "/journal.bin");
-  std::filesystem::resize_file(Dir() + "/journal.bin", size - 3);
+  // Tear the tail.
+  const size_t size = std::filesystem::file_size(Dir() + "/state.bin");
+  std::filesystem::resize_file(Dir() + "/state.bin", size - 3);
   const InspectionResult torn = InspectState(Dir());
-  EXPECT_TRUE(torn.journal_valid);
+  EXPECT_TRUE(torn.valid);
   EXPECT_FALSE(torn.clean);
-  EXPECT_GT(torn.journal.bytes_dropped, 0u);
+  EXPECT_EQ(torn.records(), 0u);
+  EXPECT_GT(torn.bytes_dropped, 0u);
 }
 
 // Every persisted string comes from one request line or one header line,
 // so a client whose User-Agent, page path and echoed agent are each longer
 // than a short string but within the wire's line limit recovers with the
-// other 39 clients, and no snapshot section is dropped.
+// other 39 clients, and no record is dropped.
 TEST_F(PersistenceTest, WireLengthStringsSurviveCheckpointAndRestart) {
   constexpr int kClients = 40;
   constexpr int kLongClient = 7;
@@ -582,12 +723,12 @@ TEST_F(PersistenceTest, WireLengthStringsSurviveCheckpointAndRestart) {
   const SessionKey long_key{IpAddress(kIp1 + kLongClient), long_agent};
   ASSERT_EQ(proxy.sessions().Touch(long_key, clock.Now())->signals().ua_echo_agent, long_agent);
   ASSERT_EQ(proxy.sessions().active_count(), static_cast<size_t>(kClients));
-  ASSERT_TRUE(proxy.state_store()->Checkpoint(clock.Now()));
+  ASSERT_TRUE(proxy.state_store()->Checkpoint());
   const std::string before = Fingerprint(proxy.keys(), proxy.sessions());
   ASSERT_NE(before.find(long_path), std::string::npos);
 
   proxy.SimulateCrashRestart(clock.Now());
-  EXPECT_EQ(proxy.state_store()->last_recovery().snapshot_sections_dropped, 0u);
+  EXPECT_EQ(proxy.state_store()->last_recovery().journal_records_dropped, 0u);
   EXPECT_EQ(proxy.sessions().active_count(), static_cast<size_t>(kClients));
   EXPECT_EQ(Fingerprint(proxy.keys(), proxy.sessions()), before);
   const SessionSignals& recovered = proxy.sessions().Touch(long_key, clock.Now())->signals();

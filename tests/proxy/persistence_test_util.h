@@ -1,49 +1,13 @@
-// Test helpers over the persistence codec: a snapshot read whole into
-// vectors of images through the streaming SnapshotReader, and a model of
-// journal replay on a session image, which the tests compare the live
-// tables and the readers against.
+// A test model of session-update replay on a session image, which the
+// tests compare the live tables and the reader against.
 #ifndef ROBODET_TESTS_PROXY_PERSISTENCE_TEST_UTIL_H_
 #define ROBODET_TESTS_PROXY_PERSISTENCE_TEST_UTIL_H_
 
-#include <sstream>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/proxy/persistence/format.h"
 
 namespace robodet::persistence {
-
-struct SnapshotContents {
-  uint64_t epoch = 0;
-  TimeMs created_at = 0;
-  std::vector<KeyEntryImage> keys;
-  std::vector<SessionImage> sessions;
-  size_t sections_total = 0;
-  size_t sections_dropped = 0;
-};
-
-// Every entry of the snapshot in `in`, read by SnapshotReader. False when
-// the header is invalid.
-inline bool ReadSnapshot(std::istream* in, SnapshotContents* out) {
-  *out = SnapshotContents{};
-  SnapshotReader reader;
-  if (!reader.Open(in)) {
-    return false;
-  }
-  reader.ForEachEntry([out](const KeyEntryImage& k) { out->keys.push_back(k); },
-                      [out](const SessionImage& s) { out->sessions.push_back(s); });
-  out->epoch = reader.epoch();
-  out->created_at = reader.created_at();
-  out->sections_total = reader.sections_total();
-  out->sections_dropped = reader.sections_dropped();
-  return true;
-}
-
-inline bool ReadSnapshot(std::string_view bytes, SnapshotContents* out) {
-  std::istringstream in{std::string(bytes)};
-  return ReadSnapshot(&in, out);
-}
 
 template <typename T>
 void ApplySuffix(std::vector<T>* dst, const std::vector<T>& suffix, uint32_t before) {

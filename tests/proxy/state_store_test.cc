@@ -6,10 +6,10 @@
 // StateBytesTest is the byte-identity guard for the persistence codec: the
 // run takes one explicit checkpoint midway, serves more after an idle gap
 // that splits every session and expires every older key, and then
-// restarts from its directory. It pins digests of snapshot.bin and
-// journal.bin before the restart and of the snapshot the recovery
-// checkpoint writes. The expected digests are constants: any change to
-// the bytes the codec writes for the same state shows up here, and such a
+// restarts from its directory. It pins digests of state.bin right after
+// the checkpoint, before the restart, and as the recovery checkpoint
+// rewrites it. The expected digests are constants: any change to the
+// bytes the codec writes for the same state shows up here, and such a
 // change would make every existing state directory cold-start.
 //
 // PersistenceStagesTest checks that the journal-append and checkpoint
@@ -138,50 +138,54 @@ class DurableProxyTest : public ::testing::Test {
 
 using StateBytesTest = DurableProxyTest;
 
-TEST_F(StateBytesTest, StateFilesMatchPinnedDigests) {
-  // Explicit checkpoints only, so the run controls when the journal resets.
+TEST_F(StateBytesTest, StateFileMatchesPinnedDigests) {
+  // Explicit checkpoints only, so the run controls when the file is
+  // rewritten.
   StartProxy(/*snapshot_interval_records=*/0);
+  // Right after a checkpoint the file holds one key issue per live key and
+  // one session update per live session, and nothing else.
+  auto expect_compacted = [this](const char* when) {
+    const InspectionResult compacted = InspectState(dir_.string());
+    EXPECT_TRUE(compacted.clean) << when;
+    EXPECT_EQ(compacted.key_issues, proxy_->keys().total_entries()) << when;
+    EXPECT_EQ(compacted.session_updates, proxy_->sessions().active_count()) << when;
+    EXPECT_EQ(compacted.records(), compacted.key_issues + compacted.session_updates) << when;
+  };
   ServeRound(0);
   ServeRound(1);
-  ASSERT_TRUE(proxy_->state_store()->Checkpoint(clock_.Now()));
+  ASSERT_TRUE(proxy_->state_store()->Checkpoint());
+  expect_compacted("checkpoint");
+  const uint64_t checkpointed = FileDigest(proxy_->state_store()->state_path());
   ServeRound(2);
   // An idle gap past the session timeout: round 3 splits every session,
-  // which journals the closes.
+  // which appends the closes.
   clock_.Advance(2 * kHour);
   ServeRound(3);
 
-  const uint64_t snapshot = FileDigest(proxy_->state_store()->snapshot_path());
-  const uint64_t journal = FileDigest(proxy_->state_store()->journal_path());
-  // The journal holds every record type the codec writes.
-  ASSERT_TRUE(InspectState(dir_.string()).clean);
-  std::ifstream journal_in(proxy_->state_store()->journal_path(), std::ios::binary);
-  persistence::JournalReader reader;
-  ASSERT_TRUE(reader.Open(&journal_in));
-  size_t by_type[5] = {};
-  persistence::JournalRecord rec;
-  while (reader.Next(&rec)) {
-    ++by_type[static_cast<size_t>(rec.type)];
-  }
-  EXPECT_GT(by_type[static_cast<size_t>(persistence::JournalRecordType::kKeyIssued)], 0u);
-  EXPECT_GT(by_type[static_cast<size_t>(persistence::JournalRecordType::kKeyConsumed)], 0u);
-  EXPECT_GT(by_type[static_cast<size_t>(persistence::JournalRecordType::kSessionUpdate)], 0u);
-  EXPECT_GT(by_type[static_cast<size_t>(persistence::JournalRecordType::kSessionClosed)], 0u);
+  const uint64_t state = FileDigest(proxy_->state_store()->state_path());
+  // The file holds every record type the codec writes.
+  const InspectionResult inspected = InspectState(dir_.string());
+  ASSERT_TRUE(inspected.clean);
+  EXPECT_GT(inspected.key_issues, 0u);
+  EXPECT_GT(inspected.key_consumes, 0u);
+  EXPECT_GT(inspected.session_updates, 0u);
+  EXPECT_GT(inspected.session_closes, 0u);
   const size_t live_keys = proxy_->keys().total_entries();
   proxy_->SimulateCrashRestart(clock_.Now());
   const RecoveryReport& rep = proxy_->state_store()->last_recovery();
   EXPECT_FALSE(rep.cold_start);
-  EXPECT_GT(rep.journal_records_applied, 0u);
+  EXPECT_EQ(rep.journal_records_applied, inspected.records());
   EXPECT_GT(rep.sessions_restored, 0u);
   EXPECT_GT(rep.key_entries_restored, 0u);
   // Round 3's issues expired each client's older keys in the live table;
   // replay expires them the same way.
   EXPECT_EQ(rep.key_entries_restored, live_keys);
-  const uint64_t recovered = FileDigest(proxy_->state_store()->snapshot_path());
+  expect_compacted("recovery");
+  const uint64_t recovered = FileDigest(proxy_->state_store()->state_path());
 
-  EXPECT_EQ(snapshot, 0x6ed5174a5e80ac24ULL) << std::hex << "snapshot digest 0x" << snapshot;
-  EXPECT_EQ(journal, 0x8e80719ec7d9f064ULL) << std::hex << "journal digest 0x" << journal;
-  EXPECT_EQ(recovered, 0x13784eb982b91e94ULL)
-      << std::hex << "recovered snapshot digest 0x" << recovered;
+  EXPECT_EQ(checkpointed, 0x8d6c4bc8ffc9e590ULL) << std::hex << "checkpointed digest 0x" << checkpointed;
+  EXPECT_EQ(state, 0xb0b203b136ed5e5bULL) << std::hex << "state digest 0x" << state;
+  EXPECT_EQ(recovered, 0x138ad00d89b9bb2ULL) << std::hex << "recovered digest 0x" << recovered;
 }
 
 using PersistenceStagesTest = DurableProxyTest;
@@ -204,7 +208,7 @@ TEST_F(PersistenceStagesTest, StageHistogramsCountWhatTheCountersCount) {
   const std::vector<uint64_t> before = stages();
   ServeRound(0);
   ServeRound(1);
-  ASSERT_TRUE(proxy_->state_store()->Checkpoint(clock_.Now()));
+  ASSERT_TRUE(proxy_->state_store()->Checkpoint());
   ServeRound(2);
   proxy_->SimulateCrashRestart(clock_.Now());
   ServeRound(3);
@@ -249,7 +253,7 @@ TEST(KeyReplayTest, RepeatedKeyRecoversToTheTablesEntries) {
     store.Recover(0);
     keys.Record(ip, "/a.html", "k1", 10);
     keys.Record(ip, "/b.html", "k1", 10);
-    ASSERT_TRUE(store.Checkpoint(20));
+    ASSERT_TRUE(store.Checkpoint());
     EXPECT_TRUE(keys.MatchAndConsume(ip, "k1", 30));  // Consumes /a.html.
     keys.Record(ip, "/c.html", "k1", 40);
     EXPECT_TRUE(keys.MatchAndConsume(ip, "k1", 50));  // Consumes /b.html.
@@ -261,7 +265,8 @@ TEST(KeyReplayTest, RepeatedKeyRecoversToTheTablesEntries) {
   SessionTable sessions(SessionTable::Config{});
   StateStore store(config, &keys, &sessions);
   const RecoveryReport rep = store.Recover(60);
-  EXPECT_EQ(rep.journal_records_applied, 3u);
+  // The checkpoint's two key issues, then three appended records.
+  EXPECT_EQ(rep.journal_records_applied, 5u);
   EXPECT_EQ(entries(keys), live);
   std::filesystem::remove_all(dir);
 }
@@ -271,8 +276,8 @@ TEST(KeyReplayTest, RepeatedKeyRecoversToTheTablesEntries) {
 // order through the table's own eviction, so 65 issues and a consume of
 // the second key recover to keys 3-65, as the table held them, and the
 // evicted first key stays gone: its beacon must read as a wrong key, not
-// a mouse event. The same holds with the first 40 issues folded into a
-// snapshot.
+// a mouse event. The same holds with the first 40 issues compacted by a
+// checkpoint.
 TEST(KeyReplayTest, EvictedKeyStaysEvicted) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() /
@@ -301,7 +306,7 @@ TEST(KeyReplayTest, EvictedKeyStaysEvicted) {
         const std::string n = std::to_string(i);
         keys.Record(ip, "/p/" + n + ".html", "k" + n, 10 + i);
         if (i == checkpoint_after) {
-          ASSERT_TRUE(store.Checkpoint(10 + i));
+          ASSERT_TRUE(store.Checkpoint());
         }
       }
       EXPECT_TRUE(keys.MatchAndConsume(ip, "k2", 100));
@@ -427,7 +432,7 @@ TEST(ConcurrentJournalTest, FourThreadsDecodeToTheirRecords) {
     thread.join();
   }
 
-  std::ifstream journal_in(store.journal_path(), std::ios::binary);
+  std::ifstream journal_in(store.state_path(), std::ios::binary);
   persistence::JournalReader reader;
   ASSERT_TRUE(reader.Open(&journal_in));
   std::vector<std::vector<std::string>> got(kThreads);

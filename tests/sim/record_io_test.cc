@@ -8,7 +8,6 @@
 #include <unistd.h>
 
 #include "src/core/combined_classifier.h"
-#include "src/proxy/persistence/format.h"
 #include "src/sim/cluster.h"
 
 namespace robodet {
@@ -148,18 +147,9 @@ TEST_F(RecordIoTest, EverySignalIndexSurvivesEveryLayer) {
     EXPECT_EQ(got.ua_echo_agent, want.ua_echo_agent) << layer;
   };
 
-  // Snapshot codec.
-  persistence::SessionFields fields;
-  fields.signals = &want;
-  ByteWriter writer;
-  persistence::EncodeSession(fields, &writer);
-  const std::string bytes = writer.Take();
-  ByteReader reader(bytes);
-  persistence::SessionImage decoded;
-  ASSERT_TRUE(persistence::DecodeSession(&reader, &decoded));
-  expect_all(decoded.signals, "snapshot");
-
-  // Journal: a journaled session update, recovered after a crash.
+  // State file: an appended session update, recovered after a crash; then
+  // the record the recovery's checkpoint compacted it into, recovered
+  // after a second crash.
   const SessionKey key{IpAddress(0x0a000001), "ua"};
   auto origin = [](const Request&) { return MakeHtmlResponse("<html></html>"); };
   ProxyConfig durable;
@@ -170,7 +160,10 @@ TEST_F(RecordIoTest, EverySignalIndexSurvivesEveryLayer) {
   proxy.state_store()->OnSessionUpdated(*session);
   proxy.SimulateCrashRestart(200);
   EXPECT_EQ(proxy.state_store()->last_recovery().journal_records_applied, 1u);
-  expect_all(proxy.sessions().Touch(key, 200)->signals(), "journal");
+  expect_all(proxy.sessions().Touch(key, 200)->signals(), "appended record");
+  proxy.SimulateCrashRestart(300);
+  EXPECT_EQ(proxy.state_store()->last_recovery().journal_records_applied, 1u);
+  expect_all(proxy.sessions().Touch(key, 300)->signals(), "compacted record");
 
   // Sessions CSV. The second record's synthesized input event is its only
   // robot evidence: without that column it would read back human.

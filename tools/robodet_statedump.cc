@@ -1,10 +1,10 @@
 // robodet_statedump: read-only inspector for a persistence state
-// directory (snapshot.bin + journal.bin). Prints what each file holds
-// and whether the pair is consistent; exit status makes it usable as a
-// health check:
+// directory (state.bin). Prints what the file holds and what a recovery
+// of it would drop; exit status makes it usable as a health check:
 //
-//   0  clean — both files validate, epochs match, no bytes dropped
-//   1  damaged — something present is corrupt, torn, or mismatched
+//   0  clean — the file is present, its header validates, and no record
+//      or byte is dropped
+//   1  damaged — the file is missing, corrupt or torn
 //   2  usage error
 //
 // Usage:
@@ -34,45 +34,28 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: robodet_statedump --state-dir=DIR\n"
                  "       robodet_statedump DIR\n"
-                 "exits 0 when the snapshot+journal pair is clean, 1 when\n"
-                 "anything present is corrupt or torn, 2 on usage error.\n");
+                 "exits 0 when state.bin is clean, 1 when it is missing,\n"
+                 "corrupt or torn, 2 on usage error.\n");
     return flags.GetBool("help") ? 0 : 2;
   }
 
   const InspectionResult result = InspectState(state_dir);
 
   std::printf("state dir: %s\n", state_dir.c_str());
-  std::printf("snapshot:  present=%s valid=%s", YesNo(result.snapshot_present),
-              YesNo(result.snapshot_valid));
-  if (result.snapshot_valid) {
-    std::printf(" epoch=%llu created_at=%lld keys=%zu sessions=%zu",
-                static_cast<unsigned long long>(result.snapshot.epoch),
-                static_cast<long long>(result.snapshot.created_at),
-                result.snapshot.keys, result.snapshot.sessions);
-    if (result.snapshot.sections_dropped > 0) {
-      std::printf(" sections_dropped=%zu/%zu", result.snapshot.sections_dropped,
-                  result.snapshot.sections_total);
+  std::printf("state.bin: present=%s valid=%s", YesNo(result.present), YesNo(result.valid));
+  if (result.valid) {
+    std::printf(" records=%zu key_issued=%zu key_consumed=%zu session_update=%zu"
+                " session_closed=%zu",
+                result.records(), result.key_issues, result.key_consumes,
+                result.session_updates, result.session_closes);
+    if (result.records_dropped > 0) {
+      std::printf(" records_dropped=%zu", result.records_dropped);
+    }
+    if (result.bytes_dropped > 0) {
+      std::printf(" torn_tail_bytes=%zu", result.bytes_dropped);
     }
   }
   std::printf("\n");
-  std::printf("journal:   present=%s valid=%s", YesNo(result.journal_present),
-              YesNo(result.journal_valid));
-  if (result.journal_valid) {
-    std::printf(" epoch=%llu records=%zu",
-                static_cast<unsigned long long>(result.journal.epoch), result.journal.records);
-    if (result.journal.records_dropped > 0) {
-      std::printf(" records_dropped=%zu", result.journal.records_dropped);
-    }
-    if (result.journal.bytes_dropped > 0) {
-      std::printf(" torn_tail_bytes=%zu", result.journal.bytes_dropped);
-    }
-  }
-  std::printf("\n");
-  if (result.snapshot_valid && result.journal_valid) {
-    std::printf("epochs:    %s\n",
-                result.epoch_match ? "match (journal extends snapshot)"
-                                   : "mismatch (journal is stale or orphaned)");
-  }
   std::printf("verdict:   %s\n", result.clean ? "clean" : "DAMAGED");
   return result.clean ? 0 : 1;
 }
