@@ -70,15 +70,24 @@ std::string PrintJsExpression(const JsExpr& expr) {
       return "(" + expr.op + PrintJsExpression(*expr.children[0]) + ")";
     case JsExprKind::kBinary:
     case JsExprKind::kLogical:
-      return "(" + PrintJsExpression(*expr.children[0]) + " " + expr.op + " " +
-             PrintJsExpression(*expr.children[1]) + ")";
+      return std::string("(")
+          .append(PrintJsExpression(*expr.children[0]))
+          .append(" ")
+          .append(expr.op)
+          .append(" ")
+          .append(PrintJsExpression(*expr.children[1]))
+          .append(")");
     case JsExprKind::kAssign:
       return PrintJsExpression(*expr.children[0]) + " " + expr.op + " " +
              PrintJsExpression(*expr.children[1]);
     case JsExprKind::kConditional:
-      return "(" + PrintJsExpression(*expr.children[0]) + " ? " +
-             PrintJsExpression(*expr.children[1]) + " : " +
-             PrintJsExpression(*expr.children[2]) + ")";
+      return std::string("(")
+          .append(PrintJsExpression(*expr.children[0]))
+          .append(" ? ")
+          .append(PrintJsExpression(*expr.children[1]))
+          .append(" : ")
+          .append(PrintJsExpression(*expr.children[2]))
+          .append(")");
     case JsExprKind::kCall: {
       std::string out = PrintJsExpression(*expr.children[0]) + "(";
       for (size_t i = 1; i < expr.children.size(); ++i) {

@@ -63,7 +63,11 @@ std::string JsonLabels(const Labels& labels) {
     if (out.size() > 1) {
       out += ',';
     }
-    out += "\"" + JsonEscape(label.key) + "\":\"" + JsonEscape(label.value) + "\"";
+    out += '"';
+    out += JsonEscape(label.key);
+    out += "\":\"";
+    out += JsonEscape(label.value);
+    out += '"';
   }
   out += '}';
   return out;

@@ -170,7 +170,7 @@ inline std::string GenerateRefSoup(Rng& rng, size_t target_size) {
               out += " = '" + value + "'";
               break;
             default:
-              out += "=" + value.substr(0, value.find(' '));
+              out.append("=").append(value, 0, value.find(' '));
               break;
           }
         }

@@ -49,7 +49,7 @@ TEST(KeyTableTest, PerIpBoundDropsOldest) {
   KeyTable table(KeyTable::Config{});
   // Twice the per-IP bound of 64: the first 64 fall off.
   for (int i = 0; i < 128; ++i) {
-    table.Record(IpAddress(1), "/p", "k" + std::to_string(i), i);
+    table.Record(IpAddress(1), "/p", std::string("k").append(std::to_string(i)), i);
   }
   EXPECT_EQ(table.total_entries(), 64u);
   EXPECT_FALSE(table.MatchAndConsume(IpAddress(1), "k63", 200));

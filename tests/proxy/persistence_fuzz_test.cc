@@ -35,8 +35,8 @@ using persistence::SessionImage;
 KeyEntryImage MakeKey(Rng& rng) {
   KeyEntryImage e;
   e.ip = static_cast<uint32_t>(rng.UniformU64(1u << 24));
-  e.page_path = "/p" + std::to_string(rng.UniformU64(100)) + ".html";
-  e.key = "k" + std::to_string(rng.UniformU64(1u << 30));
+  e.page_path = std::string("/p").append(std::to_string(rng.UniformU64(100))).append(".html");
+  e.key = std::string("k").append(std::to_string(rng.UniformU64(1u << 30)));
   e.issued_at = static_cast<TimeMs>(rng.UniformU64(1u << 30));
   return e;
 }

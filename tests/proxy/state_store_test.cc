@@ -344,7 +344,8 @@ TEST(KeyReplayTest, RecoveryCountsTheEntriesTheTableKeeps) {
     keys.set_observer(&store);
     store.Recover(0);
     for (int i = 0; i < 100; ++i) {
-      keys.Record(ip, "/p/" + std::to_string(i) + ".html", "k" + std::to_string(i), 10 + i);
+      keys.Record(ip, std::string("/p/").append(std::to_string(i)).append(".html"),
+                  std::string("k").append(std::to_string(i)), 10 + i);
     }
     ASSERT_EQ(keys.total_entries(), 64u);
     store.OnCrash();
@@ -392,7 +393,10 @@ TEST(ConcurrentJournalTest, FourThreadsDecodeToTheirRecords) {
 
   auto thread_ip = [](int t) { return IpAddress(0x0a000000u + static_cast<uint32_t>(t)); };
   auto key_name = [](uint64_t session, int request) {
-    return "k" + std::to_string(session) + "-" + std::to_string(request);
+    return std::string("k")
+        .append(std::to_string(session))
+        .append("-")
+        .append(std::to_string(request));
   };
   std::vector<std::vector<std::unique_ptr<SessionState>>> owned(kThreads);
   std::vector<std::vector<std::string>> want(kThreads);

@@ -59,7 +59,7 @@ TEST(DeterminismTest, ParallelRecordsAreBitIdenticalToSerial) {
     parallel.Run();
     ASSERT_EQ(parallel.records().size(), serial.records().size())
         << "threads=" << threads;
-    EXPECT_EQ(Digest(parallel.records(), "t" + std::to_string(threads)), want)
+    EXPECT_EQ(Digest(parallel.records(), std::string("t").append(std::to_string(threads))), want)
         << "threads=" << threads;
   }
 }
