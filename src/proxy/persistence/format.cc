@@ -16,17 +16,23 @@ constexpr uint8_t kFlagEmbedded = 1u << 3;
 constexpr uint8_t kFlagLinkFollow = 1u << 4;
 constexpr uint8_t kFlagFavicon = 1u << 5;
 
-// Frames what the caller writes after BeginFrame as len u32 | bytes | crc
-// u32, in place: the length is patched in once the payload is known.
+// A frame's head: its length, then the CRC of those four length bytes.
+constexpr size_t kFrameHeadBytes = 8;
+
+// Frames what the caller writes after BeginFrame as len u32 | len_crc u32 |
+// bytes | crc u32, in place: the length and its CRC are patched in once the
+// payload is known.
 size_t BeginFrame(ByteWriter* w) {
   const size_t at = w->size();
+  w->PutU32(0);
   w->PutU32(0);
   return at;
 }
 
 void EndFrame(size_t at, ByteWriter* w) {
-  const std::string_view payload = std::string_view(w->bytes()).substr(at + 4);
+  const std::string_view payload = std::string_view(w->bytes()).substr(at + kFrameHeadBytes);
   w->PatchU32(at, static_cast<uint32_t>(payload.size()));
+  w->PatchU32(at + 4, Crc32c(std::string_view(w->bytes()).substr(at, 4)));
   w->PutU32(Crc32c(payload));
 }
 
@@ -267,14 +273,19 @@ bool JournalReader::Open(std::istream* in) {
 bool JournalReader::Next(JournalRecord* rec) {
   while (reader_.remaining() > 0) {
     const size_t tail = reader_.remaining();  // Abandoned if this frame is torn.
-    // A frame is frame_len | frame | crc.
+    // A frame is frame_len | len_crc | frame | crc.
+    std::string_view head;
     uint32_t len = 0;
+    uint32_t len_crc = 0;
     std::string_view framed;
-    if (!reader_.ReadU32(&len) || len == 0 || len > kMaxFrameBytes ||
-        !reader_.Read(len + 4, &framed)) {
-      // An out-of-bounds length or a short read: the frame boundary can no
-      // longer be trusted, so everything from the frame start on is
-      // abandoned.
+    if (!reader_.Read(kFrameHeadBytes, &head) || !ByteReader(head).ReadU32(&len) ||
+        !ByteReader(head.substr(4)).ReadU32(&len_crc) || len_crc != Crc32c(head.substr(0, 4)) ||
+        len == 0 || len > kMaxFrameBytes || !reader_.Read(len + 4, &framed)) {
+      // A length that fails its own CRC or is out of bounds, or a short
+      // read: the next frame's start can no longer be trusted, so
+      // everything from this frame's start on is abandoned. Skipping by an
+      // unchecked length could land inside a payload, whose client-chosen
+      // bytes might then pass for a record.
       bytes_dropped_ = tail;
       reader_ = StreamReader();
       return false;
@@ -285,9 +296,9 @@ bool JournalReader::Next(JournalRecord* rec) {
     if (crc == Crc32c(frame) && DecodeJournalFrame(frame, rec)) {
       return true;
     }
-    // A whole frame that fails its CRC (a flipped byte) or does not decode
-    // (a record type from a newer writer): skip just this frame, as its
-    // length still marks where the next one starts.
+    // A frame whose checked length holds but whose CRC fails (a flipped
+    // byte) or that does not decode (a record type from a newer writer):
+    // skip just this frame, as its length marks where the next one starts.
     ++records_dropped_;
     *rec = JournalRecord{};
   }

@@ -3,17 +3,19 @@
 // a session close. A durable proxy appends one record per mutation, and a
 // checkpoint rewrites the file as one record per live key and session.
 //
-// The file is parsed as untrusted input: every record carries a CRC32C,
-// every length prefix is validated against a hard cap before allocation,
-// and a corrupt record or a torn tail costs that record or that tail, not
-// the file. Decoders never throw and never read out of bounds (all access
+// The file is parsed as untrusted input: every record and every record's
+// length carries a CRC32C, every length prefix is validated against a hard
+// cap before allocation, and a corrupt record body costs that record, a
+// corrupt length or a torn tail the file from there on. Decoders never throw and never read out of bounds (all access
 // goes through ByteReader). The file streams: the reader holds one record
 // at a time.
 //
 // Layout (little-endian throughout):
 //   magic[8] "RDJRNL1\0" | version u32
-//   | records...                 each: frame_len u32 | frame | crc u32
+//   | records...   each: frame_len u32 | len_crc u32 | frame | crc u32
 //   frame: type u8 | payload
+// len_crc is the CRC32C of frame_len's four bytes and crc that of the
+// frame, so a record's length is trusted before it is used to skip it.
 #ifndef ROBODET_SRC_PROXY_PERSISTENCE_FORMAT_H_
 #define ROBODET_SRC_PROXY_PERSISTENCE_FORMAT_H_
 
@@ -152,8 +154,8 @@ RunMarks RunLengths(const SessionFields& s);
 // Appends the file header, magic | version, to `w`.
 void EncodeJournalHeader(ByteWriter* w);
 
-// Each appends one framed record, frame_len | (type | payload) | crc, to
-// `w`.
+// Each appends one framed record, frame_len | len_crc | (type | payload) |
+// crc, to `w`.
 void EncodeKeyIssued(const KeyEntryFields& e, ByteWriter* w);
 void EncodeKeyConsumed(uint32_t ip, std::string_view key, ByteWriter* w);
 // The session's scalars, then each run's mark and the run from that mark
@@ -175,13 +177,14 @@ class JournalReader {
   bool Open(std::istream* in);
   // Decodes the next intact record into `rec`, reusing its storage (only
   // the fields of the record's type are written). False at the end of the
-  // file or of its framing. A whole, in-bounds frame whose CRC fails or
-  // whose payload does not decode is skipped and counted.
+  // file or of its framing. A whole frame whose length passes its CRC and
+  // bounds but whose frame CRC fails, or whose payload does not decode, is
+  // skipped and counted.
   bool Next(JournalRecord* rec);
 
   // Once Next has returned false: the frames skipped; and the bytes left
-  // at a frame whose length is out of bounds or runs past the end of the
-  // file, past which framing can no longer be trusted.
+  // at a frame whose length fails its CRC, is out of bounds or runs past
+  // the end of the file, past which framing can no longer be trusted.
   size_t records_dropped() const { return records_dropped_; }
   size_t bytes_dropped() const { return bytes_dropped_; }
 

@@ -99,9 +99,4 @@ bool StreamReader::Read(size_t n, std::string_view* out) {
   return true;
 }
 
-bool StreamReader::ReadU32(uint32_t* v) {
-  std::string_view bytes;
-  return Read(4, &bytes) && ByteReader(bytes).ReadU32(v);
-}
-
 }  // namespace robodet

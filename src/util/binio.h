@@ -155,8 +155,6 @@ class StreamReader {
   // The next `n` bytes, valid until the next read. False when fewer are
   // left or the stream fails; every later read fails too.
   bool Read(size_t n, std::string_view* out);
-  // Reads a little-endian u32, as ByteReader does.
-  bool ReadU32(uint32_t* v);
 
   size_t remaining() const { return remaining_; }
 

@@ -248,10 +248,10 @@ TEST_P(PersistenceFuzzTest, SessionUpdateRoundTrip) {
     const persistence::SessionFields fields = FieldsOfLive(*live);
     ByteWriter compacted;
     persistence::EncodeSessionUpdate(fields, persistence::RunMarks{}, &compacted);
-    // frame_len u32 | frame | crc u32
+    // frame_len u32 | len_crc u32 | frame | crc u32
     const std::string_view framed = compacted.bytes();
     JournalRecord whole;
-    ASSERT_TRUE(persistence::DecodeJournalFrame(framed.substr(4, framed.size() - 8), &whole));
+    ASSERT_TRUE(persistence::DecodeJournalFrame(framed.substr(8, framed.size() - 12), &whole));
     const SessionImage& full = whole.update.delta;
 
     const persistence::RunMarks lengths = persistence::RunLengths(fields);
@@ -297,9 +297,10 @@ struct JournalContents {
 };
 
 // The file in `bytes` decoded from memory in one pass over it, as format.h
-// lays it out: a whole, in-bounds frame that fails its CRC or does not
-// decode is dropped alone; an out-of-bounds length or a short frame ends
-// the walk and drops the bytes from its start on.
+// lays it out: a whole frame with a checked, in-bounds length that fails
+// its CRC or does not decode is dropped alone; a length that fails its
+// CRC or is out of bounds, or a short frame, ends the walk and drops the
+// bytes from its start on.
 bool DecodeWholeJournal(std::string_view bytes, JournalContents* out) {
   *out = JournalContents{};
   ByteReader r(bytes);
@@ -312,11 +313,15 @@ bool DecodeWholeJournal(std::string_view bytes, JournalContents* out) {
   }
   while (r.remaining() > 0) {
     const size_t tail = r.remaining();
+    std::string_view len_bytes;
     uint32_t len = 0;
+    uint32_t len_crc = 0;
     std::string_view frame;
     uint32_t crc = 0;
-    if (!r.ReadU32(&len) || len > persistence::kMaxFrameBytes || len == 0 ||
-        !r.ReadRaw(len, &frame) || !r.ReadU32(&crc)) {
+    if (!r.ReadRaw(4, &len_bytes) || !ByteReader(len_bytes).ReadU32(&len) ||
+        !r.ReadU32(&len_crc) || len_crc != Crc32c(len_bytes) ||
+        len > persistence::kMaxFrameBytes || len == 0 || !r.ReadRaw(len, &frame) ||
+        !r.ReadU32(&crc)) {
       out->bytes_dropped = tail;
       break;
     }
@@ -481,6 +486,8 @@ TEST(PersistenceLimitsTest, HugeFrameLengthIsRejectedNotAllocated) {
   ByteWriter evil;
   persistence::EncodeJournalHeader(&evil);
   evil.PutU32(0xffffffffu);  // frame length far past kMaxFrameBytes
+  evil.PutU32(Crc32c(std::string_view("\xff\xff\xff\xff", 4)));  // its valid CRC
+  evil.PutU32(0);
   const std::string bytes = evil.Take();
   JournalReader jrnl;
   const std::optional<size_t> records = WalkJournal(bytes, &jrnl);

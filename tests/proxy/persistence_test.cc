@@ -13,6 +13,7 @@
 #include <iterator>
 #include <optional>
 #include <sstream>
+#include <utility>
 #include <unistd.h>
 
 #include "src/js/generator.h"
@@ -155,7 +156,7 @@ class PersistenceTest : public ::testing::Test {
       starts.push_back(at);
       uint32_t len = 0;
       ByteReader(state.substr(at)).ReadU32(&len);
-      at += 4 + len + 4;  // frame_len u32 | frame | crc u32
+      at += 8 + len + 4;  // frame_len u32 | len_crc u32 | frame | crc u32
     }
     starts.push_back(state.size());
     return starts;
@@ -421,10 +422,11 @@ TEST_F(PersistenceTest, FailedCheckpointRetriesOnceAnInterval) {
 }
 
 // The salvage rule: a whole frame whose CRC fails costs that record alone,
-// and every later record still applies; a torn frame ends the walk. So a
-// flipped byte in the second compacted record, or in an appended record,
-// recovers what the file without that record recovers, and a file cut
-// mid-record recovers what the file cut at that record's start does.
+// and every later record still applies; a torn frame, or a length that
+// fails its own CRC, ends the walk. So a flipped byte in the body of the
+// second compacted record, or of an appended record, recovers what the
+// file without that record recovers, and a flipped length byte or a file
+// cut mid-record recovers what the file cut at that record's start does.
 TEST_F(PersistenceTest, SalvageDropsOneCorruptRecordAndKeepsTheRest) {
   Rig live(Dir());
   live.store.Recover(0);
@@ -474,6 +476,23 @@ TEST_F(PersistenceTest, SalvageDropsOneCorruptRecordAndKeepsTheRest) {
     EXPECT_EQ(report.journal_bytes_dropped, 0u) << name;
     EXPECT_EQ(got, want) << name;
   }
+  // A flipped byte in the second compacted record's length, and one in the
+  // second appended record's length CRC: the length fails its check, so
+  // the walk ends at that record as at a torn tail, with every earlier
+  // record applied.
+  for (const auto& [record, offset] : {std::pair<size_t, size_t>{1, 0}, {4, 5}}) {
+    const std::string name = "length_" + std::to_string(record);
+    std::string flipped = state;
+    flipped[starts[record] + offset] ^= 0x01;
+    std::string got;
+    std::string want;
+    const RecoveryReport report = recover(name, flipped, &got);
+    recover(name + "_cut", std::string_view(state).substr(0, starts[record]), &want);
+    EXPECT_EQ(report.journal_records_applied, record) << name;
+    EXPECT_EQ(report.journal_records_dropped, 0u) << name;
+    EXPECT_EQ(report.journal_bytes_dropped, state.size() - starts[record]) << name;
+    EXPECT_EQ(got, want) << name;
+  }
   // Cut in the middle of the second appended record.
   std::string got;
   std::string want;
@@ -484,6 +503,42 @@ TEST_F(PersistenceTest, SalvageDropsOneCorruptRecordAndKeepsTheRest) {
   EXPECT_EQ(report.journal_records_dropped, 0u);
   EXPECT_EQ(report.journal_bytes_dropped, 6u);
   EXPECT_EQ(got, want);
+}
+
+// A client chooses its page path, so a record's payload can hold the bytes
+// of a whole, CRC-valid record. A corrupted length that, if trusted, would
+// make the next frame start at that embedded record must not get it
+// applied: the length fails its own CRC and the walk ends there.
+TEST_F(PersistenceTest, CorruptLengthCannotLandInsideAPayload) {
+  ByteWriter embedded;
+  persistence::EncodeKeyIssued({kIp2, "/forged.html", "forged-key", 1000}, &embedded);
+  ByteWriter w;
+  persistence::EncodeJournalHeader(&w);
+  const size_t at = w.size();
+  persistence::EncodeKeyIssued({kIp1, embedded.bytes(), "key-a1", 1000}, &w);
+  persistence::EncodeKeyIssued({kIp1, "/b.html", "key-b1", 1100}, &w);
+  const std::string intact = w.bytes();
+  // frame_len | len_crc | type u8 | ip u32 | page path's length u32 | its
+  // bytes: a frame length of 5 puts the next frame's start, past the frame
+  // and its crc u32, at the embedded record.
+  w.PatchU32(at, 5);
+  ASSERT_EQ(intact.substr(at + 8 + 1 + 4 + 4, embedded.size()), embedded.bytes());
+
+  WriteState(Dir("intact"), intact);
+  Rig clean(Dir("intact"));
+  const RecoveryReport clean_report = clean.store.Recover(2000);
+  EXPECT_EQ(clean_report.journal_records_applied, 2u);
+  EXPECT_EQ(clean_report.key_entries_restored, 2u);
+  EXPECT_FALSE(clean.keys.MatchAndConsume(IpAddress(kIp2), "forged-key", 2000));
+
+  WriteState(Dir("corrupt"), w.bytes());
+  Rig rig(Dir("corrupt"));
+  const RecoveryReport report = rig.store.Recover(2000);
+  EXPECT_EQ(report.journal_records_applied, 0u);
+  EXPECT_EQ(report.journal_records_dropped, 0u);
+  EXPECT_EQ(report.journal_bytes_dropped, intact.size() - at);
+  EXPECT_EQ(report.key_entries_restored, 0u);
+  EXPECT_FALSE(rig.keys.MatchAndConsume(IpAddress(kIp2), "forged-key", 2000));
 }
 
 // A damaged but CRC-valid directory: a compacted session whose runs hold

@@ -183,9 +183,9 @@ TEST_F(StateBytesTest, StateFileMatchesPinnedDigests) {
   expect_compacted("recovery");
   const uint64_t recovered = FileDigest(proxy_->state_store()->state_path());
 
-  EXPECT_EQ(checkpointed, 0x8d6c4bc8ffc9e590ULL) << std::hex << "checkpointed digest 0x" << checkpointed;
-  EXPECT_EQ(state, 0xb0b203b136ed5e5bULL) << std::hex << "state digest 0x" << state;
-  EXPECT_EQ(recovered, 0x138ad00d89b9bb2ULL) << std::hex << "recovered digest 0x" << recovered;
+  EXPECT_EQ(checkpointed, 0x61fa644e63f28c41ULL) << std::hex << "checkpointed digest 0x" << checkpointed;
+  EXPECT_EQ(state, 0x40dadfe8a91ebf55ULL) << std::hex << "state digest 0x" << state;
+  EXPECT_EQ(recovered, 0x24e464878b426abbULL) << std::hex << "recovered digest 0x" << recovered;
 }
 
 using PersistenceStagesTest = DurableProxyTest;
